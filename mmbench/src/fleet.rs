@@ -5,7 +5,8 @@
 use crate::common::*;
 use crate::spans::Recorder;
 use crate::stats::{
-    mean, median, percentile, quiet_median, quiet_rate, window_rates, Digest, Json, Tally, Timed,
+    mean, median, percentile, quiet_median, quiet_rate, window_medians, window_rates, Digest, Json,
+    Tally, Timed,
 };
 use mmdiag::diagnosis::Workspace;
 use mmdiag::exec::Pool;
@@ -178,8 +179,12 @@ pub fn run(cfg: &Config) -> Report {
     r.set("verified_p50_us", mean(&quiet));
     let all: Vec<Timed> = run_us.iter().flatten().copied().collect();
     r.set("diagnoses_per_s", quiet_rate(&all, Some(1.0), untraced_s));
-    let rates = window_rates(&all, 1.0, untraced_s);
-    r.detail("rates_per_s", Json::Arr(rates.into_iter().map(|x| Json::Num(x.round())).collect()));
+    let rounded = |xs: Vec<f64>| Json::Arr(xs.into_iter().map(|x| Json::Num(x.round())).collect());
+    r.detail("rates_per_s", rounded(window_rates(&all, 1.0, untraced_s)));
+    r.detail(
+        "window_medians_us",
+        Json::Arr(run_us.iter().map(|us| rounded(window_medians(us, 1.0, untraced_s))).collect()),
+    );
     r.set("lookups_per_diagnosis", mean(&lookups));
     let run_us: Vec<Vec<f64>> = run_us
         .iter()

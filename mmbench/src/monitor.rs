@@ -3,7 +3,9 @@
 
 use crate::common::*;
 use crate::spans::{phase_remainder, Recorder};
-use crate::stats::{mean, median, percentile, quiet_median, quiet_rate, Digest, Json, Tally, Timed};
+use crate::stats::{
+    mean, median, percentile, quiet_median, quiet_rate, samples_json, Digest, Json, Tally, Timed,
+};
 use mmdiag::distsim::EpochTimeline;
 use mmdiag::syndrome::{OnDemandOracle, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
@@ -238,6 +240,7 @@ fn measure(
             ("epochs_per_s", Json::Num(next as f64 / wall)),
         ]),
     );
+    r.detail("epoch_us", samples_json(&untraced.timed));
     r.set("lookups_per_diagnosis", mean(&untraced.lookups));
     r.set("lookups_per_epoch", mean(&untraced.lookups));
     r.detail("epochs", Json::Int(next as u64));

@@ -4,7 +4,9 @@
 
 use crate::common::*;
 use crate::spans::Recorder;
-use crate::stats::{mean, median, quiet_median, quiet_rate, Digest, Json, Tally, Timed};
+use crate::stats::{
+    mean, median, quiet_median, quiet_rate, samples_json, Digest, Json, Tally, Timed,
+};
 use mmdiag::diagnosis::Workspace;
 use mmdiag::exec::Pool;
 use mmdiag::syndrome::{OnDemandOracle, TesterBehavior};
@@ -149,6 +151,8 @@ fn measure(
     r.set("diagnoses_per_s", quiet_rate(&total_s, None, wall));
     r.set("lookups_per_diagnosis", median(&lookups));
     r.detail("operations", Json::Int(i as u64));
+    r.detail("diagnose_us", samples_json(&run_us));
+    r.detail("verified_us", samples_json(&total_us));
     let values = |xs: &[Timed]| xs.iter().map(|x| x.value).collect::<Vec<_>>();
     r.detail(
         "whole_run",

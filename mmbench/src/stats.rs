@@ -112,6 +112,24 @@ pub fn window_rates(samples: &[Timed], window: f64, end: f64) -> Vec<f64> {
         .collect()
 }
 
+/// Each window's median value, in time order.
+pub fn window_medians(samples: &[Timed], window: f64, end: f64) -> Vec<f64> {
+    windows(samples, Some(window), end)
+        .iter()
+        .map(|(idx, _)| median(&idx.iter().map(|&i| samples[i].value).collect::<Vec<_>>()))
+        .collect()
+}
+
+/// Samples as `[start ms, value]` pairs, for the details line.
+pub fn samples_json(samples: &[Timed]) -> Json {
+    Json::Arr(
+        samples
+            .iter()
+            .map(|s| Json::Arr(vec![Json::Num((s.at * 1e3).round()), Json::Num(s.value.round())]))
+            .collect(),
+    )
+}
+
 /// Operations per second over the run's quieter half: windows ranked by
 /// their own rate, the faster half kept.
 pub fn quiet_rate(samples: &[Timed], window: Option<f64>, end: f64) -> f64 {
