@@ -116,7 +116,10 @@ impl Report {
     }
 
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.metrics.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+        self.metrics
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
     }
 
     pub fn detail(&mut self, key: &str, value: Json) {
@@ -163,7 +166,6 @@ pub struct Decomposed {
     pub probe_lookups: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 pub fn decompose<S: SyndromeSource + ?Sized>(
     rec: &mut Recorder,
     op: u64,
@@ -269,7 +271,9 @@ pub fn traced_op<S: SyndromeSource + Sync + ?Sized>(
 ) -> Result<TracedOp, String> {
     let g = sessions.auto.topology();
     let (result, _) = rec.span("operation", op, None, |rec, root| {
-        let (a, run_span) = rec.span("Diagnoser::run", op, Some(root), |_, _| sessions.auto.run(s));
+        let (a, run_span) = rec.span("Diagnoser::run", op, Some(root), |_, _| {
+            sessions.auto.run(s)
+        });
         let auto_ns = rec.spans[run_span].dur_ns();
         let a = a.map_err(|e| format!("auto run: {e}"))?;
         let verdict = sessions.verify.map(|v| {
@@ -278,8 +282,9 @@ pub fn traced_op<S: SyndromeSource + Sync + ?Sized>(
             })
             .0
         });
-        let (sq, seq_span) =
-            rec.span("Diagnoser::run[sequential]", op, Some(root), |_, _| sessions.seq.run(s));
+        let (sq, seq_span) = rec.span("Diagnoser::run[sequential]", op, Some(root), |_, _| {
+            sessions.seq.run(s)
+        });
         let seq_us = rec.spans[seq_span].dur_ns() as f64 / 1e3;
         let sq = sq.map_err(|e| format!("sequential run: {e}"))?;
         let (dec, dec_span) = rec.span("decomposition", op, Some(root), |rec, parent| {
@@ -357,7 +362,8 @@ impl CoreSamples {
         self.grow_lookups.push(t.auto.telemetry.grow_lookups as f64);
         let rounds = &t.auto.telemetry.grow_rounds;
         self.rounds.push(rounds.len() as f64);
-        self.par_rounds.push(rounds.iter().filter(|r| r.parallel).count() as f64);
+        self.par_rounds
+            .push(rounds.iter().filter(|r| r.parallel).count() as f64);
         self.auto_us[group].push(t.auto_ns as f64 / 1e3);
         self.seq_us[group].push(t.seq_us);
     }
@@ -383,14 +389,25 @@ impl CoreSamples {
 /// The mean over instances of each instance's median: a mixed workload's
 /// typical time, steady where a pooled median would sit between instances.
 pub fn mean_of_medians(groups: &[Vec<f64>]) -> f64 {
-    mean(&groups.iter().filter(|g| !g.is_empty()).map(|g| median(g)).collect::<Vec<_>>())
+    mean(
+        &groups
+            .iter()
+            .filter(|g| !g.is_empty())
+            .map(|g| median(g))
+            .collect::<Vec<_>>(),
+    )
 }
 
 /// Phase parts as means, so they add up to the mean operation time.
 pub fn report_core(r: &mut Report, c: &CoreSamples, untraced_us: &[Vec<f64>]) {
-    for (name, acc) in ["core.probe_us", "core.certify_us", "core.grow_us", "core.other_us"]
-        .into_iter()
-        .zip(&c.parts)
+    for (name, acc) in [
+        "core.probe_us",
+        "core.certify_us",
+        "core.grow_us",
+        "core.other_us",
+    ]
+    .into_iter()
+    .zip(&c.parts)
     {
         r.set(name, mean(acc));
     }
@@ -423,7 +440,9 @@ pub fn pool_delta(before: &WorkerStats, after: &WorkerStats) -> WorkerStats {
 }
 
 pub fn pool_totals(pool: &Pool) -> WorkerStats {
-    pool.stats().expect("the benchmark pool is instrumented").totals()
+    pool.stats()
+        .expect("the benchmark pool is instrumented")
+        .totals()
 }
 
 /// Report the `exec.*` metrics for `pooled_ops` pooled diagnoses whose
@@ -527,18 +546,32 @@ mod tests {
         let mut rec = Recorder::new(Instant::now());
         let mut ws = Workspace::new(128);
         let view: &(dyn Partitionable + Sync) = &g;
-        let (dec, _) = rec.span("op", 0, None, |rec, root| decompose(rec, 0, root, view, &s, &mut ws));
+        let (dec, _) = rec.span("op", 0, None, |rec, root| {
+            decompose(rec, 0, root, view, &s, &mut ws)
+        });
         let dec = dec.unwrap();
         let d = &seq.diagnosis;
         let grow = seq.telemetry.grow_lookups;
-        assert_eq!(check_decomposition(&dec, d, &d.faults, d.certified_part, grow), Ok(()));
+        assert_eq!(
+            check_decomposition(&dec, d, &d.faults, d.certified_part, grow),
+            Ok(())
+        );
         assert!(check_decomposition(&dec, d, &[3, 64], d.certified_part, grow).is_err());
         assert!(check_decomposition(&dec, d, &d.faults, d.certified_part, grow + 1).is_err());
-        assert_eq!(rec.spans.iter().filter(|sp| sp.name == "probe_part").count(), dec.probes);
+        assert_eq!(
+            rec.spans
+                .iter()
+                .filter(|sp| sp.name == "probe_part")
+                .count(),
+            dec.probes
+        );
 
         let mut tally = Tally::default();
         assert!(tally.record(&[3, 64, 90], Some(&d.faults), true));
-        assert!(!tally.record(&[3, 64], Some(&d.faults), true), "a wrong planted set");
+        assert!(
+            !tally.record(&[3, 64], Some(&d.faults), true),
+            "a wrong planted set"
+        );
         assert_eq!(tally.failed_frac(), 0.5);
     }
 

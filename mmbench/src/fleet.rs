@@ -4,10 +4,7 @@
 
 use crate::common::*;
 use crate::spans::Recorder;
-use crate::stats::{
-    mean, median, percentile, quiet_median, quiet_rate, window_medians, window_rates, Digest, Json,
-    Tally, Timed,
-};
+use crate::stats::{mean, median, percentile, Digest, Json, Tally};
 use mmdiag::diagnosis::Workspace;
 use mmdiag::exec::Pool;
 use mmdiag::syndrome::{FaultSet, OracleSyndrome, TesterBehavior};
@@ -28,10 +25,22 @@ struct Instance {
 }
 
 const INSTANCES: [Instance; 4] = [
-    Instance { name: "CQ_9", family: || Box::new(CrossedCube::new(9)) },
-    Instance { name: "Q_10", family: || Box::new(Hypercube::new_certified(10)) },
-    Instance { name: "S_7", family: || Box::new(StarGraph::new(7)) },
-    Instance { name: "P_7", family: || Box::new(Pancake::new(7)) },
+    Instance {
+        name: "CQ_9",
+        family: || Box::new(CrossedCube::new(9)),
+    },
+    Instance {
+        name: "Q_10",
+        family: || Box::new(Hypercube::new_certified(10)),
+    },
+    Instance {
+        name: "S_7",
+        family: || Box::new(StarGraph::new(7)),
+    },
+    Instance {
+        name: "P_7",
+        family: || Box::new(Pancake::new(7)),
+    },
 ];
 
 struct Input {
@@ -84,7 +93,7 @@ struct ClientResult {
     tally: Tally,
     errors: Vec<String>,
     build_ms: Vec<f64>,
-    run_us: Vec<Vec<Timed>>,
+    run_us: Vec<Vec<f64>>,
     lookups: Vec<f64>,
     ops: u64,
     untraced_s: f64,
@@ -137,7 +146,7 @@ pub fn run(cfg: &Config) -> Report {
     });
     r.set("setup_s", median(&setup_s));
 
-    let mut run_us: Vec<Vec<Timed>> = vec![Vec::new(); INSTANCES.len()];
+    let mut run_us: Vec<Vec<f64>> = vec![Vec::new(); INSTANCES.len()];
     let mut lookups = Vec::new();
     let mut ops = 0;
     let mut untraced_s: f64 = 0.0;
@@ -169,34 +178,12 @@ pub fn run(cfg: &Config) -> Report {
         }
     }
     r.set("topology.build_ms", median(&build_ms));
-    // Each instance's quiet-half median over one-second windows, averaged
-    // over the instances so no instance's share of the mix decides it.
-    let quiet: Vec<f64> = run_us
-        .iter()
-        .map(|us| quiet_median(us, Some(1.0), untraced_s))
-        .collect();
-    r.set("diagnose_p50_us", mean(&quiet));
-    r.set("verified_p50_us", mean(&quiet));
-    let all: Vec<Timed> = run_us.iter().flatten().copied().collect();
-    r.set("diagnoses_per_s", quiet_rate(&all, Some(1.0), untraced_s));
-    let rounded = |xs: Vec<f64>| Json::Arr(xs.into_iter().map(|x| Json::Num(x.round())).collect());
-    r.detail("rates_per_s", rounded(window_rates(&all, 1.0, untraced_s)));
-    r.detail(
-        "window_medians_us",
-        Json::Arr(run_us.iter().map(|us| rounded(window_medians(us, 1.0, untraced_s))).collect()),
-    );
+    // Each instance's median, averaged over the instances: a median over
+    // the mix would sit on the boundary between two instances' times.
+    r.set("diagnose_p50_us", mean_of_medians(&run_us));
+    r.set("verified_p50_us", mean_of_medians(&run_us));
+    r.set("diagnoses_per_s", ops as f64 / untraced_s);
     r.set("lookups_per_diagnosis", mean(&lookups));
-    let run_us: Vec<Vec<f64>> = run_us
-        .iter()
-        .map(|us| us.iter().map(|t| t.value).collect())
-        .collect();
-    r.detail(
-        "whole_run",
-        Json::obj([
-            ("diagnose_p50_us", Json::Num(mean_of_medians(&run_us))),
-            ("diagnoses_per_s", Json::Num(ops as f64 / untraced_s)),
-        ]),
-    );
     let tails: Vec<Json> = INSTANCES
         .iter()
         .zip(&run_us)
@@ -260,8 +247,13 @@ fn client(
             build_ns += t0.elapsed().as_secs_f64() * 1e3;
             let warm = &mine[rep % mine.len()];
             let got = session.run(&warm.oracle);
-            if !res.tally.record(&warm.faults, got.as_ref().ok().map(|a| &a.diagnosis.faults[..]), true) {
-                res.errors.push(format!("{} warm-up {rep} was wrong", inst.name));
+            if !res.tally.record(
+                &warm.faults,
+                got.as_ref().ok().map(|a| &a.diagnosis.faults[..]),
+                true,
+            ) {
+                res.errors
+                    .push(format!("{} warm-up {rep} was wrong", inst.name));
             }
             sessions.push(session);
         }
@@ -293,15 +285,15 @@ fn measure(
         let t0 = Instant::now();
         let got = sessions[inst].run(&input.oracle);
         let wall = t0.elapsed();
-        let at = (t0 - start).as_secs_f64();
         let faults = got.as_ref().ok().map(|a| &a.diagnosis.faults[..]);
         if !res.tally.record(&input.faults, faults, true) {
-            res.errors.push(format!("{} operation {i} was wrong", INSTANCES[inst].name));
+            res.errors
+                .push(format!("{} operation {i} was wrong", INSTANCES[inst].name));
         }
         if let Ok(a) = &got {
             keep(&mut res.lookups, a.diagnosis.lookups_used as f64);
         }
-        keep(&mut res.run_us[inst], Timed { at, value: us(wall) });
+        keep(&mut res.run_us[inst], us(wall));
         i += 1;
     }
     res.ops = i as u64;
@@ -335,8 +327,14 @@ fn measure(
         };
         match traced_op(&mut rec, op as u64, &traced, &input.oracle, &mut wss[inst]) {
             Ok(t) => {
-                if !res.tally.record(&input.faults, Some(&t.auto.diagnosis.faults), true) {
-                    res.errors.push(format!("{} traced operation {op} was wrong", INSTANCES[inst].name));
+                if !res
+                    .tally
+                    .record(&input.faults, Some(&t.auto.diagnosis.faults), true)
+                {
+                    res.errors.push(format!(
+                        "{} traced operation {op} was wrong",
+                        INSTANCES[inst].name
+                    ));
                 }
                 if auto_is_pooled(sessions[inst].topology().node_count()) {
                     res.pooled_wall_ns += t.auto_ns;
@@ -346,7 +344,10 @@ fn measure(
             }
             Err(e) => {
                 res.tally.record(&input.faults, None, true);
-                res.errors.push(format!("{} traced operation {op}: {e}", INSTANCES[inst].name));
+                res.errors.push(format!(
+                    "{} traced operation {op}: {e}",
+                    INSTANCES[inst].name
+                ));
             }
         }
         op += 1;

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path mmbench/Cargo.toml -- \
-//!     --workload scale-verified --seed 1 --seconds 12 --trace 0
+//!     --workload scale-verified --seed 1 --seconds 15 --trace 0
 //! ```
 //!
 //! `--trace 0` reports the end-to-end metrics; `--trace 1` runs the same
@@ -96,7 +96,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--workload" => return Err(format!("unknown workload {value}; one of {WORKLOADS:?}")),
             "--seed" => seed = Some(value.parse::<u64>().map_err(|e| format!("--seed: {e}"))?),
             "--seconds" => {
-                let s = value.parse::<f64>().map_err(|e| format!("--seconds: {e}"))?;
+                let s = value
+                    .parse::<f64>()
+                    .map_err(|e| format!("--seconds: {e}"))?;
                 if !(s > 0.0 && s <= 3600.0) {
                     return Err(format!("--seconds {s} outside (0, 3600]"));
                 }
@@ -124,7 +126,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
 
 /// The commit of the working tree, read from `.git` when there is one.
 fn git_rev() -> Json {
-    let read = |p: &str| std::fs::read_to_string(p).ok().map(|s| s.trim().to_string());
+    let read = |p: &str| {
+        std::fs::read_to_string(p)
+            .ok()
+            .map(|s| s.trim().to_string())
+    };
     let Some(head) = read(".git/HEAD") else {
         return Json::Null;
     };
@@ -152,7 +158,10 @@ fn provenance(args: &Args) -> Json {
             "nproc",
             Json::Int(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64),
         ),
-        ("pool_threads", Json::Int(mmdiag::exec::default_threads() as u64)),
+        (
+            "pool_threads",
+            Json::Int(mmdiag::exec::default_threads() as u64),
+        ),
         ("rustc", Json::str(env!("MMBENCH_RUSTC"))),
         ("profile", Json::str(env!("MMBENCH_PROFILE"))),
     ])
@@ -208,7 +217,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let table = if args.config.trace { PER_LAYER } else { END_TO_END };
+    let table = if args.config.trace {
+        PER_LAYER
+    } else {
+        END_TO_END
+    };
     let mut metrics = Vec::new();
     for &(name, unit) in table {
         let value = match report.get(name) {
@@ -238,7 +251,10 @@ fn main() -> ExitCode {
     let detail = Json::obj([
         ("provenance", provenance(&args)),
         ("failed_frac", Json::Num(report.tally.failed_frac())),
-        ("errors", Json::Arr(report.errors.iter().map(Json::str).collect())),
+        (
+            "errors",
+            Json::Arr(report.errors.iter().map(Json::str).collect()),
+        ),
         ("not_applicable", Json::Arr(not_applicable)),
         ("measured", Json::obj(all)),
         ("detail", Json::Obj(std::mem::take(&mut report.detail))),
@@ -263,7 +279,10 @@ mod tests {
         let parse = |s: &str| parse_args(s.split_whitespace().map(String::from));
         let a = parse("--workload fleet-small --seed 3 --seconds 2.5 --trace 1").unwrap();
         assert_eq!(a.workload, "fleet-small");
-        assert_eq!((a.config.seed, a.config.seconds, a.config.trace), (3, 2.5, true));
+        assert_eq!(
+            (a.config.seed, a.config.seconds, a.config.trace),
+            (3, 2.5, true)
+        );
         assert!(parse("--workload nope --seed 3 --seconds 2 --trace 0").is_err());
         assert!(parse("--workload fleet-small --seed 3 --seconds 2 --trace 2").is_err());
         assert!(parse("--workload fleet-small --seconds 2 --trace 0").is_err());
@@ -278,13 +297,20 @@ mod tests {
         let text = std::fs::read_to_string(path).expect("BENCHMARK.json beside the crate");
         let compact: String = text.chars().filter(|c| !c.is_whitespace()).collect();
         for w in WORKLOADS {
-            assert!(compact.contains(&format!("\"name\":\"{w}\"")), "workload {w}");
+            assert!(
+                compact.contains(&format!("\"name\":\"{w}\"")),
+                "workload {w}"
+            );
         }
         for &(name, unit) in END_TO_END.iter().chain(PER_LAYER) {
             let entry = format!("\"name\":\"{name}\",\"unit\":\"{unit}\"");
             assert!(compact.contains(&entry), "metric {name} [{unit}]");
         }
         let listed = compact.matches("\"unit\":").count();
-        assert_eq!(listed, END_TO_END.len() + PER_LAYER.len(), "no extra metrics");
+        assert_eq!(
+            listed,
+            END_TO_END.len() + PER_LAYER.len(),
+            "no extra metrics"
+        );
     }
 }

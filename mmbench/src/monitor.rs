@@ -3,9 +3,7 @@
 
 use crate::common::*;
 use crate::spans::{phase_remainder, Recorder};
-use crate::stats::{
-    mean, median, percentile, quiet_median, quiet_rate, samples_json, Digest, Json, Tally, Timed,
-};
+use crate::stats::{mean, median, percentile, Digest, Json, Tally};
 use mmdiag::distsim::EpochTimeline;
 use mmdiag::syndrome::{OnDemandOracle, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
@@ -29,7 +27,12 @@ struct Epoch {
     delta: Vec<NodeId>,
 }
 
-fn inputs(cfg: &Config, n: usize, bound: usize, digest: &mut Digest) -> (Vec<Epoch>, TesterBehavior) {
+fn inputs(
+    cfg: &Config,
+    n: usize,
+    bound: usize,
+    digest: &mut Digest,
+) -> (Vec<Epoch>, TesterBehavior) {
     let mut rng = Rng::new(cfg.seed, 0xE90C5);
     let behavior = TesterBehavior::Random { seed: rng.next() };
     let epochs = 1 + (cfg.seconds * EPOCHS_PER_SECOND).ceil() as usize + SETUPS;
@@ -68,7 +71,10 @@ pub fn run(cfg: &Config) -> Report {
     let (n, bound) = (probe.node_count(), probe.driver_fault_bound());
     let (epochs, behavior) = inputs(cfg, n, bound, &mut digest);
     r.detail("inputs_digest", Json::str(digest.hex()));
-    r.detail("instance", Json::str(format!("Q_{DIM} implicit, {n} nodes, bound {bound}")));
+    r.detail(
+        "instance",
+        Json::str(format!("Q_{DIM} implicit, {n} nodes, bound {bound}")),
+    );
     crate::heap::reset_peak();
 
     let mut setup_s = Vec::new();
@@ -89,12 +95,23 @@ pub fn run(cfg: &Config) -> Report {
         let first = &epochs[0];
         let s = OnDemandOracle::new(n, &first.faults, behavior);
         let got = monitor.ingest(&s, &first.delta);
-        if !r.tally.record(&first.faults, got.as_ref().ok().map(|e| &e.diagnosis.faults[..]), true) {
+        if !r.tally.record(
+            &first.faults,
+            got.as_ref().ok().map(|e| &e.diagnosis.faults[..]),
+            true,
+        ) {
             r.error(format!("initial epoch of set-up {rep} was wrong"));
         }
         setup_s.push(t0.elapsed().as_secs_f64());
         if rep + 1 == SETUPS {
-            measure(cfg, &mut r, &mut monitor, session.topology(), &epochs[1..], behavior);
+            measure(
+                cfg,
+                &mut r,
+                &mut monitor,
+                session.topology(),
+                &epochs[1..],
+                behavior,
+            );
         }
     }
     r.set("setup_s", median(&setup_s));
@@ -120,7 +137,6 @@ struct EpochStat {
 /// Per-epoch samples of one phase.
 struct EpochSamples {
     wall_us: Vec<f64>,
-    timed: Vec<Timed>,
     lookups: Vec<f64>,
     delta_nodes: u64,
     busy_lookups: u64,
@@ -131,7 +147,6 @@ impl EpochSamples {
     fn new() -> Self {
         EpochSamples {
             wall_us: series(),
-            timed: series(),
             lookups: series(),
             delta_nodes: 0,
             busy_lookups: 0,
@@ -151,30 +166,28 @@ fn ingest_one(
     index: usize,
     samples: &mut EpochSamples,
     rec: Option<&mut Recorder>,
-    origin: Instant,
 ) {
     let s = OnDemandOracle::new(n, &epoch.faults, behavior);
     let t0 = Instant::now();
     let got = match rec {
         Some(rec) => {
             let op = index as u64;
-            rec.span("MonitorSession::ingest", op, None, |_, _| monitor.ingest(&s, &epoch.delta))
-                .0
+            rec.span("MonitorSession::ingest", op, None, |_, _| {
+                monitor.ingest(&s, &epoch.delta)
+            })
+            .0
         }
         None => monitor.ingest(&s, &epoch.delta),
     };
     let wall = t0.elapsed();
-    if !tally.record(&epoch.faults, got.as_ref().ok().map(|e| &e.diagnosis.faults[..]), true) {
+    if !tally.record(
+        &epoch.faults,
+        got.as_ref().ok().map(|e| &e.diagnosis.faults[..]),
+        true,
+    ) {
         r.error(format!("epoch {index}: wrong fault set or error"));
     }
     keep(&mut samples.wall_us, us(wall));
-    keep(
-        &mut samples.timed,
-        Timed {
-            at: (t0 - origin).as_secs_f64(),
-            value: us(wall),
-        },
-    );
     if let Ok(report) = got {
         keep(&mut samples.lookups, report.lookups as f64);
         if !report.quiescent {
@@ -188,23 +201,30 @@ fn ingest_one(
             ("grow", t.grow_nanos as u64),
         ];
         // A quiescent epoch runs no phase at all.
-        let required: &[&str] = if report.quiescent { &[] } else { &["probe", "certify", "grow"] };
+        let required: &[&str] = if report.quiescent {
+            &[]
+        } else {
+            &["probe", "certify", "grow"]
+        };
         let other_ns = phase_remainder(ns_u64(wall), &phases, required).unwrap_or_else(|e| {
             r.error(format!("epoch {index} phases: {e}"));
             0
         });
-        keep(&mut samples.reports, EpochStat {
-            quiescent: report.quiescent,
-            escalated: report.escalation.is_some(),
-            parts_reprobed: report.parts_reprobed,
-            parts_reused: report.parts_reused,
-            probe_ns: phases[0].1,
-            certify_ns: phases[1].1,
-            grow_ns: phases[2].1,
-            other_ns,
-            probe_lookups: t.probe_lookups,
-            grow_lookups: t.grow_lookups,
-        });
+        keep(
+            &mut samples.reports,
+            EpochStat {
+                quiescent: report.quiescent,
+                escalated: report.escalation.is_some(),
+                parts_reprobed: report.parts_reprobed,
+                parts_reused: report.parts_reused,
+                probe_ns: phases[0].1,
+                certify_ns: phases[1].1,
+                grow_ns: phases[2].1,
+                other_ns,
+                probe_lookups: t.probe_lookups,
+                grow_lookups: t.grow_lookups,
+            },
+        );
     }
 }
 
@@ -223,24 +243,25 @@ fn measure(
     let mut untraced = EpochSamples::new();
     let mut next = 0usize;
     while next < epochs.len() && (next == 0 || Instant::now() < untraced_end) {
-        ingest_one(r, &mut tally, monitor, &epochs[next], n, behavior, next, &mut untraced, None, start);
+        ingest_one(
+            r,
+            &mut tally,
+            monitor,
+            &epochs[next],
+            n,
+            behavior,
+            next,
+            &mut untraced,
+            None,
+        );
         next += 1;
     }
-    // Epochs take about a tenth of a second: one-second windows.
     let wall = start.elapsed().as_secs_f64();
-    let epoch_p50 = quiet_median(&untraced.timed, Some(1.0), wall);
+    let epoch_p50 = median(&untraced.wall_us);
     r.set("diagnose_p50_us", epoch_p50);
     r.set("verified_p50_us", epoch_p50);
     r.set("epoch_p50_us", epoch_p50);
-    r.set("diagnoses_per_s", quiet_rate(&untraced.timed, Some(1.0), wall));
-    r.detail(
-        "whole_run",
-        Json::obj([
-            ("epoch_p50_us", Json::Num(median(&untraced.wall_us))),
-            ("epochs_per_s", Json::Num(next as f64 / wall)),
-        ]),
-    );
-    r.detail("epoch_us", samples_json(&untraced.timed));
+    r.set("diagnoses_per_s", next as f64 / wall);
     r.set("lookups_per_diagnosis", mean(&untraced.lookups));
     r.set("lookups_per_epoch", mean(&untraced.lookups));
     r.detail("epochs", Json::Int(next as u64));
@@ -261,14 +282,27 @@ fn measure(
         while next < epochs.len() && (traced.wall_us.is_empty() || Instant::now() < end) {
             let epoch = &epochs[next];
             let rec = Some(&mut rec);
-            ingest_one(r, &mut tally, monitor, epoch, n, behavior, next, &mut traced, rec, start);
+            ingest_one(
+                r,
+                &mut tally,
+                monitor,
+                epoch,
+                n,
+                behavior,
+                next,
+                &mut traced,
+                rec,
+            );
             next += 1;
         }
-        report_traced(r, &traced, median(&untraced.wall_us));
+        report_traced(r, &traced, epoch_p50);
         all_us.extend(&traced.wall_us);
         r.spans.push(rec.to_json(0));
         let mut rng = Rng::new(0x1A7E2, n as u64);
-        r.set("topology.adjacency_ns_per_node", adjacency_ns_per_node(g, &mut rng));
+        r.set(
+            "topology.adjacency_ns_per_node",
+            adjacency_ns_per_node(g, &mut rng),
+        );
         let s = OnDemandOracle::new(n, &epochs[0].faults, behavior);
         r.set("syndrome.lookup_ns", lookup_ns(g, &s, &mut rng));
     }
@@ -288,12 +322,17 @@ fn measure(
 }
 
 fn report_traced(r: &mut Report, t: &EpochSamples, untraced_p50: f64) {
-    let per_epoch = |f: &dyn Fn(&EpochStat) -> f64| {
-        mean(&t.reports.iter().map(f).collect::<Vec<_>>())
-    };
+    let per_epoch =
+        |f: &dyn Fn(&EpochStat) -> f64| mean(&t.reports.iter().map(f).collect::<Vec<_>>());
     r.set("monitor.epochs", t.wall_us.len() as f64);
-    r.set("monitor.parts_reprobed", per_epoch(&|e| e.parts_reprobed as f64));
-    r.set("monitor.parts_reused", per_epoch(&|e| e.parts_reused as f64));
+    r.set(
+        "monitor.parts_reprobed",
+        per_epoch(&|e| e.parts_reprobed as f64),
+    );
+    r.set(
+        "monitor.parts_reused",
+        per_epoch(&|e| e.parts_reused as f64),
+    );
     r.set(
         "monitor.escalations",
         t.reports.iter().filter(|e| e.escalated).count() as f64,
@@ -319,5 +358,8 @@ fn report_traced(r: &mut Report, t: &EpochSamples, untraced_p50: f64) {
     r.set("core.probe_lookups", per_epoch(&|e| e.probe_lookups as f64));
     r.set("core.grow_lookups", per_epoch(&|e| e.grow_lookups as f64));
     r.set("core.probes", per_epoch(&|e| e.parts_reprobed as f64));
-    r.set("trace.overhead_frac", median(&t.wall_us) / untraced_p50 - 1.0);
+    r.set(
+        "trace.overhead_frac",
+        median(&t.wall_us) / untraced_p50 - 1.0,
+    );
 }

@@ -4,9 +4,7 @@
 
 use crate::common::*;
 use crate::spans::Recorder;
-use crate::stats::{
-    mean, median, quiet_median, quiet_rate, samples_json, Digest, Json, Tally, Timed,
-};
+use crate::stats::{mean, median, Digest, Json, Tally};
 use mmdiag::diagnosis::Workspace;
 use mmdiag::exec::Pool;
 use mmdiag::syndrome::{OnDemandOracle, TesterBehavior};
@@ -61,7 +59,10 @@ pub fn run(cfg: &Config) -> Report {
     let verify_seed = Rng::new(cfg.seed, 0x7E21F).next();
     digest.add(verify_seed);
     r.detail("inputs_digest", Json::str(digest.hex()));
-    r.detail("instance", Json::str(format!("Q_{DIM} implicit, {n} nodes, bound {bound}")));
+    r.detail(
+        "instance",
+        Json::str(format!("Q_{DIM} implicit, {n} nodes, bound {bound}")),
+    );
     crate::heap::reset_peak();
     let pool = cfg
         .trace
@@ -79,7 +80,8 @@ pub fn run(cfg: &Config) -> Report {
         let ok = match diag.run(&s) {
             Ok(a) => {
                 let v = verify.verify_claim(&s, &a.diagnosis.faults, a.diagnosis.certified_part);
-                r.tally.record(&warm.faults, Some(&a.diagnosis.faults), agreed(&v))
+                r.tally
+                    .record(&warm.faults, Some(&a.diagnosis.faults), agreed(&v))
             }
             Err(_) => r.tally.record(&warm.faults, None, true),
         };
@@ -109,13 +111,13 @@ fn measure(
     let start = Instant::now();
     let (untraced_end, traced_end) = cfg.phases(start);
 
-    let (mut run_us, mut verify_us, mut total_us, mut lookups) = (series(), series(), series(), series());
+    let (mut run_us, mut verify_us, mut total_us, mut lookups) =
+        (series(), series(), series(), series());
     let mut i = 0usize;
     while i == 0 || Instant::now() < untraced_end {
         let input = &inputs[i % inputs.len()];
         let s = input.oracle(n);
         let t0 = Instant::now();
-        let at = (t0 - start).as_secs_f64();
         let report = diag.run(&s);
         let t1 = Instant::now();
         let (faults, verdict) = match &report {
@@ -132,39 +134,21 @@ fn measure(
         if let Ok(a) = &report {
             keep(&mut lookups, a.diagnosis.lookups_used as f64);
         }
-        keep(&mut run_us, Timed { at, value: us(t1 - t0) });
-        keep(&mut verify_us, Timed { at, value: us(t2 - t1) });
-        keep(&mut total_us, Timed { at, value: us(t2 - t0) });
+        keep(&mut run_us, us(t1 - t0));
+        keep(&mut verify_us, us(t2 - t1));
+        keep(&mut total_us, us(t2 - t0));
         i += 1;
     }
-    // Operations take most of a second each, so every operation is its own
-    // window for the quiet-half figures.
     let wall = start.elapsed().as_secs_f64();
-    r.set("diagnose_p50_us", quiet_median(&run_us, None, wall));
-    r.set("verified_p50_us", quiet_median(&total_us, None, wall));
-    r.set("verify_p50_us", quiet_median(&verify_us, None, wall));
-    // With a window per operation, a window lasts as long as its operation.
-    let total_s: Vec<Timed> = total_us
-        .iter()
-        .map(|t| Timed { at: t.at, value: t.value / 1e6 })
-        .collect();
-    r.set("diagnoses_per_s", quiet_rate(&total_s, None, wall));
+    r.set("diagnose_p50_us", median(&run_us));
+    r.set("verified_p50_us", median(&total_us));
+    r.set("verify_p50_us", median(&verify_us));
+    r.set("diagnoses_per_s", i as f64 / wall);
     r.set("lookups_per_diagnosis", median(&lookups));
     r.detail("operations", Json::Int(i as u64));
-    r.detail("diagnose_us", samples_json(&run_us));
-    r.detail("verified_us", samples_json(&total_us));
-    let values = |xs: &[Timed]| xs.iter().map(|x| x.value).collect::<Vec<_>>();
-    r.detail(
-        "whole_run",
-        Json::obj([
-            ("diagnose_p50_us", Json::Num(median(&values(&run_us)))),
-            ("verified_p50_us", Json::Num(median(&values(&total_us)))),
-            ("diagnoses_per_s", Json::Num(i as f64 / wall)),
-        ]),
-    );
 
     if let (Some(pool), Some(end)) = (pool, traced_end) {
-        traced(r, diag.topology(), verify, inputs, pool, end, &values(&run_us));
+        traced(r, diag.topology(), verify, inputs, pool, end, &run_us);
     }
 }
 
@@ -202,10 +186,21 @@ fn traced(
         match traced_op(&mut rec, op, &sessions, &s, &mut ws) {
             Ok(t) => {
                 let verdict = t.verdict.as_ref().expect("the traced phase verifies");
-                if !tally.record(&input.faults, Some(&t.auto.diagnosis.faults), agreed(verdict)) {
-                    r.error(format!("traced operation {op}: wrong diagnosis or rejected claim"));
+                if !tally.record(
+                    &input.faults,
+                    Some(&t.auto.diagnosis.faults),
+                    agreed(verdict),
+                ) {
+                    r.error(format!(
+                        "traced operation {op}: wrong diagnosis or rejected claim"
+                    ));
                 }
-                if let VerificationVerdict::Sampled { samples: k, checked_tests, .. } = *verdict {
+                if let VerificationVerdict::Sampled {
+                    samples: k,
+                    checked_tests,
+                    ..
+                } = *verdict
+                {
                     samples.push(k as f64);
                     checked.push(checked_tests as f64);
                     per_lookup.push(checked_tests as f64 / t.auto.diagnosis.lookups_used as f64);
@@ -224,7 +219,11 @@ fn traced(
     }
     let delta = pool_delta(&before, &pool_totals(pool));
     r.tally.merge(tally);
-    let pooled_ops = if auto_is_pooled(n) { core.auto_us[0].len() } else { 0 };
+    let pooled_ops = if auto_is_pooled(n) {
+        core.auto_us[0].len()
+    } else {
+        0
+    };
     report_exec(r, &delta, pool.threads(), pooled_ops, pooled_wall_ns);
     report_core(r, &core, &[untraced_run_us.to_vec()]);
     r.set("verify.samples", mean(&samples));
@@ -232,7 +231,10 @@ fn traced(
     r.set("verify.tests_per_lookup", mean(&per_lookup));
 
     let mut rng = Rng::new(0x1A7E2, n as u64);
-    r.set("topology.adjacency_ns_per_node", adjacency_ns_per_node(g, &mut rng));
+    r.set(
+        "topology.adjacency_ns_per_node",
+        adjacency_ns_per_node(g, &mut rng),
+    );
     let s = inputs[0].oracle(n);
     r.set("syndrome.lookup_ns", lookup_ns(g, &s, &mut rng));
     r.spans.push(rec.to_json(0));

@@ -101,7 +101,10 @@ impl Recorder {
                         ("name", Json::str(s.name)),
                         ("client", Json::Int(client as u64)),
                         ("op", Json::Int(s.op)),
-                        ("parent", s.parent.map_or(Json::Null, |p| Json::Int(p as u64))),
+                        (
+                            "parent",
+                            s.parent.map_or(Json::Null, |p| Json::Int(p as u64)),
+                        ),
                         ("start_ns", Json::Int(s.start_ns)),
                         ("end_ns", Json::Int(s.end_ns)),
                         ("self_ns", Json::Int(self_ns[id])),
@@ -148,10 +151,34 @@ mod tests {
     fn self_time_subtracts_the_union_of_children() {
         let mut rec = Recorder::new(Instant::now());
         rec.spans = vec![
-            Span { name: "op", op: 0, parent: None, start_ns: 0, end_ns: 100 },
-            Span { name: "a", op: 0, parent: Some(0), start_ns: 10, end_ns: 40 },
-            Span { name: "b", op: 0, parent: Some(0), start_ns: 30, end_ns: 60 },
-            Span { name: "c", op: 0, parent: Some(1), start_ns: 10, end_ns: 20 },
+            Span {
+                name: "op",
+                op: 0,
+                parent: None,
+                start_ns: 0,
+                end_ns: 100,
+            },
+            Span {
+                name: "a",
+                op: 0,
+                parent: Some(0),
+                start_ns: 10,
+                end_ns: 40,
+            },
+            Span {
+                name: "b",
+                op: 0,
+                parent: Some(0),
+                start_ns: 30,
+                end_ns: 60,
+            },
+            Span {
+                name: "c",
+                op: 0,
+                parent: Some(1),
+                start_ns: 10,
+                end_ns: 20,
+            },
         ];
         assert_eq!(rec.self_ns(), vec![50, 20, 30, 10]);
     }
@@ -175,7 +202,9 @@ mod tests {
         let all = ["probe", "certify", "grow"];
         assert_eq!(phase_remainder(1_000_000, &phases, &all), Ok(99_000));
         let no_grow = [phases[0], phases[1]];
-        assert!(phase_remainder(1_000_000, &no_grow, &all).unwrap_err().contains("grow"));
+        assert!(phase_remainder(1_000_000, &no_grow, &all)
+            .unwrap_err()
+            .contains("grow"));
         // A phase counted twice no longer fits inside the whole.
         let twice = [phases[0], phases[1], phases[2], phases[2]];
         assert!(phase_remainder(1_000_000, &twice, &all).is_err());

@@ -51,98 +51,6 @@ pub fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// One timed operation: when it started (seconds into the measurement) and
-/// what it measured.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Timed {
-    pub at: f64,
-    pub value: f64,
-}
-
-/// The windows a run is cut into: consecutive spans of `window` seconds,
-/// or one window per operation when `window` is `None`. Each window lists
-/// its samples' indices and its length in seconds.
-fn windows(samples: &[Timed], window: Option<f64>, end: f64) -> Vec<(Vec<usize>, f64)> {
-    match window {
-        None => (0..samples.len()).map(|i| (vec![i], samples[i].value)).collect(),
-        Some(w) => {
-            let count = (end / w).ceil().max(1.0) as usize;
-            let mut out: Vec<(Vec<usize>, f64)> = (0..count)
-                .map(|k| (Vec::new(), w.min(end - k as f64 * w)))
-                .collect();
-            for (i, s) in samples.iter().enumerate() {
-                out[((s.at / w) as usize).min(count - 1)].0.push(i);
-            }
-            out.retain(|(idx, len)| !idx.is_empty() && *len > 0.0);
-            out
-        }
-    }
-}
-
-/// The faster half of a run's windows, ranked by `score` (lower is
-/// faster). The machine this runs on is shared: other tenants slow whole
-/// stretches of a run by a fifth or more, for seconds at a time, and
-/// setting the slower half aside keeps that out of the reported figure.
-fn quiet_half(
-    samples: &[Timed],
-    window: Option<f64>,
-    end: f64,
-    score: impl Fn(&[usize], f64) -> f64,
-) -> Vec<(Vec<usize>, f64)> {
-    let mut ws = windows(samples, window, end);
-    ws.sort_by(|a, b| score(&a.0, a.1).total_cmp(&score(&b.0, b.1)));
-    ws.truncate(ws.len().div_ceil(2));
-    ws
-}
-
-/// The median of the operations in the run's quieter half: windows ranked
-/// by their own median value, the faster half kept.
-pub fn quiet_median(samples: &[Timed], window: Option<f64>, end: f64) -> f64 {
-    let value = |idx: &[usize]| idx.iter().map(|&i| samples[i].value).collect::<Vec<_>>();
-    let kept = quiet_half(samples, window, end, |idx, _| median(&value(idx)));
-    median(&kept.iter().flat_map(|(idx, _)| value(idx)).collect::<Vec<_>>())
-}
-
-/// Operations per second in each window, in time order: shows the slow
-/// stretches the quiet-half figures set aside.
-pub fn window_rates(samples: &[Timed], window: f64, end: f64) -> Vec<f64> {
-    windows(samples, Some(window), end)
-        .iter()
-        .map(|(idx, len)| idx.len() as f64 / len)
-        .collect()
-}
-
-/// Each window's median value, in time order.
-pub fn window_medians(samples: &[Timed], window: f64, end: f64) -> Vec<f64> {
-    windows(samples, Some(window), end)
-        .iter()
-        .map(|(idx, _)| median(&idx.iter().map(|&i| samples[i].value).collect::<Vec<_>>()))
-        .collect()
-}
-
-/// Samples as `[start ms, value]` pairs, for the details line.
-pub fn samples_json(samples: &[Timed]) -> Json {
-    Json::Arr(
-        samples
-            .iter()
-            .map(|s| Json::Arr(vec![Json::Num((s.at * 1e3).round()), Json::Num(s.value.round())]))
-            .collect(),
-    )
-}
-
-/// Operations per second over the run's quieter half: windows ranked by
-/// their own rate, the faster half kept.
-pub fn quiet_rate(samples: &[Timed], window: Option<f64>, end: f64) -> f64 {
-    let kept = quiet_half(samples, window, end, |idx, len| -(idx.len() as f64) / len);
-    let ops: usize = kept.iter().map(|(idx, _)| idx.len()).sum();
-    let secs: f64 = kept.iter().map(|(_, len)| len).sum();
-    if secs > 0.0 {
-        ops as f64 / secs
-    } else {
-        0.0
-    }
-}
-
 /// The arithmetic mean; 0 for no samples.
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
@@ -304,7 +212,9 @@ fn write_str(out: &mut String, s: &str) {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("writing to a String"),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String")
+            }
             c => out.push(c),
         }
     }
@@ -329,26 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn quiet_half_sets_a_slow_stretch_aside() {
-        // Four one-second windows of ten operations each; the middle two
-        // run twice as slow, as when another tenant takes the machine.
-        let samples: Vec<Timed> = (0..40)
-            .map(|i| {
-                let at = i as f64 / 10.0;
-                let slow = (1.0..3.0).contains(&at);
-                Timed { at, value: if slow { 20.0 } else { 10.0 + (i % 3) as f64 } }
-            })
-            .collect();
-        assert_eq!(median(&samples.iter().map(|s| s.value).collect::<Vec<_>>()), 16.0);
-        assert_eq!(quiet_median(&samples, Some(1.0), 4.0), 11.0);
-        assert_eq!(quiet_rate(&samples, Some(1.0), 4.0), 10.0);
-        // One window per operation: the faster half of the operations.
-        let ops = [30.0, 10.0, 40.0, 20.0].map(|value| Timed { at: 0.0, value });
-        assert_eq!(quiet_median(&ops, None, 0.0), 15.0);
-        assert_eq!(quiet_rate(&ops, None, 0.0), 2.0 / 30.0);
-    }
-
-    #[test]
     fn median_handles_odd_and_even_counts() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
@@ -360,10 +250,22 @@ mod tests {
         let mut tally = Tally::default();
         assert!(tally.record(&[3, 64, 90], Some(&[3, 64, 90]), true));
         assert_eq!(tally.failed_frac(), 0.0);
-        assert!(!tally.record(&[3, 64, 90], Some(&[3, 64]), true), "a missed fault");
-        assert!(!tally.record(&[3, 64], Some(&[3, 64]), false), "verifier rejected");
+        assert!(
+            !tally.record(&[3, 64, 90], Some(&[3, 64]), true),
+            "a missed fault"
+        );
+        assert!(
+            !tally.record(&[3, 64], Some(&[3, 64]), false),
+            "verifier rejected"
+        );
         assert!(!tally.record(&[3], None, true), "the program erred");
-        assert_eq!(tally, Tally { attempted: 4, failed: 3 });
+        assert_eq!(
+            tally,
+            Tally {
+                attempted: 4,
+                failed: 3
+            }
+        );
         assert_eq!(tally.failed_frac(), 0.75);
     }
 
