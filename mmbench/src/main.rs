@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path mmbench/Cargo.toml -- \
-//!     --workload scale-verified --seed 1 --seconds 15 --trace 0
+//!     --workload scale-verified --seed 1 --seconds 30 --trace 0
 //! ```
 //!
 //! `--trace 0` reports the end-to-end metrics; `--trace 1` runs the same

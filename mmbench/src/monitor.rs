@@ -16,9 +16,11 @@ const DIM: usize = 20;
 /// are quiescent, so the epoch median sits on real work.
 const ONSET_RATE: f64 = 2.5;
 const RECOVERY_RATE: f64 = 2.5;
-/// Epochs generated per second of run time; a non-quiescent Q_20 epoch
-/// takes about 0.1 s, so the timeline outlasts the run.
-const EPOCHS_PER_SECOND: f64 = 10.0;
+/// Epochs in the generated timeline. The timeline keeps a bitmap of the
+/// whole network per epoch (1 MiB at Q_20), so it is kept short and
+/// replayed in a cycle; the epoch that closes a cycle gets the exact delta
+/// from the last fault set back to the first.
+const TIMELINE_EPOCHS: usize = 96;
 
 /// One epoch of the timeline: the instantaneous fault set and the nodes
 /// whose status changed at its start.
@@ -27,28 +29,38 @@ struct Epoch {
     delta: Vec<NodeId>,
 }
 
-fn inputs(
-    cfg: &Config,
-    n: usize,
-    bound: usize,
-    digest: &mut Digest,
-) -> (Vec<Epoch>, TesterBehavior) {
+/// The seeded timeline: its initial epoch, the epochs replayed after it,
+/// and the delta that takes the last of them back to the first.
+struct Timeline {
+    initial: Epoch,
+    cycle: Vec<Epoch>,
+    wrap_delta: Vec<NodeId>,
+    behavior: TesterBehavior,
+}
+
+impl Timeline {
+    /// The `i`-th epoch after the initial one: its faults and delta.
+    fn epoch(&self, i: usize) -> (&[NodeId], &[NodeId]) {
+        let e = &self.cycle[i % self.cycle.len()];
+        let wraps = i >= self.cycle.len() && i.is_multiple_of(self.cycle.len());
+        (&e.faults, if wraps { &self.wrap_delta } else { &e.delta })
+    }
+}
+
+fn inputs(cfg: &Config, n: usize, bound: usize, digest: &mut Digest) -> Timeline {
     let mut rng = Rng::new(cfg.seed, 0xE90C5);
     let behavior = TesterBehavior::Random { seed: rng.next() };
-    let epochs = 1 + (cfg.seconds * EPOCHS_PER_SECOND).ceil() as usize + SETUPS;
     // Concurrent faults stay under the bound, so every epoch is diagnosable.
     let timeline = EpochTimeline::poisson(
         n,
-        epochs,
+        TIMELINE_EPOCHS,
         ONSET_RATE,
         RECOVERY_RATE,
         bound - 1,
         rng.next(),
         behavior,
     );
-    // Kept as member lists only: the timeline's per-epoch bitmaps would
-    // dominate the run's memory.
-    let epochs: Vec<Epoch> = (0..timeline.epoch_count())
+    let mut epochs: Vec<Epoch> = (0..timeline.epoch_count())
         .map(|e| Epoch {
             faults: timeline.faults_at(e).members().to_vec(),
             delta: timeline.delta_at(e),
@@ -61,7 +73,21 @@ fn inputs(
     if let TesterBehavior::Random { seed } = behavior {
         digest.add(seed);
     }
-    (epochs, behavior)
+    let initial = epochs.remove(0);
+    let (first, last) = (&epochs[0].faults, &epochs[epochs.len() - 1].faults);
+    let mut wrap_delta: Vec<NodeId> = first
+        .iter()
+        .filter(|v| !last.contains(v))
+        .chain(last.iter().filter(|v| !first.contains(v)))
+        .copied()
+        .collect();
+    wrap_delta.sort_unstable();
+    Timeline {
+        initial,
+        cycle: epochs,
+        wrap_delta,
+        behavior,
+    }
 }
 
 pub fn run(cfg: &Config) -> Report {
@@ -69,7 +95,7 @@ pub fn run(cfg: &Config) -> Report {
     let mut digest = Digest::default();
     let probe = Hypercube::new_certified(DIM);
     let (n, bound) = (probe.node_count(), probe.driver_fault_bound());
-    let (epochs, behavior) = inputs(cfg, n, bound, &mut digest);
+    let timeline = inputs(cfg, n, bound, &mut digest);
     r.detail("inputs_digest", Json::str(digest.hex()));
     r.detail(
         "instance",
@@ -86,14 +112,14 @@ pub fn run(cfg: &Config) -> Report {
         let mut monitor = match session.monitor() {
             Ok(m) => m,
             Err(e) => {
-                r.tally.record(&epochs[0].faults, None, true);
+                r.tally.record(&timeline.initial.faults, None, true);
                 r.error(format!("opening the monitor: {e}"));
                 return r;
             }
         };
         // The initial epoch escalates to a full walk: it is set-up.
-        let first = &epochs[0];
-        let s = OnDemandOracle::new(n, &first.faults, behavior);
+        let first = &timeline.initial;
+        let s = OnDemandOracle::new(n, &first.faults, timeline.behavior);
         let got = monitor.ingest(&s, &first.delta);
         if !r.tally.record(
             &first.faults,
@@ -104,14 +130,7 @@ pub fn run(cfg: &Config) -> Report {
         }
         setup_s.push(t0.elapsed().as_secs_f64());
         if rep + 1 == SETUPS {
-            measure(
-                cfg,
-                &mut r,
-                &mut monitor,
-                session.topology(),
-                &epochs[1..],
-                behavior,
-            );
+            measure(cfg, &mut r, &mut monitor, session.topology(), &timeline);
         }
     }
     r.set("setup_s", median(&setup_s));
@@ -160,28 +179,28 @@ fn ingest_one(
     r: &mut Report,
     tally: &mut Tally,
     monitor: &mut MonitorSession<'_>,
-    epoch: &Epoch,
+    timeline: &Timeline,
     n: usize,
-    behavior: TesterBehavior,
     index: usize,
     samples: &mut EpochSamples,
     rec: Option<&mut Recorder>,
 ) {
-    let s = OnDemandOracle::new(n, &epoch.faults, behavior);
+    let (faults, delta) = timeline.epoch(index);
+    let s = OnDemandOracle::new(n, faults, timeline.behavior);
     let t0 = Instant::now();
     let got = match rec {
         Some(rec) => {
             let op = index as u64;
             rec.span("MonitorSession::ingest", op, None, |_, _| {
-                monitor.ingest(&s, &epoch.delta)
+                monitor.ingest(&s, delta)
             })
             .0
         }
-        None => monitor.ingest(&s, &epoch.delta),
+        None => monitor.ingest(&s, delta),
     };
     let wall = t0.elapsed();
     if !tally.record(
-        &epoch.faults,
+        faults,
         got.as_ref().ok().map(|e| &e.diagnosis.faults[..]),
         true,
     ) {
@@ -191,7 +210,7 @@ fn ingest_one(
     if let Ok(report) = got {
         keep(&mut samples.lookups, report.lookups as f64);
         if !report.quiescent {
-            samples.delta_nodes += epoch.delta.len() as u64;
+            samples.delta_nodes += delta.len() as u64;
             samples.busy_lookups += report.lookups;
         }
         let t = &report.telemetry;
@@ -233,8 +252,7 @@ fn measure(
     r: &mut Report,
     monitor: &mut MonitorSession<'_>,
     g: &(dyn Partitionable + Sync),
-    epochs: &[Epoch],
-    behavior: TesterBehavior,
+    timeline: &Timeline,
 ) {
     let n = g.node_count();
     let start = Instant::now();
@@ -242,18 +260,9 @@ fn measure(
     let mut tally = Tally::default();
     let mut untraced = EpochSamples::new();
     let mut next = 0usize;
-    while next < epochs.len() && (next == 0 || Instant::now() < untraced_end) {
-        ingest_one(
-            r,
-            &mut tally,
-            monitor,
-            &epochs[next],
-            n,
-            behavior,
-            next,
-            &mut untraced,
-            None,
-        );
+    while next == 0 || Instant::now() < untraced_end {
+        let samples = &mut untraced;
+        ingest_one(r, &mut tally, monitor, timeline, n, next, samples, None);
         next += 1;
     }
     let wall = start.elapsed().as_secs_f64();
@@ -269,9 +278,6 @@ fn measure(
         "quiescent_epochs",
         Json::Int(untraced.reports.iter().filter(|e| e.quiescent).count() as u64),
     );
-    if next == epochs.len() {
-        r.detail("timeline_exhausted", Json::Bool(true));
-    }
 
     // The tail over every epoch of the run: a span costs nanoseconds
     // against an epoch's tenth of a second.
@@ -279,20 +285,9 @@ fn measure(
     if let Some(end) = traced_end {
         let mut rec = Recorder::new(Instant::now());
         let mut traced = EpochSamples::new();
-        while next < epochs.len() && (traced.wall_us.is_empty() || Instant::now() < end) {
-            let epoch = &epochs[next];
-            let rec = Some(&mut rec);
-            ingest_one(
-                r,
-                &mut tally,
-                monitor,
-                epoch,
-                n,
-                behavior,
-                next,
-                &mut traced,
-                rec,
-            );
+        while traced.wall_us.is_empty() || Instant::now() < end {
+            let (samples, rec) = (&mut traced, Some(&mut rec));
+            ingest_one(r, &mut tally, monitor, timeline, n, next, samples, rec);
             next += 1;
         }
         report_traced(r, &traced, epoch_p50);
@@ -303,7 +298,7 @@ fn measure(
             "topology.adjacency_ns_per_node",
             adjacency_ns_per_node(g, &mut rng),
         );
-        let s = OnDemandOracle::new(n, &epochs[0].faults, behavior);
+        let s = OnDemandOracle::new(n, &timeline.initial.faults, timeline.behavior);
         r.set("syndrome.lookup_ns", lookup_ns(g, &s, &mut rng));
     }
     let p90 = percentile(&all_us, 0.90);
@@ -362,4 +357,34 @@ fn report_traced(r: &mut Report, t: &EpochSamples, untraced_p50: f64) {
         "trace.overhead_frac",
         median(&t.wall_us) / untraced_p50 - 1.0,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replayed_timeline_deltas_are_exact() {
+        let cfg = Config {
+            seed: 3,
+            seconds: 1.0,
+            trace: false,
+        };
+        let timeline = inputs(&cfg, 1 << 12, 12, &mut Digest::default());
+        let mut faults = timeline.initial.faults.clone();
+        for i in 0..3 * timeline.cycle.len() + 1 {
+            let (want, delta) = timeline.epoch(i);
+            for v in delta {
+                match faults.iter().position(|f| f == v) {
+                    Some(at) => {
+                        faults.remove(at);
+                    }
+                    None => faults.push(*v),
+                }
+            }
+            faults.sort_unstable();
+            assert_eq!(faults, want, "epoch {i}");
+            assert!(faults.len() < 12, "concurrent faults stay under the bound");
+        }
+    }
 }
