@@ -105,6 +105,7 @@ pub fn run(cfg: &Config) -> Report {
 
     let mut setup_s = Vec::new();
     let mut build_ms = Vec::new();
+    let mut m = Measured::new();
     for rep in 0..SETUPS {
         let t0 = Instant::now();
         let session = Diagnoser::implicit(Hypercube::new_certified(DIM));
@@ -129,13 +130,44 @@ pub fn run(cfg: &Config) -> Report {
             r.error(format!("initial epoch of set-up {rep} was wrong"));
         }
         setup_s.push(t0.elapsed().as_secs_f64());
-        if rep + 1 == SETUPS {
-            measure(cfg, &mut r, &mut monitor, session.topology(), &timeline);
+        // The last sessions set up each measure a segment: a session's
+        // speed depends on where its workspace landed in memory, and
+        // pooling several sessions keeps one placement from deciding a run.
+        if let Some(segment) = (rep + SEGMENTS).checked_sub(SETUPS) {
+            let g = session.topology();
+            measure(cfg, &mut r, &mut m, &mut monitor, g, &timeline, segment);
         }
     }
     r.set("setup_s", median(&setup_s));
     r.set("topology.build_ms", median(&build_ms));
+    report_untraced(&mut r, &m);
+    r.tally.merge(m.tally);
+    r.set("failed_frac", r.tally.failed_frac());
     r
+}
+
+/// Sessions whose epochs are measured, each for an equal share of the
+/// untraced time; the last also runs the traced phase.
+const SEGMENTS: usize = 3;
+
+/// What the measured segments collected.
+struct Measured {
+    tally: Tally,
+    untraced: EpochSamples,
+    untraced_s: f64,
+    /// Wall times of every epoch of the run, traced ones included.
+    all_us: Vec<f64>,
+}
+
+impl Measured {
+    fn new() -> Self {
+        Measured {
+            tally: Tally::default(),
+            untraced: EpochSamples::new(),
+            untraced_s: 0.0,
+            all_us: series(),
+        }
+    }
 }
 
 /// What the benchmark keeps of one `EpochReport`: its counts, not its
@@ -250,48 +282,38 @@ fn ingest_one(
 fn measure(
     cfg: &Config,
     r: &mut Report,
+    m: &mut Measured,
     monitor: &mut MonitorSession<'_>,
     g: &(dyn Partitionable + Sync),
     timeline: &Timeline,
+    segment: usize,
 ) {
     let n = g.node_count();
     let start = Instant::now();
     let (untraced_end, traced_end) = cfg.phases(start);
-    let mut tally = Tally::default();
-    let mut untraced = EpochSamples::new();
+    let share = (untraced_end - start) / SEGMENTS as u32;
     let mut next = 0usize;
-    while next == 0 || Instant::now() < untraced_end {
-        let samples = &mut untraced;
-        ingest_one(r, &mut tally, monitor, timeline, n, next, samples, None);
+    while next == 0 || start.elapsed() < share {
+        let samples = &mut m.untraced;
+        ingest_one(r, &mut m.tally, monitor, timeline, n, next, samples, None);
         next += 1;
     }
-    let wall = start.elapsed().as_secs_f64();
-    let epoch_p50 = median(&untraced.wall_us);
-    r.set("diagnose_p50_us", epoch_p50);
-    r.set("verified_p50_us", epoch_p50);
-    r.set("epoch_p50_us", epoch_p50);
-    r.set("diagnoses_per_s", next as f64 / wall);
-    r.set("lookups_per_diagnosis", mean(&untraced.lookups));
-    r.set("lookups_per_epoch", mean(&untraced.lookups));
-    r.detail("epochs", Json::Int(next as u64));
-    r.detail(
-        "quiescent_epochs",
-        Json::Int(untraced.reports.iter().filter(|e| e.quiescent).count() as u64),
-    );
-
-    // The tail over every epoch of the run: a span costs nanoseconds
-    // against an epoch's tenth of a second.
-    let mut all_us = untraced.wall_us.clone();
+    m.untraced_s += start.elapsed().as_secs_f64();
+    if segment + 1 < SEGMENTS {
+        return;
+    }
+    m.all_us.extend(&m.untraced.wall_us);
     if let Some(end) = traced_end {
+        let traced_end = Instant::now() + (end - untraced_end);
         let mut rec = Recorder::new(Instant::now());
         let mut traced = EpochSamples::new();
-        while traced.wall_us.is_empty() || Instant::now() < end {
+        while traced.wall_us.is_empty() || Instant::now() < traced_end {
             let (samples, rec) = (&mut traced, Some(&mut rec));
-            ingest_one(r, &mut tally, monitor, timeline, n, next, samples, rec);
+            ingest_one(r, &mut m.tally, monitor, timeline, n, next, samples, rec);
             next += 1;
         }
-        report_traced(r, &traced, epoch_p50);
-        all_us.extend(&traced.wall_us);
+        report_traced(r, &traced, median(&m.untraced.wall_us));
+        m.all_us.extend(&traced.wall_us);
         r.spans.push(rec.to_json(0));
         let mut rng = Rng::new(0x1A7E2, n as u64);
         r.set(
@@ -301,7 +323,25 @@ fn measure(
         let s = OnDemandOracle::new(n, &timeline.initial.faults, timeline.behavior);
         r.set("syndrome.lookup_ns", lookup_ns(g, &s, &mut rng));
     }
-    let p90 = percentile(&all_us, 0.90);
+}
+
+fn report_untraced(r: &mut Report, m: &Measured) {
+    let u = &m.untraced;
+    let epoch_p50 = median(&u.wall_us);
+    r.set("diagnose_p50_us", epoch_p50);
+    r.set("verified_p50_us", epoch_p50);
+    r.set("epoch_p50_us", epoch_p50);
+    r.set("diagnoses_per_s", u.wall_us.len() as f64 / m.untraced_s);
+    r.set("lookups_per_diagnosis", mean(&u.lookups));
+    r.set("lookups_per_epoch", mean(&u.lookups));
+    r.detail("epochs", Json::Int(u.wall_us.len() as u64));
+    r.detail(
+        "quiescent_epochs",
+        Json::Int(u.reports.iter().filter(|e| e.quiescent).count() as u64),
+    );
+    // The tail over every epoch of the run: a span costs nanoseconds
+    // against an epoch's tenth of a second.
+    let p90 = percentile(&m.all_us, 0.90);
     r.set("epoch_p90_us", p90.map_or(0.0, |p| p.value));
     r.detail(
         "epoch_p90",
@@ -312,8 +352,6 @@ fn measure(
             ])
         }),
     );
-    r.tally.merge(tally);
-    r.set("failed_frac", r.tally.failed_frac());
 }
 
 fn report_traced(r: &mut Report, t: &EpochSamples, untraced_p50: f64) {
