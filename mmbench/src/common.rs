@@ -11,8 +11,8 @@ use mmdiag::diagnosis::{
 use mmdiag::exec::{Pool, WorkerStats};
 use mmdiag::syndrome::SyndromeSource;
 use mmdiag::topology::{NodeId, Partitionable, Topology};
+use mmdiag::trace::clock::{now_ns, Stopwatch};
 use mmdiag::{Diagnoser, VerificationVerdict};
-use std::time::{Duration, Instant};
 
 /// How many times a run sets up, reporting the median as `setup_s`.
 pub const SETUPS: usize = 5;
@@ -46,14 +46,15 @@ pub struct Config {
 }
 
 impl Config {
-    /// Deadlines of the untraced phase and, in a traced run, the traced one.
-    pub fn phases(&self, start: Instant) -> (Instant, Option<Instant>) {
-        let total = Duration::from_secs_f64(self.seconds);
+    /// Deadlines, in clock nanoseconds, of the untraced phase and, in a
+    /// traced run, the traced one.
+    pub fn phases(&self, start: u64) -> (u64, Option<u64>) {
+        let total = start + (self.seconds * 1e9) as u64;
         if self.trace {
-            let untraced = Duration::from_secs_f64(self.seconds * UNTRACED_SHARE);
-            (start + untraced, Some(start + total))
+            let untraced = start + (self.seconds * UNTRACED_SHARE * 1e9) as u64;
+            (untraced, Some(total))
         } else {
-            (start + total, None)
+            (total, None)
         }
     }
 }
@@ -134,12 +135,18 @@ impl Report {
     }
 }
 
-pub fn us(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e6
+/// Time is read through the workspace's one clock door, as nanoseconds.
+pub fn us(ns: u64) -> f64 {
+    ns as f64 / 1e3
 }
 
-pub fn ns_u64(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).expect("duration fits in u64 nanoseconds")
+pub fn secs(ns: u64) -> f64 {
+    ns as f64 / 1e9
+}
+
+/// Nanoseconds since `start`, a reading of the same clock.
+pub fn since(start: u64) -> u64 {
+    now_ns().saturating_sub(start)
 }
 
 /// Whether the auto policy dispatches an instance of `n` nodes on a pool.
@@ -471,7 +478,7 @@ pub fn report_exec(
 }
 
 const MICRO_SAMPLE: usize = 4096;
-const MICRO_BUDGET: Duration = Duration::from_millis(40);
+const MICRO_BUDGET_NS: u64 = 40_000_000;
 
 /// Nanoseconds per `neighbors_into` call over a seeded node sample.
 pub fn adjacency_ns_per_node(g: &dyn Topology, rng: &mut Rng) -> f64 {
@@ -479,15 +486,15 @@ pub fn adjacency_ns_per_node(g: &dyn Topology, rng: &mut Rng) -> f64 {
     let nodes: Vec<NodeId> = (0..MICRO_SAMPLE).map(|_| rng.below(n)).collect();
     let mut buf = Vec::new();
     let mut calls = 0u64;
-    let start = Instant::now();
-    while calls == 0 || start.elapsed() < MICRO_BUDGET {
+    let sw = Stopwatch::start();
+    while calls == 0 || sw.elapsed_ns() < MICRO_BUDGET_NS {
         for &u in &nodes {
             g.neighbors_into(std::hint::black_box(u), &mut buf);
             std::hint::black_box(&buf);
         }
         calls += nodes.len() as u64;
     }
-    start.elapsed().as_nanos() as f64 / calls as f64
+    sw.elapsed_ns() as f64 / calls as f64
 }
 
 /// Nanoseconds per `SyndromeSource::lookup` over seeded valid triples
@@ -507,14 +514,14 @@ pub fn lookup_ns<S: SyndromeSource + ?Sized>(g: &dyn Topology, s: &S, rng: &mut 
         triples.push((u, buf[i], buf[j]));
     }
     let mut calls = 0u64;
-    let start = Instant::now();
-    while calls == 0 || start.elapsed() < MICRO_BUDGET {
+    let sw = Stopwatch::start();
+    while calls == 0 || sw.elapsed_ns() < MICRO_BUDGET_NS {
         for &(u, v, w) in &triples {
             std::hint::black_box(s.lookup(u, v, w));
         }
         calls += triples.len() as u64;
     }
-    start.elapsed().as_nanos() as f64 / calls as f64
+    sw.elapsed_ns() as f64 / calls as f64
 }
 
 #[cfg(test)]
@@ -543,7 +550,7 @@ mod tests {
         let g = Hypercube::new(7);
         let s = oracle(128, &[3, 64, 90]);
         let seq = Diagnoser::new(&g).sequential().run(&s).unwrap();
-        let mut rec = Recorder::new(Instant::now());
+        let mut rec = Recorder::new(now_ns());
         let mut ws = Workspace::new(128);
         let view: &(dyn Partitionable + Sync) = &g;
         let (dec, _) = rec.span("op", 0, None, |rec, root| {
@@ -588,7 +595,7 @@ mod tests {
             verify: None,
         };
         let s = oracle(1024, &[1, 500, 1000]);
-        let mut rec = Recorder::new(Instant::now());
+        let mut rec = Recorder::new(now_ns());
         let mut ws = Workspace::new(1024);
         let before = pool_totals(&pool);
         let t = traced_op(&mut rec, 0, &sessions, &s, &mut ws).unwrap();

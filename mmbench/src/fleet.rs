@@ -6,13 +6,14 @@ use crate::common::*;
 use crate::spans::Recorder;
 use crate::stats::{mean, median, percentile, Digest, Json, Tally};
 use mmdiag::diagnosis::Workspace;
+use mmdiag::exec::sync::thread::spawn_named;
 use mmdiag::exec::Pool;
 use mmdiag::syndrome::{FaultSet, OracleSyndrome, TesterBehavior};
 use mmdiag::topology::families::{CrossedCube, Hypercube, Pancake, StarGraph};
 use mmdiag::topology::{NodeId, Partitionable};
+use mmdiag::trace::clock::now_ns;
 use mmdiag::Diagnoser;
-use std::sync::Barrier;
-use std::time::Instant;
+use std::sync::{Arc, Barrier};
 
 /// At most this many clients, and never more than the machine's cores.
 const MAX_CLIENTS: usize = 2;
@@ -119,31 +120,32 @@ pub fn run(cfg: &Config) -> Report {
     );
     let pool = cfg
         .trace
-        .then(|| Pool::new_instrumented(mmdiag::exec::default_threads()));
+        .then(|| Arc::new(Pool::new_instrumented(mmdiag::exec::default_threads())));
 
-    let ready = Barrier::new(clients + 1);
-    let go = Barrier::new(clients + 1);
+    // Client threads come from the executor's thread door; each is joined
+    // below before its results are read.
+    let ready = Arc::new(Barrier::new(clients + 1));
+    let go = Arc::new(Barrier::new(clients + 1));
+    let handles: Vec<_> = inputs
+        .into_iter()
+        .enumerate()
+        .map(|(id, mine)| {
+            let (cfg, ready, go, pool) = (*cfg, ready.clone(), go.clone(), pool.clone());
+            let body = move || client(id, &cfg, &mine, &ready, &go, pool.as_deref());
+            spawn_named(format!("mmbench-client-{id}"), body).expect("spawning a fleet client")
+        })
+        .collect();
     let mut setup_s = Vec::new();
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .iter()
-            .enumerate()
-            .map(|(id, mine)| {
-                let (ready, go, pool) = (&ready, &go, pool.as_ref());
-                scope.spawn(move || client(id, cfg, mine, ready, go, pool))
-            })
-            .collect();
-        for _ in 0..SETUPS {
-            let t0 = Instant::now();
-            ready.wait();
-            setup_s.push(t0.elapsed().as_secs_f64());
-            go.wait();
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("a fleet client panicked"))
-            .collect::<Vec<ClientResult>>()
-    });
+    for _ in 0..SETUPS {
+        let t0 = now_ns();
+        ready.wait();
+        setup_s.push(secs(since(t0)));
+        go.wait();
+    }
+    let results: Vec<ClientResult> = handles
+        .into_iter()
+        .map(|h| h.join().expect("a fleet client panicked"))
+        .collect();
     r.set("setup_s", median(&setup_s));
 
     let mut run_us: Vec<Vec<f64>> = vec![Vec::new(); INSTANCES.len()];
@@ -209,7 +211,7 @@ pub fn run(cfg: &Config) -> Report {
     }
     r.detail("operations", Json::Int(ops));
 
-    if let (Some(pool), Some(core)) = (pool.as_ref(), core) {
+    if let (Some(pool), Some(core)) = (pool.as_deref(), core) {
         let totals = pool_totals(pool);
         report_exec(&mut r, &totals, pool.threads(), pooled_ops, pooled_wall_ns);
         report_core(&mut r, &core, &run_us);
@@ -242,9 +244,9 @@ fn client(
         let mut build_ns = 0.0;
         for (inst, mine) in INSTANCES.iter().zip(inputs) {
             let family = (inst.family)();
-            let t0 = Instant::now();
+            let t0 = now_ns();
             let session = Diagnoser::cached(family.as_ref()).auto();
-            build_ns += t0.elapsed().as_secs_f64() * 1e3;
+            build_ns += secs(since(t0)) * 1e3;
             let warm = &mine[rep % mine.len()];
             let got = session.run(&warm.oracle);
             if !res.tally.record(
@@ -275,16 +277,16 @@ fn measure(
     inputs: &[Vec<Input>],
     pool: Option<&Pool>,
 ) {
-    let start = Instant::now();
+    let start = now_ns();
     let (untraced_end, traced_end) = cfg.phases(start);
     let k = sessions.len();
     let mut i = 0usize;
-    while i == 0 || Instant::now() < untraced_end {
+    while i == 0 || now_ns() < untraced_end {
         let inst = i % k;
         let input = &inputs[inst][(i / k) % inputs[inst].len()];
-        let t0 = Instant::now();
+        let t0 = now_ns();
         let got = sessions[inst].run(&input.oracle);
-        let wall = t0.elapsed();
+        let wall = since(t0);
         let faults = got.as_ref().ok().map(|a| &a.diagnosis.faults[..]);
         if !res.tally.record(&input.faults, faults, true) {
             res.errors
@@ -297,7 +299,7 @@ fn measure(
         i += 1;
     }
     res.ops = i as u64;
-    res.untraced_s = start.elapsed().as_secs_f64();
+    res.untraced_s = secs(since(start));
 
     let (Some(pool), Some(end)) = (pool, traced_end) else {
         return;
@@ -317,7 +319,7 @@ fn measure(
     let mut rec = Recorder::new(start);
     let mut core = CoreSamples::new(k);
     let mut op = 0usize;
-    while op == 0 || Instant::now() < end {
+    while op == 0 || now_ns() < end {
         let inst = op % k;
         let input = &inputs[inst][(op / k) % inputs[inst].len()];
         let traced = TracedSessions {

@@ -24,8 +24,9 @@ fn shrank(by: usize) {
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the wrapper only counts sizes.
 unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's guarantees for `layout` are passed on as-is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's guarantees for `layout` are passed on as-is.
+        // SAFETY: as above.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             grew(layout.size());
@@ -33,8 +34,9 @@ unsafe impl GlobalAlloc for Counting {
         p
     }
 
+    // SAFETY: the caller's guarantees for `layout` are passed on as-is.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: as for `alloc`.
+        // SAFETY: as above.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             grew(layout.size());
@@ -42,15 +44,17 @@ unsafe impl GlobalAlloc for Counting {
         p
     }
 
+    // SAFETY: `ptr` came from this allocator, hence from `System`, with
+    // this `layout`, as the caller guarantees.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, hence from `System`, with
-        // this `layout`, as the caller guarantees.
+        // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) };
         shrank(layout.size());
     }
 
+    // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
+        // SAFETY: as above.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             if new_size >= layout.size() {

@@ -147,6 +147,18 @@ fn git_rev() -> Json {
     }
 }
 
+/// The compiler on the path, which is the one `cargo run` just built with.
+fn rustc_version() -> Json {
+    std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or(Json::Null, |o| {
+            Json::str(String::from_utf8_lossy(&o.stdout).trim())
+        })
+}
+
 fn provenance(args: &Args) -> Json {
     Json::obj([
         ("workload", Json::str(&args.workload)),
@@ -162,8 +174,15 @@ fn provenance(args: &Args) -> Json {
             "pool_threads",
             Json::Int(mmdiag::exec::default_threads() as u64),
         ),
-        ("rustc", Json::str(env!("MMBENCH_RUSTC"))),
-        ("profile", Json::str(env!("MMBENCH_PROFILE"))),
+        ("rustc", rustc_version()),
+        (
+            "profile",
+            Json::str(if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }),
+        ),
     ])
 }
 
@@ -187,14 +206,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Every knob the program reads comes from MMDIAG_* variables; a run
-    // under any of them would not measure the default configuration.
-    let knobs: Vec<String> = std::env::vars_os()
-        .filter_map(|(k, _)| k.into_string().ok())
-        .filter(|k| k.starts_with("MMDIAG_"))
-        .collect();
-    if !knobs.is_empty() {
-        eprintln!("mmbench: refusing to run with {knobs:?} set");
+    // Every knob the program reads comes from an MMDIAG_* variable,
+    // parsed through one door; a run under any of them would not measure
+    // the default configuration.
+    let knobs = mmdiag::exec::knobs();
+    if *knobs != mmdiag::exec::Knobs::parse(None, None, None, None, None, None, None, None) {
+        eprintln!("mmbench: refusing to run with MMDIAG_* knobs set: {knobs:?}");
         return ExitCode::from(2);
     }
 

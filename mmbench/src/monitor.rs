@@ -8,8 +8,8 @@ use mmdiag::distsim::EpochTimeline;
 use mmdiag::syndrome::{OnDemandOracle, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
 use mmdiag::topology::{NodeId, Partitionable, Topology};
+use mmdiag::trace::clock::now_ns;
 use mmdiag::{Diagnoser, MonitorSession};
-use std::time::Instant;
 
 const DIM: usize = 20;
 /// Expected onsets and recoveries per epoch: high enough that few epochs
@@ -107,9 +107,9 @@ pub fn run(cfg: &Config) -> Report {
     let mut build_ms = Vec::new();
     let mut m = Measured::new();
     for rep in 0..SETUPS {
-        let t0 = Instant::now();
+        let t0 = now_ns();
         let session = Diagnoser::implicit(Hypercube::new_certified(DIM));
-        build_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        build_ms.push(secs(since(t0)) * 1e3);
         let mut monitor = match session.monitor() {
             Ok(m) => m,
             Err(e) => {
@@ -129,7 +129,7 @@ pub fn run(cfg: &Config) -> Report {
         ) {
             r.error(format!("initial epoch of set-up {rep} was wrong"));
         }
-        setup_s.push(t0.elapsed().as_secs_f64());
+        setup_s.push(secs(since(t0)));
         // The last sessions set up each measure a segment: a session's
         // speed depends on where its workspace landed in memory, and
         // pooling several sessions keeps one placement from deciding a run.
@@ -219,7 +219,7 @@ fn ingest_one(
 ) {
     let (faults, delta) = timeline.epoch(index);
     let s = OnDemandOracle::new(n, faults, timeline.behavior);
-    let t0 = Instant::now();
+    let t0 = now_ns();
     let got = match rec {
         Some(rec) => {
             let op = index as u64;
@@ -230,7 +230,7 @@ fn ingest_one(
         }
         None => monitor.ingest(&s, delta),
     };
-    let wall = t0.elapsed();
+    let wall = since(t0);
     if !tally.record(
         faults,
         got.as_ref().ok().map(|e| &e.diagnosis.faults[..]),
@@ -257,7 +257,7 @@ fn ingest_one(
         } else {
             &["probe", "certify", "grow"]
         };
-        let other_ns = phase_remainder(ns_u64(wall), &phases, required).unwrap_or_else(|e| {
+        let other_ns = phase_remainder(wall, &phases, required).unwrap_or_else(|e| {
             r.error(format!("epoch {index} phases: {e}"));
             0
         });
@@ -289,25 +289,25 @@ fn measure(
     segment: usize,
 ) {
     let n = g.node_count();
-    let start = Instant::now();
+    let start = now_ns();
     let (untraced_end, traced_end) = cfg.phases(start);
-    let share = (untraced_end - start) / SEGMENTS as u32;
+    let share = (untraced_end - start) / SEGMENTS as u64;
     let mut next = 0usize;
-    while next == 0 || start.elapsed() < share {
+    while next == 0 || since(start) < share {
         let samples = &mut m.untraced;
         ingest_one(r, &mut m.tally, monitor, timeline, n, next, samples, None);
         next += 1;
     }
-    m.untraced_s += start.elapsed().as_secs_f64();
+    m.untraced_s += secs(since(start));
     if segment + 1 < SEGMENTS {
         return;
     }
     m.all_us.extend(&m.untraced.wall_us);
     if let Some(end) = traced_end {
-        let traced_end = Instant::now() + (end - untraced_end);
-        let mut rec = Recorder::new(Instant::now());
+        let traced_end = now_ns() + (end - untraced_end);
+        let mut rec = Recorder::new(now_ns());
         let mut traced = EpochSamples::new();
-        while traced.wall_us.is_empty() || Instant::now() < traced_end {
+        while traced.wall_us.is_empty() || now_ns() < traced_end {
             let (samples, rec) = (&mut traced, Some(&mut rec));
             ingest_one(r, &mut m.tally, monitor, timeline, n, next, samples, rec);
             next += 1;

@@ -10,8 +10,8 @@ use mmdiag::exec::Pool;
 use mmdiag::syndrome::{OnDemandOracle, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
 use mmdiag::topology::{NodeId, Partitionable, Topology};
+use mmdiag::trace::clock::now_ns;
 use mmdiag::{Diagnoser, VerificationVerdict};
-use std::time::Instant;
 
 const DIM: usize = 20;
 /// Distinct planted fault sets a run cycles through.
@@ -71,9 +71,9 @@ pub fn run(cfg: &Config) -> Report {
     let mut setup_s = Vec::new();
     let mut build_ms = Vec::new();
     for rep in 0..SETUPS {
-        let t0 = Instant::now();
+        let t0 = now_ns();
         let diag = Diagnoser::implicit(Hypercube::new_certified(DIM)).auto();
-        build_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        build_ms.push(secs(since(t0)) * 1e3);
         let verify = Diagnoser::new(diag.topology()).verify_sampled(SAMPLES_PER_PART, verify_seed);
         let warm = &inputs[rep % inputs.len()];
         let s = warm.oracle(n);
@@ -88,7 +88,7 @@ pub fn run(cfg: &Config) -> Report {
         if !ok {
             r.error(format!("warm-up diagnosis {rep} was wrong"));
         }
-        setup_s.push(t0.elapsed().as_secs_f64());
+        setup_s.push(secs(since(t0)));
         if rep + 1 == SETUPS {
             measure(cfg, &mut r, &diag, &verify, &inputs, pool.as_ref());
         }
@@ -108,18 +108,18 @@ fn measure(
     pool: Option<&Pool>,
 ) {
     let n = diag.topology().node_count();
-    let start = Instant::now();
+    let start = now_ns();
     let (untraced_end, traced_end) = cfg.phases(start);
 
     let (mut run_us, mut verify_us, mut total_us, mut lookups) =
         (series(), series(), series(), series());
     let mut i = 0usize;
-    while i == 0 || Instant::now() < untraced_end {
+    while i == 0 || now_ns() < untraced_end {
         let input = &inputs[i % inputs.len()];
         let s = input.oracle(n);
-        let t0 = Instant::now();
+        let t0 = now_ns();
         let report = diag.run(&s);
-        let t1 = Instant::now();
+        let t1 = now_ns();
         let (faults, verdict) = match &report {
             Ok(a) => (
                 Some(&a.diagnosis.faults[..]),
@@ -127,7 +127,7 @@ fn measure(
             ),
             Err(_) => (None, VerificationVerdict::Unverified),
         };
-        let t2 = Instant::now();
+        let t2 = now_ns();
         if !r.tally.record(&input.faults, faults, agreed(&verdict)) {
             r.error(format!("operation {i}: wrong diagnosis or rejected claim"));
         }
@@ -139,7 +139,7 @@ fn measure(
         keep(&mut total_us, us(t2 - t0));
         i += 1;
     }
-    let wall = start.elapsed().as_secs_f64();
+    let wall = secs(since(start));
     r.set("diagnose_p50_us", median(&run_us));
     r.set("verified_p50_us", median(&total_us));
     r.set("verify_p50_us", median(&verify_us));
@@ -161,7 +161,7 @@ fn traced(
     verify: &Diagnoser<'_>,
     inputs: &[Input],
     pool: &Pool,
-    end: Instant,
+    end: u64,
     untraced_run_us: &[f64],
 ) {
     let n = g.node_count();
@@ -173,14 +173,14 @@ fn traced(
         verify: Some(verify),
     };
     let mut ws = Workspace::new(n);
-    let mut rec = Recorder::new(Instant::now());
+    let mut rec = Recorder::new(now_ns());
     let mut tally = Tally::default();
     let mut core = CoreSamples::new(1);
     let (mut samples, mut checked, mut per_lookup) = (vec![], vec![], vec![]);
     let mut pooled_wall_ns = 0u64;
     let before = pool_totals(pool);
     let mut op = 0u64;
-    while op == 0 || Instant::now() < end {
+    while op == 0 || now_ns() < end {
         let input = &inputs[op as usize % inputs.len()];
         let s = input.oracle(n);
         match traced_op(&mut rec, op, &sessions, &s, &mut ws) {

@@ -2,7 +2,7 @@
 //! layer's public functions, and the checks made on them.
 
 use crate::stats::Json;
-use std::time::Instant;
+use mmdiag::trace::clock::now_ns;
 
 /// One recorded call: which layer function, when, under which parent, and
 /// the operation whose spans it shares.
@@ -23,12 +23,13 @@ impl Span {
 
 /// Spans of one client, kept in memory until the run ends.
 pub struct Recorder {
-    origin: Instant,
+    /// The clock reading span times count from.
+    origin: u64,
     pub spans: Vec<Span>,
 }
 
 impl Recorder {
-    pub fn new(origin: Instant) -> Self {
+    pub fn new(origin: u64) -> Self {
         Recorder {
             origin,
             spans: Vec::new(),
@@ -36,7 +37,7 @@ impl Recorder {
     }
 
     fn now_ns(&self) -> u64 {
-        u64::try_from(self.origin.elapsed().as_nanos()).expect("run shorter than 584 years")
+        now_ns().saturating_sub(self.origin)
     }
 
     /// Run `f` inside a span; `f` gets the span's index to parent its own
@@ -149,7 +150,7 @@ mod tests {
 
     #[test]
     fn self_time_subtracts_the_union_of_children() {
-        let mut rec = Recorder::new(Instant::now());
+        let mut rec = Recorder::new(now_ns());
         rec.spans = vec![
             Span {
                 name: "op",
@@ -185,7 +186,7 @@ mod tests {
 
     #[test]
     fn recorded_spans_nest() {
-        let mut rec = Recorder::new(Instant::now());
+        let mut rec = Recorder::new(now_ns());
         let ((), outer) = rec.span("op", 7, None, |rec, id| {
             rec.span("inner", 7, Some(id), |_, _| std::hint::black_box(()));
         });
