@@ -40,7 +40,7 @@ fn main() {
     eprintln!(
         "Q_{dim}: {n} nodes, {bound} faults, {behavior:?}, {} pool threads, grow cutover {}",
         mmdiag_exec::global().threads(),
-        mmdiag_core::grow_cutover(),
+        mmdiag_core::Cutovers::default().grow,
     );
 
     let mut seq = None;

@@ -3,9 +3,9 @@
 //! Benchmark harness for the `O(Δ·N)` diagnosis driver: sweeps all fourteen
 //! interconnection-network families of §5 across multiple sizes and fault
 //! loads, runs the sequential driver, the pooled-executor backends
-//! (forced-pooled, size-directed auto, and the 1/2/4/8-lane strided
-//! search), the naive full-table baseline **and the event-level distributed
-//! simulator** on identical instances, asserts they all agree with the
+//! (forced-pooled and size-directed auto), the naive full-table baseline
+//! **and the event-level distributed simulator** on identical instances,
+//! asserts they all agree with the
 //! planted truth, and renders the measurements as a machine-readable JSON
 //! trajectory file (`BENCH_<pr>.json`).
 //!
@@ -17,8 +17,8 @@
 //!
 //! Since ISSUE 3 the harness itself runs on the shared
 //! [`mmdiag_exec`] pool: every instance's fault loads are additionally
-//! evaluated as one **batched submission** (`diagnose_batch`, workspaces
-//! pooled per worker) and the simulator-only scenario sweep dispatches its
+//! evaluated as one **batched submission** (`Diagnoser::submit_batch`,
+//! workspaces pooled per worker) and the simulator-only scenario sweep dispatches its
 //! per-instance cells on the pool. The `--large` flag extends the catalog
 //! to 10⁵⁺-node instances (`Q_17`, `S_8`, large k-ary tori) where the
 //! full-table baseline and the event simulator are infeasible — those
@@ -36,28 +36,22 @@
 //! * every driver-only cell (both `--large` and `--xlarge`) regains an
 //!   independent verdict from the **sampled spot-checker**
 //!   ([`mmdiag_baselines::sampled_check`]), recorded as the JSON
-//!   `"sampled_check"` object where `"baseline"` is `null`;
-//! * at startup the binary **recalibrates `diagnose_auto`'s cutover** from
-//!   the best available `BENCH_*.json` trajectory ([`calibrate_cutover`])
-//!   instead of trusting the compiled-in 1024.
+//!   `"sampled_check"` object where `"baseline"` is `null`.
 //!
 //! Since ISSUE 5 the harness drives everything through the
 //! [`mmdiag::Diagnoser`] session front door: every leg is one builder
-//! policy away from the next (sequential / pooled / auto / strided lanes
-//! / event simulation), the baseline and sampled-checker legs run as the
+//! policy away from the next (sequential / pooled / auto / event
+//! simulation), the baseline and sampled-checker legs run as the
 //! session's *verification policy* (`verify_claim` against the already
 //! finished diagnosis — no re-diagnosis), and batch submissions go
-//! through `Diagnoser::submit_batch`. The emitted schema is
-//! **`mmdiag-bench/v2`**, a strict superset of v1: every record gains a
-//! `"phases"` object (probe/certify/grow wall times and lookup counts
-//! from the session's [`PhaseTelemetry`]) and a `"verification"` object
-//! (the per-cell [`VerificationVerdict`]). The v1 line-oriented reader
-//! ([`calibrate_cutover_in`]) keeps parsing both generations, so cutover
-//! recalibration works across the v1→v2 trajectory boundary.
+//! through `Diagnoser::submit_batch`. Every record carries a `"phases"`
+//! object (probe/certify/grow wall times and lookup counts from the
+//! session's [`PhaseTelemetry`]) and a `"verification"` object (the
+//! per-cell [`VerificationVerdict`]); see [`SCHEMA_VERSION`].
 //!
 //! Since ISSUE 8 the unrestricted growth sweep is frontier-parallel on
-//! the pool (above the `MMDIAG_GROW_CUTOVER`-tunable node cutover, on
-//! sorted-adjacency representations), which opens the **`--xxlarge`**
+//! the pool (above the session's grow cutover, on sorted-adjacency
+//! representations), which opens the **`--xxlarge`**
 //! axis: Q_25, Q^3_17 and Q_27 (134 217 728 nodes) through the same
 //! slimmed [`run_scale_cell`] protocol. Scale cells now record the
 //! `"phases"` of the *auto* leg — the production pooled path with the
@@ -71,8 +65,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mmdiag::{BatchJob, Diagnoser, VerificationVerdict};
-use mmdiag_core::{sequential_cutover, Diagnosis, PhaseTelemetry};
+use mmdiag::{BatchJob, Cutovers, Diagnoser, VerificationVerdict};
+use mmdiag_core::{Diagnosis, PhaseTelemetry};
 use mmdiag_distsim::{plan, FaultTimeline, LatencyModel};
 use mmdiag_exec::Pool;
 use mmdiag_implicit::{ImplicitTopology, MaterialisationGuard};
@@ -90,11 +84,6 @@ pub mod online;
 pub mod throughput;
 pub use online::{run_online, OnlineFamilyRecord, OnlineRecord};
 pub use throughput::{overhead_guard, run_throughput, OverheadGuard, ThroughputRecord};
-
-/// Lane widths exercised by the strided-search leg of every run (the
-/// historical "parallel driver x threads" trajectory axis — the lanes now
-/// run on the shared pool instead of freshly spawned scoped threads).
-pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Baseline timing repetitions per backend leg (each leg reports its
 /// minimum). The driver/auto pair runs interleaved with extra reps on
@@ -146,7 +135,7 @@ pub struct Instance {
     /// the sampled spot-checker instead.
     pub driver_only: bool,
     /// 10⁶⁺-node `--xlarge` instance: slimmed measurement protocol (one
-    /// timed rep per leg, no strided sweep, no batch submission) and a
+    /// timed rep per leg, no batch submission) and a
     /// materialisation guard around every cell.
     pub scale: bool,
 }
@@ -302,15 +291,6 @@ pub fn xxlarge_catalog() -> Vec<Instance> {
     ]
 }
 
-/// Wall time of one strided-search leg.
-#[derive(Clone, Debug)]
-pub struct ParallelLeg {
-    /// Lane width requested.
-    pub threads: usize,
-    /// Wall time in nanoseconds.
-    pub nanos: u128,
-}
-
 /// Wall time of one executor-backend leg (forced-pooled or auto).
 #[derive(Clone, Debug)]
 pub struct BackendLeg {
@@ -398,15 +378,12 @@ pub struct RunRecord {
     pub driver_probes: usize,
     /// Forced-pooled backend leg on the shared pool.
     pub pooled: BackendLeg,
-    /// Size-directed `diagnose_auto` leg (the production entry point).
+    /// Size-directed auto-policy leg (the production configuration).
     pub auto: BackendLeg,
-    /// Sub-cutover cells: did the auto entry point stay within
-    /// [`REGRESSION_TOLERANCE`] of the sequential driver? (Trivially true
-    /// at or above the cutover, where auto is *expected* to diverge —
-    /// upward.)
+    /// Did the auto leg stay within [`REGRESSION_TOLERANCE`] (or
+    /// [`REGRESSION_NOISE_FLOOR_NANOS`]) of the sequential driver? Measured
+    /// on every cell, scale cells included — no cell is exempt.
     pub auto_no_regression: bool,
-    /// Strided-search legs, one per [`THREAD_SWEEP`] entry.
-    pub parallel: Vec<ParallelLeg>,
     /// Baseline leg; `None` on driver-only cells and the quick-skip set.
     pub baseline: Option<BaselineLeg>,
     /// Sampled spot-checker leg; `Some` exactly on driver-only cells,
@@ -466,7 +443,7 @@ pub struct ProfileLeg {
 }
 
 /// One per-instance batched submission: all the instance's sweep
-/// syndromes evaluated through `diagnose_batch` on both backends.
+/// syndromes evaluated through `Diagnoser::submit_batch` on both backends.
 #[derive(Clone, Debug)]
 pub struct BatchRecord {
     /// Family key.
@@ -572,7 +549,7 @@ pub fn run_cell_opts(
     // (min over reps), extra samples only tighten both estimates toward
     // the true floor, so a genuinely slower path still fails — only a
     // preemption-spiked measurement converges back to parity.
-    let sub_cutover = g.node_count() < sequential_cutover();
+    let sub_cutover = g.node_count() < Cutovers::default().sequential;
     let (min_pairs, max_pairs) = if sub_cutover {
         (TIMING_REPS + 4, 40)
     } else {
@@ -622,24 +599,7 @@ pub fn run_cell_opts(
     let backend_agree =
         semantically_equal(&auto.diagnosis, &drv) && semantically_equal(&pooled.diagnosis, &drv);
     assert!(backend_agree, "{}: backend legs disagree", g.name());
-    let auto_no_regression = g.node_count() >= sequential_cutover()
-        || within_regression_tolerance(auto_nanos, driver_nanos);
-
-    let mut parallel = Vec::with_capacity(THREAD_SWEEP.len());
-    let mut par_agree = true;
-    for threads in THREAD_SWEEP {
-        let lane_session = Diagnoser::new(g).lanes(threads);
-        let t0 = Stopwatch::start();
-        let par = lane_session
-            .run(&s)
-            .unwrap_or_else(|e| panic!("{}: parallel driver failed: {e}", g.name()));
-        parallel.push(ParallelLeg {
-            threads,
-            nanos: u128::from(t0.elapsed_ns()),
-        });
-        par_agree &= par.diagnosis.faults == drv.faults
-            && par.diagnosis.certified_part == drv.certified_part;
-    }
+    let auto_no_regression = within_regression_tolerance(auto_nanos, driver_nanos);
 
     // Event-level simulator leg, through the session's simulation door:
     // unit latencies, static timeline — the regime where observation must
@@ -709,8 +669,7 @@ pub fn run_cell_opts(
         (VerificationVerdict::Unverified, None, None)
     };
 
-    let agree = par_agree
-        && backend_agree
+    let agree = backend_agree
         && distsim.as_ref().is_none_or(|d| d.agree)
         && sampled.as_ref().is_none_or(|c| c.agree)
         && verification.agreed_or_unverified();
@@ -743,7 +702,6 @@ pub fn run_cell_opts(
             nanos: auto_nanos,
         },
         auto_no_regression,
-        parallel,
         baseline,
         sampled,
         distsim,
@@ -791,8 +749,8 @@ fn sampled_leg_from(verdict: &VerificationVerdict, instance: String) -> SampledL
 
 /// One `--xlarge` cell: the slimmed measurement protocol for 10⁶⁺-node
 /// implicit instances. A timed sequential-driver leg, a timed leg on the
-/// auto backend (pooled at these sizes unless the calibrated cutover says
-/// otherwise), the sampled spot-checker — and a [`MaterialisationGuard`]
+/// auto backend (pooled at these sizes), the sampled spot-checker — and a
+/// [`MaterialisationGuard`]
 /// proving no `Cached::new` happened anywhere in the cell. Syndromes
 /// stream from the `O(|F|)`-state [`OnDemandOracle`].
 ///
@@ -885,7 +843,7 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
         driver_probes: drv.probes,
         // The auto leg *is* the pooled-or-sequential production path at
         // this size; a separate forced-pooled rep would double multi-second
-        // cell cost for no extra information on a calibrated cutover.
+        // cell cost for no extra information.
         pooled: BackendLeg {
             backend: auto.backend,
             nanos: auto_nanos,
@@ -894,8 +852,7 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
             backend: auto.backend,
             nanos: auto_nanos,
         },
-        auto_no_regression: true,
-        parallel: Vec::new(),
+        auto_no_regression: within_regression_tolerance(auto_nanos, driver_nanos),
         baseline: None,
         sampled: Some(sampled),
         distsim: None,
@@ -1047,8 +1004,8 @@ pub fn sweep_profiled(
         if inst.scale {
             // --xlarge protocol: one seeded-random and one adversarial
             // AllZero cell at the full fault bound, driver + auto + sampled
-            // checker only — no strided sweep, no batch submission (each
-            // extra leg is a multi-second full-graph pass out here).
+            // checker only — no batch submission (each extra leg is a
+            // multi-second full-graph pass out here).
             let bound = g.driver_fault_bound();
             let salt = 0xE1A6_0000 + i as u64;
             // Both behaviours replay the same planted set (the scatter is
@@ -1234,8 +1191,7 @@ fn instance_scenarios(inst: &Instance, i: usize) -> Vec<ScenarioRecord> {
     let unit_session = Diagnoser::new(g).simulated(LatencyModel::Unit);
     let skew_session = Diagnoser::new(g).simulated(skew);
     // Two latency regimes are two sessions; dispatch their single sims as
-    // one pooled submission so they run concurrently like the historical
-    // 2-job `simulate_batch` call did.
+    // one pooled submission so they run concurrently.
     let legs: [(&Diagnoser, &str); 2] = [(&unit_session, "unit"), (&skew_session, "skewed")];
     let mut reports = mmdiag_exec::global().map(&legs, |_, (session, label)| {
         session
@@ -1382,27 +1338,16 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Schema version stamped into every trajectory document [`to_json`]
-/// writes. Bump it together with [`READER_ACCEPTED_SCHEMAS`]: the xtask
-/// linter's `bench-schema-agreement` pass fails the build whenever the
-/// writer emits a version the cutover reader would refuse, and when a
-/// drifting copy of the literal appears anywhere outside these two
-/// declarations.
-pub const SCHEMA_VERSION: &str = "mmdiag-bench/v2";
-
-/// Schema versions [`calibrate_cutover_in`] accepts. v2 is a strict
-/// superset of v1 (same line-oriented record layout plus extra keys), so
-/// one reader parses both; a document stamped with any *other* version is
-/// rejected rather than half-parsed.
-pub const READER_ACCEPTED_SCHEMAS: &[&str] = &["mmdiag-bench/v1", "mmdiag-bench/v2"];
+/// writes. v3 is v2 without the strided-lane `"parallel"` record legs and
+/// the top-level `"thread_sweep"` list; v2 added the per-record
+/// `"phases"` and `"verification"` objects to v1.
+pub const SCHEMA_VERSION: &str = "mmdiag-bench/v3";
 
 /// Render records as the `BENCH_<pr>.json` trajectory document
-/// (**`mmdiag-bench/v2`** schema — a strict superset of v1). Additions
-/// over v1: every record carries a `"phases"` object (the session's
-/// probe/certify/grow wall times and lookup counts) and a
+/// ([`SCHEMA_VERSION`]). Every record carries a `"phases"` object (the
+/// session's probe/certify/grow wall times and lookup counts) and a
 /// `"verification"` object (the per-cell session verdict: method,
 /// agreement, cost — `"method": "none"` on the quick-mode skip set).
-/// Every v1 key is preserved unchanged, so the line-oriented v1 reader
-/// ([`calibrate_cutover_in`]) parses v2 files too.
 ///
 /// Hand-rolled serialisation — serde is not available offline, and the
 /// schema is flat enough that this stays readable.
@@ -1422,13 +1367,9 @@ pub fn to_json(
         "  \"exec\": {{\"pool_threads\": {}, \"sequential_cutover_nodes\": {}, \
          \"timing_reps\": {}, \"regression_tolerance\": {:.2}}},\n",
         mmdiag_exec::global().threads(),
-        sequential_cutover(),
+        Cutovers::default().sequential,
         TIMING_REPS,
         REGRESSION_TOLERANCE,
-    ));
-    out.push_str(&format!(
-        "  \"thread_sweep\": [{}],\n",
-        THREAD_SWEEP.map(|t| t.to_string()).join(", ")
     ));
     out.push_str(&format!("  \"record_count\": {},\n", records.len()));
     out.push_str(&format!(
@@ -1437,11 +1378,6 @@ pub fn to_json(
     ));
     out.push_str("  \"records\": [\n");
     for (i, r) in records.iter().enumerate() {
-        let par: Vec<String> = r
-            .parallel
-            .iter()
-            .map(|leg| format!("{{\"threads\": {}, \"nanos\": {}}}", leg.threads, leg.nanos))
-            .collect();
         // Skipped legs render as JSON nulls, not misleading zeros —
         // trajectory readers averaging speedups across BENCH_<pr>.json
         // files must not silently ingest zeros.
@@ -1545,7 +1481,6 @@ pub fn to_json(
                 "\"pooled\": {{\"nanos\": {}}}, ",
                 "\"auto\": {{\"backend\": \"{}\", \"nanos\": {}, ",
                 "\"speedup_vs_driver\": {:.3}, \"no_regression\": {}}}, ",
-                "\"parallel\": [{}], ",
                 "\"baseline\": {}, ",
                 "\"sampled_check\": {}, ",
                 "\"distsim\": {}, ",
@@ -1572,7 +1507,6 @@ pub fn to_json(
             r.auto.nanos,
             r.driver_nanos as f64 / r.auto.nanos.max(1) as f64,
             r.auto_no_regression,
-            par.join(", "),
             baseline,
             sampled,
             distsim,
@@ -1628,9 +1562,7 @@ pub fn to_json(
         ));
     }
     out.push_str("  ],\n");
-    // The --throughput fleet axis — additive v2 key, `null` when the
-    // axis did not run. Rendered as one line per nested object so the
-    // line-oriented cutover reader's section skip stays trivial.
+    // The --throughput fleet axis — `null` when the axis did not run.
     match throughput {
         Some(t) => {
             out.push_str("  \"throughput\": {\n");
@@ -1664,9 +1596,8 @@ pub fn to_json(
         }
         None => out.push_str("  \"throughput\": null,\n"),
     }
-    // The --online epoch-monitoring axis — additive v2 key, `null` when
-    // the axis did not run. Same one-line-per-nested-object discipline
-    // as "throughput", for the same line-oriented reader-skip reason.
+    // The --online epoch-monitoring axis — `null` when the axis did not
+    // run.
     match online {
         Some(o) => {
             out.push_str("  \"online\": {\n");
@@ -1719,159 +1650,6 @@ pub fn to_json(
     }
     out.push_str("}\n");
     out
-}
-
-/// Outcome of a trajectory-based cutover calibration.
-#[derive(Clone, Debug)]
-pub struct CutoverCalibration {
-    /// The node count below which `diagnose_auto` should stay sequential.
-    pub cutover: usize,
-    /// Which trajectory file supplied the measurements.
-    pub source: String,
-    /// Distinct instance sizes the decision was based on.
-    pub groups: usize,
-}
-
-/// Extract the first integer following `key` in `hay` (`key` must end just
-/// before the digits, e.g. `"\"nodes\": "`).
-fn int_after(hay: &str, key: &str) -> Option<u128> {
-    let at = hay.find(key)? + key.len();
-    let digits: String = hay[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Cells a measured size must have before it can participate in cutover
-/// calibration. The `--xlarge` scale cells time each leg exactly once, so
-/// a single preemption spike there would otherwise veto the pooled
-/// backend for *every* smaller size (observed: a one-rep `Q_23` cell 13%
-/// over tolerance calibrated the cutover to 8.4M nodes). Sizes measured
-/// with the full multi-rep protocol contribute ≥ 4 cells each.
-pub const CALIBRATION_MIN_CELLS: usize = 3;
-
-/// Read the highest-numbered `BENCH_*.json` in `dir` and derive the
-/// smallest instance size from which the pooled backend keeps up with the
-/// sequential driver: the smallest measured node count `t` such that on
-/// *every* well-measured size `≥ t` the best pooled rep is within
-/// [`REGRESSION_TOLERANCE`] of the best driver rep. Sizes with fewer than
-/// [`CALIBRATION_MIN_CELLS`] cells (the single-rep `--xlarge` protocol)
-/// are informational only — one noisy rep must not flip the backend for
-/// everything below it. Returns `None` when no trajectory file (or no
-/// usable record) exists — callers fall back to the compiled-in default.
-///
-/// The parse is line-oriented over the `mmdiag-bench/v1` layout this crate
-/// itself emits (one record per line); anything unrecognised — a bad
-/// directory entry, a non-UTF-8 name, an unreadable or hand-edited file —
-/// is skipped, so corruption degrades to fewer groups, never a panic.
-pub fn calibrate_cutover_in(dir: &std::path::Path) -> Option<CutoverCalibration> {
-    let mut best: Option<(u64, std::path::PathBuf)> = None;
-    for entry in std::fs::read_dir(dir).ok()?.flatten() {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(num) = name
-            .strip_prefix("BENCH_")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .and_then(|n| n.parse::<u64>().ok())
-        {
-            if best.as_ref().is_none_or(|(b, _)| num > *b) {
-                best = Some((num, path));
-            }
-        }
-    }
-    let (_, path) = best?;
-    let text = std::fs::read_to_string(&path).ok()?;
-
-    // A document stamped with a schema this reader does not understand is
-    // rejected outright — half-parsing a future layout could calibrate
-    // the cutover from garbage. Unstamped files (pre-schema hand edits)
-    // still go through the lenient line-oriented parse below.
-    if let Some(pos) = text.find("\"schema\": \"") {
-        let stamp = text[pos + "\"schema\": \"".len()..]
-            .split('"')
-            .next()
-            .unwrap_or("");
-        if !READER_ACCEPTED_SCHEMAS.contains(&stamp) {
-            return None;
-        }
-    }
-
-    // Per measured size: cell count and the floor estimate (min over
-    // cells) of driver and pooled wall time. The v2 additive top-level
-    // sections (`"throughput"` fleet rollups, `"online"` epoch-monitor
-    // rollups) are not per-instance records — they must never seed a
-    // calibration group — so the loop skips each wholesale, tracking
-    // brace depth from its opening line (none of the emitted string
-    // values contain braces, so counting brace characters per line is
-    // exact for documents this crate writes and safely lenient for
-    // hand-edited ones).
-    const ADDITIVE_SECTIONS: [&str; 2] = ["\"throughput\"", "\"online\""];
-    let mut groups: Vec<(usize, usize, u128, u128)> = Vec::new();
-    let mut skip_depth: i64 = 0;
-    for line in text.lines() {
-        let delta = line.matches('{').count() as i64 - line.matches('}').count() as i64;
-        if skip_depth > 0 {
-            skip_depth += delta;
-            continue;
-        }
-        if ADDITIVE_SECTIONS.iter().any(|key| line.contains(key)) {
-            // A one-line `"<key>": null` (or a complete object) ends
-            // here; an opening line starts the skipped section.
-            skip_depth = delta.max(0);
-            continue;
-        }
-        let (Some(nodes), Some(driver), Some(pooled)) = (
-            int_after(line, "\"nodes\": "),
-            int_after(line, "\"driver\": {\"nanos\": "),
-            int_after(line, "\"pooled\": {\"nanos\": "),
-        ) else {
-            continue;
-        };
-        let nodes = nodes as usize;
-        match groups.iter_mut().find(|(n, ..)| *n == nodes) {
-            Some(g) => {
-                g.1 += 1;
-                g.2 = g.2.min(driver);
-                g.3 = g.3.min(pooled);
-            }
-            None => groups.push((nodes, 1, driver, pooled)),
-        }
-    }
-    groups.retain(|&(_, cells, _, _)| cells >= CALIBRATION_MIN_CELLS);
-    if groups.is_empty() {
-        return None;
-    }
-    groups.sort_unstable_by_key(|&(n, ..)| n);
-
-    // Walk sizes descending: the calibrated cutover is just above the
-    // largest well-measured size where pooled still loses to the driver.
-    let mut cutover = groups[0].0.min(64); // pooled wins everywhere measured
-    for &(nodes, _, driver, pooled) in groups.iter().rev() {
-        if (pooled as f64) > (driver as f64) * REGRESSION_TOLERANCE {
-            cutover = nodes + 1;
-            break;
-        }
-    }
-    let cutover = cutover.clamp(64, 1 << 23);
-    Some(CutoverCalibration {
-        cutover,
-        source: path.display().to_string(),
-        groups: groups.len(),
-    })
-}
-
-/// Calibrate from the working directory's best trajectory and install the
-/// result as the live [`sequential_cutover`] (an `MMDIAG_CUTOVER` pin
-/// still wins — `set_sequential_cutover` defers to it). Returns what was
-/// installed, or `None` when offline (no trajectory): the compiled-in
-/// default stays in force.
-pub fn calibrate_cutover() -> Option<CutoverCalibration> {
-    let mut cal = calibrate_cutover_in(std::path::Path::new("."))?;
-    cal.cutover = mmdiag_core::set_sequential_cutover(cal.cutover);
-    Some(cal)
 }
 
 /// Number of distinct family keys present in `records`.
@@ -1974,12 +1752,11 @@ mod tests {
     fn scale_cell_protocol_runs_and_stays_implicit() {
         // The --xlarge protocol on a debug-friendly implicit instance:
         // driver + auto + sampled checker, streaming syndrome, no
-        // materialisation, no parallel/batch legs.
+        // materialisation, no batch leg.
         let inst = Instance::implicit_scale("hypercube", Hypercube::new_certified(14));
         let faults = scatter_faults(1 << 14, 5, 77);
         let rec = run_scale_cell(&inst, faults.members(), TesterBehavior::Random { seed: 3 });
         assert!(rec.agree);
-        assert!(rec.parallel.is_empty());
         assert!(rec.baseline.is_none() && rec.distsim.is_none());
         let sampled = rec.sampled.as_ref().expect("sampled leg present");
         assert!(sampled.agree && sampled.certificate_ok);
@@ -2024,172 +1801,6 @@ mod tests {
             rec.sampled.is_none(),
             "sampled checker is the driver-only fallback"
         );
-    }
-
-    #[test]
-    fn cutover_calibration_reads_the_best_trajectory() {
-        let dir = std::env::temp_dir().join(format!("mmdiag-cal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // An older file that must be ignored in favour of the newer one.
-        std::fs::write(dir.join("BENCH_1.json"), "{}\n").unwrap();
-        // A record line for one cell of a measured size.
-        fn cell(nodes: usize, driver: u128, pooled: u128) -> String {
-            format!(
-                "    {{\"family\": \"h\", \"nodes\": {nodes}, \"driver\": {{\"nanos\": {driver}, \
-                 \"lookups\": 1}}, \"pooled\": {{\"nanos\": {pooled}}}}},\n"
-            )
-        }
-        // Three cells per size (the calibration quorum). Pooled loses at
-        // 128 and 512, wins from 2048 up: cutover = 513. The 1 000 000
-        // size has a single noisy cell where pooled loses badly — the
-        // quorum rule must keep it from vetoing everything below.
-        let mut body = String::from("{\"records\": [\n");
-        for (nodes, driver, pooled) in [
-            (128, 100, 500),
-            (512, 400, 600),
-            (2048, 2000, 1000),
-            (8192, 9000, 3000),
-        ] {
-            for rep in 0..3u128 {
-                body.push_str(&cell(nodes, driver + rep, pooled + rep));
-            }
-        }
-        body.push_str(&cell(1_000_000, 1_000_000, 9_000_000));
-        body.push_str("]}\n");
-        std::fs::write(dir.join("BENCH_9.json"), body).unwrap();
-        let cal = calibrate_cutover_in(&dir).expect("trajectory found");
-        assert!(cal.source.ends_with("BENCH_9.json"));
-        assert_eq!(cal.groups, 4, "the single-cell 1M size is excluded");
-        assert_eq!(cal.cutover, 513);
-        // Pooled winning everywhere clamps to the floor.
-        let everywhere: String = (0..3).map(|r| cell(128, 100 + r, 90 + r)).collect();
-        std::fs::write(dir.join("BENCH_10.json"), everywhere).unwrap();
-        let cal = calibrate_cutover_in(&dir).unwrap();
-        assert_eq!(cal.cutover, 64);
-        // Only under-measured sizes: calibration declines entirely.
-        std::fs::write(dir.join("BENCH_11.json"), cell(4096, 100, 900)).unwrap();
-        assert!(calibrate_cutover_in(&dir).is_none());
-        // No trajectory at all: same.
-        let empty = dir.join("empty");
-        std::fs::create_dir_all(&empty).unwrap();
-        assert!(calibrate_cutover_in(&empty).is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cutover_calibration_skips_the_throughput_section() {
-        let dir = std::env::temp_dir().join(format!("mmdiag-tpcal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // Three genuine cells at one size where pooled loses (cutover
-        // must land just above 256), then an adversarial multi-line
-        // "throughput" section whose lines carry decoy record keys. If
-        // the reader ingested them it would see a second, pooled-winning
-        // "size" at 999 nodes and a corrupted quorum.
-        let mut body = String::from("{\"schema\": \"mmdiag-bench/v2\",\n\"records\": [\n");
-        for rep in 0..3u128 {
-            body.push_str(&format!(
-                "    {{\"family\": \"h\", \"nodes\": 256, \"driver\": {{\"nanos\": {}, \
-                 \"lookups\": 1}}, \"pooled\": {{\"nanos\": {}}}}},\n",
-                100 + rep,
-                900 + rep,
-            ));
-        }
-        body.push_str("],\n");
-        body.push_str("\"throughput\": {\n");
-        for _ in 0..3 {
-            body.push_str(
-                "    {\"nodes\": 999, \"driver\": {\"nanos\": 5000}, \
-                 \"pooled\": {\"nanos\": 1}},\n",
-            );
-        }
-        body.push_str("    \"nested\": {\"deeper\": {\"nodes\": 999}}\n");
-        body.push_str("}\n}\n");
-        std::fs::write(dir.join("BENCH_8.json"), body).unwrap();
-        let cal = calibrate_cutover_in(&dir).expect("the genuine records calibrate");
-        assert_eq!(cal.groups, 1, "decoy throughput lines seed no groups");
-        assert_eq!(cal.cutover, 257);
-        // A document that is *only* a throughput section declines.
-        std::fs::write(
-            dir.join("BENCH_9.json"),
-            "{\"throughput\": {\n    {\"nodes\": 64, \"driver\": {\"nanos\": 9}, \
-             \"pooled\": {\"nanos\": 1}}\n}\n}\n",
-        )
-        .unwrap();
-        assert!(calibrate_cutover_in(&dir).is_none());
-        // The one-line `"throughput": null` form the writer emits when
-        // the axis is off must not start a skip window.
-        std::fs::write(
-            dir.join("BENCH_10.json"),
-            concat!(
-                "{\n",
-                "\"throughput\": null,\n",
-                "    {\"nodes\": 512, \"driver\": {\"nanos\": 100, \"lookups\": 1}, \
-                 \"pooled\": {\"nanos\": 900}},\n",
-                "    {\"nodes\": 512, \"driver\": {\"nanos\": 101, \"lookups\": 1}, \
-                 \"pooled\": {\"nanos\": 901}},\n",
-                "    {\"nodes\": 512, \"driver\": {\"nanos\": 102, \"lookups\": 1}, \
-                 \"pooled\": {\"nanos\": 902}}\n}\n",
-            ),
-        )
-        .unwrap();
-        let cal = calibrate_cutover_in(&dir).expect("records after the null still parse");
-        assert_eq!(cal.cutover, 513);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cutover_calibration_skips_the_online_section() {
-        let dir = std::env::temp_dir().join(format!("mmdiag-olcal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // Genuine cells at one size, then an adversarial "online"
-        // section whose family lines carry decoy v1 record keys
-        // ("nodes"/"driver"/"pooled" — keys the real writer deliberately
-        // never puts on online lines). If the reader ingested them it
-        // would see a second, pooled-winning size at 777 nodes.
-        let mut body = String::from("{\"schema\": \"mmdiag-bench/v2\",\n\"records\": [\n");
-        for rep in 0..3u128 {
-            body.push_str(&format!(
-                "    {{\"family\": \"h\", \"nodes\": 128, \"driver\": {{\"nanos\": {}, \
-                 \"lookups\": 1}}, \"pooled\": {{\"nanos\": {}}}}},\n",
-                100 + rep,
-                900 + rep,
-            ));
-        }
-        body.push_str("],\n");
-        body.push_str("\"online\": {\n");
-        body.push_str("    \"families\": [\n");
-        for _ in 0..3 {
-            body.push_str(
-                "    {\"nodes\": 777, \"driver\": {\"nanos\": 9000}, \
-                 \"pooled\": {\"nanos\": 1}},\n",
-            );
-        }
-        body.push_str("    ],\n");
-        body.push_str("    \"nested\": {\"deeper\": {\"nodes\": 777}}\n");
-        body.push_str("}\n}\n");
-        std::fs::write(dir.join("BENCH_8.json"), body).unwrap();
-        let cal = calibrate_cutover_in(&dir).expect("the genuine records calibrate");
-        assert_eq!(cal.groups, 1, "decoy online lines seed no groups");
-        assert_eq!(cal.cutover, 129);
-        // The one-line `"online": null` form the writer emits when the
-        // axis is off must not start a skip window either.
-        std::fs::write(
-            dir.join("BENCH_9.json"),
-            concat!(
-                "{\n",
-                "\"online\": null\n",
-                "    {\"nodes\": 512, \"driver\": {\"nanos\": 100, \"lookups\": 1}, \
-                 \"pooled\": {\"nanos\": 900}},\n",
-                "    {\"nodes\": 512, \"driver\": {\"nanos\": 101, \"lookups\": 1}, \
-                 \"pooled\": {\"nanos\": 901}},\n",
-                "    {\"nodes\": 512, \"driver\": {\"nanos\": 102, \"lookups\": 1}, \
-                 \"pooled\": {\"nanos\": 902}}\n}\n",
-            ),
-        )
-        .unwrap();
-        let cal = calibrate_cutover_in(&dir).expect("records after the null still parse");
-        assert_eq!(cal.cutover, 513);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -2286,7 +1897,6 @@ mod tests {
             rec.driver_lookups,
             base.lookups
         );
-        assert_eq!(rec.parallel.len(), THREAD_SWEEP.len());
         // Sub-cutover instance: auto must have taken the sequential path.
         assert_eq!(rec.auto.backend, "sequential");
         assert!(rec.pooled.nanos > 0 && rec.auto.nanos > 0);
@@ -2317,33 +1927,6 @@ mod tests {
         assert!(json.contains("\"driver_only\": true"));
         // v2: driver-only cells carry the sampled session verdict.
         assert!(json.contains("\"verification\": {\"method\": \"sampled\""));
-    }
-
-    #[test]
-    fn v1_cutover_reader_parses_v2_records() {
-        // The calibration reader is line-oriented over the `"nodes"` /
-        // `"driver": {"nanos"` / `"pooled": {"nanos"` keys, which v2
-        // preserves verbatim — a v2 trajectory must calibrate exactly like
-        // a v1 one.
-        let dir = std::env::temp_dir().join(format!("mmdiag-v2cal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let inst = Instance::new("hypercube", &Hypercube::new(7));
-        let recs: Vec<RunRecord> = (0..CALIBRATION_MIN_CELLS)
-            .map(|i| {
-                run_cell(
-                    &inst,
-                    &scatter_faults(128, 2, i as u64),
-                    TesterBehavior::AllZero,
-                )
-            })
-            .collect();
-        let json = to_json("BENCH_12", &recs, &[], &[], None, None);
-        assert!(json.contains("\"schema\": \"mmdiag-bench/v2\""));
-        std::fs::write(dir.join("BENCH_12.json"), &json).unwrap();
-        let cal = calibrate_cutover_in(&dir).expect("v2 trajectory parses");
-        assert_eq!(cal.groups, 1);
-        assert!(cal.source.ends_with("BENCH_12.json"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -2414,7 +1997,7 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for needle in [
-            "\"schema\": \"mmdiag-bench/v2\"",
+            "\"schema\": \"mmdiag-bench/v3\"",
             "\"bench_id\": \"BENCH_TEST\"",
             "\"phases\": {\"probe_nanos\": ",
             "\"verification\": {\"method\": \"full_baseline\"",

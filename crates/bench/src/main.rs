@@ -1,7 +1,7 @@
 //! The `mmdiag-bench` harness binary.
 //!
 //! Sweeps the family catalog, cross-checks driver vs pooled backends vs
-//! strided search vs baseline vs event-level simulator on every cell,
+//! baseline vs event-level simulator on every cell,
 //! re-submits each instance's syndromes as one batched submission per
 //! backend, runs the simulator-only scenario sweep (latency skew,
 //! mid-protocol injection) on the shared pool, and writes the
@@ -58,15 +58,15 @@
 //!   --out     output path (default BENCH_8.json in the working directory)
 //! ```
 //!
-//! At startup the binary recalibrates `diagnose_auto`'s sequential cutover
-//! from the best `BENCH_*.json` already in the working directory
-//! (`MMDIAG_CUTOVER=<nodes>` pins it instead; no trajectory means the
-//! compiled-in 1024 stays).
+//! The auto legs resolve against the default session cutovers
+//! (`mmdiag_core::Cutovers::default()`: the compiled-in values unless
+//! `MMDIAG_CUTOVER` / `MMDIAG_GROW_CUTOVER` pin them); no file in the
+//! working directory changes what a run measures.
 #![forbid(unsafe_code)]
 
 use mmdiag_bench::{
-    calibrate_cutover, distsim_scenarios, full_catalog, large_catalog, run_online, run_throughput,
-    small_catalog, sweep_profiled, to_json, xlarge_catalog, xxlarge_catalog, ProfileConfig,
+    distsim_scenarios, full_catalog, large_catalog, run_online, run_throughput, small_catalog,
+    sweep_profiled, to_json, xlarge_catalog, xxlarge_catalog, ProfileConfig,
 };
 
 /// The trajectory id this binary emits (`BENCH_<pr>`).
@@ -122,17 +122,6 @@ fn main() {
         None
     };
 
-    match calibrate_cutover() {
-        Some(cal) => eprintln!(
-            "cutover calibrated from {}: sequential below {} nodes ({} measured sizes)",
-            cal.source, cal.cutover, cal.groups
-        ),
-        None => eprintln!(
-            "no BENCH_*.json trajectory here; sequential cutover stays at {}",
-            mmdiag_core::sequential_cutover()
-        ),
-    }
-
     let mut catalog = if quick {
         small_catalog()
     } else {
@@ -161,7 +150,7 @@ fn main() {
     }
     eprintln!(
         "sweeping {} instances across 14 families on a {}-worker pool \
-         (driver / pooled / auto / strided x4 / baseline / distsim)…",
+         (driver / pooled / auto / baseline / distsim)…",
         catalog.len(),
         mmdiag_exec::global().threads(),
     );
@@ -210,7 +199,7 @@ fn main() {
         );
     });
 
-    eprintln!("batched submissions (diagnose_batch, sequential vs pooled, per instance)…");
+    eprintln!("batched submissions (submit_batch, sequential vs pooled, per instance)…");
     for b in &batches {
         eprintln!(
             "{:<22} {:>2} cells  seq {:>10.1} µs  pooled {:>10.1} µs  {}",
@@ -345,7 +334,7 @@ fn main() {
         + online
             .as_ref()
             .map_or(0, |o| o.disagreements as usize + o.families_without_savings);
-    let small_regressions = records.iter().filter(|r| !r.auto_no_regression).count();
+    let auto_regressions = records.iter().filter(|r| !r.auto_no_regression).count();
     let json = to_json(
         BENCH_ID,
         &records,
@@ -358,7 +347,7 @@ fn main() {
         .unwrap_or_else(|e| die(&format!("cannot write {out_path}: {e}")));
     eprintln!(
         "\n{} records + {} batches + {} scenarios ({} families) -> {out_path}; \
-         disagreements: {disagreements}; small-instance regressions: {small_regressions}",
+         disagreements: {disagreements}; auto slower than sequential: {auto_regressions}",
         records.len(),
         batches.len(),
         scenarios.len(),

@@ -1,181 +1,118 @@
-//! Execution backends: one diagnosis algorithm, pluggable execution.
+//! Execution policy: one diagnosis algorithm, pluggable execution.
 //!
 //! The driver's only embarrassingly parallel phase is the certified-part
 //! probe search — a lowest-index-wins reduction over deterministic,
-//! side-effect-free-per-part probes. This module factors *how* that search
-//! (and batched whole-diagnosis submissions) runs out of the algorithm:
+//! side-effect-free-per-part probes — plus, at scale, the frontier sweep
+//! of the growth tail. This module factors *how* a session run executes
+//! out of the algorithm:
 //!
-//! * [`ExecutionBackend::Sequential`] — the plain in-order scan of
-//!   [`crate::driver::diagnose`];
-//! * [`ExecutionBackend::Pooled`] — the search dispatched on a shared
-//!   [`mmdiag_exec::Pool`] via its deterministic `min_index_where`
-//!   reduction, with [`Workspace`]s pooled **per worker** so batches of
-//!   probes (and batched syndrome submissions) reuse one `O(N)` scratch
-//!   allocation per worker instead of one per call;
-//! * [`diagnose_auto`] — picks the backend by instance size:
-//!   `BENCH_1`/`BENCH_2` measured the scoped-thread parallel driver losing
-//!   below ~1k nodes to spawn overhead, and even the pooled dispatch has a
-//!   (much smaller) scope cost, so sub-[`SEQUENTIAL_CUTOVER_NODES`]
-//!   instances take the sequential path outright.
+//! * [`BackendPolicy`] — sequential, a given [`mmdiag_exec::Pool`], or
+//!   size-directed auto;
+//! * [`Cutovers`] — the node counts the auto rule and the pooled growth
+//!   tail resolve against. They ride on each run's
+//!   [`SessionOptions`](crate::SessionOptions), so two sessions in one
+//!   process can hold different cutovers and no run reads a mutable
+//!   process global;
+//! * [`WorkspacePool`] — `O(N)` scratch pooled **per worker**, so batches
+//!   of probes (and batched syndrome submissions) reuse one allocation per
+//!   worker instead of one per call.
 //!
-//! Determinism: every backend returns the same certified part (the lowest
+//! Determinism: every policy returns the same certified part (the lowest
 //! certifying index), hence the same fault set, healthy set and spanning
-//! tree, bit for bit. Only the *accounting* fields ([`Diagnosis::probes`],
-//! [`Diagnosis::lookups_used`]) may differ under pooled execution, because
-//! how many parts beyond the winner get probed depends on scheduling —
-//! exactly as with the original scoped-thread `diagnose_parallel`.
+//! tree, bit for bit. Only the *accounting* fields
+//! ([`Diagnosis::probes`](crate::Diagnosis::probes),
+//! [`Diagnosis::lookups_used`](crate::Diagnosis::lookups_used)) may differ
+//! under pooled execution, because how many parts beyond the winner get
+//! probed depends on scheduling.
 
-use crate::driver::{Diagnosis, DiagnosisError};
-use crate::session::{self, BackendPolicy, SessionOptions};
 use crate::set_builder::Workspace;
 use mmdiag_exec::sync::Mutex;
 use mmdiag_exec::Pool;
-use mmdiag_syndrome::SyndromeSource;
-use mmdiag_topology::Partitionable;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default node count below which [`diagnose_auto`] stays sequential.
+/// Default node count below which [`BackendPolicy::Auto`] stays
+/// sequential.
 ///
-/// Calibrated from `BENCH_1.json`/`BENCH_2.json`: on every sub-1k cell the
-/// scoped-thread parallel legs ran at or behind the sequential driver (a
-/// probe phase there is tens of microseconds — under any dispatch
-/// overhead), while from ~1k nodes the parallel probe search starts paying
-/// for itself.
-///
-/// This is the *offline fallback*: the live cutover is
-/// [`sequential_cutover`], which an operator can pin with
-/// `MMDIAG_CUTOVER=<nodes>` and the bench harness recalibrates at startup
-/// from the best available `BENCH_*.json` trajectory
-/// (`mmdiag_bench::calibrate_cutover`).
+/// Measured in `BENCH_1.json`/`BENCH_2.json`: on every sub-1k cell the
+/// parallel legs ran at or behind the sequential driver (a probe phase
+/// there is tens of microseconds — under any dispatch overhead), while
+/// from ~1k nodes the parallel probe search starts paying for itself.
 pub const SEQUENTIAL_CUTOVER_NODES: usize = 1024;
 
-/// The live cutover value; 0 means "not yet resolved".
-static CUTOVER: AtomicUsize = AtomicUsize::new(0);
-
-/// The node count below which [`diagnose_auto`] currently stays
-/// sequential. Resolution order: an explicit [`set_sequential_cutover`]
-/// call (the bench's trajectory calibration), else `MMDIAG_CUTOVER` from
-/// the environment (read once per process through
-/// [`mmdiag_exec::knobs`]), else [`SEQUENTIAL_CUTOVER_NODES`].
-pub fn sequential_cutover() -> usize {
-    match CUTOVER.load(Ordering::Relaxed) {
-        0 => {
-            let resolved = mmdiag_exec::knobs()
-                .cutover
-                .unwrap_or(SEQUENTIAL_CUTOVER_NODES);
-            // First resolver wins; a concurrent set_sequential_cutover that
-            // landed in between is preserved.
-            let _ = CUTOVER.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed);
-            CUTOVER.load(Ordering::Relaxed)
-        }
-        n => n,
-    }
-}
-
-/// Override the live cutover (e.g. from a measured `BENCH_*.json`
-/// trajectory). A `MMDIAG_CUTOVER` environment pin takes precedence: when
-/// the operator set one, this call is ignored and the pinned value is
-/// returned. Returns the cutover now in force.
-pub fn set_sequential_cutover(nodes: usize) -> usize {
-    assert!(nodes > 0, "cutover must be positive");
-    if mmdiag_exec::knobs().cutover.is_some() {
-        return sequential_cutover();
-    }
-    CUTOVER.store(nodes, Ordering::Relaxed);
-    nodes
-}
-
-/// Default node count below which the pooled driver keeps the sequential
+/// Default node count below which a pooled run keeps the sequential
 /// growth tail instead of the frontier-parallel sweep.
 ///
 /// The frontier engine pays per-layer pool dispatch plus an O(N/64)
 /// bitset reset per diagnosis; both are noise from ~10⁵ nodes up (where
-/// the sweep saves whole seconds) but real at workstation sizes. Like the
-/// probe cutover this is the *offline fallback*: the live value is
-/// [`grow_cutover`], pinnable via `MMDIAG_GROW_CUTOVER` and recalibrated
-/// by the bench from measured `BENCH_*.json` trajectories.
+/// the sweep saves whole seconds) but real at workstation sizes.
 pub const GROW_CUTOVER_NODES: usize = 1 << 17;
 
-/// The live grow cutover; 0 means "not yet resolved".
-static GROW_CUTOVER: AtomicUsize = AtomicUsize::new(0);
+/// The node-count thresholds a session run resolves its execution against.
+/// A plain value carried by [`SessionOptions`](crate::SessionOptions) — set
+/// it per session (`Diagnoser::cutovers` in the umbrella crate) instead of
+/// mutating anything process-wide.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cutovers {
+    /// Below this many nodes [`BackendPolicy::Auto`] runs sequentially;
+    /// at or above it, on the process-wide pool.
+    pub sequential: usize,
+    /// Below this many nodes a pooled run keeps the sequential growth
+    /// tail; at or above it (on sorted-adjacency topologies) growth runs
+    /// frontier-parallel on the pool.
+    pub grow: usize,
+}
 
-/// The node count below which the pooled driver currently keeps the
-/// sequential growth tail. Resolution order mirrors
-/// [`sequential_cutover`]: an explicit [`set_grow_cutover`] call, else
-/// `MMDIAG_GROW_CUTOVER` from the environment (read once per process
-/// through [`mmdiag_exec::knobs`]), else [`GROW_CUTOVER_NODES`].
-pub fn grow_cutover() -> usize {
-    match GROW_CUTOVER.load(Ordering::Relaxed) {
-        0 => {
-            let resolved = mmdiag_exec::knobs()
-                .grow_cutover
-                .unwrap_or(GROW_CUTOVER_NODES);
-            // First resolver wins; a concurrent set_grow_cutover that
-            // landed in between is preserved.
-            let _ =
-                GROW_CUTOVER.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed);
-            GROW_CUTOVER.load(Ordering::Relaxed)
+impl Default for Cutovers {
+    /// The compiled defaults ([`SEQUENTIAL_CUTOVER_NODES`],
+    /// [`GROW_CUTOVER_NODES`]), unless an operator pinned either with
+    /// `MMDIAG_CUTOVER` / `MMDIAG_GROW_CUTOVER` (parsed once per process
+    /// through [`mmdiag_exec::knobs`]).
+    fn default() -> Self {
+        let knobs = mmdiag_exec::knobs();
+        Cutovers {
+            sequential: knobs.cutover.unwrap_or(SEQUENTIAL_CUTOVER_NODES),
+            grow: knobs.grow_cutover.unwrap_or(GROW_CUTOVER_NODES),
         }
-        n => n,
     }
 }
 
-/// Override the live grow cutover (e.g. from a measured `BENCH_*.json`
-/// trajectory). A `MMDIAG_GROW_CUTOVER` environment pin takes precedence:
-/// when the operator set one, this call is ignored and the pinned value is
-/// returned. Returns the cutover now in force.
-pub fn set_grow_cutover(nodes: usize) -> usize {
-    assert!(nodes > 0, "grow cutover must be positive");
-    if mmdiag_exec::knobs().grow_cutover.is_some() {
-        return grow_cutover();
-    }
-    GROW_CUTOVER.store(nodes, Ordering::Relaxed);
-    nodes
-}
-
-/// Serialises tests (across this crate's unit-test binary) that mutate
-/// the process-global grow cutover, so they can't race each other or any
-/// test that steers through [`grow_cutover`].
-#[cfg(test)]
-pub(crate) fn grow_knob_lock() -> &'static Mutex<()> {
-    use std::sync::OnceLock;
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// How a diagnosis should execute.
+/// How a session run executes.
 #[derive(Clone, Copy)]
-pub enum ExecutionBackend<'p> {
+pub enum BackendPolicy<'p> {
     /// In-order scan on the calling thread; no synchronisation at all.
     Sequential,
-    /// Probe search and batch submissions dispatched on a shared pool.
+    /// Probe search (and, past [`Cutovers::grow`], the growth sweep) on
+    /// the given pool at its full width.
     Pooled(&'p Pool),
+    /// Sequential below [`Cutovers::sequential`], else pooled on the
+    /// process-wide [`mmdiag_exec::global`] pool.
+    Auto,
 }
 
-impl<'p> ExecutionBackend<'p> {
-    /// The backend [`diagnose_auto`] picks for an instance of `nodes`
-    /// nodes: sequential below the live [`sequential_cutover`], else the
-    /// process-wide [`mmdiag_exec::global`] pool.
-    pub fn auto(nodes: usize) -> ExecutionBackend<'static> {
-        Self::auto_with_cutover(nodes, sequential_cutover())
-    }
-
-    /// [`ExecutionBackend::auto`] with an explicit cutover — the pure
-    /// decision rule, also used by tests that must not touch the process
-    /// global.
-    pub fn auto_with_cutover(nodes: usize, cutover: usize) -> ExecutionBackend<'static> {
-        if nodes < cutover {
-            ExecutionBackend::Sequential
-        } else {
-            ExecutionBackend::Pooled(mmdiag_exec::global())
+impl<'p> BackendPolicy<'p> {
+    /// The pool this policy runs an instance of `nodes` nodes on, or
+    /// `None` for the sequential scan. Only a pooled resolution touches
+    /// (and so spawns) the global pool.
+    pub(crate) fn resolve(&self, nodes: usize, cutovers: &Cutovers) -> Option<&'p Pool> {
+        match *self {
+            BackendPolicy::Sequential => None,
+            BackendPolicy::Pooled(pool) => Some(pool),
+            BackendPolicy::Auto => (nodes >= cutovers.sequential).then(mmdiag_exec::global),
         }
     }
 
-    /// `"sequential"` or `"pooled"` — for bench records and logs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecutionBackend::Sequential => "sequential",
-            ExecutionBackend::Pooled(_) => "pooled",
+    /// The backend label (`"sequential"` / `"pooled"`) this policy
+    /// resolves to for an instance of `nodes` nodes under the default
+    /// [`Cutovers`]. Never spawns a pool.
+    pub fn label_for(&self, nodes: usize) -> &'static str {
+        let pooled = match *self {
+            BackendPolicy::Sequential => false,
+            BackendPolicy::Pooled(_) => true,
+            BackendPolicy::Auto => nodes >= Cutovers::default().sequential,
+        };
+        if pooled {
+            "pooled"
+        } else {
+            "sequential"
         }
     }
 }
@@ -234,214 +171,46 @@ impl WorkspacePool {
     }
 }
 
-/// Diagnose with the family's canonical decomposition and fault bound on
-/// the given backend. Checks §5's preconditions first; on every backend
-/// the returned certified part, fault set, healthy set and tree are
-/// identical to [`crate::driver::diagnose`]'s. A thin wrapper over the
-/// session run ([`crate::session::run_with`]).
-pub fn diagnose_with<T, S>(
-    g: &T,
-    s: &S,
-    backend: &ExecutionBackend<'_>,
-) -> Result<Diagnosis, DiagnosisError>
-where
-    T: Partitionable + Sync + ?Sized,
-    S: SyndromeSource + Sync + ?Sized,
-{
-    session::run_with(
-        g,
-        s,
-        BackendPolicy::from(backend),
-        &SessionOptions::default(),
-        None,
-    )
-    .map(|r| r.diagnosis)
-}
-
-/// Size-directed entry point: sequential below the live
-/// [`sequential_cutover`] (default [`SEQUENTIAL_CUTOVER_NODES`], overridable
-/// via `MMDIAG_CUTOVER` or trajectory calibration), pooled on the shared
-/// global pool above it.
-pub fn diagnose_auto<T, S>(g: &T, s: &S) -> Result<Diagnosis, DiagnosisError>
-where
-    T: Partitionable + Sync + ?Sized,
-    S: SyndromeSource + Sync + ?Sized,
-{
-    diagnose_with(g, s, &ExecutionBackend::auto(g.node_count()))
-}
-
-/// The pooled probe-search strategy with an explicit lane width (the
-/// number of strided probe lanes; `diagnose_parallel` maps its legacy
-/// `threads` argument here). Guards degenerate decompositions — zero
-/// parts, or a custom `Partitionable` whose precondition hook was relaxed
-/// — with a proper error instead of the historical `clamp(1, 0)` panic.
-/// A thin wrapper over the pooled session run.
-pub(crate) fn diagnose_pooled_width<T, S>(
-    g: &T,
-    s: &S,
-    pool: &Pool,
-    width: usize,
-) -> Result<Diagnosis, DiagnosisError>
-where
-    T: Partitionable + Sync + ?Sized,
-    S: SyndromeSource + Sync + ?Sized,
-{
-    session::run_pooled(
-        g,
-        s,
-        pool,
-        width,
-        g.driver_fault_bound(),
-        &mmdiag_trace::Tracer::disabled(),
-        None,
-    )
-    .map(|r| r.diagnosis)
-}
-
-/// Evaluate many syndromes against one instance in a single submission.
-///
-/// Sequential backend: one reused workspace, syndromes in order. Pooled
-/// backend: syndromes fan out over the pool (each diagnosis runs its
-/// in-order scan inside one task — batch-level parallelism), workspaces
-/// pooled per worker. Results come back **in input order** and are
-/// bit-identical across backends, including `probes` and `lookups_used`,
-/// because each per-syndrome scan is the same sequential algorithm either
-/// way.
-pub fn diagnose_batch<T, S>(
-    g: &T,
-    syndromes: &[S],
-    backend: &ExecutionBackend<'_>,
-) -> Vec<Result<Diagnosis, DiagnosisError>>
-where
-    T: Partitionable + Sync + ?Sized,
-    S: SyndromeSource + Sync,
-{
-    session::run_batch(
-        g,
-        syndromes,
-        BackendPolicy::from(backend),
-        &SessionOptions::default(),
-        None,
-    )
-    .into_iter()
-    .map(|r| r.map(|report| report.diagnosis))
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::diagnose;
-    use mmdiag_syndrome::{FaultSet, OracleSyndrome, TesterBehavior};
-    use mmdiag_topology::families::Hypercube;
-    use mmdiag_topology::{NodeId, Topology};
 
     #[test]
-    fn pooled_single_lane_equals_sequential_exactly() {
-        // Width 1 probes parts in the sequential order, so even the
-        // accounting fields must match.
-        let g = Hypercube::new(7);
-        let f = FaultSet::new(128, &[3, 77, 90]);
+    fn auto_resolves_by_the_cutover_it_is_given() {
+        let cut = Cutovers {
+            sequential: 512,
+            grow: GROW_CUTOVER_NODES,
+        };
+        assert!(BackendPolicy::Auto.resolve(511, &cut).is_none());
+        assert!(BackendPolicy::Auto.resolve(512, &cut).is_some());
+        // Two sessions in one process can hold different cutovers.
+        let later = Cutovers {
+            sequential: 2048,
+            ..cut
+        };
+        assert!(BackendPolicy::Auto.resolve(600, &cut).is_some());
+        assert!(BackendPolicy::Auto.resolve(600, &later).is_none());
         let pool = Pool::new(1);
-        for b in [TesterBehavior::AllZero, TesterBehavior::Random { seed: 4 }] {
-            let s = OracleSyndrome::new(f.clone(), b);
-            let seq = diagnose(&g, &s).unwrap();
-            s.reset_lookups();
-            let par = diagnose_pooled_width(&g, &s, &pool, 1).unwrap();
-            assert_eq!(par.faults, seq.faults);
-            assert_eq!(par.certified_part, seq.certified_part);
-            assert_eq!(par.probes, seq.probes);
-            assert_eq!(par.lookups_used, seq.lookups_used);
-            assert_eq!(par.tree.edges(), seq.tree.edges());
-        }
+        assert!(BackendPolicy::Sequential.resolve(1 << 20, &cut).is_none());
+        assert!(BackendPolicy::Pooled(&pool).resolve(8, &cut).is_some());
     }
 
     #[test]
-    fn auto_picks_backend_by_size() {
-        assert_eq!(ExecutionBackend::auto(128).label(), "sequential");
-        // The pure rule, pinned to the default cutover (the global variant
-        // is exercised separately so tests cannot race on the process
-        // state).
+    fn labels_follow_the_default_cutover() {
+        // No MMDIAG_CUTOVER in the test environment: the compiled default.
+        assert_eq!(Cutovers::default().sequential, SEQUENTIAL_CUTOVER_NODES);
+        assert_eq!(Cutovers::default().grow, GROW_CUTOVER_NODES);
+        let pool = Pool::new(1);
+        assert_eq!(BackendPolicy::Sequential.label_for(1 << 20), "sequential");
+        assert_eq!(BackendPolicy::Pooled(&pool).label_for(8), "pooled");
         assert_eq!(
-            ExecutionBackend::auto_with_cutover(
-                SEQUENTIAL_CUTOVER_NODES - 1,
-                SEQUENTIAL_CUTOVER_NODES
-            )
-            .label(),
+            BackendPolicy::Auto.label_for(SEQUENTIAL_CUTOVER_NODES - 1),
             "sequential"
         );
         assert_eq!(
-            ExecutionBackend::auto_with_cutover(SEQUENTIAL_CUTOVER_NODES, SEQUENTIAL_CUTOVER_NODES)
-                .label(),
+            BackendPolicy::Auto.label_for(SEQUENTIAL_CUTOVER_NODES),
             "pooled"
         );
-        assert_eq!(
-            ExecutionBackend::auto_with_cutover(600, 512).label(),
-            "pooled"
-        );
-        assert_eq!(
-            ExecutionBackend::auto_with_cutover(600, 2048).label(),
-            "sequential"
-        );
-    }
-
-    #[test]
-    fn cutover_defaults_and_recalibrates() {
-        // No MMDIAG_CUTOVER in the test environment: the default resolves.
-        assert_eq!(sequential_cutover(), SEQUENTIAL_CUTOVER_NODES);
-        // Trajectory calibration moves the live value; restore afterwards
-        // so other tests in this binary see the default again.
-        assert_eq!(set_sequential_cutover(2048), 2048);
-        assert_eq!(sequential_cutover(), 2048);
-        set_sequential_cutover(SEQUENTIAL_CUTOVER_NODES);
-        assert_eq!(sequential_cutover(), SEQUENTIAL_CUTOVER_NODES);
-    }
-
-    #[test]
-    fn grow_cutover_defaults_and_recalibrates() {
-        let _lock = grow_knob_lock().lock().unwrap_or_else(|e| e.into_inner());
-        // No MMDIAG_GROW_CUTOVER in the test environment: the default
-        // resolves.
-        assert_eq!(grow_cutover(), GROW_CUTOVER_NODES);
-        // Trajectory calibration moves the live value; restore afterwards
-        // so other tests in this binary see the default again.
-        assert_eq!(set_grow_cutover(1 << 20), 1 << 20);
-        assert_eq!(grow_cutover(), 1 << 20);
-        set_grow_cutover(GROW_CUTOVER_NODES);
-        assert_eq!(grow_cutover(), GROW_CUTOVER_NODES);
-    }
-
-    #[test]
-    fn batch_matches_individual_diagnoses_on_both_backends() {
-        let g = Hypercube::new(7);
-        let syndromes: Vec<OracleSyndrome> = (0..6)
-            .map(|i| {
-                OracleSyndrome::new(
-                    FaultSet::new(128, &[i, 2 * i + 40]),
-                    TesterBehavior::Random { seed: i as u64 },
-                )
-            })
-            .collect();
-        let individual: Vec<Diagnosis> =
-            syndromes.iter().map(|s| diagnose(&g, s).unwrap()).collect();
-        let pool = Pool::new(4);
-        for backend in [
-            ExecutionBackend::Sequential,
-            ExecutionBackend::Pooled(&pool),
-        ] {
-            for s in &syndromes {
-                s.reset_lookups();
-            }
-            let batch = diagnose_batch(&g, &syndromes, &backend);
-            assert_eq!(batch.len(), syndromes.len());
-            for (got, want) in batch.iter().zip(&individual) {
-                let got = got.as_ref().unwrap();
-                assert_eq!(got.faults, want.faults, "{}", backend.label());
-                assert_eq!(got.certified_part, want.certified_part);
-                assert_eq!(got.probes, want.probes, "batch scans are in-order");
-                assert_eq!(got.healthy_count, want.healthy_count);
-            }
-        }
     }
 
     #[test]
@@ -463,60 +232,5 @@ mod tests {
         wsp.with(Some(99), |ws| {
             let _ = ws;
         });
-    }
-
-    /// A deliberately degenerate decomposition: zero parts, with the
-    /// precondition hook relaxed to let it through — the shape that made
-    /// the historical `threads.clamp(1, parts)` panic.
-    struct NoParts;
-    impl Topology for NoParts {
-        fn node_count(&self) -> usize {
-            4
-        }
-        fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-            out.clear();
-            out.push((u + 1) % 4);
-            out.push((u + 3) % 4);
-        }
-        fn diagnosability(&self) -> usize {
-            0
-        }
-        fn name(&self) -> String {
-            "C4/no-parts".into()
-        }
-    }
-    impl Partitionable for NoParts {
-        fn part_count(&self) -> usize {
-            0
-        }
-        fn part_of(&self, _u: NodeId) -> usize {
-            0
-        }
-        fn representative(&self, _part: usize) -> NodeId {
-            0
-        }
-        fn check_partition_preconditions(&self) -> Result<(), String> {
-            Ok(()) // relaxed on purpose
-        }
-    }
-
-    #[test]
-    fn zero_part_decomposition_is_an_error_not_a_panic() {
-        let g = NoParts;
-        let s = OracleSyndrome::new(FaultSet::empty(4), TesterBehavior::AllZero);
-        let pool = Pool::new(2);
-        match diagnose_pooled_width(&g, &s, &pool, 8) {
-            Err(DiagnosisError::Preconditions(msg)) => {
-                assert!(msg.contains("no parts"), "{msg}");
-            }
-            other => panic!("expected a precondition error, got {other:?}"),
-        }
-        // And through the public strategy entry point too.
-        match crate::parallel::diagnose_parallel(&g, &s, 8) {
-            Err(DiagnosisError::Preconditions(msg)) => {
-                assert!(msg.contains("no parts"), "{msg}");
-            }
-            other => panic!("expected a precondition error, got {other:?}"),
-        }
     }
 }

@@ -12,11 +12,9 @@
 //! the total work `O(Δ·N)` (each probe is `O(Δ·|part|)` over disjoint
 //! parts) and makes the driver robust to borderline part sizes.
 //!
-//! Since the session redesign (ISSUE 5) the canonical implementation lives
-//! in [`crate::session`]; [`diagnose`] and [`diagnose_unchecked`] are thin
-//! wrappers that run the sequential session and return its [`Diagnosis`]
-//! (bit-identical to the historical free functions — the session *is* the
-//! same scan, instrumented).
+//! The canonical implementation lives in [`crate::session`]; [`diagnose`]
+//! is the thin convenience wrapper that runs the sequential session with
+//! default options and returns its [`Diagnosis`].
 
 use crate::session::{run_sequential, SessionOptions};
 use crate::tree::SpanningTree;
@@ -99,27 +97,6 @@ where
     S: SyndromeSource + ?Sized,
 {
     run_sequential(g, s, &SessionOptions::default()).map(|r| r.diagnosis)
-}
-
-/// Diagnose with an explicit fault bound and no precondition check — used
-/// by the ablation benches and by callers who know their instance is
-/// borderline but workable. A thin wrapper over the sequential session
-/// run with [`SessionOptions::check_preconditions`] off.
-pub fn diagnose_unchecked<T, S>(
-    g: &T,
-    s: &S,
-    fault_bound: usize,
-) -> Result<Diagnosis, DiagnosisError>
-where
-    T: Partitionable + ?Sized,
-    S: SyndromeSource + ?Sized,
-{
-    let opts = SessionOptions {
-        fault_bound: Some(fault_bound),
-        check_preconditions: false,
-        ..SessionOptions::default()
-    };
-    run_sequential(g, s, &opts).map(|r| r.diagnosis)
 }
 
 #[cfg(test)]

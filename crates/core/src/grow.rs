@@ -37,7 +37,7 @@
 //!
 //! The engine requires [`Topology::has_sorted_adjacency`] — the merge
 //! order argument above leans on sorted neighbour lists — and is gated
-//! in the session behind [`crate::backend::grow_cutover`], so small
+//! in the session behind the run's [`crate::Cutovers::grow`], so small
 //! instances keep the sequential tail byte for byte.
 
 use crate::driver::{Diagnosis, DiagnosisError};

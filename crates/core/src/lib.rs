@@ -10,23 +10,20 @@
 //! * [`tree`] — the tree `T` described by the parent function `t`;
 //! * [`driver`] — the Theorem-1 driver: probe part representatives, certify
 //!   an all-healthy seed, grow `U_r`, output `N(U_r) = F`;
-//! * [`session`] — the canonical, phase-instrumented implementation every
-//!   entry point wraps: backend policies, per-phase telemetry, the §4.1
-//!   certificate artifact, batch submissions (the substrate of the
-//!   umbrella crate's `mmdiag::Diagnoser` front door);
-//! * [`backend`] — pluggable execution: the same driver run sequentially,
-//!   on the shared worker pool ([`diagnose_with`]), size-directed
-//!   ([`diagnose_auto`]), or over batches of syndromes
-//!   ([`diagnose_batch`]);
-//! * [`parallel`] — the concurrently-probed strategy, a thin wrapper over
-//!   the pooled backend.
+//! * [`session`] — the canonical, phase-instrumented implementation:
+//!   per-phase telemetry, the §4.1 certificate artifact, batch
+//!   submissions (the substrate of the umbrella crate's
+//!   `mmdiag::Diagnoser` front door);
+//! * [`backend`] — execution policy: the same driver run sequentially, on
+//!   a worker pool, or size-directed ([`BackendPolicy`]), against
+//!   per-run [`Cutovers`].
 //!
 //! One session run returns the full [`session::DiagnosisReport`] — the
-//! classic [`Diagnosis`] plus the certificate and per-phase telemetry the
-//! legacy free functions discard:
+//! classic [`Diagnosis`] plus the certificate and per-phase telemetry:
 //!
 //! ```
-//! use mmdiag_core::session::{run_with, BackendPolicy, SessionOptions};
+//! use mmdiag_core::session::run_with;
+//! use mmdiag_core::{BackendPolicy, SessionOptions};
 //! use mmdiag_syndrome::{FaultSet, OracleSyndrome, TesterBehavior};
 //! use mmdiag_topology::families::Hypercube;
 //!
@@ -52,7 +49,7 @@
 //!     report.diagnosis.lookups_used,
 //! );
 //!
-//! // The legacy free function is a thin wrapper over the same session:
+//! // The free function is a thin wrapper over the same sequential run:
 //! let diagnosis = mmdiag_core::diagnose(&g, &syndrome).unwrap();
 //! assert_eq!(diagnosis.faults, report.diagnosis.faults);
 //! ```
@@ -61,21 +58,17 @@
 pub mod backend;
 pub mod driver;
 mod grow;
-pub mod parallel;
 pub mod session;
 pub mod set_builder;
 pub mod tree;
 
 pub use backend::{
-    diagnose_auto, diagnose_batch, diagnose_with, grow_cutover, sequential_cutover,
-    set_grow_cutover, set_sequential_cutover, ExecutionBackend, WorkspacePool, GROW_CUTOVER_NODES,
-    SEQUENTIAL_CUTOVER_NODES,
+    BackendPolicy, Cutovers, WorkspacePool, GROW_CUTOVER_NODES, SEQUENTIAL_CUTOVER_NODES,
 };
-pub use driver::{diagnose, diagnose_unchecked, Diagnosis, DiagnosisError};
-pub use parallel::diagnose_parallel;
+pub use driver::{diagnose, Diagnosis, DiagnosisError};
 pub use session::{
-    grow_from_certificate, probe_part, BackendPolicy, Certificate, DiagnosisReport, GrowRound,
-    PartProbe, PhaseTelemetry, SessionOptions, VerificationVerdict,
+    grow_from_certificate, probe_part, Certificate, DiagnosisReport, GrowRound, PartProbe,
+    PhaseTelemetry, SessionOptions, VerificationVerdict,
 };
 pub use set_builder::{
     lookup_bound, set_builder, set_builder_filtered, set_builder_in_part, SetBuilderOutcome,

@@ -1,41 +1,35 @@
-//! The session layer: one canonical, phase-instrumented implementation of
-//! the Theorem-1 driver that every public entry point is a thin wrapper
-//! over.
+//! The session layer: the one canonical, phase-instrumented
+//! implementation of the Theorem-1 driver, and the substrate of the
+//! umbrella crate's `mmdiag::Diagnoser` front door.
 //!
-//! Four PRs of growth left the crate with a family of free functions
-//! (`diagnose`, `diagnose_unchecked`, `diagnose_with`, `diagnose_auto`,
-//! `diagnose_parallel`, `diagnose_batch`), each re-plumbing the same
-//! probe → certify → grow pipeline with its own workspace and backend
-//! handling. This module is the single implementation underneath all of
-//! them — and the substrate of the umbrella crate's `mmdiag::Diagnoser`
-//! front door:
+//! * [`run_with`] / [`run_batch`] — one run (or one batch of syndromes)
+//!   under a [`BackendPolicy`], resolved per instance against the run's
+//!   [`Cutovers`];
+//! * [`run_sequential`] — the in-order scan with no `Sync` bounds (what
+//!   [`crate::diagnose`] wraps);
+//! * [`probe_part`] / [`grow_from_certificate`] — the two halves of the
+//!   scan as first-class steps, for callers that keep per-part state
+//!   across runs (the epoch monitor);
+//! * [`DiagnosisReport`] — the [`Diagnosis`] plus the §4.1
+//!   [`Certificate`] (the restricted probe tree that proved the seed part
+//!   all-healthy), per-phase [`PhaseTelemetry`] (probe/certify/grow wall
+//!   times and lookup counts), the resolved backend label, and a
+//!   [`VerificationVerdict`] slot the umbrella session fills from its
+//!   verification policy.
 //!
-//! * [`BackendPolicy`] — how the probe search executes (sequential, a
-//!   given pool at full or explicit lane width, or size-directed auto
-//!   with an explicit or live cutover), resolving to a concrete backend
-//!   per instance;
-//! * [`run_with`] / [`run_batch`] — the policy-dispatched session runs;
-//! * [`DiagnosisReport`] — the [`Diagnosis`] plus what the free functions
-//!   historically threw away: the §4.1 [`Certificate`] (the restricted
-//!   probe tree that proved the seed part all-healthy), per-phase
-//!   [`PhaseTelemetry`] (probe/certify/grow wall times and lookup
-//!   counts), the resolved backend label, and a [`VerificationVerdict`]
-//!   slot the umbrella session fills from its verification policy.
-//!
-//! **Determinism contract** (inherited by every wrapper): the certified
-//! part is always the lowest certifying index, so faults, certificate,
-//! healthy set and spanning tree are bit-identical across backends; only
-//! the accounting (`probes`, `lookups_used`, telemetry) is
-//! scheduling-dependent under pooled execution. The phase instrumentation
-//! is a handful of monotonic-clock reads per diagnosis (through the
-//! `mmdiag_trace::clock` door) — it consults no extra syndrome entries,
-//! so lookup accounting is unchanged from the pre-session
-//! implementations. When [`SessionOptions::tracer`] is enabled, each
-//! phase additionally records one span into the trace sink whose
-//! duration and lookup attribute are *the same values* stored in
+//! **Determinism contract**: the certified part is always the lowest
+//! certifying index, so faults, certificate, healthy set and spanning
+//! tree are bit-identical across backends; only the accounting (`probes`,
+//! `lookups_used`, telemetry) is scheduling-dependent under pooled
+//! execution. The phase instrumentation is a handful of monotonic-clock
+//! reads per diagnosis (through the `mmdiag_trace::clock` door) — it
+//! consults no extra syndrome entries. When [`SessionOptions::tracer`] is
+//! enabled, each phase additionally records one span into the trace sink
+//! whose duration and lookup attribute are *the same values* stored in
 //! [`PhaseTelemetry`] — `mmdiag_trace::TraceSummary` built from the
 //! drained trace agrees with the report exactly.
 
+use crate::backend::{BackendPolicy, Cutovers, WorkspacePool};
 use crate::driver::{Diagnosis, DiagnosisError};
 use crate::set_builder::{set_builder_in_part, GrowthCore, SetBuilderOutcome, Workspace};
 use crate::tree::SpanningTree;
@@ -194,13 +188,13 @@ impl VerificationVerdict {
 }
 
 /// Everything one session run produced: the classic [`Diagnosis`], the
-/// certificate the free functions used to discard, per-phase telemetry,
+/// §4.1 certificate, per-phase telemetry,
 /// the resolved backend, and the verification verdict (filled by the
 /// umbrella `Diagnoser`; [`VerificationVerdict::Unverified`] at this
 /// layer).
 #[derive(Clone, Debug)]
 pub struct DiagnosisReport {
-    /// The diagnosis — identical to what the legacy entry points return.
+    /// The diagnosis — identical to what [`crate::diagnose`] returns.
     pub diagnosis: Diagnosis,
     /// The §4.1 certificate at the certified part.
     pub certificate: Certificate,
@@ -212,91 +206,19 @@ pub struct DiagnosisReport {
     pub verification: VerificationVerdict,
 }
 
-/// How a session run should execute — the policy form of
-/// [`crate::ExecutionBackend`], extended with the strided lane width the
-/// legacy `diagnose_parallel` exposes and the auto rule as a first-class
-/// variant.
-#[derive(Clone, Copy)]
-pub enum BackendPolicy<'p> {
-    /// In-order scan on the calling thread.
-    Sequential,
-    /// Probe search on the given pool at full width.
-    Pooled(&'p Pool),
-    /// Probe search on the given pool with an explicit lane width (the
-    /// legacy `diagnose_parallel` `threads` argument).
-    PooledWidth(&'p Pool, usize),
-    /// Sequential below the live [`crate::sequential_cutover`], else the
-    /// process-wide global pool.
-    Auto,
-    /// [`BackendPolicy::Auto`] with an explicit cutover instead of the
-    /// live one.
-    AutoWithCutover(usize),
-}
-
-/// A [`BackendPolicy`] resolved against a concrete instance size.
-enum ResolvedBackend<'p> {
-    Sequential,
-    Pooled { pool: &'p Pool, width: usize },
-}
-
-impl<'p> BackendPolicy<'p> {
-    fn resolve(&self, nodes: usize) -> ResolvedBackend<'p> {
-        match *self {
-            BackendPolicy::Sequential => ResolvedBackend::Sequential,
-            BackendPolicy::Pooled(pool) => ResolvedBackend::Pooled {
-                pool,
-                width: pool.threads(),
-            },
-            BackendPolicy::PooledWidth(pool, width) => ResolvedBackend::Pooled { pool, width },
-            // Both auto variants delegate to the one implementation of the
-            // cutover rule (`ExecutionBackend::auto_with_cutover`), so the
-            // policy and legacy entry points cannot diverge.
-            BackendPolicy::Auto => {
-                Self::from_execution(crate::ExecutionBackend::auto(nodes)).resolve(nodes)
-            }
-            BackendPolicy::AutoWithCutover(cutover) => {
-                Self::from_execution(crate::ExecutionBackend::auto_with_cutover(nodes, cutover))
-                    .resolve(nodes)
-            }
-        }
-    }
-
-    fn from_execution(backend: crate::ExecutionBackend<'p>) -> BackendPolicy<'p> {
-        match backend {
-            crate::ExecutionBackend::Sequential => BackendPolicy::Sequential,
-            crate::ExecutionBackend::Pooled(pool) => BackendPolicy::Pooled(pool),
-        }
-    }
-
-    /// The backend label (`"sequential"` / `"pooled"`) this policy
-    /// resolves to for an instance of `nodes` nodes.
-    pub fn label_for(&self, nodes: usize) -> &'static str {
-        match self.resolve(nodes) {
-            ResolvedBackend::Sequential => "sequential",
-            ResolvedBackend::Pooled { .. } => "pooled",
-        }
-    }
-}
-
-impl<'p> From<&crate::ExecutionBackend<'p>> for BackendPolicy<'p> {
-    fn from(b: &crate::ExecutionBackend<'p>) -> Self {
-        match b {
-            crate::ExecutionBackend::Sequential => BackendPolicy::Sequential,
-            crate::ExecutionBackend::Pooled(pool) => BackendPolicy::Pooled(pool),
-        }
-    }
-}
-
-/// Non-backend session knobs.
+/// Per-run session knobs besides the backend policy.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct SessionOptions {
     /// Explicit fault bound; `None` means the family's
     /// [`Partitionable::driver_fault_bound`].
     pub fault_bound: Option<usize>,
-    /// Run §5's decomposition precondition check first (the legacy
-    /// `*_unchecked` entry points disable this).
+    /// Run §5's decomposition precondition check first (off for
+    /// borderline instances run with an explicit bound).
     pub check_preconditions: bool,
+    /// The thresholds [`BackendPolicy::Auto`] and the pooled growth tail
+    /// resolve against — per run, never a process global.
+    pub cutovers: Cutovers,
     /// Where phase spans are recorded. The default is the disabled
     /// tracer (a cloneable `None` handle — recording costs one `Option`
     /// check and stores nothing); the umbrella `Diagnoser` installs an
@@ -309,6 +231,7 @@ impl Default for SessionOptions {
         SessionOptions {
             fault_bound: None,
             check_preconditions: true,
+            cutovers: Cutovers::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -450,10 +373,8 @@ where
 }
 
 /// The sequential session run in a caller-provided workspace — the
-/// canonical in-order scan every sequential entry point
-/// (`diagnose`, `diagnose_unchecked`, the sequential arms of
-/// `diagnose_with`/`diagnose_auto`/`diagnose_batch`) wraps. Requires no
-/// `Sync` bounds, exactly like the historical driver.
+/// canonical in-order scan every sequential resolution runs. Requires no
+/// `Sync` bounds.
 pub(crate) fn run_sequential_in_ws<T, S>(
     g: &T,
     s: &S,
@@ -509,6 +430,18 @@ where
     })
 }
 
+/// §5's precondition check (unless disabled) and the run's fault bound.
+fn checked_bound<T>(g: &T, opts: &SessionOptions) -> Result<usize, DiagnosisError>
+where
+    T: Partitionable + ?Sized,
+{
+    if opts.check_preconditions {
+        g.check_partition_preconditions()
+            .map_err(DiagnosisError::Preconditions)?;
+    }
+    Ok(opts.fault_bound.unwrap_or_else(|| g.driver_fault_bound()))
+}
+
 /// The sequential session run with a transient workspace.
 pub fn run_sequential<T, S>(
     g: &T,
@@ -519,29 +452,24 @@ where
     T: Partitionable + ?Sized,
     S: SyndromeSource + ?Sized,
 {
-    if opts.check_preconditions {
-        g.check_partition_preconditions()
-            .map_err(DiagnosisError::Preconditions)?;
-    }
-    let bound = opts.fault_bound.unwrap_or_else(|| g.driver_fault_bound());
+    let bound = checked_bound(g, opts)?;
     let mut ws = Workspace::new(g.node_count());
     run_sequential_in_ws(g, s, bound, &opts.tracer, &mut ws)
 }
 
 /// The pooled session run: the probe search dispatched on `pool` as a
-/// deterministic lowest-index-wins reduction over `width` strided lanes,
-/// workspaces pooled per worker (the caller may pass a longer-lived
-/// [`crate::WorkspacePool`] so batches reuse scratch across calls). The
-/// winning restricted probe's outcome is captured en route, so the
+/// deterministic lowest-index-wins reduction over one strided lane per
+/// worker, workspaces pooled per worker (the caller may pass a
+/// longer-lived [`WorkspacePool`] so batches reuse scratch across calls).
+/// The winning restricted probe's outcome is captured en route, so the
 /// certificate costs no extra syndrome lookups.
-pub(crate) fn run_pooled<T, S>(
+fn run_pooled<T, S>(
     g: &T,
     s: &S,
     pool: &Pool,
-    width: usize,
     fault_bound: usize,
-    tracer: &Tracer,
-    ws_pool: Option<&crate::WorkspacePool>,
+    opts: &SessionOptions,
+    ws_pool: Option<&WorkspacePool>,
 ) -> Result<DiagnosisReport, DiagnosisError>
 where
     T: Partitionable + Sync + ?Sized,
@@ -554,14 +482,14 @@ where
             g.name()
         )));
     }
-    let width = width.clamp(1, parts);
+    let tracer = &opts.tracer;
     let start_lookups = s.lookups();
     let probes = AtomicUsize::new(0);
     let owned_ws;
     let ws_pool = match ws_pool {
         Some(p) => p,
         None => {
-            owned_ws = crate::WorkspacePool::new(g.node_count(), pool.threads());
+            owned_ws = WorkspacePool::new(g.node_count(), pool.threads());
             &owned_ws
         }
     };
@@ -573,7 +501,7 @@ where
 
     let probe_span = tracer.span(CAT_PHASE, PHASE_PROBE);
     let part = pool
-        .min_index_where(parts, width, |p| {
+        .min_index_where(parts, pool.threads().min(parts), |p| {
             probes.fetch_add(1, Ordering::Relaxed);
             ws_pool.with(pool.worker_index(), |ws| {
                 let probe = set_builder_in_part(g, s, g.representative(p), fault_bound, ws);
@@ -601,13 +529,12 @@ where
     let certify_nanos = u128::from(certify_span.finish());
 
     // Growth tail: frontier-parallel on sorted-adjacency instances past
-    // the calibrated grow cutover, else the sequential sweep on whatever
+    // the run's grow cutover, else the sequential sweep on whatever
     // workspace slot belongs to this (usually non-worker) thread. The two
     // paths are bit-identical — faults, tree, even the lookup count — so
     // the gate is purely a constant-factor decision.
     let grow_span = tracer.span(CAT_PHASE, PHASE_GROW);
-    let frontier_parallel =
-        g.has_sorted_adjacency() && g.node_count() >= crate::backend::grow_cutover();
+    let frontier_parallel = g.has_sorted_adjacency() && g.node_count() >= opts.cutovers.grow;
     let (diagnosis, grow_rounds) = if frontier_parallel {
         ws_pool.with(pool.worker_index(), |ws| {
             ws_pool.with_grow(pool.worker_index(), |gs| {
@@ -660,28 +587,24 @@ where
     })
 }
 
-/// One policy-dispatched session run — the front door every wrapper and
-/// the umbrella `Diagnoser` call. Preconditions (unless disabled), bound
-/// resolution, backend resolution by instance size, then the canonical
-/// probe → certify → grow pipeline with phase telemetry.
+/// One policy-dispatched session run — what the umbrella `Diagnoser`
+/// calls. Preconditions (unless disabled), bound resolution, backend
+/// resolution by instance size against `opts.cutovers`, then the
+/// canonical probe → certify → grow pipeline with phase telemetry.
 pub fn run_with<T, S>(
     g: &T,
     s: &S,
     policy: BackendPolicy<'_>,
     opts: &SessionOptions,
-    ws_pool: Option<&crate::WorkspacePool>,
+    ws_pool: Option<&WorkspacePool>,
 ) -> Result<DiagnosisReport, DiagnosisError>
 where
     T: Partitionable + Sync + ?Sized,
     S: SyndromeSource + Sync + ?Sized,
 {
-    if opts.check_preconditions {
-        g.check_partition_preconditions()
-            .map_err(DiagnosisError::Preconditions)?;
-    }
-    let bound = opts.fault_bound.unwrap_or_else(|| g.driver_fault_bound());
-    match policy.resolve(g.node_count()) {
-        ResolvedBackend::Sequential => match ws_pool {
+    let bound = checked_bound(g, opts)?;
+    match policy.resolve(g.node_count(), &opts.cutovers) {
+        None => match ws_pool {
             Some(wsp) => wsp.with(None, |ws| {
                 run_sequential_in_ws(g, s, bound, &opts.tracer, ws)
             }),
@@ -690,15 +613,12 @@ where
                 run_sequential_in_ws(g, s, bound, &opts.tracer, &mut ws)
             }
         },
-        ResolvedBackend::Pooled { pool, width } => {
-            run_pooled(g, s, pool, width, bound, &opts.tracer, ws_pool)
-        }
+        Some(pool) => run_pooled(g, s, pool, bound, opts, ws_pool),
     }
 }
 
 /// Evaluate many syndromes against one instance in a single session
-/// submission — the canonical implementation under `diagnose_batch` and
-/// the umbrella `Diagnoser::submit_batch`.
+/// submission — what the umbrella `Diagnoser::submit_batch` calls.
 ///
 /// Sequential resolution: one reused workspace slot, syndromes in order.
 /// Pooled resolution: syndromes fan out over the pool (each diagnosis
@@ -711,23 +631,18 @@ pub fn run_batch<T, S>(
     syndromes: &[S],
     policy: BackendPolicy<'_>,
     opts: &SessionOptions,
-    ws_pool: Option<&crate::WorkspacePool>,
+    ws_pool: Option<&WorkspacePool>,
 ) -> Vec<Result<DiagnosisReport, DiagnosisError>>
 where
     T: Partitionable + Sync + ?Sized,
     S: SyndromeSource + Sync,
 {
-    if opts.check_preconditions {
-        if let Err(e) = g.check_partition_preconditions() {
-            return syndromes
-                .iter()
-                .map(|_| Err(DiagnosisError::Preconditions(e.clone())))
-                .collect();
-        }
-    }
-    let bound = opts.fault_bound.unwrap_or_else(|| g.driver_fault_bound());
-    match policy.resolve(g.node_count()) {
-        ResolvedBackend::Sequential => match ws_pool {
+    let bound = match checked_bound(g, opts) {
+        Ok(bound) => bound,
+        Err(e) => return syndromes.iter().map(|_| Err(e.clone())).collect(),
+    };
+    match policy.resolve(g.node_count(), &opts.cutovers) {
+        None => match ws_pool {
             Some(wsp) => syndromes
                 .iter()
                 .map(|s| {
@@ -744,12 +659,12 @@ where
                     .collect()
             }
         },
-        ResolvedBackend::Pooled { pool, .. } => {
+        Some(pool) => {
             let owned_ws;
             let wsp = match ws_pool {
                 Some(p) => p,
                 None => {
-                    owned_ws = crate::WorkspacePool::new(g.node_count(), pool.threads());
+                    owned_ws = WorkspacePool::new(g.node_count(), pool.threads());
                     &owned_ws
                 }
             };
@@ -779,7 +694,7 @@ mod tests {
         let legacy = diagnose(&g, &s).unwrap();
         s.reset_lookups();
         let report = run_sequential(&g, &s, &SessionOptions::default()).unwrap();
-        // The diagnosis is bit-identical to the legacy entry point's.
+        // The diagnosis is bit-identical to the free function's.
         assert_eq!(report.diagnosis.faults, legacy.faults);
         assert_eq!(report.diagnosis.certified_part, legacy.certified_part);
         assert_eq!(report.diagnosis.probes, legacy.probes);
@@ -816,16 +731,8 @@ mod tests {
         let seq = run_sequential(&g, &s, &SessionOptions::default()).unwrap();
         let pool = Pool::new(4);
         s.reset_lookups();
-        let par = run_pooled(
-            &g,
-            &s,
-            &pool,
-            4,
-            g.driver_fault_bound(),
-            &Tracer::disabled(),
-            None,
-        )
-        .unwrap();
+        let opts = SessionOptions::default();
+        let par = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
         assert_eq!(par.diagnosis.faults, seq.diagnosis.faults);
         assert_eq!(par.diagnosis.certified_part, seq.diagnosis.certified_part);
         assert_eq!(par.diagnosis.tree.edges(), seq.diagnosis.tree.edges());
@@ -872,8 +779,12 @@ mod tests {
         let g = Hypercube::new(7);
         let s = OracleSyndrome::new(FaultSet::new(128, &[5, 70, 101]), TesterBehavior::AllZero);
         let pool = Pool::new(4);
-        let tracer = Tracer::new(TraceConfig::default());
-        let report = run_pooled(&g, &s, &pool, 4, g.driver_fault_bound(), &tracer, None).unwrap();
+        let opts = SessionOptions {
+            tracer: Tracer::new(TraceConfig::default()),
+            ..SessionOptions::default()
+        };
+        let report = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
+        let tracer = &opts.tracer;
         let summary = TraceSummary::from_events(&tracer.drain(), tracer.dropped());
         assert_eq!(summary.probe_nanos, report.telemetry.probe_nanos);
         assert_eq!(summary.certify_nanos, report.telemetry.certify_nanos);
@@ -887,11 +798,6 @@ mod tests {
     fn pooled_frontier_growth_matches_sequential_and_traces_rounds() {
         use mmdiag_topology::Cached;
         use mmdiag_trace::{TraceConfig, TraceSummary, PHASE_GROW_ROUND};
-        let _lock = crate::backend::grow_knob_lock()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let prev = crate::backend::grow_cutover();
-        crate::backend::set_grow_cutover(1);
         let base = Hypercube::new(7);
         let g = Cached::new(&base);
         assert!(g.has_sorted_adjacency());
@@ -901,10 +807,16 @@ mod tests {
         );
         let seq = run_sequential(&g, &s, &SessionOptions::default()).unwrap();
         let pool = Pool::new(4);
-        let tracer = Tracer::new(TraceConfig::default());
+        // A grow cutover of 1 sends this small instance down the frontier
+        // engine — scoped to this run's options, nothing process-wide.
+        let mut opts = SessionOptions {
+            tracer: Tracer::new(TraceConfig::default()),
+            ..SessionOptions::default()
+        };
+        opts.cutovers.grow = 1;
         s.reset_lookups();
-        let par = run_pooled(&g, &s, &pool, 4, g.driver_fault_bound(), &tracer, None).unwrap();
-        crate::backend::set_grow_cutover(prev);
+        let par = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
+        let tracer = &opts.tracer;
         // Bit-identity with the sequential tail, growth accounting
         // included (growth from the same certified seed is deterministic;
         // only the probe accounting is scheduling-dependent).
@@ -942,16 +854,78 @@ mod tests {
     }
 
     #[test]
-    fn policy_resolution_labels() {
+    fn single_worker_pool_equals_sequential_exactly() {
+        // One lane probes parts in the sequential order, so even the
+        // accounting fields must match.
+        let g = Hypercube::new(7);
+        let f = FaultSet::new(128, &[3, 77, 90]);
+        let pool = Pool::new(1);
+        let opts = SessionOptions::default();
+        for b in [TesterBehavior::AllZero, TesterBehavior::Random { seed: 4 }] {
+            let s = OracleSyndrome::new(f.clone(), b);
+            let seq = diagnose(&g, &s).unwrap();
+            s.reset_lookups();
+            let par = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None)
+                .unwrap()
+                .diagnosis;
+            assert_eq!(par.faults, seq.faults);
+            assert_eq!(par.certified_part, seq.certified_part);
+            assert_eq!(par.probes, seq.probes);
+            assert_eq!(par.lookups_used, seq.lookups_used);
+            assert_eq!(par.tree.edges(), seq.tree.edges());
+        }
+    }
+
+    /// A deliberately degenerate decomposition: zero parts, with the
+    /// precondition hook relaxed to let it through.
+    struct NoParts;
+    impl Topology for NoParts {
+        fn node_count(&self) -> usize {
+            4
+        }
+        fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
+            out.clear();
+            out.push((u + 1) % 4);
+            out.push((u + 3) % 4);
+        }
+        fn diagnosability(&self) -> usize {
+            0
+        }
+        fn name(&self) -> String {
+            "C4/no-parts".into()
+        }
+    }
+    impl Partitionable for NoParts {
+        fn part_count(&self) -> usize {
+            0
+        }
+        fn part_of(&self, _u: NodeId) -> usize {
+            0
+        }
+        fn representative(&self, _part: usize) -> NodeId {
+            0
+        }
+        fn check_partition_preconditions(&self) -> Result<(), String> {
+            Ok(()) // relaxed on purpose
+        }
+    }
+
+    #[test]
+    fn zero_part_decomposition_is_an_error_not_a_panic() {
+        let g = NoParts;
+        let s = OracleSyndrome::new(FaultSet::empty(4), TesterBehavior::AllZero);
         let pool = Pool::new(2);
-        assert_eq!(BackendPolicy::Sequential.label_for(1 << 20), "sequential");
-        assert_eq!(BackendPolicy::Pooled(&pool).label_for(8), "pooled");
-        assert_eq!(BackendPolicy::PooledWidth(&pool, 3).label_for(8), "pooled");
-        assert_eq!(
-            BackendPolicy::AutoWithCutover(100).label_for(99),
-            "sequential"
-        );
-        assert_eq!(BackendPolicy::AutoWithCutover(100).label_for(100), "pooled");
+        let opts = SessionOptions::default();
+        match run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None) {
+            Err(DiagnosisError::Preconditions(msg)) => {
+                assert!(msg.contains("no parts"), "{msg}");
+            }
+            other => panic!("expected a precondition error, got {other:?}"),
+        }
+        assert!(matches!(
+            run_with(&g, &s, BackendPolicy::Sequential, &opts, None),
+            Err(DiagnosisError::NoPartCertified)
+        ));
     }
 
     #[test]
@@ -998,8 +972,8 @@ mod tests {
         // With the check off the scan itself runs. The parts are too
         // shallow to certify the nominal bound (that is *why* the
         // precondition fails), but a zero bound certifies from the first
-        // internal node — exactly the borderline-instance use case
-        // `diagnose_unchecked` exists for.
+        // internal node — exactly the borderline-instance use case the
+        // unchecked options exist for.
         let opts = SessionOptions {
             fault_bound: Some(0),
             check_preconditions: false,

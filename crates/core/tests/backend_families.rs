@@ -10,14 +10,13 @@
 //! 2. **Panic propagation** — a syndrome source that panics mid-probe
 //!    unwinds out of the pooled diagnosis into the caller, and the pool
 //!    stays usable afterwards.
-//! 3. **Auto never regresses sub-cutover** — below
-//!    `SEQUENTIAL_CUTOVER_NODES`, `diagnose_auto` routes to the identical
-//!    sequential code path: every field of the result, including the
-//!    accounting, equals `diagnose`'s.
+//! 3. **Auto never regresses sub-cutover** — below the run's
+//!    `Cutovers::sequential`, `BackendPolicy::Auto` routes to the
+//!    identical sequential code path: every field of the result, including
+//!    the accounting, equals `diagnose`'s.
 
-use mmdiag_core::{
-    diagnose, diagnose_auto, diagnose_with, ExecutionBackend, SEQUENTIAL_CUTOVER_NODES,
-};
+use mmdiag_core::session::run_with;
+use mmdiag_core::{diagnose, BackendPolicy, Diagnosis, DiagnosisError, SessionOptions};
 use mmdiag_exec::Pool;
 use mmdiag_syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TestResult, TesterBehavior};
 use mmdiag_topology::families::{
@@ -28,6 +27,20 @@ use mmdiag_topology::families::{
 use mmdiag_topology::{NodeId, Partitionable};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// One run under `policy` with the given options, diagnosis only.
+fn run<T, S>(
+    g: &T,
+    s: &S,
+    policy: BackendPolicy<'_>,
+    opts: &SessionOptions,
+) -> Result<Diagnosis, DiagnosisError>
+where
+    T: Partitionable + Sync + ?Sized,
+    S: SyndromeSource + Sync + ?Sized,
+{
+    run_with(g, s, policy, opts, None).map(|r| r.diagnosis)
+}
 
 fn families() -> Vec<Box<dyn Partitionable + Sync>> {
     vec![
@@ -51,6 +64,7 @@ fn families() -> Vec<Box<dyn Partitionable + Sync>> {
 #[test]
 fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
     let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
+    let opts = SessionOptions::default();
     let mut rng = ChaCha8Rng::seed_from_u64(0xE0EC_2026);
     for g in families() {
         let g = g.as_ref();
@@ -67,14 +81,13 @@ fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
                     .unwrap_or_else(|e| panic!("{}: sequential: {e} ({behavior:?})", g.name()));
                 for pool in &pools {
                     s.reset_lookups();
-                    let par =
-                        diagnose_with(g, &s, &ExecutionBackend::Pooled(pool)).unwrap_or_else(|e| {
-                            panic!(
-                                "{}: pooled x{}: {e} ({behavior:?})",
-                                g.name(),
-                                pool.threads()
-                            )
-                        });
+                    let par = run(g, &s, BackendPolicy::Pooled(pool), &opts).unwrap_or_else(|e| {
+                        panic!(
+                            "{}: pooled x{}: {e} ({behavior:?})",
+                            g.name(),
+                            pool.threads()
+                        )
+                    });
                     let ctx = format!("{} x{} {behavior:?}", g.name(), pool.threads());
                     assert_eq!(par.faults, seq.faults, "{ctx}");
                     assert_eq!(par.certified_part, seq.certified_part, "{ctx}");
@@ -93,17 +106,16 @@ fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
     }
 }
 
-/// ISSUE-8: with the grow cutover forced to 1, the pooled backend's
+/// With the run's grow cutover at 1, the pooled backend's
 /// frontier-parallel growth sweep must be bit-identical to the sequential
 /// driver on every family at every pool width — faults, certified part,
 /// healthy set, spanning tree — and on the 1-worker pool (sequential probe
 /// scan order) even the full lookup accounting.
 #[test]
 fn frontier_growth_is_bit_identical_across_1_2_4_8_workers() {
-    use mmdiag_core::{grow_cutover, set_grow_cutover};
     use mmdiag_topology::{Cached, Topology};
-    let prev = grow_cutover();
-    set_grow_cutover(1);
+    let mut opts = SessionOptions::default();
+    opts.cutovers.grow = 1;
     let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(0xF807_2026);
     for fam in families() {
@@ -122,14 +134,13 @@ fn frontier_growth_is_bit_identical_across_1_2_4_8_workers() {
                     .unwrap_or_else(|e| panic!("{}: sequential: {e} ({behavior:?})", g.name()));
                 for pool in &pools {
                     s.reset_lookups();
-                    let par = diagnose_with(&g, &s, &ExecutionBackend::Pooled(pool))
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "{}: frontier x{}: {e} ({behavior:?})",
-                                g.name(),
-                                pool.threads()
-                            )
-                        });
+                    let par = run(&g, &s, BackendPolicy::Pooled(pool), &opts).unwrap_or_else(|e| {
+                        panic!(
+                            "{}: frontier x{}: {e} ({behavior:?})",
+                            g.name(),
+                            pool.threads()
+                        )
+                    });
                     let ctx = format!("{} frontier x{} {behavior:?}", g.name(), pool.threads());
                     assert_eq!(par.faults, seq.faults, "{ctx}");
                     assert_eq!(par.certified_part, seq.certified_part, "{ctx}");
@@ -143,7 +154,6 @@ fn frontier_growth_is_bit_identical_across_1_2_4_8_workers() {
             }
         }
     }
-    set_grow_cutover(prev);
 }
 
 /// A syndrome that panics once a lookup threshold is crossed — the shape
@@ -173,8 +183,9 @@ fn syndrome_panic_unwinds_out_of_pooled_diagnosis() {
         inner: OracleSyndrome::new(FaultSet::empty(128), TesterBehavior::AllZero),
         fuse: 40,
     };
+    let opts = SessionOptions::default();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = diagnose_with(&g, &s, &ExecutionBackend::Pooled(&pool));
+        let _ = run(&g, &s, BackendPolicy::Pooled(&pool), &opts);
     }));
     assert!(
         result.is_err(),
@@ -182,33 +193,30 @@ fn syndrome_panic_unwinds_out_of_pooled_diagnosis() {
     );
     // The pool survives: a healthy diagnosis still completes on it.
     let ok = OracleSyndrome::new(FaultSet::new(128, &[9]), TesterBehavior::AllZero);
-    let d = diagnose_with(&g, &ok, &ExecutionBackend::Pooled(&pool)).unwrap();
+    let d = run(&g, &ok, BackendPolicy::Pooled(&pool), &opts).unwrap();
     assert_eq!(d.faults, vec![9]);
 }
 
 #[test]
 fn auto_never_regresses_vs_sequential_below_cutover() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA070_2026);
+    let opts = SessionOptions::default();
     for g in families() {
         let g = g.as_ref();
         let n = g.node_count();
-        if n >= SEQUENTIAL_CUTOVER_NODES {
-            // Above the cutover auto goes pooled; semantic equality for
-            // these instances is already covered by the test above.
-            assert_eq!(ExecutionBackend::auto(n).label(), "pooled", "{}", g.name());
-            continue;
-        }
-        assert_eq!(
-            ExecutionBackend::auto(n).label(),
-            "sequential",
-            "{}",
-            g.name()
-        );
         let faults = FaultSet::random(n, g.driver_fault_bound(), &mut rng);
         let s = OracleSyndrome::new(faults, TesterBehavior::Random { seed: 7 });
         let seq = diagnose(g, &s).unwrap();
         s.reset_lookups();
-        let auto = diagnose_auto(g, &s).unwrap();
+        let report = run_with(g, &s, BackendPolicy::Auto, &opts, None).unwrap();
+        if n >= opts.cutovers.sequential {
+            // Above the cutover auto goes pooled; semantic equality for
+            // these instances is already covered by the tests above.
+            assert_eq!(report.backend, "pooled", "{}", g.name());
+            continue;
+        }
+        assert_eq!(report.backend, "sequential", "{}", g.name());
+        let auto = report.diagnosis;
         // Identical code path ⇒ identical result, accounting included: the
         // auto entry point cannot cost a sub-cutover instance anything.
         assert_eq!(auto.faults, seq.faults, "{}", g.name());

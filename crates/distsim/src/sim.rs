@@ -280,7 +280,7 @@ pub fn simulate<T: Partitionable + ?Sized>(
 }
 
 /// Simulate with an explicit fault bound and no precondition check —
-/// mirrors `mmdiag_core::diagnose_unchecked`.
+/// mirrors `Diagnoser::unchecked_bound` in the umbrella crate.
 pub fn simulate_unchecked<T: Partitionable + ?Sized>(
     g: &T,
     timeline: &FaultTimeline,

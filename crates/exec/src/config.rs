@@ -33,8 +33,10 @@ pub struct Knobs {
     /// `MMDIAG_POOL_THREADS` — worker count for the process-wide pool,
     /// clamped to `1..=64`. `None` when unset or unparsable.
     pub pool_threads: Option<usize>,
-    /// `MMDIAG_CUTOVER` — node count below which the auto backend stays
-    /// sequential. `None` when unset, unparsable, or zero.
+    /// `MMDIAG_CUTOVER` — operator pin for the default session cutover
+    /// (`mmdiag_core::Cutovers::default().sequential`): the node count
+    /// below which the auto backend stays sequential. `None` when unset,
+    /// unparsable, or zero.
     pub cutover: Option<usize>,
     /// `MMDIAG_QUICK` — shrink every harness to its smoke subset. Set and
     /// non-empty and not `"0"` means `true`.
@@ -46,9 +48,11 @@ pub struct Knobs {
     /// process-wide: sessions trace by default and pools record
     /// per-worker stats. Same truthiness rules as `MMDIAG_QUICK`.
     pub trace: bool,
-    /// `MMDIAG_GROW_CUTOVER` — node count below which the pooled driver
-    /// keeps the sequential growth tail instead of the frontier-parallel
-    /// sweep. `None` when unset, unparsable, or zero.
+    /// `MMDIAG_GROW_CUTOVER` — operator pin for the default session grow
+    /// cutover (`mmdiag_core::Cutovers::default().grow`): the node count
+    /// below which the pooled driver keeps the sequential growth tail
+    /// instead of the frontier-parallel sweep. `None` when unset,
+    /// unparsable, or zero.
     pub grow_cutover: Option<usize>,
     /// `MMDIAG_STATS` — sampling interval, in milliseconds, for the
     /// fleet stats reporter (`mmdiag_exec::stats`): when set, consumers

@@ -545,7 +545,12 @@ mod tests {
             .unwrap();
         assert_eq!(report.escalation, Some(EscalationReason::StateLost));
         // Same bound as the monitor: 1, not the family's canonical bound.
-        let want = mmdiag_core::diagnose_unchecked(&g, &oracle(128, &e2, behavior), 1).unwrap();
+        let mut opts = mmdiag_core::SessionOptions::default();
+        opts.fault_bound = Some(1);
+        opts.check_preconditions = false;
+        let want = mmdiag_core::session::run_sequential(&g, &oracle(128, &e2, behavior), &opts)
+            .unwrap()
+            .diagnosis;
         assert_bit_identical(&report.diagnosis, &want);
     }
 

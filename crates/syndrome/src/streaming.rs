@@ -10,8 +10,8 @@
 //! seed; membership is a binary search over `|F|` entries and every outcome
 //! funnels through the same [`crate::model::outcome_from_flags`] kernel as
 //! the bitmap oracle, so the two are bit-identical on every defined entry
-//! (the test-suite sweeps this). The driver's workspaces, `diagnose_batch`
-//! and the execution backends consume it unchanged through
+//! (the test-suite sweeps this). The driver's workspaces, batch
+//! submissions and the execution backends consume it unchanged through
 //! [`SyndromeSource`].
 
 use crate::fault::FaultSet;

@@ -3,8 +3,7 @@
 //!
 //! PR 7's tracing observes one session at a time; a fleet serving many
 //! concurrent diagnoses needs the *cross-session* view — the shared
-//! pool, the shared caches, the shared cutover are contended by all of
-//! them at once. A [`MetricsHub`] is a registry of registries: every
+//! pool and the shared caches are contended by all of them at once. A [`MetricsHub`] is a registry of registries: every
 //! live session attaches its own [`MetricsRegistry`] (the same `Arc` its
 //! tracer records into, not a copy), and the hub can merge all of them
 //! into one fleet snapshot at any instant:

@@ -9,8 +9,7 @@
 //! * the **code view** (comments and string *contents* blanked, line
 //!   structure preserved) — token searches run here so prose about
 //!   `unsafe` or `thread::spawn` never trips a pass;
-//! * the **raw lines** — `// SAFETY:` comment detection and the bench
-//!   schema-literal extraction read these.
+//! * the **raw lines** — `// SAFETY:` comment detection reads these.
 //!
 //! `crates/shims/` is excluded from every invariant pass: the vendored
 //! rand stand-ins mirror an external API and are not governed by this
@@ -520,104 +519,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
-    // Pass: the bench schema version literal written by `to_json` must be
-    // one the cutover reader accepts, and no drifting copy of the literal
-    // may exist outside the two declarations.
-    if rel == "crates/bench/src/lib.rs" {
-        findings.extend(schema_pass(rel, src, &mask));
-    }
-
-    findings
-}
-
-const SCHEMA_PREFIX: &str = "mmdiag-bench/v";
-
-fn schema_literals(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    while let Some(p) = line[start..].find(SCHEMA_PREFIX) {
-        let p = start + p;
-        let lit: String = line[p..]
-            .chars()
-            .take_while(|c| *c != '"' && *c != '\\')
-            .collect();
-        out.push(lit);
-        start = p + 1;
-    }
-    out
-}
-
-fn schema_pass(rel: &str, src: &str, mask: &[bool]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let mut writer: Option<(usize, String)> = None;
-    let mut readers: Vec<String> = Vec::new();
-    let mut decl_lines: Vec<usize> = Vec::new();
-    let mut i = 0;
-    while i < raw_lines.len() {
-        let line = raw_lines[i];
-        if line.contains("pub const SCHEMA_VERSION") {
-            decl_lines.push(i);
-            if let Some(lit) = schema_literals(line).into_iter().next() {
-                writer = Some((i, lit));
-            }
-        } else if line.contains("pub const READER_ACCEPTED_SCHEMAS") {
-            // The accepted list may span lines up to the closing `];`.
-            loop {
-                decl_lines.push(i);
-                readers.extend(schema_literals(raw_lines[i]));
-                if raw_lines[i].contains(';') || i + 1 >= raw_lines.len() {
-                    break;
-                }
-                i += 1;
-            }
-        }
-        i += 1;
-    }
-    let at = |line_idx: usize, message: String| Finding {
-        file: rel.to_string(),
-        line: line_idx + 1,
-        pass: "bench-schema-agreement",
-        message,
-    };
-    match (&writer, readers.is_empty()) {
-        (None, _) => findings.push(at(
-            0,
-            "missing `pub const SCHEMA_VERSION` declaration (the writer's schema literal)".into(),
-        )),
-        (_, true) => findings.push(at(
-            0,
-            "missing `pub const READER_ACCEPTED_SCHEMAS` declaration (the cutover reader's \
-             accepted schema literals)"
-                .into(),
-        )),
-        (Some((line, w)), false) => {
-            if !readers.iter().any(|r| r == w) {
-                findings.push(at(
-                    *line,
-                    format!(
-                        "writer schema `{w}` is not in READER_ACCEPTED_SCHEMAS {readers:?} — \
-                         the cutover calibration would skip the very files this crate writes"
-                    ),
-                ));
-            }
-        }
-    }
-    // No stray copies of the literal in non-test code outside the decls.
-    let with_strings = code_view(src, true);
-    for (idx, line) in with_strings.lines().enumerate() {
-        if mask.get(idx).copied().unwrap_or(false) || decl_lines.contains(&idx) {
-            continue;
-        }
-        if line.contains(SCHEMA_PREFIX) {
-            findings.push(at(
-                idx,
-                "schema version literal outside SCHEMA_VERSION/READER_ACCEPTED_SCHEMAS — \
-                 reference the constants instead"
-                    .into(),
-            ));
-        }
-    }
     findings
 }
 
@@ -823,29 +724,6 @@ mod tests {
             "pub enum Shape { A }\nenum InnerError { B }\n"
         )
         .is_empty());
-    }
-
-    #[test]
-    fn schema_literals_must_agree_between_writer_and_reader() {
-        // Fixtures are crate roots, so they carry the hardening attr too.
-        let good = "#![forbid(unsafe_code)]\n\
-                    pub const SCHEMA_VERSION: &str = \"mmdiag-bench/v2\";\n\
-                    pub const READER_ACCEPTED_SCHEMAS: &[&str] = &[\"mmdiag-bench/v1\", \"mmdiag-bench/v2\"];\n";
-        assert!(lint_source("crates/bench/src/lib.rs", good).is_empty());
-
-        let drifted = "#![forbid(unsafe_code)]\n\
-                       pub const SCHEMA_VERSION: &str = \"mmdiag-bench/v3\";\n\
-                       pub const READER_ACCEPTED_SCHEMAS: &[&str] = &[\"mmdiag-bench/v1\", \"mmdiag-bench/v2\"];\n";
-        let found = lint_source("crates/bench/src/lib.rs", drifted);
-        assert_eq!(passes(&found), vec!["bench-schema-agreement"]);
-
-        let stray = "#![forbid(unsafe_code)]\n\
-                     pub const SCHEMA_VERSION: &str = \"mmdiag-bench/v2\";\n\
-                     pub const READER_ACCEPTED_SCHEMAS: &[&str] = &[\"mmdiag-bench/v2\"];\n\
-                     fn w(out: &mut String) { out.push_str(\"\\\"schema\\\": \\\"mmdiag-bench/v2\\\"\"); }\n";
-        let found = lint_source("crates/bench/src/lib.rs", stray);
-        assert_eq!(passes(&found), vec!["bench-schema-agreement"]);
-        assert_eq!(found[0].line, 4);
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn main() {
     let behavior = TesterBehavior::Random { seed: 7 };
     let s = OracleSyndrome::new(faults.clone(), behavior);
 
-    // 1. The default session is the legacy `diagnose`.
+    // 1. The default session is `diagnose`.
     let report = Diagnoser::new(&g).run(&s).unwrap();
     println!(
         "sequential: {} faults in {} probes, {} lookups \

@@ -9,7 +9,7 @@
 //! let g = Hypercube::new(7);
 //! let s = OracleSyndrome::new(FaultSet::new(128, &[3, 64]), TesterBehavior::AllZero);
 //!
-//! // The default session is the legacy `diagnose` — one builder call per
+//! // The default session is `diagnose` — one builder call per
 //! // policy turns on pooled execution, verification, or simulation.
 //! let report = Diagnoser::new(&g).auto().verify_full().run(&s).unwrap();
 //! assert_eq!(report.diagnosis.faults, vec![3, 64]);
@@ -30,7 +30,7 @@ pub use mmdiag_topology as topology;
 pub use mmdiag_trace as trace;
 
 pub use mmdiag_core::{
-    BackendPolicy, Certificate, DiagnosisError, DiagnosisReport, PhaseTelemetry,
+    BackendPolicy, Certificate, Cutovers, DiagnosisError, DiagnosisReport, PhaseTelemetry,
     VerificationVerdict,
 };
 pub use mmdiag_monitor::{EpochReport, EscalationReason, MonitorSession};

@@ -1,12 +1,6 @@
 //! One front door: the [`Diagnoser`] session API.
 //!
-//! Five generations of entry points grew around the Theorem-1 driver —
-//! `diagnose` / `diagnose_unchecked` / `diagnose_parallel` /
-//! `diagnose_with` / `diagnose_auto` / `diagnose_batch`, plus disjoint
-//! doors for verification (`diagnose_baseline`, `sampled_check`) and
-//! event-level simulation (`mmdiag_distsim::simulate`). Each had its own
-//! topology, backend and workspace plumbing. A [`Diagnoser`] owns all of
-//! it behind one builder:
+//! A [`Diagnoser`] owns everything a diagnosis needs behind one builder:
 //!
 //! * **topology** — borrowed, materialised ([`mmdiag_topology::Cached`])
 //!   or CSR-free ([`mmdiag_implicit::ImplicitTopology`]), behind the one
@@ -16,24 +10,23 @@
 //!   [`mmdiag_syndrome::OnDemandOracle`]) through [`Diagnoser::run`], or
 //!   planted fault sets through [`Diagnoser::run_planted`] /
 //!   [`Diagnoser::run_streaming`];
-//! * **execution backend** — a [`BackendPolicy`]: sequential, a pool at
-//!   full or explicit lane width, or size-directed auto with the live or
-//!   an explicit cutover;
+//! * **execution backend** — a [`BackendPolicy`] (sequential, a pool, or
+//!   size-directed auto) resolved against the session's own [`Cutovers`]
+//!   — no process-wide setting steers a run;
 //! * **verification** — a [`VerificationPolicy`]: none, the seeded
 //!   sampled spot-check, or the full-table baseline — run as part of the
 //!   same call, its [`VerificationVerdict`] riding on the report;
 //! * **run mode** — [`RunMode::InProcess`] or
 //!   [`RunMode::Simulated`] event-level execution under a
 //!   [`LatencyModel`];
-//! * **batching** — [`Diagnoser::submit_batch`] unifies the historical
-//!   `diagnose_batch` / `simulate_batch` pair and reuses the session's
-//!   own workspace pool across submissions.
+//! * **batching** — [`Diagnoser::submit_batch`] runs many jobs against one
+//!   instance and reuses the session's own workspace pool across
+//!   submissions.
 //!
-//! Every legacy free function is a thin wrapper over the same session
-//! machinery ([`mmdiag_core::session`]), so
-//! `Diagnoser::new(&g).run(&s)` is bit-identical to `diagnose(&g, &s)` —
-//! the workspace equivalence suite asserts exactly that across all
-//! fourteen families and every backend.
+//! Underneath is one core run ([`mmdiag_core::session`]), so
+//! `Diagnoser::new(&g).run(&s)` is bit-identical to
+//! `mmdiag_core::diagnose(&g, &s)` — the workspace equivalence suite
+//! asserts exactly that across all fourteen families and every backend.
 //!
 //! ```
 //! use mmdiag::Diagnoser;
@@ -54,7 +47,7 @@
 use mmdiag_baselines::{diagnose_naive, sampled_check};
 use mmdiag_core::session::{self, SessionOptions};
 use mmdiag_core::{
-    BackendPolicy, DiagnosisError, DiagnosisReport, VerificationVerdict, WorkspacePool,
+    BackendPolicy, Cutovers, DiagnosisError, DiagnosisReport, VerificationVerdict, WorkspacePool,
 };
 use mmdiag_distsim::{simulate_unchecked, FaultTimeline, LatencyModel, SimError, SimReport};
 use mmdiag_implicit::ImplicitTopology;
@@ -263,21 +256,20 @@ pub enum BatchJob<'a> {
 /// The builder-configured session: one front door over diagnosis,
 /// verification and simulation. See the [module docs](self) for the full
 /// policy axes; the default session (`Diagnoser::new(&g)`) is
-/// sequential, unverified, in-process — exactly the legacy
-/// `diagnose(&g, &s)`.
+/// sequential, unverified, in-process — exactly `diagnose(&g, &s)`.
 pub struct Diagnoser<'g> {
     topology: TopologySource<'g>,
     backend: BackendPolicy<'g>,
     verification: VerificationPolicy,
     mode: RunMode,
-    fault_bound: Option<usize>,
-    check_preconditions: bool,
-    /// The session's trace handle: disabled by default (recording costs
-    /// one `Option` check), enabled by [`Diagnoser::trace`] or
-    /// process-wide by the `MMDIAG_TRACE` knob.
-    tracer: Tracer,
-    /// Lazily-built workspace pool shared by every call on this session —
-    /// the amortisation `diagnose_batch` used to rebuild per call.
+    /// Fault bound, precondition check, cutovers and trace handle: what
+    /// every core run and the monitor take from this session. The tracer
+    /// is disabled by default (recording costs one `Option` check),
+    /// enabled by [`Diagnoser::trace`] or process-wide by the
+    /// `MMDIAG_TRACE` knob.
+    opts: SessionOptions,
+    /// Lazily-built workspace pool shared by every call on this session,
+    /// so batches and repeated runs reuse their `O(N)` scratch.
     ws: OnceLock<WorkspacePool>,
     /// The session's registration on the process-wide [`MetricsHub`],
     /// held so dropping the session detaches it ([`Diagnoser::stats`]).
@@ -286,29 +278,26 @@ pub struct Diagnoser<'g> {
 
 impl<'g> Diagnoser<'g> {
     /// A session over a borrowed topology, with defaults equivalent to
-    /// the legacy `diagnose`: sequential backend, preconditions checked,
-    /// family fault bound, no verification, in-process.
+    /// `diagnose`: sequential backend, preconditions checked, family
+    /// fault bound, no verification, in-process.
     pub fn new(g: &'g (dyn Partitionable + Sync)) -> Self {
         Diagnoser::from_source(TopologySource::Borrowed(g))
     }
 
     /// A session over an owned [`TopologySource`].
     pub fn from_source(topology: TopologySource<'g>) -> Self {
+        let mut opts = SessionOptions::default();
         // The MMDIAG_TRACE knob (read once through the exec config door)
         // turns tracing on for every session in the process.
-        let tracer = if mmdiag_exec::config::knobs().trace {
-            Tracer::new(TraceConfig::default())
-        } else {
-            Tracer::disabled()
-        };
+        if mmdiag_exec::config::knobs().trace {
+            opts.tracer = Tracer::new(TraceConfig::default());
+        }
         Diagnoser {
             topology,
             backend: BackendPolicy::Sequential,
             verification: VerificationPolicy::None,
             mode: RunMode::InProcess,
-            fault_bound: None,
-            check_preconditions: true,
-            tracer,
+            opts,
             ws: OnceLock::new(),
             hub_session: None,
         }
@@ -352,21 +341,18 @@ impl<'g> Diagnoser<'g> {
         self.backend(BackendPolicy::Pooled(pool))
     }
 
-    /// The legacy `diagnose_parallel` strategy: `width` strided probe
-    /// lanes on the global pool.
-    pub fn lanes(self, width: usize) -> Self {
-        self.backend(BackendPolicy::PooledWidth(mmdiag_exec::global(), width))
-    }
-
-    /// Size-directed: sequential below the live
-    /// [`mmdiag_core::sequential_cutover`], pooled above it.
+    /// Size-directed: sequential below the session's
+    /// [`Cutovers::sequential`], pooled on the global pool at or above it.
     pub fn auto(self) -> Self {
         self.backend(BackendPolicy::Auto)
     }
 
-    /// [`Diagnoser::auto`] with an explicit cutover.
-    pub fn auto_with_cutover(self, cutover: usize) -> Self {
-        self.backend(BackendPolicy::AutoWithCutover(cutover))
+    /// Set this session's cutovers: where [`Diagnoser::auto`] switches to
+    /// the pool and where pooled runs switch to frontier-parallel growth.
+    /// Defaults to [`Cutovers::default`]; other sessions are unaffected.
+    pub fn cutovers(mut self, cutovers: Cutovers) -> Self {
+        self.opts.cutovers = cutovers;
+        self
     }
 
     // --- verification policy --------------------------------------------
@@ -413,7 +399,7 @@ impl<'g> Diagnoser<'g> {
     /// the recorded phase durations and lookup counts are exactly the
     /// report's [`PhaseTelemetry`](mmdiag_core::PhaseTelemetry) values.
     pub fn trace(mut self, cfg: TraceConfig) -> Self {
-        self.tracer = Tracer::new(cfg);
+        self.opts.tracer = Tracer::new(cfg);
         self
     }
 
@@ -421,7 +407,7 @@ impl<'g> Diagnoser<'g> {
     /// session is dropped). Disabled unless [`Diagnoser::trace`] was
     /// called or `MMDIAG_TRACE` is set.
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.opts.tracer
     }
 
     /// Attach this session's metrics registry to the process-wide
@@ -446,11 +432,12 @@ impl<'g> Diagnoser<'g> {
     /// tracer (and its registry), which would strand an earlier
     /// attachment on the abandoned registry.
     pub fn stats(mut self, name: &str) -> Self {
-        if self.tracer.metrics_handle().is_none() {
-            self.tracer = Tracer::new(TraceConfig::default());
+        if self.opts.tracer.metrics_handle().is_none() {
+            self.opts.tracer = Tracer::new(TraceConfig::default());
         }
         attach_sync_cells_once();
         let registry = self
+            .opts
             .tracer
             .metrics_handle()
             .expect("the tracer was just enabled");
@@ -462,24 +449,16 @@ impl<'g> Diagnoser<'g> {
 
     /// Override the family's canonical fault bound.
     pub fn fault_bound(mut self, bound: usize) -> Self {
-        self.fault_bound = Some(bound);
+        self.opts.fault_bound = Some(bound);
         self
     }
 
-    /// The legacy `*_unchecked` semantics: explicit fault bound, §5
-    /// precondition check skipped.
+    /// Explicit fault bound with §5's precondition check skipped — for
+    /// borderline instances the caller knows to be workable.
     pub fn unchecked_bound(mut self, bound: usize) -> Self {
-        self.fault_bound = Some(bound);
-        self.check_preconditions = false;
+        self.opts.fault_bound = Some(bound);
+        self.opts.check_preconditions = false;
         self
-    }
-
-    fn opts(&self) -> SessionOptions {
-        let mut opts = SessionOptions::default();
-        opts.fault_bound = self.fault_bound;
-        opts.check_preconditions = self.check_preconditions;
-        opts.tracer = self.tracer.clone();
-        opts
     }
 
     /// When tracing, adopt the syndrome's own lookup counter as the
@@ -489,13 +468,14 @@ impl<'g> Diagnoser<'g> {
     where
         S: SyndromeSource + ?Sized,
     {
-        if let (Some(metrics), Some(counter)) = (self.tracer.metrics(), s.lookup_counter()) {
+        if let (Some(metrics), Some(counter)) = (self.opts.tracer.metrics(), s.lookup_counter()) {
             metrics.register_counter("oracle.lookups", counter);
         }
     }
 
     fn bound(&self) -> usize {
-        self.fault_bound
+        self.opts
+            .fault_bound
             .unwrap_or_else(|| self.topology.view().driver_fault_bound())
     }
 
@@ -504,10 +484,10 @@ impl<'g> Diagnoser<'g> {
             // Size by the configured pool; for Sequential/Auto sessions use
             // the would-be global worker count *without* spawning the
             // global pool — a purely sequential session must stay as
-            // thread-free as the legacy `diagnose` it replaces (slots are
-            // lazy, so oversizing costs nothing).
+            // thread-free as `diagnose` (slots are lazy, so oversizing
+            // costs nothing).
             let workers = match self.backend {
-                BackendPolicy::Pooled(pool) | BackendPolicy::PooledWidth(pool, _) => pool.threads(),
+                BackendPolicy::Pooled(pool) => pool.threads(),
                 _ => mmdiag_exec::default_threads(),
             };
             WorkspacePool::new(self.topology.view().node_count(), workers)
@@ -516,7 +496,7 @@ impl<'g> Diagnoser<'g> {
 
     fn pool(&self) -> &mmdiag_exec::Pool {
         match self.backend {
-            BackendPolicy::Pooled(pool) | BackendPolicy::PooledWidth(pool, _) => pool,
+            BackendPolicy::Pooled(pool) => pool,
             _ => mmdiag_exec::global(),
         }
     }
@@ -524,8 +504,8 @@ impl<'g> Diagnoser<'g> {
     // --- running --------------------------------------------------------
 
     /// Diagnose a live syndrome source in-process, honouring the
-    /// session's backend and verification policies. Bit-identical to the
-    /// legacy entry point the backend policy corresponds to.
+    /// session's backend and verification policies. The labelling is
+    /// bit-identical to `diagnose` under every backend policy.
     ///
     /// Errors with [`DiagnosisError::Unsupported`] on a
     /// [`RunMode::Simulated`] session — an opaque source cannot be
@@ -545,7 +525,7 @@ impl<'g> Diagnoser<'g> {
         }
         let g = self.topology.view();
         self.adopt_lookup_counter(s);
-        let mut report = session::run_with(g, s, self.backend, &self.opts(), Some(self.ws_pool()))?;
+        let mut report = session::run_with(g, s, self.backend, &self.opts, Some(self.ws_pool()))?;
         report.verification =
             self.verify_claim(s, &report.diagnosis.faults, report.diagnosis.certified_part);
         Ok(report)
@@ -580,11 +560,15 @@ impl<'g> Diagnoser<'g> {
             ));
         }
         let g = self.topology.view();
-        if self.check_preconditions {
+        if self.opts.check_preconditions {
             g.check_partition_preconditions()
                 .map_err(DiagnosisError::Preconditions)?;
         }
-        Ok(MonitorSession::new(g, self.bound(), self.tracer.clone()))
+        Ok(MonitorSession::new(
+            g,
+            self.bound(),
+            self.opts.tracer.clone(),
+        ))
     }
 
     /// Diagnose a planted fault set under a tester behaviour, honouring
@@ -658,7 +642,7 @@ impl<'g> Diagnoser<'g> {
         latency: &LatencyModel,
     ) -> Result<SimReport, SimError> {
         let g = self.topology.view();
-        if self.check_preconditions {
+        if self.opts.check_preconditions {
             g.check_partition_preconditions()
                 .map_err(SimError::Preconditions)?;
         }
@@ -666,8 +650,7 @@ impl<'g> Diagnoser<'g> {
     }
 
     /// Evaluate many jobs against this session's instance in one
-    /// submission — the unified replacement for the historical
-    /// `diagnose_batch` / `simulate_batch` pair. In-process sessions fan
+    /// submission. In-process sessions fan
     /// the convertible jobs out through the session backend (reusing the
     /// session's workspace pool, so `k` jobs allocate `O(workers)`
     /// scratch); simulated sessions replay each job's timeline on the
@@ -773,7 +756,7 @@ impl<'g> Diagnoser<'g> {
             self.topology.view(),
             &sources,
             self.backend,
-            &self.opts(),
+            &self.opts,
             Some(self.ws_pool()),
         );
         let mut reports = reports.into_iter();
@@ -819,7 +802,7 @@ impl<'g> Diagnoser<'g> {
                 samples_per_part,
                 seed,
             } => {
-                let span = self.tracer.span("verify", "sampled");
+                let span = self.opts.tracer.span("verify", "sampled");
                 let check = sampled_check(
                     g,
                     s,
@@ -839,7 +822,7 @@ impl<'g> Diagnoser<'g> {
                 }
             }
             VerificationPolicy::FullBaseline => {
-                let span = self.tracer.span("verify", "full_baseline");
+                let span = self.opts.tracer.span("verify", "full_baseline");
                 match diagnose_naive(g, s, self.bound()) {
                     Ok(base) => VerificationVerdict::FullBaseline {
                         lookups: base.lookups_used,
@@ -898,6 +881,32 @@ mod tests {
             report.verification,
             VerificationVerdict::Unverified
         ));
+    }
+
+    #[test]
+    fn sessions_hold_their_own_cutovers() {
+        // Two auto sessions over one instance, side by side: each resolves
+        // against its own cutovers, and neither run disturbs the other.
+        let g = Hypercube::new(7);
+        let s = OracleSyndrome::new(FaultSet::new(128, &[4, 99]), TesterBehavior::AllZero);
+        let low = Cutovers {
+            sequential: 64,
+            grow: 1,
+        };
+        let eager = Diagnoser::new(&g).auto().cutovers(low);
+        let default = Diagnoser::new(&g).auto();
+        for _ in 0..2 {
+            let a = eager.run(&s).unwrap();
+            let b = default.run(&s).unwrap();
+            assert_eq!(a.backend, "pooled");
+            assert_eq!(b.backend, "sequential");
+            assert_eq!(a.diagnosis.faults, b.diagnosis.faults);
+            assert_eq!(a.diagnosis.tree.edges(), b.diagnosis.tree.edges());
+            // Grow cutover 1 on a sorted-adjacency view: frontier rounds.
+            let cached = Diagnoser::cached(&g).auto().cutovers(low).run(&s).unwrap();
+            assert!(!cached.telemetry.grow_rounds.is_empty());
+            assert!(b.telemetry.grow_rounds.is_empty());
+        }
     }
 
     #[test]

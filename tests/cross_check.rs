@@ -9,9 +9,9 @@
 //!    Menger max-flow from `topology::algorithms`.
 //! 2. **Six-way agreement** — random fault sets of size
 //!    `≤ driver_fault_bound()` under every faulty-tester behaviour:
-//!    `diagnose`, `diagnose_parallel`, the pooled backend
-//!    (`diagnose_with` on the shared executor pool), the size-directed
-//!    `diagnose_auto`, the naive baseline and the event-level distributed
+//!    `diagnose`, a pooled session on a dedicated 4-worker pool, a pooled
+//!    session on the shared executor pool, the size-directed auto
+//!    session, the naive baseline and the event-level distributed
 //!    simulator (unit latencies, static timeline) must all return exactly
 //!    the planted set — with the pooled/auto legs additionally
 //!    bit-identical to the sequential driver (certified part, healthy
@@ -19,9 +19,7 @@
 //!    must reproduce the `distsim::plan` cost model per part.
 
 use mmdiag::baselines::diagnose_baseline;
-use mmdiag::diagnosis::{
-    diagnose, diagnose_auto, diagnose_parallel, diagnose_with, ExecutionBackend,
-};
+use mmdiag::diagnosis::diagnose;
 use mmdiag::distsim::{plan, simulate, FaultTimeline, LatencyModel};
 use mmdiag::implicit::ImplicitTopology;
 use mmdiag::syndrome::{
@@ -296,15 +294,16 @@ fn simulator_accepts_implicit_topologies() {
 #[test]
 fn frontier_parallel_growth_is_bit_identical_on_every_family() {
     use mmdiag::diagnosis::session::run_with;
-    use mmdiag::diagnosis::{set_grow_cutover, BackendPolicy, SessionOptions};
+    use mmdiag::diagnosis::{BackendPolicy, SessionOptions};
     use mmdiag::exec::Pool;
     use mmdiag::implicit::MaterialisationGuard;
 
-    let prev = mmdiag::diagnosis::grow_cutover();
-    set_grow_cutover(1);
     let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(0xF207_71E6);
-    let opts = SessionOptions::default();
+    // Every instance here is far below the default grow cutover; this
+    // run's options send them all through the frontier engine.
+    let mut opts = SessionOptions::default();
+    opts.cutovers.grow = 1;
     let mut parallel_rounds_seen = 0usize;
     for (cached, implicit) in representation_pairs() {
         let g = implicit.as_ref();
@@ -368,7 +367,6 @@ fn frontier_parallel_growth_is_bit_identical_on_every_family() {
             }
         }
     }
-    set_grow_cutover(prev);
     assert!(
         parallel_rounds_seen > 0,
         "at least some growth layers must actually run on the pool"
@@ -403,6 +401,7 @@ fn kappa_at_least_delta_machine_verified() {
 #[test]
 fn driver_parallel_pooled_auto_baseline_and_simulator_agree_on_every_family() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_2026);
+    let four_workers = mmdiag::exec::Pool::new(4);
     for case in cases() {
         let g = case.main.as_ref();
         g.check_partition_preconditions()
@@ -435,27 +434,18 @@ fn driver_parallel_pooled_auto_baseline_and_simulator_agree_on_every_family() {
                     diagnose(g, &s).unwrap_or_else(|e| panic!("{}: driver: {e} ({b:?})", g.name()));
                 assert_eq!(drv.faults, faults.members(), "{} driver {b:?}", g.name());
 
-                let par = diagnose_parallel(g, &s, 4)
-                    .unwrap_or_else(|e| panic!("{}: parallel: {e} ({b:?})", g.name()));
-                assert_eq!(par.faults, drv.faults, "{} parallel {b:?}", g.name());
-                assert_eq!(
-                    par.certified_part,
-                    drv.certified_part,
-                    "{} parallel must certify the same part {b:?}",
-                    g.name()
-                );
-
-                // Executor backends: pooled (shared pool) and size-directed
-                // auto must be bit-identical to the sequential driver on
-                // every semantic field.
-                for (label, res) in [
-                    (
-                        "pooled",
-                        diagnose_with(g, &s, &ExecutionBackend::Pooled(mmdiag::exec::global())),
-                    ),
-                    ("auto", diagnose_auto(g, &s)),
+                // Executor backends: a dedicated 4-worker pool, the shared
+                // pool and size-directed auto must be bit-identical to the
+                // sequential driver on every semantic field.
+                for (label, session) in [
+                    ("parallel", Diagnoser::new(g).pooled_on(&four_workers)),
+                    ("pooled", Diagnoser::new(g).pooled()),
+                    ("auto", Diagnoser::new(g).auto()),
                 ] {
-                    let d = res.unwrap_or_else(|e| panic!("{}: {label}: {e} ({b:?})", g.name()));
+                    let d = session
+                        .run(&s)
+                        .unwrap_or_else(|e| panic!("{}: {label}: {e} ({b:?})", g.name()))
+                        .diagnosis;
                     assert_eq!(d.faults, drv.faults, "{} {label} {b:?}", g.name());
                     assert_eq!(
                         d.certified_part,
@@ -483,8 +473,8 @@ fn driver_parallel_pooled_auto_baseline_and_simulator_agree_on_every_family() {
 
                 // The one front door: a verified session run must agree
                 // with the driver bit for bit *and* carry an agreeing
-                // sampled verdict (legacy-vs-session equivalence in depth
-                // is tests/diagnoser_equivalence.rs's job).
+                // sampled verdict (the front door's full promise is
+                // tests/diagnoser_equivalence.rs's job).
                 let report = Diagnoser::new(g)
                     .verify_sampled(2, trial)
                     .run(&s)

@@ -1,35 +1,28 @@
-//! The ISSUE-5 equivalence suite: every legacy entry point is a thin
-//! wrapper over the session, and the [`Diagnoser`] front door is
-//! bit-identical to each of them.
+//! What the [`Diagnoser`] front door promises, on every one of the
+//! fourteen §5 families, on fault loads at the bound and below it under
+//! two tester behaviours:
 //!
-//! For every one of the fourteen §5 families, on fault loads at the bound
-//! and below it under two tester behaviours:
-//!
-//! * **Sequential** — `Diagnoser::new(&g).run(&s)` vs `diagnose` /
-//!   `diagnose_with(Sequential)`: *every* field must match — faults,
-//!   certified part, probes, healthy count, spanning tree, and the exact
-//!   lookup count (the scan orders are identical by construction).
-//! * **Pooled** — `.pooled()` vs `diagnose_with(Pooled(global))` and
-//!   `.lanes(w)` vs `diagnose_parallel(g, s, w)`: all semantic fields
-//!   (faults, certified part, healthy count, tree) must match; the
-//!   accounting is scheduling-dependent by design and is not compared.
-//! * **Auto** — `.auto()` vs `diagnose_auto`: semantic fields always;
-//!   full accounting when the instance resolves sequential (sub-cutover),
-//!   where the code path is literally the same scan.
-//! * **Unchecked** — `.unchecked_bound(b)` vs `diagnose_unchecked`.
-//! * **Batch** — `.submit_batch(Source jobs)` vs `diagnose_batch` on both
-//!   backends: in-order, accounting included (batched scans are in-order
-//!   on every backend).
+//! * **Sequential** — the default session is bit-identical to the entry
+//!   points left beside the front door (`diagnose` and the core session
+//!   runs `run_sequential` / `run_with`): faults, certified part, probes,
+//!   healthy count, spanning tree and the exact lookup count. So is
+//!   `.unchecked_bound(b)` at the family bound.
+//! * **Pooled / auto** — `.pooled()` and `.auto()` return the same
+//!   labelling (faults, certified part, healthy count, tree); pooled
+//!   accounting is scheduling-dependent by design. Below the session's
+//!   sequential cutover, auto *is* the sequential scan, accounting
+//!   included.
+//! * **Batch** — `.submit_batch(Source jobs)` equals the same jobs run one
+//!   at a time, in order, accounting included, on both backends.
+//! * **Representation** — implicit and cached sessions agree bit for bit.
 //!
 //! Plus the certificate contract: the report's certificate sits at the
 //! diagnosis's certified part, its restricted tree is rooted at that
 //! part's representative, validates, and certifies (> bound distinct
 //! contributors).
 
-use mmdiag::diagnosis::{
-    diagnose, diagnose_auto, diagnose_batch, diagnose_parallel, diagnose_unchecked, diagnose_with,
-    sequential_cutover, Diagnosis, DiagnosisReport, ExecutionBackend,
-};
+use mmdiag::diagnosis::session::{run_sequential, run_with};
+use mmdiag::diagnosis::{diagnose, Diagnosis, DiagnosisReport, SessionOptions};
 use mmdiag::syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::{
     Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
@@ -37,7 +30,7 @@ use mmdiag::topology::families::{
     TwistedNCube,
 };
 use mmdiag::topology::Partitionable;
-use mmdiag::{BatchJob, Diagnoser};
+use mmdiag::{BackendPolicy, BatchJob, Cutovers, Diagnoser};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -122,7 +115,7 @@ fn assert_certificate_sound(report: &DiagnosisReport, g: &(dyn Partitionable + S
 #[test]
 fn diagnoser_is_bit_identical_to_every_legacy_entry_point_on_all_families() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x0D1A_6005);
-    let pool = mmdiag::exec::global();
+    let opts = SessionOptions::default();
     for g in families() {
         let g = g.as_ref();
         let n = g.node_count();
@@ -147,49 +140,39 @@ fn diagnoser_is_bit_identical_to_every_legacy_entry_point_on_all_families() {
                 assert_certificate_sound(&report, g, &ctx);
                 assert_eq!(report.backend, "sequential", "{ctx}");
 
-                // And vs the explicit sequential backend entry point.
-                s.reset_lookups();
-                let with_seq = diagnose_with(g, &s, &ExecutionBackend::Sequential).unwrap();
-                s.reset_lookups();
-                let report2 = session.run(&s).unwrap();
-                assert_bit_identical(&report2, &with_seq, &format!("{ctx} [with-seq]"));
+                // And vs the core session runs underneath it.
+                for (label, core) in [
+                    ("run_sequential", run_sequential(g, &s, &opts)),
+                    (
+                        "run_with",
+                        run_with(g, &s, BackendPolicy::Sequential, &opts, None),
+                    ),
+                ] {
+                    let report = session.run(&s).unwrap();
+                    let core = core.unwrap().diagnosis;
+                    assert_bit_identical(&report, &core, &format!("{ctx} [{label}]"));
+                }
 
-                // --- Unchecked wrapper.
-                s.reset_lookups();
-                let legacy_unchecked = diagnose_unchecked(g, &s, bound).unwrap();
+                // --- Explicit bound, preconditions skipped.
                 s.reset_lookups();
                 let report = Diagnoser::new(g).unchecked_bound(bound).run(&s).unwrap();
-                assert_bit_identical(&report, &legacy_unchecked, &format!("{ctx} [unchecked]"));
+                assert_bit_identical(&report, &legacy, &format!("{ctx} [unchecked]"));
 
                 // --- Pooled: semantic equality (accounting is
-                // scheduling-dependent on both sides by design).
-                let legacy_pooled = diagnose_with(g, &s, &ExecutionBackend::Pooled(pool)).unwrap();
+                // scheduling-dependent by design).
                 let report = pooled_session.run(&s).unwrap();
-                assert_semantically_equal(&report, &legacy_pooled, &format!("{ctx} [pooled]"));
+                assert_semantically_equal(&report, &legacy, &format!("{ctx} [pooled]"));
                 assert_certificate_sound(&report, g, &ctx);
                 assert_eq!(report.backend, "pooled", "{ctx}");
 
-                // --- Strided lanes vs diagnose_parallel.
-                for width in [1usize, 4] {
-                    let legacy_par = diagnose_parallel(g, &s, width).unwrap();
-                    let report = Diagnoser::new(g).lanes(width).run(&s).unwrap();
-                    assert_semantically_equal(
-                        &report,
-                        &legacy_par,
-                        &format!("{ctx} [lanes {width}]"),
-                    );
-                }
-
                 // --- Auto: bit-identical when it resolves sequential.
                 s.reset_lookups();
-                let legacy_auto = diagnose_auto(g, &s).unwrap();
-                s.reset_lookups();
                 let report = auto_session.run(&s).unwrap();
-                if n < sequential_cutover() {
-                    assert_bit_identical(&report, &legacy_auto, &format!("{ctx} [auto-seq]"));
+                if n < Cutovers::default().sequential {
+                    assert_bit_identical(&report, &legacy, &format!("{ctx} [auto-seq]"));
                     assert_eq!(report.backend, "sequential", "{ctx}");
                 } else {
-                    assert_semantically_equal(&report, &legacy_auto, &format!("{ctx} [auto]"));
+                    assert_semantically_equal(&report, &legacy, &format!("{ctx} [auto]"));
                     assert_eq!(report.backend, "pooled", "{ctx}");
                 }
             }
@@ -213,9 +196,8 @@ fn builder_default_equals_diagnose_exactly() {
 }
 
 #[test]
-fn submit_batch_matches_diagnose_batch_on_both_backends() {
+fn submit_batch_matches_one_by_one_runs_on_both_backends() {
     let g = Hypercube::new(7);
-    let pool = mmdiag::exec::global();
     let syndromes: Vec<OracleSyndrome> = (0..6)
         .map(|i| {
             OracleSyndrome::new(
@@ -224,41 +206,39 @@ fn submit_batch_matches_diagnose_batch_on_both_backends() {
             )
         })
         .collect();
-    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Pooled(pool)] {
-        for s in &syndromes {
+    let one_by_one: Vec<Diagnosis> = syndromes
+        .iter()
+        .map(|s| {
+            let d = diagnose(&g, s).unwrap();
             s.reset_lookups();
-        }
-        let legacy = diagnose_batch(&g, &syndromes, &backend);
-        for s in &syndromes {
-            s.reset_lookups();
-        }
-        let session = match backend {
-            ExecutionBackend::Sequential => Diagnoser::new(&g),
-            ExecutionBackend::Pooled(_) => Diagnoser::new(&g).pooled(),
-        };
-        let jobs: Vec<BatchJob> = syndromes
-            .iter()
-            .map(|s| BatchJob::Source(s as &(dyn SyndromeSource + Sync)))
-            .collect();
+            d
+        })
+        .collect();
+    let jobs: Vec<BatchJob> = syndromes
+        .iter()
+        .map(|s| BatchJob::Source(s as &(dyn SyndromeSource + Sync)))
+        .collect();
+    for (label, session) in [
+        ("sequential", Diagnoser::new(&g)),
+        ("pooled", Diagnoser::new(&g).pooled()),
+    ] {
         let outcomes = session.submit_batch(&jobs);
-        assert_eq!(outcomes.len(), legacy.len());
-        for (i, (outcome, want)) in outcomes.iter().zip(&legacy).enumerate() {
+        assert_eq!(outcomes.len(), one_by_one.len());
+        for (i, (outcome, want)) in outcomes.iter().zip(&one_by_one).enumerate() {
             let report = outcome.as_ref().unwrap().report().expect("in-process");
-            let want = want.as_ref().unwrap();
             // Batched scans are in-order on every backend: the accounting
             // must match too.
-            assert_bit_identical(
-                report,
-                want,
-                &format!("batch job {i} [{}]", backend.label()),
-            );
+            assert_bit_identical(report, want, &format!("batch job {i} [{label}]"));
+        }
+        for s in &syndromes {
+            s.reset_lookups();
         }
     }
 }
 
 #[test]
 fn implicit_and_cached_sessions_agree_bit_for_bit() {
-    // The one-front-door spelling of the ISSUE-4 scale contract.
+    // The one-front-door spelling of the scale contract.
     let fam = Hypercube::new(7);
     let cached = Diagnoser::cached(&fam);
     let implicit = Diagnoser::implicit(fam);
