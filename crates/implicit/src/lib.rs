@@ -22,10 +22,10 @@
 //!   memory) the first time someone asks, instead of probing every part of
 //!   the whole graph upfront;
 //! * **nothing materialises**: [`MaterialisationGuard`] snapshots the
-//!   process-wide [`mmdiag_topology::materialisation_count`] so the bench
-//!   can assert the implicit path never called `Cached::new`.
+//!   calling thread's [`mmdiag_topology::materialisation_count`] so the
+//!   bench can assert the implicit path never called `Cached::new`.
 //!
-//! The driver, the execution backends, `diagnose_batch`, the event
+//! The driver, the execution backends, batch submissions, the event
 //! simulator and the sampled verifier all consume this type unchanged
 //! through the `Topology + Partitionable` traits.
 #![forbid(unsafe_code)]
@@ -166,9 +166,11 @@ impl<T: Partitionable> Partitionable for ImplicitTopology<T> {
     }
 }
 
-/// Snapshot of the process-wide `Cached::new` counter: the bench's implicit
-/// cells open one of these before running and assert it unchanged after,
-/// proving the scale path stayed CSR-free.
+/// Snapshot of the calling thread's `Cached::new` counter: the bench's
+/// implicit cells open one of these before running and assert it
+/// unchanged after, proving the scale path stayed CSR-free. Counting per
+/// thread keeps concurrent work elsewhere in the process (sibling tests,
+/// other sessions) from tripping the guard.
 pub struct MaterialisationGuard {
     start: u64,
 }
@@ -181,7 +183,7 @@ impl MaterialisationGuard {
         }
     }
 
-    /// How many `Cached::new` calls happened since [`Self::begin`].
+    /// How many `Cached::new` calls this thread made since [`Self::begin`].
     pub fn materialisations_since(&self) -> u64 {
         materialisation_count() - self.start
     }
@@ -258,6 +260,18 @@ mod tests {
         guard.assert_unchanged("implicit probe");
         let _cached = Cached::new(&fam);
         assert_eq!(guard.materialisations_since(), 1);
+    }
+
+    #[test]
+    fn materialisation_guard_ignores_other_threads() {
+        let guard = MaterialisationGuard::begin();
+        mmdiag_exec::sync::thread::spawn_named("csr-builder".into(), || {
+            Cached::new(&Hypercube::new(7)).node_count()
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+        guard.assert_unchanged("a CSR built on another thread");
     }
 
     #[test]

@@ -8,18 +8,23 @@
 
 use crate::graph::{AdjGraph, NodeId, Topology};
 use crate::partition::Partitionable;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Process-wide count of [`Cached::new`] calls — the memory events the
-/// implicit (CSR-free) scale path must never trigger. The `--xlarge` bench
-/// sweep snapshots this before and after each implicit cell and asserts the
-/// count did not move, turning "the implicit path materialises nothing"
-/// from a convention into a checked invariant.
-static MATERIALISATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of [`Cached::new`] calls — the memory events the
+    /// implicit (CSR-free) scale path must never trigger. The `--xlarge`
+    /// bench sweep snapshots this before and after each implicit cell and
+    /// asserts the count did not move, turning "the implicit path
+    /// materialises nothing" from a convention into a checked invariant.
+    /// Per thread, so a CSR another thread builds meanwhile (a concurrent
+    /// test, a sibling session) cannot trip a guard it has nothing to do
+    /// with; topologies are built by the caller, never inside pool tasks.
+    static MATERIALISATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// How many [`Cached::new`] materialisations have happened in this process.
+/// How many [`Cached::new`] materialisations this thread has performed.
 pub fn materialisation_count() -> u64 {
-    MATERIALISATIONS.load(Ordering::Relaxed)
+    MATERIALISATIONS.with(Cell::get)
 }
 
 /// A CSR-materialised topology with precomputed partition labels.
@@ -36,7 +41,7 @@ impl Cached {
     /// Materialise `t`, caching adjacency, part labels, representatives and
     /// sizes.
     pub fn new<T: Partitionable + ?Sized>(t: &T) -> Self {
-        MATERIALISATIONS.fetch_add(1, Ordering::Relaxed);
+        MATERIALISATIONS.with(|n| n.set(n.get() + 1));
         let csr = AdjGraph::from_topology(t);
         let parts = t.part_count();
         let part_labels = (0..t.node_count())
