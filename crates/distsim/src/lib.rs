@@ -55,32 +55,6 @@ pub use sim::{
 use mmdiag_topology::algorithms::bfs_distances;
 use mmdiag_topology::{NodeId, Partitionable, Topology};
 
-/// One simulation job for [`simulate_batch`]: a fault timeline to replay
-/// under a latency model.
-pub type SimJob = (FaultTimeline, LatencyModel);
-
-/// Run many independent simulations of one instance as a single
-/// submission on the shared executor pool — the scenario sweep's cells
-/// (per-instance latency-skew / injection regimes) dispatch through here
-/// instead of looping on the caller's thread.
-///
-/// Results come back in input order and each equals what a standalone
-/// [`simulate`] call would have returned: the event engine is
-/// deterministic and every job owns its state, so fan-out is purely an
-/// execution concern.
-pub fn simulate_batch<T>(
-    g: &T,
-    jobs: &[SimJob],
-    pool: &mmdiag_exec::Pool,
-) -> Vec<Result<SimReport, SimError>>
-where
-    T: Partitionable + Sync + ?Sized,
-{
-    pool.map(jobs, |_, (timeline, latency)| {
-        simulate(g, timeline, latency)
-    })
-}
-
 /// Cost of one part's restricted probe, in synchronous rounds and messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProbeCost {
@@ -189,41 +163,7 @@ fn bfs_depth<T: Topology + ?Sized>(g: &T, src: NodeId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdiag_syndrome::{FaultSet, TesterBehavior};
     use mmdiag_topology::families::{Hypercube, StarGraph};
-
-    #[test]
-    fn simulate_batch_equals_individual_runs() {
-        let g = Hypercube::new(7);
-        let pool = mmdiag_exec::Pool::new(4);
-        let jobs: Vec<SimJob> = (0..6u64)
-            .map(|i| {
-                let faults = FaultSet::new(128, &[i as usize, 100 - i as usize]);
-                let timeline =
-                    FaultTimeline::static_faults(faults, TesterBehavior::Random { seed: i });
-                let latency = if i % 2 == 0 {
-                    LatencyModel::Unit
-                } else {
-                    LatencyModel::SeededRandom {
-                        seed: i,
-                        min: 1,
-                        max: 5,
-                    }
-                };
-                (timeline, latency)
-            })
-            .collect();
-        let batched = simulate_batch(&g, &jobs, &pool);
-        assert_eq!(batched.len(), jobs.len());
-        for ((timeline, latency), got) in jobs.iter().zip(&batched) {
-            let want = simulate(&g, timeline, latency).unwrap();
-            let got = got.as_ref().unwrap();
-            assert_eq!(got.faults, want.faults);
-            assert_eq!(got.certified_part, want.certified_part);
-            assert_eq!(got.total_time, want.total_time);
-            assert_eq!(got.events_delivered, want.events_delivered);
-        }
-    }
 
     #[test]
     fn hypercube_part_probe_is_subcube_flood() {
