@@ -3,19 +3,18 @@
 //! Every other bench axis measures one session at a time; this one
 //! measures the *fleet* story ISSUE 9 adds — several sessions on separate
 //! threads, all attached to the process-wide
-//! [`mmdiag_trace::MetricsHub`], all contending for the shared
-//! [`mmdiag_exec`] pool with sync-layer contention profiling switched on.
-//! The record rolls up:
+//! [`mmdiag_trace::MetricsHub`], all contending for one shared
+//! [`mmdiag_exec`] pool that profiles its own synchronisation
+//! ([`Pool::new_profiled`]). The record rolls up:
 //!
 //! * **throughput** — diagnoses per second across the whole fleet, wall
 //!   clock from first spawn to last join;
 //! * **latency** — a per-diagnosis wall-time histogram (p50/p90/p99 via
 //!   the shared log-bucket [`Histogram`]), every session recording into
 //!   one cell;
-//! * **contention** — the sync facade's lock-wait and condvar-park
-//!   histograms over exactly this window
-//!   ([`HistogramSummary::delta_since`] against a pre-run snapshot) plus
-//!   the queue-depth high-water gauges;
+//! * **contention** — the fleet pool's lock-wait and condvar-park
+//!   histograms (fresh cells, so they cover exactly this window) plus the
+//!   queue-depth high-water gauges;
 //! * **correctness** — every diagnosis (timed runs and batched
 //!   submissions alike) is cross-checked against its planted fault set,
 //!   and the count of disagreements rides on the record;
@@ -34,13 +33,15 @@ use crate::{best_of, scatter_faults, within_regression_tolerance};
 use mmdiag::syndrome::{OracleSyndrome, TesterBehavior};
 use mmdiag::topology::families::{CrossedCube, Hypercube, Pancake, StarGraph};
 use mmdiag::{BatchJob, Diagnoser};
+use mmdiag_exec::{Pool, SyncStats};
 use mmdiag_trace::clock;
-use mmdiag_trace::{Histogram, HistogramSummary};
+use mmdiag_trace::{Histogram, HistogramSummary, MetricsHub, MetricsRegistry};
 use std::sync::Arc;
 
 /// The overhead verdict: a fully observed session (tracing + hub
-/// attachment + contention profiling) timed against the bare session on
-/// the same small instance, under the sweep's own regression tolerance.
+/// attachment + a profiled pool) timed against a bare session on a bare
+/// pool of the same width, same small instance, under the sweep's own
+/// regression tolerance.
 #[derive(Clone, Debug)]
 pub struct OverheadGuard {
     /// Best-of-reps wall time of the uninstrumented run.
@@ -72,9 +73,9 @@ pub struct ThroughputRecord {
     /// Per-diagnosis wall time (timed `run` calls only — batch
     /// submissions amortise their timing and would skew the quantiles).
     pub latency_ns: HistogramSummary,
-    /// Sync-facade lock-acquire wait time over exactly this window.
+    /// The fleet pool's lock-acquire wait time.
     pub lock_wait_ns: HistogramSummary,
-    /// Sync-facade condvar park time over exactly this window.
+    /// The fleet pool's condvar park time.
     pub park_ns: HistogramSummary,
     /// High-water mark of the pool's injector queue depth gauge.
     pub injector_depth_peak: u64,
@@ -93,9 +94,9 @@ const RUNS_PER_ROUND: usize = 3;
 const BATCH_JOBS: usize = 2;
 
 /// Build session `i`'s diagnoser: instance family by `i % 4`, backend
-/// pooled (the fleet contends for the shared global pool — the point),
+/// pooled on `pool` (the whole fleet contends for it — the point),
 /// verification policy by `i % 3`, hub-attached as `"throughput-{i}"`.
-fn fleet_session(i: usize) -> Diagnoser<'static> {
+fn fleet_session(i: usize, pool: &Pool) -> Diagnoser<'_> {
     let session = match i % 4 {
         0 => Diagnoser::cached(&Hypercube::new(7)),
         1 => Diagnoser::cached(&CrossedCube::new(7)),
@@ -107,14 +108,14 @@ fn fleet_session(i: usize) -> Diagnoser<'static> {
         1 => session.verify_sampled(2, 11 + i as u64),
         _ => session.verify_full(),
     };
-    session.pooled().stats(&format!("throughput-{i}"))
+    session.pooled_on(pool).stats(&format!("throughput-{i}"))
 }
 
 /// Run one fleet session to completion: `rounds` rounds of individually
 /// timed runs plus one batched submission, every outcome cross-checked
 /// against its planted fault set. Returns (diagnoses, disagreements).
-fn run_fleet_session(i: usize, rounds: usize, latency: Arc<Histogram>) -> (u64, u64) {
-    let session = fleet_session(i);
+fn run_fleet_session(i: usize, rounds: usize, pool: &Pool, latency: Arc<Histogram>) -> (u64, u64) {
+    let session = fleet_session(i, pool);
     let n = session.topology().node_count();
     let bound = session.topology().driver_fault_bound();
     let fault_count = bound.clamp(1, 3);
@@ -159,30 +160,33 @@ fn run_fleet_session(i: usize, rounds: usize, latency: Arc<Histogram>) -> (u64, 
 }
 
 /// Run the `--throughput` fleet axis: 4 (`quick`) or 8 concurrent
-/// sessions on separate named threads, contention profiling forced on
-/// for the window (restored afterwards), all contention deltas scoped to
-/// exactly this window. Includes the [`overhead_guard`] verdict.
+/// sessions on separate named threads, all on one profiled pool whose
+/// contention cells are fresh for this window and attached to the hub as
+/// `"throughput-sync"` while it runs. Includes the [`overhead_guard`]
+/// verdict.
 pub fn run_throughput(quick: bool) -> ThroughputRecord {
-    // The overhead guard runs *before* the fleet window so its bare leg
-    // is not polluted by leftover profiling state.
     let overhead = overhead_guard();
 
     let sessions = if quick { 4 } else { 8 };
     let rounds = if quick { 2 } else { 3 };
 
-    let was_profiling = mmdiag_exec::contention_enabled();
-    mmdiag_exec::set_contention_profiling(true);
-    let sync = mmdiag_exec::sync_stats();
-    let lock_before = sync.lock_wait_ns.snapshot();
-    let park_before = sync.park_ns.snapshot();
+    let sync = Arc::new(SyncStats::new());
+    let pool = Arc::new(Pool::new_profiled(
+        mmdiag_exec::default_threads(),
+        Arc::clone(&sync),
+    ));
+    let registry = Arc::new(MetricsRegistry::new());
+    sync.register_into(&registry);
+    let hub_attachment = MetricsHub::global().attach("throughput-sync", registry);
 
     let latency = Arc::new(Histogram::new());
     let t0 = clock::now_ns();
     let handles: Vec<_> = (0..sessions)
         .map(|i| {
             let latency = Arc::clone(&latency);
+            let pool = Arc::clone(&pool);
             mmdiag_exec::sync::thread::spawn_named(format!("throughput-{i}"), move || {
-                run_fleet_session(i, rounds, latency)
+                run_fleet_session(i, rounds, &pool, latency)
             })
             .expect("spawn fleet session thread")
         })
@@ -195,10 +199,9 @@ pub fn run_throughput(quick: bool) -> ThroughputRecord {
         disagreements += bad;
     }
     let wall_nanos = u128::from(clock::now_ns().saturating_sub(t0)).max(1);
+    drop(hub_attachment);
 
-    let lock_wait_ns = sync.lock_wait_ns.snapshot().delta_since(&lock_before);
-    let park_ns = sync.park_ns.snapshot().delta_since(&park_before);
-    let record = ThroughputRecord {
+    ThroughputRecord {
         sessions,
         rounds,
         jobs_per_round: RUNS_PER_ROUND + BATCH_JOBS,
@@ -206,43 +209,39 @@ pub fn run_throughput(quick: bool) -> ThroughputRecord {
         wall_nanos,
         diagnoses_per_sec: total_diagnoses as f64 * 1e9 / wall_nanos as f64,
         latency_ns: latency.snapshot(),
-        lock_wait_ns,
-        park_ns,
+        lock_wait_ns: sync.lock_wait_ns.snapshot(),
+        park_ns: sync.park_ns.snapshot(),
         injector_depth_peak: sync.injector_depth.max(),
         deque_depth_peak: sync.deque_depth.max(),
         disagreements,
         overhead,
-    };
-    if !was_profiling {
-        mmdiag_exec::set_contention_profiling(false);
     }
-    record
 }
 
-/// Time one small-instance diagnosis bare (no tracing, contention
-/// profiling off) and once fully instrumented (tracing session, hub
-/// attachment, contention profiling on), best-of-reps each, and apply
-/// the sweep's own `no_regression` verdict. Restores the profiling flag
-/// it found.
+/// Time one small-instance diagnosis bare (no tracing, on a bare pool)
+/// and once fully instrumented (tracing session, hub attachment, on a
+/// profiled pool of the same width), best-of-reps each, and apply the
+/// sweep's own `no_regression` verdict.
 pub fn overhead_guard() -> OverheadGuard {
-    let was_profiling = mmdiag_exec::contention_enabled();
     let g = Hypercube::new(7);
     let faults = scatter_faults(128, 3, 0xBEEF);
     let expected = faults.members().to_vec();
     let s = OracleSyndrome::new(faults, TesterBehavior::AllZero);
+    let threads = mmdiag_exec::default_threads();
 
-    mmdiag_exec::set_contention_profiling(false);
-    let bare_session = Diagnoser::new(&g).pooled();
+    let bare_pool = Pool::new(threads);
+    let bare_session = Diagnoser::new(&g).pooled_on(&bare_pool);
     let (bare_nanos, report) = best_of(|| bare_session.run(&s).expect("bare run diagnoses"));
     assert_eq!(report.diagnosis.faults, expected, "bare run agrees");
 
-    mmdiag_exec::set_contention_profiling(true);
-    let instrumented = Diagnoser::new(&g).pooled().stats("overhead-guard");
+    let profiled_pool = Pool::new_profiled(threads, Arc::new(SyncStats::new()));
+    let instrumented = Diagnoser::new(&g)
+        .pooled_on(&profiled_pool)
+        .stats("overhead-guard");
     let (instrumented_nanos, report) =
         best_of(|| instrumented.run(&s).expect("instrumented run diagnoses"));
     assert_eq!(report.diagnosis.faults, expected, "instrumented run agrees");
 
-    mmdiag_exec::set_contention_profiling(was_profiling);
     OverheadGuard {
         bare_nanos,
         instrumented_nanos,
@@ -254,13 +253,8 @@ pub fn overhead_guard() -> OverheadGuard {
 mod tests {
     use super::*;
 
-    /// Both tests toggle the process-wide contention-profiling flag —
-    /// serialise them so neither observes the other's window.
-    static FLEET_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn instrumentation_overhead_stays_within_the_sweep_tolerance() {
-        let _flag = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let guard = overhead_guard();
         assert!(guard.bare_nanos > 0 && guard.instrumented_nanos > 0);
         assert!(
@@ -273,7 +267,6 @@ mod tests {
 
     #[test]
     fn quick_fleet_reports_throughput_and_no_disagreements() {
-        let _flag = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let rec = run_throughput(true);
         assert_eq!(rec.sessions, 4);
         assert_eq!(
@@ -283,8 +276,8 @@ mod tests {
         assert_eq!(rec.disagreements, 0, "fleet diagnoses all agree");
         assert!(rec.diagnoses_per_sec > 0.0);
         assert_eq!(rec.latency_ns.count, (rec.sessions * rec.rounds * 3) as u64);
-        // Contention profiling was on for the window: the pooled backend
-        // takes the injector lock at least once per diagnosis.
+        // The fleet pool profiles its own queues: the pooled backend takes
+        // the injector lock at least once per diagnosis.
         assert!(rec.lock_wait_ns.count > 0, "lock-wait histogram populated");
     }
 }

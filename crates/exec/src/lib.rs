@@ -38,12 +38,15 @@
 //! uninstrumented pool carries no counters at all and its hot path is
 //! unchanged.
 //!
-//! The [`mod@sync`] facade additionally profiles **contention** when
-//! [`set_contention_profiling`] is on (instrumented pools turn it on):
-//! lock-acquire waits, condvar park durations and injector/deque queue
-//! depths land in the process-wide [`sync_stats`] cells, which any
-//! `mmdiag-trace` registry can adopt and the [`stats`] sampler thread
-//! (driven by the `MMDIAG_STATS` knob) can stream as JSON lines.
+//! A *profiled* pool ([`Pool::new_profiled`], or any pool when the
+//! `MMDIAG_TRACE` knob is set) additionally records the **contention** of
+//! its own synchronisation through the [`mod@sync`] facade: lock-acquire
+//! waits, condvar park durations and injector/deque queue depths land in
+//! the [`SyncStats`] cells it was built with (the process-level
+//! [`sync_stats`] under the knob), which any `mmdiag-trace` registry can
+//! adopt and the [`stats`] sampler thread (driven by the `MMDIAG_STATS`
+//! knob) can stream as JSON lines. No process-wide switch exists: other
+//! pools and primitives are unaffected.
 //!
 //! ## Correctness tooling
 //!
@@ -89,7 +92,7 @@ pub use pool::{Pool, PoolStats, WorkerStats};
 pub use scope::Scope;
 #[cfg(not(feature = "model"))]
 pub use stats::{start_stats_reporter, ReporterHandle};
-pub use sync::{contention_enabled, set_contention_profiling, sync_stats, SyncStats};
+pub use sync::{sync_stats, SyncStats};
 
 use std::sync::OnceLock;
 

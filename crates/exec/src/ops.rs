@@ -54,7 +54,10 @@ impl Pool {
             return Vec::new();
         }
         let chunk = self.chunk_for(n);
-        let pieces: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::with_capacity(n.div_ceil(chunk)));
+        let pieces: Mutex<Vec<(usize, Vec<U>)>> = Mutex::with_stats(
+            Vec::with_capacity(n.div_ceil(chunk)),
+            self.contention().cloned(),
+        );
         {
             let f = &f;
             let pieces = &pieces;

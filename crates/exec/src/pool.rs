@@ -17,7 +17,7 @@
 
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::thread::JoinHandle;
-use crate::sync::{Arc, Condvar, Mutex};
+use crate::sync::{Arc, Condvar, Mutex, SyncStats};
 use mmdiag_trace::{bucket_index, clock, HistogramSummary, BUCKETS};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -54,6 +54,9 @@ pub(crate) struct Shared {
     /// (which never enable stats) explore exactly the same state space
     /// as before this field existed.
     stats: Option<Stats>,
+    /// Where this pool's queues, parking and scopes record contention;
+    /// `None` on an unprofiled pool.
+    contention: Option<Arc<SyncStats>>,
 }
 
 /// The counter block of an instrumented pool. All cells go through the
@@ -205,10 +208,8 @@ impl Shared {
         }
         let mut injector = self.injector.lock().unwrap();
         if let Some(t) = injector.pop_front() {
-            if crate::sync::contention_enabled() {
-                crate::sync::sync_stats()
-                    .injector_depth
-                    .set(injector.len() as u64);
+            if let Some(c) = &self.contention {
+                c.injector_depth.set(injector.len() as u64);
             }
             drop(injector);
             if let Some(st) = &self.stats {
@@ -311,40 +312,48 @@ pub struct Pool {
 
 impl Pool {
     /// Spawn a pool with `threads` workers (clamped to at least 1).
-    /// Instrumented when the `MMDIAG_TRACE` knob is set, bare otherwise.
-    /// The knob also turns on process-wide contention profiling
-    /// ([`crate::sync::set_contention_profiling`]) — one `export` lights
-    /// up worker stats *and* the sync-layer histograms together.
-    /// ([`Pool::new_instrumented`] deliberately does not touch the global
-    /// flag: tests and the bench toggle it explicitly around the window
-    /// they measure.)
+    /// Bare unless the `MMDIAG_TRACE` knob is set; then it is instrumented
+    /// and profiles its contention into the process-level
+    /// [`crate::sync_stats`] cells — one `export` lights up worker stats
+    /// *and* the sync-layer histograms together.
     pub fn new(threads: usize) -> Self {
-        let instrument = crate::config::knobs().trace;
-        if instrument {
-            crate::sync::set_contention_profiling(true);
-        }
-        Pool::with_stats(threads, instrument)
+        let trace = crate::config::knobs().trace;
+        Pool::with_stats(
+            threads,
+            trace,
+            trace.then(|| Arc::clone(crate::sync::sync_stats())),
+        )
     }
 
     /// Spawn an instrumented pool regardless of the `MMDIAG_TRACE` knob
     /// — what the bench `--profile` leg and the profiling example use.
     pub fn new_instrumented(threads: usize) -> Self {
-        Pool::with_stats(threads, true)
+        Pool::with_stats(threads, true, None)
     }
 
-    fn with_stats(threads: usize, instrument: bool) -> Self {
+    /// Spawn an instrumented pool that also records the lock waits, park
+    /// durations and queue depths of its own synchronisation (queues,
+    /// parking, scopes) into `contention`. Other pools and primitives in
+    /// the process are unaffected.
+    pub fn new_profiled(threads: usize, contention: Arc<SyncStats>) -> Self {
+        Pool::with_stats(threads, true, Some(contention))
+    }
+
+    fn with_stats(threads: usize, instrument: bool, contention: Option<Arc<SyncStats>>) -> Self {
         let threads = threads.max(1);
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
+        let queue = || Mutex::with_stats(VecDeque::new(), contention.clone());
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
+            injector: queue(),
+            deques: (0..threads).map(|_| queue()).collect(),
+            sleep: Mutex::with_stats((), contention.clone()),
+            wake: Condvar::with_stats(contention.clone()),
             sleepers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             stats: instrument.then(|| Stats {
                 workers: (0..threads).map(|_| WorkerCounters::new()).collect(),
             }),
+            contention,
         });
         let handles = (0..threads)
             .map(|idx| {
@@ -372,6 +381,12 @@ impl Pool {
     /// their thread-local identity).
     pub(crate) fn pool_id(&self) -> usize {
         self.id
+    }
+
+    /// Where this pool records contention, for the primitives its scopes
+    /// and parallel operations create; `None` on an unprofiled pool.
+    pub(crate) fn contention(&self) -> Option<&Arc<SyncStats>> {
+        self.shared.contention.as_ref()
     }
 
     /// The shared state, for spawned closures to instrument themselves
@@ -403,19 +418,15 @@ impl Pool {
             Some(idx) => {
                 let mut deque = self.shared.deques[idx].lock().unwrap();
                 deque.push_back(task);
-                if crate::sync::contention_enabled() {
-                    crate::sync::sync_stats()
-                        .deque_depth
-                        .set(deque.len() as u64);
+                if let Some(c) = &self.shared.contention {
+                    c.deque_depth.set(deque.len() as u64);
                 }
             }
             None => {
                 let mut injector = self.shared.injector.lock().unwrap();
                 injector.push_back(task);
-                if crate::sync::contention_enabled() {
-                    crate::sync::sync_stats()
-                        .injector_depth
-                        .set(injector.len() as u64);
+                if let Some(c) = &self.shared.contention {
+                    c.injector_depth.set(injector.len() as u64);
                 }
             }
         }

@@ -98,13 +98,14 @@ impl Pool {
     where
         F: FnOnce(&Scope<'_, 'env>) -> R,
     {
+        let contention = self.contention();
         let scope = Scope {
             pool: self,
             state: Arc::new(ScopeState {
                 pending: AtomicUsize::new(0),
-                panic: Mutex::new(None),
-                lock: Mutex::new(()),
-                done: Condvar::new(),
+                panic: Mutex::with_stats(None, contention.cloned()),
+                lock: Mutex::with_stats((), contention.cloned()),
+                done: Condvar::with_stats(contention.cloned()),
             }),
             env: PhantomData,
         };

@@ -12,23 +12,25 @@
 //! On top of whichever implementation is active, [`Mutex`] and
 //! [`Condvar`] are thin wrappers that can profile contention:
 //!
-//! * [`Mutex::lock`] records the acquire wait into a process-wide
-//!   lock-wait histogram ([`SyncStats::lock_wait_ns`]);
-//! * [`Condvar::wait`] records the park duration into a park-duration
-//!   histogram ([`SyncStats::park_ns`]);
-//! * the pool updates injector/deque queue-depth gauges at its push/pop
-//!   sites ([`SyncStats::injector_depth`] / [`SyncStats::deque_depth`]).
+//! * a [`Mutex::profiled`] mutex records each acquire wait into its
+//!   [`SyncStats::lock_wait_ns`] histogram;
+//! * a [`Condvar::profiled`] condvar records each park duration into
+//!   [`SyncStats::park_ns`];
+//! * a profiled pool updates injector/deque queue-depth gauges at its
+//!   push/pop sites ([`SyncStats::injector_depth`] /
+//!   [`SyncStats::deque_depth`]).
 //!
-//! Profiling is **off by default** and gated by one process-wide flag
-//! ([`set_contention_profiling`]): the disabled path costs a single
-//! relaxed atomic load before delegating to the raw primitive — no clock
-//! read, no histogram touch. The flag and the stats cells are plain
-//! `std` atomics even under the `model` feature (they are observability,
-//! not protocol state), so enabling profiling adds **no scheduling
-//! points**: the interleaving explorer drives exactly the same state
-//! space either way, and the recorded *counts* are schedule-independent
-//! whenever the protocol's lock/wait counts are (asserted across ≥500
-//! interleavings in `tests/model.rs`).
+//! Profiling is a property of the primitive, fixed at construction: a
+//! pool built with [`crate::Pool::new_profiled`] (or any pool while the
+//! `MMDIAG_TRACE` knob is set) profiles its own queues, parking and
+//! scopes, and nothing else in the process changes. A plain primitive
+//! pays one `Option` check per operation — no clock read, no histogram
+//! touch. The stats cells are plain `std` atomics even under the `model`
+//! feature (they are observability, not protocol state), so profiling
+//! adds **no scheduling points**: the interleaving explorer drives
+//! exactly the same state space either way, and the recorded *counts*
+//! are schedule-independent whenever the protocol's lock/wait counts are
+//! (asserted across ≥500 interleavings in `tests/model.rs`).
 //!
 //! Rules of the facade:
 //!
@@ -96,10 +98,10 @@ pub type LockResult<G> = std::sync::LockResult<G>;
 #[cfg(feature = "model")]
 pub type LockResult<G> = Result<G, std::convert::Infallible>;
 
-/// The process-wide contention stats the facade records into. All cells
-/// are `mmdiag-trace` metrics, `Arc`-held so the bench, the umbrella
-/// session and the [`mmdiag_trace::MetricsHub`] can adopt the *same*
-/// cells into registries (one tally, many readers).
+/// A block of contention stats profiled primitives record into. All
+/// cells are `mmdiag-trace` metrics, `Arc`-held so the bench, the
+/// umbrella session and the [`mmdiag_trace::MetricsHub`] can adopt the
+/// *same* cells into registries (one tally, many readers).
 pub struct SyncStats {
     /// Time from requesting a [`Mutex`] lock to holding it, nanoseconds.
     pub lock_wait_ns: Arc<Histogram>,
@@ -112,9 +114,7 @@ pub struct SyncStats {
 }
 
 impl SyncStats {
-    /// A fresh, empty stats block. The process normally records into the
-    /// shared [`sync_stats`] block; tests (and the model suite's
-    /// `profiled` primitives) create their own for isolation.
+    /// A fresh, empty stats block.
     pub fn new() -> Self {
         SyncStats {
             lock_wait_ns: Arc::new(Histogram::new()),
@@ -140,76 +140,43 @@ impl Default for SyncStats {
     }
 }
 
-/// The contention-profiling flag. Deliberately a *std* atomic in both
-/// cfg modes: reading it must never be a model scheduling point, or
-/// enabling profiling would change the explored state space.
-static CONTENTION: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Whether facade primitives currently record contention stats. This is
-/// the one load the disabled hot path pays.
-#[inline]
-pub fn contention_enabled() -> bool {
-    CONTENTION.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Turn contention profiling on or off, process-wide and immediately —
-/// existing mutexes/condvars (the global pool included) start or stop
-/// recording on their next operation. The stats are cumulative while
-/// enabled; diff snapshots ([`mmdiag_trace::HistogramSummary::delta_since`])
-/// to attribute them to one window.
-pub fn set_contention_profiling(on: bool) {
-    CONTENTION.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The process-wide [`SyncStats`], created on first use.
-pub fn sync_stats() -> &'static SyncStats {
-    static STATS: OnceLock<SyncStats> = OnceLock::new();
-    STATS.get_or_init(SyncStats::new)
+/// The process-level [`SyncStats`] that pools built while the
+/// `MMDIAG_TRACE` knob is set record into, created on first use.
+pub fn sync_stats() -> &'static Arc<SyncStats> {
+    static STATS: OnceLock<Arc<SyncStats>> = OnceLock::new();
+    STATS.get_or_init(|| Arc::new(SyncStats::new()))
 }
 
 /// A mutex behind the facade: the active implementation's mutex plus
 /// optional lock-wait profiling (see the module docs).
 pub struct Mutex<T> {
     inner: imp::Mutex<T>,
-    /// Model builds only: an explicit per-instance stats override, so
-    /// the schedule-independence tests can count *their* protocol's
-    /// operations in isolation from every other test's facade traffic.
-    #[cfg(feature = "model")]
+    /// Where lock waits are recorded; `None` for a plain mutex.
     stats: Option<Arc<SyncStats>>,
 }
 
 impl<T> Mutex<T> {
-    /// Create a facade mutex holding `t`.
+    /// Create a plain facade mutex holding `t`.
     pub fn new(t: T) -> Self {
-        Mutex {
-            inner: imp::Mutex::new(t),
-            #[cfg(feature = "model")]
-            stats: None,
-        }
+        Mutex::with_stats(t, None)
     }
 
-    /// Model builds only: a mutex that records every lock acquire into
-    /// `stats` unconditionally (no global flag involved).
-    #[cfg(feature = "model")]
+    /// A mutex that records every lock acquire's wait into `stats`.
     pub fn profiled(t: T, stats: Arc<SyncStats>) -> Self {
+        Mutex::with_stats(t, Some(stats))
+    }
+
+    /// A profiled mutex when `stats` is given, else a plain one.
+    pub(crate) fn with_stats(t: T, stats: Option<Arc<SyncStats>>) -> Self {
         Mutex {
             inner: imp::Mutex::new(t),
-            stats: Some(stats),
+            stats,
         }
     }
 
-    #[inline]
-    fn record_into(&self) -> Option<&SyncStats> {
-        #[cfg(feature = "model")]
-        if let Some(s) = self.stats.as_deref() {
-            return Some(s);
-        }
-        contention_enabled().then(sync_stats)
-    }
-
-    /// Lock, recording the acquire wait when profiling is enabled.
+    /// Lock, recording the acquire wait on a profiled mutex.
     pub fn lock(&self) -> LockResult<imp::MutexGuard<'_, T>> {
-        let Some(stats) = self.record_into() else {
+        let Some(stats) = self.stats.as_deref() else {
             return self.inner.lock();
         };
         let start = clock::now_ns();
@@ -236,44 +203,33 @@ impl<T: Default> Default for Mutex<T> {
 /// optional park-duration profiling.
 pub struct Condvar {
     inner: imp::Condvar,
-    /// See [`Mutex::stats`].
-    #[cfg(feature = "model")]
+    /// Where park durations are recorded; `None` for a plain condvar.
     stats: Option<Arc<SyncStats>>,
 }
 
 impl Condvar {
-    /// Create a facade condvar.
+    /// Create a plain facade condvar.
     pub fn new() -> Self {
-        Condvar {
-            inner: imp::Condvar::new(),
-            #[cfg(feature = "model")]
-            stats: None,
-        }
+        Condvar::with_stats(None)
     }
 
-    /// Model builds only: a condvar that records every park into
-    /// `stats` unconditionally.
-    #[cfg(feature = "model")]
+    /// A condvar that records every park's duration into `stats`.
     pub fn profiled(stats: Arc<SyncStats>) -> Self {
-        Condvar {
-            inner: imp::Condvar::new(),
-            stats: Some(stats),
-        }
+        Condvar::with_stats(Some(stats))
     }
 
-    #[inline]
-    fn record_into(&self) -> Option<&SyncStats> {
-        #[cfg(feature = "model")]
-        if let Some(s) = self.stats.as_deref() {
-            return Some(s);
+    /// A profiled condvar when `stats` is given, else a plain one.
+    pub(crate) fn with_stats(stats: Option<Arc<SyncStats>>) -> Self {
+        Condvar {
+            inner: imp::Condvar::new(),
+            stats,
         }
-        contention_enabled().then(sync_stats)
     }
 
     /// Park until notified, releasing `guard` while parked; records the
-    /// park duration when profiling is enabled.
+    /// park duration on a profiled condvar.
     pub fn wait<'a, T>(&self, guard: imp::MutexGuard<'a, T>) -> LockResult<imp::MutexGuard<'a, T>> {
-        let Some(stats) = self.record_into() else {
+        let Some(stats) = self.stats.as_deref() else {
             return self.inner.wait(guard);
         };
         let start = clock::now_ns();
@@ -303,30 +259,29 @@ impl Default for Condvar {
 mod tests {
     use super::*;
 
-    /// Serialises tests that toggle the process-global profiling flag.
-    static FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
-    fn disabled_profiling_records_nothing() {
-        let _guard = FLAG_LOCK.lock().unwrap();
-        set_contention_profiling(false);
-        let before = sync_stats().lock_wait_ns.snapshot().count;
-        let m = Mutex::new(1u32);
+    fn plain_primitives_record_nothing_and_profiled_ones_count_every_acquire() {
+        let stats = Arc::new(SyncStats::new());
+        let plain = Mutex::new(0u32);
+        let profiled = Mutex::profiled(0u32, Arc::clone(&stats));
         for _ in 0..10 {
-            *m.lock().unwrap() += 1;
+            *plain.lock().unwrap() += 1;
         }
-        assert_eq!(*m.lock().unwrap(), 11);
-        assert_eq!(sync_stats().lock_wait_ns.snapshot().count, before);
+        assert_eq!(stats.lock_wait_ns.snapshot().count, 0);
+        for _ in 0..10 {
+            *profiled.lock().unwrap() += 1;
+        }
+        let waits = stats.lock_wait_ns.snapshot();
+        assert_eq!(waits.count, 10, "every acquire on the profiled mutex");
+        assert_eq!(waits.buckets.iter().sum::<u64>(), waits.count);
+        assert_eq!(profiled.into_inner().unwrap(), plain.into_inner().unwrap());
     }
 
     #[test]
-    fn enabled_profiling_counts_every_acquire_and_park() {
-        let _guard = FLAG_LOCK.lock().unwrap();
-        set_contention_profiling(true);
-        let lock_before = sync_stats().lock_wait_ns.snapshot().count;
-        let park_before = sync_stats().park_ns.snapshot().count;
-        let m = Arc::new(Mutex::new(false));
-        let cv = Arc::new(Condvar::new());
+    fn profiled_condvar_records_parks() {
+        let stats = Arc::new(SyncStats::new());
+        let m = Arc::new(Mutex::profiled(false, Arc::clone(&stats)));
+        let cv = Arc::new(Condvar::profiled(Arc::clone(&stats)));
         // One waiter parks until the flag flips.
         let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
         let h = thread::spawn_named("sync-test-waiter".into(), move || {
@@ -343,17 +298,12 @@ mod tests {
         *m.lock().unwrap() = true;
         cv.notify_all();
         h.join().unwrap();
-        set_contention_profiling(false);
-        let locks = sync_stats().lock_wait_ns.snapshot().count - lock_before;
-        // At least: waiter's initial lock, the setter's lock, and the
-        // re-acquire inside every wait (other tests may add more).
-        assert!(locks >= 2, "locks recorded: {locks}");
-        assert!(
-            sync_stats().park_ns.snapshot().count >= park_before,
-            "park histogram must never go backwards"
-        );
-        let s = sync_stats().lock_wait_ns.snapshot();
-        assert_eq!(s.buckets.iter().sum::<u64>(), s.count);
+        // Exactly the waiter's lock and the setter's lock go through the
+        // facade (a wakeup re-acquires inside the condvar). Park counts
+        // depend on the schedule; the histogram must stay consistent.
+        assert_eq!(stats.lock_wait_ns.snapshot().count, 2);
+        let parks = stats.park_ns.snapshot();
+        assert_eq!(parks.buckets.iter().sum::<u64>(), parks.count);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fleet observability in ~60 lines: several [`mmdiag::Diagnoser`]
 //! sessions on separate threads, each attached to the process-wide
-//! [`MetricsHub`] via [`Diagnoser::stats`], with the sync-layer
-//! contention profiler on and the `mmdiag-stats` sampler streaming
+//! [`MetricsHub`] via [`Diagnoser::stats`], sharing one pool that
+//! profiles its own contention, with the `mmdiag-stats` sampler streaming
 //! merged hub deltas to stderr while the fleet runs.
 //!
 //! ```text
@@ -13,14 +13,23 @@
 
 use mmdiag::syndrome::{OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
-use mmdiag::trace::{MetricValue, MetricsHub};
+use mmdiag::trace::{MetricValue, MetricsHub, MetricsRegistry};
 use mmdiag::{exec, Diagnoser};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    // Lock-wait / condvar-park / queue-depth cells fill only while this
-    // is on (one relaxed atomic load per acquire when off).
-    exec::set_contention_profiling(true);
+    // One pool for the whole fleet, recording the lock waits, parks and
+    // queue depths of its own synchronisation into cells the hub shows
+    // as the "fleet-sync" session.
+    let contention = Arc::new(exec::SyncStats::new());
+    let registry = Arc::new(MetricsRegistry::new());
+    contention.register_into(&registry);
+    let _sync = MetricsHub::global().attach("fleet-sync", registry);
+    let pool = Arc::new(exec::Pool::new_profiled(
+        exec::default_threads(),
+        contention,
+    ));
 
     // Periodic JSON-lines deltas of everything attached to the hub —
     // the MMDIAG_STATS knob picks this interval for the bench binary.
@@ -33,11 +42,14 @@ fn main() {
 
     let fleet: Vec<_> = (0..3u64)
         .map(|i| {
+            let pool = Arc::clone(&pool);
             exec::sync::thread::spawn_named(format!("probe-{i}"), move || {
                 let g = Hypercube::new(7);
                 // `.stats()` implies tracing and registers this session's
                 // metrics (oracle lookups included) on the hub until drop.
-                let session = Diagnoser::cached(&g).pooled().stats(&format!("probe-{i}"));
+                let session = Diagnoser::cached(&g)
+                    .pooled_on(&pool)
+                    .stats(&format!("probe-{i}"));
                 let s = OracleSyndrome::new(
                     mmdiag::syndrome::FaultSet::new(128, &[3, 64, 90 + i as usize]),
                     TesterBehavior::Random { seed: 9 + i },

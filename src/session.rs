@@ -421,12 +421,13 @@ impl<'g> Diagnoser<'g> {
     /// the `Diagnoser` is dropped.
     ///
     /// The first `stats` call in a process also attaches the executor's
-    /// contention cells (`sync.lock_wait_ns`, `sync.park_ns`,
-    /// `sync.injector_depth`, `sync.deque_depth`) to the hub as one
-    /// process-level `"sync"` pseudo-session — once, not per session,
-    /// so hub merges never double-count the shared cells. The cells
-    /// only fill while `mmdiag_exec::set_contention_profiling(true)`
-    /// (or the `MMDIAG_TRACE` knob) has profiling on.
+    /// process-level contention cells (`sync.lock_wait_ns`,
+    /// `sync.park_ns`, `sync.injector_depth`, `sync.deque_depth`) to the
+    /// hub as one `"sync"` pseudo-session — once, not per session, so hub
+    /// merges never double-count the shared cells. Pools built while the
+    /// `MMDIAG_TRACE` knob is set (the global pool included) record into
+    /// them; a pool from `Pool::new_profiled` records into the cells its
+    /// caller passes instead.
     ///
     /// Call `stats` *after* [`Diagnoser::trace`]: `trace` replaces the
     /// tracer (and its registry), which would strand an earlier
