@@ -64,10 +64,9 @@ fn find_token(line: &str, tok: &str) -> Option<usize> {
     None
 }
 
-/// Blank comments (always) and string/char contents (unless
-/// `keep_strings`) while preserving the exact line structure, so line
-/// numbers in the result match the input.
-fn code_view(src: &str, keep_strings: bool) -> String {
+/// Blank comments and string/char contents while preserving the exact
+/// line structure, so line numbers in the result match the input.
+fn code_view(src: &str) -> String {
     let b: Vec<char> = src.chars().collect();
     let mut out = String::with_capacity(src.len());
     let mut i = 0;
@@ -141,11 +140,7 @@ fn code_view(src: &str, keep_strings: bool) -> String {
                             i += 1 + hashes;
                             break;
                         }
-                        if keep_strings {
-                            out.push(b[i]);
-                        } else {
-                            push_masked(&mut out, b[i]);
-                        }
+                        push_masked(&mut out, b[i]);
                         i += 1;
                     }
                     continue;
@@ -158,13 +153,8 @@ fn code_view(src: &str, keep_strings: bool) -> String {
             i += 1;
             while i < b.len() {
                 if b[i] == '\\' && i + 1 < b.len() {
-                    if keep_strings {
-                        out.push(b[i]);
-                        out.push(b[i + 1]);
-                    } else {
-                        push_masked(&mut out, b[i]);
-                        push_masked(&mut out, b[i + 1]);
-                    }
+                    push_masked(&mut out, b[i]);
+                    push_masked(&mut out, b[i + 1]);
                     i += 2;
                     continue;
                 }
@@ -173,11 +163,7 @@ fn code_view(src: &str, keep_strings: bool) -> String {
                     i += 1;
                     break;
                 }
-                if keep_strings {
-                    out.push(b[i]);
-                } else {
-                    push_masked(&mut out, b[i]);
-                }
+                push_masked(&mut out, b[i]);
                 i += 1;
             }
             continue;
@@ -294,7 +280,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
         return Vec::new();
     }
     let mut findings = Vec::new();
-    let code = code_view(src, false);
+    let code = code_view(src);
     let code_lines: Vec<&str> = code.lines().collect();
     let raw_lines: Vec<&str> = src.lines().collect();
     let mask = test_mod_mask(&code);
