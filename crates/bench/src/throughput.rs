@@ -29,7 +29,9 @@
 //! fleet contention with homogeneous sessions would under-represent the
 //! lock-hold-time variance the profiler exists to expose.
 
-use crate::{scatter_faults, within_regression_tolerance, TIMING_REPS};
+use crate::{
+    interleaved_floors, scatter_faults, within_regression_tolerance, MAX_FLOOR_PAIRS, TIMING_REPS,
+};
 use mmdiag::syndrome::{OracleSyndrome, TesterBehavior};
 use mmdiag::topology::families::{CrossedCube, Hypercube, Pancake, StarGraph};
 use mmdiag::topology::NodeId;
@@ -219,20 +221,15 @@ pub fn run_throughput(quick: bool) -> ThroughputRecord {
     }
 }
 
-/// Most bare/instrumented pairs the overhead guard times before it
-/// settles on a failing verdict.
-const MAX_GUARD_PAIRS: usize = 40;
-
 /// Time one small-instance diagnosis bare (no tracing, on a bare pool)
 /// and fully instrumented (tracing session, hub attachment, on a profiled
 /// pool of the same width), and apply the sweep's own `no_regression`
 /// verdict to the two floors.
 ///
-/// The legs run in interleaved pairs, each keeping its fastest run — the
-/// sweep's protocol for sub-cutover cells: drift from a busy sibling
-/// (other tests, another fleet) lands on both legs, and while the verdict
-/// fails, further pairs tighten both floors, so only a genuinely slower
-/// instrumented path still fails.
+/// The legs run as the sweep's interleaved floors: drift from a busy
+/// sibling (other tests, another fleet) lands on both legs, and while the
+/// verdict fails, further pairs tighten both floors, so only a genuinely
+/// slower instrumented path still fails.
 pub fn overhead_guard() -> OverheadGuard {
     let g = Hypercube::new(7);
     let faults = scatter_faults(128, 3, 0xBEEF);
@@ -247,14 +244,12 @@ pub fn overhead_guard() -> OverheadGuard {
         .pooled_on(&profiled_pool)
         .stats("overhead-guard");
 
-    let (mut bare_nanos, mut instrumented_nanos) = (u128::MAX, u128::MAX);
-    for pair in 0..MAX_GUARD_PAIRS {
-        if pair >= TIMING_REPS && within_regression_tolerance(instrumented_nanos, bare_nanos) {
-            break;
-        }
-        bare_nanos = bare_nanos.min(timed_run(&bare, &s, &expected));
-        instrumented_nanos = instrumented_nanos.min(timed_run(&instrumented, &s, &expected));
-    }
+    let (bare_nanos, instrumented_nanos) = interleaved_floors(
+        TIMING_REPS,
+        MAX_FLOOR_PAIRS,
+        || timed_run(&bare, &s, &expected),
+        || timed_run(&instrumented, &s, &expected),
+    );
 
     OverheadGuard {
         bare_nanos,

@@ -26,8 +26,8 @@
 //! probed depends on scheduling.
 
 use crate::set_builder::Workspace;
-use mmdiag_exec::sync::Mutex;
-use mmdiag_exec::Pool;
+use mmdiag_exec::sync::{Arc, Mutex};
+use mmdiag_exec::{Pool, SyncStats};
 
 /// Default node count below which [`BackendPolicy::Auto`] stays
 /// sequential.
@@ -48,8 +48,7 @@ pub const GROW_CUTOVER_NODES: usize = 1 << 17;
 
 /// The node-count thresholds a session run resolves its execution against.
 /// A plain value carried by [`SessionOptions`](crate::SessionOptions) — set
-/// it per session (`Diagnoser::cutovers` in the umbrella crate) instead of
-/// mutating anything process-wide.
+/// it per run instead of mutating anything process-wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cutovers {
     /// Below this many nodes [`BackendPolicy::Auto`] runs sequentially;
@@ -92,7 +91,7 @@ impl<'p> BackendPolicy<'p> {
     /// The pool this policy runs an instance of `nodes` nodes on, or
     /// `None` for the sequential scan. Only a pooled resolution touches
     /// (and so spawns) the global pool.
-    pub(crate) fn resolve(&self, nodes: usize, cutovers: &Cutovers) -> Option<&'p Pool> {
+    pub fn resolve(&self, nodes: usize, cutovers: &Cutovers) -> Option<&'p Pool> {
         match *self {
             BackendPolicy::Sequential => None,
             BackendPolicy::Pooled(pool) => Some(pool),
@@ -132,10 +131,27 @@ impl WorkspacePool {
     /// Workspace pool for a graph with `nodes` nodes, serving a pool of
     /// `workers` workers (plus any non-worker caller).
     pub fn new(nodes: usize, workers: usize) -> Self {
+        WorkspacePool::with_stats(nodes, workers, None)
+    }
+
+    /// Workspace pool for a graph with `nodes` nodes, serving `pool`: one
+    /// slot per worker, and slot locks that record their acquire waits
+    /// into the pool's contention cells ([`Pool::contention`]). A profiled
+    /// pool's lock-wait histogram then covers the workspace checkouts of
+    /// every run on it.
+    pub fn for_pool(nodes: usize, pool: &Pool) -> Self {
+        WorkspacePool::with_stats(nodes, pool.threads(), pool.contention().cloned())
+    }
+
+    fn with_stats(nodes: usize, workers: usize, stats: Option<Arc<SyncStats>>) -> Self {
         WorkspacePool {
             nodes,
-            slots: (0..workers + 1).map(|_| Mutex::new(None)).collect(),
-            grow_slots: (0..workers + 1).map(|_| Mutex::new(None)).collect(),
+            slots: (0..workers + 1)
+                .map(|_| Mutex::with_stats(None, stats.clone()))
+                .collect(),
+            grow_slots: (0..workers + 1)
+                .map(|_| Mutex::with_stats(None, stats.clone()))
+                .collect(),
         }
     }
 
@@ -232,5 +248,36 @@ mod tests {
         wsp.with(Some(99), |ws| {
             let _ = ws;
         });
+    }
+
+    #[test]
+    fn profiled_workspace_slots_record_every_checkout() {
+        let stats = Arc::new(SyncStats::new());
+        let wsp = WorkspacePool::with_stats(64, 2, Some(Arc::clone(&stats)));
+        for worker in [Some(0), Some(1), None] {
+            wsp.with(worker, |_| {});
+        }
+        wsp.with_grow(Some(0), |_| {});
+        assert_eq!(stats.lock_wait_ns.snapshot().count, 4);
+        // A plain pool's slots record nothing.
+        let plain = WorkspacePool::new(64, 2);
+        plain.with(Some(0), |_| {});
+        assert_eq!(stats.lock_wait_ns.snapshot().count, 4);
+    }
+
+    #[test]
+    fn workspace_pool_for_a_profiled_pool_records_into_its_cells() {
+        let stats = Arc::new(SyncStats::new());
+        let pool = Pool::new_profiled(1, Arc::clone(&stats));
+        let wsp = WorkspacePool::for_pool(64, &pool);
+        // The idle worker's own queue and parking locks record into the
+        // same cells; a round trip through the pool leaves it parked.
+        pool.scope(|_| {});
+        let before = stats.lock_wait_ns.snapshot().count;
+        for _ in 0..8 {
+            wsp.with(None, |_| {});
+        }
+        let timed = stats.lock_wait_ns.snapshot().count - before;
+        assert!(timed >= 8, "every checkout is timed, got {timed}");
     }
 }

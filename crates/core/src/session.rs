@@ -489,15 +489,17 @@ where
     let ws_pool = match ws_pool {
         Some(p) => p,
         None => {
-            owned_ws = WorkspacePool::new(g.node_count(), pool.threads());
+            owned_ws = WorkspacePool::for_pool(g.node_count(), pool);
             &owned_ws
         }
     };
 
     // The lowest certifying part's probe outcome, captured as the lanes
     // run so the certificate needs no re-probe (which would perturb the
-    // lookup accounting).
-    let best: Mutex<Option<(usize, Certificate)>> = Mutex::new(None);
+    // lookup accounting). Its lock is the run's, so it records into the
+    // pool's contention cells like the pool's own locks.
+    let best: Mutex<Option<(usize, Certificate)>> =
+        Mutex::with_stats(None, pool.contention().cloned());
 
     let probe_span = tracer.span(CAT_PHASE, PHASE_PROBE);
     let part = pool
@@ -664,7 +666,7 @@ where
             let wsp = match ws_pool {
                 Some(p) => p,
                 None => {
-                    owned_ws = WorkspacePool::new(g.node_count(), pool.threads());
+                    owned_ws = WorkspacePool::for_pool(g.node_count(), pool);
                     &owned_ws
                 }
             };

@@ -383,9 +383,12 @@ impl Pool {
         self.id
     }
 
-    /// Where this pool records contention, for the primitives its scopes
-    /// and parallel operations create; `None` on an unprofiled pool.
-    pub(crate) fn contention(&self) -> Option<&Arc<SyncStats>> {
+    /// Where this pool records contention; `None` on an unprofiled pool.
+    /// Its scopes and parallel operations build their primitives from
+    /// these cells, and so should callers for locks that belong to work
+    /// running on the pool (`Mutex::with_stats(t, pool.contention().cloned())`),
+    /// so the pool's contention report covers them too.
+    pub fn contention(&self) -> Option<&Arc<SyncStats>> {
         self.shared.contention.as_ref()
     }
 

@@ -23,7 +23,10 @@
 //! Profiling is a property of the primitive, fixed at construction: a
 //! pool built with [`crate::Pool::new_profiled`] (or any pool while the
 //! `MMDIAG_TRACE` knob is set) profiles its own queues, parking and
-//! scopes, and nothing else in the process changes. A plain primitive
+//! scopes, and nothing else in the process changes. Locks that belong to
+//! work on a pool — `mmdiag_core`'s workspace slots and certificate slot
+//! — are built from that pool's cells ([`crate::Pool::contention`]), so
+//! its report covers them as well. A plain primitive
 //! pays one `Option` check per operation — no clock read, no histogram
 //! touch. The stats cells are plain `std` atomics even under the `model`
 //! feature (they are observability, not protocol state), so profiling
@@ -166,8 +169,9 @@ impl<T> Mutex<T> {
         Mutex::with_stats(t, Some(stats))
     }
 
-    /// A profiled mutex when `stats` is given, else a plain one.
-    pub(crate) fn with_stats(t: T, stats: Option<Arc<SyncStats>>) -> Self {
+    /// A profiled mutex when `stats` is given, else a plain one — pass
+    /// [`crate::Pool::contention`] for a lock used by work on that pool.
+    pub fn with_stats(t: T, stats: Option<Arc<SyncStats>>) -> Self {
         Mutex {
             inner: imp::Mutex::new(t),
             stats,

@@ -21,9 +21,11 @@
 //!   ([`mmdiag_topology::honest_probe_contributors_local`], `O(|part|)`
 //!   memory) the first time someone asks, instead of probing every part of
 //!   the whole graph upfront;
-//! * **nothing materialises**: [`MaterialisationGuard`] snapshots the
-//!   calling thread's [`mmdiag_topology::materialisation_count`] so the
-//!   bench can assert the implicit path never called `Cached::new`.
+//! * **nothing materialises**: every [`ImplicitTopology`] counts the
+//!   `Cached::new` calls made on it, from any thread
+//!   ([`Partitionable::materialisations`]), and [`MaterialisationGuard`]
+//!   snapshots that count so the bench can assert the implicit path never
+//!   built a CSR of it.
 //!
 //! The driver, the execution backends, batch submissions, the event
 //! simulator and the sampled verifier all consume this type unchanged
@@ -32,8 +34,9 @@
 #![warn(missing_docs)]
 
 use mmdiag_topology::partition::honest_probe_contributors_local;
-use mmdiag_topology::{materialisation_count, NodeId, Partitionable, Topology};
-use std::sync::OnceLock;
+use mmdiag_topology::{NodeId, Partitionable, Topology};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A catalog family served straight from its generator math: closed-form
 /// adjacency (sorted for CSR bit-identity), closed-form partition labels,
@@ -46,6 +49,8 @@ pub struct ImplicitTopology<T: Partitionable> {
     /// subcubes, last-symbol classes), so part 0 speaks for every part;
     /// [`ImplicitTopology::probe_capacity_of`] recomputes for any other.
     probe_capacity: OnceLock<usize>,
+    /// `Cached::new` calls on this instance (clones share the count).
+    materialisations: Arc<AtomicU64>,
 }
 
 impl<T: Partitionable> ImplicitTopology<T> {
@@ -54,6 +59,7 @@ impl<T: Partitionable> ImplicitTopology<T> {
         ImplicitTopology {
             inner,
             probe_capacity: OnceLock::new(),
+            materialisations: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -164,28 +170,40 @@ impl<T: Partitionable> Partitionable for ImplicitTopology<T> {
     fn check_partition_preconditions(&self) -> Result<(), String> {
         self.inner.check_partition_preconditions()
     }
+    fn materialisations(&self) -> Option<&AtomicU64> {
+        Some(&self.materialisations)
+    }
 }
 
-/// Snapshot of the calling thread's `Cached::new` counter: the bench's
-/// implicit cells open one of these before running and assert it
-/// unchanged after, proving the scale path stayed CSR-free. Counting per
-/// thread keeps concurrent work elsewhere in the process (sibling tests,
-/// other sessions) from tripping the guard.
-pub struct MaterialisationGuard {
+/// Snapshot of a topology's `Cached::new` count
+/// ([`Partitionable::materialisations`]): the bench's implicit cells open
+/// one of these before running and assert it unchanged after, proving the
+/// scale path stayed CSR-free. The count lives on the topology, so a CSR
+/// built of it on any thread — a pool worker's included — trips the
+/// guard, while CSRs of other topologies (sibling tests, other sessions)
+/// cannot.
+pub struct MaterialisationGuard<'g> {
+    count: &'g AtomicU64,
     start: u64,
 }
 
-impl MaterialisationGuard {
-    /// Record the current materialisation count.
-    pub fn begin() -> Self {
+impl<'g> MaterialisationGuard<'g> {
+    /// Record `g`'s current materialisation count. Panics if `g` keeps no
+    /// count — only CSR-free topologies such as [`ImplicitTopology`] do.
+    pub fn begin<G: Partitionable + ?Sized>(g: &'g G) -> Self {
+        let count = g
+            .materialisations()
+            .unwrap_or_else(|| panic!("{} does not count its materialisations", g.name()));
         MaterialisationGuard {
-            start: materialisation_count(),
+            count,
+            start: count.load(Ordering::Relaxed),
         }
     }
 
-    /// How many `Cached::new` calls this thread made since [`Self::begin`].
+    /// How many `Cached::new` calls were made on the topology since
+    /// [`Self::begin`].
     pub fn materialisations_since(&self) -> u64 {
-        materialisation_count() - self.start
+        self.count.load(Ordering::Relaxed) - self.start
     }
 
     /// Panic if anything materialised a CSR copy since the snapshot.
@@ -254,31 +272,52 @@ mod tests {
     #[test]
     fn materialisation_guard_counts_cached_news() {
         let fam = Hypercube::new(7);
-        let guard = MaterialisationGuard::begin();
         let g = ImplicitTopology::new(fam.clone());
+        let guard = MaterialisationGuard::begin(&g);
         let _ = g.probe_capacity();
         guard.assert_unchanged("implicit probe");
-        let _cached = Cached::new(&fam);
-        assert_eq!(guard.materialisations_since(), 1);
+        let _cached = Cached::new(&g);
+        // Through a trait object, as the sessions hold their topologies.
+        let view: &(dyn Partitionable + Sync) = &g;
+        let _cached = Cached::new(view);
+        assert_eq!(guard.materialisations_since(), 2);
     }
 
     #[test]
-    fn materialisation_guard_ignores_other_threads() {
-        let guard = MaterialisationGuard::begin();
+    fn materialisation_guard_ignores_other_topologies() {
+        let g = ImplicitTopology::new(Hypercube::new(7));
+        let guard = MaterialisationGuard::begin(&g);
         mmdiag_exec::sync::thread::spawn_named("csr-builder".into(), || {
-            Cached::new(&Hypercube::new(7)).node_count()
+            Cached::new(&ImplicitTopology::new(Hypercube::new(7))).node_count()
         })
         .unwrap()
         .join()
         .unwrap();
-        guard.assert_unchanged("a CSR built on another thread");
+        let _cached = Cached::new(g.inner());
+        guard.assert_unchanged("CSRs of other topologies");
     }
 
     #[test]
     #[should_panic(expected = "materialisation")]
     fn materialisation_guard_trips_on_cached_new() {
-        let guard = MaterialisationGuard::begin();
-        let _cached = Cached::new(&Hypercube::new(7));
+        let g = ImplicitTopology::new(Hypercube::new(7));
+        let guard = MaterialisationGuard::begin(&g);
+        let _cached = Cached::new(&g);
         guard.assert_unchanged("guarded section");
+    }
+
+    #[test]
+    #[should_panic(expected = "materialisation")]
+    fn materialisation_guard_trips_on_a_pool_task() {
+        let g = ImplicitTopology::new(Hypercube::new(7));
+        let pool = mmdiag_exec::Pool::new(2);
+        let guard = MaterialisationGuard::begin(&g);
+        pool.scope(|scope| {
+            scope.spawn(|| {
+                assert!(pool.worker_index().is_some(), "runs on a pool worker");
+                let _cached = Cached::new(&g);
+            });
+        });
+        guard.assert_unchanged("a CSR built inside a pool task");
     }
 }

@@ -8,24 +8,7 @@
 
 use crate::graph::{AdjGraph, NodeId, Topology};
 use crate::partition::Partitionable;
-use std::cell::Cell;
-
-thread_local! {
-    /// Per-thread count of [`Cached::new`] calls — the memory events the
-    /// implicit (CSR-free) scale path must never trigger. The `--xlarge`
-    /// bench sweep snapshots this before and after each implicit cell and
-    /// asserts the count did not move, turning "the implicit path
-    /// materialises nothing" from a convention into a checked invariant.
-    /// Per thread, so a CSR another thread builds meanwhile (a concurrent
-    /// test, a sibling session) cannot trip a guard it has nothing to do
-    /// with; topologies are built by the caller, never inside pool tasks.
-    static MATERIALISATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// How many [`Cached::new`] materialisations this thread has performed.
-pub fn materialisation_count() -> u64 {
-    MATERIALISATIONS.with(Cell::get)
-}
+use std::sync::atomic::Ordering;
 
 /// A CSR-materialised topology with precomputed partition labels.
 #[derive(Clone, Debug)]
@@ -39,9 +22,13 @@ pub struct Cached {
 
 impl Cached {
     /// Materialise `t`, caching adjacency, part labels, representatives and
-    /// sizes.
+    /// sizes. Counts the call on `t` when it keeps a count
+    /// ([`Partitionable::materialisations`]) — the memory event the
+    /// implicit (CSR-free) scale path must never trigger.
     pub fn new<T: Partitionable + ?Sized>(t: &T) -> Self {
-        MATERIALISATIONS.with(|n| n.set(n.get() + 1));
+        if let Some(n) = t.materialisations() {
+            n.fetch_add(1, Ordering::Relaxed);
+        }
         let csr = AdjGraph::from_topology(t);
         let parts = t.part_count();
         let part_labels = (0..t.node_count())

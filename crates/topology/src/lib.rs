@@ -29,7 +29,7 @@ pub mod partition;
 pub mod perm;
 pub mod verify;
 
-pub use cached::{materialisation_count, Cached};
+pub use cached::Cached;
 pub use graph::{AdjGraph, NodeId, Topology};
 pub use partition::{
     certified_fault_capacity, certified_partition_dim, honest_probe_contributors,

@@ -12,6 +12,7 @@
 //! families).
 
 use crate::graph::{NodeId, Topology};
+use std::sync::atomic::AtomicU64;
 
 /// A topology equipped with the paper's canonical decomposition into
 /// node-disjoint connected subgraphs.
@@ -72,6 +73,15 @@ pub trait Partitionable: Topology {
         }
         Ok(())
     }
+
+    /// The counter [`Cached::new`](crate::Cached::new) bumps each time it
+    /// materialises this topology into a CSR, on whichever thread does it.
+    /// `None` (the default) for topologies that do not count; the CSR-free
+    /// `mmdiag_implicit::ImplicitTopology` counts, so a guard can prove
+    /// its scale path never materialised it — pool workers included.
+    fn materialisations(&self) -> Option<&AtomicU64> {
+        None
+    }
 }
 
 impl<T: Partitionable + ?Sized> Partitionable for &T {
@@ -89,6 +99,9 @@ impl<T: Partitionable + ?Sized> Partitionable for &T {
     }
     fn driver_fault_bound(&self) -> usize {
         (**self).driver_fault_bound()
+    }
+    fn materialisations(&self) -> Option<&AtomicU64> {
+        (**self).materialisations()
     }
 }
 

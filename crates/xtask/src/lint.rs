@@ -379,8 +379,9 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
     // Pass: blocking synchronisation primitives stay behind the
     // `mmdiag_exec::sync` facade — the single door that gives the
     // `model` feature its interleaving shims and the contention profiler
-    // its lock-wait/park histograms. A `std::sync::Mutex` constructed
-    // anywhere else is invisible to both. Exempt: the facade itself and
+    // its lock-wait/park histograms (a facade primitive built from a
+    // pool's cells records into that pool's report). A `std::sync::Mutex`
+    // constructed anywhere else is invisible to both. Exempt: the facade itself and
     // the model shims it fronts; `crates/trace` (below the executor in
     // the dependency graph — routing through the facade would be a
     // cycle); test files and `#[cfg(test)]` modules (test-local
@@ -404,7 +405,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
                         format!(
                             "`std::sync::{tok}` outside `crates/exec/src/sync.rs` — construct \
                              it through the `mmdiag_exec::sync` facade so the model scheduler \
-                             and the contention profiler both see it"
+                             sees it and the contention profiler can"
                         ),
                     ));
                 }

@@ -30,7 +30,7 @@ pub use mmdiag_topology as topology;
 pub use mmdiag_trace as trace;
 
 pub use mmdiag_core::{
-    BackendPolicy, Certificate, Cutovers, DiagnosisError, DiagnosisReport, PhaseTelemetry,
+    BackendPolicy, Certificate, DiagnosisError, DiagnosisReport, PhaseTelemetry,
     VerificationVerdict,
 };
 pub use mmdiag_monitor::{EpochReport, EscalationReason, MonitorSession};

@@ -11,8 +11,9 @@
 //!   planted fault sets through [`Diagnoser::run_planted`] /
 //!   [`Diagnoser::run_streaming`];
 //! * **execution backend** — a [`BackendPolicy`] (sequential, a pool, or
-//!   size-directed auto) resolved against the session's own [`Cutovers`]
-//!   — no process-wide setting steers a run;
+//!   size-directed auto against the default
+//!   [`Cutovers`](mmdiag_core::Cutovers)) — no process-wide setting
+//!   steers a run;
 //! * **verification** — a [`VerificationPolicy`]: none, the seeded
 //!   sampled spot-check, or the full-table baseline — run as part of the
 //!   same call, its [`VerificationVerdict`] riding on the report;
@@ -47,7 +48,7 @@
 use mmdiag_baselines::{diagnose_naive, sampled_check};
 use mmdiag_core::session::{self, SessionOptions};
 use mmdiag_core::{
-    BackendPolicy, Cutovers, DiagnosisError, DiagnosisReport, VerificationVerdict, WorkspacePool,
+    BackendPolicy, DiagnosisError, DiagnosisReport, VerificationVerdict, WorkspacePool,
 };
 use mmdiag_distsim::{simulate_unchecked, FaultTimeline, LatencyModel, SimError, SimReport};
 use mmdiag_implicit::ImplicitTopology;
@@ -323,6 +324,8 @@ impl<'g> Diagnoser<'g> {
     /// Set the execution backend policy explicitly.
     pub fn backend(mut self, policy: BackendPolicy<'g>) -> Self {
         self.backend = policy;
+        // The workspace pool is shaped for the backend's pool.
+        self.ws = OnceLock::new();
         self
     }
 
@@ -341,18 +344,11 @@ impl<'g> Diagnoser<'g> {
         self.backend(BackendPolicy::Pooled(pool))
     }
 
-    /// Size-directed: sequential below the session's
-    /// [`Cutovers::sequential`], pooled on the global pool at or above it.
+    /// Size-directed: sequential below
+    /// [`Cutovers::sequential`](mmdiag_core::Cutovers::sequential), pooled
+    /// on the global pool at or above it.
     pub fn auto(self) -> Self {
         self.backend(BackendPolicy::Auto)
-    }
-
-    /// Set this session's cutovers: where [`Diagnoser::auto`] switches to
-    /// the pool and where pooled runs switch to frontier-parallel growth.
-    /// Defaults to [`Cutovers::default`]; other sessions are unaffected.
-    pub fn cutovers(mut self, cutovers: Cutovers) -> Self {
-        self.opts.cutovers = cutovers;
-        self
     }
 
     // --- verification policy --------------------------------------------
@@ -482,16 +478,15 @@ impl<'g> Diagnoser<'g> {
 
     fn ws_pool(&self) -> &WorkspacePool {
         self.ws.get_or_init(|| {
-            // Size by the configured pool; for Sequential/Auto sessions use
-            // the would-be global worker count *without* spawning the
-            // global pool — a purely sequential session must stay as
-            // thread-free as `diagnose` (slots are lazy, so oversizing
-            // costs nothing).
-            let workers = match self.backend {
-                BackendPolicy::Pooled(pool) => pool.threads(),
-                _ => mmdiag_exec::default_threads(),
-            };
-            WorkspacePool::new(self.topology.view().node_count(), workers)
+            let n = self.topology.view().node_count();
+            match self.backend.resolve(n, &self.opts.cutovers) {
+                // One slot per worker of the pool the runs resolve to, its
+                // locks timed in that pool's contention cells.
+                Some(pool) => WorkspacePool::for_pool(n, pool),
+                // Sequential runs use the overflow slot only, and spawn no
+                // pool: such a session stays as thread-free as `diagnose`.
+                None => WorkspacePool::new(n, 0),
+            }
         })
     }
 
@@ -882,32 +877,6 @@ mod tests {
             report.verification,
             VerificationVerdict::Unverified
         ));
-    }
-
-    #[test]
-    fn sessions_hold_their_own_cutovers() {
-        // Two auto sessions over one instance, side by side: each resolves
-        // against its own cutovers, and neither run disturbs the other.
-        let g = Hypercube::new(7);
-        let s = OracleSyndrome::new(FaultSet::new(128, &[4, 99]), TesterBehavior::AllZero);
-        let low = Cutovers {
-            sequential: 64,
-            grow: 1,
-        };
-        let eager = Diagnoser::new(&g).auto().cutovers(low);
-        let default = Diagnoser::new(&g).auto();
-        for _ in 0..2 {
-            let a = eager.run(&s).unwrap();
-            let b = default.run(&s).unwrap();
-            assert_eq!(a.backend, "pooled");
-            assert_eq!(b.backend, "sequential");
-            assert_eq!(a.diagnosis.faults, b.diagnosis.faults);
-            assert_eq!(a.diagnosis.tree.edges(), b.diagnosis.tree.edges());
-            // Grow cutover 1 on a sorted-adjacency view: frontier rounds.
-            let cached = Diagnoser::cached(&g).auto().cutovers(low).run(&s).unwrap();
-            assert!(!cached.telemetry.grow_rounds.is_empty());
-            assert!(b.telemetry.grow_rounds.is_empty());
-        }
     }
 
     #[test]

@@ -322,7 +322,7 @@ fn frontier_parallel_growth_is_bit_identical_on_every_family() {
                         run_with(&cached, &s, BackendPolicy::Pooled(pool), &opts, None),
                     ),
                     ("implicit", {
-                        let guard = MaterialisationGuard::begin();
+                        let guard = MaterialisationGuard::begin(g);
                         let r = run_with(g, &s, BackendPolicy::Pooled(pool), &opts, None);
                         guard.assert_unchanged(&format!("{} frontier growth", g.name()));
                         r

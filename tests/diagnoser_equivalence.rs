@@ -9,7 +9,7 @@
 //!   `.unchecked_bound(b)` at the family bound.
 //! * **Pooled / auto** — `.pooled()` and `.auto()` return the same
 //!   labelling (faults, certified part, healthy count, tree); pooled
-//!   accounting is scheduling-dependent by design. Below the session's
+//!   accounting is scheduling-dependent by design. Below the default
 //!   sequential cutover, auto *is* the sequential scan, accounting
 //!   included.
 //! * **Batch** — `.submit_batch(Source jobs)` equals the same jobs run one
@@ -22,7 +22,7 @@
 //! contributors).
 
 use mmdiag::diagnosis::session::{run_sequential, run_with};
-use mmdiag::diagnosis::{diagnose, Diagnosis, DiagnosisReport, SessionOptions};
+use mmdiag::diagnosis::{diagnose, Cutovers, Diagnosis, DiagnosisReport, SessionOptions};
 use mmdiag::syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::{
     Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
@@ -30,7 +30,7 @@ use mmdiag::topology::families::{
     TwistedNCube,
 };
 use mmdiag::topology::Partitionable;
-use mmdiag::{BackendPolicy, BatchJob, Cutovers, Diagnoser};
+use mmdiag::{BackendPolicy, BatchJob, Diagnoser};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
