@@ -6,20 +6,25 @@
 //! ran driver-only (`"baseline": null`). [`sampled_check`] restores an
 //! independent verdict at a cost the 10⁶–10⁷-node implicit path can pay:
 //!
+//! The claimed fault set is held as a [`MemberSet`] (sorted members behind
+//! a 1024-bit pre-filter), so both steps below answer "claimed faulty?"
+//! in `O(|F|)` memory, mostly with one L1 probe.
+//!
 //! 1. **Certificate re-derivation** — re-grow the restricted probe tree at
 //!    the claimed certified part straight from the syndrome source (the
 //!    same level rules and child-spreading parent reassignment as
-//!    `Set_Builder`, replicated here over hash-map state so memory stays
-//!    `O(|part|)`), and require that it certifies (> `fault_bound`
+//!    `Set_Builder`, replicated here over part-local hash maps so memory
+//!    stays `O(|part|)`), and require that it certifies (> `fault_bound`
 //!    internal nodes) and is disjoint from the claimed fault set.
 //! 2. **Sampled label re-check** — a seeded random walk inside every part
 //!    picks `k` nodes; for each sampled node `u`, every test about `u` by
 //!    a claimed-healthy tester `t` (`s_t(u, x)` over `t`'s other
-//!    neighbours `x`) must equal what the claimed labelling predicts under
-//!    MM semantics. A correct labelling can never trip this (healthy
-//!    testers answer honestly), and a wrong label at a sampled node is
-//!    always caught provided the node has a healthy neighbour with degree
-//!    ≥ 2 — guaranteed by `κ ≥ δ ≥ |F|` on every catalog family.
+//!    neighbours `x`, read as one [`SyndromeSource::lookup_row`]) must
+//!    equal what the claimed labelling predicts under MM semantics. A
+//!    correct labelling can never trip this (healthy testers answer
+//!    honestly), and a wrong label at a sampled node is always caught
+//!    provided the node has a healthy neighbour with degree ≥ 2 —
+//!    guaranteed by `κ ≥ δ ≥ |F|` on every catalog family.
 //!
 //! What this does **not** prove, versus the full baseline: labels of
 //! unsampled nodes are only vouched for transitively (they fed the
@@ -28,19 +33,24 @@
 //! always a genuine inconsistency, `agree = true` is evidence proportional
 //! to the sample rate.
 
-use mmdiag_syndrome::SyndromeSource;
+use mmdiag_syndrome::{MemberSet, SyndromeSource};
 use mmdiag_topology::{NodeId, Partitionable};
 use std::collections::{HashMap, HashSet};
 
 /// Outcome of a [`sampled_check`] run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SampledCheck {
     /// The nodes the seeded walks sampled (ascending, deduplicated).
     /// Deterministic in `(g, seed, samples_per_part)` — independent of the
     /// claimed labelling, so a test can plant a wrong label at a node it
     /// knows will be sampled.
     pub samples: Vec<NodeId>,
-    /// Syndrome entries consulted by the label re-checks.
+    /// Syndrome entries the label re-checks judged: every entry of a
+    /// consistent sample's rows, and for a contradicted sample the entries
+    /// up to and including its first contradiction. The checks read whole
+    /// rows ([`SyndromeSource::lookup_row`]), so on a rejected claim a
+    /// counting source may have counted up to `Δ − 2` more entries of the
+    /// contradicted sample's last row than this reports.
     pub checked_tests: u64,
     /// Sampled nodes whose neighbourhood tests contradict the claimed
     /// labelling (ascending).
@@ -70,43 +80,41 @@ where
     T: Partitionable + ?Sized,
     S: SyndromeSource + ?Sized,
 {
-    let claimed: HashSet<NodeId> = claimed_faults.iter().copied().collect();
+    let claimed = MemberSet::new(claimed_faults);
     let bound_ok = claimed.len() <= fault_bound;
 
     let certificate_ok = bound_ok && recertify_part(g, s, certified_part, fault_bound, &claimed);
 
     let samples = sample_nodes(g, samples_per_part, seed);
     let mut checked_tests = 0u64;
+    // `samples` ascends, so the disagreements do too.
     let mut disagreements = Vec::new();
-    let mut tbuf = Vec::new();
-    let mut xbuf = Vec::new();
+    let (mut testers, mut row, mut results) = (Vec::new(), Vec::new(), Vec::new());
     for &u in &samples {
-        g.neighbors_into(u, &mut tbuf);
-        let mut consistent = true;
-        'testers: for &t in &tbuf {
-            if claimed.contains(&t) {
+        let u_claimed = claimed.contains(u);
+        g.neighbors_into(u, &mut testers);
+        for &t in &testers {
+            if claimed.contains(t) {
                 // A claimed-faulty tester's answers carry no information
                 // under the MM model; skip.
                 continue;
             }
-            g.neighbors_into(t, &mut xbuf);
-            for &x in &xbuf {
-                if x == u {
-                    continue;
-                }
-                let predicted_agree = !claimed.contains(&u) && !claimed.contains(&x);
-                checked_tests += 1;
-                if s.lookup(t, u, x).is_agree() != predicted_agree {
-                    consistent = false;
-                    break 'testers;
-                }
+            // Every test `s_t(u, x)` about `u` by `t`, in neighbour order.
+            g.neighbors_into(t, &mut row);
+            row.retain(|&x| x != u);
+            s.lookup_row(t, u, &row, &mut results);
+            let first_contradiction = row
+                .iter()
+                .zip(&results)
+                .position(|(&x, r)| r.is_agree() != (!u_claimed && !claimed.contains(x)));
+            if let Some(i) = first_contradiction {
+                checked_tests += i as u64 + 1;
+                disagreements.push(u);
+                break;
             }
-        }
-        if !consistent {
-            disagreements.push(u);
+            checked_tests += row.len() as u64;
         }
     }
-    disagreements.sort_unstable();
 
     let agree = bound_ok && certificate_ok && disagreements.is_empty();
     SampledCheck {
@@ -132,13 +140,7 @@ where
 /// divergent re-derivation fails against real driver output, behaviour
 /// sweep included) and the bench, where every driver-only cell asserts
 /// this certificate fires on the driver's certified part.
-fn recertify_part<T, S>(
-    g: &T,
-    s: &S,
-    part: usize,
-    fault_bound: usize,
-    claimed: &HashSet<NodeId>,
-) -> bool
+fn recertify_part<T, S>(g: &T, s: &S, part: usize, fault_bound: usize, claimed: &MemberSet) -> bool
 where
     T: Partitionable + ?Sized,
     S: SyndromeSource + ?Sized,
@@ -262,7 +264,7 @@ where
     }
     // Certificate plus consistency: a certified tree proves its members
     // healthy, so none may be claimed faulty.
-    certified && state.keys().all(|v| !claimed.contains(v))
+    certified && state.keys().all(|&v| !claimed.contains(v))
 }
 
 /// SplitMix64 finaliser — seeded, allocation-free index selection for the
@@ -311,8 +313,205 @@ mod tests {
     use super::*;
     use mmdiag_core::diagnose;
     use mmdiag_syndrome::{behavior_sweep, FaultSet, OnDemandOracle, OracleSyndrome};
-    use mmdiag_topology::families::{Hypercube, KAryNCube, StarGraph};
+    use mmdiag_topology::families::{
+        Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
+        FoldedHypercube, Hypercube, KAryNCube, NKStar, Pancake, ShuffleCube, StarGraph,
+        TwistedCube, TwistedNCube,
+    };
     use mmdiag_topology::Topology;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// The label loop as it was before row lookups: one `lookup` per
+    /// entry over a `HashSet` claim set. `sampled_check` must return a
+    /// `SampledCheck` identical to this on every input.
+    fn reference_check<T, S>(
+        g: &T,
+        s: &S,
+        claimed_faults: &[NodeId],
+        certified_part: usize,
+        fault_bound: usize,
+        samples_per_part: usize,
+        seed: u64,
+    ) -> SampledCheck
+    where
+        T: Partitionable + ?Sized,
+        S: SyndromeSource + ?Sized,
+    {
+        let claimed: HashSet<NodeId> = claimed_faults.iter().copied().collect();
+        let bound_ok = claimed.len() <= fault_bound;
+        let certificate_ok = bound_ok
+            && recertify_part(
+                g,
+                s,
+                certified_part,
+                fault_bound,
+                &MemberSet::new(claimed_faults),
+            );
+        let samples = sample_nodes(g, samples_per_part, seed);
+        let mut checked_tests = 0u64;
+        let mut disagreements = Vec::new();
+        let mut tbuf = Vec::new();
+        let mut xbuf = Vec::new();
+        for &u in &samples {
+            g.neighbors_into(u, &mut tbuf);
+            let mut consistent = true;
+            'testers: for &t in &tbuf {
+                if claimed.contains(&t) {
+                    continue;
+                }
+                g.neighbors_into(t, &mut xbuf);
+                for &x in &xbuf {
+                    if x == u {
+                        continue;
+                    }
+                    let predicted_agree = !claimed.contains(&u) && !claimed.contains(&x);
+                    checked_tests += 1;
+                    if s.lookup(t, u, x).is_agree() != predicted_agree {
+                        consistent = false;
+                        break 'testers;
+                    }
+                }
+            }
+            if !consistent {
+                disagreements.push(u);
+            }
+        }
+        disagreements.sort_unstable();
+        let agree = bound_ok && certificate_ok && disagreements.is_empty();
+        SampledCheck {
+            samples,
+            checked_tests,
+            disagreements,
+            certificate_ok,
+            agree,
+        }
+    }
+
+    /// The five claims the bit-identity suite judges against a planted
+    /// `truth`: the driver's claim, a sampled healthy node flipped to
+    /// faulty, a true fault dropped, an over-bound claim and an
+    /// out-of-range certified part.
+    fn claims<T: Partitionable + ?Sized>(
+        g: &T,
+        truth: &[NodeId],
+        driver: (&[NodeId], usize),
+        samples: &[NodeId],
+    ) -> Vec<(&'static str, Vec<NodeId>, usize)> {
+        let (faults, part) = driver;
+        let victim = *samples
+            .iter()
+            .find(|u| !truth.contains(u))
+            .expect("some healthy node is sampled");
+        let mut flipped = faults.to_vec();
+        flipped.push(victim);
+        let over_bound: Vec<NodeId> = (0..=g.driver_fault_bound()).collect();
+        let mut out = vec![
+            ("driver", faults.to_vec(), part),
+            ("flipped", flipped, part),
+            ("over-bound", over_bound, part),
+            ("part out of range", faults.to_vec(), g.part_count()),
+        ];
+        if let Some((_, rest)) = faults.split_first() {
+            out.push(("dropped", rest.to_vec(), part));
+        }
+        out
+    }
+
+    /// Run both checks on one claim and assert the verdicts are identical;
+    /// for an accepted claim the source must also have counted exactly the
+    /// entries the reference consulted, and for a rejected one at most
+    /// `Δ − 2` more per contradicted sample.
+    fn assert_identical<T, S>(g: &T, s: &S, claim: &[NodeId], part: usize, ctx: &str) -> bool
+    where
+        T: Partitionable + ?Sized,
+        S: SyndromeSource + ?Sized,
+    {
+        const K: usize = 3;
+        const SEED: u64 = 0x5A3D;
+        let bound = g.driver_fault_bound();
+        let before = s.lookups();
+        let want = reference_check(g, s, claim, part, bound, K, SEED);
+        let mid = s.lookups();
+        let got = sampled_check(g, s, claim, part, bound, K, SEED);
+        let (reference_lookups, lookups) = (mid - before, s.lookups() - mid);
+        assert_eq!(got, want, "{ctx}");
+        if want.agree {
+            assert_eq!(lookups, reference_lookups, "{ctx}: whole rows read");
+        } else {
+            let slack = want.disagreements.len() as u64 * (g.max_degree() as u64 - 2);
+            assert!(
+                (reference_lookups..=reference_lookups + slack).contains(&lookups),
+                "{ctx}: {lookups} lookups vs reference {reference_lookups}"
+            );
+        }
+        want.agree
+    }
+
+    fn catalog() -> Vec<Box<dyn Partitionable + Sync>> {
+        vec![
+            Box::new(Hypercube::new(7)),
+            Box::new(CrossedCube::new(7)),
+            Box::new(TwistedCube::new(7)),
+            Box::new(TwistedNCube::new(7)),
+            Box::new(FoldedHypercube::new(8)),
+            Box::new(EnhancedHypercube::new(8, 3)),
+            Box::new(AugmentedCube::new(10)),
+            Box::new(ShuffleCube::new(10)),
+            Box::new(KAryNCube::new(3, 6)),
+            Box::new(AugmentedKAryNCube::new(4, 4)),
+            Box::new(StarGraph::new(6)),
+            Box::new(NKStar::new(6, 3)),
+            Box::new(Pancake::new(6)),
+            Box::new(Arrangement::new(6, 3)),
+        ]
+    }
+
+    /// Judge all five claims on `g` over both oracles and every behaviour.
+    /// The driver's claim must be accepted and every claim but the dropped
+    /// fault rejected; a dropped fault is caught only when it sits near a
+    /// sample, so only its bit-identity is asserted.
+    fn sweep<T: Partitionable + ?Sized>(g: &T, truth: &[NodeId]) {
+        let n = g.node_count();
+        let samples = sample_nodes(g, 3, 0x5A3D);
+        for b in behavior_sweep(29) {
+            let dense = OracleSyndrome::new(FaultSet::new(n, truth), b);
+            let sparse = OnDemandOracle::new(n, truth, b);
+            let d = diagnose(g, &dense).unwrap_or_else(|e| panic!("{}: {e} ({b:?})", g.name()));
+            assert_eq!(d.faults, truth, "{} {b:?}", g.name());
+            for (label, claim, part) in claims(g, truth, (&d.faults, d.certified_part), &samples) {
+                for (oracle, s) in [
+                    ("bitmap", &dense as &dyn SyndromeSource),
+                    ("streaming", &sparse as &dyn SyndromeSource),
+                ] {
+                    let ctx = format!("{} {label} {oracle} {b:?}", g.name());
+                    let accepted = assert_identical(g, s, &claim, part, &ctx);
+                    if label != "dropped" {
+                        assert_eq!(accepted, label == "driver", "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_lookups_are_bit_identical_to_the_per_entry_reference_on_every_family() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5A3D_2026);
+        for g in catalog() {
+            let g = g.as_ref();
+            let load = g.driver_fault_bound() - 1;
+            let truth = FaultSet::random(g.node_count(), load, &mut rng);
+            sweep(g, truth.members());
+        }
+    }
+
+    #[test]
+    fn row_lookups_are_bit_identical_on_an_implicit_hypercube() {
+        let g = mmdiag_implicit::ImplicitTopology::new(Hypercube::new(9));
+        let guard = mmdiag_implicit::MaterialisationGuard::begin(&g);
+        sweep(&g, &[5, 77, 300, 511]);
+        guard.assert_unchanged("sampled verification");
+    }
 
     #[test]
     fn correct_diagnosis_always_agrees() {

@@ -168,7 +168,8 @@ pub enum VerificationVerdict {
     /// a borderline instance) — distinct from a refutation, so callers
     /// can tell "could not check" from "checked and disagreed".
     Failed {
-        /// Which policy failed (`"sampled"` / `"full_baseline"`).
+        /// Which policy failed (`"full_baseline"`: the sampled check
+        /// always returns a verdict).
         method: &'static str,
         /// The underlying error, rendered.
         error: String,

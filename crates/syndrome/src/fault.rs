@@ -1,8 +1,76 @@
 //! Fault sets: which nodes of the network are faulty.
+//!
+//! [`FaultSet`] answers membership from an `O(N)` bitmap; [`MemberSet`]
+//! answers it from `O(|F|)` state — the sorted members behind a 1024-bit
+//! pre-filter — for the 10⁶–10⁷-node paths that must not allocate per
+//! node.
 
 use mmdiag_topology::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
+
+/// Words in the [`MemberSet`] pre-filter: 16 × 64 = 1024 positions, 128
+/// bytes — two cache lines, L1-resident across an entire growth sweep.
+const FILTER_WORDS: usize = 16;
+
+/// One multiply-shift hash position in the 1024-bit filter.
+#[inline]
+fn filter_slot(u: NodeId) -> (usize, u64) {
+    let h = (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54;
+    ((h >> 6) as usize, 1u64 << (h & 63))
+}
+
+/// A sorted, deduplicated node set with a membership pre-filter.
+///
+/// Almost every node a diagnosis or a verifier asks about is *not* a
+/// member, and with `|F| ≲ Δ` members the 1024-bit one-hash Bloom filter
+/// answers ≈ 98 % of those in one multiply and one L1 load instead of a
+/// `log |F|` branchy search. A set bit falls through to the exact binary
+/// search, so answers never depend on the filter.
+#[derive(Clone, Debug)]
+pub struct MemberSet {
+    filter: [u64; FILTER_WORDS],
+    members: Vec<NodeId>,
+}
+
+impl MemberSet {
+    /// Build from an arbitrary list of node ids (sorted and deduplicated
+    /// here).
+    pub fn new(nodes: &[NodeId]) -> Self {
+        let mut members = nodes.to_vec();
+        members.sort_unstable();
+        members.dedup();
+        let mut filter = [0u64; FILTER_WORDS];
+        for &m in &members {
+            let (w, bit) = filter_slot(m);
+            filter[w] |= bit;
+        }
+        MemberSet { filter, members }
+    }
+
+    /// Whether `u` is a member — one filter probe for the common
+    /// non-member case, `O(log |F|)` on a filter hit.
+    #[inline]
+    pub fn contains(&self, u: NodeId) -> bool {
+        let (w, bit) = filter_slot(u);
+        self.filter[w] & bit != 0 && self.members.binary_search(&u).is_ok()
+    }
+
+    /// The members, ascending.
+    pub fn as_slice(&self) -> &[NodeId] {
+        &self.members
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+}
 
 /// A set of faulty nodes with `O(1)` membership tests and a canonical
 /// (sorted) listing.
@@ -106,5 +174,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_rejected() {
         FaultSet::new(3, &[3]);
+    }
+
+    #[test]
+    fn member_set_dedups_and_sorts() {
+        let m = MemberSet::new(&[7, 3, 7, 99]);
+        assert_eq!(m.as_slice(), &[3, 7, 99]);
+        assert_eq!(m.len(), 3);
+        assert!(m.contains(7) && !m.contains(8));
+        assert!(MemberSet::new(&[]).is_empty());
     }
 }

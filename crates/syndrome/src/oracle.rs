@@ -11,7 +11,7 @@
 //! them up front.
 
 use crate::fault::FaultSet;
-use crate::model::{ground_truth, TestResult, TesterBehavior};
+use crate::model::{ground_truth, outcome_from_flags, TestResult, TesterBehavior};
 use crate::source::SyndromeSource;
 use mmdiag_topology::NodeId;
 use mmdiag_trace::Counter;
@@ -52,6 +52,25 @@ impl SyndromeSource for OracleSyndrome {
     fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
         self.lookups.inc();
         ground_truth(&self.faults, u, v, w, self.behavior)
+    }
+
+    /// One counter update and two bitmap reads for the whole row, then
+    /// one read per entry.
+    fn lookup_row(&self, u: NodeId, v: NodeId, ws: &[NodeId], out: &mut Vec<TestResult>) {
+        self.lookups.add(ws.len() as u64);
+        let (u_faulty, v_faulty) = (self.faults.contains(u), self.faults.contains(v));
+        out.clear();
+        out.extend(ws.iter().map(|&w| {
+            outcome_from_flags(
+                u_faulty,
+                v_faulty,
+                self.faults.contains(w),
+                u,
+                v,
+                w,
+                self.behavior,
+            )
+        }));
     }
 
     fn lookups(&self) -> u64 {

@@ -6,34 +6,24 @@
 //! harmless at bench sizes and wrong at scale — a 10⁷-node instance should
 //! not pay 10 MB of syndrome state to describe twenty faults.
 //!
-//! [`OnDemandOracle`] keeps only the sorted fault members and the behaviour
-//! seed; membership is a binary search over `|F|` entries and every outcome
-//! funnels through the same [`crate::model::outcome_from_flags`] kernel as
-//! the bitmap oracle, so the two are bit-identical on every defined entry
-//! (the test-suite sweeps this). The driver's workspaces, batch
+//! [`OnDemandOracle`] keeps only the fault members (a
+//! [`crate::fault::MemberSet`]: sorted, behind a 1024-bit pre-filter) and
+//! the behaviour seed; every outcome funnels through the same
+//! [`crate::model::outcome_from_flags`] kernel as the bitmap oracle, so
+//! the two are bit-identical on every defined entry (the test-suite sweeps
+//! this). The driver's workspaces, batch
 //! submissions and the execution backends consume it unchanged through
 //! [`SyndromeSource`].
 
-use crate::fault::FaultSet;
+use crate::fault::{FaultSet, MemberSet};
 use crate::model::{outcome_from_flags, TestResult, TesterBehavior};
 use crate::source::SyndromeSource;
 use mmdiag_topology::NodeId;
 use mmdiag_trace::Counter;
 use std::sync::Arc;
 
-/// Words in the membership pre-filter: 16 × 64 = 1024 positions, 128
-/// bytes — two cache lines, L1-resident across an entire growth sweep.
-const FILTER_WORDS: usize = 16;
-
-/// One multiply-shift hash position in the 1024-bit filter.
-#[inline]
-fn filter_slot(u: NodeId) -> (usize, u64) {
-    let h = (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54;
-    ((h >> 6) as usize, 1u64 << (h & 63))
-}
-
-/// A lazy, counting syndrome source holding `O(|F|)` state: the sorted
-/// fault members plus the faulty-tester behaviour.
+/// A lazy, counting syndrome source holding `O(|F|)` state: the fault
+/// members as a [`MemberSet`] plus the faulty-tester behaviour.
 ///
 /// One instance serves an entire diagnosis, including the frontier-parallel
 /// growth sweep: `lookup` takes `&self` and the counter is atomic, so pool
@@ -43,77 +33,51 @@ fn filter_slot(u: NodeId) -> (usize, u64) {
 /// before and after each round — exact because every outcome, whichever
 /// worker computed it, funnels through this one counter.
 pub struct OnDemandOracle {
-    members: Vec<NodeId>,
+    /// Three membership probes per lookup, ~Δ·N lookups per large-instance
+    /// grow: the set's pre-filter answers the common healthy case.
+    members: MemberSet,
     universe: usize,
     behavior: TesterBehavior,
-    /// 1024-bit one-hash Bloom filter over `members`: almost every node a
-    /// diagnosis asks about is healthy, and with `|F| ≲ Δ` members the
-    /// filter answers ≈ 98 % of those in one multiply and one L1 load
-    /// instead of a `log |F|` branchy search — three searches per lookup,
-    /// ~Δ·N lookups per large-instance grow. A set bit falls through to
-    /// the exact search, so answers are bit-identical either way.
-    filter: [u64; FILTER_WORDS],
     /// Shared so a tracing session can register the same cell as its
     /// `oracle.lookups` metric (see `SyndromeSource::lookup_counter`).
     lookups: Arc<Counter>,
-}
-
-/// Build the membership pre-filter for a sorted member list.
-fn build_filter(members: &[NodeId]) -> [u64; FILTER_WORDS] {
-    let mut filter = [0u64; FILTER_WORDS];
-    for &m in members {
-        let (w, bit) = filter_slot(m);
-        filter[w] |= bit;
-    }
-    filter
 }
 
 impl OnDemandOracle {
     /// Create an oracle over a network of `universe` nodes with the given
     /// faulty members (deduplicated and sorted here) and tester behaviour.
     pub fn new(universe: usize, members: &[NodeId], behavior: TesterBehavior) -> Self {
-        let mut members: Vec<NodeId> = members.to_vec();
-        members.sort_unstable();
-        members.dedup();
-        if let Some(&last) = members.last() {
+        let members = MemberSet::new(members);
+        if let Some(&last) = members.as_slice().last() {
             assert!(
                 last < universe,
                 "faulty node {last} out of range (n = {universe})"
             );
         }
-        let filter = build_filter(&members);
         OnDemandOracle {
             members,
             universe,
             behavior,
-            filter,
             lookups: Arc::new(Counter::new()),
         }
     }
 
     /// Build from a dense [`FaultSet`], keeping only its member list.
     pub fn from_fault_set(faults: &FaultSet, behavior: TesterBehavior) -> Self {
-        OnDemandOracle {
-            members: faults.members().to_vec(),
-            universe: faults.universe(),
-            behavior,
-            filter: build_filter(faults.members()),
-            lookups: Arc::new(Counter::new()),
-        }
+        Self::new(faults.universe(), faults.members(), behavior)
     }
 
     /// Whether node `u` is faulty — one filter probe for the common
     /// healthy case, `O(log |F|)` on a filter hit.
     #[inline]
     pub fn is_faulty(&self, u: NodeId) -> bool {
-        let (w, bit) = filter_slot(u);
-        self.filter[w] & bit != 0 && self.members.binary_search(&u).is_ok()
+        self.members.contains(u)
     }
 
     /// The planted fault members, ascending (ground truth — only tests and
     /// the bench agreement checks should read this).
     pub fn planted_members(&self) -> &[NodeId] {
-        &self.members
+        self.members.as_slice()
     }
 
     /// Network size this oracle describes.
@@ -130,7 +94,7 @@ impl OnDemandOracle {
     /// cross-checks only — this re-introduces the `O(N)` bitmap the oracle
     /// exists to avoid).
     pub fn to_fault_set(&self) -> FaultSet {
-        FaultSet::new(self.universe, &self.members)
+        FaultSet::new(self.universe, self.members.as_slice())
     }
 }
 
@@ -146,6 +110,25 @@ impl SyndromeSource for OnDemandOracle {
             w,
             self.behavior,
         )
+    }
+
+    /// One counter update and two membership probes for the whole row,
+    /// then one probe per entry.
+    fn lookup_row(&self, u: NodeId, v: NodeId, ws: &[NodeId], out: &mut Vec<TestResult>) {
+        self.lookups.add(ws.len() as u64);
+        let (u_faulty, v_faulty) = (self.is_faulty(u), self.is_faulty(v));
+        out.clear();
+        out.extend(ws.iter().map(|&w| {
+            outcome_from_flags(
+                u_faulty,
+                v_faulty,
+                self.is_faulty(w),
+                u,
+                v,
+                w,
+                self.behavior,
+            )
+        }));
     }
 
     fn lookups(&self) -> u64 {

@@ -781,7 +781,8 @@ impl<'g> Diagnoser<'g> {
     /// Run the session's verification policy against a claimed diagnosis
     /// (fault set + certified part) over the live syndrome `s`. Called by
     /// every run path; public so harnesses can verify without re-running
-    /// the diagnosis.
+    /// the diagnosis. The claimed faults are a set: order and duplicates do
+    /// not change the verdict under either policy.
     pub fn verify_claim<S>(
         &self,
         s: &S,
@@ -791,6 +792,10 @@ impl<'g> Diagnoser<'g> {
     where
         S: SyndromeSource + ?Sized,
     {
+        let mut claimed = claimed_faults.to_vec();
+        claimed.sort_unstable();
+        claimed.dedup();
+        let claimed_faults = &claimed[..];
         let g = self.topology.view();
         match self.verification {
             VerificationPolicy::None => VerificationVerdict::Unverified,
@@ -877,6 +882,33 @@ mod tests {
             report.verification,
             VerificationVerdict::Unverified
         ));
+    }
+
+    /// A correct claim passed unsorted and with a duplicate is the same
+    /// set: both policies must accept it.
+    #[test]
+    fn shuffled_correct_claim_agrees_under_both_policies() {
+        let g = Hypercube::new(7);
+        let s = OracleSyndrome::new(
+            FaultSet::new(128, &[3, 64, 90]),
+            TesterBehavior::Random { seed: 3 },
+        );
+        let d = diagnose(&g, &s).unwrap();
+        let shuffled = [90, 3, 64, 3];
+        for session in [
+            Diagnoser::new(&g).verify_sampled(2, 5),
+            Diagnoser::new(&g).verify_full(),
+        ] {
+            let verdict = session.verify_claim(&s, &shuffled, d.certified_part);
+            assert!(
+                matches!(
+                    verdict,
+                    VerificationVerdict::Sampled { agree: true, .. }
+                        | VerificationVerdict::FullBaseline { agree: true, .. }
+                ),
+                "{verdict:?}"
+            );
+        }
     }
 
     #[test]
