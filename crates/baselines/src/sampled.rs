@@ -6,10 +6,6 @@
 //! ran driver-only (`"baseline": null`). [`sampled_check`] restores an
 //! independent verdict at a cost the 10⁶–10⁷-node implicit path can pay:
 //!
-//! The claimed fault set is held as a [`MemberSet`] (sorted members behind
-//! a 1024-bit pre-filter), so both steps below answer "claimed faulty?"
-//! in `O(|F|)` memory, mostly with one L1 probe.
-//!
 //! 1. **Certificate re-derivation** — re-grow the restricted probe tree at
 //!    the claimed certified part straight from the syndrome source (the
 //!    same level rules and child-spreading parent reassignment as
@@ -25,6 +21,10 @@
 //!    honestly), and a wrong label at a sampled node is always caught
 //!    provided the node has a healthy neighbour with degree ≥ 2 —
 //!    guaranteed by `κ ≥ δ ≥ |F|` on every catalog family.
+//!
+//! Both steps hold the claimed fault set as a [`MemberSet`] (sorted
+//! members behind a 1024-bit pre-filter), so "claimed faulty?" costs
+//! `O(|F|)` memory and, for almost every node, one L1 probe.
 //!
 //! What this does **not** prove, versus the full baseline: labels of
 //! unsampled nodes are only vouched for transitively (they fed the
@@ -322,6 +322,10 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// Samples per part and walk seed of the bit-identity suite.
+    const K: usize = 3;
+    const SEED: u64 = 0x5A3D;
+
     /// The label loop as it was before row lookups: one `lookup` per
     /// entry over a `HashSet` claim set. `sampled_check` must return a
     /// `SampledCheck` identical to this on every input.
@@ -389,30 +393,29 @@ mod tests {
     }
 
     /// The five claims the bit-identity suite judges against a planted
-    /// `truth`: the driver's claim, a sampled healthy node flipped to
-    /// faulty, a true fault dropped, an over-bound claim and an
-    /// out-of-range certified part.
+    /// `truth` that the driver diagnosed exactly, certifying `part`: the
+    /// driver's claim, a sampled healthy node flipped to faulty, a true
+    /// fault dropped, an over-bound claim and an out-of-range certified
+    /// part.
     fn claims<T: Partitionable + ?Sized>(
         g: &T,
         truth: &[NodeId],
-        driver: (&[NodeId], usize),
-        samples: &[NodeId],
+        part: usize,
     ) -> Vec<(&'static str, Vec<NodeId>, usize)> {
-        let (faults, part) = driver;
-        let victim = *samples
-            .iter()
+        let victim = sample_nodes(g, K, SEED)
+            .into_iter()
             .find(|u| !truth.contains(u))
             .expect("some healthy node is sampled");
-        let mut flipped = faults.to_vec();
+        let mut flipped = truth.to_vec();
         flipped.push(victim);
         let over_bound: Vec<NodeId> = (0..=g.driver_fault_bound()).collect();
         let mut out = vec![
-            ("driver", faults.to_vec(), part),
+            ("driver", truth.to_vec(), part),
             ("flipped", flipped, part),
             ("over-bound", over_bound, part),
-            ("part out of range", faults.to_vec(), g.part_count()),
+            ("part out of range", truth.to_vec(), g.part_count()),
         ];
-        if let Some((_, rest)) = faults.split_first() {
+        if let Some((_, rest)) = truth.split_first() {
             out.push(("dropped", rest.to_vec(), part));
         }
         out
@@ -427,8 +430,6 @@ mod tests {
         T: Partitionable + ?Sized,
         S: SyndromeSource + ?Sized,
     {
-        const K: usize = 3;
-        const SEED: u64 = 0x5A3D;
         let bound = g.driver_fault_bound();
         let before = s.lookups();
         let want = reference_check(g, s, claim, part, bound, K, SEED);
@@ -473,13 +474,12 @@ mod tests {
     /// sample, so only its bit-identity is asserted.
     fn sweep<T: Partitionable + ?Sized>(g: &T, truth: &[NodeId]) {
         let n = g.node_count();
-        let samples = sample_nodes(g, 3, 0x5A3D);
         for b in behavior_sweep(29) {
             let dense = OracleSyndrome::new(FaultSet::new(n, truth), b);
             let sparse = OnDemandOracle::new(n, truth, b);
             let d = diagnose(g, &dense).unwrap_or_else(|e| panic!("{}: {e} ({b:?})", g.name()));
             assert_eq!(d.faults, truth, "{} {b:?}", g.name());
-            for (label, claim, part) in claims(g, truth, (&d.faults, d.certified_part), &samples) {
+            for (label, claim, part) in claims(g, truth, d.certified_part) {
                 for (oracle, s) in [
                     ("bitmap", &dense as &dyn SyndromeSource),
                     ("streaming", &sparse as &dyn SyndromeSource),
