@@ -133,9 +133,9 @@ where
 ///
 /// This deliberately re-implements the growth rules instead of calling
 /// `mmdiag_core::set_builder`: a verifier that shared the driver's kernel
-/// would rubber-stamp any bug in that kernel. The price is a fourth copy
-/// of the rules (core, the two honest-probe variants in
-/// `mmdiag_topology::partition`, and this); the cross-checks that keep
+/// would rubber-stamp any bug in that kernel. The price is a third copy
+/// of the rules (core, the honest probe in `mmdiag_topology::partition`,
+/// and this); the cross-checks that keep
 /// them from drifting are `correct_diagnosis_always_agrees` below (a
 /// divergent re-derivation fails against real driver output, behaviour
 /// sweep included) and the bench, where every driver-only cell asserts

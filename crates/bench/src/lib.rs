@@ -433,8 +433,8 @@ pub struct ProfileLeg {
     /// Phase telemetry of the profiled rep — asserted identical to the
     /// trace's own rollup before the file is written.
     pub phases: PhaseTelemetry,
-    /// The unified `oracle.lookups` metric after the profiled rep (the
-    /// same cell the report's `lookups_used` reads).
+    /// The session's `oracle.lookups` metric after the profiled rep: the
+    /// entries the rep's calls read.
     pub oracle_lookups: u64,
     /// Tasks the instrumented pool executed during the rep.
     pub tasks: u64,
@@ -606,7 +606,7 @@ pub fn run_cell_opts(
                 fastest_driver = elapsed;
                 phases = d.telemetry;
             }
-            debug_assert!(semantically_equal(&d.diagnosis, &drv));
+            debug_assert!(identical(&d.diagnosis, &drv));
             elapsed
         },
         || {
@@ -625,8 +625,7 @@ pub fn run_cell_opts(
             .run(&s)
             .unwrap_or_else(|e| panic!("{}: pooled backend failed: {e}", g.name()))
     });
-    let backend_agree =
-        semantically_equal(&auto.diagnosis, &drv) && semantically_equal(&pooled.diagnosis, &drv);
+    let backend_agree = identical(&auto.diagnosis, &drv) && identical(&pooled.diagnosis, &drv);
     assert!(backend_agree, "{}: backend legs disagree", g.name());
     let auto_no_regression = within_regression_tolerance(auto_nanos, driver_nanos);
 
@@ -840,7 +839,7 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
     }
     let auto = auto.expect("at least one auto rep");
     assert!(
-        semantically_equal(&auto.diagnosis, &drv),
+        identical(&auto.diagnosis, &drv),
         "{}: auto backend disagrees",
         g.name()
     );
@@ -979,14 +978,15 @@ fn file_stem(s: &str) -> String {
     out
 }
 
-/// Semantic equality of two diagnoses: the deterministic contract every
-/// backend must honour (accounting fields excluded — see
-/// `mmdiag_core::backend`).
-fn semantically_equal(a: &Diagnosis, b: &Diagnosis) -> bool {
+/// Field-for-field equality of two diagnoses, accounting included: the
+/// contract every backend honours (see `mmdiag_core::backend`).
+fn identical(a: &Diagnosis, b: &Diagnosis) -> bool {
     a.faults == b.faults
         && a.certified_part == b.certified_part
+        && a.probes == b.probes
         && a.healthy_count == b.healthy_count
         && a.tree.edges() == b.tree.edges()
+        && a.lookups_used == b.lookups_used
 }
 
 /// Sweep a catalog: for every instance, every [`fault_sizes`] load under a
@@ -1129,12 +1129,7 @@ fn batch_submission(inst: &Instance, syndromes: &[OracleSyndrome]) -> BatchRecor
     let agree = seq.len() == pooled.len()
         && seq.iter().zip(&pooled).all(|(a, b)| match (a, b) {
             (Ok(a), Ok(b)) => match (a.report(), b.report()) {
-                (Some(a), Some(b)) => {
-                    // Batched scans are in-order on both backends, so even
-                    // the accounting must match.
-                    semantically_equal(&a.diagnosis, &b.diagnosis)
-                        && a.diagnosis.probes == b.diagnosis.probes
-                }
+                (Some(a), Some(b)) => identical(&a.diagnosis, &b.diagnosis),
                 _ => false,
             },
             _ => false,
@@ -1335,34 +1330,19 @@ fn verification_json(v: &VerificationVerdict) -> String {
     }
 }
 
-/// Render a [`HistogramSummary`] as its JSON object (count / sum / min /
-/// max / mean and the log-bucket quantiles).
+/// [`HistogramSummary`] as its JSON object
+/// ([`mmdiag_trace::export::histogram_json`]).
 fn histogram_json(h: &HistogramSummary) -> String {
-    format!(
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \
-         \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-        h.count,
-        h.sum,
-        h.min,
-        h.max,
-        h.mean(),
-        h.p50(),
-        h.p90(),
-        h.p99()
-    )
+    let mut out = String::new();
+    mmdiag_trace::export::histogram_json(h, &mut out);
+    out
 }
 
+/// `s` escaped for a JSON string literal
+/// ([`mmdiag_trace::export::escape`]).
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    mmdiag_trace::export::escape(s, &mut out);
     out
 }
 
@@ -1451,8 +1431,7 @@ pub fn to_json(
         };
         // v2 additions: the session's per-phase telemetry and the
         // verification verdict of this cell. `grow_rounds` (additive key)
-        // is the frontier-parallel sweep's per-round split: empty on cells
-        // the sequential growth tail served.
+        // is the growth's per-layer split, on every backend.
         let rounds: Vec<String> = r
             .phases
             .grow_rounds
@@ -1855,7 +1834,7 @@ mod tests {
         assert_eq!(
             leg.oracle_lookups,
             s.lookups(),
-            "the metric and lookups() read the same cell"
+            "the metric counts every entry the session read"
         );
         assert_eq!(leg.tasks, leg.run_ns.count, "every pool task timed");
         let doc = std::fs::read_to_string(&leg.trace_file).unwrap();
@@ -1885,7 +1864,7 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), records.len());
         let json = to_json("BENCH_TEST", &records, &[], &[], None, None);
         assert!(json.contains("\"profile\": {\"trace_file\": "));
-        assert!(json.contains("\"run_ns\": {\"count\": "));
+        assert!(json.contains("\"run_ns\": {\"count\":"));
         // The un-profiled sweep keeps the key as an explicit null.
         let (plain, _) = sweep(&catalog, true, &mut |_| {});
         let json = to_json("BENCH_TEST", &plain, &[], &[], None, None);

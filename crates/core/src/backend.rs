@@ -1,29 +1,32 @@
 //! Execution policy: one diagnosis algorithm, pluggable execution.
 //!
-//! The driver's only embarrassingly parallel phase is the certified-part
-//! probe search — a lowest-index-wins reduction over deterministic,
-//! side-effect-free-per-part probes — plus, at scale, the frontier sweep
-//! of the growth tail. This module factors *how* a session run executes
-//! out of the algorithm:
+//! Every run is the same in-order probe scan on the calling thread
+//! followed by one growth (`crate::session`). A pool has two measured
+//! jobs, and this module decides when it gets them:
+//!
+//! * **frontier growth** — past [`Cutovers::grow`] (on sorted-adjacency
+//!   topologies) a pooled run finishes its growth on the pool, layer by
+//!   layer, once the in-growth certificate fires;
+//! * **batch fan-out** — a pooled `run_batch` spreads whole runs over the
+//!   pool's workers.
+//!
+//! The pieces:
 //!
 //! * [`BackendPolicy`] — sequential, a given [`mmdiag_exec::Pool`], or
 //!   size-directed auto;
-//! * [`Cutovers`] — the node counts the auto rule and the pooled growth
-//!   tail resolve against. They ride on each run's
+//! * [`Cutovers`] — the node counts the auto rule and the frontier
+//!   engine resolve against. They ride on each run's
 //!   [`SessionOptions`](crate::SessionOptions), so two sessions in one
 //!   process can hold different cutovers and no run reads a mutable
 //!   process global;
-//! * [`WorkspacePool`] — `O(N)` scratch pooled **per worker**, so batches
-//!   of probes (and batched syndrome submissions) reuse one allocation per
-//!   worker instead of one per call.
+//! * [`WorkspacePool`] — `O(N)` scratch pooled **per worker**, so batched
+//!   submissions reuse one allocation per worker instead of one per call.
 //!
-//! Determinism: every policy returns the same certified part (the lowest
-//! certifying index), hence the same fault set, healthy set and spanning
-//! tree, bit for bit. Only the *accounting* fields
+//! Determinism: every policy probes the same parts in the same order and
+//! grows the same layers, so the [`Diagnosis`](crate::Diagnosis) is
+//! bit-identical across policies, the accounting fields
 //! ([`Diagnosis::probes`](crate::Diagnosis::probes),
-//! [`Diagnosis::lookups_used`](crate::Diagnosis::lookups_used)) may differ
-//! under pooled execution, because how many parts beyond the winner get
-//! probed depends on scheduling.
+//! [`Diagnosis::lookups_used`](crate::Diagnosis::lookups_used)) included.
 
 use crate::set_builder::Workspace;
 use mmdiag_exec::sync::{Arc, Mutex};
@@ -32,14 +35,15 @@ use mmdiag_exec::{Pool, SyncStats};
 /// Default node count below which [`BackendPolicy::Auto`] stays
 /// sequential.
 ///
-/// Measured in `BENCH_1.json`/`BENCH_2.json`: on every sub-1k cell the
-/// parallel legs ran at or behind the sequential driver (a probe phase
-/// there is tens of microseconds — under any dispatch overhead), while
-/// from ~1k nodes the parallel probe search starts paying for itself.
+/// A single auto run at or above it differs from a sequential one only
+/// once it also reaches [`GROW_CUTOVER_NODES`]; what this threshold still
+/// gates is the fan-out of batched submissions. Below ~1k nodes a whole
+/// diagnosis is tens of microseconds — under the pool's dispatch overhead
+/// (`BENCH_1.json`/`BENCH_2.json`).
 pub const SEQUENTIAL_CUTOVER_NODES: usize = 1024;
 
-/// Default node count below which a pooled run keeps the sequential
-/// growth tail instead of the frontier-parallel sweep.
+/// Default node count below which a pooled run grows on the calling
+/// thread instead of the pool's frontier engine.
 ///
 /// The frontier engine pays per-layer pool dispatch plus an O(N/64)
 /// bitset reset per diagnosis; both are noise from ~10⁵ nodes up (where
@@ -54,9 +58,9 @@ pub struct Cutovers {
     /// Below this many nodes [`BackendPolicy::Auto`] runs sequentially;
     /// at or above it, on the process-wide pool.
     pub sequential: usize,
-    /// Below this many nodes a pooled run keeps the sequential growth
-    /// tail; at or above it (on sorted-adjacency topologies) growth runs
-    /// frontier-parallel on the pool.
+    /// Below this many nodes a pooled run grows on the calling thread; at
+    /// or above it (on sorted-adjacency topologies) growth finishes on the
+    /// pool's frontier engine.
     pub grow: usize,
 }
 
@@ -77,10 +81,10 @@ impl Default for Cutovers {
 /// How a session run executes.
 #[derive(Clone, Copy)]
 pub enum BackendPolicy<'p> {
-    /// In-order scan on the calling thread; no synchronisation at all.
+    /// Everything on the calling thread; no pool at all.
     Sequential,
-    /// Probe search (and, past [`Cutovers::grow`], the growth sweep) on
-    /// the given pool at its full width.
+    /// The given pool: frontier growth past [`Cutovers::grow`], and the
+    /// fan-out of batched submissions.
     Pooled(&'p Pool),
     /// Sequential below [`Cutovers::sequential`], else pooled on the
     /// process-wide [`mmdiag_exec::global`] pool.
@@ -117,10 +121,11 @@ impl<'p> BackendPolicy<'p> {
 }
 
 /// A small pool of [`Workspace`]s keyed by pool worker index, plus one
-/// overflow slot for non-worker threads. Each slot is created lazily on
-/// first checkout, so a batch of `k` submissions on a `w`-worker pool
-/// allocates at most `min(k, w + 1)` workspaces no matter how large `k`
-/// gets — the amortisation that makes batched syndrome evaluation cheap.
+/// overflow slot for non-worker threads (where single runs take theirs).
+/// Each slot is created lazily on first checkout, so a batch of `k`
+/// submissions on a `w`-worker pool allocates at most `min(k, w + 1)`
+/// workspaces no matter how large `k` gets — the amortisation that makes
+/// batched syndrome evaluation cheap.
 pub struct WorkspacePool {
     nodes: usize,
     slots: Vec<Mutex<Option<Workspace>>>,
@@ -141,6 +146,16 @@ impl WorkspacePool {
     /// every run on it.
     pub fn for_pool(nodes: usize, pool: &Pool) -> Self {
         WorkspacePool::with_stats(nodes, pool.threads(), pool.contention().cloned())
+    }
+
+    /// Workspace pool for runs that resolved to `pool`
+    /// ([`BackendPolicy::resolve`]): [`WorkspacePool::for_pool`], or a
+    /// single slot for sequential runs.
+    pub fn for_run(nodes: usize, pool: Option<&Pool>) -> Self {
+        match pool {
+            Some(pool) => WorkspacePool::for_pool(nodes, pool),
+            None => WorkspacePool::new(nodes, 0),
+        }
     }
 
     fn with_stats(nodes: usize, workers: usize, stats: Option<Arc<SyncStats>>) -> Self {
@@ -172,9 +187,9 @@ impl WorkspacePool {
 
     /// Run `f` with the frontier-growth scratch slot of `worker` (same
     /// keying as [`WorkspacePool::with`]), creating it on first use. The
-    /// growth bitsets and frontier buffers are the other O(N) scratch a
-    /// diagnosis needs; pooling them here is what keeps a stream of
-    /// `submit_batch` jobs at 10⁶⁺ nodes from re-allocating per job.
+    /// engine's bitsets are the other O(N) scratch a pooled diagnosis
+    /// needs; pooling them here is what keeps a stream of runs at 10⁶⁺
+    /// nodes from re-allocating per run.
     pub(crate) fn with_grow<R>(
         &self,
         worker: Option<usize>,
@@ -213,20 +228,23 @@ mod tests {
 
     #[test]
     fn labels_follow_the_default_cutover() {
-        // No MMDIAG_CUTOVER in the test environment: the compiled default.
-        assert_eq!(Cutovers::default().sequential, SEQUENTIAL_CUTOVER_NODES);
-        assert_eq!(Cutovers::default().grow, GROW_CUTOVER_NODES);
+        // The compiled defaults, unless MMDIAG_CUTOVER / MMDIAG_GROW_CUTOVER
+        // pin them — as `Cutovers::default` documents.
+        let knobs = mmdiag_exec::knobs();
+        let cut = Cutovers::default();
+        assert_eq!(
+            cut.sequential,
+            knobs.cutover.unwrap_or(SEQUENTIAL_CUTOVER_NODES)
+        );
+        assert_eq!(cut.grow, knobs.grow_cutover.unwrap_or(GROW_CUTOVER_NODES));
         let pool = Pool::new(1);
         assert_eq!(BackendPolicy::Sequential.label_for(1 << 20), "sequential");
         assert_eq!(BackendPolicy::Pooled(&pool).label_for(8), "pooled");
         assert_eq!(
-            BackendPolicy::Auto.label_for(SEQUENTIAL_CUTOVER_NODES - 1),
+            BackendPolicy::Auto.label_for(cut.sequential - 1),
             "sequential"
         );
-        assert_eq!(
-            BackendPolicy::Auto.label_for(SEQUENTIAL_CUTOVER_NODES),
-            "pooled"
-        );
+        assert_eq!(BackendPolicy::Auto.label_for(cut.sequential), "pooled");
     }
 
     #[test]

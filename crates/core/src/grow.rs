@@ -1,28 +1,28 @@
-//! Frontier-parallel unrestricted growth — the pooled `grow` phase.
+//! Unrestricted growth from the certified seed plus the `N(U_r)` sweep:
+//! the one growth every run takes, on the calling thread or, past the
+//! run's [`crate::Cutovers::grow`], finished on a pool's frontier engine.
+//! The output — fault set, certificate part, spanning tree `T`, the
+//! syndrome-lookup *count* and every round's `(frontier, accepted,
+//! lookups)` — is the same either way:
 //!
-//! The Theorem-1 driver's growth tail (`Set_Builder(u0)` from the
-//! certified seed plus the `N(U_r)` sweep) was the last sequential
-//! stretch of a pooled diagnosis. This module reworks it as a
-//! wavefront BFS on the worker pool while keeping the output —
-//! fault set, certificate part, spanning tree `T`, and even the
-//! syndrome-lookup *count* — bit-identical to the sequential sweep:
-//!
-//! 1. **Sequential prefix.** Level 1 and every layer up to the point
+//! 1. **Calling-thread layers.** Level 1 and every layer up to the point
 //!    where the contributor count clears the fault bound run on the
 //!    shared [`GrowthCore`]; the parent-spread heuristic is live there
-//!    and is deliberately order-dependent, so those layers are not
-//!    parallelised. Once `all_healthy` fires the heuristic is dead code
+//!    and is deliberately order-dependent, so those layers are never
+//!    parallelised. Without a frontier engine the same loop simply runs
+//!    to the end. Once `all_healthy` fires the heuristic is dead code
 //!    (its guard is `!all_healthy`) and every remaining layer is a pure
 //!    function of the frontier.
-//! 2. **Parallel layers.** The sorted frontier is split into contiguous
-//!    chunks drained by [`Pool::map`]. A worker scanning frontier node
-//!    `u` that discovers an unvisited candidate `v` arbitrates ownership
-//!    through [`ClaimBits::try_claim`] and, if it wins, resolves `v`
-//!    *completely*: it scans `v`'s neighbours in ascending order,
-//!    consulting `s.lookup(w, v, t(w))` for each frontier member `w`
-//!    until the first witness agrees — exactly the order and the number
-//!    of consultations the sorted sequential sweep performs, regardless
-//!    of which worker won the claim. Losers consult nothing.
+//! 2. **Parallel layers.** With an engine, the sorted frontier is split
+//!    into contiguous chunks drained by [`Pool::map`]. A worker scanning
+//!    frontier node `u` that discovers an unvisited candidate `v`
+//!    arbitrates ownership through [`ClaimBits::try_claim`] and, if it
+//!    wins, resolves `v` *completely*: it scans `v`'s neighbours in
+//!    ascending order, consulting `s.lookup(w, v, t(w))` for each
+//!    frontier member `w` until the first witness agrees — exactly the
+//!    order and the number of consultations the sorted sequential sweep
+//!    performs, regardless of which worker won the claim. Losers consult
+//!    nothing.
 //! 3. **Deterministic merge.** Accepted `(t(v), v)` pairs from all
 //!    chunks are sorted by `(parent, v)` — the order a sequential scan
 //!    of the sorted frontier appends them in when adjacency lists are
@@ -36,9 +36,8 @@
 //!    historical O(N) full-graph sweep with an O(|F|·Δ) sort.
 //!
 //! The engine requires [`Topology::has_sorted_adjacency`] — the merge
-//! order argument above leans on sorted neighbour lists — and is gated
-//! in the session behind the run's [`crate::Cutovers::grow`], so small
-//! instances keep the sequential tail byte for byte.
+//! order argument above leans on sorted neighbour lists — and the session
+//! builds one only for runs with a pool at or past [`crate::Cutovers::grow`].
 
 use crate::driver::{Diagnosis, DiagnosisError};
 use crate::session::GrowRound;
@@ -46,7 +45,7 @@ use crate::set_builder::{GrowthCore, Workspace};
 use mmdiag_exec::{ClaimBits, Pool};
 use mmdiag_syndrome::SyndromeSource;
 use mmdiag_topology::{NodeId, Topology};
-use mmdiag_trace::{checked_delta, Tracer, CAT_PHASE, PHASE_GROW_ROUND};
+use mmdiag_trace::{checked_delta, Span, Tracer, CAT_PHASE, PHASE_GROW_ROUND};
 
 const WORD_BITS: usize = usize::BITS as usize;
 
@@ -74,19 +73,17 @@ const MIN_CHUNK: usize = 128;
 /// candidate ids — a few KB — L1-resident).
 const PROBE_BATCH: usize = 128;
 
-/// Pooled scratch for the frontier-parallel sweep: the dense
-/// frontier-membership bitset (O(N/64) words, reset per diagnosis, not
-/// reallocated), the atomic claim set — which doubles as the visited set:
-/// hand-off seeds a claim per existing member, accepted candidates keep
-/// theirs, so one claim-bit load answers both "already a member" and
-/// "claimed this round" — and the reusable rejectee buffer. Lives in
-/// [`crate::WorkspacePool`] slots next to the [`Workspace`]s so repeated
-/// `submit_batch` jobs at 10⁶⁺ nodes stop re-allocating O(N) scratch per
-/// job.
+/// Pooled scratch for the frontier engine: the dense frontier-membership
+/// bitset (O(N/64) words, reset per diagnosis, not reallocated) and the
+/// atomic claim set — which doubles as the visited set: hand-off seeds a
+/// claim per existing member, accepted candidates keep theirs, so one
+/// claim-bit load answers both "already a member" and "claimed this
+/// round". Lives in [`crate::WorkspacePool`] slots next to the
+/// [`Workspace`]s so repeated runs at 10⁶⁺ nodes stop re-allocating O(N)
+/// scratch per run.
 pub(crate) struct GrowScratch {
     in_frontier: Vec<usize>,
     claimed: ClaimBits,
-    rejects: Vec<NodeId>,
     /// Ping-pong buffer for the merge's radix sort, pooled so the
     /// multi-million-key middle rounds don't allocate per round.
     sort_scratch: Vec<u64>,
@@ -97,7 +94,6 @@ impl GrowScratch {
         GrowScratch {
             in_frontier: Vec::new(),
             claimed: ClaimBits::new(0),
-            rejects: Vec::new(),
             sort_scratch: Vec::new(),
         }
     }
@@ -202,11 +198,52 @@ fn sort_keys(keys: &mut [u64], scratch: &mut Vec<u64>) {
     }
 }
 
-/// The frontier-parallel `grow_and_sweep`: same contract as
-/// [`crate::session::grow_and_sweep`] (same faults, tree, lookup count),
-/// plus the per-round telemetry the sequential tail doesn't collect.
+/// Where a growth hands its certified frontier: the frontier engine,
+/// which grows every remaining layer on a pool (one [`GrowRound`] each)
+/// and then drops every reject that became a member. A trait object, so
+/// [`grow_and_sweep`] itself needs no `Sync` bounds.
+pub(crate) trait Handoff {
+    fn grow_rest(
+        &mut self,
+        core: &mut GrowthCore,
+        ws: &mut Workspace,
+        rejects: &mut Vec<NodeId>,
+        rounds: &mut Vec<GrowRound>,
+        tracer: &Tracer,
+    );
+}
+
+/// The frontier engine for one run: the instance, the pool its layers run
+/// on and the pooled scratch slot they use.
+pub(crate) struct Frontier<'a, T: ?Sized, S: ?Sized> {
+    pub(crate) g: &'a T,
+    pub(crate) s: &'a S,
+    pub(crate) pool: &'a Pool,
+    pub(crate) scratch: &'a mut GrowScratch,
+}
+
+/// Close a round's span and record the round.
+fn round<S>(s: &S, before: u64, span: Span<'_>, frontier: usize, accepted: usize) -> GrowRound
+where
+    S: SyndromeSource + ?Sized,
+{
+    let lookups = checked_delta(s.lookups(), before);
+    GrowRound {
+        frontier,
+        accepted,
+        lookups,
+        nanos: u128::from(span.finish_with_value(lookups)),
+        parallel: false,
+    }
+}
+
+/// Growth from the certified seed `u0` of `part` plus the `N(U_r)` sweep
+/// — the post-probe half of every run. Layers run on the calling thread
+/// until the in-growth certificate fires; from there, `frontier` (when
+/// given) grows the rest. Each layer is one [`GrowRound`] and one
+/// `grow.round` span; the rounds' lookups partition the growth's.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn grow_and_sweep_parallel<T, S>(
+pub(crate) fn grow_and_sweep<T, S>(
     g: &T,
     s: &S,
     u0: NodeId,
@@ -214,110 +251,51 @@ pub(crate) fn grow_and_sweep_parallel<T, S>(
     probes: usize,
     fault_bound: usize,
     start_lookups: u64,
-    pool: &Pool,
     ws: &mut Workspace,
-    gs: &mut GrowScratch,
+    frontier: Option<&mut dyn Handoff>,
     tracer: &Tracer,
 ) -> Result<(Diagnosis, Vec<GrowRound>), DiagnosisError>
 where
-    T: Topology + Sync + ?Sized,
-    S: SyndromeSource + Sync + ?Sized,
+    T: Topology + ?Sized,
+    S: SyndromeSource + ?Sized,
 {
-    debug_assert!(
-        g.has_sorted_adjacency(),
-        "the deterministic merge requires sorted adjacency"
-    );
     let accept = |_: NodeId| true;
     let mut rounds: Vec<GrowRound> = Vec::new();
-    let mut rejects = std::mem::take(&mut gs.rejects);
-    rejects.clear();
+    let mut rejects: Vec<NodeId> = Vec::new();
 
-    // Sequential prefix: level 1, then layers until the certificate fires
-    // inside the growth (the spread heuristic is alive until then and its
-    // lookups are scan-order-dependent by design) or growth finishes.
-    let mut before = s.lookups();
+    let before = s.lookups();
     let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
     let mut core = GrowthCore::start(g, s, u0, fault_bound, &accept, ws, &mut |v| rejects.push(v));
-    {
-        let lk = checked_delta(s.lookups(), before);
-        rounds.push(GrowRound {
-            frontier: 1,
-            accepted: core.members.len() - 1,
-            lookups: lk,
-            nanos: u128::from(span.finish_with_value(lk)),
-            parallel: false,
-        });
-    }
+    rounds.push(round(s, before, span, 1, core.members.len() - 1));
+    // The spread heuristic is alive until the certificate fires inside the
+    // growth, and its lookups are scan-order-dependent by design: those
+    // layers always run here.
     let mut growing = !ws.frontier.is_empty();
-    while growing && !core.all_healthy {
-        let frontier = ws.frontier.len();
+    while growing && !(core.all_healthy && frontier.is_some()) {
+        let width = ws.frontier.len();
         let members_before = core.members.len();
-        before = s.lookups();
+        let before = s.lookups();
         let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
         growing = core.advance_layer(g, s, &accept, ws, &mut |v| rejects.push(v));
-        let lk = checked_delta(s.lookups(), before);
-        rounds.push(GrowRound {
-            frontier,
-            accepted: core.members.len() - members_before,
-            lookups: lk,
-            nanos: u128::from(span.finish_with_value(lk)),
-            parallel: false,
-        });
+        rounds.push(round(
+            s,
+            before,
+            span,
+            width,
+            core.members.len() - members_before,
+        ));
     }
-
-    let handed_off = growing;
-    if growing {
-        // Hand off: mirror the workspace membership into the claim set
-        // (membership and claims share one bit — see [`GrowScratch`]) and
-        // the frontier bitset the workers read lock-free; all writes
-        // happen here or in the single-threaded merge.
-        gs.begin();
-        for &m in &core.members {
-            let _ = gs.claimed.try_claim(m);
-        }
-        // Growth will visit nearly every node: size the output vectors
-        // once so the middle rounds don't pay doubling reallocations
-        // (hundreds of MB of memcpy at 10⁸ nodes).
-        let n = g.node_count();
-        core.members.reserve(n.saturating_sub(core.members.len()));
-        core.edges.reserve(n.saturating_sub(core.edges.len()));
-        ws.frontier.sort_unstable();
-        for &u in &ws.frontier {
-            set_bit(&mut gs.in_frontier, u);
-        }
-        loop {
-            let frontier = ws.frontier.len();
-            before = s.lookups();
-            let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
-            let accepted = parallel_layer(g, s, pool, ws, gs, &mut core, &mut rejects);
-            let lk = checked_delta(s.lookups(), before);
-            rounds.push(GrowRound {
-                frontier,
-                accepted,
-                lookups: lk,
-                nanos: u128::from(span.finish_with_value(lk)),
-                parallel: true,
-            });
-            if accepted == 0 {
-                break;
-            }
-        }
-    }
-
     // N(U_r) \ U_r: exactly the never-visited rejectees (Theorem 1 labels
-    // them all faulty). Parallel-round acceptances live in the claim set
-    // only (the merge skips the `mark` epoch array, and rejected claims
-    // were released round by round), so membership is answered there
-    // whenever the hand-off happened.
-    if handed_off {
-        rejects.retain(|&v| !gs.claimed.is_claimed(v));
-    } else {
-        rejects.retain(|&v| !ws.seen(v));
+    // them all faulty).
+    match frontier {
+        Some(engine) if growing => {
+            engine.grow_rest(&mut core, ws, &mut rejects, &mut rounds, tracer)
+        }
+        _ => rejects.retain(|&v| !ws.seen(v)),
     }
     rejects.sort_unstable();
     rejects.dedup();
-    let faults = std::mem::take(&mut rejects);
-    gs.rejects = rejects;
+    let faults = rejects;
     if faults.len() > fault_bound {
         return Err(DiagnosisError::TooManyFaults {
             found: faults.len(),
@@ -336,6 +314,62 @@ where
         },
         rounds,
     ))
+}
+
+impl<T, S> Handoff for Frontier<'_, T, S>
+where
+    T: Topology + Sync + ?Sized,
+    S: SyndromeSource + Sync + ?Sized,
+{
+    fn grow_rest(
+        &mut self,
+        core: &mut GrowthCore,
+        ws: &mut Workspace,
+        rejects: &mut Vec<NodeId>,
+        rounds: &mut Vec<GrowRound>,
+        tracer: &Tracer,
+    ) {
+        debug_assert!(
+            self.g.has_sorted_adjacency(),
+            "the deterministic merge requires sorted adjacency"
+        );
+        let gs = &mut *self.scratch;
+        // Hand off: mirror the workspace membership into the claim set
+        // (membership and claims share one bit — see [`GrowScratch`]) and
+        // the frontier bitset the workers read lock-free; all writes
+        // happen here or in the single-threaded merge.
+        gs.begin();
+        for &m in &core.members {
+            let _ = gs.claimed.try_claim(m);
+        }
+        // Growth will visit nearly every node: size the output vectors
+        // once so the middle rounds don't pay doubling reallocations
+        // (hundreds of MB of memcpy at 10⁸ nodes).
+        let n = self.g.node_count();
+        core.members.reserve(n.saturating_sub(core.members.len()));
+        core.edges.reserve(n.saturating_sub(core.edges.len()));
+        ws.frontier.sort_unstable();
+        for &u in &ws.frontier {
+            set_bit(&mut gs.in_frontier, u);
+        }
+        loop {
+            let width = ws.frontier.len();
+            let before = self.s.lookups();
+            let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
+            let accepted = parallel_layer(self.g, self.s, self.pool, ws, gs, core, rejects);
+            rounds.push(GrowRound {
+                parallel: true,
+                ..round(self.s, before, span, width, accepted)
+            });
+            if accepted == 0 {
+                break;
+            }
+        }
+        // Parallel-round acceptances live in the claim set only (the merge
+        // skips the `mark` epoch array, and rejected claims were released
+        // round by round), so membership is answered there.
+        rejects.retain(|&v| !gs.claimed.is_claimed(v));
+    }
 }
 
 /// One post-certificate layer on the pool. Returns the number of nodes
@@ -471,14 +505,53 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::grow_and_sweep;
     use mmdiag_syndrome::{FaultSet, OracleSyndrome, TesterBehavior};
     use mmdiag_topology::families::Hypercube;
     use mmdiag_topology::Cached;
 
-    /// The engine against the sequential tail on every worker count:
-    /// faults, tree, member count and even the lookup count must be
-    /// bit-identical, and the per-round lookups must sum to the total.
+    /// One growth from `u0` of part 0 with a bound of `bound`, on the
+    /// calling thread (`pool == None`) or handed to the frontier engine.
+    fn grow<T, S>(
+        g: &T,
+        s: &S,
+        u0: NodeId,
+        bound: usize,
+        ws: &mut Workspace,
+        pool: Option<(&Pool, &mut GrowScratch)>,
+    ) -> Result<(Diagnosis, Vec<GrowRound>), DiagnosisError>
+    where
+        T: Topology + Sync + ?Sized,
+        S: SyndromeSource + Sync + ?Sized,
+    {
+        let tracer = Tracer::disabled();
+        match pool {
+            None => grow_and_sweep(g, s, u0, 0, 1, bound, 0, ws, None, &tracer),
+            Some((pool, scratch)) => {
+                let mut engine = Frontier {
+                    g,
+                    s,
+                    pool,
+                    scratch,
+                };
+                grow_and_sweep(g, s, u0, 0, 1, bound, 0, ws, Some(&mut engine), &tracer)
+            }
+        }
+    }
+
+    /// `(frontier, accepted, lookups)` of every round: what must agree
+    /// between the calling thread and the engine (timings and the
+    /// `parallel` flag differ by construction).
+    fn shape(rounds: &[GrowRound]) -> Vec<(usize, usize, u64)> {
+        rounds
+            .iter()
+            .map(|r| (r.frontier, r.accepted, r.lookups))
+            .collect()
+    }
+
+    /// The engine against the calling-thread growth on every worker count:
+    /// faults, tree, member count, the lookup count and every round's
+    /// shape must be bit-identical, and the per-round lookups must sum to
+    /// the total.
     #[test]
     fn frontier_parallel_matches_sequential_grow_bit_for_bit() {
         let base = Hypercube::new(10);
@@ -496,38 +569,27 @@ mod tests {
                 let s = OracleSyndrome::new(FaultSet::new(n, &faults), behavior);
                 let mut ws = Workspace::new(n);
                 s.reset_lookups();
-                let seq = grow_and_sweep(&g, &s, 0, 0, 1, bound, 0, &mut ws).unwrap();
+                let (seq, seq_rounds) = grow(&g, &s, 0, bound, &mut ws, None).unwrap();
                 let seq_lookups = s.lookups();
+                assert!(seq_rounds.iter().all(|r| !r.parallel));
+                assert_eq!(
+                    seq_rounds.iter().map(|r| r.lookups).sum::<u64>(),
+                    seq_lookups,
+                    "calling-thread rounds partition the total too"
+                );
                 for workers in [1usize, 2, 4, 8] {
                     let pool = Pool::new(workers);
                     let mut pws = Workspace::new(n);
                     let mut gs = GrowScratch::new();
                     gs.ensure(n);
                     s.reset_lookups();
-                    let (par, rounds) = grow_and_sweep_parallel(
-                        &g,
-                        &s,
-                        0,
-                        0,
-                        1,
-                        bound,
-                        0,
-                        &pool,
-                        &mut pws,
-                        &mut gs,
-                        &Tracer::disabled(),
-                    )
-                    .unwrap();
+                    let (par, rounds) =
+                        grow(&g, &s, 0, bound, &mut pws, Some((&pool, &mut gs))).unwrap();
                     assert_eq!(par.faults, seq.faults, "workers={workers}");
                     assert_eq!(par.healthy_count, seq.healthy_count);
                     assert_eq!(par.tree.edges(), seq.tree.edges(), "workers={workers}");
                     assert_eq!(s.lookups(), seq_lookups, "workers={workers}");
-                    assert!(!rounds.is_empty());
-                    assert_eq!(
-                        rounds.iter().map(|r| r.lookups).sum::<u64>(),
-                        seq_lookups,
-                        "per-round lookups partition the total"
-                    );
+                    assert_eq!(shape(&rounds), shape(&seq_rounds), "workers={workers}");
                     assert!(
                         rounds.iter().any(|r| r.parallel),
                         "fault-free Q_10 certifies"
@@ -547,24 +609,12 @@ mod tests {
         let faults: Vec<usize> = (100..120).collect();
         let s = OracleSyndrome::new(FaultSet::new(n, &faults), TesterBehavior::AllOne);
         let mut ws = Workspace::new(n);
-        let seq = grow_and_sweep(&g, &s, 0, 0, 1, 3, 0, &mut ws);
+        let seq = grow(&g, &s, 0, 3, &mut ws, None);
         let pool = Pool::new(4);
         let mut pws = Workspace::new(n);
         let mut gs = GrowScratch::new();
         gs.ensure(n);
-        let par = grow_and_sweep_parallel(
-            &g,
-            &s,
-            0,
-            0,
-            1,
-            3,
-            0,
-            &pool,
-            &mut pws,
-            &mut gs,
-            &Tracer::disabled(),
-        );
+        let par = grow(&g, &s, 0, 3, &mut pws, Some((&pool, &mut gs)));
         match (seq, par) {
             (
                 Err(DiagnosisError::TooManyFaults { found: a, bound: b }),
@@ -593,21 +643,8 @@ mod tests {
                 TesterBehavior::Random { seed: 3 },
             );
             let mut sws = Workspace::new(n);
-            let seq = grow_and_sweep(&g, &s, seed, 0, 1, 9, 0, &mut sws).unwrap();
-            let (par, _) = grow_and_sweep_parallel(
-                &g,
-                &s,
-                seed,
-                0,
-                1,
-                9,
-                0,
-                &pool,
-                &mut ws,
-                &mut gs,
-                &Tracer::disabled(),
-            )
-            .unwrap();
+            let (seq, _) = grow(&g, &s, seed, 9, &mut sws, None).unwrap();
+            let (par, _) = grow(&g, &s, seed, 9, &mut ws, Some((&pool, &mut gs))).unwrap();
             assert_eq!(par.faults, seq.faults);
             assert_eq!(par.tree.edges(), seq.tree.edges());
         }

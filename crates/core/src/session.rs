@@ -5,40 +5,47 @@
 //! * [`run_with`] / [`run_batch`] — one run (or one batch of syndromes)
 //!   under a [`BackendPolicy`], resolved per instance against the run's
 //!   [`Cutovers`];
-//! * [`run_sequential`] — the in-order scan with no `Sync` bounds (what
-//!   [`crate::diagnose`] wraps);
+//! * [`run_sequential`] — the same run with no `Sync` bounds and no pool
+//!   (what [`crate::diagnose`] wraps);
 //! * [`probe_part`] / [`grow_from_certificate`] — the two halves of the
 //!   scan as first-class steps, for callers that keep per-part state
 //!   across runs (the epoch monitor);
 //! * [`DiagnosisReport`] — the [`Diagnosis`] plus the §4.1
 //!   [`Certificate`] (the restricted probe tree that proved the seed part
 //!   all-healthy), per-phase [`PhaseTelemetry`] (probe/certify/grow wall
-//!   times and lookup counts), the resolved backend label, and a
-//!   [`VerificationVerdict`] slot the umbrella session fills from its
-//!   verification policy.
+//!   times and lookup counts, growth round by round), the resolved
+//!   backend label, and a [`VerificationVerdict`] slot the umbrella
+//!   session fills from its verification policy.
 //!
-//! **Determinism contract**: the certified part is always the lowest
-//! certifying index, so faults, certificate, healthy set and spanning
-//! tree are bit-identical across backends; only the accounting (`probes`,
-//! `lookups_used`, telemetry) is scheduling-dependent under pooled
-//! execution. The phase instrumentation is a handful of monotonic-clock
-//! reads per diagnosis (through the `mmdiag_trace::clock` door) — it
-//! consults no extra syndrome entries. When [`SessionOptions::tracer`] is
-//! enabled, each phase additionally records one span into the trace sink
-//! whose duration and lookup attribute are *the same values* stored in
-//! [`PhaseTelemetry`] — `mmdiag_trace::TraceSummary` built from the
-//! drained trace agrees with the report exactly.
+//! Every entry point runs one function: the in-order probe scan on the
+//! calling thread's workspace slot, then one growth. A pool takes part
+//! only inside that growth — the frontier engine, past
+//! [`Cutovers::grow`] on sorted-adjacency topologies — and in
+//! [`run_batch`]'s fan-out of whole runs.
+//!
+//! **Determinism contract**: every backend probes the same parts in the
+//! same order and grows the same layers, so a report is bit-identical
+//! across backends — faults, certificate, healthy set, spanning tree and
+//! the accounting (`probes`, `lookups_used`, the phase lookups and every
+//! round's frontier, acceptances and lookups). Only wall times and the
+//! rounds' `parallel` flags differ. The phase instrumentation is a
+//! handful of monotonic-clock reads per growth round (through the
+//! `mmdiag_trace::clock` door) — it consults no extra syndrome entries.
+//! When [`SessionOptions::tracer`] is enabled, each phase and round
+//! additionally records one span into the trace sink whose duration and
+//! lookup attribute are *the same values* stored in [`PhaseTelemetry`] —
+//! `mmdiag_trace::TraceSummary` built from the drained trace agrees with
+//! the report exactly.
 
 use crate::backend::{BackendPolicy, Cutovers, WorkspacePool};
 use crate::driver::{Diagnosis, DiagnosisError};
-use crate::set_builder::{set_builder_in_part, GrowthCore, SetBuilderOutcome, Workspace};
+use crate::grow::{grow_and_sweep, Frontier, Handoff};
+use crate::set_builder::{set_builder_in_part, SetBuilderOutcome, Workspace};
 use crate::tree::SpanningTree;
-use mmdiag_exec::sync::Mutex;
 use mmdiag_exec::Pool;
 use mmdiag_syndrome::SyndromeSource;
 use mmdiag_topology::{NodeId, Partitionable, Topology};
 use mmdiag_trace::{checked_delta, Tracer, CAT_PHASE, PHASE_CERTIFY, PHASE_GROW, PHASE_PROBE};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The §4.1 all-healthy certificate: the restricted probe tree grown at
 /// the certified part's representative, whose distinct internal
@@ -76,12 +83,11 @@ impl Certificate {
 
 /// Wall time and lookup accounting per driver phase. Timings are
 /// monotonic-clock nanoseconds around the phase; lookups are deltas of
-/// the source's counter, so under pooled execution they attribute shared
-/// atomic increments to the phase in which they landed (the same caveat
-/// as `Diagnosis::lookups_used`).
+/// the source's counter (the same accounting as
+/// `Diagnosis::lookups_used`), identical across backends.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseTelemetry {
-    /// Restricted probe search (all parts probed until the certificate).
+    /// Restricted probe scan (parts probed in order until one certifies).
     pub probe_nanos: u128,
     /// Certificate selection + artifact assembly (cloning the winning
     /// restricted tree out of the probe outcome).
@@ -93,16 +99,16 @@ pub struct PhaseTelemetry {
     /// Syndrome entries consulted by the growth phase (the sweep reads
     /// adjacency only).
     pub grow_lookups: u64,
-    /// Per-frontier-round breakdown of the growth phase, recorded by the
-    /// frontier-parallel sweep (empty when the sequential tail ran).
-    /// Round lookups partition [`PhaseTelemetry::grow_lookups`] exactly;
-    /// round times nest inside [`PhaseTelemetry::grow_nanos`].
+    /// Per-layer breakdown of the growth phase, one round per layer on
+    /// every backend (empty only for the epoch monitor's reports). Round
+    /// lookups partition [`PhaseTelemetry::grow_lookups`] exactly; round
+    /// times nest inside [`PhaseTelemetry::grow_nanos`].
     pub grow_rounds: Vec<GrowRound>,
 }
 
-/// One frontier round of the growth phase, as recorded by the
-/// frontier-parallel sweep (each round is also a `grow.round` trace
-/// span nested inside the `grow` phase span).
+/// One layer of the growth phase (each round is also a `grow.round`
+/// trace span nested inside the `grow` phase span). Everything but
+/// `nanos` and `parallel` is the same on every backend.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GrowRound {
     /// Nodes scanned as this round's frontier.
@@ -113,8 +119,9 @@ pub struct GrowRound {
     pub lookups: u64,
     /// Wall time of the round in nanoseconds.
     pub nanos: u128,
-    /// Whether the round ran on the pool (`false` for the sequential
-    /// prefix layers before the in-growth certificate fires).
+    /// Whether the round ran on the pool's frontier engine (`false` for
+    /// layers on the calling thread: every layer of a run without the
+    /// engine, and the layers before the in-growth certificate fires).
     pub parallel: bool,
 }
 
@@ -217,7 +224,7 @@ pub struct SessionOptions {
     /// Run §5's decomposition precondition check first (off for
     /// borderline instances run with an explicit bound).
     pub check_preconditions: bool,
-    /// The thresholds [`BackendPolicy::Auto`] and the pooled growth tail
+    /// The thresholds [`BackendPolicy::Auto`] and the frontier engine
     /// resolve against — per run, never a process global.
     pub cutovers: Cutovers,
     /// Where phase spans are recorded. The default is the disabled
@@ -236,56 +243,6 @@ impl Default for SessionOptions {
             tracer: Tracer::disabled(),
         }
     }
-}
-
-/// After a certificate at `u0`: unrestricted growth + neighbourhood
-/// sweep. Shared by the sequential scan and every pooled strategy — this
-/// is the session's (and historically the driver's) `finish` step.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn grow_and_sweep<T, S>(
-    g: &T,
-    s: &S,
-    u0: NodeId,
-    part: usize,
-    probes: usize,
-    fault_bound: usize,
-    start_lookups: u64,
-    ws: &mut Workspace,
-) -> Result<Diagnosis, DiagnosisError>
-where
-    T: Topology + ?Sized,
-    S: SyndromeSource + ?Sized,
-{
-    // Grow with a reject sink: every disagreeing lookup on a then-unvisited
-    // candidate is recorded, and a node of N(U_r) \ U_r is exactly a
-    // never-visited rejectee (each member is scanned as frontier exactly
-    // once, so every boundary edge gets consulted). This replaces the
-    // historical O(N) full-graph sweep — two `vec![false; n]` per diagnosis
-    // — with an O(|F|·Δ) sort, without touching the growth's lookups.
-    let accept = |_: NodeId| true;
-    let mut rejects: Vec<NodeId> = Vec::new();
-    let mut sink = |v: NodeId| rejects.push(v);
-    let mut core = GrowthCore::start(g, s, u0, fault_bound, &accept, ws, &mut sink);
-    while core.advance_layer(g, s, &accept, ws, &mut sink) {}
-    let full: SetBuilderOutcome = core.finish(s);
-    let mut faults = rejects;
-    faults.retain(|&v| !ws.seen(v));
-    faults.sort_unstable();
-    faults.dedup();
-    if faults.len() > fault_bound {
-        return Err(DiagnosisError::TooManyFaults {
-            found: faults.len(),
-            bound: fault_bound,
-        });
-    }
-    Ok(Diagnosis {
-        faults,
-        certified_part: part,
-        probes,
-        healthy_count: full.members.len(),
-        tree: full.tree,
-        lookups_used: checked_delta(s.lookups(), start_lookups),
-    })
 }
 
 /// One part's restricted probe, exposed as a first-class outcome so the
@@ -311,10 +268,9 @@ pub struct PartProbe {
 
 /// Probe a single part: the restricted `Set_Builder` growth at the part's
 /// representative, packaged with its certificate when it certifies. This
-/// is one iteration of the sequential probe scan
-/// (`run_sequential_in_ws`), split out so callers that keep per-part
-/// state across calls (the incremental monitor) can drive the scan
-/// themselves.
+/// is one iteration of every run's probe scan, split out so callers that
+/// keep per-part state across calls (the incremental monitor) can drive
+/// the scan themselves.
 pub fn probe_part<T, S>(
     g: &T,
     s: &S,
@@ -347,7 +303,7 @@ where
 /// `diagnose` would produce once the probe scan lands on the same part.
 /// `probes` and `start_lookups` seed the diagnosis' accounting fields
 /// (the monitor passes the epoch's walk so `lookups_used` reports the
-/// epoch's true cost).
+/// epoch's true cost). Growth runs on the calling thread, untraced.
 pub fn grow_from_certificate<T, S>(
     g: &T,
     s: &S,
@@ -370,18 +326,23 @@ where
         fault_bound,
         start_lookups,
         ws,
+        None,
+        &Tracer::disabled(),
     )
+    .map(|(diagnosis, _)| diagnosis)
 }
 
-/// The sequential session run in a caller-provided workspace — the
-/// canonical in-order scan every sequential resolution runs. Requires no
-/// `Sync` bounds.
-pub(crate) fn run_sequential_in_ws<T, S>(
+/// The one session run, in a caller-provided workspace: the in-order
+/// probe scan, then growth from the lowest certifying part — handed to
+/// `frontier` once its own certificate fires, when one is given.
+/// Requires no `Sync` bounds; the report is labelled `"sequential"`.
+fn run_in_ws<T, S>(
     g: &T,
     s: &S,
     fault_bound: usize,
     tracer: &Tracer,
     ws: &mut Workspace,
+    frontier: Option<&mut dyn Handoff>,
 ) -> Result<DiagnosisReport, DiagnosisError>
 where
     T: Partitionable + ?Sized,
@@ -411,7 +372,18 @@ where
     let certify_nanos = u128::from(certify_span.finish());
 
     let grow_span = tracer.span(CAT_PHASE, PHASE_GROW);
-    let diagnosis = grow_and_sweep(g, s, u0, part, probes, fault_bound, start_lookups, ws)?;
+    let (diagnosis, grow_rounds) = grow_and_sweep(
+        g,
+        s,
+        u0,
+        part,
+        probes,
+        fault_bound,
+        start_lookups,
+        ws,
+        frontier,
+        tracer,
+    )?;
     let grow_lookups = checked_delta(checked_delta(s.lookups(), start_lookups), probe_lookups);
     let grow_nanos = u128::from(grow_span.finish_with_value(grow_lookups));
 
@@ -424,11 +396,51 @@ where
             grow_nanos,
             probe_lookups,
             grow_lookups,
-            grow_rounds: Vec::new(),
+            grow_rounds,
         },
         backend: "sequential",
         verification: VerificationVerdict::Unverified,
     })
+}
+
+/// One run on the workspace slot of the calling thread, labelled by the
+/// pool the policy resolved to. Growth goes to that pool's frontier
+/// engine when `grow_on_pool` is set, the instance reaches
+/// [`Cutovers::grow`] and the topology lists neighbours sorted.
+fn run_on<T, S>(
+    g: &T,
+    s: &S,
+    fault_bound: usize,
+    opts: &SessionOptions,
+    wsp: &WorkspacePool,
+    pool: Option<&Pool>,
+    grow_on_pool: bool,
+) -> Result<DiagnosisReport, DiagnosisError>
+where
+    T: Partitionable + Sync + ?Sized,
+    S: SyndromeSource + Sync + ?Sized,
+{
+    let slot = pool.and_then(Pool::worker_index);
+    let engine_pool = pool.filter(|_| {
+        grow_on_pool && g.has_sorted_adjacency() && g.node_count() >= opts.cutovers.grow
+    });
+    let tracer = &opts.tracer;
+    let mut report = wsp.with(slot, |ws| match engine_pool {
+        Some(pool) => wsp.with_grow(slot, |scratch| {
+            let mut frontier = Frontier {
+                g,
+                s,
+                pool,
+                scratch,
+            };
+            run_in_ws(g, s, fault_bound, tracer, ws, Some(&mut frontier))
+        }),
+        None => run_in_ws(g, s, fault_bound, tracer, ws, None),
+    })?;
+    if pool.is_some() {
+        report.backend = "pooled";
+    }
+    Ok(report)
 }
 
 /// §5's precondition check (unless disabled) and the run's fault bound.
@@ -455,145 +467,14 @@ where
 {
     let bound = checked_bound(g, opts)?;
     let mut ws = Workspace::new(g.node_count());
-    run_sequential_in_ws(g, s, bound, &opts.tracer, &mut ws)
-}
-
-/// The pooled session run: the probe search dispatched on `pool` as a
-/// deterministic lowest-index-wins reduction over one strided lane per
-/// worker, workspaces pooled per worker (the caller may pass a
-/// longer-lived [`WorkspacePool`] so batches reuse scratch across calls).
-/// The winning restricted probe's outcome is captured en route, so the
-/// certificate costs no extra syndrome lookups.
-fn run_pooled<T, S>(
-    g: &T,
-    s: &S,
-    pool: &Pool,
-    fault_bound: usize,
-    opts: &SessionOptions,
-    ws_pool: Option<&WorkspacePool>,
-) -> Result<DiagnosisReport, DiagnosisError>
-where
-    T: Partitionable + Sync + ?Sized,
-    S: SyndromeSource + Sync + ?Sized,
-{
-    let parts = g.part_count();
-    if parts == 0 {
-        return Err(DiagnosisError::Preconditions(format!(
-            "{}: decomposition has no parts, nothing to probe",
-            g.name()
-        )));
-    }
-    let tracer = &opts.tracer;
-    let start_lookups = s.lookups();
-    let probes = AtomicUsize::new(0);
-    let owned_ws;
-    let ws_pool = match ws_pool {
-        Some(p) => p,
-        None => {
-            owned_ws = WorkspacePool::for_pool(g.node_count(), pool);
-            &owned_ws
-        }
-    };
-
-    // The lowest certifying part's probe outcome, captured as the lanes
-    // run so the certificate needs no re-probe (which would perturb the
-    // lookup accounting). Its lock is the run's, so it records into the
-    // pool's contention cells like the pool's own locks.
-    let best: Mutex<Option<(usize, Certificate)>> =
-        Mutex::with_stats(None, pool.contention().cloned());
-
-    let probe_span = tracer.span(CAT_PHASE, PHASE_PROBE);
-    let part = pool
-        .min_index_where(parts, pool.threads().min(parts), |p| {
-            probes.fetch_add(1, Ordering::Relaxed);
-            ws_pool.with(pool.worker_index(), |ws| {
-                let probe = set_builder_in_part(g, s, g.representative(p), fault_bound, ws);
-                if probe.all_healthy {
-                    let mut slot = best.lock().unwrap();
-                    if slot.as_ref().is_none_or(|(held, _)| p < *held) {
-                        *slot = Some((p, Certificate::from_probe(p, g.representative(p), probe)));
-                    }
-                    true
-                } else {
-                    false
-                }
-            })
-        })
-        .ok_or(DiagnosisError::NoPartCertified)?;
-    let probe_lookups = checked_delta(s.lookups(), start_lookups);
-    let probe_nanos = u128::from(probe_span.finish_with_value(probe_lookups));
-
-    let certify_span = tracer.span(CAT_PHASE, PHASE_CERTIFY);
-    let (held_part, certificate) = best
-        .into_inner()
-        .unwrap()
-        .expect("the reduction returned a certified part, so one was captured");
-    debug_assert_eq!(held_part, part, "captured certificate is the winner's");
-    let certify_nanos = u128::from(certify_span.finish());
-
-    // Growth tail: frontier-parallel on sorted-adjacency instances past
-    // the run's grow cutover, else the sequential sweep on whatever
-    // workspace slot belongs to this (usually non-worker) thread. The two
-    // paths are bit-identical — faults, tree, even the lookup count — so
-    // the gate is purely a constant-factor decision.
-    let grow_span = tracer.span(CAT_PHASE, PHASE_GROW);
-    let frontier_parallel = g.has_sorted_adjacency() && g.node_count() >= opts.cutovers.grow;
-    let (diagnosis, grow_rounds) = if frontier_parallel {
-        ws_pool.with(pool.worker_index(), |ws| {
-            ws_pool.with_grow(pool.worker_index(), |gs| {
-                crate::grow::grow_and_sweep_parallel(
-                    g,
-                    s,
-                    g.representative(part),
-                    part,
-                    probes.load(Ordering::Relaxed),
-                    fault_bound,
-                    start_lookups,
-                    pool,
-                    ws,
-                    gs,
-                    tracer,
-                )
-            })
-        })?
-    } else {
-        let diagnosis = ws_pool.with(pool.worker_index(), |ws| {
-            grow_and_sweep(
-                g,
-                s,
-                g.representative(part),
-                part,
-                probes.load(Ordering::Relaxed),
-                fault_bound,
-                start_lookups,
-                ws,
-            )
-        })?;
-        (diagnosis, Vec::new())
-    };
-    let grow_lookups = checked_delta(checked_delta(s.lookups(), start_lookups), probe_lookups);
-    let grow_nanos = u128::from(grow_span.finish_with_value(grow_lookups));
-
-    Ok(DiagnosisReport {
-        diagnosis,
-        certificate,
-        telemetry: PhaseTelemetry {
-            probe_nanos,
-            certify_nanos,
-            grow_nanos,
-            probe_lookups,
-            grow_lookups,
-            grow_rounds,
-        },
-        backend: "pooled",
-        verification: VerificationVerdict::Unverified,
-    })
+    run_in_ws(g, s, bound, &opts.tracer, &mut ws, None)
 }
 
 /// One policy-dispatched session run — what the umbrella `Diagnoser`
 /// calls. Preconditions (unless disabled), bound resolution, backend
 /// resolution by instance size against `opts.cutovers`, then the
-/// canonical probe → certify → grow pipeline with phase telemetry.
+/// canonical probe → certify → grow pipeline with phase telemetry, on
+/// `ws_pool` (or a transient workspace pool shaped for the resolved pool).
 pub fn run_with<T, S>(
     g: &T,
     s: &S,
@@ -606,29 +487,28 @@ where
     S: SyndromeSource + Sync + ?Sized,
 {
     let bound = checked_bound(g, opts)?;
-    match policy.resolve(g.node_count(), &opts.cutovers) {
-        None => match ws_pool {
-            Some(wsp) => wsp.with(None, |ws| {
-                run_sequential_in_ws(g, s, bound, &opts.tracer, ws)
-            }),
-            None => {
-                let mut ws = Workspace::new(g.node_count());
-                run_sequential_in_ws(g, s, bound, &opts.tracer, &mut ws)
-            }
-        },
-        Some(pool) => run_pooled(g, s, pool, bound, opts, ws_pool),
-    }
+    let pool = policy.resolve(g.node_count(), &opts.cutovers);
+    let owned;
+    let wsp = match ws_pool {
+        Some(wsp) => wsp,
+        None => {
+            owned = WorkspacePool::for_run(g.node_count(), pool);
+            &owned
+        }
+    };
+    run_on(g, s, bound, opts, wsp, pool, true)
 }
 
 /// Evaluate many syndromes against one instance in a single session
 /// submission — what the umbrella `Diagnoser::submit_batch` calls.
 ///
 /// Sequential resolution: one reused workspace slot, syndromes in order.
-/// Pooled resolution: syndromes fan out over the pool (each diagnosis
-/// runs its in-order scan inside one task), workspaces pooled per worker.
-/// Results come back **in input order** and are bit-identical across
-/// backends, accounting included, because each per-syndrome scan is the
-/// same sequential algorithm either way.
+/// Pooled resolution: syndromes fan out over the pool, each run whole
+/// inside one task on that worker's workspace slot. Fanned-out runs grow
+/// on their own worker: a frontier growth nested inside a task would
+/// help-run sibling tasks while holding the slot they need. Results come
+/// back **in input order** and are bit-identical to one-at-a-time runs,
+/// accounting included.
 pub fn run_batch<T, S>(
     g: &T,
     syndromes: &[S],
@@ -644,39 +524,23 @@ where
         Ok(bound) => bound,
         Err(e) => return syndromes.iter().map(|_| Err(e.clone())).collect(),
     };
-    match policy.resolve(g.node_count(), &opts.cutovers) {
-        None => match ws_pool {
-            Some(wsp) => syndromes
-                .iter()
-                .map(|s| {
-                    wsp.with(None, |ws| {
-                        run_sequential_in_ws(g, s, bound, &opts.tracer, ws)
-                    })
-                })
-                .collect(),
-            None => {
-                let mut ws = Workspace::new(g.node_count());
-                syndromes
-                    .iter()
-                    .map(|s| run_sequential_in_ws(g, s, bound, &opts.tracer, &mut ws))
-                    .collect()
-            }
-        },
-        Some(pool) => {
-            let owned_ws;
-            let wsp = match ws_pool {
-                Some(p) => p,
-                None => {
-                    owned_ws = WorkspacePool::for_pool(g.node_count(), pool);
-                    &owned_ws
-                }
-            };
-            pool.map(syndromes, |_, s| {
-                wsp.with(pool.worker_index(), |ws| {
-                    run_sequential_in_ws(g, s, bound, &opts.tracer, ws)
-                })
-            })
+    let pool = policy.resolve(g.node_count(), &opts.cutovers);
+    let owned;
+    let wsp = match ws_pool {
+        Some(wsp) => wsp,
+        None => {
+            owned = WorkspacePool::for_run(g.node_count(), pool);
+            &owned
         }
+    };
+    match pool {
+        Some(pool) => pool.map(syndromes, |_, s| {
+            run_on(g, s, bound, opts, wsp, Some(pool), false)
+        }),
+        None => syndromes
+            .iter()
+            .map(|s| run_on(g, s, bound, opts, wsp, None, false))
+            .collect(),
     }
 }
 
@@ -739,8 +603,12 @@ mod tests {
         assert_eq!(par.diagnosis.faults, seq.diagnosis.faults);
         assert_eq!(par.diagnosis.certified_part, seq.diagnosis.certified_part);
         assert_eq!(par.diagnosis.tree.edges(), seq.diagnosis.tree.edges());
-        // The captured certificate equals the sequential one bit for bit:
-        // the restricted probe at a given part is deterministic.
+        // The same in-order scan on every backend: the accounting agrees.
+        assert_eq!(par.diagnosis.probes, seq.diagnosis.probes);
+        assert_eq!(par.diagnosis.lookups_used, seq.diagnosis.lookups_used);
+        assert_eq!(par.telemetry.probe_lookups, seq.telemetry.probe_lookups);
+        // The certificate equals the sequential one bit for bit: the
+        // restricted probe at a given part is deterministic.
         assert_eq!(par.certificate.part, seq.certificate.part);
         assert_eq!(
             par.certificate.representative,
@@ -772,7 +640,18 @@ mod tests {
         assert_eq!(summary.grow_nanos, report.telemetry.grow_nanos);
         assert_eq!(summary.probe_lookups, report.telemetry.probe_lookups);
         assert_eq!(summary.grow_lookups, report.telemetry.grow_lookups);
-        assert_eq!(summary.span_count, 3, "exactly one span per phase");
+        let rounds = &report.telemetry.grow_rounds;
+        assert!(!rounds.is_empty(), "a sequential growth records its rounds");
+        assert!(rounds.iter().all(|r| !r.parallel));
+        assert_eq!(
+            summary.value_sum(mmdiag_trace::PHASE_GROW_ROUND),
+            report.telemetry.grow_lookups
+        );
+        assert_eq!(
+            summary.span_count,
+            3 + rounds.len(),
+            "one span per phase and per growth round"
+        );
         assert_eq!(summary.dropped, 0);
     }
 
@@ -794,7 +673,7 @@ mod tests {
         assert_eq!(summary.grow_nanos, report.telemetry.grow_nanos);
         assert_eq!(summary.probe_lookups, report.telemetry.probe_lookups);
         assert_eq!(summary.grow_lookups, report.telemetry.grow_lookups);
-        assert_eq!(summary.span_count, 3);
+        assert_eq!(summary.span_count, 3 + report.telemetry.grow_rounds.len());
     }
 
     #[test]
@@ -820,17 +699,22 @@ mod tests {
         s.reset_lookups();
         let par = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
         let tracer = &opts.tracer;
-        // Bit-identity with the sequential tail, growth accounting
-        // included (growth from the same certified seed is deterministic;
-        // only the probe accounting is scheduling-dependent).
+        // Bit-identity with the calling-thread growth, accounting included.
         assert_eq!(par.diagnosis.faults, seq.diagnosis.faults);
         assert_eq!(par.diagnosis.certified_part, seq.diagnosis.certified_part);
         assert_eq!(par.diagnosis.tree.edges(), seq.diagnosis.tree.edges());
+        assert_eq!(par.diagnosis.probes, seq.diagnosis.probes);
+        assert_eq!(par.diagnosis.lookups_used, seq.diagnosis.lookups_used);
         assert_eq!(par.telemetry.grow_lookups, seq.telemetry.grow_lookups);
-        // Per-round telemetry: rounds partition the grow lookups exactly,
-        // at least one round ran on the pool, and frontier sizes are real.
+        // Per-round telemetry: the same rounds as the sequential growth,
+        // partitioning the grow lookups exactly, some of them on the pool.
         let rounds = &par.telemetry.grow_rounds;
-        assert!(!rounds.is_empty());
+        let shape = |rs: &[GrowRound]| -> Vec<(usize, usize, u64)> {
+            rs.iter()
+                .map(|r| (r.frontier, r.accepted, r.lookups))
+                .collect()
+        };
+        assert_eq!(shape(rounds), shape(&seq.telemetry.grow_rounds));
         assert!(rounds.iter().any(|r| r.parallel));
         assert_eq!(
             rounds.iter().map(|r| r.lookups).sum::<u64>(),
@@ -858,7 +742,7 @@ mod tests {
 
     #[test]
     fn single_worker_pool_equals_sequential_exactly() {
-        // One lane probes parts in the sequential order, so even the
+        // Every backend probes parts in the sequential order, so even the
         // accounting fields must match.
         let g = Hypercube::new(7);
         let f = FaultSet::new(128, &[3, 77, 90]);
@@ -919,16 +803,16 @@ mod tests {
         let s = OracleSyndrome::new(FaultSet::empty(4), TesterBehavior::AllZero);
         let pool = Pool::new(2);
         let opts = SessionOptions::default();
-        match run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None) {
-            Err(DiagnosisError::Preconditions(msg)) => {
-                assert!(msg.contains("no parts"), "{msg}");
-            }
-            other => panic!("expected a precondition error, got {other:?}"),
+        for policy in [
+            BackendPolicy::Sequential,
+            BackendPolicy::Pooled(&pool),
+            BackendPolicy::Auto,
+        ] {
+            assert!(matches!(
+                run_with(&g, &s, policy, &opts, None),
+                Err(DiagnosisError::NoPartCertified)
+            ));
         }
-        assert!(matches!(
-            run_with(&g, &s, BackendPolicy::Sequential, &opts, None),
-            Err(DiagnosisError::NoPartCertified)
-        ));
     }
 
     #[test]

@@ -1,22 +1,23 @@
-//! Executor coverage (ISSUE 3, satellite 3).
+//! Executor coverage.
 //!
-//! 1. **Determinism across pool sizes** — on all 14 §5 families, the
-//!    pooled backend run on pools of 1/2/4/8 workers returns a diagnosis
-//!    bit-identical to the sequential driver's: same faults, certified
-//!    part, healthy set size and spanning tree. (The accounting fields
-//!    `probes`/`lookups_used` are scheduling-dependent by design and are
-//!    checked only for the 1-worker pool, where the scan order is exactly
-//!    sequential.)
-//! 2. **Panic propagation** — a syndrome source that panics mid-probe
-//!    unwinds out of the pooled diagnosis into the caller, and the pool
-//!    stays usable afterwards.
+//! 1. **Exactness across pool sizes** — on all 14 §5 families, the
+//!    pooled backend on pools of 1/2/4/8 workers and the auto backend
+//!    return a report identical to the sequential run's: every field of
+//!    the diagnosis (`probes` and `lookups_used` included), the phase
+//!    lookups and every growth round's frontier, acceptances and lookups.
+//!    Once at the default cutovers and once with the frontier engine
+//!    forced on (`cutovers.grow = 1`).
+//! 2. **Panic propagation** — a syndrome source that panics inside a
+//!    frontier-growth task unwinds out of the pooled diagnosis into the
+//!    caller, and the pool stays usable afterwards.
 //! 3. **Auto never regresses sub-cutover** — below the run's
 //!    `Cutovers::sequential`, `BackendPolicy::Auto` routes to the
-//!    identical sequential code path: every field of the result, including
-//!    the accounting, equals `diagnose`'s.
+//!    identical sequential code path and labels itself so.
 
-use mmdiag_core::session::run_with;
-use mmdiag_core::{diagnose, BackendPolicy, Diagnosis, DiagnosisError, SessionOptions};
+use mmdiag_core::session::{run_sequential, run_with};
+use mmdiag_core::{
+    diagnose, BackendPolicy, Diagnosis, DiagnosisError, DiagnosisReport, GrowRound, SessionOptions,
+};
 use mmdiag_exec::Pool;
 use mmdiag_syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TestResult, TesterBehavior};
 use mmdiag_topology::families::{
@@ -24,7 +25,7 @@ use mmdiag_topology::families::{
     FoldedHypercube, Hypercube, KAryNCube, NKStar, Pancake, ShuffleCube, StarGraph, TwistedCube,
     TwistedNCube,
 };
-use mmdiag_topology::{NodeId, Partitionable};
+use mmdiag_topology::{Cached, NodeId, Partitionable, Topology};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -61,66 +62,46 @@ fn families() -> Vec<Box<dyn Partitionable + Sync>> {
     ]
 }
 
-#[test]
-fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
-    let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
-    let opts = SessionOptions::default();
-    let mut rng = ChaCha8Rng::seed_from_u64(0xE0EC_2026);
-    for g in families() {
-        let g = g.as_ref();
-        let n = g.node_count();
-        let bound = g.driver_fault_bound();
-        for (trial, load) in [bound, bound / 2].into_iter().enumerate() {
-            let faults = FaultSet::random(n, load, &mut rng);
-            for behavior in [
-                TesterBehavior::AllZero,
-                TesterBehavior::Random { seed: trial as u64 },
-            ] {
-                let s = OracleSyndrome::new(faults.clone(), behavior);
-                let seq = diagnose(g, &s)
-                    .unwrap_or_else(|e| panic!("{}: sequential: {e} ({behavior:?})", g.name()));
-                for pool in &pools {
-                    s.reset_lookups();
-                    let par = run(g, &s, BackendPolicy::Pooled(pool), &opts).unwrap_or_else(|e| {
-                        panic!(
-                            "{}: pooled x{}: {e} ({behavior:?})",
-                            g.name(),
-                            pool.threads()
-                        )
-                    });
-                    let ctx = format!("{} x{} {behavior:?}", g.name(), pool.threads());
-                    assert_eq!(par.faults, seq.faults, "{ctx}");
-                    assert_eq!(par.certified_part, seq.certified_part, "{ctx}");
-                    assert_eq!(par.healthy_count, seq.healthy_count, "{ctx}");
-                    assert_eq!(par.tree.root(), seq.tree.root(), "{ctx}");
-                    assert_eq!(par.tree.edges(), seq.tree.edges(), "{ctx}");
-                    if pool.threads() == 1 {
-                        // One lane scans parts in the sequential order:
-                        // even the accounting must agree.
-                        assert_eq!(par.probes, seq.probes, "{ctx}");
-                        assert_eq!(par.lookups_used, seq.lookups_used, "{ctx}");
-                    }
-                }
-            }
-        }
-    }
+/// `(frontier, accepted, lookups)` of every growth round — what every
+/// backend must agree on (wall times and `parallel` flags differ).
+fn shape(rounds: &[GrowRound]) -> Vec<(usize, usize, u64)> {
+    rounds
+        .iter()
+        .map(|r| (r.frontier, r.accepted, r.lookups))
+        .collect()
 }
 
-/// With the run's grow cutover at 1, the pooled backend's
-/// frontier-parallel growth sweep must be bit-identical to the sequential
-/// driver on every family at every pool width — faults, certified part,
-/// healthy set, spanning tree — and on the 1-worker pool (sequential probe
-/// scan order) even the full lookup accounting.
-#[test]
-fn frontier_growth_is_bit_identical_across_1_2_4_8_workers() {
-    use mmdiag_topology::{Cached, Topology};
-    let mut opts = SessionOptions::default();
-    opts.cutovers.grow = 1;
+/// Every field of the diagnosis, the phase lookups and the round shapes.
+fn assert_identical(got: &DiagnosisReport, want: &DiagnosisReport, ctx: &str) {
+    let (a, b) = (&got.diagnosis, &want.diagnosis);
+    assert_eq!(a.faults, b.faults, "{ctx}: faults");
+    assert_eq!(a.certified_part, b.certified_part, "{ctx}: part");
+    assert_eq!(a.probes, b.probes, "{ctx}: probes");
+    assert_eq!(a.healthy_count, b.healthy_count, "{ctx}: healthy");
+    assert_eq!(a.tree.root(), b.tree.root(), "{ctx}: tree root");
+    assert_eq!(a.tree.edges(), b.tree.edges(), "{ctx}: tree edges");
+    assert_eq!(a.lookups_used, b.lookups_used, "{ctx}: lookups");
+    let (t, u) = (&got.telemetry, &want.telemetry);
+    assert_eq!(t.probe_lookups, u.probe_lookups, "{ctx}: probe lookups");
+    assert_eq!(t.grow_lookups, u.grow_lookups, "{ctx}: grow lookups");
+    assert_eq!(
+        shape(&t.grow_rounds),
+        shape(&u.grow_rounds),
+        "{ctx}: rounds"
+    );
+}
+
+/// On every family at two fault loads and two behaviours, the sequential
+/// run equals `diagnose`, and every pooled width and auto equal it.
+fn assert_every_backend_identical(
+    graphs: &[&(dyn Partitionable + Sync)],
+    opts: &SessionOptions,
+    seed: u64,
+) -> usize {
     let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(0xF807_2026);
-    for fam in families() {
-        let g = Cached::new(fam.as_ref());
-        assert!(g.has_sorted_adjacency(), "{}", g.name());
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut parallel_rounds = 0;
+    for &g in graphs {
         let n = g.node_count();
         let bound = g.driver_fault_bound();
         for (trial, load) in [bound, bound / 2].into_iter().enumerate() {
@@ -130,34 +111,65 @@ fn frontier_growth_is_bit_identical_across_1_2_4_8_workers() {
                 TesterBehavior::Random { seed: trial as u64 },
             ] {
                 let s = OracleSyndrome::new(faults.clone(), behavior);
-                let seq = diagnose(&g, &s)
-                    .unwrap_or_else(|e| panic!("{}: sequential: {e} ({behavior:?})", g.name()));
-                for pool in &pools {
-                    s.reset_lookups();
-                    let par = run(&g, &s, BackendPolicy::Pooled(pool), &opts).unwrap_or_else(|e| {
-                        panic!(
-                            "{}: frontier x{}: {e} ({behavior:?})",
-                            g.name(),
-                            pool.threads()
-                        )
-                    });
-                    let ctx = format!("{} frontier x{} {behavior:?}", g.name(), pool.threads());
-                    assert_eq!(par.faults, seq.faults, "{ctx}");
-                    assert_eq!(par.certified_part, seq.certified_part, "{ctx}");
-                    assert_eq!(par.healthy_count, seq.healthy_count, "{ctx}");
-                    assert_eq!(par.tree.edges(), seq.tree.edges(), "{ctx}");
-                    if pool.threads() == 1 {
-                        assert_eq!(par.probes, seq.probes, "{ctx}");
-                        assert_eq!(par.lookups_used, seq.lookups_used, "{ctx}");
-                    }
+                let legacy = diagnose(g, &s)
+                    .unwrap_or_else(|e| panic!("{}: diagnose: {e} ({behavior:?})", g.name()));
+                let seq = run_sequential(g, &s, opts).unwrap();
+                assert_eq!(seq.diagnosis.probes, legacy.probes, "{}", g.name());
+                assert_eq!(
+                    seq.diagnosis.lookups_used,
+                    legacy.lookups_used,
+                    "{}",
+                    g.name()
+                );
+                assert_eq!(seq.diagnosis.tree.edges(), legacy.tree.edges());
+                let policies = pools
+                    .iter()
+                    .map(|p| (format!("pooled x{}", p.threads()), BackendPolicy::Pooled(p)))
+                    .chain([("auto".to_string(), BackendPolicy::Auto)]);
+                for (label, policy) in policies {
+                    let ctx = format!("{} {label} {behavior:?} load {load}", g.name());
+                    let report = run_with(g, &s, policy, opts, None)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert_identical(&report, &seq, &ctx);
+                    parallel_rounds += report
+                        .telemetry
+                        .grow_rounds
+                        .iter()
+                        .filter(|r| r.parallel)
+                        .count();
                 }
             }
         }
     }
+    parallel_rounds
+}
+
+#[test]
+fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
+    let fams = families();
+    let graphs: Vec<&(dyn Partitionable + Sync)> = fams.iter().map(|g| g.as_ref()).collect();
+    assert_every_backend_identical(&graphs, &SessionOptions::default(), 0xE0EC_2026);
+}
+
+/// With the run's grow cutover at 1, every pooled run finishes its growth
+/// on the frontier engine — and must still equal the sequential run in
+/// every field, on every family at every pool width.
+#[test]
+fn frontier_growth_is_bit_identical_across_1_2_4_8_workers() {
+    let mut opts = SessionOptions::default();
+    opts.cutovers.grow = 1;
+    let cached: Vec<Cached> = families().iter().map(|f| Cached::new(f.as_ref())).collect();
+    assert!(cached.iter().all(|g| g.has_sorted_adjacency()));
+    let graphs: Vec<&(dyn Partitionable + Sync)> = cached
+        .iter()
+        .map(|g| g as &(dyn Partitionable + Sync))
+        .collect();
+    let parallel_rounds = assert_every_backend_identical(&graphs, &opts, 0xF807_2026);
+    assert!(parallel_rounds > 0, "some layers ran on the pool");
 }
 
 /// A syndrome that panics once a lookup threshold is crossed — the shape
-/// of a poisoned data source mid-probe.
+/// of a poisoned data source mid-diagnosis.
 struct PanickySyndrome {
     inner: OracleSyndrome,
     fuse: u64,
@@ -177,24 +189,39 @@ impl SyndromeSource for PanickySyndrome {
 
 #[test]
 fn syndrome_panic_unwinds_out_of_pooled_diagnosis() {
-    let g = Hypercube::new(7);
+    let g = Cached::new(&Hypercube::new(7));
     let pool = Pool::new(4);
+    let mut opts = SessionOptions::default();
+    opts.cutovers.grow = 1;
+    let fresh = || OracleSyndrome::new(FaultSet::empty(128), TesterBehavior::AllZero);
+    // The fuse sits at the first lookup of the first layer the frontier
+    // engine grows: past the probe phase and the calling thread's layers.
+    let reference = run_with(&g, &fresh(), BackendPolicy::Pooled(&pool), &opts, None).unwrap();
+    let t = &reference.telemetry;
+    let first_parallel = t.grow_rounds.iter().position(|r| r.parallel).unwrap();
+    assert!(t.grow_rounds[first_parallel].lookups > 0);
+    let fuse = t.probe_lookups
+        + t.grow_rounds[..first_parallel]
+            .iter()
+            .map(|r| r.lookups)
+            .sum::<u64>();
+    assert!(fuse > t.probe_lookups, "the fuse is past the probe phase");
     let s = PanickySyndrome {
-        inner: OracleSyndrome::new(FaultSet::empty(128), TesterBehavior::AllZero),
-        fuse: 40,
+        inner: fresh(),
+        fuse,
     };
-    let opts = SessionOptions::default();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = run(&g, &s, BackendPolicy::Pooled(&pool), &opts);
     }));
     assert!(
         result.is_err(),
-        "the probe-task panic must reach the caller"
+        "the frontier-growth task panic must reach the caller"
     );
-    // The pool survives: a healthy diagnosis still completes on it.
+    // The pool survives: a healthy diagnosis still grows on it.
     let ok = OracleSyndrome::new(FaultSet::new(128, &[9]), TesterBehavior::AllZero);
-    let d = run(&g, &ok, BackendPolicy::Pooled(&pool), &opts).unwrap();
-    assert_eq!(d.faults, vec![9]);
+    let report = run_with(&g, &ok, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
+    assert_eq!(report.diagnosis.faults, vec![9]);
+    assert!(report.telemetry.grow_rounds.iter().any(|r| r.parallel));
 }
 
 #[test]
@@ -209,16 +236,15 @@ fn auto_never_regresses_vs_sequential_below_cutover() {
         let seq = diagnose(g, &s).unwrap();
         s.reset_lookups();
         let report = run_with(g, &s, BackendPolicy::Auto, &opts, None).unwrap();
-        if n >= opts.cutovers.sequential {
-            // Above the cutover auto goes pooled; semantic equality for
-            // these instances is already covered by the tests above.
-            assert_eq!(report.backend, "pooled", "{}", g.name());
-            continue;
-        }
-        assert_eq!(report.backend, "sequential", "{}", g.name());
+        let expected = if n >= opts.cutovers.sequential {
+            "pooled"
+        } else {
+            "sequential"
+        };
+        assert_eq!(report.backend, expected, "{}", g.name());
         let auto = report.diagnosis;
-        // Identical code path ⇒ identical result, accounting included: the
-        // auto entry point cannot cost a sub-cutover instance anything.
+        // The same scan on either side of the cutover: identical result,
+        // accounting included.
         assert_eq!(auto.faults, seq.faults, "{}", g.name());
         assert_eq!(auto.certified_part, seq.certified_part, "{}", g.name());
         assert_eq!(auto.probes, seq.probes, "{}", g.name());

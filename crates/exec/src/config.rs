@@ -50,9 +50,9 @@ pub struct Knobs {
     pub trace: bool,
     /// `MMDIAG_GROW_CUTOVER` — operator pin for the default session grow
     /// cutover (`mmdiag_core::Cutovers::default().grow`): the node count
-    /// below which the pooled driver keeps the sequential growth tail
-    /// instead of the frontier-parallel sweep. `None` when unset,
-    /// unparsable, or zero.
+    /// below which a pooled run grows on the calling thread instead of
+    /// the pool's frontier engine. `None` when unset, unparsable, or
+    /// zero.
     pub grow_cutover: Option<usize>,
     /// `MMDIAG_STATS` — sampling interval, in milliseconds, for the
     /// fleet stats reporter (`mmdiag_exec::stats`): when set, consumers

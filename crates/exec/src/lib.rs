@@ -14,10 +14,8 @@
 //! * [`Pool::scope`] — `std::thread::scope`-style scoped spawning with
 //!   panic propagation; tasks may borrow from the caller's stack;
 //! * [`Pool::map`] / [`Pool::for_each_index`] — order-preserving parallel
-//!   map and indexed parallel-for;
-//! * [`Pool::min_index_where`] — the deterministic lowest-index-wins
-//!   search reduction (shared fetch-min CAS, early cut-off) that the
-//!   diagnosis driver's certified-part probe needs;
+//!   map and indexed parallel-for (the diagnosis's frontier growth and
+//!   batch fan-out both run on `map`);
 //! * [`Pool::worker_index`] — stable per-worker identity, used by
 //!   `mmdiag_core` to pool `Workspace`s per worker;
 //! * [`global`] — the lazily-created process-wide pool every crate shares.
@@ -98,8 +96,8 @@ use std::sync::OnceLock;
 
 /// Worker count for the process-wide pool: `MMDIAG_POOL_THREADS` when set
 /// (clamped to 1..=64, read once through [`config::knobs`]), else the
-/// machine's available parallelism capped at 8 — beyond that the probe
-/// phases of even the 10⁵⁺-node instances stop scaling and the deques only
+/// machine's available parallelism capped at 8 — beyond that the frontier
+/// layers of even the 10⁶⁺-node instances stop scaling and the deques only
 /// add steal traffic.
 pub fn default_threads() -> usize {
     if let Some(n) = knobs().pool_threads {
@@ -166,37 +164,6 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn min_index_where_is_deterministic_across_widths() {
-        let pool = Pool::new(4);
-        // Satisfied set {37, 41, 200}: answer must always be 37.
-        let sat = [37usize, 41, 200];
-        for width in [1, 2, 3, 8, 64] {
-            for _ in 0..10 {
-                let got = pool.min_index_where(300, width, |i| sat.contains(&i));
-                assert_eq!(got, Some(37), "width {width}");
-            }
-        }
-        assert_eq!(pool.min_index_where(300, 4, |_| false), None);
-        assert_eq!(pool.min_index_where(0, 4, |_| true), None);
-        assert_eq!(pool.min_index_where(1, 9, |i| i == 0), Some(0));
-    }
-
-    #[test]
-    fn min_index_never_skips_below_answer() {
-        // Every index at or below the answer must have been evaluated.
-        let pool = Pool::new(4);
-        let evaluated: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        let got = pool.min_index_where(100, 8, |i| {
-            evaluated[i].fetch_add(1, Ordering::Relaxed);
-            i >= 50
-        });
-        assert_eq!(got, Some(50));
-        for (i, e) in evaluated.iter().enumerate().take(51) {
-            assert_eq!(e.load(Ordering::Relaxed), 1, "index {i} not probed");
-        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Deterministic data-parallel combinators built on [`Pool::scope`]:
-//! parallel-for, parallel-map and the lowest-index-wins search reduction
-//! the diagnosis driver needs.
+//! parallel-for and order-preserving parallel-map.
 
 use crate::pool::Pool;
-use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::Mutex;
 use std::ops::Range;
 
@@ -85,65 +83,5 @@ impl Pool {
             out.append(&mut piece);
         }
         out
-    }
-
-    /// Find the **smallest** index in `0..n` satisfying `pred`, probing on
-    /// up to `width` strided lanes with a shared fetch-min (CAS loop) for
-    /// early cut-off — the pooled generalisation of the parallel driver's
-    /// certified-part search.
-    ///
-    /// Deterministic: lane `t` scans `t, t + width, …` in ascending order
-    /// and a lane only skips an index when a *smaller* satisfied index is
-    /// already published, so no index below the final answer goes
-    /// unevaluated and the answer equals the sequential scan's. (Which
-    /// indices *above* the answer get probed — and therefore any
-    /// side-effect counts inside `pred` — does depend on scheduling.)
-    pub fn min_index_where<F>(&self, n: usize, width: usize, pred: F) -> Option<usize>
-    where
-        F: Fn(usize) -> bool + Sync,
-    {
-        if n == 0 {
-            return None;
-        }
-        let width = width.clamp(1, n);
-        let best = AtomicUsize::new(usize::MAX);
-        {
-            let best = &best;
-            let pred = &pred;
-            self.scope(|s| {
-                for lane in 0..width {
-                    s.spawn(move || {
-                        let mut i = lane;
-                        while i < n {
-                            if best.load(Ordering::Acquire) < i {
-                                // A smaller satisfied index exists; nothing
-                                // this lane can still find would win.
-                                break;
-                            }
-                            if pred(i) {
-                                let mut cur = best.load(Ordering::Acquire);
-                                while i < cur {
-                                    match best.compare_exchange_weak(
-                                        cur,
-                                        i,
-                                        Ordering::AcqRel,
-                                        Ordering::Acquire,
-                                    ) {
-                                        Ok(_) => break,
-                                        Err(actual) => cur = actual,
-                                    }
-                                }
-                                break;
-                            }
-                            i += width;
-                        }
-                    });
-                }
-            });
-        }
-        match best.load(Ordering::Acquire) {
-            usize::MAX => None,
-            i => Some(i),
-        }
     }
 }

@@ -24,9 +24,9 @@
 //! pool built with [`crate::Pool::new_profiled`] (or any pool while the
 //! `MMDIAG_TRACE` knob is set) profiles its own queues, parking and
 //! scopes, and nothing else in the process changes. Locks that belong to
-//! work on a pool — `mmdiag_core`'s workspace slots and certificate slot
-//! — are built from that pool's cells ([`crate::Pool::contention`]), so
-//! its report covers them as well. A plain primitive
+//! work on a pool — `mmdiag_core`'s workspace slots — are built from that
+//! pool's cells ([`crate::Pool::contention`]), so its report covers them
+//! as well. A plain primitive
 //! pays one `Option` check per operation — no clock read, no histogram
 //! touch. The stats cells are plain `std` atomics even under the `model`
 //! feature (they are observability, not protocol state), so profiling

@@ -589,20 +589,3 @@ fn frontier_nonatomic_claim_double_resolve_is_found_and_replays() {
         .expect("replaying the failing schedule must fail again");
     assert_eq!(again.schedule, failure.schedule);
 }
-
-/// The lowest-index-wins CAS reduction under the model: whatever the
-/// schedule, the published minimum equals the sequential answer.
-#[test]
-fn pool_min_index_reduction_is_schedule_independent() {
-    let report = check_random(0x313D_EC15, 600, Config::deep(), || {
-        let pool = Pool::new(2);
-        let got = pool.min_index_where(6, 2, |i| i >= 3);
-        assert_eq!(got, Some(3));
-    });
-    report.assert_ok();
-    assert!(
-        report.distinct_interleavings >= 500,
-        "{}",
-        report.distinct_interleavings
-    );
-}

@@ -34,9 +34,6 @@ fn scoped_map_for_each_under_contention() {
                         hits[i].fetch_add(1, Ordering::Relaxed);
                     });
                     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-
-                    let answer = 3 + (round + submitter) % 11;
-                    assert_eq!(pool.min_index_where(n, 4, |i| i >= answer), Some(answer));
                 }
             });
         }

@@ -18,7 +18,7 @@
 //! * **partition structure** stays closed-form (`part_of` is a shift, a
 //!   division, or an unranking — never a label array);
 //! * **probe-tree capacity** is computed lazily and part-locally
-//!   ([`mmdiag_topology::honest_probe_contributors_local`], `O(|part|)`
+//!   ([`mmdiag_topology::honest_probe_contributors`], `O(|part|)`
 //!   memory) the first time someone asks, instead of probing every part of
 //!   the whole graph upfront;
 //! * **nothing materialises**: every [`ImplicitTopology`] counts the
@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mmdiag_topology::partition::honest_probe_contributors_local;
+use mmdiag_topology::partition::honest_probe_contributors;
 use mmdiag_topology::{NodeId, Partitionable, Topology};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -83,7 +83,7 @@ impl<T: Partitionable> ImplicitTopology<T> {
     pub fn probe_capacity(&self) -> usize {
         *self
             .probe_capacity
-            .get_or_init(|| honest_probe_contributors_local(self, 0))
+            .get_or_init(|| honest_probe_contributors(self, 0))
     }
 
     /// Probe-tree capacity of an arbitrary part (uncached; part 0 is the
@@ -92,7 +92,7 @@ impl<T: Partitionable> ImplicitTopology<T> {
         if part == 0 {
             self.probe_capacity()
         } else {
-            honest_probe_contributors_local(self, part)
+            honest_probe_contributors(self, part)
         }
     }
 

@@ -2,24 +2,24 @@
 //! to [`Cached`] on every one of the fourteen §5 families at the workspace
 //! cross-check sizes — neighbour lists (order included: both are sorted),
 //! degrees, part assignments, representatives, part sizes, fault bounds,
-//! and honest probe trees (dense `O(N)` computation on the Cached copy vs
-//! part-local `O(|part|)` computation on the implicit view).
+//! and honest probe trees (the part-local computation on both views, and
+//! the core's real restricted probe under an all-`Agree` syndrome).
 //!
 //! Diagnosis-level bit-identity is asserted separately by the workspace
 //! `tests/cross_check.rs`; this suite pins down the structural invariants
 //! that identity rests on, so a drift in any one family points straight at
 //! the violated property instead of a diverged fault set.
 
+use mmdiag_core::{set_builder_in_part, Workspace};
 use mmdiag_implicit::ImplicitTopology;
+use mmdiag_syndrome::{SyndromeSource, TestResult};
 use mmdiag_topology::families::{
     Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
     FoldedHypercube, Hypercube, KAryNCube, NKStar, Pancake, ShuffleCube, StarGraph, TwistedCube,
     TwistedNCube,
 };
-use mmdiag_topology::partition::{
-    honest_probe_contributors, honest_probe_contributors_local, validate_partition,
-};
-use mmdiag_topology::{Cached, Partitionable, Topology};
+use mmdiag_topology::partition::{honest_probe_contributors, validate_partition};
+use mmdiag_topology::{Cached, NodeId, Partitionable, Topology};
 
 /// One (implicit view, materialised view) pair per family, at the sizes
 /// `tests/cross_check.rs` uses.
@@ -106,17 +106,27 @@ fn partition_structure_identical_to_cached() {
 
 #[test]
 fn probe_trees_identical_across_all_three_computations() {
-    // Dense O(N) arrays on the Cached copy, dense on the implicit view,
-    // and the part-local O(|part|) variant on the implicit view must all
-    // report the same internal-node count for every part.
+    // The part-local honest probe on the Cached copy and on the implicit
+    // view, and the core's restricted probe on the implicit view with
+    // every test agreeing, must all report the same internal-node count
+    // for every part.
+    struct AllAgree;
+    impl SyndromeSource for AllAgree {
+        fn lookup(&self, _u: NodeId, _v: NodeId, _w: NodeId) -> TestResult {
+            TestResult::Agree
+        }
+    }
     for (implicit, cached) in pairs() {
         let g = implicit.as_ref();
+        let mut ws = Workspace::new(g.node_count());
         for p in 0..g.part_count() {
-            let dense_cached = honest_probe_contributors(&cached, p);
-            let dense_implicit = honest_probe_contributors(&g, p);
-            let local_implicit = honest_probe_contributors_local(&g, p);
-            assert_eq!(dense_cached, dense_implicit, "{} part {p}", g.name());
-            assert_eq!(dense_cached, local_implicit, "{} part {p}", g.name());
+            let on_cached = honest_probe_contributors(&cached, p);
+            let on_implicit = honest_probe_contributors(&g, p);
+            let probed =
+                set_builder_in_part(g, &AllAgree, g.representative(p), usize::MAX, &mut ws)
+                    .contributors;
+            assert_eq!(on_cached, on_implicit, "{} part {p}", g.name());
+            assert_eq!(on_cached, probed, "{} part {p}", g.name());
         }
     }
 }

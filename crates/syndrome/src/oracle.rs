@@ -15,15 +15,12 @@ use crate::model::{ground_truth, outcome_from_flags, TestResult, TesterBehavior}
 use crate::source::SyndromeSource;
 use mmdiag_topology::NodeId;
 use mmdiag_trace::Counter;
-use std::sync::Arc;
 
 /// A lazy, counting syndrome source computed from a planted fault set.
 pub struct OracleSyndrome {
     faults: FaultSet,
     behavior: TesterBehavior,
-    /// Shared so a tracing session can register the same cell as its
-    /// `oracle.lookups` metric (see `SyndromeSource::lookup_counter`).
-    lookups: Arc<Counter>,
+    lookups: Counter,
 }
 
 impl OracleSyndrome {
@@ -33,7 +30,7 @@ impl OracleSyndrome {
         OracleSyndrome {
             faults,
             behavior,
-            lookups: Arc::new(Counter::new()),
+            lookups: Counter::new(),
         }
     }
 
@@ -79,10 +76,6 @@ impl SyndromeSource for OracleSyndrome {
 
     fn reset_lookups(&self) {
         self.lookups.reset();
-    }
-
-    fn lookup_counter(&self) -> Option<Arc<Counter>> {
-        Some(Arc::clone(&self.lookups))
     }
 }
 

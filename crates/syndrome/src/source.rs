@@ -12,7 +12,6 @@
 use crate::model::TestResult;
 use mmdiag_topology::NodeId;
 use mmdiag_trace::Counter;
-use std::sync::Arc;
 
 /// Read access to a syndrome `s`.
 ///
@@ -45,16 +44,6 @@ pub trait SyndromeSource {
 
     /// Reset the lookup counter (no-op for non-counting sources).
     fn reset_lookups(&self) {}
-
-    /// The shared [`Counter`] cell behind [`SyndromeSource::lookups`],
-    /// when this source counts. A tracing session registers this handle
-    /// in its metrics registry, so the exported `oracle.lookups` metric
-    /// and the report's `lookups_used` read the *same* cell — one value,
-    /// not two counters that happen to agree. `None` for non-counting
-    /// sources.
-    fn lookup_counter(&self) -> Option<Arc<Counter>> {
-        None
-    }
 }
 
 impl<S: SyndromeSource + ?Sized> SyndromeSource for &S {
@@ -70,17 +59,13 @@ impl<S: SyndromeSource + ?Sized> SyndromeSource for &S {
     fn reset_lookups(&self) {
         (**self).reset_lookups()
     }
-    fn lookup_counter(&self) -> Option<Arc<Counter>> {
-        (**self).lookup_counter()
-    }
 }
 
-/// A counting adaptor: wraps any source and tallies every lookup in a
-/// shared atomic [`Counter`] (so parallel probes can share it, and a
-/// metrics registry can adopt it).
+/// A counting adaptor: wraps any source and tallies every lookup in an
+/// atomic [`Counter`] (so parallel growth tasks can share it).
 pub struct Counting<S> {
     inner: S,
-    count: Arc<Counter>,
+    count: Counter,
 }
 
 impl<S: SyndromeSource> Counting<S> {
@@ -88,7 +73,7 @@ impl<S: SyndromeSource> Counting<S> {
     pub fn new(inner: S) -> Self {
         Counting {
             inner,
-            count: Arc::new(Counter::new()),
+            count: Counter::new(),
         }
     }
 
@@ -112,9 +97,6 @@ impl<S: SyndromeSource> SyndromeSource for Counting<S> {
     }
     fn reset_lookups(&self) {
         self.count.reset();
-    }
-    fn lookup_counter(&self) -> Option<Arc<Counter>> {
-        Some(Arc::clone(&self.count))
     }
 }
 
@@ -147,25 +129,6 @@ mod tests {
         let r = &c;
         r.lookup(0, 1, 2);
         assert_eq!(c.lookups(), 1);
-    }
-
-    #[test]
-    fn lookup_counter_is_the_same_cell_as_lookups() {
-        let c = Counting::new(ConstSource(TestResult::Agree));
-        let handle = c.lookup_counter().expect("counting source has a cell");
-        c.lookup(0, 1, 2);
-        c.lookup(0, 1, 2);
-        // The handle *is* the counter — a registry that adopts it exports
-        // exactly `lookups()`, not a second tally.
-        assert_eq!(handle.get(), c.lookups());
-        handle.add(3);
-        assert_eq!(c.lookups(), 5);
-        // Forwarding through the blanket `impl SyndromeSource for &S`
-        // hands out the same cell (UFCS pins `Self = &Counting<_>`).
-        let via_ref = SyndromeSource::lookup_counter(&&c).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&handle, &via_ref));
-        // Non-counting sources have no cell.
-        assert!(ConstSource(TestResult::Agree).lookup_counter().is_none());
     }
 
     /// Every row of a small graph, under every behaviour, equals the

@@ -20,7 +20,6 @@ use crate::model::{outcome_from_flags, TestResult, TesterBehavior};
 use crate::source::SyndromeSource;
 use mmdiag_topology::NodeId;
 use mmdiag_trace::Counter;
-use std::sync::Arc;
 
 /// A lazy, counting syndrome source holding `O(|F|)` state: the fault
 /// members as a [`MemberSet`] plus the faulty-tester behaviour.
@@ -38,9 +37,7 @@ pub struct OnDemandOracle {
     members: MemberSet,
     universe: usize,
     behavior: TesterBehavior,
-    /// Shared so a tracing session can register the same cell as its
-    /// `oracle.lookups` metric (see `SyndromeSource::lookup_counter`).
-    lookups: Arc<Counter>,
+    lookups: Counter,
 }
 
 impl OnDemandOracle {
@@ -58,7 +55,7 @@ impl OnDemandOracle {
             members,
             universe,
             behavior,
-            lookups: Arc::new(Counter::new()),
+            lookups: Counter::new(),
         }
     }
 
@@ -137,10 +134,6 @@ impl SyndromeSource for OnDemandOracle {
 
     fn reset_lookups(&self) {
         self.lookups.reset();
-    }
-
-    fn lookup_counter(&self) -> Option<Arc<Counter>> {
-        Some(Arc::clone(&self.lookups))
     }
 }
 

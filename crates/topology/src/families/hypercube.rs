@@ -237,12 +237,12 @@ mod tests {
 
     #[test]
     fn certified_partition_dim_actually_certifies() {
-        use crate::partition::honest_probe_contributors_local;
+        use crate::partition::honest_probe_contributors;
         // Q_10's size-minimal m = 4 cannot certify bound 10 (16-node parts,
         // 8 internal nodes); the certified constructor must step to m = 5.
         let q = Hypercube::new_certified(10);
         assert_eq!(q.partition_dim(), 5);
-        assert!(honest_probe_contributors_local(&q, 0) > 10);
+        assert!(honest_probe_contributors(&q, 0) > 10);
         q.check_partition_preconditions().unwrap();
         // Q_7's size-minimal m = 4 already certifies: no change.
         assert_eq!(Hypercube::new_certified(7).partition_dim(), 4);

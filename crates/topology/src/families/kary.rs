@@ -307,14 +307,14 @@ mod tests {
 
     #[test]
     fn certified_dim_recovers_the_q3_11_hand_pin() {
-        use crate::partition::honest_probe_contributors_local;
+        use crate::partition::honest_probe_contributors;
         // The ROADMAP PR 3 discovery: Q^3_11's Theorem-4 m = 3 gives
         // 27-node parts with 15-internal-node probe trees against bound 22,
         // and the bench catalog hand-pinned m = 4. The capacity-aware
         // chooser must land on the same m = 4 without the pin.
         let g = KAryNCube::new_certified(3, 11);
         assert_eq!(g.m, 4);
-        assert!(honest_probe_contributors_local(&g, 0) > 22);
+        assert!(honest_probe_contributors(&g, 0) > 22);
         // Q^3_6's size-minimal m = 3 already certifies bound 12.
         assert_eq!(KAryNCube::new_certified(3, 6).m, 3);
     }

@@ -32,6 +32,5 @@ pub mod verify;
 pub use cached::Cached;
 pub use graph::{AdjGraph, NodeId, Topology};
 pub use partition::{
-    certified_fault_capacity, certified_partition_dim, honest_probe_contributors,
-    honest_probe_contributors_local, Partitionable,
+    certified_fault_capacity, certified_partition_dim, honest_probe_contributors, Partitionable,
 };

@@ -122,97 +122,14 @@ impl<T: Partitionable + ?Sized> Partitionable for &T {
 /// part yields only 7). A fault bound at or above this value makes
 /// certification impossible even with zero faults, so
 /// [`Partitionable::driver_fault_bound`] implementations must stay below it.
-pub fn honest_probe_contributors<T: Partitionable + ?Sized>(g: &T, part: usize) -> usize {
-    let n = g.node_count();
-    let u0 = g.representative(part);
-    let in_part = |v: NodeId| g.part_of(v) == part;
-
-    let mut seen = vec![false; n];
-    let mut parent = vec![0 as NodeId; n];
-    let mut layer = vec![0u32; n];
-    let mut claims = vec![0u32; n];
-    let mut contributed = vec![false; n];
-    seen[u0] = true;
-
-    // Level 1: every in-part neighbour pair of the seed agrees, so all
-    // in-part neighbours join — provided there are at least two of them to
-    // form a witness pair.
-    let mut candidates: Vec<NodeId> = g
-        .neighbors(u0)
-        .into_iter()
-        .filter(|&v| in_part(v))
-        .collect();
-    candidates.sort_unstable();
-    if candidates.len() < 2 {
-        return 0;
-    }
-    let mut frontier = candidates;
-    for &v in &frontier {
-        seen[v] = true;
-        parent[v] = u0;
-        layer[v] = 1;
-    }
-    let mut contributors = 1usize; // u0
-    contributed[u0] = true;
-
-    let mut buf = Vec::new();
-    let mut next: Vec<NodeId> = Vec::new();
-    let mut cur_layer = 1u32;
-    while !frontier.is_empty() {
-        next.clear();
-        cur_layer += 1;
-        frontier.sort_unstable();
-        for &u in &frontier {
-            let tu = parent[u];
-            g.neighbors_into(u, &mut buf);
-            for &v in &buf {
-                if v == tu || !in_part(v) {
-                    continue;
-                }
-                if seen[v] {
-                    // Spread heuristic: move a same-layer child to an unused
-                    // eligible parent (all tests agree here, so eligibility
-                    // is purely structural).
-                    if layer[v] == cur_layer && claims[parent[v]] > 1 && claims[u] == 0 {
-                        claims[parent[v]] -= 1;
-                        claims[u] += 1;
-                        parent[v] = u;
-                    }
-                    continue;
-                }
-                seen[v] = true;
-                parent[v] = u;
-                layer[v] = cur_layer;
-                claims[u] += 1;
-                next.push(v);
-            }
-        }
-        for &u in &frontier {
-            claims[u] = 0;
-        }
-        for &v in &next {
-            let p = parent[v];
-            if !contributed[p] {
-                contributed[p] = true;
-                contributors += 1;
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next);
-    }
-    contributors
-}
-
-/// Part-local variant of [`honest_probe_contributors`]: identical growth,
-/// identical result, but every scratch structure is a hash map keyed by the
-/// nodes actually visited — `O(|part|)` memory instead of the `O(N)` arrays
-/// above.
 ///
-/// This is what makes capacity questions answerable at 10⁶⁺ nodes: probing
-/// one 64-node part of `Q_22` must not allocate four-million-entry arrays.
-/// The implicit-topology scale path and [`certified_partition_dim`] both
-/// rely on it; the test-suites guard it against drift from the `O(N)`
-/// version (which in turn is guarded against `mmdiag_core`'s real probe).
-pub fn honest_probe_contributors_local<T: Partitionable + ?Sized>(g: &T, part: usize) -> usize {
+/// Every scratch structure is a hash map keyed by the nodes actually
+/// visited — `O(|part|)` memory, never `O(N)` arrays. That is what makes
+/// capacity questions answerable at 10⁶⁺ nodes: probing one 64-node part of
+/// `Q_22` must not allocate four-million-entry arrays. The implicit-topology
+/// scale path, [`certified_partition_dim`] and [`certified_fault_capacity`]
+/// all rely on it.
+pub fn honest_probe_contributors<T: Partitionable + ?Sized>(g: &T, part: usize) -> usize {
     use std::collections::HashMap;
 
     let u0 = g.representative(part);
@@ -276,7 +193,9 @@ pub fn honest_probe_contributors_local<T: Partitionable + ?Sized>(g: &T, part: u
                     continue;
                 }
                 if let Some(&seen) = state.get(&v) {
-                    // Same spread heuristic as the O(N) version.
+                    // Spread heuristic: move a same-layer child to an
+                    // unused eligible parent (all tests agree here, so
+                    // eligibility is purely structural).
                     if seen.layer == cur_layer
                         && state[&seen.parent].claims > 1
                         && state[&u].claims == 0
@@ -341,7 +260,7 @@ where
             // Parts only get scarcer as m grows; no larger m can work.
             return None;
         }
-        if honest_probe_contributors_local(&g, 0) > bound {
+        if honest_probe_contributors(&g, 0) > bound {
             return Some(m);
         }
     }
@@ -581,25 +500,6 @@ mod tests {
         let t = TwoPaths::new();
         assert_eq!(honest_probe_contributors(&t, 0), 0);
         assert_eq!(certified_fault_capacity(&t), 0);
-    }
-
-    #[test]
-    fn local_probe_matches_dense_probe() {
-        // The O(|part|)-memory variant must agree with the O(N) arrays on
-        // every part of both fixture decompositions, including the
-        // degenerate no-witness-pair case.
-        let tri = TwoTriangles::new();
-        let paths = TwoPaths::new();
-        for part in 0..2 {
-            assert_eq!(
-                honest_probe_contributors_local(&tri, part),
-                honest_probe_contributors(&tri, part)
-            );
-            assert_eq!(
-                honest_probe_contributors_local(&paths, part),
-                honest_probe_contributors(&paths, part)
-            );
-        }
     }
 
     #[test]

@@ -14,8 +14,9 @@ use crate::metrics::{MetricSnapshot, MetricValue};
 use crate::sink::TraceEvent;
 use std::fmt::Write as _;
 
-/// Escape a string for a JSON string literal (no surrounding quotes).
-fn escape(s: &str, out: &mut String) {
+/// Append `s` to `out` escaped for a JSON string literal (no surrounding
+/// quotes) — the workspace's one JSON string escaper.
+pub fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -36,7 +37,10 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn histogram_json(h: &HistogramSummary, out: &mut String) {
+/// Append `h` to `out` as a JSON object: `count`, `sum`, `min`, `max`,
+/// `mean` and the `p50`/`p90`/`p99` quantiles — the workspace's one
+/// histogram writer.
+pub fn histogram_json(h: &HistogramSummary, out: &mut String) {
     let _ = write!(
         out,
         "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",

@@ -23,6 +23,7 @@
 //! [`crate::clock`], like every other time read in the workspace.
 
 use crate::clock;
+use crate::export::escape;
 use crate::metrics::{MetricSnapshot, MetricValue, MetricsRegistry};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -213,7 +214,7 @@ impl<'a> StatsReporter<'a> {
             }
             let prev = self.prev.iter().find(|p| p.name == m.name);
             line.push_str("{\"name\":\"");
-            json_escape(&m.name, &mut line);
+            escape(&m.name, &mut line);
             line.push_str("\",");
             match &m.value {
                 MetricValue::Counter(total) => {
@@ -260,19 +261,6 @@ impl<'a> StatsReporter<'a> {
     /// Samples taken so far.
     pub fn samples(&self) -> u64 {
         self.seq
-    }
-}
-
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -155,15 +155,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Adopt an existing counter under `name` (the oracle-unification
-    /// path: the component keeps ownership, the registry exports it).
-    pub fn register_counter(&self, name: &str, counter: Arc<Counter>) -> Arc<Counter> {
-        match self.get_or_insert(name, || Metric::Counter(counter)) {
-            Metric::Counter(c) => c,
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
-    }
-
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         match self.get_or_insert(name, || Metric::Gauge(Arc::new(Gauge::new()))) {
@@ -260,10 +251,7 @@ mod tests {
         b.inc();
         assert_eq!(a.get(), 3);
         assert!(Arc::ptr_eq(&a, &b));
-        let owned = Arc::new(Counter::new());
-        owned.add(7);
-        let adopted = reg.register_counter("oracle.lookups", Arc::clone(&owned));
-        assert!(Arc::ptr_eq(&owned, &adopted));
+        reg.counter("oracle.lookups").add(7);
         let owned_gauge = Arc::new(Gauge::new());
         let adopted_gauge = reg.register_gauge("sync.depth", Arc::clone(&owned_gauge));
         assert!(Arc::ptr_eq(&owned_gauge, &adopted_gauge));

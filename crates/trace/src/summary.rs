@@ -17,9 +17,9 @@ pub const PHASE_PROBE: &str = "probe";
 pub const PHASE_CERTIFY: &str = "certify";
 /// The grow-and-sweep phase span name.
 pub const PHASE_GROW: &str = "grow";
-/// Per-frontier-round span name, nested inside [`PHASE_GROW`] by the
-/// frontier-parallel growth sweep. Aggregated per-name like every other
-/// span, so the probe/certify/grow phase totals are untouched.
+/// Per-layer span name, nested inside [`PHASE_GROW`] by every growth.
+/// Aggregated per-name like every other span, so the
+/// probe/certify/grow phase totals are untouched.
 pub const PHASE_GROW_ROUND: &str = "grow.round";
 /// Category the epoch monitor's spans carry (`mmdiag-monitor`).
 pub const CAT_MONITOR: &str = "monitor";

@@ -63,12 +63,12 @@ fn main() {
         );
     }
 
-    // --- The oracle's counter doubles as the exported metric. ------------
+    // --- The session counts every entry its calls read. ------------------
     for m in tracer.metrics().expect("tracing session").snapshot() {
         if let MetricValue::Counter(v) = m.value {
             println!("\nmetric {} = {v}", m.name);
             if m.name == "oracle.lookups" {
-                assert_eq!(v, s.lookups(), "one cell, not two tallies");
+                assert_eq!(v, s.lookups(), "the session read every counted entry");
             }
         }
     }

@@ -55,7 +55,7 @@ use mmdiag_implicit::ImplicitTopology;
 use mmdiag_monitor::MonitorSession;
 use mmdiag_syndrome::{FaultSet, OnDemandOracle, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag_topology::{Cached, NodeId, Partitionable};
-use mmdiag_trace::{HubSession, MetricsHub, MetricsRegistry, TraceConfig, Tracer};
+use mmdiag_trace::{checked_delta, HubSession, MetricsHub, MetricsRegistry, TraceConfig, Tracer};
 use std::sync::OnceLock;
 
 /// Where a session's topology comes from: a caller-borrowed instance, or
@@ -334,19 +334,25 @@ impl<'g> Diagnoser<'g> {
         self.backend(BackendPolicy::Sequential)
     }
 
-    /// Probe search on the process-wide global pool at full width.
+    /// Pooled on the process-wide global pool: growth finishes on the
+    /// pool's frontier engine from
+    /// [`Cutovers::grow`](mmdiag_core::Cutovers::grow) up, and batched
+    /// submissions fan out over it. The probe scan always runs in order
+    /// on the calling thread, so the report equals a sequential run's.
     pub fn pooled(self) -> Self {
         self.backend(BackendPolicy::Pooled(mmdiag_exec::global()))
     }
 
-    /// Probe search on a caller-owned pool at full width.
+    /// [`Diagnoser::pooled`] on a caller-owned pool.
     pub fn pooled_on(self, pool: &'g mmdiag_exec::Pool) -> Self {
         self.backend(BackendPolicy::Pooled(pool))
     }
 
     /// Size-directed: sequential below
     /// [`Cutovers::sequential`](mmdiag_core::Cutovers::sequential), pooled
-    /// on the global pool at or above it.
+    /// on the global pool at or above it. Either way the report equals a
+    /// sequential run's; the resolution decides only where frontier growth
+    /// and batch fan-out run.
     pub fn auto(self) -> Self {
         self.backend(BackendPolicy::Auto)
     }
@@ -458,15 +464,13 @@ impl<'g> Diagnoser<'g> {
         self
     }
 
-    /// When tracing, adopt the syndrome's own lookup counter as the
-    /// session's `oracle.lookups` metric — the exported metric and the
-    /// report's `lookups_used` then read the *same* atomic cell.
-    fn adopt_lookup_counter<S>(&self, s: &S)
-    where
-        S: SyndromeSource + ?Sized,
-    {
-        if let (Some(metrics), Some(counter)) = (self.opts.tracer.metrics(), s.lookup_counter()) {
-            metrics.register_counter("oracle.lookups", counter);
+    /// When tracing, add `reads` syndrome entries to the session's own
+    /// `oracle.lookups` counter. Every call adds what it read itself —
+    /// diagnosis and verification, whichever sources they were — so the
+    /// metric sums the session's reads across calls and sources.
+    fn count_reads(&self, reads: u64) {
+        if let Some(metrics) = self.opts.tracer.metrics() {
+            metrics.counter("oracle.lookups").add(reads);
         }
     }
 
@@ -479,14 +483,9 @@ impl<'g> Diagnoser<'g> {
     fn ws_pool(&self) -> &WorkspacePool {
         self.ws.get_or_init(|| {
             let n = self.topology.view().node_count();
-            match self.backend.resolve(n, &self.opts.cutovers) {
-                // One slot per worker of the pool the runs resolve to, its
-                // locks timed in that pool's contention cells.
-                Some(pool) => WorkspacePool::for_pool(n, pool),
-                // Sequential runs use the overflow slot only, and spawn no
-                // pool: such a session stays as thread-free as `diagnose`.
-                None => WorkspacePool::new(n, 0),
-            }
+            // Shaped for the pool the runs resolve to; a sequential session
+            // spawns no pool and stays as thread-free as `diagnose`.
+            WorkspacePool::for_run(n, self.backend.resolve(n, &self.opts.cutovers))
         })
     }
 
@@ -520,8 +519,10 @@ impl<'g> Diagnoser<'g> {
             ));
         }
         let g = self.topology.view();
-        self.adopt_lookup_counter(s);
-        let mut report = session::run_with(g, s, self.backend, &self.opts, Some(self.ws_pool()))?;
+        let start = s.lookups();
+        let run = session::run_with(g, s, self.backend, &self.opts, Some(self.ws_pool()));
+        self.count_reads(checked_delta(s.lookups(), start));
+        let mut report = run?;
         report.verification =
             self.verify_claim(s, &report.diagnosis.faults, report.diagnosis.certified_part);
         Ok(report)
@@ -748,12 +749,26 @@ impl<'g> Diagnoser<'g> {
         let sources: Vec<&(dyn SyndromeSource + Sync)> =
             plan.iter().filter_map(|s| resolve(s, &owned)).collect();
 
+        // Each distinct source's reads, however many jobs share it.
+        let addr =
+            |s: &&(dyn SyndromeSource + Sync)| (*s as *const dyn SyndromeSource).cast::<()>();
+        let mut distinct = sources.clone();
+        distinct.sort_by_key(addr);
+        distinct.dedup_by_key(|s| addr(s));
+        let before: Vec<u64> = distinct.iter().map(|s| s.lookups()).collect();
         let reports = session::run_batch(
             self.topology.view(),
             &sources,
             self.backend,
             &self.opts,
             Some(self.ws_pool()),
+        );
+        self.count_reads(
+            distinct
+                .iter()
+                .zip(before)
+                .map(|(s, start)| checked_delta(s.lookups(), start))
+                .sum(),
         );
         let mut reports = reports.into_iter();
         plan.iter()
@@ -782,8 +797,24 @@ impl<'g> Diagnoser<'g> {
     /// (fault set + certified part) over the live syndrome `s`. Called by
     /// every run path; public so harnesses can verify without re-running
     /// the diagnosis. The claimed faults are a set: order and duplicates do
-    /// not change the verdict under either policy.
+    /// not change the verdict under either policy. The entries it reads
+    /// count toward the session's `oracle.lookups`.
     pub fn verify_claim<S>(
+        &self,
+        s: &S,
+        claimed_faults: &[NodeId],
+        certified_part: usize,
+    ) -> VerificationVerdict
+    where
+        S: SyndromeSource + ?Sized,
+    {
+        let start = s.lookups();
+        let verdict = self.verdict(s, claimed_faults, certified_part);
+        self.count_reads(checked_delta(s.lookups(), start));
+        verdict
+    }
+
+    fn verdict<S>(
         &self,
         s: &S,
         claimed_faults: &[NodeId],
@@ -945,14 +976,49 @@ mod tests {
             }
             ref other => panic!("expected a sampled verdict, got {other:?}"),
         }
-        // The oracle's own lookup counter is the exported metric — one
-        // cell, not two tallies.
+        // The session counted what the diagnosis and the verification read.
         let metrics = tracer.metrics().unwrap().snapshot();
         let oracle = metrics
             .iter()
             .find(|m| m.name == "oracle.lookups")
-            .expect("counting source registered");
+            .expect("the run counted its reads");
         assert_eq!(oracle.value, MetricValue::Counter(s.lookups()));
+    }
+
+    /// `oracle.lookups` sums every call's reads, whichever sources they
+    /// came from: two runs and a batch on one traced session, the batch
+    /// naming one of its sources twice.
+    #[test]
+    fn oracle_lookups_count_every_call_and_source() {
+        use mmdiag_trace::MetricValue;
+        let g = Hypercube::new(7);
+        let session = Diagnoser::new(&g)
+            .trace(TraceConfig::default())
+            .verify_sampled(2, 3);
+        let sources: Vec<OracleSyndrome> = (0..4)
+            .map(|i| {
+                OracleSyndrome::new(
+                    FaultSet::new(128, &[3 + i, 64, 90]),
+                    TesterBehavior::Random { seed: i as u64 },
+                )
+            })
+            .collect();
+        session.run(&sources[0]).unwrap();
+        session.run(&sources[1]).unwrap();
+        let jobs = [
+            BatchJob::Source(&sources[2]),
+            BatchJob::Source(&sources[3]),
+            BatchJob::Source(&sources[3]),
+        ];
+        assert!(session.submit_batch(&jobs).iter().all(Result::is_ok));
+        let read: u64 = sources.iter().map(|s| s.lookups()).sum();
+        assert!(sources.iter().all(|s| s.lookups() > 0));
+        let metrics = session.tracer().metrics().unwrap().snapshot();
+        let counted = metrics
+            .iter()
+            .find(|m| m.name == "oracle.lookups")
+            .map(|m| m.value.clone());
+        assert_eq!(counted, Some(MetricValue::Counter(read)));
     }
 
     #[test]
@@ -976,8 +1042,8 @@ mod tests {
     fn hub_merged_snapshot_equals_sum_of_concurrent_session_registries() {
         use mmdiag_trace::{merge_snapshots, MetricSnapshot, MetricValue, MetricsHub};
         // Four sessions on four threads, each attached to the hub under a
-        // recognisable name; every run accumulates into the session's
-        // adopted `oracle.lookups` cell. A `Diagnoser` is not `Send`
+        // recognisable name; every run adds its reads to the session's
+        // `oracle.lookups` counter. A `Diagnoser` is not `Send`
         // (boxed `dyn Partitionable + Sync` topology), so the sessions
         // stay on their threads: `ready` holds them alive while the main
         // thread snapshots, `release` lets them drop.
@@ -1023,7 +1089,7 @@ mod tests {
         let lookups = merged
             .iter()
             .find(|m| m.name == "oracle.lookups")
-            .expect("every session adopted the oracle counter");
+            .expect("every session counted its reads");
         release.wait();
         let results: Vec<(bool, u64)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert!(results.iter().all(|(ok, _)| *ok), "every run diagnosed");

@@ -14,9 +14,10 @@
 //!    session, the naive baseline and the event-level distributed
 //!    simulator (unit latencies, static timeline) must all return exactly
 //!    the planted set — with the pooled/auto legs additionally
-//!    bit-identical to the sequential driver (certified part, healthy
-//!    count, spanning tree); the simulator's observed (rounds, messages)
-//!    must reproduce the `distsim::plan` cost model per part.
+//!    bit-identical to the sequential driver (certified part, probes,
+//!    healthy count, spanning tree, lookups); the simulator's observed
+//!    (rounds, messages) must reproduce the `distsim::plan` cost model per
+//!    part.
 
 use mmdiag::baselines::diagnose_baseline;
 use mmdiag::diagnosis::diagnose;
@@ -283,27 +284,35 @@ fn simulator_accepts_implicit_topologies() {
     assert_eq!(on_implicit.probes_until_certificate, drv.probes);
 }
 
-/// The ISSUE-8 tentpole contract: with the grow cutover forced to 1 so
-/// every pooled run takes the frontier-parallel sweep, the pooled
-/// diagnosis on 1/2/4/8 workers must be bit-identical to the sequential
-/// tail on every family and both representations — same faults, same
-/// certified part, same spanning tree, same healthy set, and the same
-/// growth-phase *lookup count* (the frontier engine consults the same
-/// witnesses in the same per-candidate order). The implicit leg must
-/// additionally materialise nothing.
+/// Every backend is exact: on every family and both representations,
+/// pooled runs on 1/2/4/8 workers and auto runs — at the default cutovers
+/// and with the grow cutover at 1, which sends every pooled growth through
+/// the frontier engine — equal `diagnose` in every field of the
+/// diagnosis, `probes` and `lookups_used` included, and equal the
+/// sequential run's phase lookups and every growth round's frontier,
+/// acceptances and lookups. The implicit leg must additionally
+/// materialise nothing.
 #[test]
 fn frontier_parallel_growth_is_bit_identical_on_every_family() {
-    use mmdiag::diagnosis::session::run_with;
-    use mmdiag::diagnosis::{BackendPolicy, SessionOptions};
+    use mmdiag::diagnosis::session::{run_sequential, run_with};
+    use mmdiag::diagnosis::{BackendPolicy, DiagnosisReport, SessionOptions};
     use mmdiag::exec::Pool;
     use mmdiag::implicit::MaterialisationGuard;
 
+    let shape = |r: &DiagnosisReport| -> Vec<(usize, usize, u64)> {
+        r.telemetry
+            .grow_rounds
+            .iter()
+            .map(|r| (r.frontier, r.accepted, r.lookups))
+            .collect()
+    };
     let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(0xF207_71E6);
-    // Every instance here is far below the default grow cutover; this
-    // run's options send them all through the frontier engine.
-    let mut opts = SessionOptions::default();
-    opts.cutovers.grow = 1;
+    let default_opts = SessionOptions::default();
+    // Every instance here is far below the default grow cutover; these
+    // options send every pooled growth through the frontier engine.
+    let mut frontier_opts = SessionOptions::default();
+    frontier_opts.cutovers.grow = 1;
     let mut parallel_rounds_seen = 0usize;
     for (cached, implicit) in representation_pairs() {
         let g = implicit.as_ref();
@@ -312,57 +321,60 @@ fn frontier_parallel_growth_is_bit_identical_on_every_family() {
         let faults = FaultSet::random(n, bound, &mut rng);
         for b in [TesterBehavior::AllZero, TesterBehavior::Random { seed: 8 }] {
             let s = OracleSyndrome::new(faults.clone(), b);
-            let seq = run_with(&cached, &s, BackendPolicy::Sequential, &opts, None)
-                .unwrap_or_else(|e| panic!("{}: sequential: {e} ({b:?})", g.name()));
-            assert_eq!(seq.diagnosis.faults, faults.members(), "{} {b:?}", g.name());
-            for pool in &pools {
-                for (label, par) in [
-                    (
-                        "cached",
-                        run_with(&cached, &s, BackendPolicy::Pooled(pool), &opts, None),
-                    ),
-                    ("implicit", {
-                        let guard = MaterialisationGuard::begin(g);
-                        let r = run_with(g, &s, BackendPolicy::Pooled(pool), &opts, None);
-                        guard.assert_unchanged(&format!("{} frontier growth", g.name()));
-                        r
-                    }),
-                ] {
-                    let par = par.unwrap_or_else(|e| {
-                        panic!("{} {label} x{}: {e} ({b:?})", g.name(), pool.threads())
-                    });
-                    let ctx = format!("{} {label} x{} {b:?}", g.name(), pool.threads());
-                    assert_eq!(par.diagnosis.faults, seq.diagnosis.faults, "{ctx}");
-                    assert_eq!(
-                        par.diagnosis.certified_part, seq.diagnosis.certified_part,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        par.diagnosis.healthy_count, seq.diagnosis.healthy_count,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        par.diagnosis.tree.edges(),
-                        seq.diagnosis.tree.edges(),
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        par.telemetry.grow_lookups, seq.telemetry.grow_lookups,
-                        "{ctx}: growth lookups are deterministic"
-                    );
-                    let rounds = &par.telemetry.grow_rounds;
-                    assert!(!rounds.is_empty(), "{ctx}: frontier engine records rounds");
-                    assert_eq!(
-                        rounds.iter().map(|r| r.lookups).sum::<u64>(),
-                        par.telemetry.grow_lookups,
-                        "{ctx}: round lookups partition the phase total"
-                    );
-                    assert_eq!(
-                        rounds.iter().map(|r| r.accepted).sum::<usize>() + 1,
-                        par.diagnosis.healthy_count,
-                        "{ctx}: accepted-per-round sums to |U_r|"
-                    );
-                    parallel_rounds_seen += rounds.iter().filter(|r| r.parallel).count();
+            let drv = diagnose(&cached, &s)
+                .unwrap_or_else(|e| panic!("{}: diagnose: {e} ({b:?})", g.name()));
+            assert_eq!(drv.faults, faults.members(), "{} {b:?}", g.name());
+            let seq = run_sequential(&cached, &s, &default_opts).unwrap();
+            let policies = pools
+                .iter()
+                .map(|p| (format!("x{}", p.threads()), BackendPolicy::Pooled(p)))
+                .chain([("auto".to_string(), BackendPolicy::Auto)]);
+            for (policy_label, policy) in policies {
+                for (opts_label, opts) in [("default", &default_opts), ("grow=1", &frontier_opts)] {
+                    for (repr, par) in [
+                        ("cached", run_with(&cached, &s, policy, opts, None)),
+                        ("implicit", {
+                            let guard = MaterialisationGuard::begin(g);
+                            let r = run_with(g, &s, policy, opts, None);
+                            guard.assert_unchanged(&format!("{} frontier growth", g.name()));
+                            r
+                        }),
+                    ] {
+                        let ctx = format!("{} {repr} {policy_label} {opts_label} {b:?}", g.name());
+                        let par = par.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        let d = &par.diagnosis;
+                        assert_eq!(d.faults, drv.faults, "{ctx}");
+                        assert_eq!(d.certified_part, drv.certified_part, "{ctx}");
+                        assert_eq!(d.probes, drv.probes, "{ctx}");
+                        assert_eq!(d.healthy_count, drv.healthy_count, "{ctx}");
+                        assert_eq!(d.tree.edges(), drv.tree.edges(), "{ctx}");
+                        assert_eq!(d.lookups_used, drv.lookups_used, "{ctx}");
+                        assert_eq!(
+                            par.telemetry.probe_lookups, seq.telemetry.probe_lookups,
+                            "{ctx}"
+                        );
+                        assert_eq!(
+                            par.telemetry.grow_lookups, seq.telemetry.grow_lookups,
+                            "{ctx}"
+                        );
+                        assert_eq!(shape(&par), shape(&seq), "{ctx}: growth rounds");
+                        assert_eq!(
+                            par.telemetry
+                                .grow_rounds
+                                .iter()
+                                .map(|r| r.accepted)
+                                .sum::<usize>()
+                                + 1,
+                            d.healthy_count,
+                            "{ctx}: accepted-per-round sums to |U_r|"
+                        );
+                        parallel_rounds_seen += par
+                            .telemetry
+                            .grow_rounds
+                            .iter()
+                            .filter(|r| r.parallel)
+                            .count();
+                    }
                 }
             }
         }
@@ -436,7 +448,7 @@ fn driver_parallel_pooled_auto_baseline_and_simulator_agree_on_every_family() {
 
                 // Executor backends: a dedicated 4-worker pool, the shared
                 // pool and size-directed auto must be bit-identical to the
-                // sequential driver on every semantic field.
+                // sequential driver, accounting included.
                 for (label, session) in [
                     ("parallel", Diagnoser::new(g).pooled_on(&four_workers)),
                     ("pooled", Diagnoser::new(g).pooled()),
@@ -463,6 +475,13 @@ fn driver_parallel_pooled_auto_baseline_and_simulator_agree_on_every_family() {
                         d.tree.edges(),
                         drv.tree.edges(),
                         "{} {label} spanning tree {b:?}",
+                        g.name()
+                    );
+                    assert_eq!(d.probes, drv.probes, "{} {label} probes {b:?}", g.name());
+                    assert_eq!(
+                        d.lookups_used,
+                        drv.lookups_used,
+                        "{} {label} lookups {b:?}",
                         g.name()
                     );
                 }

@@ -7,11 +7,9 @@
 //!   runs `run_sequential` / `run_with`): faults, certified part, probes,
 //!   healthy count, spanning tree and the exact lookup count. So is
 //!   `.unchecked_bound(b)` at the family bound.
-//! * **Pooled / auto** — `.pooled()` and `.auto()` return the same
-//!   labelling (faults, certified part, healthy count, tree); pooled
-//!   accounting is scheduling-dependent by design. Below the default
-//!   sequential cutover, auto *is* the sequential scan, accounting
-//!   included.
+//! * **Pooled / auto** — `.pooled()` and `.auto()` are bit-identical to
+//!   `diagnose` too, accounting included: every backend runs the same
+//!   in-order probe scan and the same growth.
 //! * **Batch** — `.submit_batch(Source jobs)` equals the same jobs run one
 //!   at a time, in order, accounting included, on both backends.
 //! * **Representation** — implicit and cached sessions agree bit for bit.
@@ -69,15 +67,6 @@ fn assert_bit_identical(report: &DiagnosisReport, legacy: &Diagnosis, ctx: &str)
         legacy.lookups_used,
         "{ctx}: phase lookup split"
     );
-}
-
-/// The deterministic semantic contract (accounting excluded).
-fn assert_semantically_equal(report: &DiagnosisReport, legacy: &Diagnosis, ctx: &str) {
-    let d = &report.diagnosis;
-    assert_eq!(d.faults, legacy.faults, "{ctx}: faults");
-    assert_eq!(d.certified_part, legacy.certified_part, "{ctx}: part");
-    assert_eq!(d.healthy_count, legacy.healthy_count, "{ctx}: healthy");
-    assert_eq!(d.tree.edges(), legacy.tree.edges(), "{ctx}: tree edges");
 }
 
 /// The certificate rides the report and actually certifies.
@@ -158,23 +147,21 @@ fn diagnoser_is_bit_identical_to_every_legacy_entry_point_on_all_families() {
                 let report = Diagnoser::new(g).unchecked_bound(bound).run(&s).unwrap();
                 assert_bit_identical(&report, &legacy, &format!("{ctx} [unchecked]"));
 
-                // --- Pooled: semantic equality (accounting is
-                // scheduling-dependent by design).
+                // --- Pooled: bit-identical, accounting included.
                 let report = pooled_session.run(&s).unwrap();
-                assert_semantically_equal(&report, &legacy, &format!("{ctx} [pooled]"));
+                assert_bit_identical(&report, &legacy, &format!("{ctx} [pooled]"));
                 assert_certificate_sound(&report, g, &ctx);
                 assert_eq!(report.backend, "pooled", "{ctx}");
 
-                // --- Auto: bit-identical when it resolves sequential.
-                s.reset_lookups();
+                // --- Auto: bit-identical on either side of the cutover.
                 let report = auto_session.run(&s).unwrap();
-                if n < Cutovers::default().sequential {
-                    assert_bit_identical(&report, &legacy, &format!("{ctx} [auto-seq]"));
-                    assert_eq!(report.backend, "sequential", "{ctx}");
+                assert_bit_identical(&report, &legacy, &format!("{ctx} [auto]"));
+                let expected = if n < Cutovers::default().sequential {
+                    "sequential"
                 } else {
-                    assert_semantically_equal(&report, &legacy, &format!("{ctx} [auto]"));
-                    assert_eq!(report.backend, "pooled", "{ctx}");
-                }
+                    "pooled"
+                };
+                assert_eq!(report.backend, expected, "{ctx}");
             }
         }
     }
