@@ -66,7 +66,7 @@
 #![warn(missing_docs)]
 
 use mmdiag::{BatchJob, Diagnoser, VerificationVerdict};
-use mmdiag_core::{Cutovers, Diagnosis, PhaseTelemetry};
+use mmdiag_core::{Cutovers, PhaseTelemetry};
 use mmdiag_distsim::{plan, FaultTimeline, LatencyModel};
 use mmdiag_exec::Pool;
 use mmdiag_implicit::{ImplicitTopology, MaterialisationGuard};
@@ -606,7 +606,7 @@ pub fn run_cell_opts(
                 fastest_driver = elapsed;
                 phases = d.telemetry;
             }
-            debug_assert!(identical(&d.diagnosis, &drv));
+            debug_assert_eq!(d.diagnosis, drv);
             elapsed
         },
         || {
@@ -625,7 +625,7 @@ pub fn run_cell_opts(
             .run(&s)
             .unwrap_or_else(|e| panic!("{}: pooled backend failed: {e}", g.name()))
     });
-    let backend_agree = identical(&auto.diagnosis, &drv) && identical(&pooled.diagnosis, &drv);
+    let backend_agree = auto.diagnosis == drv && pooled.diagnosis == drv;
     assert!(backend_agree, "{}: backend legs disagree", g.name());
     let auto_no_regression = within_regression_tolerance(auto_nanos, driver_nanos);
 
@@ -839,7 +839,7 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
     }
     let auto = auto.expect("at least one auto rep");
     assert!(
-        identical(&auto.diagnosis, &drv),
+        auto.diagnosis == drv,
         "{}: auto backend disagrees",
         g.name()
     );
@@ -976,17 +976,6 @@ fn file_stem(s: &str) -> String {
         out.pop();
     }
     out
-}
-
-/// Field-for-field equality of two diagnoses, accounting included: the
-/// contract every backend honours (see `mmdiag_core::backend`).
-fn identical(a: &Diagnosis, b: &Diagnosis) -> bool {
-    a.faults == b.faults
-        && a.certified_part == b.certified_part
-        && a.probes == b.probes
-        && a.healthy_count == b.healthy_count
-        && a.tree.edges() == b.tree.edges()
-        && a.lookups_used == b.lookups_used
 }
 
 /// Sweep a catalog: for every instance, every [`fault_sizes`] load under a
@@ -1129,7 +1118,7 @@ fn batch_submission(inst: &Instance, syndromes: &[OracleSyndrome]) -> BatchRecor
     let agree = seq.len() == pooled.len()
         && seq.iter().zip(&pooled).all(|(a, b)| match (a, b) {
             (Ok(a), Ok(b)) => match (a.report(), b.report()) {
-                (Some(a), Some(b)) => identical(&a.diagnosis, &b.diagnosis),
+                (Some(a), Some(b)) => a.diagnosis == b.diagnosis,
                 _ => false,
             },
             _ => false,

@@ -27,6 +27,8 @@
 //! bit-identical across policies, the accounting fields
 //! ([`Diagnosis::probes`](crate::Diagnosis::probes),
 //! [`Diagnosis::lookups_used`](crate::Diagnosis::lookups_used)) included.
+//! The one exception is lookup accounting in a pooled batch whose jobs
+//! share a source (see [`run_batch`](crate::session::run_batch)).
 
 use crate::set_builder::Workspace;
 use mmdiag_exec::sync::{Arc, Mutex};

@@ -22,7 +22,7 @@ use mmdiag_syndrome::SyndromeSource;
 use mmdiag_topology::{NodeId, Partitionable};
 
 /// A successful diagnosis.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnosis {
     /// The diagnosed fault set, ascending.
     pub faults: Vec<NodeId>,

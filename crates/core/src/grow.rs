@@ -538,16 +538,6 @@ mod tests {
         }
     }
 
-    /// `(frontier, accepted, lookups)` of every round: what must agree
-    /// between the calling thread and the engine (timings and the
-    /// `parallel` flag differ by construction).
-    fn shape(rounds: &[GrowRound]) -> Vec<(usize, usize, u64)> {
-        rounds
-            .iter()
-            .map(|r| (r.frontier, r.accepted, r.lookups))
-            .collect()
-    }
-
     /// The engine against the calling-thread growth on every worker count:
     /// faults, tree, member count, the lookup count and every round's
     /// shape must be bit-identical, and the per-round lookups must sum to
@@ -585,11 +575,13 @@ mod tests {
                     s.reset_lookups();
                     let (par, rounds) =
                         grow(&g, &s, 0, bound, &mut pws, Some((&pool, &mut gs))).unwrap();
-                    assert_eq!(par.faults, seq.faults, "workers={workers}");
-                    assert_eq!(par.healthy_count, seq.healthy_count);
-                    assert_eq!(par.tree.edges(), seq.tree.edges(), "workers={workers}");
+                    assert_eq!(par, seq, "workers={workers}");
                     assert_eq!(s.lookups(), seq_lookups, "workers={workers}");
-                    assert_eq!(shape(&rounds), shape(&seq_rounds), "workers={workers}");
+                    assert_eq!(
+                        GrowRound::shapes(&rounds),
+                        GrowRound::shapes(&seq_rounds),
+                        "workers={workers}"
+                    );
                     assert!(
                         rounds.iter().any(|r| r.parallel),
                         "fault-free Q_10 certifies"

@@ -62,31 +62,16 @@ fn families() -> Vec<Box<dyn Partitionable + Sync>> {
     ]
 }
 
-/// `(frontier, accepted, lookups)` of every growth round — what every
-/// backend must agree on (wall times and `parallel` flags differ).
-fn shape(rounds: &[GrowRound]) -> Vec<(usize, usize, u64)> {
-    rounds
-        .iter()
-        .map(|r| (r.frontier, r.accepted, r.lookups))
-        .collect()
-}
-
-/// Every field of the diagnosis, the phase lookups and the round shapes.
+/// Every field of the diagnosis, the phase lookups and the round shapes
+/// (wall times and `parallel` flags differ by construction).
 fn assert_identical(got: &DiagnosisReport, want: &DiagnosisReport, ctx: &str) {
-    let (a, b) = (&got.diagnosis, &want.diagnosis);
-    assert_eq!(a.faults, b.faults, "{ctx}: faults");
-    assert_eq!(a.certified_part, b.certified_part, "{ctx}: part");
-    assert_eq!(a.probes, b.probes, "{ctx}: probes");
-    assert_eq!(a.healthy_count, b.healthy_count, "{ctx}: healthy");
-    assert_eq!(a.tree.root(), b.tree.root(), "{ctx}: tree root");
-    assert_eq!(a.tree.edges(), b.tree.edges(), "{ctx}: tree edges");
-    assert_eq!(a.lookups_used, b.lookups_used, "{ctx}: lookups");
+    assert_eq!(got.diagnosis, want.diagnosis, "{ctx}: diagnosis");
     let (t, u) = (&got.telemetry, &want.telemetry);
     assert_eq!(t.probe_lookups, u.probe_lookups, "{ctx}: probe lookups");
     assert_eq!(t.grow_lookups, u.grow_lookups, "{ctx}: grow lookups");
     assert_eq!(
-        shape(&t.grow_rounds),
-        shape(&u.grow_rounds),
+        GrowRound::shapes(&t.grow_rounds),
+        GrowRound::shapes(&u.grow_rounds),
         "{ctx}: rounds"
     );
 }
@@ -114,14 +99,7 @@ fn assert_every_backend_identical(
                 let legacy = diagnose(g, &s)
                     .unwrap_or_else(|e| panic!("{}: diagnose: {e} ({behavior:?})", g.name()));
                 let seq = run_sequential(g, &s, opts).unwrap();
-                assert_eq!(seq.diagnosis.probes, legacy.probes, "{}", g.name());
-                assert_eq!(
-                    seq.diagnosis.lookups_used,
-                    legacy.lookups_used,
-                    "{}",
-                    g.name()
-                );
-                assert_eq!(seq.diagnosis.tree.edges(), legacy.tree.edges());
+                assert_eq!(seq.diagnosis, legacy, "{}", g.name());
                 let policies = pools
                     .iter()
                     .map(|p| (format!("pooled x{}", p.threads()), BackendPolicy::Pooled(p)))

@@ -657,7 +657,10 @@ impl<'g> Diagnoser<'g> {
     /// with mid-protocol onsets has no single post-hoc syndrome (tests
     /// were graded at their reply instants), so its outcome carries
     /// [`VerificationVerdict::Unverified`]. Results come back in input
-    /// order.
+    /// order. Jobs that name one source share its lookup counter, so on a
+    /// pooled session their lookup accounting includes each other's reads
+    /// (see [`mmdiag_core::session::run_batch`]); the session's
+    /// `oracle.lookups` still counts each read exactly once.
     pub fn submit_batch(&self, jobs: &[BatchJob<'_>]) -> Vec<Result<RunOutcome, RunError>> {
         match &self.mode {
             RunMode::InProcess => self.submit_batch_in_process(jobs),

@@ -295,17 +295,10 @@ fn simulator_accepts_implicit_topologies() {
 #[test]
 fn frontier_parallel_growth_is_bit_identical_on_every_family() {
     use mmdiag::diagnosis::session::{run_sequential, run_with};
-    use mmdiag::diagnosis::{BackendPolicy, DiagnosisReport, SessionOptions};
+    use mmdiag::diagnosis::{BackendPolicy, GrowRound, SessionOptions};
     use mmdiag::exec::Pool;
     use mmdiag::implicit::MaterialisationGuard;
 
-    let shape = |r: &DiagnosisReport| -> Vec<(usize, usize, u64)> {
-        r.telemetry
-            .grow_rounds
-            .iter()
-            .map(|r| (r.frontier, r.accepted, r.lookups))
-            .collect()
-    };
     let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(0xF207_71E6);
     let default_opts = SessionOptions::default();
@@ -343,12 +336,7 @@ fn frontier_parallel_growth_is_bit_identical_on_every_family() {
                         let ctx = format!("{} {repr} {policy_label} {opts_label} {b:?}", g.name());
                         let par = par.unwrap_or_else(|e| panic!("{ctx}: {e}"));
                         let d = &par.diagnosis;
-                        assert_eq!(d.faults, drv.faults, "{ctx}");
-                        assert_eq!(d.certified_part, drv.certified_part, "{ctx}");
-                        assert_eq!(d.probes, drv.probes, "{ctx}");
-                        assert_eq!(d.healthy_count, drv.healthy_count, "{ctx}");
-                        assert_eq!(d.tree.edges(), drv.tree.edges(), "{ctx}");
-                        assert_eq!(d.lookups_used, drv.lookups_used, "{ctx}");
+                        assert_eq!(*d, drv, "{ctx}");
                         assert_eq!(
                             par.telemetry.probe_lookups, seq.telemetry.probe_lookups,
                             "{ctx}"
@@ -357,7 +345,11 @@ fn frontier_parallel_growth_is_bit_identical_on_every_family() {
                             par.telemetry.grow_lookups, seq.telemetry.grow_lookups,
                             "{ctx}"
                         );
-                        assert_eq!(shape(&par), shape(&seq), "{ctx}: growth rounds");
+                        assert_eq!(
+                            GrowRound::shapes(&par.telemetry.grow_rounds),
+                            GrowRound::shapes(&seq.telemetry.grow_rounds),
+                            "{ctx}: growth rounds"
+                        );
                         assert_eq!(
                             par.telemetry
                                 .grow_rounds

@@ -53,14 +53,7 @@ fn families() -> Vec<Box<dyn Partitionable + Sync>> {
 
 /// Exact equality on every field, accounting included.
 fn assert_bit_identical(report: &DiagnosisReport, legacy: &Diagnosis, ctx: &str) {
-    let d = &report.diagnosis;
-    assert_eq!(d.faults, legacy.faults, "{ctx}: faults");
-    assert_eq!(d.certified_part, legacy.certified_part, "{ctx}: part");
-    assert_eq!(d.probes, legacy.probes, "{ctx}: probes");
-    assert_eq!(d.healthy_count, legacy.healthy_count, "{ctx}: healthy");
-    assert_eq!(d.tree.root(), legacy.tree.root(), "{ctx}: tree root");
-    assert_eq!(d.tree.edges(), legacy.tree.edges(), "{ctx}: tree edges");
-    assert_eq!(d.lookups_used, legacy.lookups_used, "{ctx}: lookups");
+    assert_eq!(report.diagnosis, *legacy, "{ctx}: diagnosis");
     // And the telemetry's lookup split accounts for the exact total.
     assert_eq!(
         report.telemetry.probe_lookups + report.telemetry.grow_lookups,
