@@ -49,15 +49,13 @@
 //! session's [`PhaseTelemetry`]) and a `"verification"` object (the
 //! per-cell [`VerificationVerdict`]); see [`SCHEMA_VERSION`].
 //!
-//! Since ISSUE 8 the unrestricted growth sweep is frontier-parallel on
-//! the pool (above the `MMDIAG_GROW_CUTOVER`-tunable node cutover, on sorted-adjacency
-//! representations), which opens the **`--xxlarge`**
-//! axis: Q_25, Q^3_17 and Q_27 (134 217 728 nodes) through the same
-//! slimmed [`run_scale_cell`] protocol. Scale cells now record the
-//! `"phases"` of the *auto* leg — the production pooled path with the
-//! frontier sweep — and every record's `"phases"` object gains a
-//! `"grow_rounds"` array with the per-frontier-round
-//! frontier/accepted/lookup/time split.
+//! The **`--xxlarge`** axis runs Q_25, Q^3_17 and Q_27 (134 217 728
+//! nodes) through the same slimmed [`run_scale_cell`] protocol. Scale
+//! cells record the `"phases"` of the *auto* leg, the production policy,
+//! and every record's `"phases"` object carries a `"grow_rounds"` array
+//! with the per-layer frontier/accepted/lookup/time split. Every run
+//! grows on the calling thread, so the auto leg's growth is the
+//! sequential leg's; the pool only fans out batches.
 //!
 //! Criterion is not available in the offline build environment; the
 //! `benches/sweep.rs` target (`harness = false`) and the `mmdiag-bench`
@@ -279,8 +277,8 @@ pub fn xlarge_catalog() -> Vec<Instance> {
 /// The 10⁷–10⁸-node `--xxlarge` axis, smallest first (the `--quick` smoke
 /// leg runs only the first entry). Same slimmed [`run_scale_cell`]
 /// protocol as `--xlarge` — implicit adjacency, streaming syndromes,
-/// sampled verification, materialisation guard — at the sizes the
-/// frontier-parallel growth sweep exists for. All three use the certified
+/// sampled verification, materialisation guard — at 10⁷–10⁸ nodes,
+/// where growth dominates the diagnosis. All three use the certified
 /// constructors: `Q_27`'s default partition rule would pick subcubes whose
 /// probe trees cannot certify fault bound 27.
 pub fn xxlarge_catalog() -> Vec<Instance> {
@@ -843,11 +841,9 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
         "{}: auto backend disagrees",
         g.name()
     );
-    // The recorded phases are the *production* path's: at these sizes the
-    // auto leg runs pooled with the frontier-parallel growth sweep, so its
+    // The recorded phases are the *production* policy's: the auto leg's
     // `grow_nanos` (and per-round `grow_rounds`) are what the trajectory
-    // comparison across BENCH files should track, not the sequential
-    // reference leg's.
+    // comparison across BENCH files tracks.
     let phases = auto.telemetry.clone();
 
     let verification = Diagnoser::new(g)

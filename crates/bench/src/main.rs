@@ -25,9 +25,8 @@
 //!             streaming syndromes, sampled cross-check; a
 //!             materialisation guard asserts no Cached copy is built
 //!   --xxlarge extend the catalog with the 10⁷–10⁸-node axis (Q_25,
-//!             Q^3_17, Q_27 — 134 217 728 nodes) served by the
-//!             frontier-parallel growth sweep; same slimmed protocol and
-//!             sampled verification as --xlarge
+//!             Q^3_17, Q_27 — 134 217 728 nodes); same slimmed protocol
+//!             and sampled verification as --xlarge
 //!   --profile run one extra fully observed rep per cell — tracing session
 //!             on an instrumented pool — writing one Chrome trace-event
 //!             file per cell (Perfetto-loadable) into a directory derived
@@ -58,10 +57,10 @@
 //!   --out     output path (default BENCH_8.json in the working directory)
 //! ```
 //!
-//! The auto legs resolve against the default session cutovers
-//! (`mmdiag_core::Cutovers::default()`: the compiled-in values unless
-//! `MMDIAG_CUTOVER` / `MMDIAG_GROW_CUTOVER` pin them); no file in the
-//! working directory changes what a run measures.
+//! The auto legs resolve against the default session cutover
+//! (`mmdiag_core::Cutovers::default()`: the compiled-in value unless
+//! `MMDIAG_CUTOVER` pins it); no file in the working directory changes
+//! what a run measures.
 #![forbid(unsafe_code)]
 
 use mmdiag_bench::{

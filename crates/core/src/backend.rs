@@ -1,24 +1,18 @@
 //! Execution policy: one diagnosis algorithm, pluggable execution.
 //!
 //! Every run is the same in-order probe scan on the calling thread
-//! followed by one growth (`crate::session`). A pool has two measured
-//! jobs, and this module decides when it gets them:
-//!
-//! * **frontier growth** — past [`Cutovers::grow`] (on sorted-adjacency
-//!   topologies) a pooled run finishes its growth on the pool, layer by
-//!   layer, once the in-growth certificate fires;
-//! * **batch fan-out** — a pooled `run_batch` spreads whole runs over the
-//!   pool's workers.
+//! followed by one growth loop on the same thread (`crate::session`). A
+//! pool has one job, and this module decides when it gets it: a pooled
+//! `run_batch` spreads whole runs over the pool's workers.
 //!
 //! The pieces:
 //!
 //! * [`BackendPolicy`] — sequential, a given [`mmdiag_exec::Pool`], or
 //!   size-directed auto;
-//! * [`Cutovers`] — the node counts the auto rule and the frontier
-//!   engine resolve against. They ride on each run's
-//!   [`SessionOptions`](crate::SessionOptions), so two sessions in one
-//!   process can hold different cutovers and no run reads a mutable
-//!   process global;
+//! * [`Cutovers`] — the node count the auto rule resolves against. It
+//!   rides on each run's [`SessionOptions`](crate::SessionOptions), so two
+//!   sessions in one process can hold different cutovers and no run reads
+//!   a mutable process global;
 //! * [`WorkspacePool`] — `O(N)` scratch pooled **per worker**, so batched
 //!   submissions reuse one allocation per worker instead of one per call.
 //!
@@ -37,22 +31,13 @@ use mmdiag_exec::{Pool, SyncStats};
 /// Default node count below which [`BackendPolicy::Auto`] stays
 /// sequential.
 ///
-/// A single auto run at or above it differs from a sequential one only
-/// once it also reaches [`GROW_CUTOVER_NODES`]; what this threshold still
-/// gates is the fan-out of batched submissions. Below ~1k nodes a whole
-/// diagnosis is tens of microseconds — under the pool's dispatch overhead
-/// (`BENCH_1.json`/`BENCH_2.json`).
+/// A single auto run executes on the calling thread either way; what
+/// this threshold gates is the fan-out of batched submissions. Below ~1k
+/// nodes a whole diagnosis is tens of microseconds — under the pool's
+/// dispatch overhead (`BENCH_1.json`/`BENCH_2.json`).
 pub const SEQUENTIAL_CUTOVER_NODES: usize = 1024;
 
-/// Default node count below which a pooled run grows on the calling
-/// thread instead of the pool's frontier engine.
-///
-/// The frontier engine pays per-layer pool dispatch plus an O(N/64)
-/// bitset reset per diagnosis; both are noise from ~10⁵ nodes up (where
-/// the sweep saves whole seconds) but real at workstation sizes.
-pub const GROW_CUTOVER_NODES: usize = 1 << 17;
-
-/// The node-count thresholds a session run resolves its execution against.
+/// The node-count threshold a session run resolves its execution against.
 /// A plain value carried by [`SessionOptions`](crate::SessionOptions) — set
 /// it per run instead of mutating anything process-wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,22 +45,16 @@ pub struct Cutovers {
     /// Below this many nodes [`BackendPolicy::Auto`] runs sequentially;
     /// at or above it, on the process-wide pool.
     pub sequential: usize,
-    /// Below this many nodes a pooled run grows on the calling thread; at
-    /// or above it (on sorted-adjacency topologies) growth finishes on the
-    /// pool's frontier engine.
-    pub grow: usize,
 }
 
 impl Default for Cutovers {
-    /// The compiled defaults ([`SEQUENTIAL_CUTOVER_NODES`],
-    /// [`GROW_CUTOVER_NODES`]), unless an operator pinned either with
-    /// `MMDIAG_CUTOVER` / `MMDIAG_GROW_CUTOVER` (parsed once per process
+    /// The compiled default ([`SEQUENTIAL_CUTOVER_NODES`]), unless an
+    /// operator pinned it with `MMDIAG_CUTOVER` (parsed once per process
     /// through [`mmdiag_exec::knobs`]).
     fn default() -> Self {
         let knobs = mmdiag_exec::knobs();
         Cutovers {
             sequential: knobs.cutover.unwrap_or(SEQUENTIAL_CUTOVER_NODES),
-            grow: knobs.grow_cutover.unwrap_or(GROW_CUTOVER_NODES),
         }
     }
 }
@@ -85,8 +64,8 @@ impl Default for Cutovers {
 pub enum BackendPolicy<'p> {
     /// Everything on the calling thread; no pool at all.
     Sequential,
-    /// The given pool: frontier growth past [`Cutovers::grow`], and the
-    /// fan-out of batched submissions.
+    /// The given pool, for the fan-out of batched submissions; a single
+    /// run still executes on the calling thread.
     Pooled(&'p Pool),
     /// Sequential below [`Cutovers::sequential`], else pooled on the
     /// process-wide [`mmdiag_exec::global`] pool.
@@ -131,7 +110,6 @@ impl<'p> BackendPolicy<'p> {
 pub struct WorkspacePool {
     nodes: usize,
     slots: Vec<Mutex<Option<Workspace>>>,
-    grow_slots: Vec<Mutex<Option<crate::grow::GrowScratch>>>,
 }
 
 impl WorkspacePool {
@@ -166,9 +144,6 @@ impl WorkspacePool {
             slots: (0..workers + 1)
                 .map(|_| Mutex::with_stats(None, stats.clone()))
                 .collect(),
-            grow_slots: (0..workers + 1)
-                .map(|_| Mutex::with_stats(None, stats.clone()))
-                .collect(),
         }
     }
 
@@ -186,22 +161,6 @@ impl WorkspacePool {
         let ws = guard.get_or_insert_with(|| Workspace::new(self.nodes));
         f(ws)
     }
-
-    /// Run `f` with the frontier-growth scratch slot of `worker` (same
-    /// keying as [`WorkspacePool::with`]), creating it on first use. The
-    /// engine's bitsets are the other O(N) scratch a pooled diagnosis
-    /// needs; pooling them here is what keeps a stream of runs at 10⁶⁺
-    /// nodes from re-allocating per run.
-    pub(crate) fn with_grow<R>(
-        &self,
-        worker: Option<usize>,
-        f: impl FnOnce(&mut crate::grow::GrowScratch) -> R,
-    ) -> R {
-        let mut guard = self.grow_slots[self.slot_index(worker)].lock().unwrap();
-        let gs = guard.get_or_insert_with(crate::grow::GrowScratch::new);
-        gs.ensure(self.nodes);
-        f(gs)
-    }
 }
 
 #[cfg(test)]
@@ -210,17 +169,11 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_the_cutover_it_is_given() {
-        let cut = Cutovers {
-            sequential: 512,
-            grow: GROW_CUTOVER_NODES,
-        };
+        let cut = Cutovers { sequential: 512 };
         assert!(BackendPolicy::Auto.resolve(511, &cut).is_none());
         assert!(BackendPolicy::Auto.resolve(512, &cut).is_some());
         // Two sessions in one process can hold different cutovers.
-        let later = Cutovers {
-            sequential: 2048,
-            ..cut
-        };
+        let later = Cutovers { sequential: 2048 };
         assert!(BackendPolicy::Auto.resolve(600, &cut).is_some());
         assert!(BackendPolicy::Auto.resolve(600, &later).is_none());
         let pool = Pool::new(1);
@@ -230,15 +183,14 @@ mod tests {
 
     #[test]
     fn labels_follow_the_default_cutover() {
-        // The compiled defaults, unless MMDIAG_CUTOVER / MMDIAG_GROW_CUTOVER
-        // pin them — as `Cutovers::default` documents.
+        // The compiled default, unless MMDIAG_CUTOVER pins it — as
+        // `Cutovers::default` documents.
         let knobs = mmdiag_exec::knobs();
         let cut = Cutovers::default();
         assert_eq!(
             cut.sequential,
             knobs.cutover.unwrap_or(SEQUENTIAL_CUTOVER_NODES)
         );
-        assert_eq!(cut.grow, knobs.grow_cutover.unwrap_or(GROW_CUTOVER_NODES));
         let pool = Pool::new(1);
         assert_eq!(BackendPolicy::Sequential.label_for(1 << 20), "sequential");
         assert_eq!(BackendPolicy::Pooled(&pool).label_for(8), "pooled");
@@ -277,12 +229,11 @@ mod tests {
         for worker in [Some(0), Some(1), None] {
             wsp.with(worker, |_| {});
         }
-        wsp.with_grow(Some(0), |_| {});
-        assert_eq!(stats.lock_wait_ns.snapshot().count, 4);
+        assert_eq!(stats.lock_wait_ns.snapshot().count, 3);
         // A plain pool's slots record nothing.
         let plain = WorkspacePool::new(64, 2);
         plain.with(Some(0), |_| {});
-        assert_eq!(stats.lock_wait_ns.snapshot().count, 4);
+        assert_eq!(stats.lock_wait_ns.snapshot().count, 3);
     }
 
     #[test]

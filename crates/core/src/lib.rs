@@ -14,9 +14,9 @@
 //!   per-phase telemetry, the §4.1 certificate artifact, batch
 //!   submissions (the substrate of the umbrella crate's
 //!   `mmdiag::Diagnoser` front door);
-//! * [`backend`] — execution policy: the same driver run sequentially, on
-//!   a worker pool, or size-directed ([`BackendPolicy`]), against
-//!   per-run [`Cutovers`].
+//! * [`backend`] — execution policy: every run executes on the calling
+//!   thread, and batches run sequentially, fan out over a worker pool, or
+//!   choose by size ([`BackendPolicy`], against per-run [`Cutovers`]).
 //!
 //! One session run returns the full [`session::DiagnosisReport`] — the
 //! classic [`Diagnosis`] plus the certificate and per-phase telemetry:
@@ -62,9 +62,7 @@ pub mod session;
 pub mod set_builder;
 pub mod tree;
 
-pub use backend::{
-    BackendPolicy, Cutovers, WorkspacePool, GROW_CUTOVER_NODES, SEQUENTIAL_CUTOVER_NODES,
-};
+pub use backend::{BackendPolicy, Cutovers, WorkspacePool, SEQUENTIAL_CUTOVER_NODES};
 pub use driver::{diagnose, Diagnosis, DiagnosisError};
 pub use session::{
     grow_from_certificate, probe_part, Certificate, DiagnosisReport, GrowRound, PartProbe,

@@ -17,19 +17,17 @@
 //!   backend label, and a [`VerificationVerdict`] slot the umbrella
 //!   session fills from its verification policy.
 //!
-//! Every entry point runs one function: the in-order probe scan on the
-//! calling thread's workspace slot, then one growth. A pool takes part
-//! only inside that growth — the frontier engine, past
-//! [`Cutovers::grow`] on sorted-adjacency topologies — and in
-//! [`run_batch`]'s fan-out of whole runs.
+//! Every entry point runs one function on the calling thread: the
+//! in-order probe scan on its workspace slot, then one growth loop. A
+//! pool's only job is [`run_batch`]'s fan-out of whole runs.
 //!
 //! **Determinism contract**: every backend probes the same parts in the
 //! same order and grows the same layers, so a report is bit-identical
 //! across backends — faults, certificate, healthy set, spanning tree and
 //! the accounting (`probes`, `lookups_used`, the phase lookups and every
-//! round's frontier, acceptances and lookups). Only wall times and the
-//! rounds' `parallel` flags differ, and, in a pooled [`run_batch`] whose
-//! jobs share one source, the accounting (see there). The phase
+//! round's frontier, acceptances and lookups). Only wall times differ,
+//! and, in a pooled [`run_batch`] whose jobs share one source, the
+//! accounting (see there). The phase
 //! instrumentation is a handful of monotonic-clock reads per growth round
 //! (through the `mmdiag_trace::clock` door) — it consults no extra
 //! syndrome entries.
@@ -41,7 +39,7 @@
 
 use crate::backend::{BackendPolicy, Cutovers, WorkspacePool};
 use crate::driver::{Diagnosis, DiagnosisError};
-use crate::grow::{grow_and_sweep, Frontier, Handoff};
+use crate::grow::grow_and_sweep;
 use crate::set_builder::{set_builder_in_part, SetBuilderOutcome, Workspace};
 use crate::tree::SpanningTree;
 use mmdiag_exec::Pool;
@@ -102,15 +100,16 @@ pub struct PhaseTelemetry {
     /// adjacency only).
     pub grow_lookups: u64,
     /// Per-layer breakdown of the growth phase, one round per layer on
-    /// every backend (empty only for the epoch monitor's reports). Round
-    /// lookups partition [`PhaseTelemetry::grow_lookups`] exactly; round
-    /// times nest inside [`PhaseTelemetry::grow_nanos`].
+    /// every backend, all grown on the calling thread (empty only for the
+    /// epoch monitor's reports). Round lookups partition
+    /// [`PhaseTelemetry::grow_lookups`] exactly; round times nest inside
+    /// [`PhaseTelemetry::grow_nanos`].
     pub grow_rounds: Vec<GrowRound>,
 }
 
 /// One layer of the growth phase (each round is also a `grow.round`
 /// trace span nested inside the `grow` phase span). Everything but
-/// `nanos` and `parallel` is the same on every backend.
+/// `nanos` is the same on every backend.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GrowRound {
     /// Nodes scanned as this round's frontier.
@@ -121,9 +120,9 @@ pub struct GrowRound {
     pub lookups: u64,
     /// Wall time of the round in nanoseconds.
     pub nanos: u128,
-    /// Whether the round ran on the pool's frontier engine (`false` for
-    /// layers on the calling thread: every layer of a run without the
-    /// engine, and the layers before the in-growth certificate fires).
+    /// Always `false`: every layer runs on the calling thread. Retired;
+    /// kept only because the repository benchmark (`mmbench/`) still
+    /// reads it.
     pub parallel: bool,
 }
 
@@ -237,8 +236,8 @@ pub struct SessionOptions {
     /// Run §5's decomposition precondition check first (off for
     /// borderline instances run with an explicit bound).
     pub check_preconditions: bool,
-    /// The thresholds [`BackendPolicy::Auto`] and the frontier engine
-    /// resolve against — per run, never a process global.
+    /// The threshold [`BackendPolicy::Auto`] resolves against — per run,
+    /// never a process global.
     pub cutovers: Cutovers,
     /// Where phase spans are recorded. The default is the disabled
     /// tracer (a cloneable `None` handle — recording costs one `Option`
@@ -339,23 +338,20 @@ where
         fault_bound,
         start_lookups,
         ws,
-        None,
         &Tracer::disabled(),
     )
     .map(|(diagnosis, _)| diagnosis)
 }
 
 /// The one session run, in a caller-provided workspace: the in-order
-/// probe scan, then growth from the lowest certifying part — handed to
-/// `frontier` once its own certificate fires, when one is given.
-/// Requires no `Sync` bounds; the report is labelled `"sequential"`.
+/// probe scan, then growth from the lowest certifying part. Requires no
+/// `Sync` bounds; the report is labelled `"sequential"`.
 fn run_in_ws<T, S>(
     g: &T,
     s: &S,
     fault_bound: usize,
     tracer: &Tracer,
     ws: &mut Workspace,
-    frontier: Option<&mut dyn Handoff>,
 ) -> Result<DiagnosisReport, DiagnosisError>
 where
     T: Partitionable + ?Sized,
@@ -394,7 +390,6 @@ where
         fault_bound,
         start_lookups,
         ws,
-        frontier,
         tracer,
     )?;
     let grow_lookups = checked_delta(checked_delta(s.lookups(), start_lookups), probe_lookups);
@@ -417,9 +412,7 @@ where
 }
 
 /// One run on the workspace slot of the calling thread, labelled by the
-/// pool the policy resolved to. Growth goes to that pool's frontier
-/// engine when `grow_on_pool` is set, the instance reaches
-/// [`Cutovers::grow`] and the topology lists neighbours sorted.
+/// pool the policy resolved to.
 fn run_on<T, S>(
     g: &T,
     s: &S,
@@ -427,29 +420,13 @@ fn run_on<T, S>(
     opts: &SessionOptions,
     wsp: &WorkspacePool,
     pool: Option<&Pool>,
-    grow_on_pool: bool,
 ) -> Result<DiagnosisReport, DiagnosisError>
 where
-    T: Partitionable + Sync + ?Sized,
-    S: SyndromeSource + Sync + ?Sized,
+    T: Partitionable + ?Sized,
+    S: SyndromeSource + ?Sized,
 {
     let slot = pool.and_then(Pool::worker_index);
-    let engine_pool = pool.filter(|_| {
-        grow_on_pool && g.has_sorted_adjacency() && g.node_count() >= opts.cutovers.grow
-    });
-    let tracer = &opts.tracer;
-    let mut report = wsp.with(slot, |ws| match engine_pool {
-        Some(pool) => wsp.with_grow(slot, |scratch| {
-            let mut frontier = Frontier {
-                g,
-                s,
-                pool,
-                scratch,
-            };
-            run_in_ws(g, s, fault_bound, tracer, ws, Some(&mut frontier))
-        }),
-        None => run_in_ws(g, s, fault_bound, tracer, ws, None),
-    })?;
+    let mut report = wsp.with(slot, |ws| run_in_ws(g, s, fault_bound, &opts.tracer, ws))?;
     if pool.is_some() {
         report.backend = "pooled";
     }
@@ -480,7 +457,7 @@ where
 {
     let bound = checked_bound(g, opts)?;
     let mut ws = Workspace::new(g.node_count());
-    run_in_ws(g, s, bound, &opts.tracer, &mut ws, None)
+    run_in_ws(g, s, bound, &opts.tracer, &mut ws)
 }
 
 /// One policy-dispatched session run — what the umbrella `Diagnoser`
@@ -509,7 +486,7 @@ where
             &owned
         }
     };
-    run_on(g, s, bound, opts, wsp, pool, true)
+    run_on(g, s, bound, opts, wsp, pool)
 }
 
 /// Evaluate many syndromes against one instance in a single session
@@ -517,10 +494,8 @@ where
 ///
 /// Sequential resolution: one reused workspace slot, syndromes in order.
 /// Pooled resolution: syndromes fan out over the pool, each run whole
-/// inside one task on that worker's workspace slot. Fanned-out runs grow
-/// on their own worker: a frontier growth nested inside a task would
-/// help-run sibling tasks while holding the slot they need. Results come
-/// back **in input order** and are bit-identical to one-at-a-time runs.
+/// inside one task on that worker's workspace slot. Results come back
+/// **in input order** and are bit-identical to one-at-a-time runs.
 ///
 /// The accounting (`lookups_used`, the phase and round lookups) is read
 /// off the source's own counter, so it is exact only when every job has
@@ -552,12 +527,10 @@ where
         }
     };
     match pool {
-        Some(pool) => pool.map(syndromes, |_, s| {
-            run_on(g, s, bound, opts, wsp, Some(pool), false)
-        }),
+        Some(pool) => pool.map(syndromes, |_, s| run_on(g, s, bound, opts, wsp, Some(pool))),
         None => syndromes
             .iter()
-            .map(|s| run_on(g, s, bound, opts, wsp, None, false))
+            .map(|s| run_on(g, s, bound, opts, wsp, None))
             .collect(),
     }
 }
@@ -687,39 +660,35 @@ mod tests {
     }
 
     #[test]
-    fn pooled_frontier_growth_matches_sequential_and_traces_rounds() {
+    fn pooled_growth_matches_sequential_and_traces_rounds() {
         use mmdiag_topology::Cached;
         use mmdiag_trace::{TraceConfig, TraceSummary, PHASE_GROW_ROUND};
         let base = Hypercube::new(7);
         let g = Cached::new(&base);
-        assert!(g.has_sorted_adjacency());
         let s = OracleSyndrome::new(
             FaultSet::new(128, &[3, 64, 90]),
             TesterBehavior::Random { seed: 1 },
         );
         let seq = run_sequential(&g, &s, &SessionOptions::default()).unwrap();
         let pool = Pool::new(4);
-        // A grow cutover of 1 sends this small instance down the frontier
-        // engine — scoped to this run's options, nothing process-wide.
-        let mut opts = SessionOptions {
+        let opts = SessionOptions {
             tracer: Tracer::new(TraceConfig::default()),
             ..SessionOptions::default()
         };
-        opts.cutovers.grow = 1;
         s.reset_lookups();
         let par = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
         let tracer = &opts.tracer;
-        // Bit-identity with the calling-thread growth, accounting included.
+        // Bit-identity with the sequential run, accounting included.
         assert_eq!(par.diagnosis, seq.diagnosis);
         assert_eq!(par.telemetry.grow_lookups, seq.telemetry.grow_lookups);
         // Per-round telemetry: the same rounds as the sequential growth,
-        // partitioning the grow lookups exactly, some of them on the pool.
+        // partitioning the grow lookups exactly, all on the calling thread.
         let rounds = &par.telemetry.grow_rounds;
         assert_eq!(
             GrowRound::shapes(rounds),
             GrowRound::shapes(&seq.telemetry.grow_rounds)
         );
-        assert!(rounds.iter().any(|r| r.parallel));
+        assert!(rounds.iter().all(|r| !r.parallel));
         assert_eq!(
             rounds.iter().map(|r| r.lookups).sum::<u64>(),
             par.telemetry.grow_lookups

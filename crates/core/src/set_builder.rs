@@ -171,10 +171,9 @@ where
     core.finish(s)
 }
 
-/// Incremental driver for the §4.1 growth loop, shared between the
-/// sequential [`set_builder_filtered`] and the frontier-parallel sweep in
-/// `crate::grow` (which runs these sequential layers until the certificate
-/// fires, then hands the remaining layers to the pool mid-loop).
+/// Incremental driver for the §4.1 growth loop, shared between
+/// [`set_builder_filtered`] and the diagnosis growth in `crate::grow`
+/// (which records one round per layer).
 ///
 /// Every syndrome lookup that *disagrees* on a then-unvisited candidate is
 /// reported to the `reject` sink. In an unrestricted run each member is
@@ -184,15 +183,15 @@ where
 /// diagnosis driver used to do. The sequential entry point passes a no-op
 /// sink and keeps its historical behaviour (and lookup counts) exactly.
 pub(crate) struct GrowthCore {
-    pub(crate) u0: NodeId,
-    pub(crate) fault_bound: usize,
+    u0: NodeId,
+    fault_bound: usize,
     start_lookups: u64,
     pub(crate) members: Vec<NodeId>,
-    pub(crate) edges: Vec<(NodeId, NodeId)>,
-    pub(crate) contributors: usize,
-    pub(crate) all_healthy: bool,
-    pub(crate) rounds: usize,
-    pub(crate) cur_layer: u32,
+    edges: Vec<(NodeId, NodeId)>,
+    contributors: usize,
+    all_healthy: bool,
+    rounds: usize,
+    cur_layer: u32,
 }
 
 impl GrowthCore {

@@ -1,23 +1,21 @@
-//! Executor coverage.
+//! Executor coverage. A single run always executes on the calling
+//! thread; the pool's one job is `run_batch`'s fan-out of whole runs.
 //!
-//! 1. **Exactness across pool sizes** — on all 14 §5 families, the
-//!    pooled backend on pools of 1/2/4/8 workers and the auto backend
-//!    return a report identical to the sequential run's: every field of
-//!    the diagnosis (`probes` and `lookups_used` included), the phase
-//!    lookups and every growth round's frontier, acceptances and lookups.
-//!    Once at the default cutovers and once with the frontier engine
-//!    forced on (`cutovers.grow = 1`).
-//! 2. **Panic propagation** — a syndrome source that panics inside a
-//!    frontier-growth task unwinds out of the pooled diagnosis into the
-//!    caller, and the pool stays usable afterwards.
+//! 1. **Exactness across pool sizes** — on all 14 §5 families, a batch of
+//!    four jobs (each with a source of its own) on pools of 1/2/4/8
+//!    workers and under the auto backend returns, per job, a report
+//!    identical to the sequential run's: every field of the diagnosis
+//!    (`probes` and `lookups_used` included), the phase lookups and every
+//!    growth round's frontier, acceptances and lookups.
+//! 2. **Panic propagation** — a syndrome source that panics during one
+//!    job's growth unwinds out of the pooled batch into the caller, and
+//!    the pool completes a healthy batch afterwards.
 //! 3. **Auto never regresses sub-cutover** — below the run's
 //!    `Cutovers::sequential`, `BackendPolicy::Auto` routes to the
 //!    identical sequential code path and labels itself so.
 
-use mmdiag_core::session::{run_sequential, run_with};
-use mmdiag_core::{
-    diagnose, BackendPolicy, Diagnosis, DiagnosisError, DiagnosisReport, GrowRound, SessionOptions,
-};
+use mmdiag_core::session::{run_batch, run_sequential, run_with};
+use mmdiag_core::{diagnose, BackendPolicy, DiagnosisReport, GrowRound, SessionOptions};
 use mmdiag_exec::Pool;
 use mmdiag_syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TestResult, TesterBehavior};
 use mmdiag_topology::families::{
@@ -25,23 +23,9 @@ use mmdiag_topology::families::{
     FoldedHypercube, Hypercube, KAryNCube, NKStar, Pancake, ShuffleCube, StarGraph, TwistedCube,
     TwistedNCube,
 };
-use mmdiag_topology::{Cached, NodeId, Partitionable, Topology};
+use mmdiag_topology::{Cached, NodeId, Partitionable};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// One run under `policy` with the given options, diagnosis only.
-fn run<T, S>(
-    g: &T,
-    s: &S,
-    policy: BackendPolicy<'_>,
-    opts: &SessionOptions,
-) -> Result<Diagnosis, DiagnosisError>
-where
-    T: Partitionable + Sync + ?Sized,
-    S: SyndromeSource + Sync + ?Sized,
-{
-    run_with(g, s, policy, opts, None).map(|r| r.diagnosis)
-}
 
 fn families() -> Vec<Box<dyn Partitionable + Sync>> {
     vec![
@@ -63,7 +47,7 @@ fn families() -> Vec<Box<dyn Partitionable + Sync>> {
 }
 
 /// Every field of the diagnosis, the phase lookups and the round shapes
-/// (wall times and `parallel` flags differ by construction).
+/// (wall times differ by construction).
 fn assert_identical(got: &DiagnosisReport, want: &DiagnosisReport, ctx: &str) {
     assert_eq!(got.diagnosis, want.diagnosis, "{ctx}: diagnosis");
     let (t, u) = (&got.telemetry, &want.telemetry);
@@ -76,74 +60,59 @@ fn assert_identical(got: &DiagnosisReport, want: &DiagnosisReport, ctx: &str) {
     );
 }
 
-/// On every family at two fault loads and two behaviours, the sequential
-/// run equals `diagnose`, and every pooled width and auto equal it.
-fn assert_every_backend_identical(
-    graphs: &[&(dyn Partitionable + Sync)],
-    opts: &SessionOptions,
-    seed: u64,
-) -> usize {
+/// On every family, four jobs at two fault loads and two behaviours: each
+/// job's sequential run equals `diagnose`, and every pooled width and
+/// auto return each job's sequential report from one batch.
+#[test]
+fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
     let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut parallel_rounds = 0;
-    for &g in graphs {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xE0EC_2026);
+    let opts = SessionOptions::default();
+    for g in families() {
+        let g = g.as_ref();
         let n = g.node_count();
         let bound = g.driver_fault_bound();
+        let mut jobs = Vec::new();
         for (trial, load) in [bound, bound / 2].into_iter().enumerate() {
             let faults = FaultSet::random(n, load, &mut rng);
             for behavior in [
                 TesterBehavior::AllZero,
                 TesterBehavior::Random { seed: trial as u64 },
             ] {
-                let s = OracleSyndrome::new(faults.clone(), behavior);
-                let legacy = diagnose(g, &s)
-                    .unwrap_or_else(|e| panic!("{}: diagnose: {e} ({behavior:?})", g.name()));
-                let seq = run_sequential(g, &s, opts).unwrap();
+                jobs.push((faults.clone(), behavior));
+            }
+        }
+        let sources = || -> Vec<OracleSyndrome> {
+            jobs.iter()
+                .map(|(f, b)| OracleSyndrome::new(f.clone(), *b))
+                .collect()
+        };
+        let want: Vec<DiagnosisReport> = sources()
+            .iter()
+            .zip(&jobs)
+            .map(|(s, (_, b))| {
+                let legacy = diagnose(g, s)
+                    .unwrap_or_else(|e| panic!("{}: diagnose: {e} ({b:?})", g.name()));
+                s.reset_lookups();
+                let seq = run_sequential(g, s, &opts).unwrap();
                 assert_eq!(seq.diagnosis, legacy, "{}", g.name());
-                let policies = pools
-                    .iter()
-                    .map(|p| (format!("pooled x{}", p.threads()), BackendPolicy::Pooled(p)))
-                    .chain([("auto".to_string(), BackendPolicy::Auto)]);
-                for (label, policy) in policies {
-                    let ctx = format!("{} {label} {behavior:?} load {load}", g.name());
-                    let report = run_with(g, &s, policy, opts, None)
-                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    assert_identical(&report, &seq, &ctx);
-                    parallel_rounds += report
-                        .telemetry
-                        .grow_rounds
-                        .iter()
-                        .filter(|r| r.parallel)
-                        .count();
-                }
+                seq
+            })
+            .collect();
+        let policies = pools
+            .iter()
+            .map(|p| (format!("pooled x{}", p.threads()), BackendPolicy::Pooled(p)))
+            .chain([("auto".to_string(), BackendPolicy::Auto)]);
+        for (label, policy) in policies {
+            let reports = run_batch(g, &sources(), policy, &opts, None);
+            assert_eq!(reports.len(), jobs.len());
+            for (i, (report, want)) in reports.iter().zip(&want).enumerate() {
+                let ctx = format!("{} {label} job {i} ({:?})", g.name(), jobs[i].1);
+                let report = report.as_ref().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_identical(report, want, &ctx);
             }
         }
     }
-    parallel_rounds
-}
-
-#[test]
-fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
-    let fams = families();
-    let graphs: Vec<&(dyn Partitionable + Sync)> = fams.iter().map(|g| g.as_ref()).collect();
-    assert_every_backend_identical(&graphs, &SessionOptions::default(), 0xE0EC_2026);
-}
-
-/// With the run's grow cutover at 1, every pooled run finishes its growth
-/// on the frontier engine — and must still equal the sequential run in
-/// every field, on every family at every pool width.
-#[test]
-fn frontier_growth_is_bit_identical_across_1_2_4_8_workers() {
-    let mut opts = SessionOptions::default();
-    opts.cutovers.grow = 1;
-    let cached: Vec<Cached> = families().iter().map(|f| Cached::new(f.as_ref())).collect();
-    assert!(cached.iter().all(|g| g.has_sorted_adjacency()));
-    let graphs: Vec<&(dyn Partitionable + Sync)> = cached
-        .iter()
-        .map(|g| g as &(dyn Partitionable + Sync))
-        .collect();
-    let parallel_rounds = assert_every_backend_identical(&graphs, &opts, 0xF807_2026);
-    assert!(parallel_rounds > 0, "some layers ran on the pool");
 }
 
 /// A syndrome that panics once a lookup threshold is crossed — the shape
@@ -169,37 +138,40 @@ impl SyndromeSource for PanickySyndrome {
 fn syndrome_panic_unwinds_out_of_pooled_diagnosis() {
     let g = Cached::new(&Hypercube::new(7));
     let pool = Pool::new(4);
-    let mut opts = SessionOptions::default();
-    opts.cutovers.grow = 1;
-    let fresh = || OracleSyndrome::new(FaultSet::empty(128), TesterBehavior::AllZero);
-    // The fuse sits at the first lookup of the first layer the frontier
-    // engine grows: past the probe phase and the calling thread's layers.
-    let reference = run_with(&g, &fresh(), BackendPolicy::Pooled(&pool), &opts, None).unwrap();
-    let t = &reference.telemetry;
-    let first_parallel = t.grow_rounds.iter().position(|r| r.parallel).unwrap();
-    assert!(t.grow_rounds[first_parallel].lookups > 0);
-    let fuse = t.probe_lookups
-        + t.grow_rounds[..first_parallel]
-            .iter()
-            .map(|r| r.lookups)
-            .sum::<u64>();
-    assert!(fuse > t.probe_lookups, "the fuse is past the probe phase");
-    let s = PanickySyndrome {
-        inner: fresh(),
-        fuse,
+    let opts = SessionOptions::default();
+    let oracle = |i: usize| OracleSyndrome::new(FaultSet::new(128, &[i]), TesterBehavior::AllZero);
+    let healthy = |i: usize| PanickySyndrome {
+        inner: oracle(i),
+        fuse: u64::MAX,
     };
+    // The fuse sits halfway through the growth of job 2: past its probe
+    // phase, before its last growth lookup.
+    let reference = run_sequential(&g, &oracle(2), &opts).unwrap();
+    let t = &reference.telemetry;
+    let fuse = t.probe_lookups + t.grow_lookups / 2;
+    assert!(fuse > t.probe_lookups, "the fuse is past the probe phase");
+    let jobs: Vec<PanickySyndrome> = (0..4)
+        .map(|i| match i {
+            2 => PanickySyndrome {
+                inner: oracle(i),
+                fuse,
+            },
+            _ => healthy(i),
+        })
+        .collect();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = run(&g, &s, BackendPolicy::Pooled(&pool), &opts);
+        run_batch(&g, &jobs, BackendPolicy::Pooled(&pool), &opts, None)
     }));
-    assert!(
-        result.is_err(),
-        "the frontier-growth task panic must reach the caller"
-    );
-    // The pool survives: a healthy diagnosis still grows on it.
-    let ok = OracleSyndrome::new(FaultSet::new(128, &[9]), TesterBehavior::AllZero);
-    let report = run_with(&g, &ok, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
-    assert_eq!(report.diagnosis.faults, vec![9]);
-    assert!(report.telemetry.grow_rounds.iter().any(|r| r.parallel));
+    assert!(result.is_err(), "the growth panic must reach the caller");
+    assert!(jobs[2].lookups() >= fuse, "job 2 reached its fuse");
+    // The pool survives: a healthy batch still runs on it.
+    let jobs: Vec<PanickySyndrome> = (0..4).map(healthy).collect();
+    let reports = run_batch(&g, &jobs, BackendPolicy::Pooled(&pool), &opts, None);
+    for (i, report) in reports.into_iter().enumerate() {
+        let report = report.unwrap();
+        assert_eq!(report.diagnosis.faults, vec![i]);
+        assert_eq!(report.backend, "pooled");
+    }
 }
 
 #[test]

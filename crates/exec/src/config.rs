@@ -20,9 +20,12 @@
 //! | `MMDIAG_QUICK` | any non-empty value except `"0"` | `false` |
 //! | `MMDIAG_SAMPLES` | positive integer | ignored (`None`) |
 //! | `MMDIAG_TRACE` | any non-empty value except `"0"` | `false` |
-//! | `MMDIAG_GROW_CUTOVER` | positive integer | ignored (`None`) |
 //! | `MMDIAG_STATS` | positive integer (milliseconds) | ignored (`None`) |
 //! | `MMDIAG_EPOCHS` | positive integer | ignored (`None`) |
+//!
+//! The grow-cutover knob is retired: growth always runs on the calling
+//! thread, so nothing reads its variable. [`Knobs::parse`] keeps an
+//! ignored argument in its place.
 
 use std::sync::OnceLock;
 
@@ -48,12 +51,6 @@ pub struct Knobs {
     /// process-wide: sessions trace by default and pools record
     /// per-worker stats. Same truthiness rules as `MMDIAG_QUICK`.
     pub trace: bool,
-    /// `MMDIAG_GROW_CUTOVER` — operator pin for the default session grow
-    /// cutover (`mmdiag_core::Cutovers::default().grow`): the node count
-    /// below which a pooled run grows on the calling thread instead of
-    /// the pool's frontier engine. `None` when unset, unparsable, or
-    /// zero.
-    pub grow_cutover: Option<usize>,
     /// `MMDIAG_STATS` — sampling interval, in milliseconds, for the
     /// fleet stats reporter (`mmdiag_exec::stats`): when set, consumers
     /// that host a [`mmdiag_trace::MetricsHub`] stream merged metric
@@ -72,7 +69,10 @@ impl Knobs {
     /// over: `None` = unset) into a [`Knobs`]. Pure — the unit tests feed
     /// malformed strings here without mutating the process environment.
     /// One positional argument per `MMDIAG_*` variable, in declaration
-    /// order — a struct-of-options would just move the same list.
+    /// order — a struct-of-options would just move the same list. The
+    /// sixth argument is retired (it was the grow-cutover knob) and
+    /// ignored; it stays until the repository benchmark, which calls this
+    /// with eight arguments, is updated.
     #[allow(clippy::too_many_arguments)]
     pub fn parse(
         pool_threads: Option<&str>,
@@ -80,7 +80,7 @@ impl Knobs {
         quick: Option<&str>,
         samples: Option<&str>,
         trace: Option<&str>,
-        grow_cutover: Option<&str>,
+        _retired_grow_cutover: Option<&str>,
         stats: Option<&str>,
         epochs: Option<&str>,
     ) -> Self {
@@ -97,7 +97,6 @@ impl Knobs {
             quick: truthy(quick),
             samples_per_part: positive(samples),
             trace: truthy(trace),
-            grow_cutover: positive(grow_cutover),
             stats: stats
                 .and_then(|v| v.trim().parse::<u64>().ok())
                 .filter(|&n| n > 0),
@@ -115,7 +114,7 @@ impl Knobs {
             get("MMDIAG_QUICK").as_deref(),
             get("MMDIAG_SAMPLES").as_deref(),
             get("MMDIAG_TRACE").as_deref(),
-            get("MMDIAG_GROW_CUTOVER").as_deref(),
+            None,
             get("MMDIAG_STATS").as_deref(),
             get("MMDIAG_EPOCHS").as_deref(),
         )
@@ -143,7 +142,6 @@ mod tests {
         assert!(!k.quick);
         assert_eq!(k.samples_per_part, None);
         assert!(!k.trace);
-        assert_eq!(k.grow_cutover, None);
         assert_eq!(k.stats, None);
         assert_eq!(k.epochs, None);
     }
@@ -172,7 +170,7 @@ mod tests {
             Some("1"),
             Some("5"),
             Some("1"),
-            Some("65536"),
+            None,
             None,
             Some("32"),
         );
@@ -181,7 +179,6 @@ mod tests {
         assert!(k.quick);
         assert_eq!(k.samples_per_part, Some(5));
         assert!(k.trace);
-        assert_eq!(k.grow_cutover, Some(65536));
         assert_eq!(k.epochs, Some(32));
     }
 
@@ -221,54 +218,30 @@ mod tests {
                 None,
                 Some(bad),
                 None,
-                Some(bad),
+                None,
                 None,
                 None,
             );
             assert_eq!(k.pool_threads, None, "pool_threads {bad:?}");
             assert_eq!(k.cutover, None, "cutover {bad:?}");
             assert_eq!(k.samples_per_part, None, "samples {bad:?}");
-            assert_eq!(k.grow_cutover, None, "grow_cutover {bad:?}");
         }
     }
 
     #[test]
     fn zero_cutover_and_zero_samples_are_rejected() {
-        let k = Knobs::parse(
-            None,
-            Some("0"),
-            None,
-            Some("0"),
-            None,
-            Some("0"),
-            None,
-            None,
-        );
+        let k = Knobs::parse(None, Some("0"), None, Some("0"), None, None, None, None);
         assert_eq!(k.cutover, None, "a zero cutover would disable sequential");
         assert_eq!(k.samples_per_part, None);
-        assert_eq!(
-            k.grow_cutover, None,
-            "a zero grow cutover would force the frontier sweep on every size"
-        );
     }
 
     #[test]
-    fn grow_cutover_parses_like_cutover_but_independently() {
-        let k = Knobs::parse(
-            None,
-            Some("512"),
-            None,
-            None,
-            None,
-            Some(" 1048576 "),
-            None,
-            None,
-        );
-        assert_eq!(k.cutover, Some(512));
-        assert_eq!(k.grow_cutover, Some(1048576), "trimmed and parsed");
-        let k = Knobs::parse(None, None, None, None, None, Some("7"), None, None);
-        assert_eq!(k.cutover, None, "grow knob must not leak into cutover");
-        assert_eq!(k.grow_cutover, Some(7));
+    fn retired_grow_cutover_argument_is_ignored() {
+        let unset = Knobs::parse(None, None, None, None, None, None, None, None);
+        for value in ["7", " 1048576 ", "0", "abc"] {
+            let k = Knobs::parse(None, None, None, None, None, Some(value), None, None);
+            assert_eq!(k, unset, "retired argument {value:?}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`Pool::scope`] — `std::thread::scope`-style scoped spawning with
 //!   panic propagation; tasks may borrow from the caller's stack;
 //! * [`Pool::map`] / [`Pool::for_each_index`] — order-preserving parallel
-//!   map and indexed parallel-for (the diagnosis's frontier growth and
-//!   batch fan-out both run on `map`);
+//!   map and indexed parallel-for (batch fan-out, in-process and
+//!   simulated, runs on `map`);
 //! * [`Pool::worker_index`] — stable per-worker identity, used by
 //!   `mmdiag_core` to pool `Workspace`s per worker;
 //! * [`global`] — the lazily-created process-wide pool every crate shares.
@@ -73,7 +73,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod claim;
 pub mod config;
 #[cfg(feature = "model")]
 pub mod model;
@@ -84,7 +83,6 @@ mod scope;
 pub mod stats;
 pub mod sync;
 
-pub use claim::ClaimBits;
 pub use config::{knobs, Knobs};
 pub use pool::{Pool, PoolStats, WorkerStats};
 pub use scope::Scope;
@@ -96,9 +94,9 @@ use std::sync::OnceLock;
 
 /// Worker count for the process-wide pool: `MMDIAG_POOL_THREADS` when set
 /// (clamped to 1..=64, read once through [`config::knobs`]), else the
-/// machine's available parallelism capped at 8 — beyond that the frontier
-/// layers of even the 10⁶⁺-node instances stop scaling and the deques only
-/// add steal traffic.
+/// machine's available parallelism capped at 8 — a batch fans out one
+/// whole diagnosis per task, and past a handful of workers the deques
+/// mostly add steal traffic.
 pub fn default_threads() -> usize {
     if let Some(n) = knobs().pool_threads {
         return n;

@@ -14,7 +14,7 @@
 use mmdiag_exec::model::{check_exhaustive, check_random, replay, Config};
 use mmdiag_exec::sync::atomic::{AtomicUsize, Ordering};
 use mmdiag_exec::sync::{thread, Arc, Condvar, Mutex};
-use mmdiag_exec::{ClaimBits, Pool};
+use mmdiag_exec::Pool;
 use mmdiag_trace::{TraceConfig, Tracer};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -464,128 +464,4 @@ fn profiled_sync_counters_are_schedule_independent() {
         "explored only {} distinct interleavings",
         report.distinct_interleavings
     );
-}
-
-/// A faithful replica of the frontier growth claim/resolve/merge protocol
-/// from `mmdiag-core`'s parallel `Set_Builder` sweep: two frontier shards
-/// race to claim candidate nodes through [`ClaimBits::try_claim`], the
-/// claim winner resolves by scanning the candidate's frontier witnesses in
-/// ascending order, and a single-threaded merge re-sorts accepted pairs by
-/// `(parent, candidate)`. Candidate 3 sits in both shards — the exact race
-/// the claim bits exist for. Whatever the schedule: every candidate is
-/// resolved exactly once, the merged layer equals the sequential answer,
-/// rejected candidates hand their claim back while accepted ones keep it.
-/// Deep seeded run, ≥ 1000 distinct interleavings.
-#[test]
-fn frontier_claim_resolve_merge_is_schedule_independent() {
-    let report = check_random(0xF807_11E4, 1400, Config::deep(), || {
-        // Frontier {0, 1}; per-shard candidate lists, overlapping on 3.
-        let shards: [&[usize]; 2] = [&[2, 3], &[3, 4]];
-        // Frontier witnesses of each candidate, ascending — the resolver
-        // scans them in order and the FIRST agreeing witness becomes the
-        // parent, whichever shard won the claim.
-        fn witnesses(v: usize) -> &'static [usize] {
-            match v {
-                2 => &[0],
-                3 => &[0, 1],
-                4 => &[1],
-                _ => &[],
-            }
-        }
-        // Candidate 3's lowest witness disagrees (the scan must walk past
-        // it); candidate 4's only witness disagrees (the reject path).
-        fn agrees(w: usize, v: usize) -> bool {
-            matches!((w, v), (0, 2) | (1, 3))
-        }
-        let pool = Pool::new(2);
-        let claims = ClaimBits::new(5);
-        let claims = &claims;
-        let resolved: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
-        let resolved = &resolved;
-        let outcomes = pool.map(&shards, |_, chunk| {
-            let mut accepted = Vec::new();
-            let mut rejected = Vec::new();
-            for &v in *chunk {
-                if !claims.try_claim(v) {
-                    continue; // a racing shard owns v; losers consult nothing
-                }
-                resolved[v].fetch_add(1, Ordering::SeqCst);
-                match witnesses(v).iter().copied().find(|&w| agrees(w, v)) {
-                    Some(w) => accepted.push((w, v)),
-                    None => rejected.push(v),
-                }
-            }
-            (accepted, rejected)
-        });
-        // The engine's single-threaded layer tail: concatenate shard
-        // outcomes, then canonicalise by (parent, candidate).
-        let mut accepted: Vec<(usize, usize)> =
-            outcomes.iter().flat_map(|o| o.0.iter().copied()).collect();
-        let mut rejected: Vec<usize> = outcomes.iter().flat_map(|o| o.1.iter().copied()).collect();
-        accepted.sort_unstable();
-        rejected.sort_unstable();
-        assert_eq!(accepted, vec![(0, 2), (1, 3)], "merged layer is canonical");
-        assert_eq!(rejected, vec![4]);
-        for v in 2..5 {
-            assert_eq!(
-                resolved[v].load(Ordering::SeqCst),
-                1,
-                "candidate {v} must be resolved exactly once"
-            );
-        }
-        // Rejected candidates give their claim back for the next round;
-        // accepted ones keep it (their visited bit shadows it).
-        for &v in &rejected {
-            claims.clear(v);
-            assert!(claims.try_claim(v), "cleared claim must be reclaimable");
-        }
-        assert!(!claims.try_claim(3), "accepted candidates keep their claim");
-    });
-    report.assert_ok();
-    assert!(
-        report.distinct_interleavings >= 1000,
-        "explored only {} distinct interleavings",
-        report.distinct_interleavings
-    );
-}
-
-/// The same shape with the claim's atomicity deliberately broken — a
-/// load/store pair instead of `ClaimBits::try_claim`'s single `fetch_or`.
-/// Some schedule lets both shards pass the load before either store and
-/// double-resolve the shared candidate; the explorer must find that
-/// schedule and replaying it must reproduce the failure.
-#[test]
-fn frontier_nonatomic_claim_double_resolve_is_found_and_replays() {
-    fn buggy() {
-        let shards: [&[usize]; 2] = [&[3], &[3]];
-        let pool = Pool::new(2);
-        let flags: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        let resolved: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        let (flags, resolved) = (&flags, &resolved);
-        pool.map(&shards, |_, chunk| {
-            for &v in *chunk {
-                // BUG (deliberate): test-then-set with a window between
-                // the load and the store.
-                if flags[v].load(Ordering::SeqCst) == 0 {
-                    flags[v].store(1, Ordering::SeqCst);
-                    resolved[v].fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        });
-        assert_eq!(
-            resolved[3].load(Ordering::SeqCst),
-            1,
-            "candidate 3 resolved exactly once"
-        );
-    }
-    let report = check_random(0x0BAD_C1A1, 1400, Config::deep(), buggy);
-    let failure = report
-        .failure
-        .expect("the explorer must find the double resolve");
-    // Shrink-to-seed: the recorded schedule alone reproduces the race.
-    let replayed = replay(&failure.schedule, buggy);
-    let again = replayed
-        .failure
-        .expect("replaying the failing schedule must fail again");
-    assert_eq!(again.schedule, failure.schedule);
 }

@@ -119,12 +119,6 @@ impl<T: Partitionable> Topology for ImplicitTopology<T> {
     fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         self.inner.neighbors_into_sorted(u, out);
     }
-    fn neighbors_sorted_until(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        self.inner.neighbors_sorted_until(u, visit);
-    }
-    fn has_sorted_adjacency(&self) -> bool {
-        true
-    }
     fn degree(&self, u: NodeId) -> usize {
         self.inner.degree(u)
     }
@@ -225,7 +219,6 @@ mod tests {
     #[test]
     fn neighbors_are_sorted_and_match_inner_as_sets() {
         let g = ImplicitTopology::new(StarGraph::new(5));
-        assert!(g.has_sorted_adjacency());
         for u in (0..g.node_count()).step_by(11) {
             let sorted = g.neighbors(u);
             assert!(sorted.windows(2).all(|w| w[0] < w[1]), "node {u}");

@@ -62,7 +62,7 @@ impl<S: SyndromeSource + ?Sized> SyndromeSource for &S {
 }
 
 /// A counting adaptor: wraps any source and tallies every lookup in an
-/// atomic [`Counter`] (so parallel growth tasks can share it).
+/// atomic [`Counter`] (so concurrent batch jobs can share it).
 pub struct Counting<S> {
     inner: S,
     count: Counter,

@@ -24,13 +24,13 @@ use mmdiag_trace::Counter;
 /// A lazy, counting syndrome source holding `O(|F|)` state: the fault
 /// members as a [`MemberSet`] plus the faulty-tester behaviour.
 ///
-/// One instance serves an entire diagnosis, including the frontier-parallel
-/// growth sweep: `lookup` takes `&self` and the counter is atomic, so pool
-/// workers resolving candidates of the same frontier round query it
-/// concurrently without any per-round setup or teardown. The growth engine
-/// attributes lookups to rounds by differencing [`SyndromeSource::lookups`]
-/// before and after each round — exact because every outcome, whichever
-/// worker computed it, funnels through this one counter.
+/// One instance serves an entire diagnosis, or several at once: `lookup`
+/// takes `&self` and the counter is atomic, so the jobs of a pooled batch
+/// that share one oracle query it from their workers without any per-run
+/// setup or teardown. The growth attributes lookups to rounds by
+/// differencing [`SyndromeSource::lookups`] before and after each round —
+/// exact while one run reads the oracle at a time; batch jobs sharing it
+/// count each other's reads.
 pub struct OnDemandOracle {
     /// Three membership probes per lookup, ~Δ·N lookups per large-instance
     /// grow: the set's pre-filter answers the common healthy case.

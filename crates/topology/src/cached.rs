@@ -65,12 +65,6 @@ impl Topology for Cached {
     fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         self.csr.neighbors_into_sorted(u, out)
     }
-    fn neighbors_sorted_until(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        self.csr.neighbors_sorted_until(u, visit)
-    }
-    fn has_sorted_adjacency(&self) -> bool {
-        true
-    }
     fn degree(&self, u: NodeId) -> usize {
         self.csr.degree(u)
     }

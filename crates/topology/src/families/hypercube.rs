@@ -105,27 +105,6 @@ impl Topology for Hypercube {
             m ^= low;
         }
     }
-    fn neighbors_sorted_until(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        // Same ascending walk as `neighbors_into_sorted`, generated one
-        // value at a time: the growth sweep's witness scan usually stops
-        // at the first neighbour, so the remaining n − 1 are never built.
-        let mut m = u;
-        while m != 0 {
-            let bit = 1usize << (usize::BITS - 1 - m.leading_zeros());
-            if !visit(u ^ bit) {
-                return;
-            }
-            m ^= bit;
-        }
-        let mut m = !u & ((1usize << self.n) - 1);
-        while m != 0 {
-            let low = m & m.wrapping_neg();
-            if !visit(u ^ low) {
-                return;
-            }
-            m ^= low;
-        }
-    }
     fn degree(&self, _u: NodeId) -> usize {
         self.n
     }
@@ -251,10 +230,6 @@ mod tests {
     #[test]
     fn sorted_neighbor_generation_matches_sorted_default() {
         let q = Hypercube::with_partition_dim(6, 3);
-        assert!(
-            !q.has_sorted_adjacency(),
-            "raw generator order is low-bit-first, not ascending"
-        );
         let mut fast = Vec::new();
         let mut slow = Vec::new();
         for u in 0..q.node_count() {

@@ -151,41 +151,6 @@ impl Topology for KAryNCube {
             base *= self.k;
         }
     }
-    fn neighbors_sorted_until(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        // The ascending emission of `neighbors_into_sorted`, one value at
-        // a time; the growth sweep's witness scan usually stops within
-        // the first dimension or two, skipping most of the 2n deltas.
-        let mut digits = [0u32; 64];
-        let mut rest = u;
-        for slot in digits.iter_mut().take(self.n) {
-            *slot = (rest % self.k) as u32;
-            rest /= self.k;
-        }
-        let mut base = self.pow(self.n - 1);
-        for i in (0..self.n).rev() {
-            let d = digits[i] as usize;
-            if d == self.k - 1 {
-                if !visit(u - (self.k - 1) * base) || !visit(u - base) {
-                    return;
-                }
-            } else if d > 0 && !visit(u - base) {
-                return;
-            }
-            base /= self.k;
-        }
-        base = 1;
-        for &digit in digits.iter().take(self.n) {
-            let d = digit as usize;
-            if d == 0 {
-                if !visit(u + base) || !visit(u + (self.k - 1) * base) {
-                    return;
-                }
-            } else if d < self.k - 1 && !visit(u + base) {
-                return;
-            }
-            base *= self.k;
-        }
-    }
     fn degree(&self, _u: NodeId) -> usize {
         2 * self.n
     }

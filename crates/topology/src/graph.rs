@@ -34,45 +34,13 @@ pub trait Topology {
     /// The default generates via [`Topology::neighbors_into`] and sorts;
     /// families whose arithmetic can emit neighbours already ascending
     /// (e.g. the hypercube) override this to skip the sort, and CSR-backed
-    /// representations copy their sorted slices directly. The
-    /// frontier-parallel growth sweep leans on this: its deterministic
-    /// merge reproduces the sequential visit order only when adjacency is
-    /// scanned ascending.
+    /// representations copy their sorted slices directly. The implicit
+    /// scale layer's `neighbors_into` serves this order, so its scans
+    /// match the CSR's and implicit diagnoses stay bit-identical to cached
+    /// ones (`Set_Builder` is scan-order dependent).
     fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         self.neighbors_into(u, out);
         out.sort_unstable();
-    }
-
-    /// Visit the neighbours of `u` in **ascending node order**, stopping
-    /// early when `visit` returns `false`.
-    ///
-    /// The frontier-parallel growth sweep resolves each candidate by
-    /// consulting witnesses ascending until the first agreement — almost
-    /// always the first or second neighbour — so materialising the full
-    /// `Δ`-entry list per candidate is mostly wasted work at 10⁷⁺ nodes.
-    /// Arithmetic families and CSR-backed representations override this
-    /// to generate (or walk) lazily; the default allocates and defers to
-    /// [`Topology::neighbors_into_sorted`], which is fine for the small
-    /// instances that are the only users of the default.
-    fn neighbors_sorted_until(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        let mut out = Vec::new();
-        self.neighbors_into_sorted(u, &mut out);
-        for &w in &out {
-            if !visit(w) {
-                return;
-            }
-        }
-    }
-
-    /// Whether [`Topology::neighbors_into`] itself already yields
-    /// neighbours in ascending order for every node.
-    ///
-    /// `false` by default (raw arithmetic families enumerate in generator
-    /// order); `true` for CSR-backed representations. Callers that need
-    /// order-sensitive bit-identity with a CSR reference (the
-    /// frontier-parallel growth sweep) only engage when this holds.
-    fn has_sorted_adjacency(&self) -> bool {
-        false
     }
 
     /// Convenience wrapper allocating a fresh vector of neighbours.
@@ -145,12 +113,6 @@ impl<T: Topology + ?Sized> Topology for &T {
     }
     fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         (**self).neighbors_into_sorted(u, out)
-    }
-    fn neighbors_sorted_until(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        (**self).neighbors_sorted_until(u, visit)
-    }
-    fn has_sorted_adjacency(&self) -> bool {
-        (**self).has_sorted_adjacency()
     }
     fn degree(&self, u: NodeId) -> usize {
         (**self).degree(u)
@@ -297,16 +259,6 @@ impl Topology for AdjGraph {
         out.clear();
         out.extend_from_slice(self.neighbors_slice(u));
     }
-    fn neighbors_sorted_until(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        for &w in self.neighbors_slice(u) {
-            if !visit(w) {
-                return;
-            }
-        }
-    }
-    fn has_sorted_adjacency(&self) -> bool {
-        true
-    }
     fn degree(&self, u: NodeId) -> usize {
         self.offsets[u + 1] - self.offsets[u]
     }
@@ -387,21 +339,18 @@ mod tests {
 
     #[test]
     fn sorted_adjacency_contract() {
-        // CSR graphs are sorted by construction and say so.
+        // CSR graphs are sorted by construction.
         let g = path3();
-        assert!(g.has_sorted_adjacency());
-        assert!(
-            Topology::has_sorted_adjacency(&&g),
-            "blanket impl forwards the flag"
-        );
         let mut buf = Vec::new();
+        g.neighbors_into(1, &mut buf);
+        assert_eq!(buf, vec![0, 2]);
         g.neighbors_into_sorted(1, &mut buf);
         assert_eq!(buf, vec![0, 2]);
         Topology::neighbors_into_sorted(&&g, 1, &mut buf);
         assert_eq!(buf, vec![0, 2]);
 
         // A deliberately unsorted implementation still yields sorted output
-        // through the default `neighbors_into_sorted`, but reports false.
+        // through the default `neighbors_into_sorted`.
         struct Backwards;
         impl Topology for Backwards {
             fn node_count(&self) -> usize {
@@ -419,7 +368,6 @@ mod tests {
             }
         }
         let b = Backwards;
-        assert!(!b.has_sorted_adjacency());
         b.neighbors_into(1, &mut buf);
         assert_eq!(buf, vec![3, 2, 0]);
         b.neighbors_into_sorted(1, &mut buf);

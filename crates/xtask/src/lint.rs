@@ -413,10 +413,10 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
-    // Pass: the implicit scale path never materialises a CSR. The
-    // frontier growth engine is held to the same invariant: it serves
-    // implicit topologies at `--xxlarge` (Q_27, 10⁸-node) scale, where a
-    // single `Cached::new` would densify ~3.6 GB of adjacency.
+    // Pass: the implicit scale path never materialises a CSR. The growth
+    // loop is held to the same invariant: it serves implicit topologies
+    // at `--xxlarge` (Q_27, 10⁸-node) scale, where a single `Cached::new`
+    // would densify ~3.6 GB of adjacency.
     if rel.starts_with("crates/implicit/src/") || rel == "crates/core/src/grow.rs" {
         for (idx, line) in code_lines.iter().enumerate() {
             if !mask[idx] && find_token(line, "Cached::new").is_some() {
@@ -684,7 +684,7 @@ mod tests {
         let found = lint_source("crates/implicit/src/scale.rs", src);
         assert_eq!(passes(&found), vec!["implicit-no-materialisation"]);
         assert_eq!(found[0].line, 2, "the test-mod call is exempt");
-        // The frontier growth engine is on the same scale path.
+        // The growth loop is on the same scale path.
         let found = lint_source("crates/core/src/grow.rs", src);
         assert_eq!(passes(&found), vec!["implicit-no-materialisation"]);
         assert_eq!(found[0].line, 2);

@@ -334,11 +334,9 @@ impl<'g> Diagnoser<'g> {
         self.backend(BackendPolicy::Sequential)
     }
 
-    /// Pooled on the process-wide global pool: growth finishes on the
-    /// pool's frontier engine from
-    /// [`Cutovers::grow`](mmdiag_core::Cutovers::grow) up, and batched
-    /// submissions fan out over it. The probe scan always runs in order
-    /// on the calling thread, so the report equals a sequential run's.
+    /// Pooled on the process-wide global pool: batched submissions fan
+    /// out over it. A single run always executes on the calling thread,
+    /// so its report equals a sequential run's.
     pub fn pooled(self) -> Self {
         self.backend(BackendPolicy::Pooled(mmdiag_exec::global()))
     }
@@ -350,9 +348,9 @@ impl<'g> Diagnoser<'g> {
 
     /// Size-directed: sequential below
     /// [`Cutovers::sequential`](mmdiag_core::Cutovers::sequential), pooled
-    /// on the global pool at or above it. Either way the report equals a
-    /// sequential run's; the resolution decides only where frontier growth
-    /// and batch fan-out run.
+    /// on the global pool at or above it. A single run always executes on
+    /// the calling thread, so its report equals a sequential run's; the
+    /// resolution decides only whether batches fan out.
     pub fn auto(self) -> Self {
         self.backend(BackendPolicy::Auto)
     }
@@ -487,13 +485,6 @@ impl<'g> Diagnoser<'g> {
             // spawns no pool and stays as thread-free as `diagnose`.
             WorkspacePool::for_run(n, self.backend.resolve(n, &self.opts.cutovers))
         })
-    }
-
-    fn pool(&self) -> &mmdiag_exec::Pool {
-        match self.backend {
-            BackendPolicy::Pooled(pool) => pool,
-            _ => mmdiag_exec::global(),
-        }
     }
 
     // --- running --------------------------------------------------------
@@ -647,11 +638,12 @@ impl<'g> Diagnoser<'g> {
     }
 
     /// Evaluate many jobs against this session's instance in one
-    /// submission. In-process sessions fan
-    /// the convertible jobs out through the session backend (reusing the
-    /// session's workspace pool, so `k` jobs allocate `O(workers)`
-    /// scratch); simulated sessions replay each job's timeline on the
-    /// session pool. The verification policy applies wherever a live
+    /// submission. Both run modes resolve the backend policy the same
+    /// way: jobs fan out over the resolved pool, or run in order on the
+    /// calling thread when the policy resolves to none. In-process
+    /// sessions reuse the session's workspace pool, so `k` jobs allocate
+    /// `O(workers)` scratch; simulated sessions replay each job's
+    /// timeline. The verification policy applies wherever a live
     /// syndrome exists to check against: every in-process job, and
     /// planted / **static**-timeline jobs under simulation. A timeline
     /// with mid-protocol onsets has no single post-hoc syndrome (tests
@@ -665,32 +657,41 @@ impl<'g> Diagnoser<'g> {
         match &self.mode {
             RunMode::InProcess => self.submit_batch_in_process(jobs),
             RunMode::Simulated(latency) => {
-                let latency = latency.clone();
-                self.pool().map(jobs, |_, job| match job {
-                    BatchJob::Source(_) => Err(RunError::Diagnosis(DiagnosisError::Unsupported(
-                        "a live syndrome source cannot be replayed as messages".into(),
-                    ))),
-                    BatchJob::Planted { faults, behavior } => self
-                        .run_planted_simulated(faults, *behavior, &latency)
-                        .map_err(RunError::from),
-                    BatchJob::Timeline(timeline) if timeline.is_static() => self
-                        .run_planted_simulated(
-                            timeline.final_faults(),
-                            timeline.behavior(),
-                            &latency,
-                        )
-                        .map_err(RunError::from),
-                    BatchJob::Timeline(timeline) => match self.sim_one(timeline, &latency) {
-                        Ok(report) => Ok(RunOutcome::Simulated {
-                            report,
-                            // Mid-protocol onsets: no single replayable
-                            // syndrome exists to verify against.
-                            verification: VerificationVerdict::Unverified,
-                        }),
-                        Err(e) => Err(RunError::Sim(e)),
-                    },
-                })
+                let replay = |job: &BatchJob<'_>| self.replay_job(job, latency);
+                let n = self.topology.view().node_count();
+                match self.backend.resolve(n, &self.opts.cutovers) {
+                    Some(pool) => pool.map(jobs, |_, job| replay(job)),
+                    None => jobs.iter().map(replay).collect(),
+                }
             }
+        }
+    }
+
+    /// One job of a simulated batch.
+    fn replay_job(
+        &self,
+        job: &BatchJob<'_>,
+        latency: &LatencyModel,
+    ) -> Result<RunOutcome, RunError> {
+        match job {
+            BatchJob::Source(_) => Err(RunError::Diagnosis(DiagnosisError::Unsupported(
+                "a live syndrome source cannot be replayed as messages".into(),
+            ))),
+            BatchJob::Planted { faults, behavior } => self
+                .run_planted_simulated(faults, *behavior, latency)
+                .map_err(RunError::from),
+            BatchJob::Timeline(timeline) if timeline.is_static() => self
+                .run_planted_simulated(timeline.final_faults(), timeline.behavior(), latency)
+                .map_err(RunError::from),
+            BatchJob::Timeline(timeline) => match self.sim_one(timeline, latency) {
+                Ok(report) => Ok(RunOutcome::Simulated {
+                    report,
+                    // Mid-protocol onsets: no single replayable syndrome
+                    // exists to verify against.
+                    verification: VerificationVerdict::Unverified,
+                }),
+                Err(e) => Err(RunError::Sim(e)),
+            },
         }
     }
 
@@ -1134,6 +1135,34 @@ mod tests {
             .unwrap();
         assert_eq!(in_proc.faults(), outcome.faults());
         assert_eq!(in_proc.certified_part(), outcome.certified_part());
+    }
+
+    /// A sequential simulated session has no pool: its batch replays the
+    /// jobs in order on the calling thread, verification included.
+    #[test]
+    fn sequential_simulated_batch_runs_on_the_calling_thread() {
+        let g = Hypercube::new(7);
+        let session = Diagnoser::new(&g)
+            .trace(TraceConfig::default())
+            .verify_sampled(2, 5)
+            .simulated(LatencyModel::Unit);
+        let jobs: Vec<BatchJob> = (0..4)
+            .map(|i| BatchJob::Planted {
+                faults: FaultSet::new(128, &[3 + i, 64 + i]),
+                behavior: TesterBehavior::AllZero,
+            })
+            .collect();
+        for outcome in session.submit_batch(&jobs) {
+            assert!(outcome.unwrap().verification().agreed_or_unverified());
+        }
+        let verify_tids: Vec<u64> = session
+            .tracer()
+            .drain()
+            .iter()
+            .filter(|e| e.cat == "verify")
+            .map(|e| e.tid)
+            .collect();
+        assert_eq!(verify_tids, vec![mmdiag_trace::current_tid(); 4]);
     }
 
     #[test]

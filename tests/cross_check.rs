@@ -285,15 +285,13 @@ fn simulator_accepts_implicit_topologies() {
 }
 
 /// Every backend is exact: on every family and both representations,
-/// pooled runs on 1/2/4/8 workers and auto runs — at the default cutovers
-/// and with the grow cutover at 1, which sends every pooled growth through
-/// the frontier engine — equal `diagnose` in every field of the
-/// diagnosis, `probes` and `lookups_used` included, and equal the
-/// sequential run's phase lookups and every growth round's frontier,
+/// pooled runs on 1/2/4/8 workers and auto runs equal `diagnose` in every
+/// field of the diagnosis, `probes` and `lookups_used` included, and equal
+/// the sequential run's phase lookups and every growth round's frontier,
 /// acceptances and lookups. The implicit leg must additionally
 /// materialise nothing.
 #[test]
-fn frontier_parallel_growth_is_bit_identical_on_every_family() {
+fn every_backend_is_bit_identical_on_both_representations() {
     use mmdiag::diagnosis::session::{run_sequential, run_with};
     use mmdiag::diagnosis::{BackendPolicy, GrowRound, SessionOptions};
     use mmdiag::exec::Pool;
@@ -301,12 +299,7 @@ fn frontier_parallel_growth_is_bit_identical_on_every_family() {
 
     let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(0xF207_71E6);
-    let default_opts = SessionOptions::default();
-    // Every instance here is far below the default grow cutover; these
-    // options send every pooled growth through the frontier engine.
-    let mut frontier_opts = SessionOptions::default();
-    frontier_opts.cutovers.grow = 1;
-    let mut parallel_rounds_seen = 0usize;
+    let opts = SessionOptions::default();
     for (cached, implicit) in representation_pairs() {
         let g = implicit.as_ref();
         let n = g.node_count();
@@ -317,64 +310,52 @@ fn frontier_parallel_growth_is_bit_identical_on_every_family() {
             let drv = diagnose(&cached, &s)
                 .unwrap_or_else(|e| panic!("{}: diagnose: {e} ({b:?})", g.name()));
             assert_eq!(drv.faults, faults.members(), "{} {b:?}", g.name());
-            let seq = run_sequential(&cached, &s, &default_opts).unwrap();
+            let seq = run_sequential(&cached, &s, &opts).unwrap();
             let policies = pools
                 .iter()
                 .map(|p| (format!("x{}", p.threads()), BackendPolicy::Pooled(p)))
                 .chain([("auto".to_string(), BackendPolicy::Auto)]);
             for (policy_label, policy) in policies {
-                for (opts_label, opts) in [("default", &default_opts), ("grow=1", &frontier_opts)] {
-                    for (repr, par) in [
-                        ("cached", run_with(&cached, &s, policy, opts, None)),
-                        ("implicit", {
-                            let guard = MaterialisationGuard::begin(g);
-                            let r = run_with(g, &s, policy, opts, None);
-                            guard.assert_unchanged(&format!("{} frontier growth", g.name()));
-                            r
-                        }),
-                    ] {
-                        let ctx = format!("{} {repr} {policy_label} {opts_label} {b:?}", g.name());
-                        let par = par.unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                        let d = &par.diagnosis;
-                        assert_eq!(*d, drv, "{ctx}");
-                        assert_eq!(
-                            par.telemetry.probe_lookups, seq.telemetry.probe_lookups,
-                            "{ctx}"
-                        );
-                        assert_eq!(
-                            par.telemetry.grow_lookups, seq.telemetry.grow_lookups,
-                            "{ctx}"
-                        );
-                        assert_eq!(
-                            GrowRound::shapes(&par.telemetry.grow_rounds),
-                            GrowRound::shapes(&seq.telemetry.grow_rounds),
-                            "{ctx}: growth rounds"
-                        );
-                        assert_eq!(
-                            par.telemetry
-                                .grow_rounds
-                                .iter()
-                                .map(|r| r.accepted)
-                                .sum::<usize>()
-                                + 1,
-                            d.healthy_count,
-                            "{ctx}: accepted-per-round sums to |U_r|"
-                        );
-                        parallel_rounds_seen += par
-                            .telemetry
+                for (repr, par) in [
+                    ("cached", run_with(&cached, &s, policy, &opts, None)),
+                    ("implicit", {
+                        let guard = MaterialisationGuard::begin(g);
+                        let r = run_with(g, &s, policy, &opts, None);
+                        guard.assert_unchanged(&format!("{} {policy_label}", g.name()));
+                        r
+                    }),
+                ] {
+                    let ctx = format!("{} {repr} {policy_label} {b:?}", g.name());
+                    let par = par.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let d = &par.diagnosis;
+                    assert_eq!(*d, drv, "{ctx}");
+                    assert_eq!(
+                        par.telemetry.probe_lookups, seq.telemetry.probe_lookups,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        par.telemetry.grow_lookups, seq.telemetry.grow_lookups,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        GrowRound::shapes(&par.telemetry.grow_rounds),
+                        GrowRound::shapes(&seq.telemetry.grow_rounds),
+                        "{ctx}: growth rounds"
+                    );
+                    assert_eq!(
+                        par.telemetry
                             .grow_rounds
                             .iter()
-                            .filter(|r| r.parallel)
-                            .count();
-                    }
+                            .map(|r| r.accepted)
+                            .sum::<usize>()
+                            + 1,
+                        d.healthy_count,
+                        "{ctx}: accepted-per-round sums to |U_r|"
+                    );
                 }
             }
         }
     }
-    assert!(
-        parallel_rounds_seen > 0,
-        "at least some growth layers must actually run on the pool"
-    );
 }
 
 #[test]
