@@ -2,12 +2,10 @@
 //!
 //! Benchmark harness for the `O(Δ·N)` diagnosis driver: sweeps all fourteen
 //! interconnection-network families of §5 across multiple sizes and fault
-//! loads, runs the sequential driver, the pooled-executor backends
-//! (forced-pooled and size-directed auto), the naive full-table baseline
-//! **and the event-level distributed simulator** on identical instances,
-//! asserts they all agree with the
-//! planted truth, and renders the measurements as a machine-readable JSON
-//! trajectory file (`BENCH_<pr>.json`).
+//! loads, runs the driver, the naive full-table baseline **and the
+//! event-level distributed simulator** on identical instances, asserts
+//! they all agree with the planted truth, and renders the measurements as
+//! a machine-readable JSON trajectory file (`BENCH_<pr>.json`).
 //!
 //! The interesting measured quantity besides wall time is **syndrome
 //! lookups**: the §6 claim is that the driver consults `O(Δ·N)` entries
@@ -15,47 +13,37 @@
 //! Both counts come from the same [`mmdiag_syndrome::SyndromeSource`]
 //! accounting, so the comparison is apples-to-apples.
 //!
-//! Since ISSUE 3 the harness itself runs on the shared
-//! [`mmdiag_exec`] pool: every instance's fault loads are additionally
-//! evaluated as one **batched submission** (`Diagnoser::submit_batch`,
-//! workspaces pooled per worker) and the simulator-only scenario sweep dispatches its
-//! per-instance cells on the pool. The `--large` flag extends the catalog
-//! to 10⁵⁺-node instances (`Q_17`, `S_8`, large k-ary tori) where the
-//! full-table baseline and the event simulator are infeasible — those
-//! cells are **driver-only** and carry `"baseline": null` /
-//! `"distsim": null` in the JSON.
+//! Every leg runs through the [`mmdiag::Diagnoser`] session front door.
+//! Each cell times one single-run leg, `"driver"`: a single run takes no
+//! execution policy, so there is one code path to time. Its record
+//! carries the `"phases"` of the same rep as its headline time (the
+//! session's [`PhaseTelemetry`], with a `"grow_rounds"` array per growth
+//! layer). The baseline and sampled-checker legs run as the session's
+//! *verification policy* (`verify_claim` against the already finished
+//! diagnosis — no re-diagnosis), recorded in a `"verification"` object;
+//! see [`SCHEMA_VERSION`]. The executor pool does its one job here: every
+//! instance's fault loads are evaluated once more as one **batched
+//! submission** per policy (`Diagnoser::submit_batch`, sequential against
+//! pooled), and the simulator-only scenario sweep dispatches its
+//! per-instance cells on the pool.
 //!
-//! Since ISSUE 4 the scale story goes further on three axes:
+//! Three scale axes extend the catalog:
 //!
+//! * **`--large`** adds 10⁵⁺-node instances (`Q_17`, `S_8`, large k-ary
+//!   tori) where the full-table baseline and the event simulator are
+//!   infeasible — those cells are **driver-only**, carry
+//!   `"baseline": null` / `"distsim": null`, and record the **sampled
+//!   spot-checker**'s ([`mmdiag_baselines::sampled_check`]) verdict as
+//!   `"sampled_check"` instead;
 //! * **`--xlarge`** sweeps 10⁶–10⁷-node instances served by
 //!   [`mmdiag_implicit::ImplicitTopology`] — adjacency straight from the
 //!   generator math, no `Cached` CSR anywhere (a
 //!   [`mmdiag_implicit::MaterialisationGuard`] asserts exactly that per
 //!   cell) — with syndromes from the `O(|F|)`-state
-//!   [`mmdiag_syndrome::OnDemandOracle`];
-//! * every driver-only cell (both `--large` and `--xlarge`) regains an
-//!   independent verdict from the **sampled spot-checker**
-//!   ([`mmdiag_baselines::sampled_check`]), recorded as the JSON
-//!   `"sampled_check"` object where `"baseline"` is `null`.
-//!
-//! Since ISSUE 5 the harness drives everything through the
-//! [`mmdiag::Diagnoser`] session front door: every leg is one builder
-//! policy away from the next (sequential / pooled / auto / event
-//! simulation), the baseline and sampled-checker legs run as the
-//! session's *verification policy* (`verify_claim` against the already
-//! finished diagnosis — no re-diagnosis), and batch submissions go
-//! through `Diagnoser::submit_batch`. Every record carries a `"phases"`
-//! object (probe/certify/grow wall times and lookup counts from the
-//! session's [`PhaseTelemetry`]) and a `"verification"` object (the
-//! per-cell [`VerificationVerdict`]); see [`SCHEMA_VERSION`].
-//!
-//! The **`--xxlarge`** axis runs Q_25, Q^3_17 and Q_27 (134 217 728
-//! nodes) through the same slimmed [`run_scale_cell`] protocol. Scale
-//! cells record the `"phases"` of the *auto* leg, the production policy,
-//! and every record's `"phases"` object carries a `"grow_rounds"` array
-//! with the per-layer frontier/accepted/lookup/time split. Every run
-//! grows on the calling thread, so the auto leg's growth is the
-//! sequential leg's; the pool only fans out batches.
+//!   [`mmdiag_syndrome::OnDemandOracle`], through the slimmed
+//!   [`run_scale_cell`] protocol;
+//! * **`--xxlarge`** runs Q_25, Q^3_17 and Q_27 (134 217 728 nodes)
+//!   through the same protocol.
 //!
 //! Criterion is not available in the offline build environment; the
 //! `benches/sweep.rs` target (`harness = false`) and the `mmdiag-bench`
@@ -66,7 +54,6 @@
 use mmdiag::{BatchJob, Diagnoser, VerificationVerdict};
 use mmdiag_core::{Cutovers, PhaseTelemetry};
 use mmdiag_distsim::{plan, FaultTimeline, LatencyModel};
-use mmdiag_exec::Pool;
 use mmdiag_implicit::{ImplicitTopology, MaterialisationGuard};
 use mmdiag_syndrome::{FaultSet, OnDemandOracle, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag_topology::families::{
@@ -83,37 +70,8 @@ pub mod throughput;
 pub use online::{run_online, OnlineFamilyRecord, OnlineRecord};
 pub use throughput::{overhead_guard, run_throughput, OverheadGuard, ThroughputRecord};
 
-/// Baseline timing repetitions per backend leg (each leg reports its
-/// minimum). The driver/auto pair runs interleaved with extra reps on
-/// sub-cutover cells, where the two are the identical code path measured
-/// at microsecond scale.
+/// Timed reps of each cell's driver leg; the record keeps the fastest.
 pub const TIMING_REPS: usize = 3;
-
-/// Noise tolerance for the per-cell `no_regression` verdict: the auto
-/// backend counts as "not slower than the sequential driver" when its
-/// best-rep time is within 10% of the driver's. Below the cutover the two
-/// run the *identical* code path, so anything beyond that is measurement
-/// noise, not a regression.
-pub const REGRESSION_TOLERANCE: f64 = 1.10;
-
-/// Absolute grace on the `no_regression` verdict, alongside the relative
-/// [`REGRESSION_TOLERANCE`]: one scheduler preemption costs tens of
-/// microseconds regardless of cell size, so on microsecond-scale
-/// sub-cutover cells a min-over-reps floor can sit a whole quantum above
-/// the other leg's without any code-path difference (both legs run the
-/// identical sequential driver there). 50 µs is far below the 10%
-/// relative band everywhere a genuine auto-dispatch regression could
-/// register — any cell whose 10% band is tighter than this runs in under
-/// half a millisecond.
-pub const REGRESSION_NOISE_FLOOR_NANOS: u128 = 50_000;
-
-/// The `no_regression` verdict shared by the timing loop's early-exit
-/// and the recorded flag: within 10% of the driver leg, or within one
-/// scheduler quantum of it.
-fn within_regression_tolerance(auto_nanos: u128, driver_nanos: u128) -> bool {
-    (auto_nanos as f64) <= (driver_nanos as f64) * REGRESSION_TOLERANCE
-        || auto_nanos <= driver_nanos + REGRESSION_NOISE_FLOOR_NANOS
-}
 
 /// A named benchmark instance. The topology is a trait object — every
 /// consumer is already generic over `Partitionable + ?Sized`, so CSR
@@ -289,15 +247,6 @@ pub fn xxlarge_catalog() -> Vec<Instance> {
     ]
 }
 
-/// Wall time of one executor-backend leg (forced-pooled or auto).
-#[derive(Clone, Debug)]
-pub struct BackendLeg {
-    /// Which backend actually ran (`"sequential"` / `"pooled"`).
-    pub backend: &'static str,
-    /// Best-of-[`TIMING_REPS`] wall time in nanoseconds.
-    pub nanos: u128,
-}
-
 /// The baseline leg of one cell (absent on driver-only cells and on the
 /// quick-mode skip set).
 #[derive(Clone, Debug)]
@@ -368,20 +317,12 @@ pub struct RunRecord {
     pub behavior: String,
     /// Full syndrome table size `Σ C(deg u, 2)` — the baseline's lookup bill.
     pub table_entries: u64,
-    /// Sequential driver wall time (ns, best of [`TIMING_REPS`]).
+    /// Driver wall time of the fastest timed rep (ns).
     pub driver_nanos: u128,
-    /// Sequential driver syndrome lookups.
+    /// Syndrome lookups of that rep.
     pub driver_lookups: u64,
     /// Restricted probes the driver ran before certifying.
     pub driver_probes: usize,
-    /// Forced-pooled backend leg on the shared pool.
-    pub pooled: BackendLeg,
-    /// Size-directed auto-policy leg (the production configuration).
-    pub auto: BackendLeg,
-    /// Did the auto leg stay within [`REGRESSION_TOLERANCE`] (or
-    /// [`REGRESSION_NOISE_FLOOR_NANOS`]) of the sequential driver? Measured
-    /// on every cell, scale cells included — no cell is exempt.
-    pub auto_no_regression: bool,
     /// Baseline leg; `None` on driver-only cells and the quick-skip set.
     pub baseline: Option<BaselineLeg>,
     /// Sampled spot-checker leg; `Some` exactly on driver-only cells,
@@ -391,15 +332,15 @@ pub struct RunRecord {
     /// driver-only cells.
     pub distsim: Option<DistsimLeg>,
     /// Per-phase session telemetry (probe/certify/grow wall times +
-    /// lookup counts) of the driver leg's best-timed rep — the v2 schema
-    /// addition.
+    /// lookup counts) of the same rep as `driver_nanos`, so the phases
+    /// describe the run the headline times.
     pub phases: PhaseTelemetry,
     /// The session verification verdict for this cell: `FullBaseline`
     /// where the baseline leg ran, `Sampled` on driver-only cells,
     /// `Unverified` on the quick-mode skip set.
     pub verification: VerificationVerdict,
-    /// The `--profile` leg: one extra fully observed rep (traced session
-    /// on an instrumented pool) with its Chrome trace written to disk.
+    /// The `--profile` leg: one extra fully observed rep (a traced
+    /// session) with its Chrome trace written to disk.
     /// `None` unless the sweep ran with a [`ProfileConfig`].
     pub profile: Option<ProfileLeg>,
     /// Did every leg that ran return the planted set?
@@ -414,11 +355,10 @@ pub struct ProfileConfig {
     pub trace_dir: std::path::PathBuf,
 }
 
-/// The `--profile` leg of one cell: one extra rep on a tracing session
-/// driving an instrumented pool, exported as a Chrome trace-event file
-/// (validated as JSON before it is written — the CI smoke leg relies on
-/// the nonzero exit when that fails) with its rollups embedded additively
-/// in the v2 record.
+/// The `--profile` leg of one cell: one extra rep on a tracing session,
+/// exported as a Chrome trace-event file (validated as JSON before it is
+/// written — the CI smoke leg relies on the nonzero exit when that fails)
+/// with its rollups embedded in the record.
 #[derive(Clone, Debug)]
 pub struct ProfileLeg {
     /// Path of the Chrome trace file written for this cell.
@@ -434,14 +374,11 @@ pub struct ProfileLeg {
     /// The session's `oracle.lookups` metric after the profiled rep: the
     /// entries the rep's calls read.
     pub oracle_lookups: u64,
-    /// Tasks the instrumented pool executed during the rep.
-    pub tasks: u64,
-    /// Task run-time distribution across all workers (ns).
-    pub run_ns: HistogramSummary,
 }
 
 /// One per-instance batched submission: all the instance's sweep
-/// syndromes evaluated through `Diagnoser::submit_batch` on both backends.
+/// syndromes evaluated through `Diagnoser::submit_batch` under both
+/// policies.
 #[derive(Clone, Debug)]
 pub struct BatchRecord {
     /// Family key.
@@ -454,7 +391,7 @@ pub struct BatchRecord {
     pub seq_nanos: u128,
     /// Total wall time of the pooled batch (ns).
     pub pooled_nanos: u128,
-    /// Both backends returned bit-identical diagnoses for every syndrome.
+    /// Both policies returned bit-identical diagnoses for every syndrome.
     pub agree: bool,
 }
 
@@ -498,52 +435,24 @@ pub fn table_size<T: Topology + ?Sized>(g: &T) -> u64 {
         .sum()
 }
 
-/// Most interleaved pairs [`interleaved_floors`] times before it settles
-/// on a failing verdict.
-const MAX_FLOOR_PAIRS: usize = 40;
-
-/// Time legs `a` and `b` in interleaved pairs (`a`, `b`, `a`, `b`, …),
-/// each call returning its own wall time, and report each leg's floor
-/// (its fastest call) as `(a, b)`. Interleaving lands slow drift
-/// (frequency scaling, a busy sibling process) on both legs alike. After
-/// `min_pairs` pairs the loop stops as soon as `b` is within the
-/// `no_regression` tolerance of `a`; while the verdict fails, further
-/// pairs (up to `max_pairs`) only tighten both floors toward the true
-/// one, so a genuinely slower `b` still fails — only a preemption-spiked
-/// sample converges back to parity.
-fn interleaved_floors(
-    min_pairs: usize,
-    max_pairs: usize,
-    mut a: impl FnMut() -> u128,
-    mut b: impl FnMut() -> u128,
-) -> (u128, u128) {
-    let (mut a_floor, mut b_floor) = (u128::MAX, u128::MAX);
-    for pair in 0..max_pairs {
-        if pair >= min_pairs && within_regression_tolerance(b_floor, a_floor) {
-            break;
-        }
-        a_floor = a_floor.min(a());
-        b_floor = b_floor.min(b());
-    }
-    (a_floor, b_floor)
-}
-
-/// Time `f` over [`TIMING_REPS`] runs, returning (best nanos, last result).
-fn best_of<R>(mut f: impl FnMut() -> R) -> (u128, R) {
-    let mut best = u128::MAX;
-    let mut result = None;
-    for _ in 0..TIMING_REPS {
+/// Run `f` `reps` times and return the fastest run's wall time and its
+/// result, so what a record derives from the result describes the run
+/// its headline times.
+fn fastest_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (u128, R) {
+    let mut fastest: Option<(u128, R)> = None;
+    for _ in 0..reps {
         let t0 = Stopwatch::start();
         let r = f();
-        best = best.min(u128::from(t0.elapsed_ns()));
-        result = Some(r);
+        let nanos = u128::from(t0.elapsed_ns());
+        if fastest.as_ref().is_none_or(|(best, _)| nanos < *best) {
+            fastest = Some((nanos, r));
+        }
     }
-    (best, result.expect("TIMING_REPS >= 1"))
+    fastest.expect("at least one rep")
 }
 
 /// Run one (instance, fault count, behavior) cell with every applicable
-/// leg on the shared global pool; panic if any leg disagrees with the
-/// planted truth.
+/// leg; panic if any leg disagrees with the planted truth.
 pub fn run_cell(inst: &Instance, faults: &FaultSet, behavior: TesterBehavior) -> RunRecord {
     run_cell_opts(inst, faults, behavior, true)
 }
@@ -561,71 +470,21 @@ pub fn run_cell_opts(
     let g = inst.graph.as_ref();
     let s = OracleSyndrome::new(faults.clone(), behavior);
 
-    // One session per backend policy — the whole cell is "the same front
-    // door, different builder calls".
-    let seq_session = Diagnoser::new(g);
-    let auto_session = Diagnoser::new(g).auto();
-    let pooled_session = Diagnoser::new(g).pooled();
-
-    // Driver and auto legs run as interleaved floors after an untimed
-    // warmup: on sub-cutover cells the two are the *same* code path
-    // measured at microsecond scale, so those cells keep sampling pairs
-    // (up to the cap) while the regression verdict is failing.
-    let sub_cutover = g.node_count() < Cutovers::default().sequential;
-    let (min_pairs, max_pairs) = if sub_cutover {
-        (TIMING_REPS + 4, MAX_FLOOR_PAIRS)
-    } else {
-        (TIMING_REPS, TIMING_REPS)
-    };
-    let drv = seq_session
-        .run(&s)
-        .unwrap_or_else(|e| panic!("{}: driver failed: {e}", g.name()))
-        .diagnosis;
+    // The one timed leg: the fastest of TIMING_REPS runs, whose report
+    // supplies the lookups, probes and phases recorded beside its time.
+    let session = Diagnoser::new(g);
+    let (driver_nanos, report) = fastest_of(TIMING_REPS, || {
+        session
+            .run(&s)
+            .unwrap_or_else(|e| panic!("{}: driver failed: {e}", g.name()))
+    });
+    let drv = &report.diagnosis;
     assert_eq!(
         drv.faults,
         faults.members(),
         "{}: driver missed the planted set",
         g.name()
     );
-    let mut fastest_driver = u128::MAX;
-    let mut phases = PhaseTelemetry::default();
-    let mut auto = None;
-    let (driver_nanos, auto_nanos) = interleaved_floors(
-        min_pairs,
-        max_pairs,
-        || {
-            let t0 = Stopwatch::start();
-            let d = seq_session
-                .run(&s)
-                .unwrap_or_else(|e| panic!("{}: driver failed: {e}", g.name()));
-            let elapsed = u128::from(t0.elapsed_ns());
-            // The recorded phases are the fastest driver rep's.
-            if elapsed < fastest_driver {
-                fastest_driver = elapsed;
-                phases = d.telemetry;
-            }
-            debug_assert_eq!(d.diagnosis, drv);
-            elapsed
-        },
-        || {
-            let t0 = Stopwatch::start();
-            let a = auto_session
-                .run(&s)
-                .unwrap_or_else(|e| panic!("{}: auto backend failed: {e}", g.name()));
-            let elapsed = u128::from(t0.elapsed_ns());
-            auto = Some(a);
-            elapsed
-        },
-    );
-    let auto = auto.expect("at least one timing pair runs");
-    let (pooled_nanos, pooled) = best_of(|| {
-        pooled_session
-            .run(&s)
-            .unwrap_or_else(|e| panic!("{}: pooled backend failed: {e}", g.name()))
-    });
-    let backend_agree = auto.diagnosis == drv && pooled.diagnosis == drv;
-    assert!(backend_agree, "{}: backend legs disagree", g.name());
-    let auto_no_regression = within_regression_tolerance(auto_nanos, driver_nanos);
 
     // Event-level simulator leg, through the session's simulation door:
     // unit latencies, static timeline — the regime where observation must
@@ -695,16 +554,10 @@ pub fn run_cell_opts(
         (VerificationVerdict::Unverified, None, None)
     };
 
-    let agree = backend_agree
-        && distsim.as_ref().is_none_or(|d| d.agree)
+    let agree = distsim.as_ref().is_none_or(|d| d.agree)
         && sampled.as_ref().is_none_or(|c| c.agree)
         && verification.agreed_or_unverified();
     assert!(agree, "{}: legs disagree", g.name());
-
-    // Lookup accounting for the driver comes from its own run, measured
-    // once more so backend reps above cannot pollute it.
-    s.reset_lookups();
-    let drv_clean = seq_session.run(&s).unwrap().diagnosis;
 
     RunRecord {
         family: inst.family,
@@ -717,21 +570,12 @@ pub fn run_cell_opts(
         behavior: format!("{behavior:?}"),
         table_entries: table_size(g),
         driver_nanos,
-        driver_lookups: drv_clean.lookups_used,
-        driver_probes: drv_clean.probes,
-        pooled: BackendLeg {
-            backend: "pooled",
-            nanos: pooled_nanos,
-        },
-        auto: BackendLeg {
-            backend: auto.backend,
-            nanos: auto_nanos,
-        },
-        auto_no_regression,
+        driver_lookups: drv.lookups_used,
+        driver_probes: drv.probes,
         baseline,
         sampled,
         distsim,
-        phases,
+        phases: report.telemetry,
         verification,
         profile: None,
         agree,
@@ -774,77 +618,40 @@ fn sampled_leg_from(verdict: &VerificationVerdict, instance: String) -> SampledL
 }
 
 /// One `--xlarge` cell: the slimmed measurement protocol for 10⁶⁺-node
-/// implicit instances. A timed sequential-driver leg, a timed leg on the
-/// auto backend (pooled at these sizes), the sampled spot-checker — and a
-/// [`MaterialisationGuard`]
-/// proving no `Cached::new` happened anywhere in the cell. Syndromes
-/// stream from the `O(|F|)`-state [`OnDemandOracle`].
+/// implicit instances. One timed driver leg, the sampled spot-checker —
+/// and a [`MaterialisationGuard`] proving no `Cached::new` happened
+/// anywhere in the cell. Syndromes stream from the `O(|F|)`-state
+/// [`OnDemandOracle`].
 ///
 /// Timing follows the workspace's min-over-reps protocol where it is
-/// affordable: cells up to `2^24` nodes run [`TIMING_REPS`] reps per leg
-/// and record the best (diagnosis determinism makes every rep's *output*
-/// identical, so only the clock varies); larger cells run once — a Q_27
-/// rep is minutes, and scheduler noise is amortised at that length anyway.
+/// affordable: cells up to `2^24` nodes run [`TIMING_REPS`] reps and
+/// record the fastest, phases included (diagnosis determinism makes every
+/// rep's *output* identical, so only the clock varies); larger cells run
+/// once — a Q_27 rep is minutes, and scheduler noise is amortised at that
+/// length anyway.
 pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehavior) -> RunRecord {
     assert!(inst.scale, "run_scale_cell is the --xlarge protocol");
     let g = inst.graph.as_ref();
     let guard = MaterialisationGuard::begin(g);
     let s = OnDemandOracle::new(g.node_count(), members, behavior);
-    let seq_session = Diagnoser::new(g);
-    let auto_session = Diagnoser::new(g).auto();
+    let session = Diagnoser::new(g);
     let reps = if g.node_count() <= 1 << 24 {
         TIMING_REPS
     } else {
         1
     };
-
-    let mut driver_nanos = u128::MAX;
-    let mut drv = None;
-    for _ in 0..reps {
-        s.reset_lookups();
-        let t0 = Stopwatch::start();
-        let report = seq_session
+    let (driver_nanos, report) = fastest_of(reps, || {
+        session
             .run(&s)
-            .unwrap_or_else(|e| panic!("{}: driver failed: {e}", g.name()));
-        let nanos = u128::from(t0.elapsed_ns());
-        if nanos < driver_nanos {
-            driver_nanos = nanos;
-            drv = Some(report.diagnosis);
-        }
-    }
-    let drv = drv.expect("at least one driver rep");
+            .unwrap_or_else(|e| panic!("{}: driver failed: {e}", g.name()))
+    });
+    let drv = &report.diagnosis;
     assert_eq!(
         drv.faults,
         s.planted_members(),
         "{}: driver missed the planted set",
         g.name()
     );
-    let driver_lookups = drv.lookups_used;
-
-    let mut auto_nanos = u128::MAX;
-    let mut auto = None;
-    for _ in 0..reps {
-        s.reset_lookups();
-        let t0 = Stopwatch::start();
-        let report = auto_session
-            .run(&s)
-            .unwrap_or_else(|e| panic!("{}: auto backend failed: {e}", g.name()));
-        let nanos = u128::from(t0.elapsed_ns());
-        if nanos < auto_nanos {
-            auto_nanos = nanos;
-            auto = Some(report);
-        }
-    }
-    let auto = auto.expect("at least one auto rep");
-    assert!(
-        auto.diagnosis == drv,
-        "{}: auto backend disagrees",
-        g.name()
-    );
-    // The recorded phases are the *production* policy's: the auto leg's
-    // `grow_nanos` (and per-round `grow_rounds`) are what the trajectory
-    // comparison across BENCH files tracks.
-    let phases = auto.telemetry.clone();
 
     let verification = Diagnoser::new(g)
         .verify_sampled(samples_per_part(), 0x51AE ^ members.len() as u64)
@@ -863,32 +670,20 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
         behavior: format!("{behavior:?}"),
         table_entries: table_size(g),
         driver_nanos,
-        driver_lookups,
+        driver_lookups: drv.lookups_used,
         driver_probes: drv.probes,
-        // The auto leg *is* the pooled-or-sequential production path at
-        // this size; a separate forced-pooled rep would double multi-second
-        // cell cost for no extra information.
-        pooled: BackendLeg {
-            backend: auto.backend,
-            nanos: auto_nanos,
-        },
-        auto: BackendLeg {
-            backend: auto.backend,
-            nanos: auto_nanos,
-        },
-        auto_no_regression: within_regression_tolerance(auto_nanos, driver_nanos),
         baseline: None,
         sampled: Some(sampled),
         distsim: None,
-        phases,
+        phases: report.telemetry,
         verification,
         profile: None,
         agree: true,
     }
 }
 
-/// Run one extra, fully observed rep of a cell: a tracing session on a
-/// fresh instrumented pool, the phase spans cross-checked for *exact*
+/// Run one extra, fully observed rep of a cell: a tracing session, the
+/// phase spans cross-checked for *exact*
 /// agreement with the report telemetry, and the Chrome trace-event
 /// document validated ([`mmdiag_trace::export::validate_json`]) and
 /// written to `cfg.trace_dir`. Panics — a nonzero bench exit — if the
@@ -904,10 +699,7 @@ pub fn profile_cell<S: SyndromeSource + Sync + ?Sized>(
 ) -> ProfileLeg {
     let g = inst.graph.as_ref();
     s.reset_lookups();
-    let pool = Pool::new_instrumented(mmdiag_exec::global().threads());
-    let session = Diagnoser::new(g)
-        .pooled_on(&pool)
-        .trace(TraceConfig::default());
+    let session = Diagnoser::new(g).trace(TraceConfig::default());
     let report = session
         .run(s)
         .unwrap_or_else(|e| panic!("{}: profiled rep failed: {e}", g.name()));
@@ -942,16 +734,12 @@ pub fn profile_cell<S: SyndromeSource + Sync + ?Sized>(
     ));
     std::fs::write(&file, &doc).unwrap_or_else(|e| panic!("cannot write {}: {e}", file.display()));
 
-    let stats = pool.stats().expect("instrumented pool");
-    let totals = stats.totals();
     ProfileLeg {
         trace_file: file.display().to_string(),
         spans: summary.span_count,
         dropped: summary.dropped,
         phases: report.telemetry,
         oracle_lookups,
-        tasks: totals.tasks,
-        run_ns: totals.run_ns,
     }
 }
 
@@ -977,7 +765,7 @@ fn file_stem(s: &str) -> String {
 /// Sweep a catalog: for every instance, every [`fault_sizes`] load under a
 /// seeded `Random` tester behaviour, plus the full-bound load under the
 /// adversarial `AllZero` behaviour — then the instance's syndromes once
-/// more as one batched submission per backend. In `quick` mode the
+/// more as one batched submission per policy. In `quick` mode the
 /// baseline leg is skipped on the largest non-driver-only instance of
 /// each family, keeping the CI smoke run well under ~10 s.
 pub fn sweep(
@@ -1017,7 +805,7 @@ pub fn sweep_profiled(
             .unwrap_or_else(|e| panic!("catalog instance unusable: {e}"));
         if inst.scale {
             // --xlarge protocol: one seeded-random and one adversarial
-            // AllZero cell at the full fault bound, driver + auto + sampled
+            // AllZero cell at the full fault bound, driver + sampled
             // checker only — no batch submission (each extra leg is a
             // multi-second full-graph pass out here).
             let bound = g.driver_fault_bound();
@@ -1095,8 +883,8 @@ pub fn sweep_profiled(
 }
 
 /// Evaluate one instance's sweep syndromes as a single
-/// `Diagnoser::submit_batch` submission per backend policy and
-/// cross-check the two.
+/// `Diagnoser::submit_batch` submission per batch policy and cross-check
+/// the two.
 fn batch_submission(inst: &Instance, syndromes: &[OracleSyndrome]) -> BatchRecord {
     let g = inst.graph.as_ref();
     let jobs: Vec<BatchJob> = syndromes
@@ -1119,7 +907,7 @@ fn batch_submission(inst: &Instance, syndromes: &[OracleSyndrome]) -> BatchRecor
             },
             _ => false,
         });
-    assert!(agree, "{}: batched backends disagree", g.name());
+    assert!(agree, "{}: batched policies disagree", g.name());
     BatchRecord {
         family: inst.family,
         instance: g.name(),
@@ -1332,10 +1120,15 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Schema version stamped into every trajectory document [`to_json`]
-/// writes. v3 is v2 without the strided-lane `"parallel"` record legs and
-/// the top-level `"thread_sweep"` list; v2 added the per-record
-/// `"phases"` and `"verification"` objects to v1.
-pub const SCHEMA_VERSION: &str = "mmdiag-bench/v3";
+/// writes. v4 records one timed leg per cell, `"driver"`, whose
+/// `"phases"` come from the same rep as its time. It dropped the record
+/// keys `"pooled"` and `"auto"` (with `"auto"`'s `"backend"`,
+/// `"speedup_vs_driver"` and `"no_regression"`), the
+/// `"exec"."regression_tolerance"` key, and the `"tasks"` and `"run_ns"`
+/// keys of `"profile"`. v3 is v2 without the strided-lane `"parallel"`
+/// record legs and the top-level `"thread_sweep"` list; v2 added the
+/// per-record `"phases"` and `"verification"` objects to v1.
+pub const SCHEMA_VERSION: &str = "mmdiag-bench/v4";
 
 /// Render records as the `BENCH_<pr>.json` trajectory document
 /// ([`SCHEMA_VERSION`]). Every record carries a `"phases"` object (the
@@ -1359,11 +1152,10 @@ pub fn to_json(
     out.push_str(&format!("  \"bench_id\": \"{}\",\n", json_escape(bench_id)));
     out.push_str(&format!(
         "  \"exec\": {{\"pool_threads\": {}, \"sequential_cutover_nodes\": {}, \
-         \"timing_reps\": {}, \"regression_tolerance\": {:.2}}},\n",
+         \"timing_reps\": {}}},\n",
         mmdiag_exec::global().threads(),
         Cutovers::default().sequential,
         TIMING_REPS,
-        REGRESSION_TOLERANCE,
     ));
     out.push_str(&format!("  \"record_count\": {},\n", records.len()));
     out.push_str(&format!(
@@ -1414,9 +1206,9 @@ pub fn to_json(
             ),
             None => "null".to_string(),
         };
-        // v2 additions: the session's per-phase telemetry and the
-        // verification verdict of this cell. `grow_rounds` (additive key)
-        // is the growth's per-layer split, on every backend.
+        // The driver rep's per-phase telemetry and the verification
+        // verdict of this cell. `grow_rounds` is the growth's per-layer
+        // split.
         let rounds: Vec<String> = r
             .phases
             .grow_rounds
@@ -1442,14 +1234,14 @@ pub fn to_json(
             rounds.join(", "),
         );
         let verification = verification_json(&r.verification);
-        // The `--profile` addition — additive key, schema stamp unchanged.
+        // The `--profile` leg; `null` when the sweep ran without it.
         let profile = match &r.profile {
             Some(p) => format!(
                 concat!(
                     "{{\"trace_file\": \"{}\", \"spans\": {}, \"dropped\": {}, ",
                     "\"phases\": {{\"probe_nanos\": {}, \"certify_nanos\": {}, ",
                     "\"grow_nanos\": {}, \"probe_lookups\": {}, \"grow_lookups\": {}}}, ",
-                    "\"oracle_lookups\": {}, \"tasks\": {}, \"run_ns\": {}}}"
+                    "\"oracle_lookups\": {}}}"
                 ),
                 json_escape(&p.trace_file),
                 p.spans,
@@ -1460,8 +1252,6 @@ pub fn to_json(
                 p.phases.probe_lookups,
                 p.phases.grow_lookups,
                 p.oracle_lookups,
-                p.tasks,
-                histogram_json(&p.run_ns),
             ),
             None => "null".to_string(),
         };
@@ -1471,9 +1261,6 @@ pub fn to_json(
                 "\"max_degree\": {}, \"parts\": {}, \"fault_bound\": {}, ",
                 "\"num_faults\": {}, \"behavior\": \"{}\", \"table_entries\": {}, ",
                 "\"driver\": {{\"nanos\": {}, \"lookups\": {}, \"probes\": {}}}, ",
-                "\"pooled\": {{\"nanos\": {}}}, ",
-                "\"auto\": {{\"backend\": \"{}\", \"nanos\": {}, ",
-                "\"speedup_vs_driver\": {:.3}, \"no_regression\": {}}}, ",
                 "\"baseline\": {}, ",
                 "\"sampled_check\": {}, ",
                 "\"distsim\": {}, ",
@@ -1495,11 +1282,6 @@ pub fn to_json(
             r.driver_nanos,
             r.driver_lookups,
             r.driver_probes,
-            r.pooled.nanos,
-            json_escape(r.auto.backend),
-            r.auto.nanos,
-            r.driver_nanos as f64 / r.auto.nanos.max(1) as f64,
-            r.auto_no_regression,
             baseline,
             sampled,
             distsim,
@@ -1751,7 +1533,7 @@ mod tests {
     #[test]
     fn scale_cell_protocol_runs_and_stays_implicit() {
         // The --xlarge protocol on a debug-friendly implicit instance:
-        // driver + auto + sampled checker, streaming syndrome, no
+        // driver + sampled checker, streaming syndrome, no
         // materialisation, no batch leg.
         let inst = Instance::implicit_scale("hypercube", Hypercube::new_certified(14));
         let faults = scatter_faults(1 << 14, 5, 77);
@@ -1784,6 +1566,26 @@ mod tests {
             .iter()
             .all(|r| r.sampled.as_ref().is_some_and(|c| c.agree)));
         assert!(scale.iter().any(|r| r.behavior == "AllZero"));
+        // Every record's phases and headline describe one run: its phase
+        // times fit inside the timed rep, and its lookups are that rep's.
+        for r in &records {
+            let p = &r.phases;
+            assert!(
+                p.total_nanos() <= r.driver_nanos,
+                "{} {}: phases {} ns > headline {} ns",
+                r.instance,
+                r.behavior,
+                p.total_nanos(),
+                r.driver_nanos
+            );
+            assert_eq!(
+                p.probe_lookups + p.grow_lookups,
+                r.driver_lookups,
+                "{} {}",
+                r.instance,
+                r.behavior
+            );
+        }
     }
 
     #[test]
@@ -1821,7 +1623,6 @@ mod tests {
             s.lookups(),
             "the metric counts every entry the session read"
         );
-        assert_eq!(leg.tasks, leg.run_ns.count, "every pool task timed");
         let doc = std::fs::read_to_string(&leg.trace_file).unwrap();
         mmdiag_trace::export::validate_json(&doc).unwrap();
         assert!(doc.contains("\"ph\":\"X\""), "complete span events");
@@ -1849,7 +1650,7 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), records.len());
         let json = to_json("BENCH_TEST", &records, &[], &[], None, None);
         assert!(json.contains("\"profile\": {\"trace_file\": "));
-        assert!(json.contains("\"run_ns\": {\"count\":"));
+        assert!(json.contains("\"oracle_lookups\": "));
         // The un-profiled sweep keeps the key as an explicit null.
         let (plain, _) = sweep(&catalog, true, &mut |_| {});
         let json = to_json("BENCH_TEST", &plain, &[], &[], None, None);
@@ -1897,9 +1698,7 @@ mod tests {
             rec.driver_lookups,
             base.lookups
         );
-        // Sub-cutover instance: auto must have taken the sequential path.
-        assert_eq!(rec.auto.backend, "sequential");
-        assert!(rec.pooled.nanos > 0 && rec.auto.nanos > 0);
+        assert!(rec.driver_nanos > 0);
         // The simulator leg agreed with both the cost model and the driver.
         let sim = rec.distsim.as_ref().expect("distsim leg present");
         assert!(sim.matches_model);
@@ -1919,8 +1718,6 @@ mod tests {
         assert!(rec.agree);
         assert!(rec.baseline.is_none());
         assert!(rec.distsim.is_none());
-        // 1024 nodes sits at the cutover: auto goes pooled here.
-        assert_eq!(rec.auto.backend, "pooled");
         let json = to_json("BENCH_TEST", &[rec], &[], &[], None, None);
         assert!(json.contains("\"baseline\": null"));
         assert!(json.contains("\"distsim\": null"));
@@ -1997,16 +1794,14 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for needle in [
-            "\"schema\": \"mmdiag-bench/v3\"",
+            "\"schema\": \"mmdiag-bench/v4\"",
             "\"bench_id\": \"BENCH_TEST\"",
             "\"phases\": {\"probe_nanos\": ",
             "\"verification\": {\"method\": \"full_baseline\"",
             "\"exec\": {\"pool_threads\": ",
+            "\"timing_reps\": 3}",
             "\"families_covered\": 1",
-            "\"driver\"",
-            "\"pooled\"",
-            "\"auto\"",
-            "\"no_regression\": true",
+            "\"driver\": {\"nanos\": ",
             "\"baseline\"",
             "\"distsim\"",
             "\"matches_model\": true",
@@ -2017,6 +1812,16 @@ mod tests {
             "\"agree\": true",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
+        }
+        // The keys v4 dropped: one leg per cell, no backend verdicts.
+        for gone in [
+            "\"pooled\"",
+            "\"auto\"",
+            "\"speedup_vs_driver\"",
+            "\"no_regression\"",
+            "\"regression_tolerance\"",
+        ] {
+            assert!(!json.contains(gone), "retired key {gone} in {json}");
         }
     }
 

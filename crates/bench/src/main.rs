@@ -1,9 +1,9 @@
 //! The `mmdiag-bench` harness binary.
 //!
-//! Sweeps the family catalog, cross-checks driver vs pooled backends vs
-//! baseline vs event-level simulator on every cell,
+//! Sweeps the family catalog, times one driver leg per cell and
+//! cross-checks it against the baseline and the event-level simulator,
 //! re-submits each instance's syndromes as one batched submission per
-//! backend, runs the simulator-only scenario sweep (latency skew,
+//! policy, runs the simulator-only scenario sweep (latency skew,
 //! mid-protocol injection) on the shared pool, and writes the
 //! machine-readable trajectory file.
 //!
@@ -27,12 +27,12 @@
 //!   --xxlarge extend the catalog with the 10⁷–10⁸-node axis (Q_25,
 //!             Q^3_17, Q_27 — 134 217 728 nodes); same slimmed protocol
 //!             and sampled verification as --xlarge
-//!   --profile run one extra fully observed rep per cell — tracing session
-//!             on an instrumented pool — writing one Chrome trace-event
-//!             file per cell (Perfetto-loadable) into a directory derived
-//!             from --out (BENCH_6.json → BENCH_6-traces/). Every trace is
-//!             validated as JSON before it is written and its rollups are
-//!             embedded additively in the v2 records under "profile"
+//!   --profile run one extra fully observed rep per cell — a tracing
+//!             session — writing one Chrome trace-event file per cell
+//!             (Perfetto-loadable) into a directory derived from --out
+//!             (BENCH_9.json → BENCH_9-traces/). Every trace is validated
+//!             as JSON before it is written and its rollups are embedded
+//!             in the records under "profile"
 //!   --throughput run the fleet axis after the sweep: 8 (4 with --quick)
 //!             concurrent Diagnoser sessions on separate threads — mixed
 //!             families and verification policies — all attached to the
@@ -54,10 +54,10 @@
 //!             additive top-level "online" key. Any disagreement or a
 //!             family whose sparse epochs fail to beat from-scratch
 //!             fails the binary
-//!   --out     output path (default BENCH_8.json in the working directory)
+//!   --out     output path (default BENCH_9.json in the working directory)
 //! ```
 //!
-//! The auto legs resolve against the default session cutover
+//! The batched submissions resolve against the default session cutover
 //! (`mmdiag_core::Cutovers::default()`: the compiled-in value unless
 //! `MMDIAG_CUTOVER` pins it); no file in the working directory changes
 //! what a run measures.
@@ -69,7 +69,7 @@ use mmdiag_bench::{
 };
 
 /// The trajectory id this binary emits (`BENCH_<pr>`).
-const BENCH_ID: &str = "BENCH_8";
+const BENCH_ID: &str = "BENCH_9";
 
 fn main() {
     // `--quick` and MMDIAG_QUICK=1 are the same knob (parsed once for the
@@ -110,7 +110,7 @@ fn main() {
         }
     }
     // --profile writes one Chrome trace per cell next to the trajectory
-    // file: BENCH_7.json → BENCH_7-traces/.
+    // file: BENCH_9.json → BENCH_9-traces/.
     let profile_cfg = if profile {
         let stem = out_path.strip_suffix(".json").unwrap_or(&out_path);
         let dir = std::path::PathBuf::from(format!("{stem}-traces"));
@@ -147,32 +147,18 @@ fn main() {
         }
         catalog.extend(axis);
     }
+    eprintln!("sweeping {} instances across 14 families…", catalog.len());
     eprintln!(
-        "sweeping {} instances across 14 families on a {}-worker pool \
-         (driver / pooled / auto / baseline / distsim)…",
-        catalog.len(),
-        mmdiag_exec::global().threads(),
-    );
-    eprintln!(
-        "{:<22} {:>7} {:>7} {:>12} {:>12} {:>12} {:>9} {:>9} {:>6}",
-        "instance",
-        "nodes",
-        "faults",
-        "driver µs",
-        "auto µs",
-        "baseline µs",
-        "speedup",
-        "lookup×",
-        "sim"
+        "{:<22} {:>7} {:>7} {:>12} {:>12} {:>9} {:>9} {:>6}",
+        "instance", "nodes", "faults", "driver µs", "baseline µs", "speedup", "lookup×", "sim"
     );
     let (records, batches) = sweep_profiled(&catalog, quick, profile_cfg.as_ref(), &mut |rec| {
         eprintln!(
-            "{:<22} {:>7} {:>7} {:>12.1} {:>12.1} {:>12} {:>9} {:>9} {:>6}",
+            "{:<22} {:>7} {:>7} {:>12.1} {:>12} {:>9} {:>9} {:>6}",
             rec.instance,
             rec.nodes,
             rec.num_faults,
             rec.driver_nanos as f64 / 1e3,
-            rec.auto.nanos as f64 / 1e3,
             match &rec.baseline {
                 Some(b) => format!("{:.1}", b.nanos as f64 / 1e3),
                 None => "-".to_string(),
@@ -198,7 +184,10 @@ fn main() {
         );
     });
 
-    eprintln!("batched submissions (submit_batch, sequential vs pooled, per instance)…");
+    eprintln!(
+        "batched submissions (submit_batch, sequential vs pooled on a {}-worker pool, per instance)…",
+        mmdiag_exec::global().threads()
+    );
     for b in &batches {
         eprintln!(
             "{:<22} {:>2} cells  seq {:>10.1} µs  pooled {:>10.1} µs  {}",
@@ -333,7 +322,6 @@ fn main() {
         + online
             .as_ref()
             .map_or(0, |o| o.disagreements as usize + o.families_without_savings);
-    let auto_regressions = records.iter().filter(|r| !r.auto_no_regression).count();
     let json = to_json(
         BENCH_ID,
         &records,
@@ -346,7 +334,7 @@ fn main() {
         .unwrap_or_else(|e| die(&format!("cannot write {out_path}: {e}")));
     eprintln!(
         "\n{} records + {} batches + {} scenarios ({} families) -> {out_path}; \
-         disagreements: {disagreements}; auto slower than sequential: {auto_regressions}",
+         disagreements: {disagreements}",
         records.len(),
         batches.len(),
         scenarios.len(),

@@ -1,11 +1,11 @@
 //! The `--throughput` fleet axis: N concurrent [`Diagnoser`] sessions.
 //!
 //! Every other bench axis measures one session at a time; this one
-//! measures the *fleet* story ISSUE 9 adds — several sessions on separate
-//! threads, all attached to the process-wide
-//! [`mmdiag_trace::MetricsHub`], all contending for one shared
-//! [`mmdiag_exec`] pool that profiles its own synchronisation
-//! ([`Pool::new_profiled`]). The record rolls up:
+//! measures a *fleet* — several sessions on separate threads, all
+//! attached to the process-wide [`mmdiag_trace::MetricsHub`], whose
+//! batched submissions all contend for one shared [`mmdiag_exec`] pool
+//! that profiles its own synchronisation ([`Pool::new_profiled`]). The
+//! record rolls up:
 //!
 //! * **throughput** — diagnoses per second across the whole fleet, wall
 //!   clock from first spawn to last join;
@@ -19,19 +19,17 @@
 //!   submissions alike) is cross-checked against its planted fault set,
 //!   and the count of disagreements rides on the record;
 //! * **overhead** — the [`overhead_guard`] companion: a fully
-//!   instrumented single-session run must stay within the existing
-//!   [`REGRESSION_TOLERANCE`](crate::REGRESSION_TOLERANCE) of the bare
-//!   run on a small instance, so observability never becomes a tax the
-//!   sweep would flag as a regression elsewhere.
+//!   instrumented single-session run must stay within
+//!   [`REGRESSION_TOLERANCE`] (or [`REGRESSION_NOISE_FLOOR_NANOS`]) of
+//!   the bare run on a small instance, so observability never becomes a
+//!   tax on every diagnosis.
 //!
-//! The sessions deliberately mix instance families, backend-visible
-//! sizes and verification policies (none / sampled / full baseline) —
+//! The sessions deliberately mix instance families, sizes and
+//! verification policies (none / sampled / full baseline) —
 //! fleet contention with homogeneous sessions would under-represent the
 //! lock-hold-time variance the profiler exists to expose.
 
-use crate::{
-    interleaved_floors, scatter_faults, within_regression_tolerance, MAX_FLOOR_PAIRS, TIMING_REPS,
-};
+use crate::{scatter_faults, TIMING_REPS};
 use mmdiag::syndrome::{OracleSyndrome, TesterBehavior};
 use mmdiag::topology::families::{CrossedCube, Hypercube, Pancake, StarGraph};
 use mmdiag::topology::NodeId;
@@ -41,19 +39,40 @@ use mmdiag_trace::clock::{self, Stopwatch};
 use mmdiag_trace::{Histogram, HistogramSummary, MetricsHub, MetricsRegistry};
 use std::sync::Arc;
 
+/// Noise tolerance of the overhead verdict: the instrumented run counts
+/// as "not slower" than the bare one when its floor is within 10% of the
+/// bare floor.
+pub const REGRESSION_TOLERANCE: f64 = 1.10;
+
+/// Absolute grace on the overhead verdict, alongside the relative
+/// [`REGRESSION_TOLERANCE`]: one scheduler preemption costs tens of
+/// microseconds regardless of the run, so on a microsecond-scale run a
+/// min-over-pairs floor can sit a whole quantum above the other leg's
+/// with no code-path difference. 50 µs is far below the 10% band of any
+/// run longer than half a millisecond.
+pub const REGRESSION_NOISE_FLOOR_NANOS: u128 = 50_000;
+
+/// Most interleaved pairs [`overhead_guard`] times before it settles on a
+/// failing verdict.
+const MAX_FLOOR_PAIRS: usize = 40;
+
+/// The overhead verdict: within 10% of the bare floor, or within one
+/// scheduler quantum of it.
+fn within_tolerance(instrumented_nanos: u128, bare_nanos: u128) -> bool {
+    (instrumented_nanos as f64) <= (bare_nanos as f64) * REGRESSION_TOLERANCE
+        || instrumented_nanos <= bare_nanos + REGRESSION_NOISE_FLOOR_NANOS
+}
+
 /// The overhead verdict: a fully observed session (tracing + hub
-/// attachment + a profiled pool) timed against a bare session on a bare
-/// pool of the same width, same small instance, under the sweep's own
-/// regression tolerance.
+/// attachment) timed against a bare session on the same small instance.
 #[derive(Clone, Debug)]
 pub struct OverheadGuard {
-    /// Best-of-reps wall time of the uninstrumented run.
+    /// Floor (fastest of the interleaved pairs) of the uninstrumented run.
     pub bare_nanos: u128,
-    /// Best-of-reps wall time of the fully instrumented run.
+    /// Floor of the fully instrumented run.
     pub instrumented_nanos: u128,
-    /// `instrumented` within [`crate::REGRESSION_TOLERANCE`] (or the
-    /// absolute noise floor) of `bare` — the same verdict the sweep's
-    /// `no_regression` flag uses.
+    /// `instrumented` within [`REGRESSION_TOLERANCE`] (or
+    /// [`REGRESSION_NOISE_FLOOR_NANOS`]) of `bare`.
     pub within_tolerance: bool,
 }
 
@@ -96,9 +115,10 @@ const RUNS_PER_ROUND: usize = 3;
 /// Planted jobs in each session's per-round batched submission.
 const BATCH_JOBS: usize = 2;
 
-/// Build session `i`'s diagnoser: instance family by `i % 4`, backend
-/// pooled on `pool` (the whole fleet contends for it — the point),
-/// verification policy by `i % 3`, hub-attached as `"throughput-{i}"`.
+/// Build session `i`'s diagnoser: instance family by `i % 4`, batches
+/// pooled on `pool` (the whole fleet's batches contend for it — the
+/// point), verification policy by `i % 3`, hub-attached as
+/// `"throughput-{i}"`.
 fn fleet_session(i: usize, pool: &Pool) -> Diagnoser<'_> {
     let session = match i % 4 {
         0 => Diagnoser::cached(&Hypercube::new(7)),
@@ -221,40 +241,38 @@ pub fn run_throughput(quick: bool) -> ThroughputRecord {
     }
 }
 
-/// Time one small-instance diagnosis bare (no tracing, on a bare pool)
-/// and fully instrumented (tracing session, hub attachment, on a profiled
-/// pool of the same width), and apply the sweep's own `no_regression`
+/// Time one small-instance diagnosis bare (no tracing) and fully
+/// instrumented (tracing session, hub attachment), and apply the overhead
 /// verdict to the two floors.
 ///
-/// The legs run as the sweep's interleaved floors: drift from a busy
-/// sibling (other tests, another fleet) lands on both legs, and while the
-/// verdict fails, further pairs tighten both floors, so only a genuinely
-/// slower instrumented path still fails.
+/// The legs run in interleaved pairs (bare, instrumented, bare, …), so
+/// drift from a busy sibling (other tests, another fleet) lands on both
+/// legs. After [`TIMING_REPS`] pairs the loop stops as soon as the
+/// verdict holds; while it fails, further pairs (up to
+/// `MAX_FLOOR_PAIRS`) only tighten both floors toward the true ones, so a
+/// genuinely slower instrumented path still fails and only a
+/// preemption-spiked sample converges back to parity.
 pub fn overhead_guard() -> OverheadGuard {
     let g = Hypercube::new(7);
     let faults = scatter_faults(128, 3, 0xBEEF);
     let expected = faults.members().to_vec();
     let s = OracleSyndrome::new(faults, TesterBehavior::AllZero);
-    let threads = mmdiag_exec::default_threads();
+    let bare = Diagnoser::new(&g);
+    let instrumented = Diagnoser::new(&g).stats("overhead-guard");
 
-    let bare_pool = Pool::new(threads);
-    let bare = Diagnoser::new(&g).pooled_on(&bare_pool);
-    let profiled_pool = Pool::new_profiled(threads, Arc::new(SyncStats::new()));
-    let instrumented = Diagnoser::new(&g)
-        .pooled_on(&profiled_pool)
-        .stats("overhead-guard");
-
-    let (bare_nanos, instrumented_nanos) = interleaved_floors(
-        TIMING_REPS,
-        MAX_FLOOR_PAIRS,
-        || timed_run(&bare, &s, &expected),
-        || timed_run(&instrumented, &s, &expected),
-    );
+    let (mut bare_nanos, mut instrumented_nanos) = (u128::MAX, u128::MAX);
+    for pair in 0..MAX_FLOOR_PAIRS {
+        if pair >= TIMING_REPS && within_tolerance(instrumented_nanos, bare_nanos) {
+            break;
+        }
+        bare_nanos = bare_nanos.min(timed_run(&bare, &s, &expected));
+        instrumented_nanos = instrumented_nanos.min(timed_run(&instrumented, &s, &expected));
+    }
 
     OverheadGuard {
         bare_nanos,
         instrumented_nanos,
-        within_tolerance: within_regression_tolerance(instrumented_nanos, bare_nanos),
+        within_tolerance: within_tolerance(instrumented_nanos, bare_nanos),
     }
 }
 
@@ -298,8 +316,8 @@ mod tests {
         assert_eq!(rec.disagreements, 0, "fleet diagnoses all agree");
         assert!(rec.diagnoses_per_sec > 0.0);
         assert_eq!(rec.latency_ns.count, (rec.sessions * rec.rounds * 3) as u64);
-        // The fleet pool profiles its own queues: the pooled backend takes
-        // the injector lock at least once per diagnosis.
+        // The fleet pool profiles its own queues: every session's batched
+        // submission takes its injector lock.
         assert!(rec.lock_wait_ns.count > 0, "lock-wait histogram populated");
     }
 }

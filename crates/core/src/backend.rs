@@ -1,25 +1,27 @@
-//! Execution policy: one diagnosis algorithm, pluggable execution.
+//! Execution policy: a batch setting.
 //!
 //! Every run is the same in-order probe scan on the calling thread
-//! followed by one growth loop on the same thread (`crate::session`). A
-//! pool has one job, and this module decides when it gets it: a pooled
-//! `run_batch` spreads whole runs over the pool's workers.
+//! followed by one growth loop on the same thread (`crate::session`), and
+//! no single run takes a policy. A pool has one job, and this module
+//! decides when it gets it: a pooled `run_batch` spreads whole runs over
+//! the pool's workers.
 //!
 //! The pieces:
 //!
 //! * [`BackendPolicy`] — sequential, a given [`mmdiag_exec::Pool`], or
-//!   size-directed auto;
+//!   size-directed auto, deciding whether a batch fans out;
 //! * [`Cutovers`] — the node count the auto rule resolves against. It
 //!   rides on each run's [`SessionOptions`](crate::SessionOptions), so two
-//!   sessions in one process can hold different cutovers and no run reads
-//!   a mutable process global;
+//!   sessions in one process can hold different cutovers and no batch
+//!   reads a mutable process global;
 //! * [`WorkspacePool`] — `O(N)` scratch pooled **per worker**, so batched
-//!   submissions reuse one allocation per worker instead of one per call.
+//!   submissions reuse one allocation per worker instead of one per call,
+//!   plus one caller slot that single runs reuse.
 //!
-//! Determinism: every policy probes the same parts in the same order and
-//! grows the same layers, so the [`Diagnosis`](crate::Diagnosis) is
-//! bit-identical across policies, the accounting fields
-//! ([`Diagnosis::probes`](crate::Diagnosis::probes),
+//! Determinism: a batch job probes the same parts in the same order and
+//! grows the same layers as a single run, so the
+//! [`Diagnosis`](crate::Diagnosis) is bit-identical across policies, the
+//! accounting fields ([`Diagnosis::probes`](crate::Diagnosis::probes),
 //! [`Diagnosis::lookups_used`](crate::Diagnosis::lookups_used)) included.
 //! The one exception is lookup accounting in a pooled batch whose jobs
 //! share a source (see [`run_batch`](crate::session::run_batch)).
@@ -28,22 +30,22 @@ use crate::set_builder::Workspace;
 use mmdiag_exec::sync::{Arc, Mutex};
 use mmdiag_exec::{Pool, SyncStats};
 
-/// Default node count below which [`BackendPolicy::Auto`] stays
-/// sequential.
+/// Default node count below which a [`BackendPolicy::Auto`] batch runs in
+/// order on the calling thread.
 ///
-/// A single auto run executes on the calling thread either way; what
-/// this threshold gates is the fan-out of batched submissions. Below ~1k
-/// nodes a whole diagnosis is tens of microseconds — under the pool's
-/// dispatch overhead (`BENCH_1.json`/`BENCH_2.json`).
+/// It gates only the fan-out of batched submissions; a single run never
+/// touches a pool. Below ~1k nodes a whole diagnosis is tens of
+/// microseconds — under the pool's dispatch overhead
+/// (`BENCH_1.json`/`BENCH_2.json`).
 pub const SEQUENTIAL_CUTOVER_NODES: usize = 1024;
 
-/// The node-count threshold a session run resolves its execution against.
-/// A plain value carried by [`SessionOptions`](crate::SessionOptions) — set
-/// it per run instead of mutating anything process-wide.
+/// The node-count threshold a batch resolves its fan-out against. A plain
+/// value carried by [`SessionOptions`](crate::SessionOptions) — set it per
+/// run instead of mutating anything process-wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cutovers {
-    /// Below this many nodes [`BackendPolicy::Auto`] runs sequentially;
-    /// at or above it, on the process-wide pool.
+    /// Below this many nodes a [`BackendPolicy::Auto`] batch runs in
+    /// order; at or above it, it fans out over the process-wide pool.
     pub sequential: usize,
 }
 
@@ -59,13 +61,13 @@ impl Default for Cutovers {
     }
 }
 
-/// How a session run executes.
+/// How a batch executes. Single runs take no policy: each one runs on
+/// the calling thread.
 #[derive(Clone, Copy)]
 pub enum BackendPolicy<'p> {
-    /// Everything on the calling thread; no pool at all.
+    /// Batch jobs run in order on the calling thread; no pool at all.
     Sequential,
-    /// The given pool, for the fan-out of batched submissions; a single
-    /// run still executes on the calling thread.
+    /// Batch jobs fan out over the given pool, one whole run per job.
     Pooled(&'p Pool),
     /// Sequential below [`Cutovers::sequential`], else pooled on the
     /// process-wide [`mmdiag_exec::global`] pool.
@@ -73,9 +75,9 @@ pub enum BackendPolicy<'p> {
 }
 
 impl<'p> BackendPolicy<'p> {
-    /// The pool this policy runs an instance of `nodes` nodes on, or
-    /// `None` for the sequential scan. Only a pooled resolution touches
-    /// (and so spawns) the global pool.
+    /// The pool a batch on an instance of `nodes` nodes fans out over, or
+    /// `None` for jobs in order on the calling thread. Only a pooled
+    /// resolution touches (and so spawns) the global pool.
     pub fn resolve(&self, nodes: usize, cutovers: &Cutovers) -> Option<&'p Pool> {
         match *self {
             BackendPolicy::Sequential => None,
@@ -84,9 +86,9 @@ impl<'p> BackendPolicy<'p> {
         }
     }
 
-    /// The backend label (`"sequential"` / `"pooled"`) this policy
-    /// resolves to for an instance of `nodes` nodes under the default
-    /// [`Cutovers`]. Never spawns a pool.
+    /// The batch fan-out decision for an instance of `nodes` nodes under
+    /// the default [`Cutovers`]: `"pooled"` when a batch fans out, else
+    /// `"sequential"`. Never spawns a pool.
     pub fn label_for(&self, nodes: usize) -> &'static str {
         let pooled = match *self {
             BackendPolicy::Sequential => false,
@@ -102,7 +104,7 @@ impl<'p> BackendPolicy<'p> {
 }
 
 /// A small pool of [`Workspace`]s keyed by pool worker index, plus one
-/// overflow slot for non-worker threads (where single runs take theirs).
+/// caller slot for non-worker threads (the one every single run reuses).
 /// Each slot is created lazily on first checkout, so a batch of `k`
 /// submissions on a `w`-worker pool allocates at most `min(k, w + 1)`
 /// workspaces no matter how large `k` gets — the amortisation that makes
@@ -128,13 +130,18 @@ impl WorkspacePool {
         WorkspacePool::with_stats(nodes, pool.threads(), pool.contention().cloned())
     }
 
-    /// Workspace pool for runs that resolved to `pool`
-    /// ([`BackendPolicy::resolve`]): [`WorkspacePool::for_pool`], or a
-    /// single slot for sequential runs.
-    pub fn for_run(nodes: usize, pool: Option<&Pool>) -> Self {
-        match pool {
-            Some(pool) => WorkspacePool::for_pool(nodes, pool),
-            None => WorkspacePool::new(nodes, 0),
+    /// Workspace pool for a session under `policy`, shaped for the pool
+    /// its batches would fan out on without spawning that pool: a given
+    /// pool's [`WorkspacePool::for_pool`], [`mmdiag_exec::default_threads`]
+    /// slots (the global pool's width) where `Auto` would fan out, else
+    /// the caller slot alone.
+    pub fn for_policy(nodes: usize, policy: &BackendPolicy<'_>, cutovers: &Cutovers) -> Self {
+        match *policy {
+            BackendPolicy::Pooled(pool) => WorkspacePool::for_pool(nodes, pool),
+            BackendPolicy::Auto if nodes >= cutovers.sequential => {
+                WorkspacePool::new(nodes, mmdiag_exec::default_threads())
+            }
+            _ => WorkspacePool::new(nodes, 0),
         }
     }
 
@@ -154,7 +161,7 @@ impl WorkspacePool {
         }
     }
 
-    /// Run `f` with the workspace slot of `worker` (or the overflow slot
+    /// Run `f` with the workspace slot of `worker` (or the caller slot
     /// for `None`), creating the workspace on first use.
     pub fn with<R>(&self, worker: Option<usize>, f: impl FnOnce(&mut Workspace) -> R) -> R {
         let mut guard = self.slots[self.slot_index(worker)].lock().unwrap();
@@ -202,6 +209,22 @@ mod tests {
     }
 
     #[test]
+    fn workspace_pools_take_the_shape_of_the_batch_fan_out() {
+        let cut = Cutovers { sequential: 512 };
+        let slots = |policy: BackendPolicy<'_>, nodes: usize| {
+            WorkspacePool::for_policy(nodes, &policy, &cut).slots.len()
+        };
+        let pool = Pool::new(3);
+        assert_eq!(slots(BackendPolicy::Sequential, 1 << 20), 1);
+        assert_eq!(slots(BackendPolicy::Pooled(&pool), 8), 4);
+        assert_eq!(slots(BackendPolicy::Auto, 511), 1);
+        assert_eq!(
+            slots(BackendPolicy::Auto, 512),
+            mmdiag_exec::default_threads() + 1
+        );
+    }
+
+    #[test]
     fn workspace_pool_reuses_slots() {
         let wsp = WorkspacePool::new(64, 2);
         // Same slot twice: the workspace persists (epoch-stamped reuse is
@@ -215,7 +238,7 @@ mod tests {
         wsp.with(None, |ws| {
             let _ = ws;
         });
-        // Out-of-range worker index falls back to the overflow slot rather
+        // Out-of-range worker index falls back to the caller slot rather
         // than panicking.
         wsp.with(Some(99), |ws| {
             let _ = ws;

@@ -14,16 +14,17 @@
 //!   per-phase telemetry, the §4.1 certificate artifact, batch
 //!   submissions (the substrate of the umbrella crate's
 //!   `mmdiag::Diagnoser` front door);
-//! * [`backend`] — execution policy: every run executes on the calling
-//!   thread, and batches run sequentially, fan out over a worker pool, or
-//!   choose by size ([`BackendPolicy`], against per-run [`Cutovers`]).
+//! * [`backend`] — execution policy, a batch setting: every run executes
+//!   on the calling thread, and batches run in order, fan out over a
+//!   worker pool, or choose by size ([`BackendPolicy`], against per-run
+//!   [`Cutovers`]).
 //!
 //! One session run returns the full [`session::DiagnosisReport`] — the
 //! classic [`Diagnosis`] plus the certificate and per-phase telemetry:
 //!
 //! ```
 //! use mmdiag_core::session::run_with;
-//! use mmdiag_core::{BackendPolicy, SessionOptions};
+//! use mmdiag_core::SessionOptions;
 //! use mmdiag_syndrome::{FaultSet, OracleSyndrome, TesterBehavior};
 //! use mmdiag_topology::families::Hypercube;
 //!
@@ -32,14 +33,8 @@
 //! let faults = FaultSet::new(128, &[3, 64, 90]);
 //! let syndrome = OracleSyndrome::new(faults, TesterBehavior::Random { seed: 1 });
 //!
-//! let report = run_with(
-//!     &g,
-//!     &syndrome,
-//!     BackendPolicy::Sequential,
-//!     &SessionOptions::default(),
-//!     None,
-//! )
-//! .unwrap();
+//! // No workspace pool given: the run takes a transient workspace.
+//! let report = run_with(&g, &syndrome, &SessionOptions::default(), None).unwrap();
 //! assert_eq!(report.diagnosis.faults, vec![3, 64, 90]);
 //! // The certificate is the restricted probe tree that certified.
 //! assert_eq!(report.certificate.part, report.diagnosis.certified_part);

@@ -2,32 +2,35 @@
 //! implementation of the Theorem-1 driver, and the substrate of the
 //! umbrella crate's `mmdiag::Diagnoser` front door.
 //!
-//! * [`run_with`] / [`run_batch`] — one run (or one batch of syndromes)
-//!   under a [`BackendPolicy`], resolved per instance against the run's
-//!   [`Cutovers`];
-//! * [`run_sequential`] — the same run with no `Sync` bounds and no pool
-//!   (what [`crate::diagnose`] wraps);
+//! * [`run_with`] — one run on the calling thread, in the caller slot of
+//!   a session's [`WorkspacePool`]; [`run_sequential`] is the same run in
+//!   a transient workspace (what [`crate::diagnose`] wraps). Neither takes
+//!   a policy;
+//! * [`run_batch`] — one batch of syndromes under a [`BackendPolicy`],
+//!   resolved per instance against the run's [`Cutovers`]: in order on
+//!   the calling thread, or fanned out over a pool;
 //! * [`probe_part`] / [`grow_from_certificate`] — the two halves of the
 //!   scan as first-class steps, for callers that keep per-part state
 //!   across runs (the epoch monitor);
 //! * [`DiagnosisReport`] — the [`Diagnosis`] plus the §4.1
 //!   [`Certificate`] (the restricted probe tree that proved the seed part
 //!   all-healthy), per-phase [`PhaseTelemetry`] (probe/certify/grow wall
-//!   times and lookup counts, growth round by round), the resolved
-//!   backend label, and a [`VerificationVerdict`] slot the umbrella
-//!   session fills from its verification policy.
+//!   times and lookup counts, growth round by round), the backend label
+//!   (`"pooled"` only for a batch job that ran on a pool worker), and a
+//!   [`VerificationVerdict`] slot the umbrella session fills from its
+//!   verification policy.
 //!
-//! Every entry point runs one function on the calling thread: the
-//! in-order probe scan on its workspace slot, then one growth loop. A
-//! pool's only job is [`run_batch`]'s fan-out of whole runs.
+//! Every entry point runs one function: the in-order probe scan on a
+//! workspace slot, then one growth loop, on the thread that runs the job.
+//! A pool's only job is [`run_batch`]'s fan-out of whole runs.
 //!
-//! **Determinism contract**: every backend probes the same parts in the
-//! same order and grows the same layers, so a report is bit-identical
-//! across backends — faults, certificate, healthy set, spanning tree and
-//! the accounting (`probes`, `lookups_used`, the phase lookups and every
-//! round's frontier, acceptances and lookups). Only wall times differ,
-//! and, in a pooled [`run_batch`] whose jobs share one source, the
-//! accounting (see there). The phase
+//! **Determinism contract**: a batch job probes the same parts in the
+//! same order and grows the same layers as a single run, so a report is
+//! bit-identical across policies — faults, certificate, healthy set,
+//! spanning tree and the accounting (`probes`, `lookups_used`, the phase
+//! lookups and every round's frontier, acceptances and lookups). Only
+//! wall times differ, and, in a pooled [`run_batch`] whose jobs share one
+//! source, the accounting (see there). The phase
 //! instrumentation is a handful of monotonic-clock reads per growth round
 //! (through the `mmdiag_trace::clock` door) — it consults no extra
 //! syndrome entries.
@@ -42,7 +45,6 @@ use crate::driver::{Diagnosis, DiagnosisError};
 use crate::grow::grow_and_sweep;
 use crate::set_builder::{set_builder_in_part, SetBuilderOutcome, Workspace};
 use crate::tree::SpanningTree;
-use mmdiag_exec::Pool;
 use mmdiag_syndrome::SyndromeSource;
 use mmdiag_topology::{NodeId, Partitionable, Topology};
 use mmdiag_trace::{checked_delta, Tracer, CAT_PHASE, PHASE_CERTIFY, PHASE_GROW, PHASE_PROBE};
@@ -84,7 +86,7 @@ impl Certificate {
 /// Wall time and lookup accounting per driver phase. Timings are
 /// monotonic-clock nanoseconds around the phase; lookups are deltas of
 /// the source's counter (the same accounting as
-/// `Diagnosis::lookups_used`), identical across backends.
+/// `Diagnosis::lookups_used`), identical across batch policies.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseTelemetry {
     /// Restricted probe scan (parts probed in order until one certifies).
@@ -99,9 +101,9 @@ pub struct PhaseTelemetry {
     /// Syndrome entries consulted by the growth phase (the sweep reads
     /// adjacency only).
     pub grow_lookups: u64,
-    /// Per-layer breakdown of the growth phase, one round per layer on
-    /// every backend, all grown on the calling thread (empty only for the
-    /// epoch monitor's reports). Round lookups partition
+    /// Per-layer breakdown of the growth phase, one round per layer, all
+    /// grown on the thread that runs the job (empty only for the epoch
+    /// monitor's reports). Round lookups partition
     /// [`PhaseTelemetry::grow_lookups`] exactly; round times nest inside
     /// [`PhaseTelemetry::grow_nanos`].
     pub grow_rounds: Vec<GrowRound>,
@@ -109,7 +111,7 @@ pub struct PhaseTelemetry {
 
 /// One layer of the growth phase (each round is also a `grow.round`
 /// trace span nested inside the `grow` phase span). Everything but
-/// `nanos` is the same on every backend.
+/// `nanos` is the same under every batch policy.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GrowRound {
     /// Nodes scanned as this round's frontier.
@@ -128,7 +130,7 @@ pub struct GrowRound {
 
 impl GrowRound {
     /// `(frontier, accepted, lookups)` of every round: the part of the
-    /// growth telemetry every backend agrees on.
+    /// growth telemetry every batch policy agrees on.
     pub fn shapes(rounds: &[GrowRound]) -> Vec<(usize, usize, u64)> {
         rounds
             .iter()
@@ -208,10 +210,9 @@ impl VerificationVerdict {
 }
 
 /// Everything one session run produced: the classic [`Diagnosis`], the
-/// §4.1 certificate, per-phase telemetry,
-/// the resolved backend, and the verification verdict (filled by the
-/// umbrella `Diagnoser`; [`VerificationVerdict::Unverified`] at this
-/// layer).
+/// §4.1 certificate, per-phase telemetry, the backend label and the
+/// verification verdict (filled by the umbrella `Diagnoser`;
+/// [`VerificationVerdict::Unverified`] at this layer).
 #[derive(Clone, Debug)]
 pub struct DiagnosisReport {
     /// The diagnosis — identical to what [`crate::diagnose`] returns.
@@ -220,13 +221,14 @@ pub struct DiagnosisReport {
     pub certificate: Certificate,
     /// Per-phase wall times and lookup counts.
     pub telemetry: PhaseTelemetry,
-    /// `"sequential"` or `"pooled"` — the backend the policy resolved to.
+    /// `"pooled"` for a batch job that ran on a pool worker, else
+    /// `"sequential"`: every single run is `"sequential"`.
     pub backend: &'static str,
     /// The verification policy's conclusion.
     pub verification: VerificationVerdict,
 }
 
-/// Per-run session knobs besides the backend policy.
+/// Per-run session knobs.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct SessionOptions {
@@ -236,8 +238,8 @@ pub struct SessionOptions {
     /// Run §5's decomposition precondition check first (off for
     /// borderline instances run with an explicit bound).
     pub check_preconditions: bool,
-    /// The threshold [`BackendPolicy::Auto`] resolves against — per run,
-    /// never a process global.
+    /// The threshold a [`BackendPolicy::Auto`] batch resolves against —
+    /// per run, never a process global.
     pub cutovers: Cutovers,
     /// Where phase spans are recorded. The default is the disabled
     /// tracer (a cloneable `None` handle — recording costs one `Option`
@@ -411,23 +413,22 @@ where
     })
 }
 
-/// One run on the workspace slot of the calling thread, labelled by the
-/// pool the policy resolved to.
-fn run_on<T, S>(
+/// One run in the workspace slot of `worker` (the caller slot for
+/// `None`), labelled `"pooled"` exactly when it ran on a pool worker.
+fn run_in_slot<T, S>(
     g: &T,
     s: &S,
     fault_bound: usize,
     opts: &SessionOptions,
     wsp: &WorkspacePool,
-    pool: Option<&Pool>,
+    worker: Option<usize>,
 ) -> Result<DiagnosisReport, DiagnosisError>
 where
     T: Partitionable + ?Sized,
     S: SyndromeSource + ?Sized,
 {
-    let slot = pool.and_then(Pool::worker_index);
-    let mut report = wsp.with(slot, |ws| run_in_ws(g, s, fault_bound, &opts.tracer, ws))?;
-    if pool.is_some() {
+    let mut report = wsp.with(worker, |ws| run_in_ws(g, s, fault_bound, &opts.tracer, ws))?;
+    if worker.is_some() {
         report.backend = "pooled";
     }
     Ok(report)
@@ -445,7 +446,7 @@ where
     Ok(opts.fault_bound.unwrap_or_else(|| g.driver_fault_bound()))
 }
 
-/// The sequential session run with a transient workspace.
+/// [`run_with`] in a transient workspace.
 pub fn run_sequential<T, S>(
     g: &T,
     s: &S,
@@ -455,47 +456,45 @@ where
     T: Partitionable + ?Sized,
     S: SyndromeSource + ?Sized,
 {
-    let bound = checked_bound(g, opts)?;
-    let mut ws = Workspace::new(g.node_count());
-    run_in_ws(g, s, bound, &opts.tracer, &mut ws)
+    run_with(g, s, opts, None)
 }
 
-/// One policy-dispatched session run — what the umbrella `Diagnoser`
-/// calls. Preconditions (unless disabled), bound resolution, backend
-/// resolution by instance size against `opts.cutovers`, then the
-/// canonical probe → certify → grow pipeline with phase telemetry, on
-/// `ws_pool` (or a transient workspace pool shaped for the resolved pool).
+/// One session run — what the umbrella `Diagnoser::run` calls.
+/// Preconditions (unless disabled), bound resolution, then the canonical
+/// probe → certify → grow pipeline with phase telemetry, on the calling
+/// thread, in the caller slot of `ws_pool` (or a transient workspace).
+/// The report is labelled `"sequential"`.
 pub fn run_with<T, S>(
     g: &T,
     s: &S,
-    policy: BackendPolicy<'_>,
     opts: &SessionOptions,
     ws_pool: Option<&WorkspacePool>,
 ) -> Result<DiagnosisReport, DiagnosisError>
 where
-    T: Partitionable + Sync + ?Sized,
-    S: SyndromeSource + Sync + ?Sized,
+    T: Partitionable + ?Sized,
+    S: SyndromeSource + ?Sized,
 {
     let bound = checked_bound(g, opts)?;
-    let pool = policy.resolve(g.node_count(), &opts.cutovers);
-    let owned;
-    let wsp = match ws_pool {
-        Some(wsp) => wsp,
-        None => {
-            owned = WorkspacePool::for_run(g.node_count(), pool);
-            &owned
-        }
-    };
-    run_on(g, s, bound, opts, wsp, pool)
+    match ws_pool {
+        Some(wsp) => run_in_slot(g, s, bound, opts, wsp, None),
+        None => run_in_ws(
+            g,
+            s,
+            bound,
+            &opts.tracer,
+            &mut Workspace::new(g.node_count()),
+        ),
+    }
 }
 
 /// Evaluate many syndromes against one instance in a single session
 /// submission — what the umbrella `Diagnoser::submit_batch` calls.
 ///
-/// Sequential resolution: one reused workspace slot, syndromes in order.
-/// Pooled resolution: syndromes fan out over the pool, each run whole
-/// inside one task on that worker's workspace slot. Results come back
-/// **in input order** and are bit-identical to one-at-a-time runs.
+/// Sequential resolution: the caller slot, syndromes in order. Pooled
+/// resolution: syndromes fan out over the pool, each run whole inside one
+/// task on that worker's workspace slot and labelled `"pooled"`. Results
+/// come back **in input order** and are bit-identical to one-at-a-time
+/// runs.
 ///
 /// The accounting (`lookups_used`, the phase and round lookups) is read
 /// off the source's own counter, so it is exact only when every job has
@@ -517,20 +516,21 @@ where
         Ok(bound) => bound,
         Err(e) => return syndromes.iter().map(|_| Err(e.clone())).collect(),
     };
-    let pool = policy.resolve(g.node_count(), &opts.cutovers);
     let owned;
     let wsp = match ws_pool {
         Some(wsp) => wsp,
         None => {
-            owned = WorkspacePool::for_run(g.node_count(), pool);
+            owned = WorkspacePool::for_policy(g.node_count(), &policy, &opts.cutovers);
             &owned
         }
     };
-    match pool {
-        Some(pool) => pool.map(syndromes, |_, s| run_on(g, s, bound, opts, wsp, Some(pool))),
+    match policy.resolve(g.node_count(), &opts.cutovers) {
+        Some(pool) => pool.map(syndromes, |_, s| {
+            run_in_slot(g, s, bound, opts, wsp, pool.worker_index())
+        }),
         None => syndromes
             .iter()
-            .map(|s| run_on(g, s, bound, opts, wsp, None))
+            .map(|s| run_in_slot(g, s, bound, opts, wsp, None))
             .collect(),
     }
 }
@@ -539,6 +539,7 @@ where
 mod tests {
     use super::*;
     use crate::driver::diagnose;
+    use mmdiag_exec::Pool;
     use mmdiag_syndrome::{FaultSet, OracleSyndrome, TesterBehavior};
     use mmdiag_topology::families::Hypercube;
 
@@ -579,33 +580,8 @@ mod tests {
     }
 
     #[test]
-    fn pooled_report_matches_sequential_semantics_and_captures_certificate() {
-        let g = Hypercube::new(7);
-        let s = OracleSyndrome::new(FaultSet::new(128, &[5, 70, 101]), TesterBehavior::AllZero);
-        let seq = run_sequential(&g, &s, &SessionOptions::default()).unwrap();
-        let pool = Pool::new(4);
-        s.reset_lookups();
-        let opts = SessionOptions::default();
-        let par = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
-        // The same in-order scan on every backend: the accounting agrees.
-        assert_eq!(par.diagnosis, seq.diagnosis);
-        assert_eq!(par.telemetry.probe_lookups, seq.telemetry.probe_lookups);
-        // The certificate equals the sequential one bit for bit: the
-        // restricted probe at a given part is deterministic.
-        assert_eq!(par.certificate.part, seq.certificate.part);
-        assert_eq!(
-            par.certificate.representative,
-            seq.certificate.representative
-        );
-        assert_eq!(par.certificate.contributors, seq.certificate.contributors);
-        assert_eq!(par.certificate.rounds, seq.certificate.rounds);
-        assert_eq!(par.certificate.tree.edges(), seq.certificate.tree.edges());
-        assert_eq!(par.backend, "pooled");
-    }
-
-    #[test]
     fn traced_sequential_run_agrees_with_telemetry_exactly() {
-        use mmdiag_trace::{TraceConfig, TraceSummary};
+        use mmdiag_trace::{TraceConfig, TraceSummary, PHASE_GROW_ROUND};
         let g = Hypercube::new(7);
         let s = OracleSyndrome::new(
             FaultSet::new(128, &[3, 64, 90]),
@@ -623,113 +599,33 @@ mod tests {
         assert_eq!(summary.grow_nanos, report.telemetry.grow_nanos);
         assert_eq!(summary.probe_lookups, report.telemetry.probe_lookups);
         assert_eq!(summary.grow_lookups, report.telemetry.grow_lookups);
+        // Per-round telemetry partitions the grow lookups exactly.
         let rounds = &report.telemetry.grow_rounds;
         assert!(!rounds.is_empty(), "a sequential growth records its rounds");
         assert!(rounds.iter().all(|r| !r.parallel));
         assert_eq!(
-            summary.value_sum(mmdiag_trace::PHASE_GROW_ROUND),
+            rounds.iter().map(|r| r.lookups).sum::<u64>(),
             report.telemetry.grow_lookups
         );
+        assert_eq!(rounds[0].frontier, 1, "round 0 is the level-1 seed scan");
+        assert_eq!(
+            rounds.iter().map(|r| r.accepted).sum::<usize>() + 1,
+            report.diagnosis.healthy_count,
+            "accepted nodes across rounds + the seed = |U_r|"
+        );
+        // The grow.round spans' value attributes sum to the grow lookups,
+        // and their time nests inside the grow phase span.
+        assert_eq!(
+            summary.value_sum(PHASE_GROW_ROUND),
+            report.telemetry.grow_lookups
+        );
+        assert!(summary.total_ns(PHASE_GROW_ROUND) <= summary.grow_nanos);
         assert_eq!(
             summary.span_count,
             3 + rounds.len(),
             "one span per phase and per growth round"
         );
         assert_eq!(summary.dropped, 0);
-    }
-
-    #[test]
-    fn traced_pooled_run_agrees_with_telemetry_exactly() {
-        use mmdiag_trace::{TraceConfig, TraceSummary};
-        let g = Hypercube::new(7);
-        let s = OracleSyndrome::new(FaultSet::new(128, &[5, 70, 101]), TesterBehavior::AllZero);
-        let pool = Pool::new(4);
-        let opts = SessionOptions {
-            tracer: Tracer::new(TraceConfig::default()),
-            ..SessionOptions::default()
-        };
-        let report = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
-        let tracer = &opts.tracer;
-        let summary = TraceSummary::from_events(&tracer.drain(), tracer.dropped());
-        assert_eq!(summary.probe_nanos, report.telemetry.probe_nanos);
-        assert_eq!(summary.certify_nanos, report.telemetry.certify_nanos);
-        assert_eq!(summary.grow_nanos, report.telemetry.grow_nanos);
-        assert_eq!(summary.probe_lookups, report.telemetry.probe_lookups);
-        assert_eq!(summary.grow_lookups, report.telemetry.grow_lookups);
-        assert_eq!(summary.span_count, 3 + report.telemetry.grow_rounds.len());
-    }
-
-    #[test]
-    fn pooled_growth_matches_sequential_and_traces_rounds() {
-        use mmdiag_topology::Cached;
-        use mmdiag_trace::{TraceConfig, TraceSummary, PHASE_GROW_ROUND};
-        let base = Hypercube::new(7);
-        let g = Cached::new(&base);
-        let s = OracleSyndrome::new(
-            FaultSet::new(128, &[3, 64, 90]),
-            TesterBehavior::Random { seed: 1 },
-        );
-        let seq = run_sequential(&g, &s, &SessionOptions::default()).unwrap();
-        let pool = Pool::new(4);
-        let opts = SessionOptions {
-            tracer: Tracer::new(TraceConfig::default()),
-            ..SessionOptions::default()
-        };
-        s.reset_lookups();
-        let par = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None).unwrap();
-        let tracer = &opts.tracer;
-        // Bit-identity with the sequential run, accounting included.
-        assert_eq!(par.diagnosis, seq.diagnosis);
-        assert_eq!(par.telemetry.grow_lookups, seq.telemetry.grow_lookups);
-        // Per-round telemetry: the same rounds as the sequential growth,
-        // partitioning the grow lookups exactly, all on the calling thread.
-        let rounds = &par.telemetry.grow_rounds;
-        assert_eq!(
-            GrowRound::shapes(rounds),
-            GrowRound::shapes(&seq.telemetry.grow_rounds)
-        );
-        assert!(rounds.iter().all(|r| !r.parallel));
-        assert_eq!(
-            rounds.iter().map(|r| r.lookups).sum::<u64>(),
-            par.telemetry.grow_lookups
-        );
-        assert_eq!(rounds[0].frontier, 1, "round 0 is the level-1 seed scan");
-        assert_eq!(
-            rounds.iter().map(|r| r.accepted).sum::<usize>() + 1,
-            par.diagnosis.healthy_count,
-            "accepted nodes across rounds + the seed = |U_r|"
-        );
-        // The trace agrees with the report exactly: the grow phase span is
-        // untouched by the nested grow.round spans, whose value attributes
-        // sum to the same lookup total and whose time nests inside it.
-        let summary = TraceSummary::from_events(&tracer.drain(), tracer.dropped());
-        assert_eq!(summary.grow_nanos, par.telemetry.grow_nanos);
-        assert_eq!(summary.grow_lookups, par.telemetry.grow_lookups);
-        assert_eq!(
-            summary.value_sum(PHASE_GROW_ROUND),
-            par.telemetry.grow_lookups
-        );
-        assert!(summary.total_ns(PHASE_GROW_ROUND) <= summary.grow_nanos);
-        assert_eq!(summary.span_count, 3 + rounds.len());
-    }
-
-    #[test]
-    fn single_worker_pool_equals_sequential_exactly() {
-        // Every backend probes parts in the sequential order, so even the
-        // accounting fields must match.
-        let g = Hypercube::new(7);
-        let f = FaultSet::new(128, &[3, 77, 90]);
-        let pool = Pool::new(1);
-        let opts = SessionOptions::default();
-        for b in [TesterBehavior::AllZero, TesterBehavior::Random { seed: 4 }] {
-            let s = OracleSyndrome::new(f.clone(), b);
-            let seq = diagnose(&g, &s).unwrap();
-            s.reset_lookups();
-            let par = run_with(&g, &s, BackendPolicy::Pooled(&pool), &opts, None)
-                .unwrap()
-                .diagnosis;
-            assert_eq!(par, seq);
-        }
     }
 
     /// A deliberately degenerate decomposition: zero parts, with the
@@ -772,14 +668,18 @@ mod tests {
         let s = OracleSyndrome::new(FaultSet::empty(4), TesterBehavior::AllZero);
         let pool = Pool::new(2);
         let opts = SessionOptions::default();
+        assert!(matches!(
+            run_with(&g, &s, &opts, None),
+            Err(DiagnosisError::NoPartCertified)
+        ));
         for policy in [
             BackendPolicy::Sequential,
             BackendPolicy::Pooled(&pool),
             BackendPolicy::Auto,
         ] {
             assert!(matches!(
-                run_with(&g, &s, policy, &opts, None),
-                Err(DiagnosisError::NoPartCertified)
+                run_batch(&g, &[&s], policy, &opts, None)[..],
+                [Err(DiagnosisError::NoPartCertified)]
             ));
         }
     }
@@ -806,7 +706,12 @@ mod tests {
         for (a, b) in seq.iter().zip(&par) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(a.diagnosis, b.diagnosis);
+            assert_eq!(a.certificate.contributors, b.certificate.contributors);
+            assert_eq!(a.certificate.rounds, b.certificate.rounds);
             assert_eq!(a.certificate.tree.edges(), b.certificate.tree.edges());
+            // The calling thread is no pool worker: every pooled job ran
+            // on one.
+            assert_eq!((a.backend, b.backend), ("sequential", "pooled"));
             assert_eq!(
                 a.telemetry.probe_lookups + a.telemetry.grow_lookups,
                 a.diagnosis.lookups_used

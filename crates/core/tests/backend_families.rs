@@ -3,18 +3,17 @@
 //!
 //! 1. **Exactness across pool sizes** — on all 14 §5 families, a batch of
 //!    four jobs (each with a source of its own) on pools of 1/2/4/8
-//!    workers and under the auto backend returns, per job, a report
+//!    workers and under the auto policy returns, per job, a report
 //!    identical to the sequential run's: every field of the diagnosis
 //!    (`probes` and `lookups_used` included), the phase lookups and every
-//!    growth round's frontier, acceptances and lookups.
+//!    growth round's frontier, acceptances and lookups. Each job reads
+//!    `"pooled"` exactly when the batch fanned out, since the calling
+//!    thread is no pool worker.
 //! 2. **Panic propagation** — a syndrome source that panics during one
 //!    job's growth unwinds out of the pooled batch into the caller, and
 //!    the pool completes a healthy batch afterwards.
-//! 3. **Auto never regresses sub-cutover** — below the run's
-//!    `Cutovers::sequential`, `BackendPolicy::Auto` routes to the
-//!    identical sequential code path and labels itself so.
 
-use mmdiag_core::session::{run_batch, run_sequential, run_with};
+use mmdiag_core::session::{run_batch, run_sequential};
 use mmdiag_core::{diagnose, BackendPolicy, DiagnosisReport, GrowRound, SessionOptions};
 use mmdiag_exec::Pool;
 use mmdiag_syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TestResult, TesterBehavior};
@@ -104,12 +103,15 @@ fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
             .map(|p| (format!("pooled x{}", p.threads()), BackendPolicy::Pooled(p)))
             .chain([("auto".to_string(), BackendPolicy::Auto)]);
         for (label, policy) in policies {
+            let fans_out = policy.resolve(n, &opts.cutovers).is_some();
+            let backend = if fans_out { "pooled" } else { "sequential" };
             let reports = run_batch(g, &sources(), policy, &opts, None);
             assert_eq!(reports.len(), jobs.len());
             for (i, (report, want)) in reports.iter().zip(&want).enumerate() {
                 let ctx = format!("{} {label} job {i} ({:?})", g.name(), jobs[i].1);
                 let report = report.as_ref().unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 assert_identical(report, want, &ctx);
+                assert_eq!(report.backend, backend, "{ctx}: label");
             }
         }
     }
@@ -171,35 +173,5 @@ fn syndrome_panic_unwinds_out_of_pooled_diagnosis() {
         let report = report.unwrap();
         assert_eq!(report.diagnosis.faults, vec![i]);
         assert_eq!(report.backend, "pooled");
-    }
-}
-
-#[test]
-fn auto_never_regresses_vs_sequential_below_cutover() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xA070_2026);
-    let opts = SessionOptions::default();
-    for g in families() {
-        let g = g.as_ref();
-        let n = g.node_count();
-        let faults = FaultSet::random(n, g.driver_fault_bound(), &mut rng);
-        let s = OracleSyndrome::new(faults, TesterBehavior::Random { seed: 7 });
-        let seq = diagnose(g, &s).unwrap();
-        s.reset_lookups();
-        let report = run_with(g, &s, BackendPolicy::Auto, &opts, None).unwrap();
-        let expected = if n >= opts.cutovers.sequential {
-            "pooled"
-        } else {
-            "sequential"
-        };
-        assert_eq!(report.backend, expected, "{}", g.name());
-        let auto = report.diagnosis;
-        // The same scan on either side of the cutover: identical result,
-        // accounting included.
-        assert_eq!(auto.faults, seq.faults, "{}", g.name());
-        assert_eq!(auto.certified_part, seq.certified_part, "{}", g.name());
-        assert_eq!(auto.probes, seq.probes, "{}", g.name());
-        assert_eq!(auto.lookups_used, seq.lookups_used, "{}", g.name());
-        assert_eq!(auto.healthy_count, seq.healthy_count, "{}", g.name());
-        assert_eq!(auto.tree.edges(), seq.tree.edges(), "{}", g.name());
     }
 }

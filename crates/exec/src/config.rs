@@ -38,8 +38,9 @@ pub struct Knobs {
     pub pool_threads: Option<usize>,
     /// `MMDIAG_CUTOVER` — operator pin for the default session cutover
     /// (`mmdiag_core::Cutovers::default().sequential`): the node count
-    /// below which the auto backend stays sequential. `None` when unset,
-    /// unparsable, or zero.
+    /// below which an auto batch runs in order instead of fanning out. It
+    /// gates only batch fan-out; single runs never use a pool. `None` when
+    /// unset, unparsable, or zero.
     pub cutover: Option<usize>,
     /// `MMDIAG_QUICK` — shrink every harness to its smoke subset. Set and
     /// non-empty and not `"0"` means `true`.

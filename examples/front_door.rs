@@ -1,6 +1,6 @@
 //! One front door, every policy: the same `Diagnoser` session diagnosing
-//! one instance in-process (sequential / auto), with verification riding
-//! the call, and as timestamped messages in the event simulator.
+//! one instance in-process, with verification riding the call, and as
+//! timestamped messages in the event simulator.
 //!
 //! Run: `cargo run --release --example front_door`
 
@@ -39,8 +39,9 @@ fn main() {
         report.certificate.tree.edges().len(),
     );
 
-    // 2. One builder call turns on the size-directed backend and the
-    //    sampled verification policy.
+    // 2. One builder call each turns on size-directed batch fan-out and
+    //    the sampled verification policy. The batch policy leaves a
+    //    single run on the calling thread.
     s.reset_lookups();
     let verified = Diagnoser::new(&g)
         .auto()
@@ -54,9 +55,8 @@ fn main() {
             agree,
             ..
         } => println!(
-            "auto ({}): sampled verification over {samples} nodes / {checked_tests} tests: \
-             agree = {agree}",
-            verified.backend
+            "verified (auto session, run on the calling thread): sampled verification over \
+             {samples} nodes / {checked_tests} tests: agree = {agree}"
         ),
         other => println!("unexpected verdict: {other:?}"),
     }

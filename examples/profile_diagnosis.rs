@@ -1,10 +1,9 @@
-//! Trace one Q_17 diagnosis end-to-end: an enabled session tracer, an
-//! instrumented pool, and the drained trace rolled back up into the same
-//! numbers the report carries — then the per-worker executor stats.
+//! Trace one Q_17 diagnosis end-to-end: an enabled session tracer and
+//! the drained trace rolled back up into the same numbers the report
+//! carries.
 //!
 //! Run: `cargo run --release --example profile_diagnosis`
 
-use mmdiag::exec::Pool;
 use mmdiag::syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
 use mmdiag::topology::Topology;
@@ -18,21 +17,16 @@ fn main() {
     let faults = FaultSet::new(n, &[3, 6_400, 90_000, 120_001]);
     let s = OracleSyndrome::new(faults, TesterBehavior::Random { seed: 17 });
 
-    // An instrumented pool counts per-worker tasks / steals / parks and
-    // buckets task run times regardless of MMDIAG_TRACE.
-    let pool = Pool::new_instrumented(4);
     let session = Diagnoser::new(&g)
-        .pooled_on(&pool)
         .trace(TraceConfig::default())
         .verify_sampled(2, 7);
 
     let report = session.run(&s).unwrap();
     println!(
-        "Q_17 ({} nodes): {} faults, certified part {}, backend {}",
+        "Q_17 ({} nodes): {} faults, certified part {}",
         n,
         report.diagnosis.faults.len(),
         report.diagnosis.certified_part,
-        report.backend,
     );
 
     // --- Phase summary from the drained trace. ---------------------------
@@ -72,26 +66,4 @@ fn main() {
             }
         }
     }
-
-    // --- Per-worker executor stats. --------------------------------------
-    let stats = pool.stats().expect("instrumented pool");
-    println!("\nworkers (tasks / steals / injector pops / parks):");
-    for (i, w) in stats.workers.iter().enumerate() {
-        println!(
-            "  w{i}: {:>4} tasks  {:>4} steals  {:>4} pops  {:>4} parks  \
-             run p50 {} ns  p99 {} ns",
-            w.tasks,
-            w.steals,
-            w.injector_pops,
-            w.parks,
-            w.run_ns.p50(),
-            w.run_ns.p99(),
-        );
-    }
-    let totals = stats.totals();
-    println!(
-        "  total: {} tasks, run-time histogram count {}",
-        totals.tasks, totals.run_ns.count
-    );
-    assert_eq!(totals.tasks, totals.run_ns.count, "every task timed");
 }

@@ -1,8 +1,9 @@
 //! Fleet observability in ~60 lines: several [`mmdiag::Diagnoser`]
 //! sessions on separate threads, each attached to the process-wide
-//! [`MetricsHub`] via [`Diagnoser::stats`], sharing one pool that
-//! profiles its own contention, with the `mmdiag-stats` sampler streaming
-//! merged hub deltas to stderr while the fleet runs.
+//! [`MetricsHub`] via [`Diagnoser::stats`], submitting their runs as
+//! batches to one shared pool that profiles its own contention, with the
+//! `mmdiag-stats` sampler streaming merged hub deltas to stderr while the
+//! fleet runs.
 //!
 //! ```text
 //! cargo run --example throughput_probe
@@ -14,7 +15,7 @@
 use mmdiag::syndrome::{OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
 use mmdiag::trace::{MetricValue, MetricsHub, MetricsRegistry};
-use mmdiag::{exec, Diagnoser};
+use mmdiag::{exec, BatchJob, Diagnoser};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,8 +55,11 @@ fn main() {
                     mmdiag::syndrome::FaultSet::new(128, &[3, 64, 90 + i as usize]),
                     TesterBehavior::Random { seed: 9 + i },
                 );
-                for _ in 0..4 {
-                    session.run(&s).expect("diagnosis succeeds");
+                // Four runs as one batch: the shared pool schedules them
+                // (a single `run` stays on the calling thread).
+                let jobs: Vec<BatchJob> = (0..4).map(|_| BatchJob::Source(&s)).collect();
+                for outcome in session.submit_batch(&jobs) {
+                    outcome.expect("diagnosis succeeds");
                 }
                 // The fleet view below reads the registries while the
                 // sessions are still attached.

@@ -10,7 +10,7 @@
 //! let s = OracleSyndrome::new(FaultSet::new(128, &[3, 64]), TesterBehavior::AllZero);
 //!
 //! // The default session is `diagnose` — one builder call per
-//! // policy turns on pooled execution, verification, or simulation.
+//! // policy turns on batch fan-out, verification, or simulation.
 //! let report = Diagnoser::new(&g).auto().verify_full().run(&s).unwrap();
 //! assert_eq!(report.diagnosis.faults, vec![3, 64]);
 //! assert!(report.verification.agreed_or_unverified());

@@ -10,10 +10,11 @@
 //!   [`mmdiag_syndrome::OnDemandOracle`]) through [`Diagnoser::run`], or
 //!   planted fault sets through [`Diagnoser::run_planted`] /
 //!   [`Diagnoser::run_streaming`];
-//! * **execution backend** — a [`BackendPolicy`] (sequential, a pool, or
+//! * **batch fan-out** — a [`BackendPolicy`] (sequential, a pool, or
 //!   size-directed auto against the default
-//!   [`Cutovers`](mmdiag_core::Cutovers)) — no process-wide setting
-//!   steers a run;
+//!   [`Cutovers`](mmdiag_core::Cutovers)) deciding whether
+//!   [`Diagnoser::submit_batch`] fans out. A single run takes no policy:
+//!   it runs on the calling thread and never spawns a pool;
 //! * **verification** — a [`VerificationPolicy`]: none, the seeded
 //!   sampled spot-check, or the full-table baseline — run as part of the
 //!   same call, its [`VerificationVerdict`] riding on the report;
@@ -27,7 +28,7 @@
 //! Underneath is one core run ([`mmdiag_core::session`]), so
 //! `Diagnoser::new(&g).run(&s)` is bit-identical to
 //! `mmdiag_core::diagnose(&g, &s)` — the workspace equivalence suite
-//! asserts exactly that across all fourteen families and every backend.
+//! asserts exactly that across all fourteen families and every policy.
 //!
 //! ```
 //! use mmdiag::Diagnoser;
@@ -122,7 +123,8 @@ pub enum VerificationPolicy {
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub enum RunMode {
-    /// The centralised driver on the configured execution backend.
+    /// The centralised driver: single runs on the calling thread,
+    /// batches under the session's batch policy.
     InProcess,
     /// The distributed protocol replayed event-by-event under the given
     /// latency model ([`mmdiag_distsim::simulate`]). Requires planted
@@ -270,7 +272,8 @@ pub struct Diagnoser<'g> {
     /// `MMDIAG_TRACE` knob.
     opts: SessionOptions,
     /// Lazily-built workspace pool shared by every call on this session,
-    /// so batches and repeated runs reuse their `O(N)` scratch.
+    /// so batches and repeated runs reuse their `O(N)` scratch: single
+    /// runs reuse its caller slot.
     ws: OnceLock<WorkspacePool>,
     /// The session's registration on the process-wide [`MetricsHub`],
     /// held so dropping the session detaches it ([`Diagnoser::stats`]).
@@ -279,7 +282,7 @@ pub struct Diagnoser<'g> {
 
 impl<'g> Diagnoser<'g> {
     /// A session over a borrowed topology, with defaults equivalent to
-    /// `diagnose`: sequential backend, preconditions checked, family
+    /// `diagnose`: sequential batches, preconditions checked, family
     /// fault bound, no verification, in-process.
     pub fn new(g: &'g (dyn Partitionable + Sync)) -> Self {
         Diagnoser::from_source(TopologySource::Borrowed(g))
@@ -319,24 +322,23 @@ impl<'g> Diagnoser<'g> {
         self.topology.view()
     }
 
-    // --- backend policy -------------------------------------------------
+    // --- batch policy ---------------------------------------------------
 
-    /// Set the execution backend policy explicitly.
+    /// Set the batch policy explicitly. Single runs ignore it.
     pub fn backend(mut self, policy: BackendPolicy<'g>) -> Self {
         self.backend = policy;
-        // The workspace pool is shaped for the backend's pool.
+        // The workspace pool is shaped for the policy's fan-out.
         self.ws = OnceLock::new();
         self
     }
 
-    /// Sequential in-order scan (the default).
+    /// Batches run in order on the calling thread (the default).
     pub fn sequential(self) -> Self {
         self.backend(BackendPolicy::Sequential)
     }
 
-    /// Pooled on the process-wide global pool: batched submissions fan
-    /// out over it. A single run always executes on the calling thread,
-    /// so its report equals a sequential run's.
+    /// Batches fan out over the process-wide global pool, which this call
+    /// spawns if it does not exist yet.
     pub fn pooled(self) -> Self {
         self.backend(BackendPolicy::Pooled(mmdiag_exec::global()))
     }
@@ -346,11 +348,10 @@ impl<'g> Diagnoser<'g> {
         self.backend(BackendPolicy::Pooled(pool))
     }
 
-    /// Size-directed: sequential below
-    /// [`Cutovers::sequential`](mmdiag_core::Cutovers::sequential), pooled
-    /// on the global pool at or above it. A single run always executes on
-    /// the calling thread, so its report equals a sequential run's; the
-    /// resolution decides only whether batches fan out.
+    /// Size-directed batches: in order below
+    /// [`Cutovers::sequential`](mmdiag_core::Cutovers::sequential), fanned
+    /// out over the global pool at or above it. Only such a batch spawns
+    /// the global pool.
     pub fn auto(self) -> Self {
         self.backend(BackendPolicy::Auto)
     }
@@ -481,17 +482,16 @@ impl<'g> Diagnoser<'g> {
     fn ws_pool(&self) -> &WorkspacePool {
         self.ws.get_or_init(|| {
             let n = self.topology.view().node_count();
-            // Shaped for the pool the runs resolve to; a sequential session
-            // spawns no pool and stays as thread-free as `diagnose`.
-            WorkspacePool::for_run(n, self.backend.resolve(n, &self.opts.cutovers))
+            WorkspacePool::for_policy(n, &self.backend, &self.opts.cutovers)
         })
     }
 
     // --- running --------------------------------------------------------
 
-    /// Diagnose a live syndrome source in-process, honouring the
-    /// session's backend and verification policies. The labelling is
-    /// bit-identical to `diagnose` under every backend policy.
+    /// Diagnose a live syndrome source in-process on the calling thread,
+    /// honouring the session's verification policy. The report is
+    /// bit-identical to `diagnose`'s and labelled `"sequential"` under
+    /// every batch policy; no pool is touched or spawned.
     ///
     /// Errors with [`DiagnosisError::Unsupported`] on a
     /// [`RunMode::Simulated`] session — an opaque source cannot be
@@ -499,7 +499,7 @@ impl<'g> Diagnoser<'g> {
     /// [`Diagnoser::simulate`] there.
     pub fn run<S>(&self, s: &S) -> Result<DiagnosisReport, DiagnosisError>
     where
-        S: SyndromeSource + Sync + ?Sized,
+        S: SyndromeSource + ?Sized,
     {
         if let RunMode::Simulated(_) = self.mode {
             return Err(DiagnosisError::Unsupported(
@@ -511,7 +511,7 @@ impl<'g> Diagnoser<'g> {
         }
         let g = self.topology.view();
         let start = s.lookups();
-        let run = session::run_with(g, s, self.backend, &self.opts, Some(self.ws_pool()));
+        let run = session::run_with(g, s, &self.opts, Some(self.ws_pool()));
         self.count_reads(checked_delta(s.lookups(), start));
         let mut report = run?;
         report.verification =
@@ -534,7 +534,7 @@ impl<'g> Diagnoser<'g> {
     /// any [`stats`](Diagnoser::stats) hub attachment) and honours its
     /// fault bound and precondition policy. The epoch loop itself is
     /// sequential — the monitor's whole point is to skip probes, not to
-    /// fan them out — so the backend policy does not apply.
+    /// fan them out — so the batch policy does not apply.
     ///
     /// Errors with [`DiagnosisError::Unsupported`] on a
     /// [`RunMode::Simulated`] session: the monitor consults a live
@@ -638,7 +638,7 @@ impl<'g> Diagnoser<'g> {
     }
 
     /// Evaluate many jobs against this session's instance in one
-    /// submission. Both run modes resolve the backend policy the same
+    /// submission. Both run modes resolve the batch policy the same
     /// way: jobs fan out over the resolved pool, or run in order on the
     /// calling thread when the policy resolves to none. In-process
     /// sessions reuse the session's workspace pool, so `k` jobs allocate

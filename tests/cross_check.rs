@@ -284,20 +284,19 @@ fn simulator_accepts_implicit_topologies() {
     assert_eq!(on_implicit.probes_until_certificate, drv.probes);
 }
 
-/// Every backend is exact: on every family and both representations,
-/// pooled runs on 1/2/4/8 workers and auto runs equal `diagnose` in every
-/// field of the diagnosis, `probes` and `lookups_used` included, and equal
-/// the sequential run's phase lookups and every growth round's frontier,
-/// acceptances and lookups. The implicit leg must additionally
-/// materialise nothing.
+/// A run is exact on both representations: on every family, `run_with`
+/// over the cached and over the implicit topology equals `diagnose` in
+/// every field of the diagnosis, `probes` and `lookups_used` included,
+/// and equals the sequential run's phase lookups and every growth round's
+/// frontier, acceptances and lookups. The implicit run must additionally
+/// materialise nothing. Batch policies are held to the same reports by
+/// the batch matrix in `crates/core/tests/backend_families.rs`.
 #[test]
 fn every_backend_is_bit_identical_on_both_representations() {
     use mmdiag::diagnosis::session::{run_sequential, run_with};
-    use mmdiag::diagnosis::{BackendPolicy, GrowRound, SessionOptions};
-    use mmdiag::exec::Pool;
+    use mmdiag::diagnosis::{GrowRound, SessionOptions};
     use mmdiag::implicit::MaterialisationGuard;
 
-    let pools: Vec<Pool> = [1usize, 2, 4, 8].into_iter().map(Pool::new).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(0xF207_71E6);
     let opts = SessionOptions::default();
     for (cached, implicit) in representation_pairs() {
@@ -311,48 +310,42 @@ fn every_backend_is_bit_identical_on_both_representations() {
                 .unwrap_or_else(|e| panic!("{}: diagnose: {e} ({b:?})", g.name()));
             assert_eq!(drv.faults, faults.members(), "{} {b:?}", g.name());
             let seq = run_sequential(&cached, &s, &opts).unwrap();
-            let policies = pools
-                .iter()
-                .map(|p| (format!("x{}", p.threads()), BackendPolicy::Pooled(p)))
-                .chain([("auto".to_string(), BackendPolicy::Auto)]);
-            for (policy_label, policy) in policies {
-                for (repr, par) in [
-                    ("cached", run_with(&cached, &s, policy, &opts, None)),
-                    ("implicit", {
-                        let guard = MaterialisationGuard::begin(g);
-                        let r = run_with(g, &s, policy, &opts, None);
-                        guard.assert_unchanged(&format!("{} {policy_label}", g.name()));
-                        r
-                    }),
-                ] {
-                    let ctx = format!("{} {repr} {policy_label} {b:?}", g.name());
-                    let par = par.unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    let d = &par.diagnosis;
-                    assert_eq!(*d, drv, "{ctx}");
-                    assert_eq!(
-                        par.telemetry.probe_lookups, seq.telemetry.probe_lookups,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        par.telemetry.grow_lookups, seq.telemetry.grow_lookups,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        GrowRound::shapes(&par.telemetry.grow_rounds),
-                        GrowRound::shapes(&seq.telemetry.grow_rounds),
-                        "{ctx}: growth rounds"
-                    );
-                    assert_eq!(
-                        par.telemetry
-                            .grow_rounds
-                            .iter()
-                            .map(|r| r.accepted)
-                            .sum::<usize>()
-                            + 1,
-                        d.healthy_count,
-                        "{ctx}: accepted-per-round sums to |U_r|"
-                    );
-                }
+            for (repr, run) in [
+                ("cached", run_with(&cached, &s, &opts, None)),
+                ("implicit", {
+                    let guard = MaterialisationGuard::begin(g);
+                    let r = run_with(g, &s, &opts, None);
+                    guard.assert_unchanged(&g.name());
+                    r
+                }),
+            ] {
+                let ctx = format!("{} {repr} {b:?}", g.name());
+                let run = run.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let d = &run.diagnosis;
+                assert_eq!(*d, drv, "{ctx}");
+                assert_eq!(
+                    run.telemetry.probe_lookups, seq.telemetry.probe_lookups,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    run.telemetry.grow_lookups, seq.telemetry.grow_lookups,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    GrowRound::shapes(&run.telemetry.grow_rounds),
+                    GrowRound::shapes(&seq.telemetry.grow_rounds),
+                    "{ctx}: growth rounds"
+                );
+                assert_eq!(
+                    run.telemetry
+                        .grow_rounds
+                        .iter()
+                        .map(|r| r.accepted)
+                        .sum::<usize>()
+                        + 1,
+                    d.healthy_count,
+                    "{ctx}: accepted-per-round sums to |U_r|"
+                );
             }
         }
     }

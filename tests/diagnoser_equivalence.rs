@@ -7,11 +7,13 @@
 //!   runs `run_sequential` / `run_with`): faults, certified part, probes,
 //!   healthy count, spanning tree and the exact lookup count. So is
 //!   `.unchecked_bound(b)` at the family bound.
-//! * **Pooled / auto** — `.pooled()` and `.auto()` are bit-identical to
-//!   `diagnose` too, accounting included: every backend runs the same
-//!   in-order probe scan and the same growth.
+//! * **Pooled / auto sessions** — a single run takes no policy, so a
+//!   `.pooled()` or `.auto()` session's run is the same run on the
+//!   calling thread: bit-identical to `diagnose`, accounting included,
+//!   and labelled `"sequential"`.
 //! * **Batch** — `.submit_batch(Source jobs)` equals the same jobs run one
-//!   at a time, in order, accounting included, on both backends.
+//!   at a time, in order, accounting included, under both policies, and
+//!   each job reads `"pooled"` exactly when it ran on a pool worker.
 //! * **Representation** — implicit and cached sessions agree bit for bit.
 //!
 //! Plus the certificate contract: the report's certificate sits at the
@@ -20,7 +22,7 @@
 //! contributors).
 
 use mmdiag::diagnosis::session::{run_sequential, run_with};
-use mmdiag::diagnosis::{diagnose, Cutovers, Diagnosis, DiagnosisReport, SessionOptions};
+use mmdiag::diagnosis::{diagnose, Diagnosis, DiagnosisReport, SessionOptions};
 use mmdiag::syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::{
     Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
@@ -28,7 +30,7 @@ use mmdiag::topology::families::{
     TwistedNCube,
 };
 use mmdiag::topology::Partitionable;
-use mmdiag::{BackendPolicy, BatchJob, Diagnoser};
+use mmdiag::{BatchJob, Diagnoser};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -125,10 +127,7 @@ fn diagnoser_is_bit_identical_to_every_legacy_entry_point_on_all_families() {
                 // And vs the core session runs underneath it.
                 for (label, core) in [
                     ("run_sequential", run_sequential(g, &s, &opts)),
-                    (
-                        "run_with",
-                        run_with(g, &s, BackendPolicy::Sequential, &opts, None),
-                    ),
+                    ("run_with", run_with(g, &s, &opts, None)),
                 ] {
                     let report = session.run(&s).unwrap();
                     let core = core.unwrap().diagnosis;
@@ -140,21 +139,14 @@ fn diagnoser_is_bit_identical_to_every_legacy_entry_point_on_all_families() {
                 let report = Diagnoser::new(g).unchecked_bound(bound).run(&s).unwrap();
                 assert_bit_identical(&report, &legacy, &format!("{ctx} [unchecked]"));
 
-                // --- Pooled: bit-identical, accounting included.
-                let report = pooled_session.run(&s).unwrap();
-                assert_bit_identical(&report, &legacy, &format!("{ctx} [pooled]"));
-                assert_certificate_sound(&report, g, &ctx);
-                assert_eq!(report.backend, "pooled", "{ctx}");
-
-                // --- Auto: bit-identical on either side of the cutover.
-                let report = auto_session.run(&s).unwrap();
-                assert_bit_identical(&report, &legacy, &format!("{ctx} [auto]"));
-                let expected = if n < Cutovers::default().sequential {
-                    "sequential"
-                } else {
-                    "pooled"
-                };
-                assert_eq!(report.backend, expected, "{ctx}");
+                // --- Pooled and auto sessions: the same run on the
+                // calling thread, on either side of the cutover.
+                for (label, session) in [("pooled", &pooled_session), ("auto", &auto_session)] {
+                    let report = session.run(&s).unwrap();
+                    assert_bit_identical(&report, &legacy, &format!("{ctx} [{label}]"));
+                    assert_certificate_sound(&report, g, &ctx);
+                    assert_eq!(report.backend, "sequential", "{ctx} [{label}]");
+                }
             }
         }
     }
@@ -206,9 +198,12 @@ fn submit_batch_matches_one_by_one_runs_on_both_backends() {
         assert_eq!(outcomes.len(), one_by_one.len());
         for (i, (outcome, want)) in outcomes.iter().zip(&one_by_one).enumerate() {
             let report = outcome.as_ref().unwrap().report().expect("in-process");
-            // Batched scans are in-order on every backend: the accounting
-            // must match too.
+            // Batched scans are in-order under every policy: the
+            // accounting must match too.
             assert_bit_identical(report, want, &format!("batch job {i} [{label}]"));
+            // The test thread is no pool worker, so every pooled job ran
+            // on one.
+            assert_eq!(report.backend, label, "batch job {i}");
         }
         for s in &syndromes {
             s.reset_lookups();
