@@ -963,11 +963,12 @@ pub fn distsim_scenarios(catalog: &[Instance]) -> Vec<ScenarioRecord> {
     per_instance.into_iter().flatten().collect()
 }
 
-/// The two scenario cells of one instance. The unit-latency reference and
-/// the skewed run are one `submit_batch` each on a simulated session (the
-/// session's latency model is a per-session policy, so the two regimes
-/// are two sessions over the same instance); the injection run depends on
-/// the reference's observed growth onset and follows once that is known.
+/// The two scenario cells of one instance, simulated in order. The
+/// unit-latency reference and the skewed run are one `simulate` each on a
+/// simulated session (the session's latency model is a per-session
+/// policy, so the two regimes are two sessions over the same instance);
+/// the injection run depends on the reference's observed growth onset and
+/// follows once that is known.
 fn instance_scenarios(inst: &Instance, i: usize) -> Vec<ScenarioRecord> {
     let g = inst.graph.as_ref();
     let n = g.node_count();
@@ -987,16 +988,12 @@ fn instance_scenarios(inst: &Instance, i: usize) -> Vec<ScenarioRecord> {
     };
     let unit_session = Diagnoser::new(g).simulated(LatencyModel::Unit);
     let skew_session = Diagnoser::new(g).simulated(skew);
-    // Two latency regimes are two sessions; dispatch their single sims as
-    // one pooled submission so they run concurrently.
-    let legs: [(&Diagnoser, &str); 2] = [(&unit_session, "unit"), (&skew_session, "skewed")];
-    let mut reports = mmdiag_exec::global().map(&legs, |_, (session, label)| {
-        session
-            .simulate(&timeline)
-            .unwrap_or_else(|e| panic!("{}: {label} sim failed: {e}", g.name()))
-    });
-    let skewed = reports.pop().expect("two simulation legs");
-    let unit = reports.pop().expect("two simulation legs");
+    let [unit, skewed] =
+        [(&unit_session, "unit"), (&skew_session, "skewed")].map(|(session, label)| {
+            session
+                .simulate(&timeline)
+                .unwrap_or_else(|e| panic!("{}: {label} sim failed: {e}", g.name()))
+        });
     let skew_ok = skewed.faults == faults.members()
         && skewed.faults == unit.faults
         && skewed.total_time > unit.total_time;
@@ -1124,10 +1121,12 @@ fn json_escape(s: &str) -> String {
 /// `"phases"` come from the same rep as its time. It dropped the record
 /// keys `"pooled"` and `"auto"` (with `"auto"`'s `"backend"`,
 /// `"speedup_vs_driver"` and `"no_regression"`), the
-/// `"exec"."regression_tolerance"` key, and the `"tasks"` and `"run_ns"`
-/// keys of `"profile"`. v3 is v2 without the strided-lane `"parallel"`
-/// record legs and the top-level `"thread_sweep"` list; v2 added the
-/// per-record `"phases"` and `"verification"` objects to v1.
+/// `"exec"."regression_tolerance"` key, the `"tasks"` and `"run_ns"`
+/// keys of `"profile"`, and the deque-depth peak of
+/// `"throughput"."contention"` (the pool has no per-worker deques). v3
+/// is v2 without the strided-lane `"parallel"` record legs and the
+/// top-level `"thread_sweep"` list; v2 added the per-record `"phases"`
+/// and `"verification"` objects to v1.
 pub const SCHEMA_VERSION: &str = "mmdiag-bench/v4";
 
 /// Render records as the `BENCH_<pr>.json` trajectory document
@@ -1355,11 +1354,10 @@ pub fn to_json(
             ));
             out.push_str(&format!(
                 "    \"contention\": {{\"lock_wait_ns\": {}, \"park_ns\": {}, \
-                 \"injector_depth_peak\": {}, \"deque_depth_peak\": {}}},\n",
+                 \"injector_depth_peak\": {}}},\n",
                 histogram_json(&t.lock_wait_ns),
                 histogram_json(&t.park_ns),
                 t.injector_depth_peak,
-                t.deque_depth_peak,
             ));
             out.push_str(&format!("    \"disagreements\": {},\n", t.disagreements));
             out.push_str(&format!(

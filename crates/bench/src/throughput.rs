@@ -99,10 +99,8 @@ pub struct ThroughputRecord {
     pub lock_wait_ns: HistogramSummary,
     /// The fleet pool's condvar park time.
     pub park_ns: HistogramSummary,
-    /// High-water mark of the pool's injector queue depth gauge.
+    /// High-water mark of the pool's queue depth gauge, in batches.
     pub injector_depth_peak: u64,
-    /// High-water mark of the per-worker deque depth gauge.
-    pub deque_depth_peak: u64,
     /// Diagnoses whose result (or verification verdict) disagreed with
     /// the planted truth. Folded into the binary's exit code.
     pub disagreements: u64,
@@ -235,7 +233,6 @@ pub fn run_throughput(quick: bool) -> ThroughputRecord {
         lock_wait_ns: sync.lock_wait_ns.snapshot(),
         park_ns: sync.park_ns.snapshot(),
         injector_depth_peak: sync.injector_depth.max(),
-        deque_depth_peak: sync.deque_depth.max(),
         disagreements,
         overhead,
     }
@@ -316,8 +313,8 @@ mod tests {
         assert_eq!(rec.disagreements, 0, "fleet diagnoses all agree");
         assert!(rec.diagnoses_per_sec > 0.0);
         assert_eq!(rec.latency_ns.count, (rec.sessions * rec.rounds * 3) as u64);
-        // The fleet pool profiles its own queues: every session's batched
-        // submission takes its injector lock.
+        // The fleet pool profiles its own queue: every session's batched
+        // submission takes the queue lock.
         assert!(rec.lock_wait_ns.count > 0, "lock-wait histogram populated");
     }
 }

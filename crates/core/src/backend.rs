@@ -266,7 +266,7 @@ mod tests {
         let wsp = WorkspacePool::for_pool(64, &pool);
         // The idle worker's own queue and parking locks record into the
         // same cells; a round trip through the pool leaves it parked.
-        pool.scope(|_| {});
+        pool.map(&[(); 2], |_, _| {});
         let before = stats.lock_wait_ns.snapshot().count;
         for _ in 0..8 {
             wsp.with(None, |_| {});

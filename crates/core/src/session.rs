@@ -491,10 +491,14 @@ where
 /// submission — what the umbrella `Diagnoser::submit_batch` calls.
 ///
 /// Sequential resolution: the caller slot, syndromes in order. Pooled
-/// resolution: syndromes fan out over the pool, each run whole inside one
-/// task on that worker's workspace slot and labelled `"pooled"`. Results
-/// come back **in input order** and are bit-identical to one-at-a-time
-/// runs.
+/// resolution: syndromes fan out over the pool through [`Pool::map`],
+/// each run whole inside one job on that worker's workspace slot and
+/// labelled `"pooled"`. A one-job batch has nothing to fan out: `map`
+/// runs it on the calling thread, in the caller slot, and it reads
+/// `"sequential"`. Results come back **in input order** and are
+/// bit-identical to one-at-a-time runs.
+///
+/// [`Pool::map`]: mmdiag_exec::Pool::map
 ///
 /// The accounting (`lookups_used`, the phase and round lookups) is read
 /// off the source's own counter, so it is exact only when every job has

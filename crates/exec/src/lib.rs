@@ -1,46 +1,43 @@
 //! # mmdiag-exec
 //!
 //! The workspace's shared execution layer: a hand-rolled, offline (no
-//! rayon, no crossbeam) **pooled work-stealing executor** with scoped
-//! parallel APIs.
+//! rayon, no crossbeam) **pool of persistent workers** that fans the jobs
+//! of a batch out and hands their results back in input order.
 //!
 //! `BENCH_1.json`/`BENCH_2.json` showed the scoped-thread parallel driver
 //! losing to the sequential one below ~1k nodes: `std::thread::scope`
 //! spawns fresh OS threads on every call, and that spawn cost dominates
-//! sub-millisecond probe phases. This crate replaces per-call spawning
-//! with one process-wide (or caller-owned) [`Pool`] whose workers live for
-//! the lifetime of the pool:
+//! short parallel sections. A [`Pool`] spawns its workers once and keeps
+//! them for its lifetime:
 //!
-//! * [`Pool::scope`] — `std::thread::scope`-style scoped spawning with
-//!   panic propagation; tasks may borrow from the caller's stack;
-//! * [`Pool::map`] / [`Pool::for_each_index`] — order-preserving parallel
-//!   map and indexed parallel-for (batch fan-out, in-process and
-//!   simulated, runs on `map`);
+//! * [`Pool::map`] — the one fan-out operation: one job per item, results
+//!   in input order, jobs may borrow from the caller's stack, and the
+//!   first job panic is re-raised once every job has finished. Batch
+//!   fan-out (`run_batch` and `submit_batch`, in-process and simulated)
+//!   runs on it;
 //! * [`Pool::worker_index`] — stable per-worker identity, used by
 //!   `mmdiag_core` to pool `Workspace`s per worker;
 //! * [`global`] — the lazily-created process-wide pool every crate shares.
 //!
-//! Scheduling: per-worker deques (own work LIFO, steals FIFO from the
-//! front), a shared injector for external submissions, condvar parking.
-//! Nested scopes are supported — a worker blocked on an inner scope runs
-//! queued tasks while it waits, so even a 1-thread pool cannot deadlock.
+//! Scheduling: one shared FIFO of submitted batches under one lock. Each
+//! worker claims the next job index of the oldest batch, runs that job,
+//! and parks on the queue's condvar when no job is left. A `map` of fewer
+//! than two items, or one called from the pool's own worker, runs its
+//! items in order on the calling thread, so nesting cannot deadlock even
+//! a 1-worker pool.
 //!
 //! ## Observability
 //!
 //! An *instrumented* pool ([`Pool::new_instrumented`], or any pool when
-//! the `MMDIAG_TRACE` knob is set) counts per-worker steals, injector
-//! pops, park/unpark cycles and a log-bucketed task-run-time histogram
-//! ([`Pool::stats`]). The counters live behind the [`mod@sync`] facade
-//! like every other primitive here, so an instrumented pool still
-//! builds — and stays explorable — under the `model` feature; an
-//! uninstrumented pool carries no counters at all and its hot path is
-//! unchanged.
+//! the `MMDIAG_TRACE` knob is set) counts per-worker jobs and park/unpark
+//! cycles and keeps a log-bucketed job-run-time histogram
+//! ([`Pool::stats`]); an uninstrumented pool carries no counters at all.
 //!
 //! A *profiled* pool ([`Pool::new_profiled`], or any pool when the
-//! `MMDIAG_TRACE` knob is set) additionally records the **contention** of
-//! its own synchronisation through the [`mod@sync`] facade: lock-acquire
-//! waits, condvar park durations and injector/deque queue depths land in
-//! the [`SyncStats`] cells it was built with (the process-level
+//! `MMDIAG_TRACE` knob is set) also records the **contention** of its own
+//! synchronisation through the [`mod@sync`] facade: lock-acquire waits,
+//! condvar park durations and the queue depth in batches land in the
+//! [`SyncStats`] cells it was built with (the process-level
 //! [`sync_stats`] under the knob), which any `mmdiag-trace` registry can
 //! adopt and the [`stats`] sampler thread (driven by the `MMDIAG_STATS`
 //! knob) can stream as JSON lines. No process-wide switch exists: other
@@ -51,9 +48,9 @@
 //! All synchronization goes through the [`mod@sync`] facade: a normal
 //! build re-exports `std::sync` unchanged, while the `model` feature
 //! swaps in the deterministic bounded-interleaving scheduler of
-//! `model` so the park/steal/scope protocols can be explored offline
-//! (`cargo test -p mmdiag-exec --features model`). See
-//! `crates/exec/tests/model.rs` for the protocol suites.
+//! `model`, so the claim, park/unpark, completion and panic protocols can
+//! be explored offline (`cargo test -p mmdiag-exec --features model`).
+//! See `crates/exec/tests/model.rs` for the protocol suites.
 //!
 //! ## Unsafe audit inventory
 //!
@@ -65,7 +62,7 @@
 //!
 //! | Location | Operation | Invariant making it sound |
 //! |---|---|---|
-//! | `scope.rs`, [`Scope::spawn`] | `transmute` of `Box<dyn FnOnce + Send + 'env>` to `'static` (lifetime erasure only; layout/vtable unchanged) | scope-outlives-task: [`Pool::scope`] blocks until `pending == 0` before returning — even on panic — so every erased task finishes and is dropped before its `'env` borrows can dangle |
+//! | `pool.rs`, [`Pool::map`] | `transmute` of the batch's `&(dyn Fn(usize) + Sync)` job to `'static` (lifetime erasure only; layout/vtable unchanged) | batch-outlives-job: `map` returns or unwinds only after its latch has seen every job finish, and by then nothing refers to the job — the batch left the queue at its last claim, and each worker drops its copy before counting the latch down |
 //!
 //! Any addition to this table needs a `// SAFETY:` comment at the site, a
 //! row here, and model-test coverage of the protocol that justifies it.
@@ -76,16 +73,13 @@
 pub mod config;
 #[cfg(feature = "model")]
 pub mod model;
-mod ops;
 mod pool;
-mod scope;
 #[cfg(not(feature = "model"))]
 pub mod stats;
 pub mod sync;
 
 pub use config::{knobs, Knobs};
 pub use pool::{Pool, PoolStats, WorkerStats};
-pub use scope::Scope;
 #[cfg(not(feature = "model"))]
 pub use stats::{start_stats_reporter, ReporterHandle};
 pub use sync::{sync_stats, SyncStats};
@@ -94,9 +88,9 @@ use std::sync::OnceLock;
 
 /// Worker count for the process-wide pool: `MMDIAG_POOL_THREADS` when set
 /// (clamped to 1..=64, read once through [`config::knobs`]), else the
-/// machine's available parallelism capped at 8 — a batch fans out one
-/// whole diagnosis per task, and past a handful of workers the deques
-/// mostly add steal traffic.
+/// machine's available parallelism capped at 8 — every worker that runs a
+/// batch job keeps its own `O(N)` workspace, so the cap bounds a batch's
+/// scratch memory along with its threads.
 pub fn default_threads() -> usize {
     if let Some(n) = knobs().pool_threads {
         return n;
@@ -122,25 +116,8 @@ pub fn global() -> &'static Pool {
 #[cfg(all(test, not(feature = "model")))]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
-
-    #[test]
-    fn scope_runs_borrowing_tasks() {
-        let pool = Pool::new(4);
-        let counter = AtomicUsize::new(0);
-        let mut tail = 0usize; // mutably borrowed after the scope: proves the barrier
-        pool.scope(|s| {
-            for _ in 0..64 {
-                let counter = &counter;
-                s.spawn(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        tail += counter.load(Ordering::Relaxed);
-        assert_eq!(tail, 64);
-    }
 
     #[test]
     fn map_preserves_input_order() {
@@ -155,56 +132,81 @@ mod tests {
     }
 
     #[test]
-    fn for_each_index_covers_range_once() {
-        let pool = Pool::new(4);
-        let hits: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
-        pool.for_each_index(0..500, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+    fn a_one_item_map_runs_on_the_caller() {
+        let pool = Pool::new_instrumented(2);
+        let out = pool.map(&[7usize], |i, &x| {
+            assert_eq!(pool.worker_index(), None, "the caller runs the job");
+            i + x
         });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert_eq!(out, vec![7]);
+        let totals = pool.stats().expect("instrumented").totals();
+        assert_eq!(totals.tasks, 0, "no pool task for a one-item map");
     }
 
     #[test]
-    fn task_panic_propagates_to_scope_caller() {
+    fn each_job_is_claimed_on_its_own() {
+        // Job 0 holds its worker until job 1 has started, which only a
+        // pool that hands out one job per claim can do: a worker holding
+        // jobs 0 and 1 as one unit of work would wait for itself.
         let pool = Pool::new(2);
+        let started = AtomicBool::new(false);
+        let items: Vec<usize> = (0..16).collect();
+        let out = pool.map(&items, |i, &x| {
+            if i == 1 {
+                started.store(true, Ordering::SeqCst);
+            }
+            if i == 0 {
+                let t0 = mmdiag_trace::clock::now_ns();
+                while !started.load(Ordering::SeqCst) {
+                    let waited = mmdiag_trace::clock::now_ns().saturating_sub(t0);
+                    assert!(
+                        waited < 5_000_000_000,
+                        "job 1 never started while job 0 ran"
+                    );
+                    std::thread::yield_now();
+                }
+            }
+            x
+        });
+        assert_eq!(out, items);
+    }
+
+    #[test]
+    fn job_panic_propagates_to_the_map_caller() {
+        let pool = Pool::new(2);
+        let survivors = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| {});
-                s.spawn(|| panic!("boom in task"));
-                s.spawn(|| {});
-            });
+            pool.map(&[0, 1, 2], |i, _| {
+                if i == 1 {
+                    panic!("boom in job");
+                }
+                survivors.fetch_add(1, Ordering::Relaxed);
+            })
         }));
-        let payload = result.expect_err("scope must re-raise the task panic");
+        let payload = result.expect_err("map must re-raise the job panic");
         let msg = payload
             .downcast_ref::<&str>()
             .copied()
             .unwrap_or_else(|| payload.downcast_ref::<String>().unwrap().as_str());
-        assert!(msg.contains("boom in task"), "{msg}");
-        // The pool survives a panicked scope and keeps executing.
+        assert!(msg.contains("boom in job"), "{msg}");
+        assert_eq!(survivors.load(Ordering::Relaxed), 2, "the others finished");
+        // The pool survives a panicked map and keeps executing.
         let v = pool.map(&[1, 2, 3], |_, &x| x + 1);
         assert_eq!(v, vec![2, 3, 4]);
     }
 
     #[test]
-    fn nested_scopes_do_not_deadlock_single_worker() {
+    fn nested_map_runs_inline_on_a_single_worker() {
         let pool = Pool::new(1);
         let total = AtomicUsize::new(0);
-        let pool_ref = &pool;
-        pool.scope(|s| {
-            for _ in 0..4 {
-                let total = &total;
-                let pool = pool_ref;
-                s.spawn(move || {
-                    // Inner scope runs on the (only) worker: it must help.
-                    pool.scope(|inner| {
-                        for _ in 0..8 {
-                            inner.spawn(|| {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
+        pool.map(&[(); 4], |_, _| {
+            // The inner map runs on the (only) worker, in order.
+            let inner = pool.map(&[(); 8], |j, _| {
+                assert_eq!(pool.worker_index(), Some(0));
+                total.fetch_add(1, Ordering::Relaxed);
+                j
+            });
+            assert_eq!(inner, (0..8).collect::<Vec<_>>());
         });
         assert_eq!(total.load(Ordering::Relaxed), 32);
     }
@@ -214,15 +216,15 @@ mod tests {
         let pool = Pool::new(3);
         assert_eq!(pool.worker_index(), None, "caller is not a worker");
         let seen = Mutex::new(Vec::new());
-        pool.for_each_index(0..64, |_| {
-            let idx = pool.worker_index().expect("tasks run on workers");
+        pool.map(&[(); 64], |_, _| {
+            let idx = pool.worker_index().expect("jobs run on workers");
             assert!(idx < 3);
             seen.lock().unwrap().push(idx);
         });
         assert_eq!(seen.lock().unwrap().len(), 64);
         // Another pool's workers are not this pool's workers.
         let other = Pool::new(2);
-        other.for_each_index(0..4, |_| {
+        other.map(&[(); 4], |_, _| {
             assert_eq!(pool.worker_index(), None);
             assert!(other.worker_index().is_some());
         });
@@ -233,14 +235,14 @@ mod tests {
         let pool = Pool::new_instrumented(3);
         assert!(pool.stats_enabled());
         let hits = AtomicUsize::new(0);
-        pool.for_each_index(0..200, |_| {
+        pool.map(&[(); 200], |_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 200);
         let stats = pool.stats().expect("instrumented");
         assert_eq!(stats.workers.len(), 3);
         let t = stats.totals();
-        assert!(t.tasks >= 1, "chunk tasks must be counted");
+        assert_eq!(t.tasks, 200, "one task per job");
         assert_eq!(
             t.run_ns.count, t.tasks,
             "every counted task must also be timed"
@@ -251,9 +253,9 @@ mod tests {
             "histogram buckets account for every task"
         );
         // A second snapshot only grows.
-        pool.for_each_index(0..50, |_| {});
+        pool.map(&[(); 50], |_, _| {});
         let t2 = pool.stats().expect("instrumented").totals();
-        assert!(t2.tasks >= t.tasks);
+        assert_eq!(t2.tasks, 250);
     }
 
     #[test]
@@ -278,21 +280,14 @@ mod tests {
     }
 
     #[test]
-    fn many_small_scopes_reuse_workers() {
-        // The regression the pool exists to fix: thousands of tiny scopes
-        // must not spawn threads (smoke: just complete quickly and
-        // correctly).
+    fn many_small_maps_reuse_workers() {
+        // The regression the pool exists to fix: thousands of tiny
+        // parallel sections must not spawn threads (smoke: just complete
+        // quickly and correctly).
         let pool = Pool::new(4);
         let mut acc = 0usize;
         for round in 0..2000 {
-            let hit = AtomicUsize::new(0);
-            pool.scope(|s| {
-                let hit = &hit;
-                s.spawn(move || {
-                    hit.fetch_add(round, Ordering::Relaxed);
-                });
-            });
-            acc += hit.load(Ordering::Relaxed);
+            acc += pool.map(&[round, 0], |_, &x| x).iter().sum::<usize>();
         }
         assert_eq!(acc, 2000 * 1999 / 2);
     }

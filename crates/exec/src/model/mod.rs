@@ -20,7 +20,7 @@
 //!   derives a per-run seed from the root seed (SplitMix64, vendored-shim
 //!   spirit), so a run of N iterations is **deterministic** given the root
 //!   seed and reports how many *distinct* interleavings it visited. Right
-//!   for the real [`crate::Pool`], whose park/steal loops are too long for
+//!   for the real [`crate::Pool`], whose claim/park loops are too long for
 //!   exhaustive enumeration.
 //!
 //! Failures — a panic escaping a virtual thread, a deadlock (every
@@ -36,13 +36,13 @@
 //! * the interleaving semantics are **sequentially consistent** — the
 //!   shims do not model weak memory orderings (every atomic runs as
 //!   `SeqCst`); what is explored is the space of schedules, which is where
-//!   lost wakeups, steal races and help-running deadlocks live;
+//!   lost wakeups, claim races and self-waiting deadlocks live;
 //! * condvars do not wake spuriously under the model — a `wait` returns
 //!   only after a notify (the protocols under test loop on predicates
 //!   anyway, and a lost wakeup still manifests as a deadlock);
 //! * `yield_now` deprioritises the yielding thread (it is only re-chosen
 //!   when nothing else is runnable), mirroring loom's treatment, so
-//!   help-first spin loops make progress instead of spinning the step
+//!   spin-then-yield loops make progress instead of spinning the step
 //!   budget away.
 
 pub mod shim;

@@ -185,7 +185,8 @@ impl Default for Condvar {
 
 /// Model atomics: real `SeqCst` atomics for storage, with a scheduling
 /// point after every operation so the explorer can interleave between any
-/// two shared-memory accesses (load-then-CAS races, flag/queue protocols).
+/// two shared-memory accesses. Only the operations the crate and its model
+/// tests use are modelled.
 pub mod atomic {
     use super::sched_point;
     use std::sync::atomic as real;
@@ -212,94 +213,11 @@ pub mod atomic {
             r
         }
 
-        /// Store (modelled `SeqCst`).
-        pub fn store(&self, val: usize, _order: Ordering) {
-            self.v.store(val, real::Ordering::SeqCst);
-            sched_point(false);
-        }
-
         /// Add, returning the previous value.
         pub fn fetch_add(&self, val: usize, _order: Ordering) -> usize {
             let r = self.v.fetch_add(val, real::Ordering::SeqCst);
             sched_point(false);
             r
-        }
-
-        /// Subtract, returning the previous value.
-        pub fn fetch_sub(&self, val: usize, _order: Ordering) -> usize {
-            let r = self.v.fetch_sub(val, real::Ordering::SeqCst);
-            sched_point(false);
-            r
-        }
-
-        /// Bitwise OR, returning the previous value.
-        pub fn fetch_or(&self, val: usize, _order: Ordering) -> usize {
-            let r = self.v.fetch_or(val, real::Ordering::SeqCst);
-            sched_point(false);
-            r
-        }
-
-        /// Bitwise AND, returning the previous value.
-        pub fn fetch_and(&self, val: usize, _order: Ordering) -> usize {
-            let r = self.v.fetch_and(val, real::Ordering::SeqCst);
-            sched_point(false);
-            r
-        }
-
-        /// Compare-exchange (the model never fails spuriously).
-        pub fn compare_exchange(
-            &self,
-            current: usize,
-            new: usize,
-            _success: Ordering,
-            _failure: Ordering,
-        ) -> Result<usize, usize> {
-            let r = self.v.compare_exchange(
-                current,
-                new,
-                real::Ordering::SeqCst,
-                real::Ordering::SeqCst,
-            );
-            sched_point(false);
-            r
-        }
-
-        /// Weak compare-exchange — same as the strong one under the model.
-        pub fn compare_exchange_weak(
-            &self,
-            current: usize,
-            new: usize,
-            success: Ordering,
-            failure: Ordering,
-        ) -> Result<usize, usize> {
-            self.compare_exchange(current, new, success, failure)
-        }
-    }
-
-    /// Model stand-in for [`std::sync::atomic::AtomicBool`].
-    pub struct AtomicBool {
-        v: real::AtomicBool,
-    }
-
-    impl AtomicBool {
-        /// Create with an initial value.
-        pub const fn new(v: bool) -> Self {
-            AtomicBool {
-                v: real::AtomicBool::new(v),
-            }
-        }
-
-        /// Load (modelled `SeqCst`).
-        pub fn load(&self, _order: Ordering) -> bool {
-            let r = self.v.load(real::Ordering::SeqCst);
-            sched_point(false);
-            r
-        }
-
-        /// Store (modelled `SeqCst`).
-        pub fn store(&self, val: bool, _order: Ordering) {
-            self.v.store(val, real::Ordering::SeqCst);
-            sched_point(false);
         }
     }
 }

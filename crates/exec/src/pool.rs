@@ -1,32 +1,36 @@
-//! The worker pool: threads spawned once, per-worker deques, stealing.
+//! The worker pool: threads spawned once, one shared FIFO of batches.
 //!
-//! Scheduling layout (the offline stand-in for rayon's core loop):
-//!
-//! * every worker owns a deque; tasks it spawns go to the *back* of its own
-//!   deque and are popped LIFO (cache-friendly for recursive fan-out);
-//! * tasks submitted from outside the pool land in a shared injector queue;
-//! * an idle worker first drains its own deque, then the injector, then
-//!   *steals* from the front (FIFO — the oldest, largest units of work) of
-//!   the other workers' deques, scanning round-robin from its own index;
-//! * with nothing to do anywhere it parks on a condvar; every push notifies.
-//!
-//! The deques are mutex-protected `VecDeque`s rather than lock-free
-//! Chase-Lev buffers: the workspace targets correctness and reuse (no
-//! per-call thread spawning) over peak steal throughput, and a mutex held
-//! for a push/pop is uncontended in the common path.
+//! [`Pool::map`] submits its jobs as one *batch* on the back of a shared
+//! queue. Under the queue lock a worker claims the next job index of the
+//! oldest batch (the batch leaves the queue at its last claim), then runs
+//! that one job and writes its result into the job's own slot — results
+//! come back in input order, and jobs of unequal cost balance themselves
+//! across the workers. Idle workers park on the queue's condvar, which
+//! every submission notifies. The caller parks on the batch's completion
+//! latch, kept apart from the jobs so that a worker has let go of its job
+//! before it counts down.
 
-use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, Condvar, Mutex, SyncStats};
-use mmdiag_trace::{bucket_index, clock, HistogramSummary, BUCKETS};
+use mmdiag_trace::{clock, Counter, Histogram, HistogramSummary};
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// A unit of work, lifetime-erased by [`crate::scope::Scope::spawn`].
-pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
+/// Runs job `i` of a batch and stores its result; lifetime-erased by
+/// [`Pool::map`].
+type Job = &'static (dyn Fn(usize) + Sync);
+
+/// A job's panic payload, re-raised on the caller of [`Pool::map`].
+type Panic = Box<dyn Any + Send>;
+
+/// Why the pool's own locks are never poisoned.
+const UNPOISONED: &str = "no job runs, and nothing panics, while a pool lock is held";
 
 /// Monotonic pool ids so a worker thread can tell *which* pool it belongs
-/// to (nested/multiple pools coexist in the test-suite).
+/// to (several pools coexist in the test-suite).
 static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(1);
 
 thread_local! {
@@ -34,145 +38,97 @@ thread_local! {
     static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
-pub(crate) struct Shared {
-    /// Tasks submitted from non-worker threads.
-    injector: Mutex<VecDeque<Task>>,
-    /// One deque per worker; workers push/pop their own back, thieves pop
-    /// the front.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Parking lot: workers wait here when every queue is empty.
-    sleep: Mutex<()>,
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Idle workers park here; every submission and the shutdown notify.
     wake: Condvar,
-    /// Number of workers currently parked (or committing to park) on
-    /// `wake` — lets [`Shared::notify`] skip the lock when nobody sleeps.
-    sleepers: AtomicUsize,
-    shutdown: AtomicBool,
-    /// Per-worker scheduling counters, present only on instrumented
-    /// pools. `None` keeps the uninstrumented hot path free of the
-    /// counter atomics — under the `model` feature every `crate::sync`
-    /// atomic op is a scheduling point, so the protocol model tests
-    /// (which never enable stats) explore exactly the same state space
-    /// as before this field existed.
-    stats: Option<Stats>,
-    /// Where this pool's queues, parking and scopes record contention;
+    /// Per-worker counters, present only on instrumented pools.
+    stats: Option<Vec<WorkerCounters>>,
+    /// Where this pool's queue, parking and latches record contention;
     /// `None` on an unprofiled pool.
     contention: Option<Arc<SyncStats>>,
 }
 
-/// The counter block of an instrumented pool. All cells go through the
-/// `crate::sync` facade — the `model` build runs them on the shim
-/// atomics, so an instrumented pool stays explorable by the model tests.
-struct Stats {
-    workers: Vec<WorkerCounters>,
+/// The batches that still have unclaimed jobs, oldest first.
+#[derive(Default)]
+struct Queue {
+    batches: VecDeque<Batch>,
+    shutdown: bool,
 }
 
+/// One [`Pool::map`] call as the queue holds it.
+struct Batch {
+    job: Job,
+    len: usize,
+    /// The next unclaimed job index.
+    next: usize,
+    latch: Arc<Latch>,
+}
+
+/// Completion of one batch: the jobs not yet finished, and the first
+/// panic among them (later ones are dropped, as `std::thread::scope`
+/// does when several joined threads panicked).
+struct Latch {
+    /// `(jobs not yet finished, first panic)`.
+    state: Mutex<(usize, Option<Panic>)>,
+    done: Condvar,
+}
+
+impl Latch {
+    fn count_down(&self, panic: Option<Panic>) {
+        let mut state = self.state.lock().expect(UNPOISONED);
+        let (pending, first) = &mut *state;
+        let later = match first {
+            None => std::mem::replace(first, panic),
+            Some(_) => panic,
+        };
+        *pending -= 1;
+        if *pending == 0 {
+            self.done.notify_one();
+        }
+        drop(state);
+        // Outside the lock: a payload's own drop may panic, and must not
+        // poison the latch the caller waits on.
+        drop(later);
+    }
+
+    /// Park until every job has finished; the first panic, if any.
+    fn wait(&self) -> Option<Panic> {
+        let mut state = self.state.lock().expect(UNPOISONED);
+        while state.0 > 0 {
+            state = self.done.wait(state).expect(UNPOISONED);
+        }
+        state.1.take()
+    }
+}
+
+/// The counter block of one worker of an instrumented pool. Plain
+/// `mmdiag-trace` cells, like [`SyncStats`]: observability, not protocol
+/// state, so they add no scheduling points under the `model` feature.
+#[derive(Default)]
 struct WorkerCounters {
-    tasks: AtomicUsize,
-    steals: AtomicUsize,
-    injector_pops: AtomicUsize,
-    parks: AtomicUsize,
-    unparks: AtomicUsize,
-    /// Log-bucketed task-run-nanoseconds histogram (layout of
-    /// [`mmdiag_trace::bucket_index`]), plus its moments — mirrored into
-    /// a [`HistogramSummary`] by [`Pool::stats`].
-    run_ns_buckets: Vec<AtomicUsize>,
-    run_ns_count: AtomicUsize,
-    run_ns_sum: AtomicUsize,
-    run_ns_min: AtomicUsize,
-    run_ns_max: AtomicUsize,
-}
-
-impl WorkerCounters {
-    fn new() -> Self {
-        WorkerCounters {
-            tasks: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
-            injector_pops: AtomicUsize::new(0),
-            parks: AtomicUsize::new(0),
-            unparks: AtomicUsize::new(0),
-            run_ns_buckets: (0..BUCKETS).map(|_| AtomicUsize::new(0)).collect(),
-            run_ns_count: AtomicUsize::new(0),
-            run_ns_sum: AtomicUsize::new(0),
-            run_ns_min: AtomicUsize::new(usize::MAX),
-            run_ns_max: AtomicUsize::new(0),
-        }
-    }
-
-    fn record_run(&self, ns: u64) {
-        let ns_usize = ns as usize;
-        self.run_ns_count.fetch_add(1, Ordering::Relaxed);
-        self.run_ns_sum.fetch_add(ns_usize, Ordering::Relaxed);
-        self.run_ns_buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        // fetch_min/max are not in the sync facade's atomic surface;
-        // CAS loops keep the facade small (these run once per task, not
-        // per steal attempt).
-        let mut cur = self.run_ns_min.load(Ordering::Relaxed);
-        while ns_usize < cur {
-            match self.run_ns_min.compare_exchange_weak(
-                cur,
-                ns_usize,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        let mut cur = self.run_ns_max.load(Ordering::Relaxed);
-        while ns_usize > cur {
-            match self.run_ns_max.compare_exchange_weak(
-                cur,
-                ns_usize,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    fn snapshot(&self) -> WorkerStats {
-        let mut buckets = [0u64; BUCKETS];
-        for (b, a) in buckets.iter_mut().zip(&self.run_ns_buckets) {
-            *b = a.load(Ordering::Relaxed) as u64;
-        }
-        let count = self.run_ns_count.load(Ordering::Relaxed) as u64;
-        WorkerStats {
-            tasks: self.tasks.load(Ordering::Relaxed) as u64,
-            steals: self.steals.load(Ordering::Relaxed) as u64,
-            injector_pops: self.injector_pops.load(Ordering::Relaxed) as u64,
-            parks: self.parks.load(Ordering::Relaxed) as u64,
-            unparks: self.unparks.load(Ordering::Relaxed) as u64,
-            run_ns: HistogramSummary {
-                count,
-                sum: self.run_ns_sum.load(Ordering::Relaxed) as u64,
-                min: if count == 0 {
-                    0
-                } else {
-                    self.run_ns_min.load(Ordering::Relaxed) as u64
-                },
-                max: self.run_ns_max.load(Ordering::Relaxed) as u64,
-                buckets,
-            },
-        }
-    }
+    tasks: Counter,
+    parks: Counter,
+    unparks: Counter,
+    run_ns: Histogram,
 }
 
 /// One worker's scheduling counters, snapshot by [`Pool::stats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Tasks this worker executed (own deque, injector and stolen).
+    /// Jobs this worker ran.
     pub tasks: u64,
-    /// Tasks it stole from another worker's deque.
+    /// Always 0: the pool has no per-worker queues to steal from. Kept
+    /// for callers that build this struct field by field until ROADMAP
+    /// item 7 retires it.
     pub steals: u64,
-    /// Tasks it popped from the shared injector.
+    /// Always 0, like [`WorkerStats::steals`], which it retires with.
     pub injector_pops: u64,
-    /// Times it parked on the wake condvar.
+    /// Times it parked on the queue's condvar.
     pub parks: u64,
     /// Times it returned from a park.
     pub unparks: u64,
-    /// Distribution of task run times in nanoseconds.
+    /// Distribution of job run times in nanoseconds.
     pub run_ns: HistogramSummary,
 }
 
@@ -189,8 +145,6 @@ impl PoolStats {
         let mut total = WorkerStats::default();
         for w in &self.workers {
             total.tasks += w.tasks;
-            total.steals += w.steals;
-            total.injector_pops += w.injector_pops;
             total.parks += w.parks;
             total.unparks += w.unparks;
             total.run_ns = total.run_ns.merge(&w.run_ns);
@@ -200,111 +154,71 @@ impl PoolStats {
 }
 
 impl Shared {
-    /// Pop for worker `idx`: own deque (LIFO), injector, then steal (FIFO)
-    /// from the other deques starting after `idx`.
-    pub(crate) fn find_task(&self, idx: usize) -> Option<Task> {
-        if let Some(t) = self.deques[idx].lock().unwrap().pop_back() {
-            return Some(t);
-        }
-        let mut injector = self.injector.lock().unwrap();
-        if let Some(t) = injector.pop_front() {
-            if let Some(c) = &self.contention {
-                c.injector_depth.set(injector.len() as u64);
-            }
-            drop(injector);
-            if let Some(st) = &self.stats {
-                st.workers[idx]
-                    .injector_pops
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            return Some(t);
-        }
-        drop(injector);
-        let n = self.deques.len();
-        for off in 1..n {
-            let victim = (idx + off) % n;
-            if let Some(t) = self.deques[victim].lock().unwrap().pop_front() {
-                if let Some(st) = &self.stats {
-                    st.workers[idx].steals.fetch_add(1, Ordering::Relaxed);
+    /// Claim the next job of the oldest batch for worker `idx`, parking
+    /// while the queue is empty; `None` once the pool shuts down.
+    fn claim(&self, idx: usize) -> Option<(Job, usize, Arc<Latch>)> {
+        let mut queue = self.queue.lock().expect(UNPOISONED);
+        loop {
+            if let Some(batch) = queue.batches.front_mut() {
+                let claim = (batch.job, batch.next, Arc::clone(&batch.latch));
+                batch.next += 1;
+                if batch.next == batch.len {
+                    queue.batches.pop_front();
+                    self.record_depth(&queue);
                 }
-                return Some(t);
+                return Some(claim);
+            }
+            if queue.shutdown {
+                return None;
+            }
+            let counters = self.stats.as_ref().map(|st| &st[idx]);
+            if let Some(w) = counters {
+                w.parks.inc();
+            }
+            queue = self.wake.wait(queue).expect(UNPOISONED);
+            if let Some(w) = counters {
+                w.unparks.inc();
             }
         }
-        None
     }
 
-    /// Run one task body `f` on behalf of the worker currently executing
-    /// it, timed and counted. Called from *inside* the spawned closure
-    /// (see [`crate::scope::Scope::spawn`]), **before** the task signals
-    /// scope completion — so by the time a `Pool::scope` join returns,
-    /// every finished task's counter and histogram write is visible:
-    /// `tasks == run_ns.count` holds exactly on a quiescent pool, with no
-    /// window where a joiner reads a task that ran but was not yet
-    /// recorded. A panicking task is counted in neither (the unwind skips
-    /// both writes together). The clock is only read on instrumented
-    /// pools, so an uninstrumented pool's task dispatch is exactly what
-    /// it was before the stats layer existed.
-    pub(crate) fn run_instrumented(&self, pool_id: usize, f: impl FnOnce()) {
-        let idx = WORKER.with(|w| match w.get() {
-            Some((pool, idx)) if pool == pool_id => Some(idx),
-            _ => None,
-        });
-        match (idx, &self.stats) {
-            (Some(idx), Some(st)) => {
-                let start = clock::now_ns();
-                f();
-                let w = &st.workers[idx];
-                w.record_run(clock::now_ns().saturating_sub(start));
-                w.tasks.fetch_add(1, Ordering::Relaxed);
-            }
-            // Not a worker of this pool (cannot happen today: tasks only
-            // run on pool workers) or a bare pool: just run it.
-            _ => f(),
+    /// Run one claimed job on worker `idx`, catching its panic. On an
+    /// instrumented pool a job that returns is timed and counted here,
+    /// before its latch counts down, so once [`Pool::map`] returns
+    /// `tasks == run_ns.count` holds exactly; a panicking job is counted
+    /// in neither.
+    fn run(&self, idx: usize, job: impl FnOnce()) -> Option<Panic> {
+        let Some(stats) = &self.stats else {
+            return catch_unwind(AssertUnwindSafe(job)).err();
+        };
+        let start = clock::now_ns();
+        let result = catch_unwind(AssertUnwindSafe(job));
+        if result.is_ok() {
+            stats[idx]
+                .run_ns
+                .record(clock::now_ns().saturating_sub(start));
+            stats[idx].tasks.inc();
         }
+        result.err()
     }
 
-    fn has_work(&self) -> bool {
-        if !self.injector.lock().unwrap().is_empty() {
-            return true;
+    /// The queue-depth gauge, read under the queue guard already held.
+    fn record_depth(&self, queue: &Queue) {
+        if let Some(c) = &self.contention {
+            c.injector_depth.set(queue.batches.len() as u64);
         }
-        self.deques.iter().any(|d| !d.lock().unwrap().is_empty())
-    }
-
-    /// Wake parked workers after a push. The fast path is a single atomic
-    /// load: with no worker parked there is nothing to notify and the
-    /// sleep lock is never touched — task submission stays lock-free past
-    /// the queue push itself.
-    ///
-    /// No lost wakeup: a parking worker increments `sleepers` (SeqCst,
-    /// under the sleep lock) *before* re-checking the queues, and a pusher
-    /// publishes its task *before* this SeqCst load. Whichever side comes
-    /// later in the SeqCst order therefore sees the other — the worker
-    /// sees the task and skips parking, or the pusher sees the sleeper
-    /// and takes the lock to notify (the lock serialises the notify after
-    /// the worker's wait).
-    fn notify(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.sleep.lock().unwrap();
-            self.wake.notify_all();
-        }
-    }
-
-    /// Wake everything unconditionally — shutdown path.
-    fn notify_all_for_shutdown(&self) {
-        let _guard = self.sleep.lock().unwrap();
-        self.wake.notify_all();
     }
 }
 
-/// A reusable pool of worker threads with work-stealing deques.
+/// A reusable pool of worker threads fanning batches of jobs out.
 ///
 /// Workers are spawned once at construction and live until the pool is
 /// dropped — the whole point versus `std::thread::scope` at every call
-/// site, whose per-call spawn cost dominates sub-millisecond parallel
-/// sections (`BENCH_1`/`BENCH_2`: the scoped parallel driver loses to the
+/// site, whose per-call spawn cost dominates short parallel sections
+/// (`BENCH_1`/`BENCH_2`: the scoped parallel driver loses to the
 /// sequential one below ~1k nodes).
 pub struct Pool {
-    pub(crate) shared: Arc<Shared>,
+    shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     threads: usize,
     id: usize,
@@ -332,9 +246,9 @@ impl Pool {
     }
 
     /// Spawn an instrumented pool that also records the lock waits, park
-    /// durations and queue depths of its own synchronisation (queues,
-    /// parking, scopes) into `contention`. Other pools and primitives in
-    /// the process are unaffected.
+    /// durations and queue depth of its own synchronisation (queue,
+    /// parking, completion latches) into `contention`. Other pools and
+    /// primitives in the process are unaffected.
     pub fn new_profiled(threads: usize, contention: Arc<SyncStats>) -> Self {
         Pool::with_stats(threads, true, Some(contention))
     }
@@ -342,24 +256,17 @@ impl Pool {
     fn with_stats(threads: usize, instrument: bool, contention: Option<Arc<SyncStats>>) -> Self {
         let threads = threads.max(1);
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let queue = || Mutex::with_stats(VecDeque::new(), contention.clone());
         let shared = Arc::new(Shared {
-            injector: queue(),
-            deques: (0..threads).map(|_| queue()).collect(),
-            sleep: Mutex::with_stats((), contention.clone()),
+            queue: Mutex::with_stats(Queue::default(), contention.clone()),
             wake: Condvar::with_stats(contention.clone()),
-            sleepers: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            stats: instrument.then(|| Stats {
-                workers: (0..threads).map(|_| WorkerCounters::new()).collect(),
-            }),
+            stats: instrument.then(|| (0..threads).map(|_| WorkerCounters::default()).collect()),
             contention,
         });
         let handles = (0..threads)
             .map(|idx| {
                 let shared = Arc::clone(&shared);
                 crate::sync::thread::spawn_named(format!("mmdiag-exec-{id}-{idx}"), move || {
-                    worker_loop(shared, id, idx)
+                    worker_loop(&shared, id, idx)
                 })
                 .expect("spawning pool worker")
             })
@@ -377,29 +284,13 @@ impl Pool {
         self.threads
     }
 
-    /// This pool's process-unique id (the key worker threads carry in
-    /// their thread-local identity).
-    pub(crate) fn pool_id(&self) -> usize {
-        self.id
-    }
-
     /// Where this pool records contention; `None` on an unprofiled pool.
-    /// Its scopes and parallel operations build their primitives from
-    /// these cells, and so should callers for locks that belong to work
-    /// running on the pool (`Mutex::with_stats(t, pool.contention().cloned())`),
-    /// so the pool's contention report covers them too.
+    /// Its queue and latches build their primitives from these cells, and
+    /// so should callers for locks that belong to work running on the
+    /// pool (`Mutex::with_stats(t, pool.contention().cloned())`), so the
+    /// pool's contention report covers them too.
     pub fn contention(&self) -> Option<&Arc<SyncStats>> {
         self.shared.contention.as_ref()
-    }
-
-    /// The shared state, for spawned closures to instrument themselves
-    /// against — `None` on a bare pool, so uninstrumented spawns don't
-    /// pay the `Arc` clone.
-    pub(crate) fn instrumentation(&self) -> Option<Arc<Shared>> {
-        self.shared
-            .stats
-            .is_some()
-            .then(|| Arc::clone(&self.shared))
     }
 
     /// Worker index of the *current* thread within this pool, if it is one
@@ -412,43 +303,63 @@ impl Pool {
         })
     }
 
-    /// Enqueue a lifetime-erased task: onto the current worker's own deque
-    /// when called from inside the pool, else onto the injector.
-    pub(crate) fn push_task(&self, task: Task) {
-        // Queue-depth gauges are read under the guard already held for
-        // the push itself — contention profiling adds no extra locking.
-        match self.worker_index() {
-            Some(idx) => {
-                let mut deque = self.shared.deques[idx].lock().unwrap();
-                deque.push_back(task);
-                if let Some(c) = &self.shared.contention {
-                    c.deque_depth.set(deque.len() as u64);
-                }
-            }
-            None => {
-                let mut injector = self.shared.injector.lock().unwrap();
-                injector.push_back(task);
-                if let Some(c) = &self.shared.contention {
-                    c.injector_depth.set(injector.len() as u64);
-                }
-            }
+    /// Map `f` over `items` on the pool's workers, one job per item, and
+    /// return the results **in input order** — bit-identical to the
+    /// sequential map. Each job may borrow from the caller's stack.
+    ///
+    /// Fewer than two items, or a call from one of this pool's own
+    /// workers, run in order on the calling thread: there is nothing to
+    /// fan out, and a worker waiting on its own pool could deadlock it.
+    /// Otherwise the caller parks until every job has finished; the first
+    /// job panic is then re-raised here, and the pool stays usable.
+    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(usize, &T) -> U + Sync,
+    {
+        if items.len() < 2 || self.worker_index().is_some() {
+            return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
         }
-        self.shared.notify();
-    }
-
-    /// Run queued tasks until `done` returns true — the help-first wait a
-    /// scope uses when it blocks on one of this pool's own workers
-    /// (nested scopes; foreign callers park on the scope condvar instead).
-    pub(crate) fn help_until(&self, worker: usize, done: &dyn Fn() -> bool) {
-        while !done() {
-            match self.shared.find_task(worker) {
-                // The task body carries its own instrumentation (see
-                // `Shared::run_instrumented`), attributed to this helping
-                // worker via the thread-local worker id.
-                Some(t) => t(),
-                None => crate::sync::thread::yield_now(),
-            }
+        let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
+        let job = |i: usize| {
+            let out = f(i, &items[i]);
+            *slots[i].lock().expect(UNPOISONED) = Some(out);
+        };
+        let job: &(dyn Fn(usize) + Sync) = &job;
+        // SAFETY: lifetime erasure only — the fat pointer's layout and
+        // vtable are unchanged. Sound because this call neither returns
+        // nor unwinds before `latch.wait()` has seen every job finish
+        // (nothing between the submission and the wait can panic), and by
+        // then nothing refers to `job` any more: the batch left the queue
+        // at its last claim, and each worker drops its copy of the
+        // reference before counting the latch down (`worker_loop`).
+        let job: Job = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Job>(job) };
+        let latch = Arc::new(Latch {
+            state: Mutex::with_stats((items.len(), None), self.contention().cloned()),
+            done: Condvar::with_stats(self.contention().cloned()),
+        });
+        let mut queue = self.shared.queue.lock().expect(UNPOISONED);
+        queue.batches.push_back(Batch {
+            job,
+            len: items.len(),
+            next: 0,
+            latch: Arc::clone(&latch),
+        });
+        self.shared.record_depth(&queue);
+        drop(queue);
+        self.shared.wake.notify_all();
+        if let Some(payload) = latch.wait() {
+            resume_unwind(payload);
         }
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect(UNPOISONED)
+                    .expect("every job stored its result")
+            })
+            .collect()
     }
 
     /// Whether this pool records per-worker stats.
@@ -461,52 +372,42 @@ impl Pool {
     /// lifetime — diff two snapshots to attribute work to one section.
     pub fn stats(&self) -> Option<PoolStats> {
         self.shared.stats.as_ref().map(|st| PoolStats {
-            workers: st.workers.iter().map(WorkerCounters::snapshot).collect(),
+            workers: st
+                .iter()
+                .map(|w| WorkerStats {
+                    tasks: w.tasks.get(),
+                    parks: w.parks.get(),
+                    unparks: w.unparks.get(),
+                    run_ns: w.run_ns.snapshot(),
+                    ..WorkerStats::default()
+                })
+                .collect(),
         })
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.notify_all_for_shutdown();
+        // Drop must not panic; a poisoned queue (impossible) would stop
+        // the workers on its own.
+        let _ = self
+            .shared
+            .queue
+            .lock()
+            .map(|mut queue| queue.shutdown = true);
+        self.shared.wake.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, pool_id: usize, idx: usize) {
+fn worker_loop(shared: &Shared, pool_id: usize, idx: usize) {
     WORKER.with(|w| w.set(Some((pool_id, idx))));
-    loop {
-        if let Some(task) = shared.find_task(idx) {
-            task();
-            continue;
-        }
-        // Park: register as a sleeper *first*, then re-check the queues
-        // under the sleep lock — a push between our miss above and the
-        // wait below either lands in that re-check or sees our sleeper
-        // registration and notifies (see `Shared::notify`).
-        let guard = shared.sleep.lock().unwrap();
-        shared.sleepers.fetch_add(1, Ordering::SeqCst);
-        if shared.shutdown.load(Ordering::Acquire) {
-            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-            break;
-        }
-        if shared.has_work() {
-            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
-        if let Some(st) = &shared.stats {
-            st.workers[idx].parks.fetch_add(1, Ordering::Relaxed);
-        }
-        let _guard = shared.wake.wait(guard).unwrap();
-        if let Some(st) = &shared.stats {
-            st.workers[idx].unparks.fetch_add(1, Ordering::Relaxed);
-        }
-        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
+    while let Some((job, i, latch)) = shared.claim(idx) {
+        let panic = shared.run(idx, move || job(i));
+        // `job` is not used past this point: once the latch reaches zero
+        // the caller's frame it points into may be gone.
+        latch.count_down(panic);
     }
 }

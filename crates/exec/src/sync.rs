@@ -1,5 +1,5 @@
-//! The synchronization facade every module in this crate goes through —
-//! now also the workspace's **contention profiling** layer.
+//! The synchronization facade every module in this crate goes through,
+//! and the workspace's **contention profiling** layer.
 //!
 //! In a normal build (`cfg(not(feature = "model"))`) the primitives
 //! underneath are `std::sync` / `std::thread`; with the `model` feature
@@ -10,41 +10,37 @@
 //! offline).
 //!
 //! On top of whichever implementation is active, [`Mutex`] and
-//! [`Condvar`] are thin wrappers that can profile contention:
-//!
-//! * a [`Mutex::profiled`] mutex records each acquire wait into its
-//!   [`SyncStats::lock_wait_ns`] histogram;
-//! * a [`Condvar::profiled`] condvar records each park duration into
-//!   [`SyncStats::park_ns`];
-//! * a profiled pool updates injector/deque queue-depth gauges at its
-//!   push/pop sites ([`SyncStats::injector_depth`] /
-//!   [`SyncStats::deque_depth`]).
+//! [`Condvar`] are thin wrappers that can profile contention: a
+//! [`Mutex::profiled`] mutex records each acquire wait into
+//! [`SyncStats::lock_wait_ns`], a [`Condvar::profiled`] condvar each park
+//! duration into [`SyncStats::park_ns`], and a profiled pool sets
+//! [`SyncStats::injector_depth`] to its queue's depth in batches whenever
+//! a batch joins or leaves it.
 //!
 //! Profiling is a property of the primitive, fixed at construction: a
 //! pool built with [`crate::Pool::new_profiled`] (or any pool while the
-//! `MMDIAG_TRACE` knob is set) profiles its own queues, parking and
-//! scopes, and nothing else in the process changes. Locks that belong to
-//! work on a pool — `mmdiag_core`'s workspace slots — are built from that
-//! pool's cells ([`crate::Pool::contention`]), so its report covers them
-//! as well. A plain primitive
-//! pays one `Option` check per operation — no clock read, no histogram
-//! touch. The stats cells are plain `std` atomics even under the `model`
-//! feature (they are observability, not protocol state), so profiling
-//! adds **no scheduling points**: the interleaving explorer drives
-//! exactly the same state space either way, and the recorded *counts*
-//! are schedule-independent whenever the protocol's lock/wait counts are
-//! (asserted across ≥500 interleavings in `tests/model.rs`).
+//! `MMDIAG_TRACE` knob is set) profiles its own queue, parking and
+//! completion latches, and nothing else in the process changes. Locks
+//! that belong to work on a pool — `mmdiag_core`'s workspace slots — are
+//! built from that pool's cells ([`crate::Pool::contention`]), so its
+//! report covers them as well. A plain primitive pays one `Option` check
+//! per operation — no clock read, no histogram touch. The stats cells are
+//! plain `std` atomics even under the `model` feature (they are
+//! observability, not protocol state), so profiling adds **no scheduling
+//! points**: the interleaving explorer drives exactly the same state
+//! space either way (asserted across ≥500 interleavings in
+//! `tests/model.rs`).
 //!
 //! Rules of the facade:
 //!
-//! * `pool.rs`, `scope.rs`, `ops.rs` and `lib.rs` import **only** from
-//!   here — never `std::sync::{Mutex, Condvar}`, `std::sync::atomic`, or
-//!   `std::thread::{spawn, yield_now}` directly. Since PR 9 the whole
-//!   *workspace* is held to the construction half of this rule by the
-//!   `sync-single-door` xtask lint pass: `std::sync::{Mutex, Condvar,
-//!   RwLock}` may only be constructed here, in the model shims, in test
-//!   code, and in `crates/trace` (which sits *below* this crate in the
-//!   dependency graph and cannot route through it without a cycle);
+//! * the crate's own modules import **only** from here — never
+//!   `std::sync::{Mutex, Condvar}`, `std::sync::atomic`, or
+//!   `std::thread::{spawn, yield_now}` directly. The whole *workspace* is
+//!   held to the construction half of this rule by the `sync-single-door`
+//!   xtask lint pass: `std::sync::{Mutex, Condvar, RwLock}` may only be
+//!   constructed here, in the model shims, in test code, and in
+//!   `crates/trace` (which sits *below* this crate in the dependency
+//!   graph and cannot route through it without a cycle);
 //! * [`Arc`] is re-exported from `std` in both modes: reference counting
 //!   carries no scheduling decision the model needs to interleave;
 //! * `std::sync::OnceLock` (the `global()` pool, parsed knobs) stays on
@@ -63,7 +59,7 @@ mod imp {
 
     /// Atomics, as `std::sync::atomic`.
     pub mod atomic {
-        pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        pub use std::sync::atomic::{AtomicUsize, Ordering};
     }
 
     /// Thread spawning and yielding, as `std::thread`.
@@ -110,10 +106,9 @@ pub struct SyncStats {
     pub lock_wait_ns: Arc<Histogram>,
     /// Time spent parked in a [`Condvar::wait`], nanoseconds.
     pub park_ns: Arc<Histogram>,
-    /// Depth of the pool's shared injector queue, sampled at push/pop.
+    /// Depth of the pool's shared queue in batches, set whenever a batch
+    /// joins or leaves it.
     pub injector_depth: Arc<Gauge>,
-    /// Depth of a worker deque, sampled at push (max across workers).
-    pub deque_depth: Arc<Gauge>,
 }
 
 impl SyncStats {
@@ -123,17 +118,15 @@ impl SyncStats {
             lock_wait_ns: Arc::new(Histogram::new()),
             park_ns: Arc::new(Histogram::new()),
             injector_depth: Arc::new(Gauge::new()),
-            deque_depth: Arc::new(Gauge::new()),
         }
     }
 
-    /// Register all four cells into `registry` under their canonical
+    /// Register all three cells into `registry` under their canonical
     /// `sync.*` names (adopting the shared cells, not copying).
     pub fn register_into(&self, registry: &mmdiag_trace::MetricsRegistry) {
         registry.register_histogram("sync.lock_wait_ns", Arc::clone(&self.lock_wait_ns));
         registry.register_histogram("sync.park_ns", Arc::clone(&self.park_ns));
         registry.register_gauge("sync.injector_depth", Arc::clone(&self.injector_depth));
-        registry.register_gauge("sync.deque_depth", Arc::clone(&self.deque_depth));
     }
 }
 
@@ -317,12 +310,7 @@ mod tests {
         let names: Vec<String> = reg.snapshot().into_iter().map(|m| m.name).collect();
         assert_eq!(
             names,
-            vec![
-                "sync.lock_wait_ns",
-                "sync.park_ns",
-                "sync.injector_depth",
-                "sync.deque_depth"
-            ]
+            vec!["sync.lock_wait_ns", "sync.park_ns", "sync.injector_depth"]
         );
     }
 }

@@ -1,14 +1,17 @@
 //! Model-checked protocol tests for the executor (`--features model`).
 //!
-//! Each test drives the *real* pool/scope/steal code — compiled onto the
-//! shim primitives of `mmdiag_exec::model` via the `sync` facade — under
-//! the deterministic bounded-interleaving scheduler, or a small hand-built
+//! Each test drives the *real* pool code — compiled onto the shim
+//! primitives of `mmdiag_exec::model` via the `sync` facade — under the
+//! deterministic bounded-interleaving scheduler, or a small hand-built
 //! replica of one protocol where exhaustive enumeration is feasible.
 //!
-//! The known-risky protocols from three PRs of executor growth each get a
-//! suite: condvar park/unpark (lost wakeups), FIFO steal vs injector
-//! submission races, nested-scope help-running on a 1-worker pool
-//! (deadlock regression), and panic propagation mid-steal.
+//! The pool's protocols each get a suite: claims from the shared queue by
+//! several workers for several submitters (every job runs exactly once),
+//! condvar park/unpark between back-to-back batches (lost wakeups), a
+//! nested map on a 1-worker pool (runs inline, no deadlock), panic
+//! propagation through the completion latch, and the instrumented
+//! counters. A `map` of one item runs on its caller, so every pool test
+//! submits at least two.
 #![cfg(feature = "model")]
 
 use mmdiag_exec::model::{check_exhaustive, check_random, replay, Config};
@@ -27,13 +30,10 @@ fn seeded_exploration_is_deterministic() {
         check_random(0x5EED_CAFE, 300, Config::deep(), || {
             let pool = Pool::new(1);
             let hits = AtomicUsize::new(0);
-            pool.scope(|s| {
-                let hits = &hits;
-                s.spawn(move || {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                });
+            pool.map(&[(); 2], |_, _| {
+                hits.fetch_add(1, Ordering::SeqCst);
             });
-            assert_eq!(hits.load(Ordering::SeqCst), 1);
+            assert_eq!(hits.load(Ordering::SeqCst), 2);
         })
     };
     let a = run();
@@ -49,17 +49,19 @@ fn seeded_exploration_is_deterministic() {
     );
 }
 
-/// A faithful replica of `Shared::notify` / the worker park loop:
-/// register as a sleeper under the sleep lock, re-check the queue, then
-/// wait; the producer publishes before loading `sleepers`. Exhaustively
-/// enumerated — no schedule may deadlock.
+/// A faithful replica of the pool's two monitors: the caller pushes a
+/// job under the queue lock and notifies the queue condvar, then waits on
+/// the completion latch; the worker claims under the queue lock (waiting
+/// on the condvar while the queue is empty), counts the latch down, and
+/// exits once the caller sets the shutdown flag. Exhaustively enumerated —
+/// no schedule may deadlock.
 #[test]
 fn condvar_park_protocol_exhaustive_no_lost_wakeup() {
-    struct Park {
-        queue: Mutex<VecDeque<u32>>,
-        sleep: Mutex<()>,
+    struct Monitors {
+        queue: Mutex<(VecDeque<u32>, bool)>,
         wake: Condvar,
-        sleepers: AtomicUsize,
+        latch: Mutex<usize>,
+        done: Condvar,
     }
     let report = check_exhaustive(
         Config {
@@ -67,42 +69,48 @@ fn condvar_park_protocol_exhaustive_no_lost_wakeup() {
             ..Config::default()
         },
         || {
-            let p = Arc::new(Park {
-                queue: Mutex::new(VecDeque::new()),
-                sleep: Mutex::new(()),
+            let m = Arc::new(Monitors {
+                queue: Mutex::new((VecDeque::new(), false)),
                 wake: Condvar::new(),
-                sleepers: AtomicUsize::new(0),
+                latch: Mutex::new(1),
+                done: Condvar::new(),
             });
-            let producer = {
-                let p = Arc::clone(&p);
-                thread::spawn_named("producer".into(), move || {
-                    p.queue.lock().unwrap().push_back(7);
-                    // Fast path: only take the sleep lock when a consumer
-                    // is parked (or committing to park).
-                    if p.sleepers.load(Ordering::SeqCst) > 0 {
-                        let _g = p.sleep.lock().unwrap();
-                        p.wake.notify_all();
+            let worker = {
+                let m = Arc::clone(&m);
+                thread::spawn_named("worker".into(), move || {
+                    let mut ran = Vec::new();
+                    loop {
+                        let mut queue = m.queue.lock().unwrap();
+                        let job = loop {
+                            if let Some(job) = queue.0.pop_front() {
+                                break job;
+                            }
+                            if queue.1 {
+                                return ran;
+                            }
+                            queue = m.wake.wait(queue).unwrap();
+                        };
+                        drop(queue);
+                        ran.push(job);
+                        let mut pending = m.latch.lock().unwrap();
+                        *pending -= 1;
+                        if *pending == 0 {
+                            m.done.notify_one();
+                        }
                     }
                 })
                 .unwrap()
             };
-            // Consumer: pop, else park — registering as a sleeper *before*
-            // the re-check, exactly like `worker_loop`.
-            let got = loop {
-                if let Some(v) = p.queue.lock().unwrap().pop_front() {
-                    break v;
-                }
-                let guard = p.sleep.lock().unwrap();
-                p.sleepers.fetch_add(1, Ordering::SeqCst);
-                if !p.queue.lock().unwrap().is_empty() {
-                    p.sleepers.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                let _guard = p.wake.wait(guard).unwrap();
-                p.sleepers.fetch_sub(1, Ordering::SeqCst);
-            };
-            assert_eq!(got, 7);
-            producer.join().unwrap();
+            m.queue.lock().unwrap().0.push_back(7);
+            m.wake.notify_all();
+            let mut pending = m.latch.lock().unwrap();
+            while *pending > 0 {
+                pending = m.done.wait(pending).unwrap();
+            }
+            drop(pending);
+            m.queue.lock().unwrap().1 = true;
+            m.wake.notify_all();
+            assert_eq!(worker.join().unwrap(), vec![7]);
         },
     );
     report.assert_ok();
@@ -157,26 +165,21 @@ fn lost_wakeup_is_found_and_schedule_replays() {
     assert_eq!(again.schedule, failure.schedule);
 }
 
-/// The real pool's park/unpark protocol: a worker races to park while the
-/// scope submits through the injector and `Shared::notify` takes the
-/// sleeper fast path. Any lost wakeup deadlocks the scope barrier, which
-/// the engine reports. Deep seeded run, ≥ 1000 distinct interleavings.
+/// The real pool's park/unpark protocol: back-to-back maps on one worker,
+/// the second submission typically racing the worker on its way back to
+/// park. Any lost wakeup deadlocks the completion latch, which the engine
+/// reports. Deep seeded run, ≥ 1000 distinct interleavings.
 #[test]
 fn pool_park_unpark_no_lost_wakeup() {
     let report = check_random(0xB0A7_1D1E, 1400, Config::deep(), || {
         let pool = Pool::new(1);
         let hits = AtomicUsize::new(0);
-        // Two scopes back to back: the second submission is the one that
-        // typically races a worker already heading to park.
         for _ in 0..2 {
-            pool.scope(|s| {
-                let hits = &hits;
-                s.spawn(move || {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                });
+            pool.map(&[(); 2], |_, _| {
+                hits.fetch_add(1, Ordering::SeqCst);
             });
         }
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
+        assert_eq!(hits.load(Ordering::SeqCst), 4);
     });
     report.assert_ok();
     assert!(
@@ -186,39 +189,36 @@ fn pool_park_unpark_no_lost_wakeup() {
     );
 }
 
-/// FIFO steal vs injector submission: external tasks land in the shared
-/// injector while worker-spawned subtasks go to per-worker deques and get
-/// stolen front-first. Every task must run exactly once under every
-/// schedule. Deep seeded run, ≥ 1000 distinct interleavings.
+/// Two foreign submitters share a 2-worker pool: both batches sit in the
+/// queue at once, and the workers' claims span them. Every job must run
+/// exactly once, and each submitter must get its own results back in
+/// order, under every schedule. Deep seeded run, ≥ 1000 distinct
+/// interleavings.
 #[test]
-fn pool_fifo_steal_vs_injector_tasks_run_exactly_once() {
+fn pool_two_submitters_run_every_job_exactly_once() {
     let report = check_random(0x57EA_1F1F, 1400, Config::deep(), || {
-        let pool = Pool::new(2);
-        let hits: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
-        pool.scope(|s| {
-            let hits = &hits;
-            let pool = &pool;
-            for outer in 0..2 {
-                // Injector path: submitted from the (non-worker) test thread.
-                s.spawn(move || {
-                    hits[outer].fetch_add(1, Ordering::SeqCst);
-                    // Deque path: spawned from inside a worker, stealable
-                    // FIFO by the other worker.
-                    pool.scope(|inner| {
-                        for sub in 0..2 {
-                            inner.spawn(move || {
-                                hits[2 + 2 * outer + sub].fetch_add(1, Ordering::SeqCst);
-                            });
-                        }
-                    });
-                });
-            }
-        });
+        let pool = Arc::new(Pool::new(2));
+        let hits: Arc<Vec<AtomicUsize>> = Arc::new((0..4).map(|_| AtomicUsize::new(0)).collect());
+        let submitters: Vec<_> = (0..2)
+            .map(|s| {
+                let (pool, hits) = (Arc::clone(&pool), Arc::clone(&hits));
+                thread::spawn_named(format!("submitter-{s}"), move || {
+                    pool.map(&[0, 1], |i, &x| {
+                        hits[2 * s + i].fetch_add(1, Ordering::SeqCst);
+                        10 * s + x
+                    })
+                })
+                .unwrap()
+            })
+            .collect();
+        for (s, h) in submitters.into_iter().enumerate() {
+            assert_eq!(h.join().unwrap(), vec![10 * s, 10 * s + 1]);
+        }
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(
                 h.load(Ordering::SeqCst),
                 1,
-                "task {i} ran a wrong number of times"
+                "job {i} ran a wrong number of times"
             );
         }
     });
@@ -230,29 +230,32 @@ fn pool_fifo_steal_vs_injector_tasks_run_exactly_once() {
     );
 }
 
-/// Deadlock regression: nested scopes on a 1-worker pool force the worker
-/// to help-run inner tasks while blocked on the inner barrier. A schedule
-/// that parks instead of helping would deadlock; none may exist.
+/// Deadlock regression: on a 1-worker pool, a job that maps on its own
+/// pool must run the inner items inline — waiting for a worker would wait
+/// for itself. Two submitters keep the queue busy meanwhile. Deep seeded
+/// run, ≥ 1000 distinct interleavings.
 #[test]
-fn pool_nested_scope_help_running_one_worker_no_deadlock() {
+fn pool_nested_map_on_one_worker_runs_inline() {
     let report = check_random(0xDEAD_70C5, 1400, Config::deep(), || {
-        let pool = Pool::new(1);
-        let total = AtomicUsize::new(0);
-        let pool_ref = &pool;
-        let total_ref = &total;
-        pool.scope(|s| {
-            s.spawn(move || {
-                pool_ref.scope(|inner| {
-                    for _ in 0..2 {
-                        inner.spawn(|| {
-                            total_ref.fetch_add(1, Ordering::SeqCst);
-                        });
-                    }
+        let pool = Arc::new(Pool::new(1));
+        let total = Arc::new(AtomicUsize::new(0));
+        let submit = {
+            let (pool, total) = (Arc::clone(&pool), Arc::clone(&total));
+            move || {
+                pool.map(&[(); 2], |_, _| {
+                    pool.map(&[(); 2], |_, _| {
+                        assert_eq!(pool.worker_index(), Some(0), "inner items run inline");
+                        total.fetch_add(1, Ordering::SeqCst);
+                    });
+                    total.fetch_add(10, Ordering::SeqCst);
                 });
-                total_ref.fetch_add(10, Ordering::SeqCst);
-            });
-        });
-        assert_eq!(total.load(Ordering::SeqCst), 12);
+            }
+        };
+        let other = thread::spawn_named("submitter".into(), submit.clone()).unwrap();
+        submit();
+        other.join().unwrap();
+        // Two submitters, two outer jobs each, two inner items per job.
+        assert_eq!(total.load(Ordering::SeqCst), 2 * 2 * (2 + 10));
     });
     report.assert_ok();
     assert!(
@@ -262,35 +265,31 @@ fn pool_nested_scope_help_running_one_worker_no_deadlock() {
     );
 }
 
-/// Panic propagation mid-steal: one stolen task panics while others are
-/// in flight on a second worker. Under every schedule the scope barrier
-/// must still complete all tasks, re-raise the panic at the caller, and
-/// leave the pool usable. Deep seeded run, ≥ 1000 distinct interleavings.
+/// Panic propagation: one job panics while the others run on a second
+/// worker. Under every schedule the latch must still wait for every job,
+/// re-raise the panic at the caller, and leave the pool usable. Deep
+/// seeded run, ≥ 1000 distinct interleavings.
 #[test]
-fn pool_panic_propagation_mid_steal() {
+fn pool_panic_lets_the_other_jobs_finish() {
     let report = check_random(0x9A71_C0DE, 1400, Config::deep(), || {
         let pool = Pool::new(2);
         let survivors = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                let survivors = &survivors;
-                s.spawn(move || {
-                    survivors.fetch_add(1, Ordering::SeqCst);
-                });
-                s.spawn(|| panic!("boom mid-steal"));
-                s.spawn(move || {
-                    survivors.fetch_add(1, Ordering::SeqCst);
-                });
-            });
+            pool.map(&[0, 1, 2], |i, _| {
+                if i == 1 {
+                    panic!("boom in a job");
+                }
+                survivors.fetch_add(1, Ordering::SeqCst);
+            })
         }));
-        let payload = result.expect_err("scope must re-raise the task panic");
+        let payload = result.expect_err("map must re-raise the job panic");
         let msg = payload
             .downcast_ref::<&str>()
             .copied()
             .unwrap_or_else(|| payload.downcast_ref::<String>().unwrap().as_str());
-        assert!(msg.contains("boom mid-steal"), "{msg}");
-        // The barrier completed: the non-panicking tasks all ran, and the
-        // pool survives for the next parallel section.
+        assert!(msg.contains("boom in a job"), "{msg}");
+        // The latch waited: the non-panicking jobs all ran, and the pool
+        // survives for the next batch.
         assert_eq!(survivors.load(Ordering::SeqCst), 2);
         let doubled = pool.map(&[1usize, 2, 3], |_, &x| x * 2);
         assert_eq!(doubled, vec![2, 4, 6]);
@@ -305,7 +304,7 @@ fn pool_panic_propagation_mid_steal() {
 
 /// The trace sink shared across pool workers: shard pushes (plain std
 /// mutexes, each held entirely within one scheduling quantum) never
-/// interact with the pool's park/steal protocol, and the wraparound
+/// interact with the pool's claim/park protocol, and the wraparound
 /// accounting stays exact under every explored schedule — retained plus
 /// dropped equals recorded, and a drain leaves the sink empty.
 #[test]
@@ -318,14 +317,9 @@ fn tracer_sink_accounting_is_exact_under_the_pool() {
             shards: 2,
             shard_capacity: 3,
         });
-        pool.scope(|s| {
-            let tracer = &tracer;
-            for i in 0..2u64 {
-                s.spawn(move || {
-                    for j in 0..4 {
-                        tracer.event("task", "tick", i * 10 + j);
-                    }
-                });
+        pool.map(&[0u64, 1], |_, &i| {
+            for j in 0..4 {
+                tracer.event("task", "tick", i * 10 + j);
             }
         });
         let events = tracer.drain();
@@ -347,37 +341,24 @@ fn tracer_sink_accounting_is_exact_under_the_pool() {
 }
 
 /// Instrumented-pool counters under exploration: with stats on, every
-/// task is counted and timed exactly once whatever the schedule, every
-/// non-local acquisition (injector pop or steal) is attributed to some
-/// worker, and a bare pool keeps `stats()` off — its model state space
-/// unchanged.
+/// job is counted and timed exactly once whatever the schedule
+/// (`tasks == run_ns.count ==` jobs), the retired steal counters stay at
+/// zero, and a bare pool keeps `stats()` off.
 #[test]
 fn pool_instrumented_counters_are_schedule_independent() {
     let report = check_random(0x57A7_C0DE, 600, Config::deep(), || {
         let pool = Pool::new_instrumented(2);
         let hits = AtomicUsize::new(0);
-        pool.scope(|s| {
-            let hits = &hits;
-            for _ in 0..3 {
-                s.spawn(move || {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                });
-            }
+        pool.map(&[(); 3], |_, _| {
+            hits.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 3);
         let stats = pool.stats().expect("instrumented pool");
         assert_eq!(stats.workers.len(), 2);
         let totals = stats.totals();
-        assert_eq!(totals.tasks, 3, "every task counted exactly once");
-        assert_eq!(totals.run_ns.count, 3, "every task timed exactly once");
-        assert!(
-            totals.steals + totals.injector_pops <= totals.tasks,
-            "a task is acquired at most one non-local way \
-             (steals {} + pops {} vs tasks {})",
-            totals.steals,
-            totals.injector_pops,
-            totals.tasks
-        );
+        assert_eq!(totals.tasks, 3, "every job counted exactly once");
+        assert_eq!(totals.run_ns.count, 3, "every job timed exactly once");
+        assert_eq!((totals.steals, totals.injector_pops), (0, 0));
         assert!(Pool::new(1).stats().is_none(), "bare pools stay bare");
     });
     report.assert_ok();
@@ -425,8 +406,8 @@ fn profiled_sync_counters_are_schedule_independent() {
         let m = Arc::try_unwrap(m).ok().expect("all lockers joined");
         assert_eq!(m.into_inner().unwrap(), 6);
 
-        // A profiled condvar on the sanctioned park protocol (sleeper
-        // registered under the sleep lock before the re-check).
+        // A profiled condvar on the sanctioned park protocol (predicate
+        // re-checked under the lock before every wait).
         struct Gate {
             ready: Mutex<bool>,
             wake: Condvar,

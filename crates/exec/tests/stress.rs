@@ -6,9 +6,10 @@
 use mmdiag_exec::Pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Repeated scoped map/for_each with several foreign threads submitting
-/// into one shared pool: exercises injector contention, steals, parking
-/// and the scope barrier thousands of times.
+/// Repeated maps — one returning values, one used as a for-each over an
+/// index range — with several foreign threads submitting into one shared
+/// pool: exercises the shared queue under contention, claims spanning
+/// several batches, parking and the completion latch thousands of times.
 #[test]
 fn scoped_map_for_each_under_contention() {
     let pool = Pool::new(4);
@@ -30,8 +31,8 @@ fn scoped_map_for_each_under_contention() {
                     assert!(doubled.iter().enumerate().all(|(i, &v)| v == 2 * i));
 
                     let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                    pool.for_each_index(0..n, |i| {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    pool.map(&hits, |_, hit| {
+                        hit.fetch_add(1, Ordering::Relaxed);
                     });
                     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
                 }
@@ -40,27 +41,21 @@ fn scoped_map_for_each_under_contention() {
     });
 }
 
-/// Nested scopes from every worker simultaneously — the help-running path
-/// under real contention rather than modelled schedules.
+/// Nested maps from every worker simultaneously: each inner map runs
+/// inline on the worker that called it, under real contention rather
+/// than modelled schedules.
 #[test]
 fn nested_scopes_under_contention() {
     let pool = Pool::new(2);
     let total = AtomicUsize::new(0);
-    let pool_ref = &pool;
-    let total_ref = &total;
     for _ in 0..200 {
-        pool.scope(|s| {
-            for _ in 0..4 {
-                s.spawn(move || {
-                    pool_ref.scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(|| {
-                                total_ref.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
+        pool.map(&[(); 4], |_, _| {
+            let worker = pool.worker_index();
+            assert!(worker.is_some(), "outer jobs run on workers");
+            pool.map(&[(); 4], |_, _| {
+                assert_eq!(pool.worker_index(), worker, "inner jobs run inline");
+                total.fetch_add(1, Ordering::Relaxed);
+            });
         });
     }
     assert_eq!(total.load(Ordering::Relaxed), 200 * 16);

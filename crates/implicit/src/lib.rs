@@ -305,11 +305,10 @@ mod tests {
         let g = ImplicitTopology::new(Hypercube::new(7));
         let pool = mmdiag_exec::Pool::new(2);
         let guard = MaterialisationGuard::begin(&g);
-        pool.scope(|scope| {
-            scope.spawn(|| {
-                assert!(pool.worker_index().is_some(), "runs on a pool worker");
-                let _cached = Cached::new(&g);
-            });
+        // Two jobs: a one-item map would run on this thread instead.
+        pool.map(&[(); 2], |_, _| {
+            assert!(pool.worker_index().is_some(), "runs on a pool worker");
+            let _cached = Cached::new(&g);
         });
         guard.assert_unchanged("a CSR built inside a pool task");
     }

@@ -125,7 +125,7 @@ mod tests {
         let oracle = OracleSyndrome::new(FaultSet::empty(8), TesterBehavior::AllZero);
         // Contend through the shared executor (raw `std::thread` use is
         // confined to `crates/exec` by the xtask thread-containment lint).
-        mmdiag_exec::Pool::new(4).for_each_index(0..4, |_| {
+        mmdiag_exec::Pool::new(4).map(&[(); 4], |_, _| {
             for _ in 0..100 {
                 oracle.lookup(0, 1, 2);
             }

@@ -12,8 +12,14 @@ use crate::hist::{Histogram, HistogramSummary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A monotonically increasing atomic counter.
+/// A monotonically increasing atomic counter, alone on its own cache
+/// lines (128 bytes: a line and the neighbour the prefetcher pairs with
+/// it). Batch jobs run side by side on different workers, each bumping
+/// the counter of its own syndrome source on every lookup; unpadded, the
+/// counters of adjacent sources share lines and every bump invalidates
+/// the line its neighbour's job is reading.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct Counter(AtomicU64);
 
 impl Counter {
@@ -218,6 +224,14 @@ mod tests {
         assert_eq!(c.get(), 10);
         assert_eq!(c.reset(), 10);
         assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn adjacent_counters_never_share_a_cache_line() {
+        let pair = [Counter::new(), Counter::new()];
+        let gap = &pair[1] as *const Counter as usize - &pair[0] as *const Counter as usize;
+        assert!(gap >= 128, "counters {gap} bytes apart");
+        assert_eq!(&pair[0] as *const Counter as usize % 128, 0);
     }
 
     #[test]

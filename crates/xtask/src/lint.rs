@@ -492,7 +492,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
                 findings.push(at(
                     0,
                     "crate-root-hardening",
-                    "the executor cannot forbid unsafe (its scope plumbing needs it) — \
+                    "the executor cannot forbid unsafe (`Pool::map`'s lifetime erasure needs it) — \
                      this attribute would not compile"
                         .into(),
                 ));
@@ -559,15 +559,15 @@ mod tests {
     #[test]
     fn undocumented_unsafe_is_flagged_and_documented_unsafe_is_not() {
         let bad = "fn f() {\n    let x = unsafe { erase(y) };\n}\n";
-        let found = lint_source("crates/exec/src/scope.rs", bad);
+        let found = lint_source("crates/exec/src/pool.rs", bad);
         assert_eq!(passes(&found), vec!["unsafe-safety-comment"]);
         assert_eq!(found[0].line, 2);
 
-        let good = "fn f() {\n    // SAFETY: lifetime erasure only; the scope joins first.\n    let x = unsafe { erase(y) };\n}\n";
-        assert!(lint_source("crates/exec/src/scope.rs", good).is_empty());
+        let good = "fn f() {\n    // SAFETY: lifetime erasure only; the map joins first.\n    let x = unsafe { erase(y) };\n}\n";
+        assert!(lint_source("crates/exec/src/pool.rs", good).is_empty());
 
         let same_line = "fn f() {\n    let x = unsafe { erase(y) }; // SAFETY: joined below\n}\n";
-        assert!(lint_source("crates/exec/src/scope.rs", same_line).is_empty());
+        assert!(lint_source("crates/exec/src/pool.rs", same_line).is_empty());
     }
 
     #[test]

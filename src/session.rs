@@ -423,9 +423,9 @@ impl<'g> Diagnoser<'g> {
     ///
     /// The first `stats` call in a process also attaches the executor's
     /// process-level contention cells (`sync.lock_wait_ns`,
-    /// `sync.park_ns`, `sync.injector_depth`, `sync.deque_depth`) to the
-    /// hub as one `"sync"` pseudo-session — once, not per session, so hub
-    /// merges never double-count the shared cells. Pools built while the
+    /// `sync.park_ns`, `sync.injector_depth`) to the hub as one `"sync"`
+    /// pseudo-session — once, not per session, so hub merges never
+    /// double-count the shared cells. Pools built while the
     /// `MMDIAG_TRACE` knob is set (the global pool included) record into
     /// them; a pool from `Pool::new_profiled` records into the cells its
     /// caller passes instead.
@@ -640,7 +640,9 @@ impl<'g> Diagnoser<'g> {
     /// Evaluate many jobs against this session's instance in one
     /// submission. Both run modes resolve the batch policy the same
     /// way: jobs fan out over the resolved pool, or run in order on the
-    /// calling thread when the policy resolves to none. In-process
+    /// calling thread when the policy resolves to none. A one-job batch
+    /// runs on the calling thread either way, so its in-process report
+    /// reads `"sequential"`. In-process
     /// sessions reuse the session's workspace pool, so `k` jobs allocate
     /// `O(workers)` scratch; simulated sessions replay each job's
     /// timeline. The verification policy applies wherever a live
