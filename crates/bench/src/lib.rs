@@ -323,6 +323,9 @@ pub struct RunRecord {
     pub driver_lookups: u64,
     /// Restricted probes the driver ran before certifying.
     pub driver_probes: usize,
+    /// Nanoseconds per neighbour of `neighbors_into_sorted` over seeded
+    /// nodes of the cell's topology ([`adjacency_ns_per_neighbor`]).
+    pub adjacency_ns_per_neighbor: f64,
     /// Baseline leg; `None` on driver-only cells and the quick-skip set.
     pub baseline: Option<BaselineLeg>,
     /// Sampled spot-checker leg; `Some` exactly on driver-only cells,
@@ -412,17 +415,65 @@ pub fn scatter_faults(n: usize, count: usize, salt: u64) -> FaultSet {
     let mut members = Vec::with_capacity(count);
     let mut x = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
     while members.len() < count {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let idx = ((z ^ (z >> 31)) % n as u64) as usize;
+        let idx = (splitmix64(&mut x) % n as u64) as usize;
         if !picked[idx] {
             picked[idx] = true;
             members.push(idx);
         }
     }
     FaultSet::new(n, &members)
+}
+
+impl RunRecord {
+    /// Theorem 1's constant: driver wall time per `Δ·N`, in nanoseconds.
+    pub fn ns_per_delta_n(&self) -> f64 {
+        self.driver_nanos as f64 / (self.max_degree * self.nodes).max(1) as f64
+    }
+
+    /// The §6 lookup economy: syndrome lookups per node.
+    pub fn lookups_per_node(&self) -> f64 {
+        self.driver_lookups as f64 / self.nodes.max(1) as f64
+    }
+}
+
+/// Seeded nodes [`adjacency_ns_per_neighbor`] scans, as many as mmbench's
+/// `topology.adjacency_ns_per_node` scans.
+const ADJACENCY_SAMPLE: usize = 4096;
+
+/// Whole passes over the sample repeat until this much time is spent.
+const ADJACENCY_BUDGET_NS: u64 = 10_000_000;
+
+/// Nanoseconds per neighbour `neighbors_into_sorted` takes over 4 096
+/// seeded nodes of `g`: the adjacency layer the driver scans through, CSR
+/// reads on cached instances and generator math on implicit ones.
+pub fn adjacency_ns_per_neighbor<T: Topology + ?Sized>(g: &T) -> f64 {
+    let n = g.node_count() as u64;
+    let mut x = 0xAD7A_CE00;
+    let nodes: Vec<NodeId> = (0..ADJACENCY_SAMPLE)
+        .map(|_| (splitmix64(&mut x) % n) as NodeId)
+        .collect();
+    let mut buf = Vec::with_capacity(g.max_degree());
+    let mut neighbours = 0u64;
+    let sw = Stopwatch::start();
+    loop {
+        for &u in &nodes {
+            g.neighbors_into_sorted(std::hint::black_box(u), &mut buf);
+            neighbours += buf.len() as u64;
+        }
+        if sw.elapsed_ns() >= ADJACENCY_BUDGET_NS {
+            break;
+        }
+    }
+    sw.elapsed_ns() as f64 / neighbours.max(1) as f64
+}
+
+/// Advance `state` and return the next SplitMix64 output.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// `Σ_u C(deg u, 2)` — the size of the full syndrome table.
@@ -572,6 +623,7 @@ pub fn run_cell_opts(
         driver_nanos,
         driver_lookups: drv.lookups_used,
         driver_probes: drv.probes,
+        adjacency_ns_per_neighbor: adjacency_ns_per_neighbor(g),
         baseline,
         sampled,
         distsim,
@@ -672,6 +724,7 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
         driver_nanos,
         driver_lookups: drv.lookups_used,
         driver_probes: drv.probes,
+        adjacency_ns_per_neighbor: adjacency_ns_per_neighbor(g),
         baseline: None,
         sampled: Some(sampled),
         distsim: None,
@@ -1117,7 +1170,12 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Schema version stamped into every trajectory document [`to_json`]
-/// writes. v4 records one timed leg per cell, `"driver"`, whose
+/// writes. v5 adds the provenance keys `"git_rev"`, `"nproc"`, `"rustc"`
+/// and `"profile"` beside `"exec"`, and three keys to every record:
+/// `"adjacency_ns_per_neighbor"` ([`adjacency_ns_per_neighbor`]),
+/// `"ns_per_delta_n"` ([`RunRecord::ns_per_delta_n`]) and
+/// `"lookups_per_node"` ([`RunRecord::lookups_per_node`]). v4 records one
+/// timed leg per cell, `"driver"`, whose
 /// `"phases"` come from the same rep as its time. It dropped the record
 /// keys `"pooled"` and `"auto"` (with `"auto"`'s `"backend"`,
 /// `"speedup_vs_driver"` and `"no_regression"`), the
@@ -1127,7 +1185,7 @@ fn json_escape(s: &str) -> String {
 /// is v2 without the strided-lane `"parallel"` record legs and the
 /// top-level `"thread_sweep"` list; v2 added the per-record `"phases"`
 /// and `"verification"` objects to v1.
-pub const SCHEMA_VERSION: &str = "mmdiag-bench/v4";
+pub const SCHEMA_VERSION: &str = "mmdiag-bench/v5";
 
 /// Render records as the `BENCH_<pr>.json` trajectory document
 /// ([`SCHEMA_VERSION`]). Every record carries a `"phases"` object (the
@@ -1156,6 +1214,7 @@ pub fn to_json(
         Cutovers::default().sequential,
         TIMING_REPS,
     ));
+    out.push_str(&provenance_json());
     out.push_str(&format!("  \"record_count\": {},\n", records.len()));
     out.push_str(&format!(
         "  \"families_covered\": {},\n",
@@ -1260,6 +1319,8 @@ pub fn to_json(
                 "\"max_degree\": {}, \"parts\": {}, \"fault_bound\": {}, ",
                 "\"num_faults\": {}, \"behavior\": \"{}\", \"table_entries\": {}, ",
                 "\"driver\": {{\"nanos\": {}, \"lookups\": {}, \"probes\": {}}}, ",
+                "\"adjacency_ns_per_neighbor\": {:.3}, \"ns_per_delta_n\": {:.3}, ",
+                "\"lookups_per_node\": {:.4}, ",
                 "\"baseline\": {}, ",
                 "\"sampled_check\": {}, ",
                 "\"distsim\": {}, ",
@@ -1281,6 +1342,9 @@ pub fn to_json(
             r.driver_nanos,
             r.driver_lookups,
             r.driver_probes,
+            r.adjacency_ns_per_neighbor,
+            r.ns_per_delta_n(),
+            r.lookups_per_node(),
             baseline,
             sampled,
             distsim,
@@ -1423,6 +1487,63 @@ pub fn to_json(
     }
     out.push_str("}\n");
     out
+}
+
+/// The machine a trajectory was measured on, as top-level keys beside
+/// `"exec"`: mmbench's provenance fields, read as mmbench reads them
+/// (`.git/HEAD` and its ref, `rustc --version`). `"git_rev"` and
+/// `"rustc"` are `null` where they cannot be read.
+fn provenance_json() -> String {
+    let string_or_null = |v: Option<String>| match v {
+        Some(v) => format!("\"{}\"", json_escape(&v)),
+        None => "null".to_string(),
+    };
+    format!(
+        "  \"git_rev\": {}, \"nproc\": {}, \"rustc\": {}, \"profile\": \"{}\",\n",
+        string_or_null(git_rev()),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        string_or_null(rustc_version()),
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
+    )
+}
+
+/// The commit checked out in the nearest enclosing git work tree: `HEAD`,
+/// resolved through its loose or packed ref.
+fn git_rev() -> Option<String> {
+    let cwd = std::env::current_dir().ok()?;
+    let git = cwd
+        .ancestors()
+        .map(|d| d.join(".git"))
+        .find(|g| g.is_dir())?;
+    let read = |p: &str| {
+        std::fs::read_to_string(git.join(p))
+            .ok()
+            .map(|s| s.trim().to_string())
+    };
+    let head = read("HEAD")?;
+    match head.strip_prefix("ref: ") {
+        None => Some(head),
+        Some(name) => read(name).or_else(|| {
+            read("packed-refs")?
+                .lines()
+                .find(|l| l.ends_with(name))
+                .and_then(|l| l.split_whitespace().next().map(str::to_string))
+        }),
+    }
+}
+
+/// The compiler on the path, which is the one `cargo run` just built with.
+fn rustc_version() -> Option<String> {
+    std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
 }
 
 /// Number of distinct family keys present in `records`.
@@ -1792,7 +1913,7 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for needle in [
-            "\"schema\": \"mmdiag-bench/v4\"",
+            "\"schema\": \"mmdiag-bench/v5\"",
             "\"bench_id\": \"BENCH_TEST\"",
             "\"phases\": {\"probe_nanos\": ",
             "\"verification\": {\"method\": \"full_baseline\"",
@@ -1820,6 +1941,33 @@ mod tests {
             "\"regression_tolerance\"",
         ] {
             assert!(!json.contains(gone), "retired key {gone} in {json}");
+        }
+    }
+
+    #[test]
+    fn records_carry_adjacency_cost_theorem_1_constants_and_provenance() {
+        // A quick permutation-family cell: the small catalog's S_6.
+        let inst = Instance::new("star", &StarGraph::new(6));
+        let faults = scatter_faults(720, inst.graph.driver_fault_bound(), 4);
+        let rec = run_cell(&inst, &faults, TesterBehavior::Random { seed: 4 });
+        assert!(rec.adjacency_ns_per_neighbor > 0.0);
+        assert_eq!(
+            rec.ns_per_delta_n(),
+            rec.driver_nanos as f64 / (5 * 720) as f64
+        );
+        assert_eq!(rec.lookups_per_node(), rec.driver_lookups as f64 / 720.0);
+        let json = to_json("BENCH_TEST", &[rec], &[], &[], None, None);
+        mmdiag_trace::export::validate_json(&json).unwrap();
+        for key in [
+            "\"adjacency_ns_per_neighbor\": ",
+            "\"ns_per_delta_n\": ",
+            "\"lookups_per_node\": ",
+            "\"git_rev\": ",
+            "\"nproc\": ",
+            "\"rustc\": ",
+            "\"profile\": \"",
+        ] {
+            assert!(json.contains(key), "missing {key} in {json}");
         }
     }
 

@@ -1,10 +1,12 @@
 //! [`Cached`]: a materialised view of any partitionable topology.
 //!
-//! The permutation families compute `part_of` by unranking, which costs
-//! `O(n²)` per call; the diagnosis driver calls it per visited edge. For
-//! benchmarking, `Cached` precomputes the CSR adjacency *and* the part
-//! label of every node, turning both operations into array reads while
-//! preserving the family's metadata and decomposition.
+//! The driver calls `part_of` per visited edge. Generator math answers it
+//! without the heap, but never as a plain read: the permutation families
+//! unrank the node (one division per symbol, ~40–60 ns at `n = 10`,
+//! against ~2 ns for the hypercube's shift). `Cached` precomputes the CSR
+//! adjacency *and* the part label of every node, turning both operations
+//! into array reads while preserving the family's metadata and
+//! decomposition.
 
 use crate::graph::{AdjGraph, NodeId, Topology};
 use crate::partition::Partitionable;

@@ -15,13 +15,14 @@
 
 use crate::graph::{NodeId, Topology};
 use crate::partition::Partitionable;
-use crate::perm::{falling_factorial, rank_kperm, unrank_kperm};
+use crate::perm::{falling_factorial, KPerms};
 
 /// The arrangement graph `A_{n,k}` with the k-th-component decomposition.
 #[derive(Clone, Debug)]
 pub struct Arrangement {
     n: usize,
     k: usize,
+    perms: KPerms,
 }
 
 impl Arrangement {
@@ -31,7 +32,11 @@ impl Arrangement {
     pub fn new(n: usize, k: usize) -> Self {
         assert!(n <= 12, "arrangement graph supported for n ≤ 12");
         assert!(k >= 1 && k < n, "arrangement graph needs 1 ≤ k ≤ n−1");
-        Arrangement { n, k }
+        Arrangement {
+            n,
+            k,
+            perms: KPerms::new(n, k),
+        }
     }
 
     /// Symbol-set size `n`.
@@ -51,21 +56,25 @@ impl Topology for Arrangement {
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
-        let mut perm = Vec::with_capacity(self.k);
-        unrank_kperm(u, self.n, self.k, &mut perm);
-        let mut used = [false; 17];
-        for &p in &perm {
-            used[p as usize] = true;
-        }
+        let p = self.perms.unrank(u);
         for i in 0..self.k {
-            let old = perm[i];
-            for s in 1..=self.n as u8 {
-                if !used[s as usize] {
-                    perm[i] = s;
-                    out.push(rank_kperm(&perm, self.n));
-                }
-            }
-            perm[i] = old;
+            out.extend(self.perms.unused(&p).map(|s| self.perms.replace(&p, i, s)));
+        }
+    }
+    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
+        // A neighbour that lowers position i ranks below u, and the earlier
+        // the position the lower; one that raises position i ranks above
+        // u, and the earlier the position the higher. Within a position,
+        // ranks ascend with the new symbol.
+        out.clear();
+        let p = self.perms.unrank(u);
+        for i in 0..self.k {
+            let lower = self.perms.unused(&p).take_while(|&s| s < p.at(i));
+            out.extend(lower.map(|s| self.perms.replace(&p, i, s)));
+        }
+        for i in (0..self.k).rev() {
+            let higher = self.perms.unused(&p).skip_while(|&s| s < p.at(i));
+            out.extend(higher.map(|s| self.perms.replace(&p, i, s)));
         }
     }
     fn degree(&self, _u: NodeId) -> usize {
@@ -93,18 +102,17 @@ impl Partitionable for Arrangement {
         self.n
     }
     fn part_of(&self, u: NodeId) -> usize {
-        let mut perm = Vec::with_capacity(self.k);
-        unrank_kperm(u, self.n, self.k, &mut perm);
-        (perm[self.k - 1] - 1) as usize
+        usize::from(self.perms.unrank(u).last()) - 1
     }
     fn representative(&self, part: usize) -> NodeId {
-        let c = (part + 1) as u8;
-        let mut perm: Vec<u8> = (1..=self.n as u8)
-            .filter(|&x| x != c)
-            .take(self.k - 1)
-            .collect();
-        perm.push(c);
-        rank_kperm(&perm, self.n)
+        assert!(
+            part < self.n,
+            "part {part} out of range: A_({},{}) has {} parts",
+            self.n,
+            self.k,
+            self.n
+        );
+        self.perms.first_ending_with(part as u8 + 1)
     }
     fn part_size(&self, _part: usize) -> usize {
         falling_factorial(self.n - 1, self.k - 1)
@@ -121,6 +129,7 @@ impl Partitionable for Arrangement {
 mod tests {
     use super::*;
     use crate::partition::validate_partition;
+    use crate::perm::unrank_kperm;
     use crate::verify::assert_family_structure;
 
     #[test]
@@ -178,5 +187,18 @@ mod tests {
         // Parts of A_{5,2} have 4 nodes = n − 1 = fault bound: not enough.
         let g = Arrangement::new(5, 2);
         assert!(g.check_partition_preconditions().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "part 6 out of range")]
+    fn representative_past_the_last_part_panics() {
+        Arrangement::new(6, 3).representative(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 120 out of range")]
+    fn neighbours_of_a_node_past_the_last_panic() {
+        let g = Arrangement::new(6, 3);
+        g.neighbors_into(g.node_count(), &mut Vec::new());
     }
 }

@@ -20,13 +20,14 @@
 
 use crate::graph::{NodeId, Topology};
 use crate::partition::Partitionable;
-use crate::perm::{falling_factorial, rank_kperm, unrank_kperm};
+use crate::perm::{falling_factorial, KPerms, MAX_N};
 
 /// The (n,k)-star `S_{n,k}` with the k-th-component decomposition.
 #[derive(Clone, Debug)]
 pub struct NKStar {
     n: usize,
     k: usize,
+    perms: KPerms,
 }
 
 impl NKStar {
@@ -37,7 +38,11 @@ impl NKStar {
             k >= 2 && k < n,
             "(n,k)-star needs 2 ≤ k ≤ n−1 (k=1 is a clique, k=n−1 the star graph)"
         );
-        NKStar { n, k }
+        NKStar {
+            n,
+            k,
+            perms: KPerms::new(n, k),
+        }
     }
 
     /// Symbol-set size `n`.
@@ -57,27 +62,26 @@ impl Topology for NKStar {
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
-        let mut perm = Vec::with_capacity(self.k);
-        unrank_kperm(u, self.n, self.k, &mut perm);
+        let p = self.perms.unrank(u);
         // i-edges.
-        for i in 1..self.k {
-            perm.swap(0, i);
-            out.push(rank_kperm(&perm, self.n));
-            perm.swap(0, i);
-        }
+        out.extend((1..self.k).map(|i| self.perms.swap_first(&p, i)));
         // 1-edges: p_1 <- any unused symbol.
-        let mut used = [false; 17];
-        for &p in &perm {
-            used[p as usize] = true;
+        out.extend(self.perms.unused(&p).map(|s| self.perms.replace(&p, 0, s)));
+    }
+    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
+        // Each neighbour leads with a different symbol (swapped in or
+        // unused before), so ranks ascend with that symbol.
+        out.clear();
+        let p = self.perms.unrank(u);
+        let mut by_lead = [0; MAX_N + 1];
+        for i in 1..self.k {
+            by_lead[usize::from(p.at(i))] = self.perms.swap_first(&p, i);
         }
-        let old = perm[0];
-        for s in 1..=self.n as u8 {
-            if !used[s as usize] {
-                perm[0] = s;
-                out.push(rank_kperm(&perm, self.n));
-            }
+        for s in self.perms.unused(&p) {
+            by_lead[usize::from(s)] = self.perms.replace(&p, 0, s);
         }
-        perm[0] = old;
+        let lead = usize::from(p.at(0));
+        out.extend((1..=self.n).filter(|&s| s != lead).map(|s| by_lead[s]));
     }
     fn degree(&self, _u: NodeId) -> usize {
         self.n - 1
@@ -104,18 +108,17 @@ impl Partitionable for NKStar {
         self.n
     }
     fn part_of(&self, u: NodeId) -> usize {
-        let mut perm = Vec::with_capacity(self.k);
-        unrank_kperm(u, self.n, self.k, &mut perm);
-        (perm[self.k - 1] - 1) as usize
+        usize::from(self.perms.unrank(u).last()) - 1
     }
     fn representative(&self, part: usize) -> NodeId {
-        let c = (part + 1) as u8;
-        let mut perm: Vec<u8> = (1..=self.n as u8)
-            .filter(|&x| x != c)
-            .take(self.k - 1)
-            .collect();
-        perm.push(c);
-        rank_kperm(&perm, self.n)
+        assert!(
+            part < self.n,
+            "part {part} out of range: S_({},{}) has {} parts",
+            self.n,
+            self.k,
+            self.n
+        );
+        self.perms.first_ending_with(part as u8 + 1)
     }
     fn part_size(&self, _part: usize) -> usize {
         falling_factorial(self.n - 1, self.k - 1)
@@ -127,6 +130,7 @@ mod tests {
     use super::*;
     use crate::graph::AdjGraph;
     use crate::partition::validate_partition;
+    use crate::perm::{rank_kperm, unrank_kperm};
     use crate::verify::assert_family_structure;
 
     #[test]
@@ -195,5 +199,18 @@ mod tests {
         // Parts are K_{n−1}: exactly δ nodes, not more.
         let g = NKStar::new(5, 2);
         assert!(g.check_partition_preconditions().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "part 6 out of range")]
+    fn representative_past_the_last_part_panics() {
+        NKStar::new(6, 3).representative(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 120 out of range")]
+    fn neighbours_of_a_node_past_the_last_panic() {
+        let g = NKStar::new(6, 3);
+        g.neighbors_into(g.node_count(), &mut Vec::new());
     }
 }

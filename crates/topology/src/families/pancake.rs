@@ -11,12 +11,13 @@
 
 use crate::graph::{NodeId, Topology};
 use crate::partition::Partitionable;
-use crate::perm::{factorial, rank_perm, unrank_perm};
+use crate::perm::{factorial, KPerms, MAX_N};
 
 /// The pancake graph `P_n` with the last-symbol decomposition.
 #[derive(Clone, Debug)]
 pub struct Pancake {
     n: usize,
+    perms: KPerms,
 }
 
 impl Pancake {
@@ -26,7 +27,10 @@ impl Pancake {
             (2..=12).contains(&n),
             "pancake graph supported for 2 ≤ n ≤ 12"
         );
-        Pancake { n }
+        Pancake {
+            n,
+            perms: KPerms::new(n, n),
+        }
     }
 
     /// Symbol-set size `n`.
@@ -41,13 +45,20 @@ impl Topology for Pancake {
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
-        let mut perm = Vec::with_capacity(self.n);
-        unrank_perm(u, self.n, &mut perm);
+        let p = self.perms.unrank(u);
+        out.extend((2..=self.n).map(|l| self.perms.reverse_prefix(&p, l)));
+    }
+    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
+        // Each neighbour leads with a different symbol (the last of the
+        // reversed prefix), so ranks ascend with that symbol.
+        out.clear();
+        let p = self.perms.unrank(u);
+        let mut by_lead = [0; MAX_N + 1];
         for l in 2..=self.n {
-            perm[..l].reverse();
-            out.push(rank_perm(&perm, self.n));
-            perm[..l].reverse();
+            by_lead[usize::from(p.at(l - 1))] = self.perms.reverse_prefix(&p, l);
         }
+        let lead = usize::from(p.at(0));
+        out.extend((1..=self.n).filter(|&s| s != lead).map(|s| by_lead[s]));
     }
     fn degree(&self, _u: NodeId) -> usize {
         self.n - 1
@@ -74,15 +85,16 @@ impl Partitionable for Pancake {
         self.n
     }
     fn part_of(&self, u: NodeId) -> usize {
-        let mut perm = Vec::with_capacity(self.n);
-        unrank_perm(u, self.n, &mut perm);
-        (perm[self.n - 1] - 1) as usize
+        usize::from(self.perms.unrank(u).last()) - 1
     }
     fn representative(&self, part: usize) -> NodeId {
-        let c = (part + 1) as u8;
-        let mut perm: Vec<u8> = (1..=self.n as u8).filter(|&x| x != c).collect();
-        perm.push(c);
-        rank_perm(&perm, self.n)
+        assert!(
+            part < self.n,
+            "part {part} out of range: P_{} has {} parts",
+            self.n,
+            self.n
+        );
+        self.perms.first_ending_with(part as u8 + 1)
     }
     fn part_size(&self, _part: usize) -> usize {
         factorial(self.n - 1)
@@ -93,6 +105,7 @@ impl Partitionable for Pancake {
 mod tests {
     use super::*;
     use crate::partition::validate_partition;
+    use crate::perm::unrank_perm;
     use crate::verify::assert_family_structure;
 
     #[test]
@@ -168,5 +181,18 @@ mod tests {
             let crossing = nb.iter().filter(|&&v| g.part_of(v) != g.part_of(u)).count();
             assert_eq!(crossing, 1, "u={perm:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "part 6 out of range")]
+    fn representative_past_the_last_part_panics() {
+        Pancake::new(6).representative(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 720 out of range")]
+    fn neighbours_of_a_node_past_the_last_panic() {
+        let g = Pancake::new(6);
+        g.neighbors_into(g.node_count(), &mut Vec::new());
     }
 }

@@ -11,12 +11,13 @@
 
 use crate::graph::{NodeId, Topology};
 use crate::partition::Partitionable;
-use crate::perm::{factorial, rank_perm, unrank_perm};
+use crate::perm::{factorial, KPerms, MAX_N};
 
 /// The star graph `S_n` with the last-symbol decomposition.
 #[derive(Clone, Debug)]
 pub struct StarGraph {
     n: usize,
+    perms: KPerms,
 }
 
 impl StarGraph {
@@ -24,7 +25,10 @@ impl StarGraph {
     /// ceiling).
     pub fn new(n: usize) -> Self {
         assert!((2..=12).contains(&n), "star graph supported for 2 ≤ n ≤ 12");
-        StarGraph { n }
+        StarGraph {
+            n,
+            perms: KPerms::new(n, n),
+        }
     }
 
     /// Symbol-set size `n`.
@@ -39,13 +43,20 @@ impl Topology for StarGraph {
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
-        let mut perm = Vec::with_capacity(self.n);
-        unrank_perm(u, self.n, &mut perm);
+        let p = self.perms.unrank(u);
+        out.extend((1..self.n).map(|i| self.perms.swap_first(&p, i)));
+    }
+    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
+        // Each neighbour leads with a different symbol (the one swapped to
+        // the front), so ranks ascend with that symbol.
+        out.clear();
+        let p = self.perms.unrank(u);
+        let mut by_lead = [0; MAX_N + 1];
         for i in 1..self.n {
-            perm.swap(0, i);
-            out.push(rank_perm(&perm, self.n));
-            perm.swap(0, i);
+            by_lead[usize::from(p.at(i))] = self.perms.swap_first(&p, i);
         }
+        let lead = usize::from(p.at(0));
+        out.extend((1..=self.n).filter(|&s| s != lead).map(|s| by_lead[s]));
     }
     fn degree(&self, _u: NodeId) -> usize {
         self.n - 1
@@ -72,16 +83,17 @@ impl Partitionable for StarGraph {
         self.n
     }
     fn part_of(&self, u: NodeId) -> usize {
-        let mut perm = Vec::with_capacity(self.n);
-        unrank_perm(u, self.n, &mut perm);
-        (perm[self.n - 1] - 1) as usize
+        usize::from(self.perms.unrank(u).last()) - 1
     }
     fn representative(&self, part: usize) -> NodeId {
+        assert!(
+            part < self.n,
+            "part {part} out of range: S_{} has {} parts",
+            self.n,
+            self.n
+        );
         // Smallest permutation ending in symbol `part + 1`.
-        let c = (part + 1) as u8;
-        let mut perm: Vec<u8> = (1..=self.n as u8).filter(|&x| x != c).collect();
-        perm.push(c);
-        rank_perm(&perm, self.n)
+        self.perms.first_ending_with(part as u8 + 1)
     }
     fn part_size(&self, _part: usize) -> usize {
         factorial(self.n - 1)
@@ -92,6 +104,7 @@ impl Partitionable for StarGraph {
 mod tests {
     use super::*;
     use crate::partition::validate_partition;
+    use crate::perm::unrank_perm;
     use crate::verify::assert_family_structure;
 
     #[test]
@@ -155,5 +168,18 @@ mod tests {
         assert_eq!(g.part_count(), 5);
         assert_eq!(g.part_size(0), 24);
         g.check_partition_preconditions().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "part 6 out of range")]
+    fn representative_past_the_last_part_panics() {
+        StarGraph::new(6).representative(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 720 out of range")]
+    fn neighbours_of_a_node_past_the_last_panic() {
+        let g = StarGraph::new(6);
+        g.neighbors_into(g.node_count(), &mut Vec::new());
     }
 }
