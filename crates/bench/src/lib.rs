@@ -1170,8 +1170,11 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Schema version stamped into every trajectory document [`to_json`]
-/// writes. v5 adds the provenance keys `"git_rev"`, `"nproc"`, `"rustc"`
-/// and `"profile"` beside `"exec"`, and three keys to every record:
+/// writes. v6 adds the top-level `"knobs"` object beside the provenance
+/// keys: every `MMDIAG_*` value as [`mmdiag_exec::knobs`] parsed it, keyed
+/// by its variable, `null` where a value is unset. v5 adds the provenance
+/// keys `"git_rev"`, `"nproc"`, `"rustc"` and `"profile"` beside
+/// `"exec"`, and three keys to every record:
 /// `"adjacency_ns_per_neighbor"` ([`adjacency_ns_per_neighbor`]),
 /// `"ns_per_delta_n"` ([`RunRecord::ns_per_delta_n`]) and
 /// `"lookups_per_node"` ([`RunRecord::lookups_per_node`]). v4 records one
@@ -1185,7 +1188,7 @@ fn json_escape(s: &str) -> String {
 /// is v2 without the strided-lane `"parallel"` record legs and the
 /// top-level `"thread_sweep"` list; v2 added the per-record `"phases"`
 /// and `"verification"` objects to v1.
-pub const SCHEMA_VERSION: &str = "mmdiag-bench/v5";
+pub const SCHEMA_VERSION: &str = "mmdiag-bench/v6";
 
 /// Render records as the `BENCH_<pr>.json` trajectory document
 /// ([`SCHEMA_VERSION`]). Every record carries a `"phases"` object (the
@@ -1491,15 +1494,15 @@ pub fn to_json(
 
 /// The machine a trajectory was measured on, as top-level keys beside
 /// `"exec"`: mmbench's provenance fields, read as mmbench reads them
-/// (`.git/HEAD` and its ref, `rustc --version`). `"git_rev"` and
-/// `"rustc"` are `null` where they cannot be read.
+/// (`.git/HEAD` and its ref, `rustc --version`), and the process's knobs.
+/// `"git_rev"` and `"rustc"` are `null` where they cannot be read.
 fn provenance_json() -> String {
     let string_or_null = |v: Option<String>| match v {
         Some(v) => format!("\"{}\"", json_escape(&v)),
         None => "null".to_string(),
     };
     format!(
-        "  \"git_rev\": {}, \"nproc\": {}, \"rustc\": {}, \"profile\": \"{}\",\n",
+        "  \"git_rev\": {}, \"nproc\": {}, \"rustc\": {}, \"profile\": \"{}\",\n  \"knobs\": {},\n",
         string_or_null(git_rev()),
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         string_or_null(rustc_version()),
@@ -1508,6 +1511,28 @@ fn provenance_json() -> String {
         } else {
             "release"
         },
+        knobs_json(mmdiag_exec::knobs()),
+    )
+}
+
+/// `knobs` as a JSON object keyed by `MMDIAG_*` variable: a number where
+/// a value is set, `null` where it is unset or unparsable, and `true` or
+/// `false` for the two switches, which parse unset as `false`.
+fn knobs_json(knobs: &mmdiag_exec::Knobs) -> String {
+    fn or_null(v: Option<impl ToString>) -> String {
+        v.map_or_else(|| "null".to_string(), |v| v.to_string())
+    }
+    format!(
+        "{{\"MMDIAG_POOL_THREADS\": {}, \"MMDIAG_CUTOVER\": {}, \"MMDIAG_QUICK\": {}, \
+         \"MMDIAG_SAMPLES\": {}, \"MMDIAG_TRACE\": {}, \"MMDIAG_STATS\": {}, \
+         \"MMDIAG_EPOCHS\": {}}}",
+        or_null(knobs.pool_threads),
+        or_null(knobs.cutover),
+        knobs.quick,
+        or_null(knobs.samples_per_part),
+        knobs.trace,
+        or_null(knobs.stats),
+        or_null(knobs.epochs),
     )
 }
 
@@ -1913,7 +1938,7 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for needle in [
-            "\"schema\": \"mmdiag-bench/v5\"",
+            "\"schema\": \"mmdiag-bench/v6\"",
             "\"bench_id\": \"BENCH_TEST\"",
             "\"phases\": {\"probe_nanos\": ",
             "\"verification\": {\"method\": \"full_baseline\"",
@@ -1969,6 +1994,33 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    /// Every `MMDIAG_*` knob is a key of the `"knobs"` object, rendered as
+    /// `Knobs::parse` read it: `null` where unset or unparsable.
+    #[test]
+    fn bench_files_record_every_knob() {
+        let knobs = mmdiag_exec::Knobs::parse(
+            Some("3"),
+            None,
+            Some("1"),
+            Some("junk"),
+            None,
+            None,
+            Some("250"),
+            Some("8"),
+        );
+        assert_eq!(
+            knobs_json(&knobs),
+            "{\"MMDIAG_POOL_THREADS\": 3, \"MMDIAG_CUTOVER\": null, \"MMDIAG_QUICK\": true, \
+             \"MMDIAG_SAMPLES\": null, \"MMDIAG_TRACE\": false, \"MMDIAG_STATS\": 250, \
+             \"MMDIAG_EPOCHS\": 8}"
+        );
+        // Every file carries the process's knobs as parsed.
+        let json = to_json("BENCH_TEST", &[], &[], &[], None, None);
+        mmdiag_trace::export::validate_json(&json).unwrap();
+        let line = format!("  \"knobs\": {},\n", knobs_json(mmdiag_exec::knobs()));
+        assert!(json.contains(&line), "no {line} in {json}");
     }
 
     #[test]

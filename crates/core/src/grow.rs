@@ -62,21 +62,15 @@ where
     let before = s.lookups();
     let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
     let mut core = GrowthCore::start(g, s, u0, fault_bound, &accept, ws, &mut |v| rejects.push(v));
-    rounds.push(round(s, before, span, 1, core.members.len() - 1));
+    rounds.push(round(s, before, span, 1, core.attached()));
     let mut growing = !ws.frontier.is_empty();
     while growing {
         let width = ws.frontier.len();
-        let members_before = core.members.len();
+        let attached = core.attached();
         let before = s.lookups();
         let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
         growing = core.advance_layer(g, s, &accept, ws, &mut |v| rejects.push(v));
-        rounds.push(round(
-            s,
-            before,
-            span,
-            width,
-            core.members.len() - members_before,
-        ));
+        rounds.push(round(s, before, span, width, core.attached() - attached));
     }
     // N(U_r) \ U_r: exactly the never-visited rejectees (Theorem 1 labels
     // them all faulty).
@@ -90,14 +84,14 @@ where
             bound: fault_bound,
         });
     }
-    let full = core.finish(s);
+    let tree = core.into_tree();
     Ok((
         Diagnosis {
             faults,
             certified_part: part,
             probes,
-            healthy_count: full.members.len(),
-            tree: full.tree,
+            healthy_count: tree.node_count(),
+            tree,
             lookups_used: checked_delta(s.lookups(), start_lookups),
         },
         rounds,

@@ -53,6 +53,8 @@
 pub mod backend;
 pub mod driver;
 mod grow;
+#[cfg(test)]
+mod reference;
 pub mod session;
 pub mod set_builder;
 pub mod tree;

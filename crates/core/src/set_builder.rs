@@ -35,57 +35,98 @@
 //!
 //! Time: `O(Δ·|U_r|)` (plus the `O(Δ²)` seed step); syndrome entries
 //! consulted: at most `C(Δ,2)` for the seed plus `Δ − 1` per other member,
-//! the §6 bound `(Δ−1)(Δ/2 + |U_r| − 1)`.
+//! the §6 bound `(Δ−1)(Δ/2 + |U_r| − 1)`. Memory: a [`Workspace`] of 8
+//! bytes and one bit per node of the graph, reused across runs, plus the
+//! returned tree's `(child, parent)` edge per member and two buffers as
+//! wide as the widest layer. Each layer's frontier is emitted in ascending
+//! order without a sort where the layer is dense in the id space.
 
 use crate::tree::SpanningTree;
 use mmdiag_syndrome::SyndromeSource;
 use mmdiag_topology::{NodeId, Partitionable, Topology};
 
-/// Reusable scratch space for `Set_Builder` runs.
+/// Reusable scratch space for `Set_Builder` runs: 8 bytes and one bit per
+/// node, so successive probes over the same graph reuse one `O(N)`
+/// allocation — this is what keeps the whole probe-every-part driver at
+/// `O(Δ·N)` rather than `O(parts · N)`.
 ///
-/// All arrays are epoch-stamped so successive probes over the same graph
-/// reuse one `O(N)` allocation — this is what keeps the whole
-/// probe-every-part driver at `O(Δ·N)` rather than `O(parts · N)`.
+/// Per node:
+///
+/// * `mark: u32` — epoch-stamped: a node is in the current run's set
+///   exactly when its mark equals the run's epoch, so a run starts
+///   without clearing anything;
+/// * `parent: u32` — `t(v)` for a member `v`. While `v`'s layer is being
+///   built it holds the frontier position of `v`'s parent instead, which
+///   finds that parent's claim counter in O(1); the layer's flush rewrites
+///   it to the parent's id;
+/// * one bit of a layer bitmap, set while the node belongs to the layer
+///   being built. The bitmap has no epoch: emitting a layer clears its
+///   bits, and a run that stopped mid-layer (a source that panicked) leaves
+///   the workspace dirty, so the next run clears the whole bitmap first.
+///
+/// Per run, beside these: the frontier, one claim counter per frontier
+/// position, and the tree's edge list, which the run returns. Node ids and
+/// frontier positions are stored as `u32`, so a workspace serves graphs of
+/// at most `2³²` nodes.
 pub struct Workspace {
-    pub(crate) epoch: u32,
-    pub(crate) mark: Vec<u32>,
-    pub(crate) contributed: Vec<u32>,
-    pub(crate) parent: Vec<NodeId>,
-    /// Layer at which a node was attached (valid when `mark` is current).
-    pub(crate) layer: Vec<u32>,
-    /// Children claimed by a parent in the layer being built.
-    pub(crate) claims: Vec<u32>,
+    epoch: u32,
+    mark: Vec<u32>,
+    parent: Vec<u32>,
+    layer_bits: Vec<u64>,
+    /// A layer's bits may be set: the scan started and its layer was not
+    /// yet emitted.
+    dirty: bool,
+    /// The layer being scanned, ascending.
     pub(crate) frontier: Vec<NodeId>,
-    pub(crate) next_frontier: Vec<NodeId>,
-    pub(crate) nbuf: Vec<NodeId>,
+    /// Children claimed by each frontier position in the layer being built.
+    claims: Vec<u32>,
+    nbuf: Vec<NodeId>,
 }
 
 impl Workspace {
     /// Scratch space for a graph with `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// If `n > 2³²`, before allocating anything.
     pub fn new(n: usize) -> Self {
+        assert!(
+            n as u64 <= 1 << 32,
+            "a workspace stores node ids in 32 bits: {n} nodes exceed 2^32"
+        );
         Workspace {
             epoch: 0,
             mark: vec![0; n],
-            contributed: vec![0; n],
             parent: vec![0; n],
-            layer: vec![0; n],
-            claims: vec![0; n],
+            layer_bits: vec![0; n.div_ceil(64)],
+            dirty: false,
             frontier: Vec::new(),
-            next_frontier: Vec::new(),
+            claims: Vec::new(),
             nbuf: Vec::new(),
         }
     }
 
-    pub(crate) fn begin(&mut self) {
+    /// A workspace whose last run had epoch `epoch`.
+    #[cfg(test)]
+    fn at_epoch(n: usize, epoch: u32) -> Self {
+        Workspace {
+            epoch,
+            ..Workspace::new(n)
+        }
+    }
+
+    fn begin(&mut self) {
         // Epoch 0 is "never seen"; wrap by clearing.
         if self.epoch == u32::MAX {
             self.mark.fill(0);
-            self.contributed.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
+        if self.dirty {
+            self.layer_bits.fill(0);
+            self.dirty = false;
+        }
         self.frontier.clear();
-        self.next_frontier.clear();
     }
 
     #[inline]
@@ -93,10 +134,58 @@ impl Workspace {
         self.mark[u] == self.epoch
     }
 
+    /// Mark `u` visited with `parent` (a node id, or a frontier position
+    /// while `u`'s layer is built). Both are below `n ≤ 2³²`.
     #[inline]
-    pub(crate) fn visit(&mut self, u: NodeId, parent: NodeId) {
+    fn visit(&mut self, u: NodeId, parent: usize) {
         self.mark[u] = self.epoch;
-        self.parent[u] = parent;
+        self.parent[u] = parent as u32;
+    }
+
+    #[inline]
+    fn in_layer(&self, v: NodeId) -> bool {
+        self.layer_bits[v / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// Close the layer whose `(child, first claimant)` edges are `layer`:
+    /// rewrite every child's parent from a frontier position to the final
+    /// parent's id (in `parent` and in `layer`), then replace the frontier
+    /// with the layer in ascending order and clear the layer's bits. Returns
+    /// the layer's contributors: the frontier positions that still hold a
+    /// claim.
+    ///
+    /// The layer is emitted by a scan of the bitmap words between its
+    /// lowest and highest id when that span holds at most 4 words per
+    /// member, and by a sort otherwise, so either way costs O(layer size).
+    fn flush_layer(&mut self, layer: &mut [(NodeId, NodeId)]) -> usize {
+        let (mut lo, mut hi) = (NodeId::MAX, 0);
+        for edge in layer.iter_mut() {
+            let v = edge.0;
+            let p = self.frontier[self.parent[v] as usize];
+            self.parent[v] = p as u32;
+            edge.1 = p;
+            (lo, hi) = (lo.min(v), hi.max(v));
+        }
+        let contributors = self.claims.iter().filter(|&&c| c > 0).count();
+        self.frontier.clear();
+        let (first, last) = (lo / 64, hi / 64);
+        if last - first < 4 * layer.len() {
+            for w in first..=last {
+                let mut bits = std::mem::take(&mut self.layer_bits[w]);
+                while bits != 0 {
+                    self.frontier.push(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            self.frontier.extend(layer.iter().map(|&(v, _)| v));
+            self.frontier.sort_unstable();
+            for &v in &self.frontier {
+                self.layer_bits[v / 64] &= !(1 << (v % 64));
+            }
+        }
+        self.dirty = false;
+        contributors
     }
 }
 
@@ -182,22 +271,23 @@ where
 /// reproduces `N(U_r) \ U_r` without the O(N) full-graph sweep the
 /// diagnosis driver used to do. The sequential entry point passes a no-op
 /// sink and keeps its historical behaviour (and lookup counts) exactly.
+///
+/// The tree's edge list is the run's only member list: `u0` followed by
+/// the edges' children, in attachment order.
 pub(crate) struct GrowthCore {
     u0: NodeId,
     fault_bound: usize,
     start_lookups: u64,
-    pub(crate) members: Vec<NodeId>,
     edges: Vec<(NodeId, NodeId)>,
     contributors: usize,
     all_healthy: bool,
     rounds: usize,
-    cur_layer: u32,
 }
 
 impl GrowthCore {
     /// Seed the run: `ws.begin()`, then level 1 (pairs of `u0`'s
     /// neighbours within `H`, O(Δ²) worst case, at most C(Δ, 2) syndrome
-    /// entries). Leaves `U_1 \ {u0}` in `ws.frontier`.
+    /// entries). Leaves `U_1 \ {u0}` in `ws.frontier`, ascending.
     pub(crate) fn start<T, S, F, R>(
         g: &T,
         s: &S,
@@ -217,10 +307,7 @@ impl GrowthCore {
         let start_lookups = s.lookups();
         ws.begin();
         ws.visit(u0, u0);
-        let mut members = vec![u0];
         let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut contributors = 0usize;
-        let mut all_healthy = false;
 
         g.neighbors_into(u0, &mut ws.nbuf);
         ws.nbuf.retain(|&v| accept(v));
@@ -242,8 +329,6 @@ impl GrowthCore {
             for (idx, &v) in candidates.iter().enumerate() {
                 if in_u1[idx] {
                     ws.visit(v, u0);
-                    ws.layer[v] = 1;
-                    members.push(v);
                     edges.push((v, u0));
                     ws.frontier.push(v);
                 } else {
@@ -253,28 +338,24 @@ impl GrowthCore {
         }
         ws.nbuf = candidates;
 
-        let mut rounds = 0usize;
-        if !ws.frontier.is_empty() {
-            // u0 contributed to U_1.
-            contributors += 1;
-            ws.contributed[u0] = ws.epoch;
-            rounds = 1;
-            if contributors > fault_bound {
-                all_healthy = true;
-            }
-        }
-
+        // u0 contributed to U_1, if U_1 grew; it is in no frontier, so no
+        // later layer counts it again.
+        let grew = !ws.frontier.is_empty();
+        let contributors = usize::from(grew);
         GrowthCore {
             u0,
             fault_bound,
             start_lookups,
-            members,
             edges,
             contributors,
-            all_healthy,
-            rounds,
-            cur_layer: 1,
+            all_healthy: contributors > fault_bound,
+            rounds: usize::from(grew),
         }
+    }
+
+    /// Nodes attached so far besides `u0`.
+    pub(crate) fn attached(&self) -> usize {
+        self.edges.len()
     }
 
     /// One level `i ≥ 2`: each frontier node `u` tests candidates `v`
@@ -298,14 +379,16 @@ impl GrowthCore {
         if ws.frontier.is_empty() {
             return false;
         }
-        ws.next_frontier.clear();
-        self.cur_layer += 1;
-        // Deterministic scan order (the spread heuristic below replaces the
-        // paper's "least contributing node" tie-break; see module docs).
-        ws.frontier.sort_unstable();
+        let layer_start = self.edges.len();
+        ws.claims.clear();
+        ws.claims.resize(ws.frontier.len(), 0);
+        ws.dirty = true;
+        // The frontier is ascending: a deterministic scan order (the spread
+        // heuristic below replaces the paper's "least contributing node"
+        // tie-break; see module docs).
         for fi in 0..ws.frontier.len() {
             let u = ws.frontier[fi];
-            let tu = ws.parent[u];
+            let tu = ws.parent[u] as NodeId;
             g.neighbors_into(u, &mut ws.nbuf);
             for idx in 0..ws.nbuf.len() {
                 let v = ws.nbuf[idx];
@@ -317,68 +400,64 @@ impl GrowthCore {
                     // parent that already has other children, and u is an
                     // eligible parent with no children yet, move v to u.
                     // Soundness needs the witness test s_u(v, t(u)) = 0.
-                    if !self.all_healthy
-                        && ws.layer[v] == self.cur_layer
-                        && ws.claims[ws.parent[v]] > 1
-                        && ws.claims[u] == 0
-                        && s.lookup(u, v, tu).is_agree()
-                    {
-                        ws.claims[ws.parent[v]] -= 1;
-                        ws.claims[u] += 1;
-                        ws.parent[v] = u;
+                    if !self.all_healthy && ws.in_layer(v) {
+                        let pv = ws.parent[v] as usize;
+                        if ws.claims[pv] > 1 && ws.claims[fi] == 0 && s.lookup(u, v, tu).is_agree()
+                        {
+                            ws.claims[pv] -= 1;
+                            ws.claims[fi] += 1;
+                            ws.parent[v] = fi as u32;
+                        }
                     }
                     continue;
                 }
                 if s.lookup(u, v, tu).is_agree() {
-                    ws.visit(v, u);
-                    ws.layer[v] = self.cur_layer;
-                    ws.claims[u] += 1;
-                    self.members.push(v);
-                    ws.next_frontier.push(v);
+                    ws.visit(v, fi);
+                    ws.layer_bits[v / 64] |= 1 << (v % 64);
+                    ws.claims[fi] += 1;
+                    self.edges.push((v, u));
                 } else {
                     reject(v);
                 }
             }
         }
-        // Claim counters are only meaningful within one layer scan; reset
-        // them for the scanned frontier on every exit path.
-        for &u in &ws.frontier {
-            ws.claims[u] = 0;
-        }
-        if ws.next_frontier.is_empty() {
+        if self.edges.len() == layer_start {
+            ws.dirty = false;
             return false;
         }
         self.rounds += 1;
-        // Flush the layer: record final parent assignments and count the
-        // distinct contributors.
-        for ni in 0..ws.next_frontier.len() {
-            let v = ws.next_frontier[ni];
-            let p = ws.parent[v];
-            self.edges.push((v, p));
-            if ws.contributed[p] != ws.epoch {
-                ws.contributed[p] = ws.epoch;
-                self.contributors += 1;
-            }
-        }
+        self.contributors += ws.flush_layer(&mut self.edges[layer_start..]);
         if self.contributors > self.fault_bound {
             self.all_healthy = true;
         }
-        std::mem::swap(&mut ws.frontier, &mut ws.next_frontier);
         true
     }
 
-    /// Package the accumulated state as a [`SetBuilderOutcome`].
+    /// The tree `T` grown so far.
+    pub(crate) fn into_tree(self) -> SpanningTree {
+        SpanningTree::from_edges(self.u0, self.edges)
+    }
+
+    /// Package the accumulated state as a [`SetBuilderOutcome`], its
+    /// members read off the tree.
     pub(crate) fn finish<S>(self, s: &S) -> SetBuilderOutcome
     where
         S: SyndromeSource + ?Sized,
     {
+        let lookups_used = s.lookups().saturating_sub(self.start_lookups);
+        let (all_healthy, contributors, rounds) =
+            (self.all_healthy, self.contributors, self.rounds);
+        let tree = self.into_tree();
+        let members = std::iter::once(tree.root())
+            .chain(tree.edges().iter().map(|&(child, _)| child))
+            .collect();
         SetBuilderOutcome {
-            all_healthy: self.all_healthy,
-            members: self.members,
-            tree: SpanningTree::from_edges(self.u0, self.edges),
-            contributors: self.contributors,
-            rounds: self.rounds,
-            lookups_used: s.lookups().saturating_sub(self.start_lookups),
+            all_healthy,
+            members,
+            tree,
+            contributors,
+            rounds,
+            lookups_used,
         }
     }
 }
@@ -398,6 +477,7 @@ pub fn lookup_bound(delta: usize, set_size: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::assert_same;
     use mmdiag_syndrome::{FaultSet, OracleSyndrome, TesterBehavior};
     use mmdiag_topology::families::Hypercube;
 
@@ -570,6 +650,131 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A source that panics on its `k`-th lookup and otherwise reads
+    /// `inner`.
+    struct PanicsAt<'a> {
+        inner: &'a OracleSyndrome,
+        k: u64,
+        read: std::cell::Cell<u64>,
+    }
+
+    impl mmdiag_syndrome::SyndromeSource for PanicsAt<'_> {
+        fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> mmdiag_syndrome::TestResult {
+            self.read.set(self.read.get() + 1);
+            assert!(self.read.get() != self.k, "planted panic");
+            self.inner.lookup(u, v, w)
+        }
+    }
+
+    /// Lookups into a growth from `u0` at which the certificate fired.
+    fn lookups_to_certificate<F: Fn(NodeId) -> bool>(
+        g: &Hypercube,
+        s: &OracleSyndrome,
+        u0: NodeId,
+        bound: usize,
+        accept: F,
+    ) -> u64 {
+        let mut ws = Workspace::new(g.node_count());
+        let start = s.lookups();
+        let mut core = GrowthCore::start(g, s, u0, bound, &accept, &mut ws, &mut |_| {});
+        while !core.all_healthy {
+            assert!(core.advance_layer(g, s, &accept, &mut ws, &mut |_| {}));
+        }
+        s.lookups() - start
+    }
+
+    /// A run that a panicking source unwinds mid-growth leaves nothing
+    /// behind: the next run in the same workspace equals a run in a fresh
+    /// one, for the restricted probe and the unrestricted growth, whether
+    /// the panic came before or after the certificate fired.
+    #[test]
+    fn no_state_survives_an_unwound_run() {
+        use rand::SeedableRng;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let g = Hypercube::new(7);
+        let (n, bound) = (g.node_count(), g.driver_fault_bound());
+        let (mut before, mut after) = (0, 0);
+        for seed in 0..3 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let s = oracle(
+                n,
+                FaultSet::random(n, 3, &mut rng).members(),
+                TesterBehavior::AllZero,
+            );
+            let part = (0..g.part_count())
+                .find(|&p| {
+                    set_builder_in_part(&g, &s, g.representative(p), bound, &mut Workspace::new(n))
+                        .all_healthy
+                })
+                .expect("three faults leave a part that certifies");
+            let u0 = g.representative(part);
+            for restricted in [true, false] {
+                let run = |src: &dyn mmdiag_syndrome::SyndromeSource, ws: &mut Workspace| {
+                    if restricted {
+                        set_builder_in_part(&g, src, u0, bound, ws)
+                    } else {
+                        set_builder(&g, src, u0, bound, ws)
+                    }
+                };
+                let fired = if restricted {
+                    lookups_to_certificate(&g, &s, u0, bound, |v| g.part_of(v) == part)
+                } else {
+                    lookups_to_certificate(&g, &s, u0, bound, |_| true)
+                };
+                let want = run(&s, &mut Workspace::new(n));
+                for k in 1..300 {
+                    let panicking = PanicsAt {
+                        inner: &s,
+                        k,
+                        read: std::cell::Cell::new(0),
+                    };
+                    let mut ws = Workspace::new(n);
+                    if catch_unwind(AssertUnwindSafe(|| run(&panicking, &mut ws))).is_err() {
+                        if k <= fired {
+                            before += 1;
+                        } else {
+                            after += 1;
+                        }
+                    }
+                    let ctx = format!("seed {seed} restricted {restricted} k {k}");
+                    assert_same(&run(&s, &mut ws), &want, &ctx);
+                }
+            }
+        }
+        assert!(
+            before > 0 && after > 0,
+            "{before} unwound before, {after} after"
+        );
+    }
+
+    /// `begin` wraps the epoch at `u32::MAX` by clearing the marks: three
+    /// growths across the wrap each equal a growth in a fresh workspace.
+    #[test]
+    fn growths_across_the_epoch_wrap_equal_fresh_ones() {
+        let g = Hypercube::new(7);
+        let n = g.node_count();
+        let mut ws = Workspace::at_epoch(n, u32::MAX - 1);
+        for (seed, faults) in [(0usize, vec![3usize, 64]), (5, vec![]), (0, vec![1, 2, 4])] {
+            let s = oracle(n, &faults, TesterBehavior::Random { seed: 9 });
+            let want = set_builder(&g, &s, seed, 7, &mut Workspace::new(n));
+            assert_same(
+                &set_builder(&g, &s, seed, 7, &mut ws),
+                &want,
+                &format!("{faults:?}"),
+            );
+        }
+        assert_eq!(ws.epoch, 2, "the wrap restarted the epochs");
+    }
+
+    /// Node ids are stored in 32 bits: a larger graph is refused before
+    /// anything is allocated.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "exceed 2^32")]
+    fn a_workspace_past_2_pow_32_nodes_panics_before_allocating() {
+        Workspace::new((1 << 32) + 1);
     }
 
     #[test]

@@ -1,0 +1,156 @@
+//! The growth's memory, pinned by a counting global allocator.
+//!
+//! * A `Workspace` holds 8 bytes and one bit per node, plus a constant.
+//! * A diagnosis on an implicit Q_16 (`probe_part` in part order, then
+//!   `grow_from_certificate`) allocates, beyond the workspace, no more than
+//!   the returned tree's edge vector plus the frontier and claims buffers:
+//!   no member list or other per-node array.
+//!
+//! The counts are per thread (const-initialised thread-locals), so tests
+//! running in parallel on other threads cannot pollute them.
+
+use mmdiag_core::{grow_from_certificate, probe_part, Workspace};
+use mmdiag_implicit::ImplicitTopology;
+use mmdiag_syndrome::{OnDemandOracle, TesterBehavior};
+use mmdiag_topology::families::Hypercube;
+use mmdiag_topology::{NodeId, Partitionable, Topology};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread holds.
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    /// The most bytes this thread held since the last [`held_during`].
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Forwards to [`System`], counting the calling thread's live bytes.
+struct Counting;
+
+fn grew(bytes: usize) {
+    // `try_with` fails only while the thread is being torn down, when no
+    // test is counting any more.
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+fn shrank(bytes: usize) {
+    // Memory freed here may have been counted on another thread.
+    let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(bytes)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the added bookkeeping touches only
+// const-initialised thread-local `Cell`s, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's `alloc` contract is passed on to `System` as is.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: same layout, same contract, forwarded to `System`.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    // SAFETY: the caller's `alloc_zeroed` contract is passed on as is.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: same layout, same contract, forwarded to `System`.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    // SAFETY: the caller's `realloc` contract is passed on as is; `ptr`
+    // came from this allocator, that is from `System`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` and `layout` describe a `System` block, as required.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            shrank(layout.size());
+            grew(new_size);
+        }
+        p
+    }
+
+    // SAFETY: the caller's `dealloc` contract is passed on as is.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the most bytes this thread held
+/// above its starting level while `f` ran.
+fn held_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let out = f();
+    (out, PEAK.with(Cell::get) - base)
+}
+
+/// Room for the odd small buffer: a neighbour list, the level-1 pair
+/// flags, the fault list, a part-sized probe tree.
+const SLACK: usize = 64 << 10;
+
+#[test]
+fn the_counter_sees_the_peak() {
+    let ((), peak) = held_during(|| drop(std::hint::black_box(vec![0u8; 4096])));
+    assert_eq!(peak, 4096);
+}
+
+#[test]
+fn a_workspace_holds_8_bytes_and_one_bit_per_node() {
+    let n = 1 << 16;
+    let (ws, peak) = held_during(|| Workspace::new(n));
+    assert!(
+        peak <= 8 * n + n / 8 + 1024,
+        "{peak} bytes for {n} nodes: {:.2} per node",
+        peak as f64 / n as f64
+    );
+    drop(ws);
+}
+
+#[test]
+fn a_diagnosis_allocates_only_its_tree_frontier_and_claims() {
+    let g = ImplicitTopology::new(Hypercube::new_certified(16));
+    let (n, bound) = (g.node_count(), g.driver_fault_bound());
+    let mut faults: Vec<NodeId> = (1..=bound).map(|i| i * 4093 % n).collect();
+    faults.sort_unstable();
+    let s = OnDemandOracle::new(n, &faults, TesterBehavior::Random { seed: 1 });
+    let mut ws = Workspace::new(n);
+    let (diagnosis, peak) = held_during(|| {
+        let certificate = (0..g.part_count())
+            .find_map(|part| probe_part(&g, &s, part, bound, &mut ws).certificate)
+            .expect("a part certifies under the bound");
+        grow_from_certificate(
+            &g,
+            &s,
+            &certificate,
+            certificate.part + 1,
+            bound,
+            0,
+            &mut ws,
+        )
+        .expect("a diagnosis under the bound")
+    });
+    assert_eq!(diagnosis.faults, faults);
+    // The edge vector grows by doubling. The frontier (a node id per
+    // member) and claims (a `u32` per member) buffers grow to at most
+    // twice the widest layer; Q_16's widest is C(16, 8) = 12 870 nodes.
+    let tree =
+        std::mem::size_of::<(NodeId, NodeId)>() * diagnosis.tree.node_count().next_power_of_two();
+    let layers = (std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>()) * 2 * 12_870;
+    assert!(
+        peak <= tree + layers + SLACK,
+        "{peak} bytes held against {tree} for the tree and {layers} for the layers"
+    );
+}
