@@ -133,9 +133,12 @@ where
 ///
 /// This deliberately re-implements the growth rules instead of calling
 /// `mmdiag_core::set_builder`: a verifier that shared the driver's kernel
-/// would rubber-stamp any bug in that kernel. The price is a third copy
-/// of the rules (core, the honest probe in `mmdiag_topology::partition`,
-/// and this); the cross-checks that keep
+/// would rubber-stamp any bug in that kernel. The price is one of three
+/// copies of the rules: core (which the event simulator in
+/// `mmdiag-distsim` also runs), the honest probe in
+/// `mmdiag_topology::partition` (below core in the layering), and this
+/// one, kept apart because independence is its point. The cross-checks
+/// that keep
 /// them from drifting are `correct_diagnosis_always_agrees` below (a
 /// divergent re-derivation fails against real driver output, behaviour
 /// sweep included) and the bench, where every driver-only cell asserts

@@ -33,8 +33,8 @@
 //!   tori) where the full-table baseline and the event simulator are
 //!   infeasible — those cells are **driver-only**, carry
 //!   `"baseline": null` / `"distsim": null`, and record the **sampled
-//!   spot-checker**'s ([`mmdiag_baselines::sampled_check`]) verdict as
-//!   `"sampled_check"` instead;
+//!   spot-checker**'s ([`mmdiag_baselines::sampled_check`]) verdict in
+//!   their `"verification"` object instead;
 //! * **`--xlarge`** sweeps 10⁶–10⁷-node instances served by
 //!   [`mmdiag_implicit::ImplicitTopology`] — adjacency straight from the
 //!   generator math, no `Cached` CSR anywhere (a
@@ -257,24 +257,6 @@ pub struct BaselineLeg {
     pub lookups: u64,
 }
 
-/// The sampled spot-checker leg of one driver-only cell — the independent
-/// verdict that replaces the infeasible full-table baseline at scale.
-#[derive(Clone, Debug)]
-pub struct SampledLeg {
-    /// Wall time of the check (ns).
-    pub nanos: u128,
-    /// Nodes sampled across all parts.
-    pub samples: usize,
-    /// Syndrome entries consulted by the label re-checks.
-    pub checked_tests: u64,
-    /// Sampled nodes whose neighbourhood contradicted the diagnosis.
-    pub disagreements: usize,
-    /// Did the re-derived probe tree at the certified part certify?
-    pub certificate_ok: bool,
-    /// No disagreements, certificate re-derived, bound respected.
-    pub agree: bool,
-}
-
 /// The event-level simulator's unit-latency leg of one cell.
 #[derive(Clone, Debug)]
 pub struct DistsimLeg {
@@ -328,9 +310,6 @@ pub struct RunRecord {
     pub adjacency_ns_per_neighbor: f64,
     /// Baseline leg; `None` on driver-only cells and the quick-skip set.
     pub baseline: Option<BaselineLeg>,
-    /// Sampled spot-checker leg; `Some` exactly on driver-only cells,
-    /// where the full baseline is `None`.
-    pub sampled: Option<SampledLeg>,
     /// Event-simulator leg (unit latencies, static faults); `None` on
     /// driver-only cells.
     pub distsim: Option<DistsimLeg>,
@@ -544,11 +523,10 @@ pub fn run_cell_opts(
     let distsim = if inst.driver_only {
         None
     } else {
-        let sim_session = Diagnoser::new(g).simulated(LatencyModel::Unit);
         let timeline = FaultTimeline::static_faults(faults.clone(), behavior);
         let t0 = Stopwatch::start();
-        let sim = sim_session
-            .simulate(&timeline)
+        let sim = session
+            .simulate(&timeline, &LatencyModel::Unit)
             .unwrap_or_else(|e| panic!("{}: distsim failed: {e}", g.name()));
         let sim_nanos = u128::from(t0.elapsed_ns());
         let model = plan(g);
@@ -574,14 +552,14 @@ pub fn run_cell_opts(
 
     // Verification: the session policy appropriate to the cell kind,
     // re-checking the already finished diagnosis (no re-diagnosis). The
-    // legacy BaselineLeg/SampledLeg views are derived from the verdict so
-    // the v1 schema fields keep their meaning.
-    let (verification, baseline, sampled) = if inst.driver_only {
+    // legacy BaselineLeg view is derived from the verdict so the v1
+    // schema's `"baseline"` keeps its meaning.
+    let (verification, baseline) = if inst.driver_only {
         let verdict = Diagnoser::new(g)
             .verify_sampled(samples_per_part(), 0x5A3D ^ faults.len() as u64)
             .verify_claim(&s, &drv.faults, drv.certified_part);
-        let leg = sampled_leg_from(&verdict, g.name());
-        (verdict, None, Some(leg))
+        assert_sampled_agrees(&verdict, &g.name());
+        (verdict, None)
     } else if with_baseline {
         s.reset_lookups();
         let verdict =
@@ -600,14 +578,12 @@ pub fn run_cell_opts(
             other => unreachable!("verify_full yields a FullBaseline verdict, got {other:?}"),
         };
         assert!(agree, "{}: baseline disagrees", g.name());
-        (verdict, Some(BaselineLeg { nanos, lookups }), None)
+        (verdict, Some(BaselineLeg { nanos, lookups }))
     } else {
-        (VerificationVerdict::Unverified, None, None)
+        (VerificationVerdict::Unverified, None)
     };
 
-    let agree = distsim.as_ref().is_none_or(|d| d.agree)
-        && sampled.as_ref().is_none_or(|c| c.agree)
-        && verification.agreed_or_unverified();
+    let agree = distsim.as_ref().is_none_or(|d| d.agree) && verification.agreed_or_unverified();
     assert!(agree, "{}: legs disagree", g.name());
 
     RunRecord {
@@ -625,7 +601,6 @@ pub fn run_cell_opts(
         driver_probes: drv.probes,
         adjacency_ns_per_neighbor: adjacency_ns_per_neighbor(g),
         baseline,
-        sampled,
         distsim,
         phases: report.telemetry,
         verification,
@@ -640,33 +615,21 @@ fn samples_per_part() -> usize {
     mmdiag_exec::knobs().samples_per_part.unwrap_or(2)
 }
 
-/// View a sampled session verdict as the legacy [`SampledLeg`] (the v1
-/// schema's `"sampled_check"` object), panicking on disagreement — at
-/// these sizes a disagreement means a genuine bug, not noise.
-fn sampled_leg_from(verdict: &VerificationVerdict, instance: String) -> SampledLeg {
+/// Panic unless `verdict` is a sampled verdict that agrees — at these
+/// sizes a disagreement means a genuine bug, not noise.
+fn assert_sampled_agrees(verdict: &VerificationVerdict, instance: &str) {
     let VerificationVerdict::Sampled {
-        samples,
-        checked_tests,
-        disagreements,
-        certificate_ok,
         agree,
-        nanos,
-    } = verdict.clone()
+        disagreements,
+        ..
+    } = verdict
     else {
         unreachable!("sampled policy yields a Sampled verdict")
     };
     assert!(
-        agree,
+        *agree,
         "{instance}: sampled check disagrees with the driver ({disagreements} disagreements)"
     );
-    SampledLeg {
-        nanos,
-        samples,
-        checked_tests,
-        disagreements,
-        certificate_ok,
-        agree,
-    }
 }
 
 /// One `--xlarge` cell: the slimmed measurement protocol for 10⁶⁺-node
@@ -708,7 +671,7 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
     let verification = Diagnoser::new(g)
         .verify_sampled(samples_per_part(), 0x51AE ^ members.len() as u64)
         .verify_claim(&s, &drv.faults, drv.certified_part);
-    let sampled = sampled_leg_from(&verification, g.name());
+    assert_sampled_agrees(&verification, &g.name());
     guard.assert_unchanged(&g.name());
 
     RunRecord {
@@ -726,7 +689,6 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
         driver_probes: drv.probes,
         adjacency_ns_per_neighbor: adjacency_ns_per_neighbor(g),
         baseline: None,
-        sampled: Some(sampled),
         distsim: None,
         phases: report.telemetry,
         verification,
@@ -954,10 +916,7 @@ fn batch_submission(inst: &Instance, syndromes: &[OracleSyndrome]) -> BatchRecor
     let pooled_nanos = u128::from(t0.elapsed_ns());
     let agree = seq.len() == pooled.len()
         && seq.iter().zip(&pooled).all(|(a, b)| match (a, b) {
-            (Ok(a), Ok(b)) => match (a.report(), b.report()) {
-                (Some(a), Some(b)) => a.diagnosis == b.diagnosis,
-                _ => false,
-            },
+            (Ok(a), Ok(b)) => a.diagnosis == b.diagnosis,
             _ => false,
         });
     assert!(agree, "{}: batched policies disagree", g.name());
@@ -1017,10 +976,9 @@ pub fn distsim_scenarios(catalog: &[Instance]) -> Vec<ScenarioRecord> {
 }
 
 /// The two scenario cells of one instance, simulated in order. The
-/// unit-latency reference and the skewed run are one `simulate` each on a
-/// simulated session (the session's latency model is a per-session
-/// policy, so the two regimes are two sessions over the same instance);
-/// the injection run depends on the reference's observed growth onset and
+/// unit-latency reference and the skewed run are one
+/// `Diagnoser::simulate` call each on one session over the instance; the
+/// injection run depends on the reference's observed growth onset and
 /// follows once that is known.
 fn instance_scenarios(inst: &Instance, i: usize) -> Vec<ScenarioRecord> {
     let g = inst.graph.as_ref();
@@ -1039,12 +997,11 @@ fn instance_scenarios(inst: &Instance, i: usize) -> Vec<ScenarioRecord> {
         min: 1,
         max: 8,
     };
-    let unit_session = Diagnoser::new(g).simulated(LatencyModel::Unit);
-    let skew_session = Diagnoser::new(g).simulated(skew);
+    let session = Diagnoser::new(g);
     let [unit, skewed] =
-        [(&unit_session, "unit"), (&skew_session, "skewed")].map(|(session, label)| {
+        [(LatencyModel::Unit, "unit"), (skew, "skewed")].map(|(latency, label)| {
             session
-                .simulate(&timeline)
+                .simulate(&timeline, &latency)
                 .unwrap_or_else(|e| panic!("{}: {label} sim failed: {e}", g.name()))
         });
     let skew_ok = skewed.faults == faults.members()
@@ -1080,8 +1037,8 @@ fn instance_scenarios(inst: &Instance, i: usize) -> Vec<ScenarioRecord> {
         .expect("some non-representative healthy node exists");
     let onset = unit.growth.started + 1;
     let inj_timeline = FaultTimeline::with_onsets(base.clone(), &[(onset, victim)], behavior);
-    let injected = unit_session
-        .simulate(&inj_timeline)
+    let injected = session
+        .simulate(&inj_timeline, &LatencyModel::Unit)
         .unwrap_or_else(|e| panic!("{}: injection sim failed: {e}", g.name()));
     let expected: Vec<usize> = inj_timeline.final_faults().members().to_vec();
     let inj_ok = injected.faults == expected;
@@ -1170,7 +1127,9 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Schema version stamped into every trajectory document [`to_json`]
-/// writes. v6 adds the top-level `"knobs"` object beside the provenance
+/// writes. v7 drops the record key `"sampled_check"`: a driver-only
+/// record's sampled verdict is its `"verification"` object, which carried
+/// the same values. v6 adds the top-level `"knobs"` object beside the provenance
 /// keys: every `MMDIAG_*` value as [`mmdiag_exec::knobs`] parsed it, keyed
 /// by its variable, `null` where a value is unset. v5 adds the provenance
 /// keys `"git_rev"`, `"nproc"`, `"rustc"` and `"profile"` beside
@@ -1188,7 +1147,7 @@ fn json_escape(s: &str) -> String {
 /// is v2 without the strided-lane `"parallel"` record legs and the
 /// top-level `"thread_sweep"` list; v2 added the per-record `"phases"`
 /// and `"verification"` objects to v1.
-pub const SCHEMA_VERSION: &str = "mmdiag-bench/v6";
+pub const SCHEMA_VERSION: &str = "mmdiag-bench/v7";
 
 /// Render records as the `BENCH_<pr>.json` trajectory document
 /// ([`SCHEMA_VERSION`]). Every record carries a `"phases"` object (the
@@ -1238,16 +1197,6 @@ pub fn to_json(
                 format!("{:.3}", b.lookups as f64 / r.driver_lookups.max(1) as f64),
             ),
             None => ("null".to_string(), "null".to_string()),
-        };
-        let sampled = match &r.sampled {
-            Some(c) => format!(
-                concat!(
-                    "{{\"nanos\": {}, \"samples\": {}, \"checked_tests\": {}, ",
-                    "\"disagreements\": {}, \"certificate_ok\": {}, \"agree\": {}}}"
-                ),
-                c.nanos, c.samples, c.checked_tests, c.disagreements, c.certificate_ok, c.agree,
-            ),
-            None => "null".to_string(),
         };
         let distsim = match &r.distsim {
             Some(d) => format!(
@@ -1325,7 +1274,6 @@ pub fn to_json(
                 "\"adjacency_ns_per_neighbor\": {:.3}, \"ns_per_delta_n\": {:.3}, ",
                 "\"lookups_per_node\": {:.4}, ",
                 "\"baseline\": {}, ",
-                "\"sampled_check\": {}, ",
                 "\"distsim\": {}, ",
                 "\"phases\": {}, ",
                 "\"verification\": {}, ",
@@ -1349,7 +1297,6 @@ pub fn to_json(
             r.ns_per_delta_n(),
             r.lookups_per_node(),
             baseline,
-            sampled,
             distsim,
             phases,
             verification,
@@ -1684,12 +1631,23 @@ mod tests {
         let rec = run_scale_cell(&inst, faults.members(), TesterBehavior::Random { seed: 3 });
         assert!(rec.agree);
         assert!(rec.baseline.is_none() && rec.distsim.is_none());
-        let sampled = rec.sampled.as_ref().expect("sampled leg present");
-        assert!(sampled.agree && sampled.certificate_ok);
-        assert_eq!(sampled.disagreements, 0);
-        assert!(sampled.samples > 0 && sampled.checked_tests > 0);
+        let VerificationVerdict::Sampled {
+            samples,
+            checked_tests,
+            disagreements,
+            certificate_ok,
+            agree,
+            ..
+        } = rec.verification
+        else {
+            panic!("sampled verdict expected, got {:?}", rec.verification)
+        };
+        assert!(agree && certificate_ok);
+        assert_eq!(disagreements, 0);
+        assert!(samples > 0 && checked_tests > 0);
         let json = to_json("BENCH_TEST", &[rec], &[], &[], None, None);
-        assert!(json.contains("\"sampled_check\": {\"nanos\": "));
+        assert!(json.contains("\"verification\": {\"method\": \"sampled\", \"samples\": "));
+        assert!(!json.contains("\"sampled_check\""));
         assert!(json.contains("\"driver_only\": true"));
     }
 
@@ -1706,9 +1664,10 @@ mod tests {
         assert_eq!(batches.len(), 1);
         let scale: Vec<&RunRecord> = records.iter().filter(|r| r.nodes == 1 << 14).collect();
         assert_eq!(scale.len(), 2);
-        assert!(scale
-            .iter()
-            .all(|r| r.sampled.as_ref().is_some_and(|c| c.agree)));
+        assert!(scale.iter().all(|r| matches!(
+            r.verification,
+            VerificationVerdict::Sampled { agree: true, .. }
+        )));
         assert!(scale.iter().any(|r| r.behavior == "AllZero"));
         // Every record's phases and headline describe one run: its phase
         // times fit inside the timed rep, and its lookups are that rep's.
@@ -1744,7 +1703,7 @@ mod tests {
         );
         assert!(rec.distsim.is_some(), "and the event simulator");
         assert!(
-            rec.sampled.is_none(),
+            matches!(rec.verification, VerificationVerdict::FullBaseline { .. }),
             "sampled checker is the driver-only fallback"
         );
     }
@@ -1938,7 +1897,7 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for needle in [
-            "\"schema\": \"mmdiag-bench/v6\"",
+            "\"schema\": \"mmdiag-bench/v7\"",
             "\"bench_id\": \"BENCH_TEST\"",
             "\"phases\": {\"probe_nanos\": ",
             "\"verification\": {\"method\": \"full_baseline\"",
@@ -1957,13 +1916,15 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        // The keys v4 dropped: one leg per cell, no backend verdicts.
+        // The keys v4 dropped (one leg per cell, no backend verdicts) and
+        // the one v7 dropped (the sampled verdict lives in "verification").
         for gone in [
             "\"pooled\"",
             "\"auto\"",
             "\"speedup_vs_driver\"",
             "\"no_regression\"",
             "\"regression_tolerance\"",
+            "\"sampled_check\"",
         ] {
             assert!(!json.contains(gone), "retired key {gone} in {json}");
         }

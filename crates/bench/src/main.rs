@@ -67,6 +67,7 @@ use mmdiag_bench::{
     distsim_scenarios, full_catalog, large_catalog, run_online, run_throughput, small_catalog,
     sweep_profiled, to_json, xlarge_catalog, xxlarge_catalog, ProfileConfig,
 };
+use mmdiag_core::VerificationVerdict;
 
 /// The trajectory id this binary emits (`BENCH_<pr>`).
 const BENCH_ID: &str = "BENCH_9";
@@ -174,12 +175,12 @@ fn main() {
                 ),
                 None => "-".to_string(),
             },
-            match (&rec.distsim, &rec.sampled) {
+            match (&rec.distsim, &rec.verification) {
                 (Some(d), _) if d.matches_model && d.agree => "ok",
                 (Some(_), _) => "FAIL",
-                (None, Some(c)) if c.agree => "spot",
-                (None, Some(_)) => "FAIL",
-                (None, None) => "-",
+                (None, VerificationVerdict::Sampled { agree: true, .. }) => "spot",
+                (None, VerificationVerdict::Sampled { .. }) => "FAIL",
+                (None, _) => "-",
             },
         );
     });
@@ -312,7 +313,12 @@ fn main() {
             .count()
         + records
             .iter()
-            .filter(|r| r.sampled.as_ref().is_some_and(|c| !c.agree))
+            .filter(|r| {
+                matches!(
+                    r.verification,
+                    VerificationVerdict::Sampled { agree: false, .. }
+                )
+            })
             .count()
         + batches.iter().filter(|b| !b.agree).count()
         + scenarios.iter().filter(|s| !s.ok).count()

@@ -171,7 +171,7 @@ fn run_fleet_session(i: usize, rounds: usize, pool: &Pool, latency: Arc<Histogra
             .collect();
         for (f, out) in planted.iter().zip(session.submit_batch(&jobs)) {
             diagnoses += 1;
-            let ok = out.map(|o| o.faults() == f.members()).unwrap_or(false);
+            let ok = out.is_ok_and(|r| r.diagnosis.faults == f.members());
             if !ok {
                 disagreements += 1;
             }

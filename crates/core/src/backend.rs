@@ -164,7 +164,12 @@ impl WorkspacePool {
     /// Run `f` with the workspace slot of `worker` (or the caller slot
     /// for `None`), creating the workspace on first use.
     pub fn with<R>(&self, worker: Option<usize>, f: impl FnOnce(&mut Workspace) -> R) -> R {
-        let mut guard = self.slots[self.slot_index(worker)].lock().unwrap();
+        // A run that unwinds inside `f` (a panicking syndrome source)
+        // poisons the slot's lock. The workspace it leaves is still sound,
+        // since every run starts by clearing what a stopped run left
+        // behind, so the next run takes the guard out of the poisoned lock
+        // instead of failing on this slot for the life of the session.
+        let mut guard = self.slots[self.slot_index(worker)].lock_unpoisoned();
         let ws = guard.get_or_insert_with(|| Workspace::new(self.nodes));
         f(ws)
     }

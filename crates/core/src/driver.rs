@@ -39,11 +39,11 @@ pub struct Diagnosis {
     pub lookups_used: u64,
 }
 
-/// Why diagnosis could not complete.
+/// Why diagnosis could not complete — the in-process driver's and the
+/// event-level simulator's (`mmdiag-distsim`) one error type.
 ///
-/// Marked `#[non_exhaustive]`: the session API grows failure modes (e.g.
-/// a session configured for a run mode a call cannot serve) without
-/// breaking downstream matches.
+/// Marked `#[non_exhaustive]`, so the session API can grow failure modes
+/// without breaking downstream matches.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DiagnosisError {
@@ -51,20 +51,19 @@ pub enum DiagnosisError {
     Preconditions(String),
     /// No part produced an all-healthy certificate. Under the model
     /// assumptions (`|F| ≤` bound, valid decomposition) this cannot
-    /// happen; seeing it means the syndrome violates the assumptions.
+    /// happen; seeing it means the syndrome violates the assumptions. In
+    /// the event simulator a mid-protocol fault onset can also cause it,
+    /// by contaminating the last certifiable parts.
     NoPartCertified,
     /// The certified healthy set's neighbourhood is larger than the fault
-    /// bound — the syndrome is inconsistent with `|F| ≤` bound.
+    /// bound — the syndrome is inconsistent with `|F| ≤` bound (in the
+    /// event simulator, also possible when faults arrive mid-protocol).
     TooManyFaults {
         /// Number of all-faulty neighbours found.
         found: usize,
         /// The fault bound the driver ran with.
         bound: usize,
     },
-    /// The session is not configured for what this call asked of it (e.g.
-    /// `Diagnoser::run` on a simulation-mode session, whose opaque
-    /// syndrome source cannot be replayed as timestamped messages).
-    Unsupported(String),
 }
 
 impl std::fmt::Display for DiagnosisError {
@@ -81,7 +80,6 @@ impl std::fmt::Display for DiagnosisError {
                 f,
                 "{found} all-faulty neighbours exceed the fault bound {bound}"
             ),
-            DiagnosisError::Unsupported(msg) => write!(f, "unsupported session call: {msg}"),
         }
     }
 }

@@ -7,7 +7,9 @@
 //! processor holds only its own comparison results and the probe of a part
 //! becomes a message-passing computation: the representative floods the
 //! part, one tree level per round, exactly mirroring the levels
-//! `U_1 ⊆ U_2 ⊆ …` of `Set_Builder`.
+//! `U_1 ⊆ U_2 ⊆ …` of `Set_Builder`. Both models cover messages and time
+//! only: which nodes join those levels is decided by `mmdiag-core`'s own
+//! `Set_Builder`, run over the results the messages carried.
 //!
 //! **The closed-form cost model** quantifies that deployment on paper:
 //!
@@ -26,9 +28,11 @@
 //! * [`link`] — per-link latency models (unit, uniform, per-dimension
 //!   skew, seeded-random jitter);
 //! * [`inject`] — fault timelines with mid-protocol onsets;
-//! * [`node`] — per-processor wave state and the §4.1 level rules;
-//! * [`sim`] — [`simulate`]: concurrent restricted probes, certified-seed
-//!   selection, unrestricted growth, yielding a [`SimReport`].
+//! * [`node`] — per-processor wave state;
+//! * [`sim`] — [`simulate`]: concurrent restricted probe waves, then
+//!   `mmdiag-core`'s certified-seed selection and unrestricted growth over
+//!   the graded results, yielding a [`SimReport`] (or the driver's
+//!   `DiagnosisError`).
 //!
 //! Under unit latencies the simulator's observed (rounds, messages)
 //! reproduce the cost model exactly, and on a static fault timeline its
@@ -48,9 +52,7 @@ pub mod sim;
 pub use event::{EventQueue, QueueTelemetry, Time};
 pub use inject::{EpochEvent, EpochEventKind, EpochTimeline, FaultTimeline};
 pub use link::LatencyModel;
-pub use sim::{
-    simulate, simulate_unchecked, simulate_with_plan, GrowthTrace, ProbeTrace, SimError, SimReport,
-};
+pub use sim::{simulate, simulate_unchecked, GrowthTrace, ProbeTrace, SimReport};
 
 use mmdiag_topology::algorithms::bfs_distances;
 use mmdiag_topology::{NodeId, Partitionable, Topology};

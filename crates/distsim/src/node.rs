@@ -1,27 +1,13 @@
-//! Per-processor protocol state and the §4.1 level rules.
+//! Per-processor wave state.
 //!
-//! A probe has two layers:
-//!
-//! * a **wave** layer — [`NodeState`]: each processor, on first contact,
-//!   timestamps itself and re-broadcasts to its (in-part) neighbours. MM
-//!   faults are responsive, so the wave covers every in-part directed edge
-//!   regardless of the syndrome — exactly the accounting of the closed-form
-//!   cost model in the crate root;
-//! * a **membership** layer — [`grow_levels`]: the `Set_Builder` sets
-//!   `U_1 ⊆ U_2 ⊆ …` evaluated over the test results the wave carried,
-//!   each test graded against the fault set in force when its exchange
-//!   completed.
-//!
-//! `grow_levels` mirrors `mmdiag_core::set_builder_filtered` rule for rule
-//! (level-1 witness pairs, sorted frontier scans, the child-spreading
-//! parent reassignment, contributor counting) so that on a static timeline
-//! the simulated diagnosis is bit-identical to the centralised driver's;
-//! the workspace test-suites cross-check the two against each other so
-//! they cannot drift apart.
+//! Each processor, on first contact, timestamps itself and re-broadcasts
+//! to its (in-part) neighbours ([`NodeState`]). MM faults are responsive,
+//! so the wave covers every in-part directed edge regardless of the
+//! syndrome — exactly the accounting of the closed-form cost model in the
+//! crate root. Which nodes join the `Set_Builder` sets is decided by
+//! `mmdiag-core` over the results the wave carried (see [`crate::sim`]).
 
 use crate::event::Time;
-use mmdiag_syndrome::TestResult;
-use mmdiag_topology::NodeId;
 
 /// Wave-layer state of one processor during one flood.
 #[derive(Clone, Debug, Default)]
@@ -54,167 +40,13 @@ impl NodeState {
     }
 }
 
-/// Outcome of one `Set_Builder` membership computation (restricted or
-/// unrestricted) over gathered test results.
-#[derive(Clone, Debug)]
-pub struct GrowOutcome {
-    /// Did the distinct-contributor count exceed the fault bound — i.e. is
-    /// every member provably healthy (static-syndrome reading)?
-    pub all_healthy: bool,
-    /// Members of the final set `U_r`, in attachment order (`u0` first).
-    pub members: Vec<NodeId>,
-    /// Tree edges as `(child, parent)` pairs, in attachment order.
-    pub edges: Vec<(NodeId, NodeId)>,
-    /// `|C_1 ∪ … ∪ C_r|` — distinct contributors across all levels.
-    pub contributors: usize,
-    /// Number of levels built (0 if `U_1 = {u0}`).
-    pub rounds: usize,
-}
-
-/// Run the §4.1 level rules from seed `u0` over the subgraph `accept`
-/// delimits, reading test results from `syn` (which closes over the wave's
-/// recorded exchange times, so a mid-protocol onset is visible to exactly
-/// the tests that completed after it).
-///
-/// `adj` is the materialised adjacency — neighbour order must match the
-/// topology's `neighbors_into`, because the scan order is part of the
-/// deterministic tie-break contract shared with `mmdiag_core`.
-pub fn grow_levels<S, A>(
-    adj: &[Vec<NodeId>],
-    u0: NodeId,
-    fault_bound: usize,
-    syn: S,
-    accept: A,
-) -> GrowOutcome
-where
-    S: Fn(NodeId, NodeId, NodeId) -> TestResult,
-    A: Fn(NodeId) -> bool,
-{
-    debug_assert!(accept(u0), "seed must lie in the searched subgraph");
-    let n = adj.len();
-    let mut seen = vec![false; n];
-    let mut parent = vec![0 as NodeId; n];
-    let mut layer = vec![0u32; n];
-    let mut claims = vec![0u32; n];
-    let mut contributed = vec![false; n];
-
-    seen[u0] = true;
-    let mut members = vec![u0];
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut contributors = 0usize;
-    let mut all_healthy = false;
-    let mut frontier: Vec<NodeId> = Vec::new();
-
-    // Level 1: witness pairs among u0's accepted neighbours.
-    let mut candidates: Vec<NodeId> = adj[u0].iter().copied().filter(|&v| accept(v)).collect();
-    candidates.sort_unstable();
-    {
-        let mut in_u1 = vec![false; candidates.len()];
-        for i in 0..candidates.len() {
-            for j in (i + 1)..candidates.len() {
-                if in_u1[i] && in_u1[j] {
-                    continue;
-                }
-                if syn(u0, candidates[i], candidates[j]).is_agree() {
-                    in_u1[i] = true;
-                    in_u1[j] = true;
-                }
-            }
-        }
-        for (idx, &v) in candidates.iter().enumerate() {
-            if in_u1[idx] {
-                seen[v] = true;
-                parent[v] = u0;
-                layer[v] = 1;
-                members.push(v);
-                edges.push((v, u0));
-                frontier.push(v);
-            }
-        }
-    }
-
-    let mut rounds = 0usize;
-    if !frontier.is_empty() {
-        contributors = 1; // u0 contributed to U_1.
-        contributed[u0] = true;
-        rounds = 1;
-        if contributors > fault_bound {
-            all_healthy = true;
-        }
-    }
-
-    // Levels i ≥ 2: frontier nodes test candidates against their own parent.
-    let mut next: Vec<NodeId> = Vec::new();
-    let mut cur_layer: u32 = 1;
-    while !frontier.is_empty() {
-        next.clear();
-        cur_layer += 1;
-        frontier.sort_unstable();
-        for &u in &frontier {
-            let tu = parent[u];
-            for &v in &adj[u] {
-                if v == tu || !accept(v) {
-                    continue;
-                }
-                if seen[v] {
-                    // Spread heuristic (shared with mmdiag_core): move a
-                    // same-layer child to an unused eligible parent.
-                    if !all_healthy
-                        && layer[v] == cur_layer
-                        && claims[parent[v]] > 1
-                        && claims[u] == 0
-                        && syn(u, v, tu).is_agree()
-                    {
-                        claims[parent[v]] -= 1;
-                        claims[u] += 1;
-                        parent[v] = u;
-                    }
-                    continue;
-                }
-                if syn(u, v, tu).is_agree() {
-                    seen[v] = true;
-                    parent[v] = u;
-                    layer[v] = cur_layer;
-                    claims[u] += 1;
-                    members.push(v);
-                    next.push(v);
-                }
-            }
-        }
-        for &u in &frontier {
-            claims[u] = 0;
-        }
-        if next.is_empty() {
-            break;
-        }
-        rounds += 1;
-        for &v in &next {
-            let p = parent[v];
-            edges.push((v, p));
-            if !contributed[p] {
-                contributed[p] = true;
-                contributors += 1;
-            }
-        }
-        if contributors > fault_bound {
-            all_healthy = true;
-        }
-        std::mem::swap(&mut frontier, &mut next);
-    }
-
-    GrowOutcome {
-        all_healthy,
-        members,
-        edges,
-        contributors,
-        rounds,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdiag_syndrome::TestResult::{Agree, Disagree};
+    use mmdiag_core::{set_builder_filtered, SetBuilderOutcome, Workspace};
+    use mmdiag_syndrome::SyndromeSource;
+    use mmdiag_syndrome::TestResult::{self, Agree, Disagree};
+    use mmdiag_topology::{AdjGraph, NodeId};
 
     #[test]
     fn node_state_fires_once() {
@@ -225,24 +57,45 @@ mod tests {
         assert_eq!(s.hops(), 2);
     }
 
-    /// 4-cycle 0-1-3-2-0 with an all-Agree syndrome: everything joins,
-    /// u0 = 0 and both its neighbours contribute.
+    /// The membership rules the simulator applies to the results its wave
+    /// carried: `mmdiag-core`'s `Set_Builder` from seed 0 over `edges`,
+    /// with a closure-backed syndrome.
+    fn grow_levels(
+        edges: &[(NodeId, NodeId)],
+        bound: usize,
+        syn: impl Fn(NodeId, NodeId, NodeId) -> TestResult,
+        accept: impl Fn(NodeId) -> bool,
+    ) -> SetBuilderOutcome {
+        struct FnSource<F>(F);
+        impl<F: Fn(NodeId, NodeId, NodeId) -> TestResult> SyndromeSource for FnSource<F> {
+            fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
+                (self.0)(u, v, w)
+            }
+        }
+        let n = 1 + edges.iter().map(|&(a, b)| a.max(b)).max().unwrap_or(0);
+        let g = AdjGraph::from_edges(n, edges, "small");
+        set_builder_filtered(&g, &FnSource(syn), 0, bound, accept, &mut Workspace::new(n))
+    }
+
+    /// The 4-cycle 0-1-3-2-0.
+    const CYCLE: &[(NodeId, NodeId)] = &[(0, 1), (1, 3), (3, 2), (2, 0)];
+
+    /// All-Agree syndrome: everything joins, u0 = 0 and one of its
+    /// neighbours contribute.
     #[test]
     fn grow_levels_all_agree_cycle() {
-        let adj = vec![vec![1, 2], vec![0, 3], vec![0, 3], vec![1, 2]];
-        let out = grow_levels(&adj, 0, 2, |_, _, _| Agree, |_| true);
+        let out = grow_levels(CYCLE, 2, |_, _, _| Agree, |_| true);
         assert_eq!(out.members, vec![0, 1, 2, 3]);
         assert_eq!(out.contributors, 2, "u0 plus one of {{1,2}}");
         assert_eq!(out.rounds, 2);
         assert!(!out.all_healthy, "2 contributors is not > bound 2");
-        let out = grow_levels(&adj, 0, 1, |_, _, _| Agree, |_| true);
+        let out = grow_levels(CYCLE, 1, |_, _, _| Agree, |_| true);
         assert!(out.all_healthy);
     }
 
     #[test]
     fn grow_levels_without_witness_pair_is_bare_seed() {
-        let adj = vec![vec![1], vec![0, 2], vec![1]];
-        let out = grow_levels(&adj, 0, 1, |_, _, _| Agree, |_| true);
+        let out = grow_levels(&[(0, 1), (1, 2)], 1, |_, _, _| Agree, |_| true);
         assert_eq!(out.members, vec![0], "one neighbour cannot form a pair");
         assert_eq!(out.rounds, 0);
         assert_eq!(out.contributors, 0);
@@ -250,23 +103,27 @@ mod tests {
 
     #[test]
     fn grow_levels_respects_accept_filter() {
-        let adj = vec![vec![1, 2], vec![0, 3], vec![0, 3], vec![1, 2]];
-        let out = grow_levels(&adj, 0, 0, |_, _, _| Agree, |v| v != 3);
+        let out = grow_levels(CYCLE, 0, |_, _, _| Agree, |v| v != 3);
         assert_eq!(out.members, vec![0, 1, 2]);
+        assert_eq!(out.contributors, 1);
+        assert_eq!(out.rounds, 1);
+        assert!(out.all_healthy, "1 contributor is > bound 0");
     }
 
     #[test]
     fn grow_levels_stops_at_disagreeing_frontier() {
-        // Path-ish graph where node 3 is rejected by every tester.
-        let adj = vec![vec![1, 2], vec![0, 2, 3], vec![0, 1, 3], vec![1, 2]];
+        // Node 3 is rejected by every tester.
+        let edges = &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)];
         let out = grow_levels(
-            &adj,
-            0,
+            edges,
             3,
             |_, v, w| if v == 3 || w == 3 { Disagree } else { Agree },
             |_| true,
         );
         assert_eq!(out.members, vec![0, 1, 2]);
         assert!(!out.members.contains(&3));
+        assert_eq!(out.contributors, 1);
+        assert_eq!(out.rounds, 1);
+        assert!(!out.all_healthy);
     }
 }

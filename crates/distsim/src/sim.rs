@@ -8,15 +8,23 @@
 //!    its in-part neighbours, so every in-part directed edge carries
 //!    exactly one exchange (MM faults are responsive — the wave is
 //!    syndrome-independent, matching the closed-form cost model's
-//!    accounting). Test results ride the wave, each graded against the
-//!    [`FaultTimeline`] at the instant its exchange completes.
-//! 2. **Certified-seed selection** — the §4.1 level rules run over each
-//!    part's gathered results; the lowest-indexed part whose tree exceeds
-//!    the fault bound in contributors certifies, exactly like the driver's
-//!    first-certificate scan.
+//!    accounting). Test results ride the wave.
+//! 2. **Certified-seed selection** — `mmdiag-core`'s restricted
+//!    `Set_Builder` ([`set_builder_in_part`]) runs at every part's
+//!    representative over the results the wave gathered; the
+//!    lowest-indexed part whose tree exceeds the fault bound in
+//!    contributors certifies, exactly like the driver's first-certificate
+//!    scan.
 //! 3. **Unrestricted growth** — a second wave floods the whole network
-//!    from the certified seed, the level rules grow the final healthy set
-//!    `U_r`, and `N(U_r)` is the diagnosis.
+//!    from the certified seed, and `mmdiag-core`'s growth and `N(U_r)`
+//!    sweep ([`grow_from_certificate`]) turn its results into the
+//!    diagnosis.
+//!
+//! The simulator decides nothing itself: it models messages and time, and
+//! hands the driver a syndrome in which each test `s_u(v, w)` is graded
+//! against the [`FaultTimeline`] at the instant the later of its two
+//! replies (`v → u`, `w → u`) arrived — or at time 0 on a static
+//! timeline, which is time-invariant.
 //!
 //! Two accounting conventions are inherited from the cost model and
 //! documented here once: an exchange (request + reply) on a directed edge
@@ -32,8 +40,12 @@
 use crate::event::{EventQueue, QueueTelemetry, Time};
 use crate::inject::FaultTimeline;
 use crate::link::LatencyModel;
-use crate::node::{grow_levels, GrowOutcome, NodeState};
-use crate::{plan, SimPlan};
+use crate::node::NodeState;
+use crate::SimPlan;
+use mmdiag_core::{
+    grow_from_certificate, set_builder_in_part, Certificate, DiagnosisError, Workspace,
+};
+use mmdiag_syndrome::{SyndromeSource, TestResult};
 use mmdiag_topology::{NodeId, Partitionable};
 
 /// Observed trace of one part's restricted probe.
@@ -160,46 +172,6 @@ impl SimReport {
     }
 }
 
-/// Why the simulated protocol could not complete — mirrors
-/// `mmdiag_core::DiagnosisError` case for case. `#[non_exhaustive]` like
-/// that type, so the session API can grow failure modes without breaking
-/// downstream matches.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum SimError {
-    /// The decomposition does not satisfy §5's size requirements.
-    Preconditions(String),
-    /// No part certified all-healthy. Impossible for a static timeline
-    /// within the fault bound; a mid-protocol onset can legitimately cause
-    /// it (the injected fault contaminates the last certifiable parts).
-    NoPartCertified,
-    /// `N(U_r)` exceeded the fault bound — the observed results are
-    /// inconsistent with `|F| ≤` bound (again possible under injection).
-    TooManyFaults {
-        /// All-faulty neighbours found.
-        found: usize,
-        /// The bound the simulation ran with.
-        bound: usize,
-    },
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::Preconditions(msg) => write!(f, "decomposition unusable: {msg}"),
-            SimError::NoPartCertified => write!(f, "no part certified all-healthy"),
-            SimError::TooManyFaults { found, bound } => {
-                write!(
-                    f,
-                    "{found} all-faulty neighbours exceed the fault bound {bound}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
 /// One wave message: `from`'s exchange with its neighbour number `to_idx`.
 #[derive(Clone, Copy, Debug)]
 struct Wave {
@@ -273,9 +245,9 @@ pub fn simulate<T: Partitionable + ?Sized>(
     g: &T,
     timeline: &FaultTimeline,
     latency: &LatencyModel,
-) -> Result<SimReport, SimError> {
+) -> Result<SimReport, DiagnosisError> {
     g.check_partition_preconditions()
-        .map_err(SimError::Preconditions)?;
+        .map_err(DiagnosisError::Preconditions)?;
     simulate_unchecked(g, timeline, latency, g.driver_fault_bound())
 }
 
@@ -286,7 +258,7 @@ pub fn simulate_unchecked<T: Partitionable + ?Sized>(
     timeline: &FaultTimeline,
     latency: &LatencyModel,
     fault_bound: usize,
-) -> Result<SimReport, SimError> {
+) -> Result<SimReport, DiagnosisError> {
     let n = g.node_count();
     assert_eq!(
         timeline.universe(),
@@ -340,38 +312,41 @@ pub fn simulate_unchecked<T: Partitionable + ?Sized>(
     }
     let probes_done = queue.now();
 
-    // --- Phase 2: level rules per part over the gathered results; first
-    // certified part seeds the growth.
+    // --- Phase 2: the restricted Set_Builder at every part's
+    // representative over the gathered results; the first certified part
+    // seeds the growth.
+    let mut ws = Workspace::new(n);
     let mut probes = Vec::with_capacity(parts);
-    let mut certified_part = None;
+    let mut certificate = None;
     for (p, s) in stats.iter().enumerate() {
-        let outcome = membership(
-            &fabric,
-            &clock,
+        let graded = Graded {
             timeline,
-            reps[p],
-            fault_bound,
-            s.completion,
-            {
-                let pp = p as u32;
-                move |part_of_v: u32| part_of_v == pp
-            },
-        );
-        if outcome.all_healthy && certified_part.is_none() {
-            certified_part = Some(p);
-        }
+            adj: &fabric.adj,
+            clock: &clock,
+            fallback: s.completion,
+        };
+        let probe = set_builder_in_part(g, &graded, reps[p], fault_bound, &mut ws);
         probes.push(ProbeTrace {
             part: p,
             rounds: s.max_hops as usize,
             messages: s.messages,
             reached: s.reached,
             completion: s.completion,
-            certified: outcome.all_healthy,
-            contributors: outcome.contributors,
+            certified: probe.all_healthy,
+            contributors: probe.contributors,
         });
+        if probe.all_healthy && certificate.is_none() {
+            certificate = Some(Certificate {
+                part: p,
+                representative: reps[p],
+                contributors: probe.contributors,
+                rounds: probe.rounds,
+                tree: probe.tree,
+            });
+        }
     }
-    let certified_part = certified_part.ok_or(SimError::NoPartCertified)?;
-    let seed = reps[certified_part];
+    let certificate = certificate.ok_or(DiagnosisError::NoPartCertified)?;
+    let (certified_part, seed) = (certificate.part, certificate.representative);
 
     // --- Phase 3: unrestricted growth wave from the certified seed.
     let mut states: Vec<NodeState> = vec![NodeState::default(); n];
@@ -412,46 +387,30 @@ pub fn simulate_unchecked<T: Partitionable + ?Sized>(
         }
     }
 
-    let full = membership(
-        &fabric,
-        &clock,
+    // --- The growth and the N(U_r) sweep over the growth wave's results
+    // (Theorem 1: N(U_r) is the diagnosis).
+    let graded = Graded {
         timeline,
-        seed,
+        adj: &fabric.adj,
+        clock: &clock,
+        fallback: gstats.completion,
+    };
+    let diagnosis = grow_from_certificate(
+        g,
+        &graded,
+        &certificate,
+        certified_part + 1,
         fault_bound,
-        gstats.completion,
-        |_| true,
-    );
-
-    // --- N(U_r) is the diagnosis (Theorem 1); the neighbourhood sweep uses
-    // adjacency only, exactly like the driver's.
-    let mut in_set = vec![false; n];
-    for &m in &full.members {
-        in_set[m] = true;
-    }
-    let mut fault_flag = vec![false; n];
-    let mut faults = Vec::new();
-    for &m in &full.members {
-        for &v in &fabric.adj[m] {
-            if !in_set[v] && !fault_flag[v] {
-                fault_flag[v] = true;
-                faults.push(v);
-            }
-        }
-    }
-    faults.sort_unstable();
-    if faults.len() > fault_bound {
-        return Err(SimError::TooManyFaults {
-            found: faults.len(),
-            bound: fault_bound,
-        });
-    }
+        0,
+        &mut ws,
+    )?;
 
     Ok(SimReport {
         probes,
         certified_part,
         probes_until_certificate: certified_part + 1,
-        faults,
-        healthy_count: full.members.len(),
+        faults: diagnosis.faults,
+        healthy_count: diagnosis.healthy_count,
         growth: GrowthTrace {
             rounds: gstats.max_hops as usize,
             messages: gstats.messages,
@@ -463,17 +422,6 @@ pub fn simulate_unchecked<T: Partitionable + ?Sized>(
         events_delivered: queue.delivered(),
         queue: Box::new(queue.telemetry()),
     })
-}
-
-/// Convenience: simulate and also return the closed-form [`plan`] so
-/// callers can compare observation against model in one call.
-pub fn simulate_with_plan<T: Partitionable + ?Sized>(
-    g: &T,
-    timeline: &FaultTimeline,
-    latency: &LatencyModel,
-) -> Result<(SimReport, SimPlan), SimError> {
-    let report = simulate(g, timeline, latency)?;
-    Ok((report, plan(g)))
 }
 
 /// Send one exchange from `u` to each neighbour the scope admits.
@@ -506,39 +454,26 @@ fn broadcast(
     }
 }
 
-/// Run the level rules over gathered exchanges: test `s_u(v, w)` is graded
-/// at the instant the later of the two replies (`v → u`, `w → u`) arrived.
-fn membership<F: Fn(u32) -> bool>(
-    fabric: &Fabric,
-    clock: &ExchangeClock,
-    timeline: &FaultTimeline,
-    seed: NodeId,
-    fault_bound: usize,
-    completion: Time,
-    in_scope: F,
-) -> GrowOutcome {
-    let accept = |v: NodeId| in_scope(fabric.part[v]);
-    if timeline.is_static() {
-        // Static timelines are time-invariant; skip the reply-time lookup.
-        grow_levels(
-            &fabric.adj,
-            seed,
-            fault_bound,
-            |u, v, w| timeline.result(0, u, v, w),
-            accept,
-        )
-    } else {
-        grow_levels(
-            &fabric.adj,
-            seed,
-            fault_bound,
-            |u, v, w| {
-                let t = clock
-                    .completed(&fabric.adj, v, u, completion)
-                    .max(clock.completed(&fabric.adj, w, u, completion));
-                timeline.result(t, u, v, w)
-            },
-            accept,
-        )
+/// The syndrome one wave's exchanges observed: test `s_u(v, w)` is graded
+/// at the instant the later of its two replies (`v → u`, `w → u`) arrived,
+/// or at `fallback` (the wave's completion) for a reply the wave never
+/// carried. A static timeline is time-invariant and is read at time 0.
+struct Graded<'a> {
+    timeline: &'a FaultTimeline,
+    adj: &'a [Vec<NodeId>],
+    clock: &'a ExchangeClock,
+    fallback: Time,
+}
+
+impl SyndromeSource for Graded<'_> {
+    fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
+        if self.timeline.is_static() {
+            return self.timeline.result(0, u, v, w);
+        }
+        let t = self
+            .clock
+            .completed(self.adj, v, u, self.fallback)
+            .max(self.clock.completed(self.adj, w, u, self.fallback));
+        self.timeline.result(t, u, v, w)
     }
 }

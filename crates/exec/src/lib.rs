@@ -13,8 +13,7 @@
 //! * [`Pool::map`] — the one fan-out operation: one job per item, results
 //!   in input order, jobs may borrow from the caller's stack, and the
 //!   first job panic is re-raised once every job has finished. Batch
-//!   fan-out (`run_batch` and `submit_batch`, in-process and simulated)
-//!   runs on it;
+//!   fan-out (`run_batch` and `submit_batch`) runs on it;
 //! * [`Pool::worker_index`] — stable per-worker identity, used by
 //!   `mmdiag_core` to pool `Workspace`s per worker;
 //! * [`global`] — the lazily-created process-wide pool every crate shares.

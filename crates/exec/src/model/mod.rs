@@ -586,14 +586,15 @@ fn install_quiet_hook() {
     });
 }
 
-struct RunOutcome {
+/// What one complete execution of a model body left behind.
+struct Execution {
     trace: Vec<usize>,
     decisions: Vec<(usize, usize)>,
     failure: Option<String>,
 }
 
 /// Run one complete execution of `f` under the given choice source.
-fn run_once(cfg: &Config, source: ChoiceSource, f: &Arc<dyn Fn() + Send + Sync>) -> RunOutcome {
+fn run_once(cfg: &Config, source: ChoiceSource, f: &Arc<dyn Fn() + Send + Sync>) -> Execution {
     install_quiet_hook();
     let engine = Engine::new(cfg.clone(), source);
     let body = Arc::clone(f);
@@ -611,7 +612,7 @@ fn run_once(cfg: &Config, source: ChoiceSource, f: &Arc<dyn Fn() + Send + Sync>)
     for h in handles {
         let _ = h.join();
     }
-    RunOutcome {
+    Execution {
         trace,
         decisions,
         failure,

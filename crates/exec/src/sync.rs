@@ -89,8 +89,8 @@ pub use imp::{atomic, thread, MutexGuard};
 /// `Result` of a lock-ish acquisition, matching the active
 /// implementation: `std`'s poisoning `LockResult` in normal builds, the
 /// shim's infallible `Result<_, Infallible>` under the model. Both
-/// support the workspace's `.lock().unwrap()` /
-/// `.unwrap_or_else(|e| e.into_inner())` call-site idioms.
+/// support the workspace's `.lock().unwrap()` call-site idiom;
+/// [`Mutex::lock_unpoisoned`] recovers a poisoned lock under either.
 #[cfg(not(feature = "model"))]
 pub type LockResult<G> = std::sync::LockResult<G>;
 /// See the `not(feature = "model")` definition.
@@ -184,6 +184,18 @@ impl<T> Mutex<T> {
         r
     }
 
+    /// [`Mutex::lock`], taking the guard out of a poisoned lock: for data
+    /// that stays sound however a holder unwound.
+    pub fn lock_unpoisoned(&self) -> imp::MutexGuard<'_, T> {
+        match self.lock() {
+            Ok(guard) => guard,
+            #[cfg(not(feature = "model"))]
+            Err(poisoned) => poisoned.into_inner(),
+            #[cfg(feature = "model")]
+            Err(never) => match never {},
+        }
+    }
+
     /// Consume the mutex, returning its data.
     pub fn into_inner(self) -> LockResult<T> {
         self.inner.into_inner()
@@ -272,6 +284,17 @@ mod tests {
         assert_eq!(waits.count, 10, "every acquire on the profiled mutex");
         assert_eq!(waits.buckets.iter().sum::<u64>(), waits.count);
         assert_eq!(profiled.into_inner().unwrap(), plain.into_inner().unwrap());
+    }
+
+    #[test]
+    fn lock_unpoisoned_takes_the_guard_out_of_a_poisoned_lock() {
+        let m = Mutex::new(7u32);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = m.lock().unwrap();
+            panic!("poison the lock");
+        }));
+        assert!(unwound.is_err() && m.lock().is_err());
+        assert_eq!(*m.lock_unpoisoned(), 7);
     }
 
     #[test]

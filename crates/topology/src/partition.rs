@@ -113,7 +113,11 @@ impl<T: Partitionable + ?Sized> Partitionable for &T {
 /// This mirrors `mmdiag_core::set_builder_in_part` exactly (level-1 witness
 /// pairs, layered growth, the child-spreading parent reassignment) with the
 /// syndrome fixed to all-`Agree`; the core test-suite cross-checks the two
-/// against each other so they cannot drift apart.
+/// against each other so they cannot drift apart. It is one of three
+/// copies of the rules (core, this one, and the sampled verifier in
+/// `mmdiag-baselines`). It cannot call core, which sits above this crate:
+/// families cap [`Partitionable::driver_fault_bound`] with it, and it must
+/// stay part-local (`O(|part|)` memory) at 10⁶⁺ nodes.
 ///
 /// Why it matters: the §4.1 certificate fires only when the probe's tree has
 /// *more than `fault_bound`* internal nodes, and for dense low-diameter

@@ -1,10 +1,10 @@
-//! One front door, every policy: the same `Diagnoser` session diagnosing
-//! one instance in-process, with verification riding the call, and as
-//! timestamped messages in the event simulator.
+//! One front door, every policy: the same `Diagnoser` session shape
+//! diagnosing one instance on the calling thread, with verification riding
+//! the call, and as timestamped messages in the event simulator.
 //!
 //! Run: `cargo run --release --example front_door`
 
-use mmdiag::distsim::LatencyModel;
+use mmdiag::distsim::{FaultTimeline, LatencyModel};
 use mmdiag::syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
 use mmdiag::topology::Topology;
@@ -62,22 +62,31 @@ fn main() {
     }
     assert_eq!(verified.diagnosis.faults, report.diagnosis.faults);
 
-    // 3. The same session shape replays the protocol as timestamped
-    //    messages under a skewed latency model.
-    let outcome = Diagnoser::new(&g)
-        .simulated(LatencyModel::SeededRandom {
-            seed: 11,
-            min: 1,
-            max: 6,
-        })
-        .run_planted(&faults, behavior)
+    // 3. The same session replays the protocol as timestamped messages
+    //    under a skewed latency model; the simulator runs the same core
+    //    driver over the results its messages carried, and the session
+    //    verifies its claim against the planted syndrome.
+    s.reset_lookups();
+    let session = Diagnoser::new(&g).verify_sampled(3, 0xC0FFEE);
+    let timeline = FaultTimeline::static_faults(faults, behavior);
+    let sim = session
+        .simulate(
+            &timeline,
+            &LatencyModel::SeededRandom {
+                seed: 11,
+                min: 1,
+                max: 6,
+            },
+        )
         .unwrap();
-    let sim = outcome.sim().unwrap();
+    let verdict = session.verify_claim(&s, &sim.faults, sim.certified_part);
     println!(
-        "simulated: same {} faults, virtual time {}, {} events delivered",
-        outcome.faults().len(),
+        "simulated: same {} faults, virtual time {}, {} events delivered, verified: {}",
+        sim.faults.len(),
         sim.total_time,
         sim.events_delivered,
+        verdict.agreed_or_unverified(),
     );
-    assert_eq!(outcome.faults(), report.diagnosis.faults.as_slice());
+    assert_eq!(sim.faults, report.diagnosis.faults);
+    assert!(verdict.agreed_or_unverified());
 }

@@ -10,7 +10,7 @@
 //! let s = OracleSyndrome::new(FaultSet::new(128, &[3, 64]), TesterBehavior::AllZero);
 //!
 //! // The default session is `diagnose` — one builder call per
-//! // policy turns on batch fan-out, verification, or simulation.
+//! // policy turns on batch fan-out or verification.
 //! let report = Diagnoser::new(&g).auto().verify_full().run(&s).unwrap();
 //! assert_eq!(report.diagnosis.faults, vec![3, 64]);
 //! assert!(report.verification.agreed_or_unverified());
@@ -34,6 +34,4 @@ pub use mmdiag_core::{
     VerificationVerdict,
 };
 pub use mmdiag_monitor::{EpochReport, EscalationReason, MonitorSession};
-pub use session::{
-    BatchJob, Diagnoser, RunError, RunMode, RunOutcome, TopologySource, VerificationPolicy,
-};
+pub use session::{BatchJob, Diagnoser, TopologySource, VerificationPolicy};

@@ -18,12 +18,13 @@
 //! * **verification** — a [`VerificationPolicy`]: none, the seeded
 //!   sampled spot-check, or the full-table baseline — run as part of the
 //!   same call, its [`VerificationVerdict`] riding on the report;
-//! * **run mode** — [`RunMode::InProcess`] or
-//!   [`RunMode::Simulated`] event-level execution under a
-//!   [`LatencyModel`];
 //! * **batching** — [`Diagnoser::submit_batch`] runs many jobs against one
 //!   instance and reuses the session's own workspace pool across
-//!   submissions.
+//!   submissions;
+//! * **simulation** — [`Diagnoser::simulate`] replays a
+//!   [`FaultTimeline`] as timestamped messages under a [`LatencyModel`]
+//!   in the event-level simulator, which runs the same core `Set_Builder`
+//!   over the test results its messages carried.
 //!
 //! Underneath is one core run ([`mmdiag_core::session`]), so
 //! `Diagnoser::new(&g).run(&s)` is bit-identical to
@@ -51,7 +52,7 @@ use mmdiag_core::session::{self, SessionOptions};
 use mmdiag_core::{
     BackendPolicy, DiagnosisError, DiagnosisReport, VerificationVerdict, WorkspacePool,
 };
-use mmdiag_distsim::{simulate_unchecked, FaultTimeline, LatencyModel, SimError, SimReport};
+use mmdiag_distsim::{simulate_unchecked, FaultTimeline, LatencyModel, SimReport};
 use mmdiag_implicit::ImplicitTopology;
 use mmdiag_monitor::MonitorSession;
 use mmdiag_syndrome::{FaultSet, OnDemandOracle, OracleSyndrome, SyndromeSource, TesterBehavior};
@@ -118,153 +119,28 @@ pub enum VerificationPolicy {
     FullBaseline,
 }
 
-/// Whether a session executes in-process or as timestamped messages in
-/// the event-level simulator.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub enum RunMode {
-    /// The centralised driver: single runs on the calling thread,
-    /// batches under the session's batch policy.
-    InProcess,
-    /// The distributed protocol replayed event-by-event under the given
-    /// latency model ([`mmdiag_distsim::simulate`]). Requires planted
-    /// syndromes ([`Diagnoser::run_planted`], [`BatchJob::Planted`],
-    /// [`BatchJob::Timeline`]) — an opaque [`SyndromeSource`] cannot be
-    /// replayed as messages.
-    Simulated(LatencyModel),
-}
-
-/// What one unified session call produced, by run mode.
-#[derive(Clone, Debug)]
-pub enum RunOutcome {
-    /// In-process: the full [`DiagnosisReport`] (verification verdict
-    /// included).
-    InProcess(DiagnosisReport),
-    /// Simulated: the event-level [`SimReport`], plus the verification
-    /// verdict obtained by replaying the planted syndrome against the
-    /// simulated diagnosis.
-    Simulated {
-        /// The simulator's report (traces, virtual times, diagnosis).
-        report: SimReport,
-        /// The session verification policy's conclusion about the
-        /// simulated diagnosis.
-        verification: VerificationVerdict,
-    },
-}
-
-impl RunOutcome {
-    /// The diagnosed fault set, ascending — whichever mode produced it.
-    pub fn faults(&self) -> &[NodeId] {
-        match self {
-            RunOutcome::InProcess(r) => &r.diagnosis.faults,
-            RunOutcome::Simulated { report, .. } => &report.faults,
-        }
-    }
-
-    /// The certified part, whichever mode produced it.
-    pub fn certified_part(&self) -> usize {
-        match self {
-            RunOutcome::InProcess(r) => r.diagnosis.certified_part,
-            RunOutcome::Simulated { report, .. } => report.certified_part,
-        }
-    }
-
-    /// The in-process report, if this outcome is one.
-    pub fn report(&self) -> Option<&DiagnosisReport> {
-        match self {
-            RunOutcome::InProcess(r) => Some(r),
-            RunOutcome::Simulated { .. } => None,
-        }
-    }
-
-    /// The simulator report, if this outcome is one.
-    pub fn sim(&self) -> Option<&SimReport> {
-        match self {
-            RunOutcome::InProcess(_) => None,
-            RunOutcome::Simulated { report, .. } => Some(report),
-        }
-    }
-
-    /// The verification verdict, whichever mode produced it.
-    pub fn verification(&self) -> &VerificationVerdict {
-        match self {
-            RunOutcome::InProcess(r) => &r.verification,
-            RunOutcome::Simulated { verification, .. } => verification,
-        }
-    }
-}
-
-/// Why a unified session call failed — in-process and simulated failure
-/// modes under one type, so batch submissions mixing both have a single
-/// error channel.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub enum RunError {
-    /// The in-process driver failed.
-    Diagnosis(DiagnosisError),
-    /// The event-level simulation failed.
-    Sim(SimError),
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Diagnosis(e) => write!(f, "diagnosis: {e}"),
-            RunError::Sim(e) => write!(f, "simulation: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::Diagnosis(e) => Some(e),
-            RunError::Sim(e) => Some(e),
-        }
-    }
-}
-
-impl From<DiagnosisError> for RunError {
-    fn from(e: DiagnosisError) -> Self {
-        RunError::Diagnosis(e)
-    }
-}
-
-impl From<SimError> for RunError {
-    fn from(e: SimError) -> Self {
-        RunError::Sim(e)
-    }
-}
-
 /// One job of a [`Diagnoser::submit_batch`] submission.
 pub enum BatchJob<'a> {
-    /// A live syndrome source (in-process sessions only — an opaque
-    /// source cannot be replayed as messages).
+    /// A live syndrome source.
     Source(&'a (dyn SyndromeSource + Sync)),
-    /// A planted fault set under a tester behaviour — runs in either
-    /// mode (in-process via an [`OracleSyndrome`], simulated via a
-    /// static [`FaultTimeline`]).
+    /// A planted fault set under a tester behaviour, diagnosed through an
+    /// [`OracleSyndrome`] the session builds.
     Planted {
         /// The planted fault set.
         faults: FaultSet,
         /// The faulty-tester behaviour.
         behavior: TesterBehavior,
     },
-    /// A full fault timeline (mid-protocol onsets included). Simulated
-    /// sessions replay it as-is; in-process sessions accept it only when
-    /// static (the centralised driver has no notion of time).
-    Timeline(FaultTimeline),
 }
 
 /// The builder-configured session: one front door over diagnosis,
 /// verification and simulation. See the [module docs](self) for the full
 /// policy axes; the default session (`Diagnoser::new(&g)`) is
-/// sequential, unverified, in-process — exactly `diagnose(&g, &s)`.
+/// sequential and unverified — exactly `diagnose(&g, &s)`.
 pub struct Diagnoser<'g> {
     topology: TopologySource<'g>,
     backend: BackendPolicy<'g>,
     verification: VerificationPolicy,
-    mode: RunMode,
     /// Fault bound, precondition check, cutovers and trace handle: what
     /// every core run and the monitor take from this session. The tracer
     /// is disabled by default (recording costs one `Option` check),
@@ -283,7 +159,7 @@ pub struct Diagnoser<'g> {
 impl<'g> Diagnoser<'g> {
     /// A session over a borrowed topology, with defaults equivalent to
     /// `diagnose`: sequential batches, preconditions checked, family
-    /// fault bound, no verification, in-process.
+    /// fault bound, no verification.
     pub fn new(g: &'g (dyn Partitionable + Sync)) -> Self {
         Diagnoser::from_source(TopologySource::Borrowed(g))
     }
@@ -300,7 +176,6 @@ impl<'g> Diagnoser<'g> {
             topology,
             backend: BackendPolicy::Sequential,
             verification: VerificationPolicy::None,
-            mode: RunMode::InProcess,
             opts,
             ws: OnceLock::new(),
             hub_session: None,
@@ -375,20 +250,6 @@ impl<'g> Diagnoser<'g> {
     /// Verify every diagnosis against the full-table baseline.
     pub fn verify_full(self) -> Self {
         self.verification(VerificationPolicy::FullBaseline)
-    }
-
-    // --- run mode -------------------------------------------------------
-
-    /// Set the run mode explicitly.
-    pub fn run_mode(mut self, mode: RunMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Execute as timestamped messages in the event-level simulator
-    /// under `latency`.
-    pub fn simulated(self, latency: LatencyModel) -> Self {
-        self.run_mode(RunMode::Simulated(latency))
     }
 
     // --- tracing --------------------------------------------------------
@@ -479,6 +340,18 @@ impl<'g> Diagnoser<'g> {
             .unwrap_or_else(|| self.topology.view().driver_fault_bound())
     }
 
+    /// §5's precondition check (unless the session skips it), then the
+    /// session's fault bound.
+    fn checked_bound(&self) -> Result<usize, DiagnosisError> {
+        if self.opts.check_preconditions {
+            self.topology
+                .view()
+                .check_partition_preconditions()
+                .map_err(DiagnosisError::Preconditions)?;
+        }
+        Ok(self.bound())
+    }
+
     fn ws_pool(&self) -> &WorkspacePool {
         self.ws.get_or_init(|| {
             let n = self.topology.view().node_count();
@@ -488,27 +361,14 @@ impl<'g> Diagnoser<'g> {
 
     // --- running --------------------------------------------------------
 
-    /// Diagnose a live syndrome source in-process on the calling thread,
-    /// honouring the session's verification policy. The report is
-    /// bit-identical to `diagnose`'s and labelled `"sequential"` under
-    /// every batch policy; no pool is touched or spawned.
-    ///
-    /// Errors with [`DiagnosisError::Unsupported`] on a
-    /// [`RunMode::Simulated`] session — an opaque source cannot be
-    /// replayed as messages; use [`Diagnoser::run_planted`] or
-    /// [`Diagnoser::simulate`] there.
+    /// Diagnose a live syndrome source on the calling thread, honouring
+    /// the session's verification policy. The report is bit-identical to
+    /// `diagnose`'s and labelled `"sequential"` under every batch policy;
+    /// no pool is touched or spawned.
     pub fn run<S>(&self, s: &S) -> Result<DiagnosisReport, DiagnosisError>
     where
         S: SyndromeSource + ?Sized,
     {
-        if let RunMode::Simulated(_) = self.mode {
-            return Err(DiagnosisError::Unsupported(
-                "simulated sessions replay planted syndromes; use run_planted / \
-                 simulate / submit_batch for one-shot runs, or an in-process \
-                 session's monitor() for live epoch loops"
-                    .into(),
-            ));
-        }
         let g = self.topology.view();
         let start = s.lookups();
         let run = session::run_with(g, s, &self.opts, Some(self.ws_pool()));
@@ -535,225 +395,89 @@ impl<'g> Diagnoser<'g> {
     /// fault bound and precondition policy. The epoch loop itself is
     /// sequential — the monitor's whole point is to skip probes, not to
     /// fan them out — so the batch policy does not apply.
-    ///
-    /// Errors with [`DiagnosisError::Unsupported`] on a
-    /// [`RunMode::Simulated`] session: the monitor consults a live
-    /// syndrome each epoch, which an event-level replay cannot serve.
     pub fn monitor(&self) -> Result<MonitorSession<'_>, DiagnosisError> {
-        if let RunMode::Simulated(_) = self.mode {
-            return Err(DiagnosisError::Unsupported(
-                "simulated sessions replay planted syndromes and have no live \
-                 epoch loop; monitor() needs an in-process session"
-                    .into(),
-            ));
-        }
-        let g = self.topology.view();
-        if self.opts.check_preconditions {
-            g.check_partition_preconditions()
-                .map_err(DiagnosisError::Preconditions)?;
-        }
         Ok(MonitorSession::new(
-            g,
-            self.bound(),
+            self.topology.view(),
+            self.checked_bound()?,
             self.opts.tracer.clone(),
         ))
     }
 
-    /// Diagnose a planted fault set under a tester behaviour, honouring
-    /// the session's **run mode**: in-process sessions evaluate a bitmap
-    /// [`OracleSyndrome`], simulated sessions replay a static
-    /// [`FaultTimeline`] under the session's latency model. Verification
-    /// applies in both modes.
+    /// Diagnose a planted fault set under a tester behaviour:
+    /// [`Diagnoser::run`] over a bitmap [`OracleSyndrome`].
     pub fn run_planted(
         &self,
         faults: &FaultSet,
         behavior: TesterBehavior,
-    ) -> Result<RunOutcome, RunError> {
-        match &self.mode {
-            RunMode::InProcess => {
-                let s = OracleSyndrome::new(faults.clone(), behavior);
-                self.run(&s)
-                    .map(RunOutcome::InProcess)
-                    .map_err(RunError::from)
-            }
-            RunMode::Simulated(latency) => {
-                let timeline = FaultTimeline::static_faults(faults.clone(), behavior);
-                let report = self.sim_one(&timeline, latency)?;
-                let s = OracleSyndrome::new(faults.clone(), behavior);
-                let verification = self.verify_claim(&s, &report.faults, report.certified_part);
-                Ok(RunOutcome::Simulated {
-                    report,
-                    verification,
-                })
-            }
-        }
+    ) -> Result<DiagnosisReport, DiagnosisError> {
+        self.run(&OracleSyndrome::new(faults.clone(), behavior))
     }
 
     /// [`Diagnoser::run_planted`] for the `O(|F|)`-state streaming
-    /// oracle: in-process sessions stream outcomes from an
-    /// [`OnDemandOracle`] (no bitmap — the 10⁶–10⁷-node path), simulated
-    /// sessions fall back to the planted replay.
+    /// oracle: outcomes stream from an [`OnDemandOracle`] (no bitmap —
+    /// the 10⁶–10⁷-node path).
     pub fn run_streaming(
         &self,
         members: &[NodeId],
         behavior: TesterBehavior,
-    ) -> Result<RunOutcome, RunError> {
-        match &self.mode {
-            RunMode::InProcess => {
-                let s = OnDemandOracle::new(self.topology.view().node_count(), members, behavior);
-                self.run(&s)
-                    .map(RunOutcome::InProcess)
-                    .map_err(RunError::from)
-            }
-            RunMode::Simulated(_) => {
-                let faults = FaultSet::new(self.topology.view().node_count(), members);
-                self.run_planted(&faults, behavior)
-            }
-        }
+    ) -> Result<DiagnosisReport, DiagnosisError> {
+        let n = self.topology.view().node_count();
+        self.run(&OnDemandOracle::new(n, members, behavior))
     }
 
-    /// Replay a fault timeline in the event-level simulator, regardless
-    /// of the session's run mode (an in-process session simulates under
-    /// unit latencies; a simulated session uses its configured model).
-    /// Honours the session's fault bound and precondition policy.
-    pub fn simulate(&self, timeline: &FaultTimeline) -> Result<SimReport, SimError> {
-        let latency = match &self.mode {
-            RunMode::Simulated(latency) => latency.clone(),
-            RunMode::InProcess => LatencyModel::Unit,
-        };
-        self.sim_one(timeline, &latency)
-    }
-
-    fn sim_one(
+    /// Replay a fault timeline as timestamped messages in the event-level
+    /// simulator under `latency` ([`mmdiag_distsim::simulate`]),
+    /// honouring the session's fault bound and precondition policy. The
+    /// simulator grades each test at the instant its replies arrived and
+    /// runs the core `Set_Builder` over those results, so on a static
+    /// timeline its faults and certified part equal
+    /// [`Diagnoser::run_planted`]'s. The batch and verification policies
+    /// do not apply: to verify a simulated claim, pass the planted
+    /// syndrome to [`Diagnoser::verify_claim`].
+    pub fn simulate(
         &self,
         timeline: &FaultTimeline,
         latency: &LatencyModel,
-    ) -> Result<SimReport, SimError> {
-        let g = self.topology.view();
-        if self.opts.check_preconditions {
-            g.check_partition_preconditions()
-                .map_err(SimError::Preconditions)?;
-        }
-        simulate_unchecked(g, timeline, latency, self.bound())
+    ) -> Result<SimReport, DiagnosisError> {
+        let bound = self.checked_bound()?;
+        simulate_unchecked(self.topology.view(), timeline, latency, bound)
     }
 
     /// Evaluate many jobs against this session's instance in one
-    /// submission. Both run modes resolve the batch policy the same
-    /// way: jobs fan out over the resolved pool, or run in order on the
-    /// calling thread when the policy resolves to none. A one-job batch
-    /// runs on the calling thread either way, so its in-process report
-    /// reads `"sequential"`. In-process
-    /// sessions reuse the session's workspace pool, so `k` jobs allocate
-    /// `O(workers)` scratch; simulated sessions replay each job's
-    /// timeline. The verification policy applies wherever a live
-    /// syndrome exists to check against: every in-process job, and
-    /// planted / **static**-timeline jobs under simulation. A timeline
-    /// with mid-protocol onsets has no single post-hoc syndrome (tests
-    /// were graded at their reply instants), so its outcome carries
-    /// [`VerificationVerdict::Unverified`]. Results come back in input
-    /// order. Jobs that name one source share its lookup counter, so on a
-    /// pooled session their lookup accounting includes each other's reads
-    /// (see [`mmdiag_core::session::run_batch`]); the session's
-    /// `oracle.lookups` still counts each read exactly once.
-    pub fn submit_batch(&self, jobs: &[BatchJob<'_>]) -> Vec<Result<RunOutcome, RunError>> {
-        match &self.mode {
-            RunMode::InProcess => self.submit_batch_in_process(jobs),
-            RunMode::Simulated(latency) => {
-                let replay = |job: &BatchJob<'_>| self.replay_job(job, latency);
-                let n = self.topology.view().node_count();
-                match self.backend.resolve(n, &self.opts.cutovers) {
-                    Some(pool) => pool.map(jobs, |_, job| replay(job)),
-                    None => jobs.iter().map(replay).collect(),
-                }
-            }
-        }
-    }
-
-    /// One job of a simulated batch.
-    fn replay_job(
+    /// submission. Jobs fan out over the pool the batch policy resolves
+    /// to, or run in order on the calling thread when it resolves to
+    /// none. A one-job batch runs on the calling thread either way, so its
+    /// report reads `"sequential"`. Batches reuse the session's workspace
+    /// pool, so `k` jobs allocate `O(workers)` scratch. Every job is
+    /// verified under the session's policy, and results come back in
+    /// input order. Jobs that name one source share its lookup counter,
+    /// so on a pooled session their lookup accounting includes each
+    /// other's reads (see [`mmdiag_core::session::run_batch`]); the
+    /// session's `oracle.lookups` still counts each read exactly once.
+    pub fn submit_batch(
         &self,
-        job: &BatchJob<'_>,
-        latency: &LatencyModel,
-    ) -> Result<RunOutcome, RunError> {
-        match job {
-            BatchJob::Source(_) => Err(RunError::Diagnosis(DiagnosisError::Unsupported(
-                "a live syndrome source cannot be replayed as messages".into(),
-            ))),
-            BatchJob::Planted { faults, behavior } => self
-                .run_planted_simulated(faults, *behavior, latency)
-                .map_err(RunError::from),
-            BatchJob::Timeline(timeline) if timeline.is_static() => self
-                .run_planted_simulated(timeline.final_faults(), timeline.behavior(), latency)
-                .map_err(RunError::from),
-            BatchJob::Timeline(timeline) => match self.sim_one(timeline, latency) {
-                Ok(report) => Ok(RunOutcome::Simulated {
-                    report,
-                    // Mid-protocol onsets: no single replayable syndrome
-                    // exists to verify against.
-                    verification: VerificationVerdict::Unverified,
-                }),
-                Err(e) => Err(RunError::Sim(e)),
-            },
-        }
-    }
-
-    fn run_planted_simulated(
-        &self,
-        faults: &FaultSet,
-        behavior: TesterBehavior,
-        latency: &LatencyModel,
-    ) -> Result<RunOutcome, SimError> {
-        let timeline = FaultTimeline::static_faults(faults.clone(), behavior);
-        let report = self.sim_one(&timeline, latency)?;
-        let s = OracleSyndrome::new(faults.clone(), behavior);
-        let verification = self.verify_claim(&s, &report.faults, report.certified_part);
-        Ok(RunOutcome::Simulated {
-            report,
-            verification,
-        })
-    }
-
-    fn submit_batch_in_process(&self, jobs: &[BatchJob<'_>]) -> Vec<Result<RunOutcome, RunError>> {
-        /// How one job enters the batch: borrowing the caller's source,
-        /// an index into the session-built oracles, or a per-job error.
-        enum Slot<'a> {
-            Live(&'a (dyn SyndromeSource + Sync)),
-            OwnedIdx(usize),
-            Unsupported,
-        }
-        // One classification pass: build the owned oracles (planted fault
-        // sets, static timelines) and remember how each job resolves.
-        let mut owned: Vec<OracleSyndrome> = Vec::new();
-        let plan: Vec<Slot> = jobs
+        jobs: &[BatchJob<'_>],
+    ) -> Vec<Result<DiagnosisReport, DiagnosisError>> {
+        let planted: Vec<OracleSyndrome> = jobs
             .iter()
-            .map(|job| match job {
-                BatchJob::Source(s) => Slot::Live(*s),
+            .filter_map(|job| match job {
                 BatchJob::Planted { faults, behavior } => {
-                    owned.push(OracleSyndrome::new(faults.clone(), *behavior));
-                    Slot::OwnedIdx(owned.len() - 1)
+                    Some(OracleSyndrome::new(faults.clone(), *behavior))
                 }
-                BatchJob::Timeline(timeline) if timeline.is_static() => {
-                    owned.push(OracleSyndrome::new(
-                        timeline.final_faults().clone(),
-                        timeline.behavior(),
-                    ));
-                    Slot::OwnedIdx(owned.len() - 1)
-                }
-                BatchJob::Timeline(_) => Slot::Unsupported,
+                BatchJob::Source(_) => None,
             })
             .collect();
-        fn resolve<'x>(
-            slot: &Slot<'x>,
-            owned: &'x [OracleSyndrome],
-        ) -> Option<&'x (dyn SyndromeSource + Sync)> {
-            match *slot {
-                Slot::Live(s) => Some(s),
-                Slot::OwnedIdx(i) => Some(&owned[i]),
-                Slot::Unsupported => None,
-            }
-        }
-        let sources: Vec<&(dyn SyndromeSource + Sync)> =
-            plan.iter().filter_map(|s| resolve(s, &owned)).collect();
+        let mut planted_sources = planted.iter();
+        let sources: Vec<&(dyn SyndromeSource + Sync)> = jobs
+            .iter()
+            .map(|job| match job {
+                BatchJob::Source(s) => *s,
+                BatchJob::Planted { .. } => {
+                    planted_sources.next().expect("one oracle per planted job")
+                        as &(dyn SyndromeSource + Sync)
+                }
+            })
+            .collect();
 
         // Each distinct source's reads, however many jobs share it.
         let addr =
@@ -776,23 +500,17 @@ impl<'g> Diagnoser<'g> {
                 .map(|(s, start)| checked_delta(s.lookups(), start))
                 .sum(),
         );
-        let mut reports = reports.into_iter();
-        plan.iter()
-            .map(|slot| match resolve(slot, &owned) {
-                None => Err(RunError::Diagnosis(DiagnosisError::Unsupported(
-                    "a timeline with mid-protocol onsets needs a simulated session".into(),
-                ))),
-                Some(s) => {
-                    let mut report = reports
-                        .next()
-                        .expect("one session result per convertible job")?;
-                    report.verification = self.verify_claim(
-                        s,
-                        &report.diagnosis.faults,
-                        report.diagnosis.certified_part,
-                    );
-                    Ok(RunOutcome::InProcess(report))
-                }
+        reports
+            .into_iter()
+            .zip(&sources)
+            .map(|(report, s)| {
+                let mut report = report?;
+                report.verification = self.verify_claim(
+                    *s,
+                    &report.diagnosis.faults,
+                    report.diagnosis.certified_part,
+                );
+                Ok(report)
             })
             .collect()
     }
@@ -897,8 +615,11 @@ fn attach_sync_cells_once() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdiag_core::diagnose;
+    use mmdiag_core::{diagnose, GrowRound};
+    use mmdiag_syndrome::TestResult;
     use mmdiag_topology::families::Hypercube;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn builder_default_equals_legacy_diagnose() {
@@ -1116,55 +837,117 @@ mod tests {
         );
     }
 
+    /// A static timeline simulates to the labelling `run_planted`
+    /// returns, and the session verifies the simulated claim against the
+    /// planted syndrome: the right set agrees, a set missing a fault does
+    /// not.
     #[test]
-    fn simulated_session_rejects_opaque_sources_and_replays_planted() {
+    fn simulate_labels_like_run_planted_and_verify_claim_checks_it() {
         let g = Hypercube::new(7);
-        let session = Diagnoser::new(&g).simulated(LatencyModel::Unit);
-        let s = OracleSyndrome::new(FaultSet::new(128, &[5]), TesterBehavior::AllZero);
-        assert!(matches!(
-            session.run(&s),
-            Err(DiagnosisError::Unsupported(_))
-        ));
+        let session = Diagnoser::new(&g).verify_full();
         let faults = FaultSet::new(128, &[5, 40, 99]);
-        let outcome = session
-            .run_planted(&faults, TesterBehavior::AllZero)
-            .unwrap();
-        assert_eq!(outcome.faults(), faults.members());
-        assert!(outcome.sim().is_some());
-        // The in-process session diagnoses the same set.
-        let in_proc = Diagnoser::new(&g)
-            .run_planted(&faults, TesterBehavior::AllZero)
-            .unwrap();
-        assert_eq!(in_proc.faults(), outcome.faults());
-        assert_eq!(in_proc.certified_part(), outcome.certified_part());
+        let behavior = TesterBehavior::AllZero;
+        let timeline = FaultTimeline::static_faults(faults.clone(), behavior);
+        let sim = session.simulate(&timeline, &LatencyModel::Unit).unwrap();
+        let planted = session.run_planted(&faults, behavior).unwrap();
+        assert_eq!(sim.faults, faults.members());
+        assert_eq!(sim.faults, planted.diagnosis.faults);
+        assert_eq!(sim.certified_part, planted.diagnosis.certified_part);
+        assert_eq!(sim.probes_until_certificate, planted.diagnosis.probes);
+        let s = OracleSyndrome::new(faults, behavior);
+        let verdict = session.verify_claim(&s, &sim.faults, sim.certified_part);
+        assert!(
+            matches!(
+                verdict,
+                VerificationVerdict::FullBaseline { agree: true, .. }
+            ),
+            "{verdict:?}"
+        );
+        let short = session.verify_claim(&s, &sim.faults[1..], sim.certified_part);
+        assert!(!short.agreed_or_unverified(), "{short:?}");
     }
 
-    /// A sequential simulated session has no pool: its batch replays the
-    /// jobs in order on the calling thread, verification included.
+    /// A source that panics on its `at`-th lookup and otherwise reads
+    /// `inner`.
+    struct PanicsAt<'a> {
+        inner: &'a OracleSyndrome,
+        at: u64,
+        read: AtomicU64,
+    }
+
+    impl<'a> PanicsAt<'a> {
+        fn new(inner: &'a OracleSyndrome, at: u64) -> Self {
+            PanicsAt {
+                inner,
+                at,
+                read: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl SyndromeSource for PanicsAt<'_> {
+        fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
+            let k = self.read.fetch_add(1, Ordering::Relaxed) + 1;
+            assert!(k != self.at, "planted panic at lookup {k}");
+            self.inner.lookup(u, v, w)
+        }
+    }
+
+    /// A run whose source panics unwinds out of the session's caller
+    /// slot; the session's next run equals a fresh session's.
     #[test]
-    fn sequential_simulated_batch_runs_on_the_calling_thread() {
+    fn a_run_after_a_panicking_source_equals_a_fresh_sessions() {
         let g = Hypercube::new(7);
-        let session = Diagnoser::new(&g)
-            .trace(TraceConfig::default())
-            .verify_sampled(2, 5)
-            .simulated(LatencyModel::Unit);
-        let jobs: Vec<BatchJob> = (0..4)
-            .map(|i| BatchJob::Planted {
-                faults: FaultSet::new(128, &[3 + i, 64 + i]),
-                behavior: TesterBehavior::AllZero,
+        let s = OracleSyndrome::new(
+            FaultSet::new(128, &[3, 64, 90]),
+            TesterBehavior::Random { seed: 2 },
+        );
+        let session = Diagnoser::new(&g);
+        let panicking = PanicsAt::new(&s, 50);
+        assert!(catch_unwind(AssertUnwindSafe(|| session.run(&panicking))).is_err());
+        s.reset_lookups();
+        let got = session.run(&s).unwrap();
+        s.reset_lookups();
+        let want = Diagnoser::new(&g).run(&s).unwrap();
+        assert_eq!(got.diagnosis, want.diagnosis);
+        assert_eq!(got.certificate.tree.edges(), want.certificate.tree.edges());
+        assert_eq!(
+            GrowRound::shapes(&got.telemetry.grow_rounds),
+            GrowRound::shapes(&want.telemetry.grow_rounds)
+        );
+    }
+
+    /// A pooled batch with a panicking job unwinds out of a worker's
+    /// slot; every later batch on the session equals its jobs run one by
+    /// one.
+    #[test]
+    fn pooled_batches_after_a_panicking_job_equal_sequential_runs() {
+        let base = Hypercube::new_certified(10);
+        let g = Cached::new(&base);
+        let pool = mmdiag_exec::Pool::new(2);
+        let session = Diagnoser::new(&g).pooled_on(&pool);
+        let sources: Vec<OracleSyndrome> = (0..4)
+            .map(|i| {
+                OracleSyndrome::new(
+                    FaultSet::new(1024, &[1 + i, 500 + i, 1000]),
+                    TesterBehavior::Random { seed: i as u64 },
+                )
             })
             .collect();
-        for outcome in session.submit_batch(&jobs) {
-            assert!(outcome.unwrap().verification().agreed_or_unverified());
+        let panicking = PanicsAt::new(&sources[0], 50);
+        let mut jobs: Vec<BatchJob> = sources.iter().map(|s| BatchJob::Source(s)).collect();
+        jobs[0] = BatchJob::Source(&panicking);
+        assert!(catch_unwind(AssertUnwindSafe(|| session.submit_batch(&jobs))).is_err());
+
+        let jobs: Vec<BatchJob> = sources.iter().map(|s| BatchJob::Source(s)).collect();
+        let sequential = Diagnoser::new(&g);
+        for batch in 0..20 {
+            let reports = session.submit_batch(&jobs);
+            for (s, report) in sources.iter().zip(reports) {
+                let want = sequential.run(s).unwrap();
+                assert_eq!(report.unwrap().diagnosis, want.diagnosis, "batch {batch}");
+            }
         }
-        let verify_tids: Vec<u64> = session
-            .tracer()
-            .drain()
-            .iter()
-            .filter(|e| e.cat == "verify")
-            .map(|e| e.tid)
-            .collect();
-        assert_eq!(verify_tids, vec![mmdiag_trace::current_tid(); 4]);
     }
 
     #[test]
@@ -1178,20 +961,20 @@ mod tests {
                 faults: FaultSet::new(128, &[3, 64, 90]),
                 behavior: TesterBehavior::Random { seed: 4 },
             },
-            BatchJob::Timeline(FaultTimeline::static_faults(
-                FaultSet::new(128, &[99]),
-                TesterBehavior::AllZero,
-            )),
+            BatchJob::Planted {
+                faults: FaultSet::new(128, &[99]),
+                behavior: TesterBehavior::AllZero,
+            },
         ];
-        let outcomes = session.submit_batch(&jobs);
-        assert_eq!(outcomes.len(), 3);
+        let reports = session.submit_batch(&jobs);
+        assert_eq!(reports.len(), 3);
         let expected: [&[usize]; 3] = [&[11, 60], &[3, 64, 90], &[99]];
-        for (outcome, want) in outcomes.iter().zip(expected) {
-            let outcome = outcome.as_ref().unwrap();
-            assert_eq!(outcome.faults(), want);
-            assert!(outcome.verification().agreed_or_unverified());
+        for (report, want) in reports.iter().zip(expected) {
+            let report = report.as_ref().unwrap();
+            assert_eq!(report.diagnosis.faults, want);
+            assert!(report.verification.agreed_or_unverified());
             assert!(matches!(
-                outcome.verification(),
+                report.verification,
                 VerificationVerdict::Sampled { .. }
             ));
         }

@@ -483,15 +483,15 @@ fn driver_parallel_pooled_auto_baseline_and_simulator_agree_on_every_family() {
                     report.verification
                 );
 
-                // Fourth implementation: the event-level simulator, driven
-                // through the session's simulation door (`simulate` is the
-                // thin legacy wrapper over the same engine). Static
+                // The event-level simulator through the session's
+                // simulation call: it runs the same core driver over the
+                // results its messages carried, so this leg checks its
+                // grading, part selection and sweep plumbing. Static
                 // timeline + unit latencies must be bit-identical to the
                 // driver and reproduce the cost model's trace exactly.
                 let timeline = FaultTimeline::static_faults(faults.clone(), b);
                 let sim = Diagnoser::new(g)
-                    .simulated(LatencyModel::Unit)
-                    .simulate(&timeline)
+                    .simulate(&timeline, &LatencyModel::Unit)
                     .unwrap_or_else(|e| panic!("{}: simulator: {e} ({b:?})", g.name()));
                 assert_eq!(sim.faults, drv.faults, "{} simulator {b:?}", g.name());
                 assert_eq!(

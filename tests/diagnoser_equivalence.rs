@@ -197,7 +197,7 @@ fn submit_batch_matches_one_by_one_runs_on_both_backends() {
         let outcomes = session.submit_batch(&jobs);
         assert_eq!(outcomes.len(), one_by_one.len());
         for (i, (outcome, want)) in outcomes.iter().zip(&one_by_one).enumerate() {
-            let report = outcome.as_ref().unwrap().report().expect("in-process");
+            let report = outcome.as_ref().unwrap();
             // Batched scans are in-order under every policy: the
             // accounting must match too.
             assert_bit_identical(report, want, &format!("batch job {i} [{label}]"));
@@ -232,5 +232,5 @@ fn implicit_and_cached_sessions_agree_bit_for_bit() {
     let streamed = implicit
         .run_streaming(faults.members(), TesterBehavior::Random { seed: 3 })
         .unwrap();
-    assert_eq!(streamed.faults(), on_cached.diagnosis.faults.as_slice());
+    assert_eq!(streamed.diagnosis.faults, on_cached.diagnosis.faults);
 }

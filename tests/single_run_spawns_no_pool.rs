@@ -56,7 +56,7 @@ fn a_single_auto_run_spawns_no_pool_and_a_fanned_out_batch_does() {
     let outcomes = session.submit_batch(&jobs);
     let want: [&[usize]; 2] = [&[1, 500, 1000], &[7, 300]];
     for (outcome, want) in outcomes.iter().zip(want) {
-        let report = outcome.as_ref().unwrap().report().expect("in-process");
+        let report = outcome.as_ref().unwrap();
         assert_eq!(report.diagnosis.faults, want);
         assert_eq!(
             report.backend,
