@@ -67,7 +67,9 @@ use mmdiag_trace::{HistogramSummary, MetricValue, TraceConfig, TraceSummary};
 
 pub mod online;
 pub mod throughput;
-pub use online::{run_online, OnlineFamilyRecord, OnlineRecord};
+pub use online::{
+    run_online, run_online_scale, OnlineFamilyRecord, OnlineRecord, OnlineScaleRecord,
+};
 pub use throughput::{overhead_guard, run_throughput, OverheadGuard, ThroughputRecord};
 
 /// Timed reps of each cell's driver leg; the record keeps the fastest.
@@ -1430,7 +1432,33 @@ pub fn to_json(
                     if i + 1 == o.families.len() { "" } else { "," }
                 ));
             }
-            out.push_str("    ]\n");
+            out.push_str("    ],\n");
+            match &o.scale {
+                Some(c) => {
+                    let list =
+                        |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
+                    out.push_str(&format!(
+                        concat!(
+                            "    \"scale\": {{\"instance\": \"{}\", \"node_count\": {}, ",
+                            "\"epochs\": {}, \"escalated\": {}, \"quiescent\": {}, ",
+                            "\"disagreements\": {}, \"monitor_ns\": [{}], ",
+                            "\"scratch_ns\": [{}], \"monitor_lookups\": [{}], ",
+                            "\"scratch_lookups\": [{}]}}\n"
+                        ),
+                        json_escape(&c.instance),
+                        c.nodes,
+                        c.epochs,
+                        c.escalated,
+                        c.quiescent,
+                        c.disagreements,
+                        list(&c.monitor_ns),
+                        list(&c.scratch_ns),
+                        list(&c.monitor_lookups),
+                        list(&c.scratch_lookups),
+                    ));
+                }
+                None => out.push_str("    \"scale\": null\n"),
+            }
             out.push_str("  }\n");
         }
         None => out.push_str("  \"online\": null\n"),

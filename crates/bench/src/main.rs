@@ -51,9 +51,12 @@
 //!             incremental labelling is checked bit-for-bit against a
 //!             from-scratch diagnose; reports detection latency and
 //!             amortised lookups/epoch vs from-scratch under the
-//!             additive top-level "online" key. Any disagreement or a
-//!             family whose sparse epochs fail to beat from-scratch
-//!             fails the binary
+//!             additive top-level "online" key. One more cell runs an
+//!             implicit Q_20 over streaming syndromes and records both
+//!             wall times of every epoch (monitor and from-scratch)
+//!             under "online"."scale". Any disagreement or a family
+//!             whose sparse epochs fail to beat from-scratch fails the
+//!             binary
 //!   --out     output path (default BENCH_9.json in the working directory)
 //! ```
 //!
@@ -64,8 +67,8 @@
 #![forbid(unsafe_code)]
 
 use mmdiag_bench::{
-    distsim_scenarios, full_catalog, large_catalog, run_online, run_throughput, small_catalog,
-    sweep_profiled, to_json, xlarge_catalog, xxlarge_catalog, ProfileConfig,
+    distsim_scenarios, full_catalog, large_catalog, run_online, run_online_scale, run_throughput,
+    small_catalog, sweep_profiled, to_json, xlarge_catalog, xxlarge_catalog, ProfileConfig,
 };
 use mmdiag_core::VerificationVerdict;
 
@@ -297,7 +300,28 @@ fn main() {
                 },
             );
         }
-        Some(rec)
+        let scale = run_online_scale(quick);
+        let median_ms = |ns: &[u64]| {
+            let mut v = ns.to_vec();
+            v.sort_unstable();
+            v.get(v.len() / 2).map_or(0.0, |&x| x as f64 / 1e6)
+        };
+        eprintln!(
+            "{:<22} {:>3} epochs  {:>2} escalated  {:>2} quiescent  \
+             median epoch {:>8.1} ms vs {:>8.1} ms from scratch  {}",
+            scale.instance,
+            scale.epochs,
+            scale.escalated,
+            scale.quiescent,
+            median_ms(&scale.monitor_ns),
+            median_ms(&scale.scratch_ns),
+            if scale.disagreements == 0 {
+                "ok"
+            } else {
+                "FAIL"
+            },
+        );
+        Some(rec.with_scale(scale))
     } else {
         None
     };

@@ -23,15 +23,23 @@
 //!   their full from-scratch cost stays in the per-epoch totals rather
 //!   than being laundered out of the average.
 //!
+//! Beside the fourteen families, one cell runs at 10⁶ nodes
+//! ([`run_online_scale`]): an implicit `Q_20` with streaming syndromes,
+//! where the growth, not the probes, is the cost. Its record keeps both
+//! wall times of every epoch, the monitor's and the from-scratch run's,
+//! and counts any epoch whose labelling differs as a disagreement.
+//!
 //! Epoch count: `MMDIAG_EPOCHS` (through the exec config door), else 8
 //! under `--quick`, else 24.
 
 use crate::fault_sizes;
 use mmdiag::diagnosis::{diagnose, Diagnosis};
 use mmdiag::distsim::EpochTimeline;
-use mmdiag::syndrome::{OracleSyndrome, TesterBehavior};
+use mmdiag::syndrome::{OnDemandOracle, OracleSyndrome, TesterBehavior};
+use mmdiag::topology::families::Hypercube;
 use mmdiag::topology::Partitionable;
 use mmdiag::Diagnoser;
+use mmdiag_trace::clock::Stopwatch;
 use mmdiag_trace::{Histogram, HistogramSummary};
 
 /// One family's epoch-loop rollup.
@@ -98,6 +106,45 @@ pub struct OnlineRecord {
     /// Families whose amortised sparse-epoch cost failed to beat
     /// from-scratch — must be zero for the axis to pass.
     pub families_without_savings: usize,
+    /// The 10⁶-node cell, when it ran ([`OnlineRecord::with_scale`]).
+    pub scale: Option<OnlineScaleRecord>,
+}
+
+impl OnlineRecord {
+    /// Attach the 10⁶-node cell, folding its disagreements into the
+    /// axis total.
+    pub fn with_scale(mut self, scale: OnlineScaleRecord) -> Self {
+        self.disagreements += scale.disagreements;
+        self.scale = Some(scale);
+        self
+    }
+}
+
+/// The online axis at 10⁶ nodes: one monitor over an implicit `Q_20`,
+/// each epoch timed against a from-scratch run on the same syndrome.
+#[derive(Clone, Debug)]
+pub struct OnlineScaleRecord {
+    /// Instance name.
+    pub instance: String,
+    /// Node count.
+    pub nodes: usize,
+    /// Epochs replayed.
+    pub epochs: usize,
+    /// Epochs that escalated to a full walk (the initial one included).
+    pub escalated: usize,
+    /// Epochs with an empty delta.
+    pub quiescent: usize,
+    /// Wall time of each epoch's `ingest`, in nanoseconds.
+    pub monitor_ns: Vec<u64>,
+    /// Wall time of each epoch's from-scratch diagnosis, in nanoseconds.
+    pub scratch_ns: Vec<u64>,
+    /// Syndrome entries each epoch's `ingest` read.
+    pub monitor_lookups: Vec<u64>,
+    /// Syndrome entries each from-scratch diagnosis read.
+    pub scratch_lookups: Vec<u64>,
+    /// Epochs whose labelling differed from from-scratch in any field, or
+    /// that failed.
+    pub disagreements: u64,
 }
 
 /// Expected fault onsets per epoch. Low enough that most epochs move at
@@ -244,12 +291,93 @@ pub fn run_online(quick: bool) -> OnlineRecord {
         families,
         disagreements,
         families_without_savings,
+        scale: None,
     }
+}
+
+/// Onsets and recoveries per epoch at scale: enough that nearly every
+/// epoch moves a few of 10⁶ nodes.
+const SCALE_RATE: f64 = 2.5;
+
+/// The 10⁶-node cell of the online axis: one implicit monitor over
+/// `Hypercube::new_certified(20)` for the axis' epoch budget, timed
+/// against from-scratch epoch by epoch.
+pub fn run_online_scale(quick: bool) -> OnlineScaleRecord {
+    let epochs = mmdiag_exec::config::knobs()
+        .epochs
+        .unwrap_or(if quick { 8 } else { 24 });
+    online_scale_cell(Hypercube::new_certified(20), epochs)
+}
+
+/// One implicit monitor over `g` replaying `epochs` epochs of a seeded
+/// Poisson timeline with streaming syndromes; every epoch's labelling is
+/// held bit-identical to a from-scratch run on the same syndrome.
+fn online_scale_cell(g: Hypercube, epochs: usize) -> OnlineScaleRecord {
+    let session = Diagnoser::implicit(g);
+    let g = session.topology();
+    let n = g.node_count();
+    let behavior = TesterBehavior::Random { seed: 0x5CA1E };
+    let timeline = EpochTimeline::poisson(
+        n,
+        epochs,
+        SCALE_RATE,
+        SCALE_RATE,
+        g.driver_fault_bound() - 1,
+        0x0E9A,
+        behavior,
+    );
+    let mut monitor = session.monitor().expect("in-process session");
+    let mut rec = OnlineScaleRecord {
+        instance: g.name(),
+        nodes: n,
+        epochs,
+        escalated: 0,
+        quiescent: 0,
+        monitor_ns: Vec::new(),
+        scratch_ns: Vec::new(),
+        monitor_lookups: Vec::new(),
+        scratch_lookups: Vec::new(),
+        disagreements: 0,
+    };
+    for e in 0..timeline.epoch_count() {
+        let faults = timeline.faults_at(e);
+        let s = OnDemandOracle::from_fault_set(faults, behavior);
+        let sw = Stopwatch::start();
+        let got = monitor.ingest(&s, &timeline.delta_at(e));
+        rec.monitor_ns.push(sw.elapsed_ns());
+        let scratch = OnDemandOracle::from_fault_set(faults, behavior);
+        let sw = Stopwatch::start();
+        let want = diagnose(g, &scratch);
+        rec.scratch_ns.push(sw.elapsed_ns());
+        match (got, want) {
+            (Ok(report), Ok(want)) => {
+                rec.disagreements += u64::from(!bit_identical(&report.diagnosis, &want));
+                rec.escalated += usize::from(report.escalation.is_some());
+                rec.quiescent += usize::from(report.quiescent);
+                rec.monitor_lookups.push(report.lookups);
+                rec.scratch_lookups.push(want.lookups_used);
+            }
+            _ => rec.disagreements += 1,
+        }
+    }
+    rec
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scale cell's protocol on a small hypercube: every epoch agrees
+    /// and both wall times are kept.
+    #[test]
+    fn online_scale_cell_agrees_every_epoch() {
+        let rec = online_scale_cell(Hypercube::new_certified(10), 6);
+        assert_eq!(rec.disagreements, 0);
+        assert!(rec.escalated >= 1, "the initial epoch escalates");
+        assert_eq!(rec.monitor_ns.len(), 6);
+        assert_eq!(rec.scratch_ns.len(), 6);
+        assert_eq!(rec.monitor_lookups.len(), 6);
+    }
 
     #[test]
     fn online_axis_quick_covers_every_family_and_agrees() {

@@ -36,9 +36,124 @@ where
     }
 }
 
+/// A growth from a certified seed in progress, one layer per
+/// [`Growth::step`]. Each layer is one [`GrowRound`] and one `grow.round`
+/// span; the rounds' lookups partition the growth's.
+pub(crate) struct Growth {
+    core: GrowthCore,
+    rejects: Vec<NodeId>,
+    rounds: Vec<GrowRound>,
+    growing: bool,
+}
+
+impl Growth {
+    /// Seed the growth at `u0`: level 1 is the first round.
+    pub(crate) fn start<T, S>(
+        g: &T,
+        s: &S,
+        u0: NodeId,
+        fault_bound: usize,
+        ws: &mut Workspace,
+        tracer: &Tracer,
+    ) -> Self
+    where
+        T: Topology + ?Sized,
+        S: SyndromeSource + ?Sized,
+    {
+        let mut rejects = Vec::new();
+        let before = s.lookups();
+        let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
+        let core = GrowthCore::start(g, s, u0, fault_bound, &accept_all, ws, &mut |v| {
+            rejects.push(v)
+        });
+        let attached = core.attached();
+        Growth {
+            core,
+            rejects,
+            rounds: vec![round(s, before, span, 1, attached)],
+            growing: !ws.frontier.is_empty(),
+        }
+    }
+
+    /// Grow one more layer. Returns `false` once the growth is finished.
+    pub(crate) fn step<T, S>(&mut self, g: &T, s: &S, ws: &mut Workspace, tracer: &Tracer) -> bool
+    where
+        T: Topology + ?Sized,
+        S: SyndromeSource + ?Sized,
+    {
+        if !self.growing {
+            return false;
+        }
+        let width = ws.frontier.len();
+        let attached = self.core.attached();
+        let before = s.lookups();
+        let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
+        let rejects = &mut self.rejects;
+        self.growing = self
+            .core
+            .advance_layer(g, s, &accept_all, ws, &mut |v| rejects.push(v));
+        let accepted = self.core.attached() - attached;
+        self.rounds.push(round(s, before, span, width, accepted));
+        self.growing
+    }
+
+    /// The shared growth loop.
+    pub(crate) fn core(&self) -> &GrowthCore {
+        &self.core
+    }
+
+    /// Grow to the end, then sweep: `N(U_r) \ U_r` is exactly the
+    /// never-visited rejectees (Theorem 1 labels them all faulty).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn finish<T, S>(
+        mut self,
+        g: &T,
+        s: &S,
+        part: usize,
+        probes: usize,
+        fault_bound: usize,
+        start_lookups: u64,
+        ws: &mut Workspace,
+        tracer: &Tracer,
+    ) -> Result<(Diagnosis, Vec<GrowRound>), DiagnosisError>
+    where
+        T: Topology + ?Sized,
+        S: SyndromeSource + ?Sized,
+    {
+        while self.step(g, s, ws, tracer) {}
+        let mut faults = self.rejects;
+        faults.retain(|&v| !ws.seen(v));
+        faults.sort_unstable();
+        faults.dedup();
+        if faults.len() > fault_bound {
+            return Err(DiagnosisError::TooManyFaults {
+                found: faults.len(),
+                bound: fault_bound,
+            });
+        }
+        let tree = self.core.into_tree();
+        Ok((
+            Diagnosis {
+                faults,
+                certified_part: part,
+                probes,
+                healthy_count: tree.node_count(),
+                tree,
+                lookups_used: checked_delta(s.lookups(), start_lookups),
+            },
+            self.rounds,
+        ))
+    }
+}
+
+/// The unrestricted growth admits every node. A function item, not a
+/// pointer, so the growth loop calls it statically.
+fn accept_all(_: NodeId) -> bool {
+    true
+}
+
 /// Growth from the certified seed `u0` of `part` plus the `N(U_r)` sweep
-/// — the post-probe half of every run. Each layer is one [`GrowRound`]
-/// and one `grow.round` span; the rounds' lookups partition the growth's.
+/// — the post-probe half of every run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn grow_and_sweep<T, S>(
     g: &T,
@@ -55,47 +170,16 @@ where
     T: Topology + ?Sized,
     S: SyndromeSource + ?Sized,
 {
-    let accept = |_: NodeId| true;
-    let mut rounds: Vec<GrowRound> = Vec::new();
-    let mut rejects: Vec<NodeId> = Vec::new();
-
-    let before = s.lookups();
-    let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
-    let mut core = GrowthCore::start(g, s, u0, fault_bound, &accept, ws, &mut |v| rejects.push(v));
-    rounds.push(round(s, before, span, 1, core.attached()));
-    let mut growing = !ws.frontier.is_empty();
-    while growing {
-        let width = ws.frontier.len();
-        let attached = core.attached();
-        let before = s.lookups();
-        let span = tracer.span(CAT_PHASE, PHASE_GROW_ROUND);
-        growing = core.advance_layer(g, s, &accept, ws, &mut |v| rejects.push(v));
-        rounds.push(round(s, before, span, width, core.attached() - attached));
-    }
-    // N(U_r) \ U_r: exactly the never-visited rejectees (Theorem 1 labels
-    // them all faulty).
-    rejects.retain(|&v| !ws.seen(v));
-    rejects.sort_unstable();
-    rejects.dedup();
-    let faults = rejects;
-    if faults.len() > fault_bound {
-        return Err(DiagnosisError::TooManyFaults {
-            found: faults.len(),
-            bound: fault_bound,
-        });
-    }
-    let tree = core.into_tree();
-    Ok((
-        Diagnosis {
-            faults,
-            certified_part: part,
-            probes,
-            healthy_count: tree.node_count(),
-            tree,
-            lookups_used: checked_delta(s.lookups(), start_lookups),
-        },
-        rounds,
-    ))
+    Growth::start(g, s, u0, fault_bound, ws, tracer).finish(
+        g,
+        s,
+        part,
+        probes,
+        fault_bound,
+        start_lookups,
+        ws,
+        tracer,
+    )
 }
 
 #[cfg(test)]

@@ -8,6 +8,10 @@
 //!   part-restricted), with its spanning-tree artifact and contributor
 //!   accounting;
 //! * [`tree`] — the tree `T` described by the parent function `t`;
+//! * [`memo`] — the last growth tree kept across syndromes
+//!   ([`GrowthMemo`]): the next growth from the same seed re-witnesses it
+//!   one entry per node and repairs it in place, bit-identical to a full
+//!   walk (the epoch monitor's growth);
 //! * [`driver`] — the Theorem-1 driver: probe part representatives, certify
 //!   an all-healthy seed, grow `U_r`, output `N(U_r) = F`;
 //! * [`session`] — the canonical, phase-instrumented implementation:
@@ -53,6 +57,7 @@
 pub mod backend;
 pub mod driver;
 mod grow;
+pub mod memo;
 #[cfg(test)]
 mod reference;
 pub mod session;
@@ -61,6 +66,7 @@ pub mod tree;
 
 pub use backend::{BackendPolicy, Cutovers, WorkspacePool, SEQUENTIAL_CUTOVER_NODES};
 pub use driver::{diagnose, Diagnosis, DiagnosisError};
+pub use memo::GrowthMemo;
 pub use session::{
     grow_from_certificate, probe_part, Certificate, DiagnosisReport, GrowRound, PartProbe,
     PhaseTelemetry, SessionOptions, VerificationVerdict,

@@ -11,7 +11,9 @@
 //!   the calling thread, or fanned out over a pool;
 //! * [`probe_part`] / [`grow_from_certificate`] — the two halves of the
 //!   scan as first-class steps, for callers that keep per-part state
-//!   across runs (the epoch monitor);
+//!   across runs (the epoch monitor probes this way, and grows through a
+//!   [`GrowthMemo`](crate::GrowthMemo), which returns what
+//!   [`grow_from_certificate`] returns);
 //! * [`DiagnosisReport`] — the [`Diagnosis`] plus the §4.1
 //!   [`Certificate`] (the restricted probe tree that proved the seed part
 //!   all-healthy), per-phase [`PhaseTelemetry`] (probe/certify/grow wall
@@ -316,8 +318,11 @@ where
 /// against a moved syndrome yields exactly the labelling a from-scratch
 /// `diagnose` would produce once the probe scan lands on the same part.
 /// `probes` and `start_lookups` seed the diagnosis' accounting fields
-/// (the monitor passes the epoch's walk so `lookups_used` reports the
-/// epoch's true cost). Growth runs on the calling thread, untraced.
+/// (a caller passes its walk so far, so `lookups_used` reports its whole
+/// cost). Growth runs on the calling thread, untraced.
+/// [`GrowthMemo::grow`](crate::GrowthMemo::grow) takes the same
+/// arguments and returns the same result, repairing its last growth
+/// instead of walking again.
 pub fn grow_from_certificate<T, S>(
     g: &T,
     s: &S,

@@ -282,6 +282,12 @@ pub(crate) struct GrowthCore {
     contributors: usize,
     all_healthy: bool,
     rounds: usize,
+    /// `L_s`: the last layer grown while the spread heuristic was live,
+    /// the layer after whose flush `all_healthy` turned true (layer 1 when
+    /// it fired on the seed step); `None` while it has not fired. Past it
+    /// every layer is the plain breadth-first rule that
+    /// [`crate::memo::GrowthMemo`] repairs in place.
+    spread_layers: Option<usize>,
 }
 
 impl GrowthCore {
@@ -342,20 +348,32 @@ impl GrowthCore {
         // later layer counts it again.
         let grew = !ws.frontier.is_empty();
         let contributors = usize::from(grew);
+        let all_healthy = contributors > fault_bound;
         GrowthCore {
             u0,
             fault_bound,
             start_lookups,
             edges,
             contributors,
-            all_healthy: contributors > fault_bound,
+            all_healthy,
             rounds: usize::from(grew),
+            spread_layers: all_healthy.then_some(1),
         }
+    }
+
+    /// `L_s`, once the in-growth certificate has fired.
+    pub(crate) fn spread_layers(&self) -> Option<usize> {
+        self.spread_layers
     }
 
     /// Nodes attached so far besides `u0`.
     pub(crate) fn attached(&self) -> usize {
         self.edges.len()
+    }
+
+    /// The tree's `(child, parent)` edges attached so far.
+    pub(crate) fn edges(&self) -> &[(NodeId, NodeId)] {
+        &self.edges
     }
 
     /// One level `i ≥ 2`: each frontier node `u` tests candidates `v`
@@ -427,8 +445,9 @@ impl GrowthCore {
         }
         self.rounds += 1;
         self.contributors += ws.flush_layer(&mut self.edges[layer_start..]);
-        if self.contributors > self.fault_bound {
+        if !self.all_healthy && self.contributors > self.fault_bound {
             self.all_healthy = true;
+            self.spread_layers = Some(self.rounds);
         }
         true
     }

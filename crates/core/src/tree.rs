@@ -6,29 +6,43 @@
 //! and when diagnosis succeeds the tree spans the healthy nodes — the
 //! by-product §6 points out "could possibly be utilised in some other
 //! context".
+//!
+//! The edge list is shared: cloning a tree copies a pointer, not the
+//! 16 bytes per member a million-node labelling holds, so a labelling can
+//! be handed out and kept (the epoch monitor does both every epoch) at no
+//! per-node cost. Equality still compares contents.
 
 use mmdiag_topology::NodeId;
+use std::sync::Arc;
 
 /// A rooted spanning tree over a subset of the network's nodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanningTree {
     root: NodeId,
     /// `(child, parent)` pairs in the order children were attached.
-    edges: Vec<(NodeId, NodeId)>,
+    /// An `Arc<Vec<_>>` rather than an `Arc<[_]>`, which would copy the
+    /// list once more on construction.
+    edges: Arc<Vec<(NodeId, NodeId)>>,
 }
 
 impl SpanningTree {
     /// A tree consisting of just the root.
     pub fn singleton(root: NodeId) -> Self {
+        SpanningTree::from_edges(root, Vec::new())
+    }
+
+    /// Construct from the root and `(child, parent)` pairs; the list is
+    /// moved, not copied.
+    pub fn from_edges(root: NodeId, edges: Vec<(NodeId, NodeId)>) -> Self {
         SpanningTree {
             root,
-            edges: Vec::new(),
+            edges: Arc::new(edges),
         }
     }
 
-    /// Construct from the root and `(child, parent)` pairs.
-    pub fn from_edges(root: NodeId, edges: Vec<(NodeId, NodeId)>) -> Self {
-        SpanningTree { root, edges }
+    /// The edge list, if no clone of this tree is left to share it.
+    pub(crate) fn into_edges(self) -> Option<Vec<(NodeId, NodeId)>> {
+        Arc::try_unwrap(self.edges).ok()
     }
 
     /// The root `u0`.
@@ -87,7 +101,7 @@ impl SpanningTree {
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = std::collections::HashSet::new();
         seen.insert(self.root);
-        for &(c, p) in &self.edges {
+        for &(c, p) in self.edges.iter() {
             if c == self.root {
                 return Err(format!("root {c} appears as a child"));
             }
@@ -143,6 +157,20 @@ mod tests {
         assert_eq!(t.node_count(), 1);
         assert!(t.internal_nodes().is_empty());
         t.validate().unwrap();
+    }
+
+    /// A clone shares the edge list; trees built apart from equal lists
+    /// compare equal, and unequal lists do not.
+    #[test]
+    fn clones_share_storage_and_equality_compares_contents() {
+        let t = sample();
+        let c = t.clone();
+        assert!(std::ptr::eq(t.edges().as_ptr(), c.edges().as_ptr()));
+        let apart = SpanningTree::from_edges(0, vec![(1, 0), (2, 0), (3, 1)]);
+        assert!(!std::ptr::eq(t.edges().as_ptr(), apart.edges().as_ptr()));
+        assert_eq!(t, apart);
+        assert_ne!(t, SpanningTree::from_edges(0, vec![(1, 0), (3, 1), (2, 0)]));
+        assert_ne!(t, SpanningTree::from_edges(1, vec![(0, 1), (2, 0), (3, 1)]));
     }
 
     #[test]

@@ -20,8 +20,14 @@
 //! * **Certified-seed reuse.** The winning probe's certificate is cached
 //!   with the rest, so epochs that keep the same certified part pay no
 //!   probe lookups at all — only the unrestricted growth, which must
-//!   re-run against the moved syndrome (it is what discovers the new
-//!   fault set).
+//!   re-read the moved syndrome (it is what discovers the new fault set).
+//!   It re-reads it through the session's [`GrowthMemo`]: the last growth
+//!   tree is re-witnessed one syndrome entry per node, in its parents'
+//!   rows, and repaired where the fault set moved, instead of walking
+//!   every neighbour of every node again. Every label is still read off
+//!   the current syndrome. A change within the first `L_s` layers (those
+//!   the certificate's spread heuristic shaped), a different winning part
+//!   or an escalation grows in full, at the full walk's cost.
 //! * **Escalation.** When the delta touches the certified part itself,
 //!   the certificate — probe tree witnesses included, since they are all
 //!   in-part — is invalidated and the session escalates to a full
@@ -38,9 +44,11 @@
 //! and healthy count. The argument: a cached probe outcome equals what a
 //! fresh probe would return (dirty-part rule), so the cache-served scan
 //! lands on the same lowest certifying part as the from-scratch scan,
-//! and the unrestricted growth from that seed is deterministic. The
-//! workspace cross-check suite asserts this per epoch across all 14
-//! families; the bench `--online` axis re-asserts it at scale.
+//! and the unrestricted growth from that seed is deterministic: the
+//! memo's repair yields exactly what that growth yields, which core's
+//! memo suite checks growth by growth on all 14 families. The workspace
+//! cross-check suite asserts the whole contract per epoch across all 14
+//! families; the bench `--online` axis re-asserts it at 10⁶ nodes.
 //!
 //! Each epoch records a `monitor.epoch` span (value = the epoch's
 //! syndrome lookups) with the standard probe/certify/grow phase spans
@@ -52,9 +60,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mmdiag_core::session::{grow_from_certificate, probe_part, PartProbe};
+use mmdiag_core::session::{probe_part, PartProbe};
 use mmdiag_core::set_builder::Workspace;
-use mmdiag_core::{Certificate, Diagnosis, DiagnosisError, PhaseTelemetry};
+use mmdiag_core::{Certificate, Diagnosis, DiagnosisError, GrowthMemo, PhaseTelemetry};
 use mmdiag_syndrome::SyndromeSource;
 use mmdiag_topology::{NodeId, Partitionable};
 use mmdiag_trace::{
@@ -127,17 +135,24 @@ struct LastEpoch {
 /// syndrome plus the delta — the complete set of nodes whose fault
 /// status changed since the previous `ingest` (an onset *or* a
 /// recovery; a node that flipped twice between epochs nets out and must
-/// not be listed). The session trusts the delta: omitting a changed
-/// node breaks the dirty-part rule and with it the bit-identity
-/// guarantee.
+/// not be listed). The delta only decides which cached probes to drop:
+/// the growth reads every label off the current syndrome. A node listed
+/// without a change costs a re-probe (an escalation, in the certified
+/// part) and nothing else. Omitting a
+/// changed node inside the certified part or a part below it can keep a
+/// stale probe in force, and with it breaks the bit-identity guarantee;
+/// an omission elsewhere is read off the syndrome like any other label.
 pub struct MonitorSession<'g> {
     g: &'g (dyn Partitionable + Sync),
     fault_bound: usize,
     tracer: Tracer,
     ws: Workspace,
     /// Per-part cached probe outcome; `None` = never probed or
-    /// invalidated by a delta.
-    cache: Vec<Option<PartProbe>>,
+    /// invalidated by a delta. Boxed, so the parts past the winner, which
+    /// the scan never fills, cost a pointer each.
+    cache: Vec<Option<Box<PartProbe>>>,
+    /// The last growth, repaired by the next epoch that keeps its part.
+    memo: GrowthMemo,
     last: Option<LastEpoch>,
     epoch: usize,
     state_lost: bool,
@@ -154,6 +169,7 @@ impl<'g> MonitorSession<'g> {
             tracer,
             ws: Workspace::new(g.node_count()),
             cache: vec![None; g.part_count()],
+            memo: GrowthMemo::new(),
             last: None,
             epoch: 0,
             state_lost: false,
@@ -275,6 +291,7 @@ impl<'g> MonitorSession<'g> {
         let dirty = self.count_dirty(delta);
         if escalation.is_some() {
             self.cache.fill(None);
+            self.memo.forget();
         } else {
             for &v in delta {
                 self.cache[self.g.part_of(v)] = None;
@@ -292,13 +309,12 @@ impl<'g> MonitorSession<'g> {
             let entry = match &self.cache[part] {
                 Some(cached) => {
                     reused += 1;
-                    cached
+                    &**cached
                 }
                 None => {
                     reprobed += 1;
                     let probe = probe_part(self.g, s, part, self.fault_bound, &mut self.ws);
-                    self.cache[part] = Some(probe);
-                    self.cache[part].as_ref().expect("just stored")
+                    &**self.cache[part].insert(Box::new(probe))
                 }
             };
             if entry.all_healthy {
@@ -320,13 +336,15 @@ impl<'g> MonitorSession<'g> {
             .expect("the winning probe certified, so it carries a certificate");
         let certify_nanos = u128::from(certify_span.finish());
 
-        // Unrestricted growth re-runs in full every non-quiescent epoch:
-        // it is deterministic from the certified seed, which is exactly
-        // what makes the incremental labelling bit-identical to
-        // from-scratch. `probes` mirrors the sequential scan's count
-        // (parts 0..=part), cache-served or not.
+        // The unrestricted growth re-reads the syndrome every
+        // non-quiescent epoch. It is deterministic from the certified
+        // seed, which is exactly what makes the incremental labelling
+        // bit-identical to from-scratch; the memo repairs the last tree
+        // when the part held, and grows in full otherwise. `probes`
+        // mirrors the sequential scan's count (parts 0..=part),
+        // cache-served or not.
         let grow_span = tracer.span(CAT_PHASE, PHASE_GROW);
-        let diagnosis = match grow_from_certificate(
+        let diagnosis = match self.memo.grow(
             self.g,
             s,
             &certificate,
@@ -386,6 +404,7 @@ impl<'g> MonitorSession<'g> {
         self.last = None;
         self.state_lost = true;
         self.cache.fill(None);
+        self.memo.forget();
     }
 }
 

@@ -4,9 +4,10 @@
 //! [`mmdiag::distsim::EpochTimeline`]. Each epoch the service ingests
 //! only the *delta* — the nodes whose fault status moved — and
 //! re-diagnoses incrementally: certified-healthy probe outcomes from
-//! clean parts are reused across epochs, and the session escalates to an
-//! honest from-scratch walk only when the delta invalidates the standing
-//! certificate.
+//! clean parts are reused across epochs, the last growth tree is
+//! re-read one syndrome entry per node and repaired where the fault set
+//! moved, and the session escalates to an honest from-scratch walk only
+//! when the delta invalidates the standing certificate.
 //!
 //! ```text
 //! cargo run --example online_monitor

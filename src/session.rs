@@ -384,10 +384,13 @@ impl<'g> Diagnoser<'g> {
     /// ([`MonitorSession`]). Each
     /// [`ingest`](MonitorSession::ingest) takes the current syndrome
     /// plus the delta of nodes whose status changed and re-diagnoses
-    /// incrementally — cached part probes, certified-seed reuse,
-    /// escalation to a full walk when the certificate is invalidated —
-    /// with every epoch's labelling bit-identical to a from-scratch
-    /// [`run`](Diagnoser::run) on the same instantaneous fault set.
+    /// incrementally — cached part probes, certified-seed reuse, the last
+    /// growth tree re-read one syndrome entry per node and repaired where
+    /// the fault set moved, escalation to a full walk when the
+    /// certificate is invalidated — with every epoch's labelling
+    /// bit-identical to a from-scratch [`run`](Diagnoser::run) on the
+    /// same instantaneous fault set. The delta only decides which cached
+    /// probes to drop; every label is read off the syndrome.
     ///
     /// The monitor borrows the session's topology, shares its tracer
     /// (epoch spans and `monitor.*` counters land in the same sink and
