@@ -232,8 +232,9 @@ mod tests {
     #[test]
     fn workspace_pool_reuses_slots() {
         let wsp = WorkspacePool::new(64, 2);
-        // Same slot twice: the workspace persists (epoch-stamped reuse is
-        // Workspace's own concern; here we only check slot identity works).
+        // Same slot twice: the workspace persists (clearing it between
+        // runs is Workspace's own concern; here we only check slot identity
+        // works).
         wsp.with(Some(0), |ws| {
             let _ = ws;
         });

@@ -84,9 +84,11 @@ const DEEPEST: u16 = OFF_TREE - 1;
 /// [`GrowthMemo::grow`] returns exactly what
 /// [`grow_from_certificate`](crate::grow_from_certificate) returns for the
 /// same arguments; only the lookups differ. Memory: 6 bytes per node of
-/// the graph, allocated by the first growth, plus the last tree, which is
-/// shared with the [`Diagnosis`] handed out, and between repairs the tree
-/// the last repair replaced, whose edge list the next repair reuses.
+/// the graph, allocated by the first growth, plus the last tree (8 bytes
+/// per member), which is shared with the [`Diagnosis`] handed out, and
+/// between repairs the tree the last repair replaced, whose edge list the
+/// next repair reuses. A repair allocates one more bit per node while it
+/// runs, the re-witness's set of nodes not resolved healthy.
 #[derive(Default)]
 pub struct GrowthMemo {
     /// `t(v)` for a tree node `v` (the root holds itself).
@@ -311,8 +313,8 @@ impl GrowthMemo {
         let mut start = 0;
         for (k, &end) in layer_ends.iter().enumerate() {
             for &(c, p) in &edges[start..end] {
-                self.layer[c] = k as u16 + 1;
-                self.parent[c] = p as u32;
+                self.layer[c as usize] = k as u16 + 1;
+                self.parent[c as usize] = p;
             }
             start = end;
         }
@@ -341,7 +343,7 @@ impl GrowthMemo {
             parent: &self.parent,
             bad: vec![0; g.node_count().div_ceil(64)],
             witness: HashMap::new(),
-            root_witness: edges[0].0,
+            root_witness: edges[0].0 as NodeId,
             u0: last.u0,
         };
         let (mut onsets, mut pending) = (Vec::new(), Vec::new());
@@ -351,10 +353,11 @@ impl GrowthMemo {
             .peekable();
         while let Some(&(c, p)) = blocks.next() {
             row.clear();
-            row.push(c);
+            row.push(c as NodeId);
             while let Some(&(c, _)) = blocks.next_if(|e| e.1 == p) {
-                row.push(c);
+                row.push(c as NodeId);
             }
+            let p = p as NodeId;
             if r.is_bad(p) {
                 for &c in &row {
                     r.set_bad(c, true);
@@ -611,7 +614,9 @@ impl GrowthMemo {
             };
             let mut copied = 0;
             while let Some((_, p, regenerate)) = events.next_if(|e| e.0 == k) {
-                let at = old_layer.partition_point(|e| e.1 < p).max(copied);
+                let at = old_layer
+                    .partition_point(|e| (e.1 as NodeId) < p)
+                    .max(copied);
                 edges.extend_from_slice(&old_layer[copied..at]);
                 copied = at;
                 if regenerate {
@@ -619,9 +624,9 @@ impl GrowthMemo {
                     let children = nbuf
                         .iter()
                         .filter(|&&v| usize::from(layer[v]) == k && parent[v] as NodeId == p);
-                    edges.extend(children.map(|&v| (v, p)));
+                    edges.extend(children.map(|&v| (v as u32, p as u32)));
                 } else {
-                    copied = copied.max(old_layer.partition_point(|e| e.1 <= p));
+                    copied = copied.max(old_layer.partition_point(|e| e.1 as NodeId <= p));
                 }
             }
             edges.extend_from_slice(&old_layer[copied..]);
@@ -862,8 +867,8 @@ mod tests {
     fn descendants(tree: &SpanningTree, x: NodeId) -> usize {
         let mut below = vec![x];
         for &(c, p) in tree.edges() {
-            if below.contains(&p) {
-                below.push(c);
+            if below.contains(&(p as NodeId)) {
+                below.push(c as NodeId);
             }
         }
         below.len() - 1
@@ -902,14 +907,17 @@ mod tests {
         let b = TesterBehavior::AllOne;
         assert!(epoch(&mut memo, &g, &[r], b, &cert, &mut ws, "onset").repaired);
         let without = memo.last.as_ref().unwrap().tree.clone();
-        assert!(without.edges().iter().all(|&(c, p)| c != r && p != r));
+        assert!(without
+            .edges()
+            .iter()
+            .all(|&(c, p)| c as NodeId != r && p as NodeId != r));
         assert!(epoch(&mut memo, &g, &[], b, &cert, &mut ws, "recovery").repaired);
         let with = &memo.last.as_ref().unwrap().tree;
         let adopted: Vec<NodeId> = with
             .edges()
             .iter()
-            .filter(|&&(_, p)| p == r)
-            .map(|&(c, _)| c)
+            .filter(|&&(_, p)| p as NodeId == r)
+            .map(|&(c, _)| c as NodeId)
             .collect();
         assert!(!adopted.is_empty(), "the recovered node parents nothing");
         for c in adopted {

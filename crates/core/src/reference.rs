@@ -102,7 +102,7 @@ pub(crate) struct GrowthCore {
     fault_bound: usize,
     start_lookups: u64,
     pub(crate) members: Vec<NodeId>,
-    edges: Vec<(NodeId, NodeId)>,
+    edges: Vec<(u32, u32)>,
     contributors: usize,
     all_healthy: bool,
     rounds: usize,
@@ -132,7 +132,7 @@ impl GrowthCore {
         ws.begin();
         ws.visit(u0, u0);
         let mut members = vec![u0];
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut contributors = 0usize;
         let mut all_healthy = false;
 
@@ -158,7 +158,7 @@ impl GrowthCore {
                     ws.visit(v, u0);
                     ws.layer[v] = 1;
                     members.push(v);
-                    edges.push((v, u0));
+                    edges.push((v as u32, u0 as u32));
                     ws.frontier.push(v);
                 } else {
                     reject(v);
@@ -256,7 +256,7 @@ impl GrowthCore {
         for ni in 0..ws.next_frontier.len() {
             let v = ws.next_frontier[ni];
             let p = ws.parent[v];
-            self.edges.push((v, p));
+            self.edges.push((v as u32, p as u32));
             if ws.contributed[p] != ws.epoch {
                 ws.contributed[p] = ws.epoch;
                 self.contributors += 1;

@@ -764,6 +764,45 @@ mod tests {
         }
     }
 
+    /// A run that ends in `NoPartCertified` has probed every part. Each
+    /// probe starts by zeroing the visited-bitmap words the probe before it
+    /// touched, and nothing more: over a whole implicit Q_16 scan the
+    /// words cleared number at most the nodes the probes visited, which
+    /// lie in disjoint parts, not one bitmap per part.
+    #[test]
+    fn probing_every_part_clears_only_the_words_each_probe_touched() {
+        use mmdiag_implicit::ImplicitTopology;
+        let g = ImplicitTopology::new(Hypercube::new_certified(16));
+        let (n, parts, bound) = (g.node_count(), g.part_count(), g.driver_fault_bound());
+        // Every representative faulty, more faults than the bound: no
+        // probe certifies.
+        let seeds: Vec<NodeId> = (0..parts).map(|p| g.representative(p)).collect();
+        assert!(seeds.len() > bound);
+        let s = OracleSyndrome::new(FaultSet::new(n, &seeds), TesterBehavior::Random { seed: 2 });
+        let mut ws = Workspace::new(n);
+        let got = run_in_ws(&g, &s, bound, &Tracer::disabled(), &mut ws);
+        assert_eq!(got.unwrap_err(), DiagnosisError::NoPartCertified);
+
+        // What each probe but the last touched, the next one cleared.
+        let mut other = Workspace::new(n);
+        let (mut visited, mut touched) = (0, 0);
+        for &u0 in &seeds[..parts - 1] {
+            let probe = set_builder_in_part(&g, &s, u0, bound, &mut other);
+            let mut words: Vec<NodeId> = probe.members.iter().map(|&v| v / 64).collect();
+            words.sort_unstable();
+            words.dedup();
+            visited += probe.members.len();
+            touched += words.len();
+        }
+        assert_eq!(ws.cleared, touched);
+        assert!(
+            touched <= visited && visited <= n,
+            "{touched} words cleared for {visited} nodes visited over {parts} probes; \
+             a whole bitmap per probe is {} words",
+            parts * n.div_ceil(64)
+        );
+    }
+
     #[test]
     fn unchecked_options_skip_preconditions() {
         use mmdiag_topology::families::NKStar;

@@ -35,52 +35,66 @@
 //!
 //! Time: `O(Δ·|U_r|)` (plus the `O(Δ²)` seed step); syndrome entries
 //! consulted: at most `C(Δ,2)` for the seed plus `Δ − 1` per other member,
-//! the §6 bound `(Δ−1)(Δ/2 + |U_r| − 1)`. Memory: a [`Workspace`] of 8
-//! bytes and one bit per node of the graph, reused across runs, plus the
-//! returned tree's `(child, parent)` edge per member and two buffers as
-//! wide as the widest layer. Each layer's frontier is emitted in ascending
-//! order without a sort where the layer is dense in the id space.
+//! the §6 bound `(Δ−1)(Δ/2 + |U_r| − 1)`. Memory: a [`Workspace`] of 4
+//! bytes and two bits per node of the graph, reused across runs, plus the
+//! returned tree's 8-byte `(child, parent)` edge per member, a list of the
+//! visited-bitmap words the run touched, and two buffers as wide as the
+//! widest layer. Each layer's frontier is emitted in ascending order
+//! without a sort where the layer is dense in the id space.
 
 use crate::tree::SpanningTree;
 use mmdiag_syndrome::SyndromeSource;
 use mmdiag_topology::{NodeId, Partitionable, Topology};
 
-/// Reusable scratch space for `Set_Builder` runs: 8 bytes and one bit per
+/// Reusable scratch space for `Set_Builder` runs: 4 bytes and two bits per
 /// node, so successive probes over the same graph reuse one `O(N)`
-/// allocation — this is what keeps the whole probe-every-part driver at
-/// `O(Δ·N)` rather than `O(parts · N)`.
+/// allocation.
 ///
 /// Per node:
 ///
-/// * `mark: u32` — epoch-stamped: a node is in the current run's set
-///   exactly when its mark equals the run's epoch, so a run starts
-///   without clearing anything;
 /// * `parent: u32` — `t(v)` for a member `v`. While `v`'s layer is being
 ///   built it holds the frontier position of `v`'s parent instead, which
 ///   finds that parent's claim counter in O(1); the layer's flush rewrites
 ///   it to the parent's id;
+/// * one bit of a visited bitmap, set exactly for the current run's
+///   members;
 /// * one bit of a layer bitmap, set while the node belongs to the layer
-///   being built. The bitmap has no epoch: emitting a layer clears its
-///   bits, and a run that stopped mid-layer (a source that panicked) leaves
-///   the workspace dirty, so the next run clears the whole bitmap first.
+///   being built.
 ///
-/// Per run, beside these: the frontier, one claim counter per frontier
-/// position, and the tree's edge list, which the run returns. Node ids and
-/// frontier positions are stored as `u32`, so a workspace serves graphs of
-/// at most `2³²` nodes.
+/// A run starts by clearing only what the run before it set: `touched`
+/// lists every visited-bitmap word a run made non-zero, and the next run
+/// zeroes just those words. This is what keeps the probe-every-part driver
+/// at `O(Δ·N)` rather than `O(parts · N)`: a run that returns
+/// `NoPartCertified` probes every part, and each probe's reset costs at
+/// most one word per node the probe before it visited, not the whole
+/// bitmap. The list pushes a word when its bit is set, so it is exact also
+/// after a run that a panicking source unwound. The layer bitmap needs no
+/// list: emitting a layer clears its bits, and a run that stopped
+/// mid-layer leaves the workspace dirty, so the next run clears the whole
+/// layer bitmap first.
+///
+/// Per run, beside these: the touched list (at most one `u32` per 64
+/// nodes), the frontier, one claim counter per frontier position, and the
+/// tree's edge list, which the run returns. Node ids and frontier
+/// positions are stored as `u32`, so a workspace serves graphs of at most
+/// `2³²` nodes.
 pub struct Workspace {
-    epoch: u32,
-    mark: Vec<u32>,
     parent: Vec<u32>,
+    visited: Vec<u64>,
+    /// Indices of the `visited` words this run made non-zero.
+    touched: Vec<u32>,
     layer_bits: Vec<u64>,
     /// A layer's bits may be set: the scan started and its layer was not
     /// yet emitted.
     dirty: bool,
     /// The layer being scanned, ascending.
-    pub(crate) frontier: Vec<NodeId>,
+    pub(crate) frontier: Vec<u32>,
     /// Children claimed by each frontier position in the layer being built.
     claims: Vec<u32>,
     nbuf: Vec<NodeId>,
+    /// Bitmap words `begin` has zeroed over the workspace's life.
+    #[cfg(test)]
+    pub(crate) cleared: usize,
 }
 
 impl Workspace {
@@ -95,33 +109,28 @@ impl Workspace {
             "a workspace stores node ids in 32 bits: {n} nodes exceed 2^32"
         );
         Workspace {
-            epoch: 0,
-            mark: vec![0; n],
             parent: vec![0; n],
+            visited: vec![0; n.div_ceil(64)],
+            touched: Vec::new(),
             layer_bits: vec![0; n.div_ceil(64)],
             dirty: false,
             frontier: Vec::new(),
             claims: Vec::new(),
             nbuf: Vec::new(),
-        }
-    }
-
-    /// A workspace whose last run had epoch `epoch`.
-    #[cfg(test)]
-    fn at_epoch(n: usize, epoch: u32) -> Self {
-        Workspace {
-            epoch,
-            ..Workspace::new(n)
+            #[cfg(test)]
+            cleared: 0,
         }
     }
 
     fn begin(&mut self) {
-        // Epoch 0 is "never seen"; wrap by clearing.
-        if self.epoch == u32::MAX {
-            self.mark.fill(0);
-            self.epoch = 0;
+        #[cfg(test)]
+        {
+            self.cleared += self.touched.len() + usize::from(self.dirty) * self.layer_bits.len();
         }
-        self.epoch += 1;
+        for &w in &self.touched {
+            self.visited[w as usize] = 0;
+        }
+        self.touched.clear();
         if self.dirty {
             self.layer_bits.fill(0);
             self.dirty = false;
@@ -129,16 +138,21 @@ impl Workspace {
         self.frontier.clear();
     }
 
+    /// Is `u` a member of the current run's set?
     #[inline]
     pub(crate) fn seen(&self, u: NodeId) -> bool {
-        self.mark[u] == self.epoch
+        self.visited[u / 64] & (1 << (u % 64)) != 0
     }
 
     /// Mark `u` visited with `parent` (a node id, or a frontier position
     /// while `u`'s layer is built). Both are below `n ≤ 2³²`.
     #[inline]
     fn visit(&mut self, u: NodeId, parent: usize) {
-        self.mark[u] = self.epoch;
+        let word = &mut self.visited[u / 64];
+        if *word == 0 {
+            self.touched.push((u / 64) as u32);
+        }
+        *word |= 1 << (u % 64);
         self.parent[u] = parent as u32;
     }
 
@@ -157,23 +171,23 @@ impl Workspace {
     /// The layer is emitted by a scan of the bitmap words between its
     /// lowest and highest id when that span holds at most 4 words per
     /// member, and by a sort otherwise, so either way costs O(layer size).
-    fn flush_layer(&mut self, layer: &mut [(NodeId, NodeId)]) -> usize {
-        let (mut lo, mut hi) = (NodeId::MAX, 0);
+    fn flush_layer(&mut self, layer: &mut [(u32, u32)]) -> usize {
+        let (mut lo, mut hi) = (u32::MAX, 0);
         for edge in layer.iter_mut() {
             let v = edge.0;
-            let p = self.frontier[self.parent[v] as usize];
-            self.parent[v] = p as u32;
+            let p = self.frontier[self.parent[v as usize] as usize];
+            self.parent[v as usize] = p;
             edge.1 = p;
             (lo, hi) = (lo.min(v), hi.max(v));
         }
         let contributors = self.claims.iter().filter(|&&c| c > 0).count();
         self.frontier.clear();
-        let (first, last) = (lo / 64, hi / 64);
+        let (first, last) = (lo as usize / 64, hi as usize / 64);
         if last - first < 4 * layer.len() {
             for w in first..=last {
                 let mut bits = std::mem::take(&mut self.layer_bits[w]);
                 while bits != 0 {
-                    self.frontier.push(w * 64 + bits.trailing_zeros() as usize);
+                    self.frontier.push((w * 64) as u32 + bits.trailing_zeros());
                     bits &= bits - 1;
                 }
             }
@@ -181,7 +195,7 @@ impl Workspace {
             self.frontier.extend(layer.iter().map(|&(v, _)| v));
             self.frontier.sort_unstable();
             for &v in &self.frontier {
-                self.layer_bits[v / 64] &= !(1 << (v % 64));
+                self.layer_bits[v as usize / 64] &= !(1 << (v % 64));
             }
         }
         self.dirty = false;
@@ -278,7 +292,7 @@ pub(crate) struct GrowthCore {
     u0: NodeId,
     fault_bound: usize,
     start_lookups: u64,
-    edges: Vec<(NodeId, NodeId)>,
+    edges: Vec<(u32, u32)>,
     contributors: usize,
     all_healthy: bool,
     rounds: usize,
@@ -313,7 +327,7 @@ impl GrowthCore {
         let start_lookups = s.lookups();
         ws.begin();
         ws.visit(u0, u0);
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut edges: Vec<(u32, u32)> = Vec::new();
 
         g.neighbors_into(u0, &mut ws.nbuf);
         ws.nbuf.retain(|&v| accept(v));
@@ -335,8 +349,8 @@ impl GrowthCore {
             for (idx, &v) in candidates.iter().enumerate() {
                 if in_u1[idx] {
                     ws.visit(v, u0);
-                    edges.push((v, u0));
-                    ws.frontier.push(v);
+                    edges.push((v as u32, u0 as u32));
+                    ws.frontier.push(v as u32);
                 } else {
                     reject(v);
                 }
@@ -372,7 +386,7 @@ impl GrowthCore {
     }
 
     /// The tree's `(child, parent)` edges attached so far.
-    pub(crate) fn edges(&self) -> &[(NodeId, NodeId)] {
+    pub(crate) fn edges(&self) -> &[(u32, u32)] {
         &self.edges
     }
 
@@ -405,7 +419,7 @@ impl GrowthCore {
         // heuristic below replaces the paper's "least contributing node"
         // tie-break; see module docs).
         for fi in 0..ws.frontier.len() {
-            let u = ws.frontier[fi];
+            let u = ws.frontier[fi] as NodeId;
             let tu = ws.parent[u] as NodeId;
             g.neighbors_into(u, &mut ws.nbuf);
             for idx in 0..ws.nbuf.len() {
@@ -433,7 +447,7 @@ impl GrowthCore {
                     ws.visit(v, fi);
                     ws.layer_bits[v / 64] |= 1 << (v % 64);
                     ws.claims[fi] += 1;
-                    self.edges.push((v, u));
+                    self.edges.push((v as u32, u as u32));
                 } else {
                     reject(v);
                 }
@@ -468,7 +482,7 @@ impl GrowthCore {
             (self.all_healthy, self.contributors, self.rounds);
         let tree = self.into_tree();
         let members = std::iter::once(tree.root())
-            .chain(tree.edges().iter().map(|&(child, _)| child))
+            .chain(tree.edges().iter().map(|&(child, _)| child as NodeId))
             .collect();
         SetBuilderOutcome {
             all_healthy,
@@ -768,23 +782,62 @@ mod tests {
         );
     }
 
-    /// `begin` wraps the epoch at `u32::MAX` by clearing the marks: three
-    /// growths across the wrap each equal a growth in a fresh workspace.
+    /// The nodes whose visited bit is set, ascending.
+    fn visited(ws: &Workspace) -> Vec<NodeId> {
+        (0..64 * ws.visited.len()).filter(|&v| ws.seen(v)).collect()
+    }
+
+    /// `ws` marks exactly `out`'s members visited and lists exactly their
+    /// bitmap words as touched.
+    fn holds_only(ws: &Workspace, out: &SetBuilderOutcome, ctx: &str) {
+        let mut members = out.members.clone();
+        members.sort_unstable();
+        assert_eq!(visited(ws), members, "{ctx}: visited bits");
+        let mut words: Vec<u32> = members.iter().map(|&v| (v / 64) as u32).collect();
+        words.dedup();
+        let mut touched = ws.touched.clone();
+        touched.sort_unstable();
+        assert_eq!(touched, words, "{ctx}: touched words");
+    }
+
+    /// Neither a run that a panicking source unwound nor a part-local
+    /// probe leaves a visited bit behind: each run after one marks exactly
+    /// its own members and equals a run in a fresh workspace.
     #[test]
-    fn growths_across_the_epoch_wrap_equal_fresh_ones() {
+    fn no_visited_bit_survives_into_the_next_run() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let g = Hypercube::new(7);
-        let n = g.node_count();
-        let mut ws = Workspace::at_epoch(n, u32::MAX - 1);
-        for (seed, faults) in [(0usize, vec![3usize, 64]), (5, vec![]), (0, vec![1, 2, 4])] {
-            let s = oracle(n, &faults, TesterBehavior::Random { seed: 9 });
-            let want = set_builder(&g, &s, seed, 7, &mut Workspace::new(n));
+        let (n, bound) = (g.node_count(), g.driver_fault_bound());
+        let s = oracle(n, &[3, 64, 100], TesterBehavior::Random { seed: 9 });
+        let total = set_builder(&g, &s, 0, bound, &mut Workspace::new(n)).lookups_used;
+        let mut ws = Workspace::new(n);
+        for k in [1, total / 2, total - 1] {
+            let panicking = PanicsAt {
+                inner: &s,
+                k,
+                read: std::cell::Cell::new(0),
+            };
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                set_builder(&g, &panicking, 0, bound, &mut ws)
+            }));
+            assert!(unwound.is_err(), "lookup {k} of {total} panicked");
+            for part in [1, g.part_count() - 1] {
+                let u0 = g.representative(part);
+                let probe = set_builder_in_part(&g, &s, u0, bound, &mut ws);
+                let ctx = format!("k {k}: probe of part {part}");
+                holds_only(&ws, &probe, &ctx);
+                let fresh = set_builder_in_part(&g, &s, u0, bound, &mut Workspace::new(n));
+                assert_same(&probe, &fresh, &ctx);
+            }
+            let growth = set_builder(&g, &s, 5, bound, &mut ws);
+            let ctx = format!("k {k}: growth after a probe");
+            holds_only(&ws, &growth, &ctx);
             assert_same(
-                &set_builder(&g, &s, seed, 7, &mut ws),
-                &want,
-                &format!("{faults:?}"),
+                &growth,
+                &set_builder(&g, &s, 5, bound, &mut Workspace::new(n)),
+                &ctx,
             );
         }
-        assert_eq!(ws.epoch, 2, "the wrap restarted the epochs");
     }
 
     /// Node ids are stored in 32 bits: a larger graph is refused before
@@ -806,6 +859,7 @@ mod tests {
         let out = set_builder(&g, &s, 0, 4, &mut ws);
         out.tree.validate().unwrap();
         for &(c, p) in out.tree.edges() {
+            let (c, p) = (c as NodeId, p as NodeId);
             assert!(g.neighbors(p).contains(&c), "tree edge {p}-{c} not in E");
         }
     }

@@ -7,8 +7,13 @@
 //! by-product §6 points out "could possibly be utilised in some other
 //! context".
 //!
+//! An edge is a `(child, parent)` pair of `u32` ids, 8 bytes per member:
+//! the growth's workspace already caps a graph at `2³²` nodes, so every id
+//! fits. The accessors below take and return [`NodeId`]s; a caller that
+//! indexes a graph with an edge widens it with `as NodeId`.
+//!
 //! The edge list is shared: cloning a tree copies a pointer, not the
-//! 16 bytes per member a million-node labelling holds, so a labelling can
+//! 8 bytes per member a million-node labelling holds, so a labelling can
 //! be handed out and kept (the epoch monitor does both every epoch) at no
 //! per-node cost. Equality still compares contents.
 
@@ -22,7 +27,7 @@ pub struct SpanningTree {
     /// `(child, parent)` pairs in the order children were attached.
     /// An `Arc<Vec<_>>` rather than an `Arc<[_]>`, which would copy the
     /// list once more on construction.
-    edges: Arc<Vec<(NodeId, NodeId)>>,
+    edges: Arc<Vec<(u32, u32)>>,
 }
 
 impl SpanningTree {
@@ -33,7 +38,7 @@ impl SpanningTree {
 
     /// Construct from the root and `(child, parent)` pairs; the list is
     /// moved, not copied.
-    pub fn from_edges(root: NodeId, edges: Vec<(NodeId, NodeId)>) -> Self {
+    pub fn from_edges(root: NodeId, edges: Vec<(u32, u32)>) -> Self {
         SpanningTree {
             root,
             edges: Arc::new(edges),
@@ -41,7 +46,7 @@ impl SpanningTree {
     }
 
     /// The edge list, if no clone of this tree is left to share it.
-    pub(crate) fn into_edges(self) -> Option<Vec<(NodeId, NodeId)>> {
+    pub(crate) fn into_edges(self) -> Option<Vec<(u32, u32)>> {
         Arc::try_unwrap(self.edges).ok()
     }
 
@@ -51,7 +56,7 @@ impl SpanningTree {
     }
 
     /// `(child, parent)` pairs in attachment order.
-    pub fn edges(&self) -> &[(NodeId, NodeId)] {
+    pub fn edges(&self) -> &[(u32, u32)] {
         &self.edges
     }
 
@@ -62,13 +67,16 @@ impl SpanningTree {
 
     /// The parent of `v`, or `None` for the root / non-members.
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.edges.iter().find(|&&(c, _)| c == v).map(|&(_, p)| p)
+        self.edges
+            .iter()
+            .find(|&&(c, _)| c as NodeId == v)
+            .map(|&(_, p)| p as NodeId)
     }
 
     /// The internal nodes (nodes with at least one child) — the
     /// contributors of §4.1.
     pub fn internal_nodes(&self) -> Vec<NodeId> {
-        let mut parents: Vec<NodeId> = self.edges.iter().map(|&(_, p)| p).collect();
+        let mut parents: Vec<NodeId> = self.edges.iter().map(|&(_, p)| p as NodeId).collect();
         parents.sort_unstable();
         parents.dedup();
         parents
@@ -102,6 +110,7 @@ impl SpanningTree {
         let mut seen = std::collections::HashSet::new();
         seen.insert(self.root);
         for &(c, p) in self.edges.iter() {
+            let (c, p) = (c as NodeId, p as NodeId);
             if c == self.root {
                 return Err(format!("root {c} appears as a child"));
             }
@@ -171,6 +180,49 @@ mod tests {
         assert_eq!(t, apart);
         assert_ne!(t, SpanningTree::from_edges(0, vec![(1, 0), (3, 1), (2, 0)]));
         assert_ne!(t, SpanningTree::from_edges(1, vec![(0, 1), (2, 0), (3, 1)]));
+    }
+
+    /// Ids next to `u32::MAX` round-trip through every accessor, and an
+    /// id past it is not read as its 32-bit truncation.
+    #[test]
+    fn ids_next_to_u32_max_round_trip() {
+        let top = u32::MAX as NodeId;
+        // top - 1 -> {top, 0}; top -> {top - 2}
+        let t = SpanningTree::from_edges(
+            top - 1,
+            vec![
+                (u32::MAX, u32::MAX - 1),
+                (0, u32::MAX - 1),
+                (u32::MAX - 2, u32::MAX),
+            ],
+        );
+        t.validate().unwrap();
+        assert_eq!(
+            t.edges(),
+            [
+                (u32::MAX, u32::MAX - 1),
+                (0, u32::MAX - 1),
+                (u32::MAX - 2, u32::MAX)
+            ]
+        );
+        assert_eq!(t.parent(top), Some(top - 1));
+        assert_eq!(t.parent(top - 2), Some(top));
+        assert_eq!(t.parent(0), Some(top - 1));
+        assert_eq!(t.internal_nodes(), vec![top - 1, top]);
+        assert_eq!(t.depth(top - 1), Some(0));
+        assert_eq!(t.depth(top), Some(1));
+        assert_eq!(t.depth(top - 2), Some(2));
+        #[cfg(target_pointer_width = "64")]
+        for past in [top + 1, top + 1 + (top - 2)] {
+            // 2^32 and 2^32 + top - 2 truncate to members 0 and top - 2.
+            assert_eq!(t.parent(past), None, "{past}");
+            assert_eq!(t.depth(past), None, "{past}");
+        }
+        assert!(
+            SpanningTree::from_edges(top, vec![(u32::MAX, u32::MAX - 1)])
+                .validate()
+                .is_err()
+        );
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! The growth's memory, pinned by a counting global allocator.
 //!
-//! * A `Workspace` holds 8 bytes and one bit per node, plus a constant.
+//! * A `Workspace` holds 4 bytes and two bits per node, plus a constant.
 //! * A diagnosis on an implicit Q_16 (`probe_part` in part order, then
 //!   `grow_from_certificate`) allocates, beyond the workspace, no more than
-//!   the returned tree's edge vector plus the frontier and claims buffers:
-//!   no member list or other per-node array.
+//!   the returned tree's 8-byte edges, the frontier and claims buffers and
+//!   the list of touched bitmap words: no member list or other per-node
+//!   array.
+//! * A repaired `GrowthMemo` epoch on the same graph requests no per-node
+//!   array beyond the one bit per node its re-witness marks: it writes the
+//!   new tree into the edge list of the tree the repair before it replaced.
 //!
 //! The counts are per thread (const-initialised thread-locals), so tests
 //! running in parallel on other threads cannot pollute them.
 
-use mmdiag_core::{grow_from_certificate, probe_part, Workspace};
+use mmdiag_core::{grow_from_certificate, probe_part, GrowthMemo, Workspace};
 use mmdiag_implicit::ImplicitTopology;
 use mmdiag_syndrome::{OnDemandOracle, TesterBehavior};
 use mmdiag_topology::families::Hypercube;
@@ -22,14 +26,18 @@ thread_local! {
     static LIVE: Cell<usize> = const { Cell::new(0) };
     /// The most bytes this thread held since the last [`held_during`].
     static PEAK: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread has requested in all, freed or not.
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Forwards to [`System`], counting the calling thread's live bytes.
+/// Forwards to [`System`], counting the calling thread's live and
+/// requested bytes.
 struct Counting;
 
 fn grew(bytes: usize) {
     // `try_with` fails only while the thread is being torn down, when no
     // test is counting any more.
+    let _ = ALLOCATED.try_with(|total| total.set(total.get() + bytes));
     let _ = LIVE.try_with(|live| {
         live.set(live.get() + bytes);
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
@@ -97,6 +105,14 @@ fn held_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (out, PEAK.with(Cell::get) - base)
 }
 
+/// Runs `f` and returns its result with the bytes this thread requested
+/// while `f` ran, whether or not it freed them again.
+fn allocated_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - base)
+}
+
 /// Room for the odd small buffer: a neighbour list, the level-1 pair
 /// flags, the fault list, a part-sized probe tree.
 const SLACK: usize = 64 << 10;
@@ -108,15 +124,30 @@ fn the_counter_sees_the_peak() {
 }
 
 #[test]
-fn a_workspace_holds_8_bytes_and_one_bit_per_node() {
+fn a_workspace_holds_4_bytes_and_two_bits_per_node() {
     let n = 1 << 16;
     let (ws, peak) = held_during(|| Workspace::new(n));
     assert!(
-        peak <= 8 * n + n / 8 + 1024,
+        peak <= 4 * n + 2 * n / 8 + 1024,
         "{peak} bytes for {n} nodes: {:.2} per node",
         peak as f64 / n as f64
     );
     drop(ws);
+}
+
+/// Q_16's widest layer: C(16, 8) nodes.
+const WIDEST: usize = 12_870;
+
+/// The first part to certify, probed in part order.
+fn certify<T: Partitionable + ?Sized>(
+    g: &T,
+    s: &OnDemandOracle,
+    ws: &mut Workspace,
+) -> mmdiag_core::Certificate {
+    let bound = g.driver_fault_bound();
+    (0..g.part_count())
+        .find_map(|part| probe_part(g, s, part, bound, ws).certificate)
+        .expect("a part certifies under the bound")
 }
 
 #[test]
@@ -128,9 +159,7 @@ fn a_diagnosis_allocates_only_its_tree_frontier_and_claims() {
     let s = OnDemandOracle::new(n, &faults, TesterBehavior::Random { seed: 1 });
     let mut ws = Workspace::new(n);
     let (diagnosis, peak) = held_during(|| {
-        let certificate = (0..g.part_count())
-            .find_map(|part| probe_part(&g, &s, part, bound, &mut ws).certificate)
-            .expect("a part certifies under the bound");
+        let certificate = certify(&g, &s, &mut ws);
         grow_from_certificate(
             &g,
             &s,
@@ -143,14 +172,57 @@ fn a_diagnosis_allocates_only_its_tree_frontier_and_claims() {
         .expect("a diagnosis under the bound")
     });
     assert_eq!(diagnosis.faults, faults);
-    // The edge vector grows by doubling. The frontier (a node id per
-    // member) and claims (a `u32` per member) buffers grow to at most
-    // twice the widest layer; Q_16's widest is C(16, 8) = 12 870 nodes.
-    let tree =
-        std::mem::size_of::<(NodeId, NodeId)>() * diagnosis.tree.node_count().next_power_of_two();
-    let layers = (std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>()) * 2 * 12_870;
+    // The edge vector grows by doubling, as does the list of touched
+    // bitmap words (at most one `u32` per 64 nodes). The frontier and
+    // claims buffers (a `u32` per member each) grow to at most twice the
+    // widest layer.
+    let tree = std::mem::size_of::<(u32, u32)>() * diagnosis.tree.node_count().next_power_of_two();
+    let touched = std::mem::size_of::<u32>() * n.div_ceil(64).next_power_of_two();
+    let layers = 2 * std::mem::size_of::<u32>() * 2 * WIDEST;
     assert!(
-        peak <= tree + layers + SLACK,
-        "{peak} bytes held against {tree} for the tree and {layers} for the layers"
+        peak <= tree + touched + layers + SLACK,
+        "{peak} bytes held against {tree} for the tree, {touched} for the touched words \
+         and {layers} for the layers"
+    );
+}
+
+#[test]
+fn a_repaired_epoch_allocates_no_per_node_array_beyond_its_recycled_edge_list() {
+    let g = ImplicitTopology::new(Hypercube::new_certified(16));
+    let (n, bound) = (g.node_count(), g.driver_fault_bound());
+    let behavior = TesterBehavior::Random { seed: 3 };
+    let mut ws = Workspace::new(n);
+    let certificate = certify(&g, &OnDemandOracle::new(n, &[], behavior), &mut ws);
+    assert_eq!(certificate.representative, 0);
+    let mut memo = GrowthMemo::new();
+    let mut epoch = |faults: &[NodeId], ws: &mut Workspace| {
+        let s = OnDemandOracle::new(n, faults, behavior);
+        memo.grow(&g, &s, &certificate, 1, bound, 0, ws)
+            .expect("a diagnosis under the bound")
+    };
+    // Onsets far from u0 = 0, past the layers the spread heuristic grew.
+    // The first epoch walks in full; the second is repaired into a fresh
+    // list and keeps the first tree as its spare, which the third reuses
+    // once no diagnosis holds it.
+    let first = epoch(&[], &mut ws);
+    let second = epoch(&[n - 1], &mut ws);
+    drop(first);
+    // Freeing the spare and allocating a fresh list would hold no more
+    // at the peak, so count every byte requested.
+    let (third, requested) = allocated_during(|| epoch(&[n - 2, n - 1], &mut ws));
+    assert_eq!(second.faults, [n - 1]);
+    assert_eq!(third.faults, [n - 2, n - 1]);
+    let full = OnDemandOracle::new(n, &[n - 2, n - 1], behavior);
+    let want = grow_from_certificate(&g, &full, &certificate, 1, bound, 0, &mut ws)
+        .expect("a diagnosis under the bound");
+    // Only the lookups differ from the full walk's.
+    assert!(third.tree == want.tree, "the repaired tree differs");
+    assert_eq!(third.healthy_count, want.healthy_count);
+    // The re-witness marks one bit per node; the rest is a few lists as
+    // long as the change. A fresh edge list would be 8 bytes per member.
+    let marks = n / 8;
+    assert!(
+        requested <= marks + SLACK,
+        "{requested} bytes requested against {marks} for the re-witness's marks"
     );
 }

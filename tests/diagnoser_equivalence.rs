@@ -29,7 +29,7 @@ use mmdiag::topology::families::{
     FoldedHypercube, Hypercube, KAryNCube, NKStar, Pancake, ShuffleCube, StarGraph, TwistedCube,
     TwistedNCube,
 };
-use mmdiag::topology::Partitionable;
+use mmdiag::topology::{NodeId, Partitionable};
 use mmdiag::{BatchJob, Diagnoser};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -91,7 +91,8 @@ fn assert_certificate_sound(report: &DiagnosisReport, g: &(dyn Partitionable + S
         cert.tree
             .edges()
             .iter()
-            .all(|&(u, v)| g.part_of(u) == cert.part && g.part_of(v) == cert.part),
+            .all(|&(u, v)| g.part_of(u as NodeId) == cert.part
+                && g.part_of(v as NodeId) == cert.part),
         "{ctx}: certificate tree crosses the part boundary"
     );
 }

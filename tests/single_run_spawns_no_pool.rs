@@ -14,6 +14,7 @@ use mmdiag::diagnosis::Cutovers;
 use mmdiag::syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
 use mmdiag::{BatchJob, Diagnoser};
+use std::time::{Duration, Instant};
 
 /// Names of this process's executor worker threads.
 fn pool_workers() -> Vec<String> {
@@ -23,6 +24,21 @@ fn pool_workers() -> Vec<String> {
         .map(|comm| comm.trim().to_string())
         .filter(|comm| comm.starts_with("mmdiag-exec-"))
         .collect()
+}
+
+/// [`pool_workers`], once at least `want` of them carry their names or
+/// five seconds have passed. A worker names itself from inside its own
+/// thread, so one the scheduler has not yet run still carries its
+/// parent's name.
+fn pool_workers_awaiting(want: usize) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let workers = pool_workers();
+        if workers.len() >= want || Instant::now() >= deadline {
+            return workers;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 #[test]
@@ -63,13 +79,14 @@ fn a_single_auto_run_spawns_no_pool_and_a_fanned_out_batch_does() {
             if fans_out { "pooled" } else { "sequential" }
         );
     }
+    let want = if fans_out {
+        mmdiag::exec::default_threads()
+    } else {
+        0
+    };
     assert_eq!(
-        pool_workers().len(),
-        if fans_out {
-            mmdiag::exec::default_threads()
-        } else {
-            0
-        },
+        pool_workers_awaiting(want).len(),
+        want,
         "only a fanned-out batch spawns the global pool"
     );
 }
