@@ -35,11 +35,9 @@
 //!   `"baseline": null` / `"distsim": null`, and record the **sampled
 //!   spot-checker**'s ([`mmdiag_baselines::sampled_check`]) verdict in
 //!   their `"verification"` object instead;
-//! * **`--xlarge`** sweeps 10⁶–10⁷-node instances served by
-//!   [`mmdiag_implicit::ImplicitTopology`] — adjacency straight from the
-//!   generator math, no `Cached` CSR anywhere (a
-//!   [`mmdiag_implicit::MaterialisationGuard`] asserts exactly that per
-//!   cell) — with syndromes from the `O(|F|)`-state
+//! * **`--xlarge`** sweeps 10⁶–10⁷-node instances served by the families
+//!   themselves — adjacency straight from the generator math, no `Cached`
+//!   CSR anywhere — with syndromes from the `O(|F|)`-state
 //!   [`mmdiag_syndrome::OnDemandOracle`], through the slimmed
 //!   [`run_scale_cell`] protocol;
 //! * **`--xxlarge`** runs Q_25, Q^3_17 and Q_27 (134 217 728 nodes)
@@ -54,7 +52,6 @@
 use mmdiag::{BatchJob, Diagnoser, VerificationVerdict};
 use mmdiag_core::{Cutovers, PhaseTelemetry};
 use mmdiag_distsim::{plan, FaultTimeline, LatencyModel};
-use mmdiag_implicit::{ImplicitTopology, MaterialisationGuard};
 use mmdiag_syndrome::{FaultSet, OnDemandOracle, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag_topology::families::{
     Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
@@ -77,7 +74,7 @@ pub const TIMING_REPS: usize = 3;
 
 /// A named benchmark instance. The topology is a trait object — every
 /// consumer is already generic over `Partitionable + ?Sized`, so CSR
-/// (`Cached`) and generator-math ([`ImplicitTopology`]) instances flow
+/// (`Cached`) and generator-math (the family itself) instances flow
 /// through the same code paths; `implicit` records which representation
 /// sits inside.
 pub struct Instance {
@@ -93,8 +90,7 @@ pub struct Instance {
     /// the sampled spot-checker instead.
     pub driver_only: bool,
     /// 10⁶⁺-node `--xlarge` instance: slimmed measurement protocol (one
-    /// timed rep per leg, no batch submission) and a
-    /// materialisation guard around every cell.
+    /// timed rep per leg, no batch submission).
     pub scale: bool,
 }
 
@@ -125,7 +121,7 @@ impl Instance {
     fn implicit<T: Partitionable + Sync + 'static>(family: &'static str, g: T) -> Self {
         Instance {
             family,
-            graph: Box::new(ImplicitTopology::new(g)),
+            graph: Box::new(g),
             implicit: true,
             driver_only: false,
             scale: false,
@@ -137,7 +133,7 @@ impl Instance {
     fn implicit_scale<T: Partitionable + Sync + 'static>(family: &'static str, g: T) -> Self {
         Instance {
             family,
-            graph: Box::new(ImplicitTopology::new(g)),
+            graph: Box::new(g),
             implicit: true,
             driver_only: true,
             scale: true,
@@ -220,9 +216,7 @@ pub fn large_catalog() -> Vec<Instance> {
 /// leg runs only the first entry). Every instance is served implicitly —
 /// generator-math adjacency, no CSR — with the certified partition
 /// dimension, syndromes streamed from `O(|F|)` state, and the sampled
-/// spot-checker as the independent cross-check. A
-/// [`MaterialisationGuard`] around each cell asserts `Cached::new` never
-/// ran.
+/// spot-checker as the independent cross-check.
 pub fn xlarge_catalog() -> Vec<Instance> {
     vec![
         Instance::implicit_scale("hypercube", Hypercube::new_certified(20)), // 1 048 576 nodes
@@ -237,7 +231,7 @@ pub fn xlarge_catalog() -> Vec<Instance> {
 /// The 10⁷–10⁸-node `--xxlarge` axis, smallest first (the `--quick` smoke
 /// leg runs only the first entry). Same slimmed [`run_scale_cell`]
 /// protocol as `--xlarge` — implicit adjacency, streaming syndromes,
-/// sampled verification, materialisation guard — at 10⁷–10⁸ nodes,
+/// sampled verification — at 10⁷–10⁸ nodes,
 /// where growth dominates the diagnosis. All three use the certified
 /// constructors: `Q_27`'s default partition rule would pick subcubes whose
 /// probe trees cannot certify fault bound 27.
@@ -307,7 +301,7 @@ pub struct RunRecord {
     pub driver_lookups: u64,
     /// Restricted probes the driver ran before certifying.
     pub driver_probes: usize,
-    /// Nanoseconds per neighbour of `neighbors_into_sorted` over seeded
+    /// Nanoseconds per neighbour of `neighbors_into` over seeded
     /// nodes of the cell's topology ([`adjacency_ns_per_neighbor`]).
     pub adjacency_ns_per_neighbor: f64,
     /// Baseline leg; `None` on driver-only cells and the quick-skip set.
@@ -424,7 +418,7 @@ const ADJACENCY_SAMPLE: usize = 4096;
 /// Whole passes over the sample repeat until this much time is spent.
 const ADJACENCY_BUDGET_NS: u64 = 10_000_000;
 
-/// Nanoseconds per neighbour `neighbors_into_sorted` takes over 4 096
+/// Nanoseconds per neighbour `neighbors_into` takes over 4 096
 /// seeded nodes of `g`: the adjacency layer the driver scans through, CSR
 /// reads on cached instances and generator math on implicit ones.
 pub fn adjacency_ns_per_neighbor<T: Topology + ?Sized>(g: &T) -> f64 {
@@ -438,7 +432,7 @@ pub fn adjacency_ns_per_neighbor<T: Topology + ?Sized>(g: &T) -> f64 {
     let sw = Stopwatch::start();
     loop {
         for &u in &nodes {
-            g.neighbors_into_sorted(std::hint::black_box(u), &mut buf);
+            g.neighbors_into(std::hint::black_box(u), &mut buf);
             neighbours += buf.len() as u64;
         }
         if sw.elapsed_ns() >= ADJACENCY_BUDGET_NS {
@@ -635,9 +629,8 @@ fn assert_sampled_agrees(verdict: &VerificationVerdict, instance: &str) {
 }
 
 /// One `--xlarge` cell: the slimmed measurement protocol for 10⁶⁺-node
-/// implicit instances. One timed driver leg, the sampled spot-checker —
-/// and a [`MaterialisationGuard`] proving no `Cached::new` happened
-/// anywhere in the cell. Syndromes stream from the `O(|F|)`-state
+/// implicit instances: one timed driver leg and the sampled
+/// spot-checker. Syndromes stream from the `O(|F|)`-state
 /// [`OnDemandOracle`].
 ///
 /// Timing follows the workspace's min-over-reps protocol where it is
@@ -649,7 +642,6 @@ fn assert_sampled_agrees(verdict: &VerificationVerdict, instance: &str) {
 pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehavior) -> RunRecord {
     assert!(inst.scale, "run_scale_cell is the --xlarge protocol");
     let g = inst.graph.as_ref();
-    let guard = MaterialisationGuard::begin(g);
     let s = OnDemandOracle::new(g.node_count(), members, behavior);
     let session = Diagnoser::new(g);
     let reps = if g.node_count() <= 1 << 24 {
@@ -674,7 +666,6 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
         .verify_sampled(samples_per_part(), 0x51AE ^ members.len() as u64)
         .verify_claim(&s, &drv.faults, drv.certified_part);
     assert_sampled_agrees(&verification, &g.name());
-    guard.assert_unchanged(&g.name());
 
     RunRecord {
         family: inst.family,
@@ -1609,26 +1600,14 @@ mod tests {
             big >= 3,
             "need at least three 10^6+-node instances, got {big}"
         );
-        // Constructing and validating the whole axis must not CSR anything.
+        // Every instance is the family itself, so constructing and
+        // validating the whole axis builds no CSR.
         for inst in &catalog {
             assert!(inst.implicit);
-            assert_never_materialised(inst);
+            inst.graph
+                .check_partition_preconditions()
+                .unwrap_or_else(|e| panic!("{e}"));
         }
-    }
-
-    /// Check `inst`'s preconditions and assert that nothing — its
-    /// construction or the check — ever built a CSR of it.
-    fn assert_never_materialised(inst: &Instance) {
-        let g = inst.graph.as_ref();
-        g.check_partition_preconditions()
-            .unwrap_or_else(|e| panic!("{e}"));
-        let count = g.materialisations().expect("implicit topologies count");
-        assert_eq!(
-            count.load(std::sync::atomic::Ordering::Relaxed),
-            0,
-            "{}: materialised during catalog construction",
-            g.name()
-        );
     }
 
     #[test]
@@ -1645,15 +1624,16 @@ mod tests {
             .count();
         assert!(big >= 2, "need two 10^8-node instances, got {big}");
         for inst in &catalog {
-            assert_never_materialised(inst);
+            inst.graph
+                .check_partition_preconditions()
+                .unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
     #[test]
     fn scale_cell_protocol_runs_and_stays_implicit() {
         // The --xlarge protocol on a debug-friendly implicit instance:
-        // driver + sampled checker, streaming syndrome, no
-        // materialisation, no batch leg.
+        // driver + sampled checker, streaming syndrome, no batch leg.
         let inst = Instance::implicit_scale("hypercube", Hypercube::new_certified(14));
         let faults = scatter_faults(1 << 14, 5, 77);
         let rec = run_scale_cell(&inst, faults.members(), TesterBehavior::Random { seed: 3 });

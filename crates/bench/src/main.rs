@@ -22,8 +22,7 @@
 //!             null)
 //!   --xlarge  extend the catalog with the 10⁶–10⁷-node implicit axis
 //!             (Q_20…Q_23, Q^3_13, Q^4_11, S_10) — CSR-free adjacency,
-//!             streaming syndromes, sampled cross-check; a
-//!             materialisation guard asserts no Cached copy is built
+//!             streaming syndromes, sampled cross-check
 //!   --xxlarge extend the catalog with the 10⁷–10⁸-node axis (Q_25,
 //!             Q^3_17, Q_27 — 134 217 728 nodes); same slimmed protocol
 //!             and sampled verification as --xlarge

@@ -64,6 +64,14 @@ pub enum DiagnosisError {
         /// The fault bound the driver ran with.
         bound: usize,
     },
+    /// An input named a node the network does not have (an epoch delta
+    /// from outside the program, say).
+    NodeOutOfRange {
+        /// The node named.
+        node: NodeId,
+        /// The network's node count `N`; valid nodes are `0..N`.
+        node_count: usize,
+    },
 }
 
 impl std::fmt::Display for DiagnosisError {
@@ -80,6 +88,9 @@ impl std::fmt::Display for DiagnosisError {
                 f,
                 "{found} all-faulty neighbours exceed the fault bound {bound}"
             ),
+            DiagnosisError::NodeOutOfRange { node, node_count } => {
+                write!(f, "node {node} is out of range for {node_count} nodes")
+            }
         }
     }
 }

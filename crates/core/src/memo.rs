@@ -83,18 +83,25 @@ const DEEPEST: u16 = OFF_TREE - 1;
 ///
 /// [`GrowthMemo::grow`] returns exactly what
 /// [`grow_from_certificate`](crate::grow_from_certificate) returns for the
-/// same arguments; only the lookups differ. Memory: 6 bytes per node of
-/// the graph, allocated by the first growth, plus the last tree (8 bytes
-/// per member), which is shared with the [`Diagnosis`] handed out, and
-/// between repairs the tree the last repair replaced, whose edge list the
-/// next repair reuses. A repair allocates one more bit per node while it
-/// runs, the re-witness's set of nodes not resolved healthy.
+/// same arguments; only the lookups differ. Memory: 6 bytes and one bit
+/// per node of the graph, allocated by the first growth, plus the last
+/// tree (8 bytes per member), which is shared with the [`Diagnosis`]
+/// handed out, and between repairs the tree the last repair replaced,
+/// whose edge list the next repair reuses.
 #[derive(Default)]
 pub struct GrowthMemo {
     /// `t(v)` for a tree node `v` (the root holds itself).
     parent: Vec<u32>,
     /// A tree node's layer, [`OFF_TREE`] elsewhere.
     layer: Vec<u16>,
+    /// One bit per node: the re-witness's nodes not resolved healthy
+    /// ([`Resolved::bad`]). All zero between re-witnesses: each one clears
+    /// the words it set before it returns.
+    bad: Vec<u64>,
+    /// Set while a re-witness runs. Still set at the next one's start, a
+    /// source panicked mid-way and left bits behind: that re-witness
+    /// zeroes `bad` whole first.
+    bad_dirty: bool,
     last: Option<LastGrowth>,
     /// The tree the last repair replaced. Once no diagnosis holds it any
     /// more, the next repair writes into its edge list instead of
@@ -121,7 +128,7 @@ struct Resolved<'a> {
     parent: &'a [u32],
     /// Old tree nodes not (yet) resolved healthy: onsets and nodes whose
     /// parent was not resolved healthy when its row came up.
-    bad: Vec<u64>,
+    bad: &'a mut [u64],
     /// Nodes re-witnessed one by one, with the node that witnessed them.
     witness: HashMap<NodeId, NodeId>,
     /// The first child of `u0`: the witness of `u0`'s own tests.
@@ -304,6 +311,7 @@ impl GrowthMemo {
         if self.layer.len() != n {
             self.layer = vec![OFF_TREE; n];
             self.parent = vec![0; n];
+            self.bad = vec![0; n.div_ceil(64)];
         } else {
             self.layer.fill(OFF_TREE);
         }
@@ -331,17 +339,21 @@ impl GrowthMemo {
     /// Step 2: read one entry per old tree node past `L_s` and one per
     /// old fault. `None` when the epoch needs the full walk: a recovery
     /// next to a node no tree held, or more faults than the bound.
-    fn rewitness<T, S>(&self, g: &T, s: &S, fault_bound: usize) -> Option<Found>
+    fn rewitness<T, S>(&mut self, g: &T, s: &S, fault_bound: usize) -> Option<Found>
     where
         T: Topology + ?Sized,
         S: SyndromeSource + ?Sized,
     {
         let last = self.last.as_ref()?;
+        if std::mem::replace(&mut self.bad_dirty, true) {
+            self.bad.fill(0);
+        }
+        debug_assert!(self.bad.iter().all(|&w| w == 0), "stale re-witness bits");
         let edges = last.tree.edges();
         let mut r = Resolved {
             layer: &self.layer,
             parent: &self.parent,
-            bad: vec![0; g.node_count().div_ceil(64)],
+            bad: &mut self.bad,
             witness: HashMap::new(),
             root_witness: edges[0].0 as NodeId,
             u0: last.u0,
@@ -380,7 +392,7 @@ impl GrowthMemo {
         let (mut recovered, mut faults) = (Vec::new(), Vec::new());
         let mut nbuf = Vec::new();
         let mut unresolvable = false;
-        loop {
+        let resolved = loop {
             let open = pending.len() + open_faults.len();
             pending.retain(|&y| {
                 g.neighbors_into(y, &mut nbuf);
@@ -415,16 +427,22 @@ impl GrowthMemo {
                 false
             });
             if unresolvable {
-                return None;
+                break false;
             }
             if pending.len() + open_faults.len() == open {
-                break;
+                break true;
             }
+        };
+        // Every bit set is an onset's or a pending node's: clear their
+        // words, and the bitmap is all zero again.
+        for &v in onsets.iter().chain(&pending) {
+            r.bad[v / 64] = 0;
         }
+        self.bad_dirty = false;
         // What is still open has no resolved-healthy neighbour, so F cuts
         // it off from u0: it leaves the tree and stays out of N(U_r).
         faults.extend_from_slice(&onsets);
-        if faults.len() > fault_bound {
+        if !resolved || faults.len() > fault_bound {
             return None;
         }
         faults.sort_unstable();
@@ -662,7 +680,6 @@ impl GrowthMemo {
 mod tests {
     use super::*;
     use crate::session::{grow_from_certificate, probe_part};
-    use mmdiag_implicit::ImplicitTopology;
     use mmdiag_syndrome::{behavior_sweep, FaultSet, OracleSyndrome, TesterBehavior};
     use mmdiag_topology::families::{
         Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
@@ -802,7 +819,7 @@ mod tests {
             .collect()
     }
 
-    /// On every family, as raw, cached and implicit topologies, under
+    /// On every family, as the family and as its `Cached` copy, under
     /// every tester behaviour: seeded 16-epoch onset/recovery sequences
     /// through one memo each equal the full walk epoch by epoch.
     #[test]
@@ -812,9 +829,7 @@ mod tests {
         for g in families() {
             let g = g.as_ref();
             let cached = Cached::new(g);
-            let implicit = ImplicitTopology::new(g);
-            let views: [(&str, &dyn Partitionable); 3] =
-                [("raw", g), ("cached", &cached), ("implicit", &implicit)];
+            let views: [(&str, &dyn Partitionable); 2] = [("family", g), ("cached", &cached)];
             let n = g.node_count();
             let cert = certify(g);
             let bound = g.driver_fault_bound();

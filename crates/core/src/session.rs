@@ -261,6 +261,24 @@ impl Default for SessionOptions {
     }
 }
 
+impl SessionOptions {
+    /// The run's fault bound on `g`: the explicit one, else `g`'s
+    /// [`Partitionable::driver_fault_bound`].
+    pub fn bound<T: Partitionable + ?Sized>(&self, g: &T) -> usize {
+        self.fault_bound.unwrap_or_else(|| g.driver_fault_bound())
+    }
+
+    /// §5's precondition check on `g` (unless disabled), then
+    /// [`SessionOptions::bound`].
+    pub fn checked_bound<T: Partitionable + ?Sized>(&self, g: &T) -> Result<usize, DiagnosisError> {
+        if self.check_preconditions {
+            g.check_partition_preconditions()
+                .map_err(DiagnosisError::Preconditions)?;
+        }
+        Ok(self.bound(g))
+    }
+}
+
 /// One part's restricted probe, exposed as a first-class outcome so the
 /// epoch monitor (`mmdiag-monitor`) can re-probe exactly the parts whose
 /// syndromes moved and reuse the rest across epochs. The restricted probe
@@ -439,18 +457,6 @@ where
     Ok(report)
 }
 
-/// §5's precondition check (unless disabled) and the run's fault bound.
-fn checked_bound<T>(g: &T, opts: &SessionOptions) -> Result<usize, DiagnosisError>
-where
-    T: Partitionable + ?Sized,
-{
-    if opts.check_preconditions {
-        g.check_partition_preconditions()
-            .map_err(DiagnosisError::Preconditions)?;
-    }
-    Ok(opts.fault_bound.unwrap_or_else(|| g.driver_fault_bound()))
-}
-
 /// [`run_with`] in a transient workspace.
 pub fn run_sequential<T, S>(
     g: &T,
@@ -479,7 +485,7 @@ where
     T: Partitionable + ?Sized,
     S: SyndromeSource + ?Sized,
 {
-    let bound = checked_bound(g, opts)?;
+    let bound = opts.checked_bound(g)?;
     match ws_pool {
         Some(wsp) => run_in_slot(g, s, bound, opts, wsp, None),
         None => run_in_ws(
@@ -521,7 +527,7 @@ where
     T: Partitionable + Sync + ?Sized,
     S: SyndromeSource + Sync,
 {
-    let bound = match checked_bound(g, opts) {
+    let bound = match opts.checked_bound(g) {
         Ok(bound) => bound,
         Err(e) => return syndromes.iter().map(|_| Err(e.clone())).collect(),
     };
@@ -766,13 +772,12 @@ mod tests {
 
     /// A run that ends in `NoPartCertified` has probed every part. Each
     /// probe starts by zeroing the visited-bitmap words the probe before it
-    /// touched, and nothing more: over a whole implicit Q_16 scan the
+    /// touched, and nothing more: over a whole Q_16 scan the
     /// words cleared number at most the nodes the probes visited, which
     /// lie in disjoint parts, not one bitmap per part.
     #[test]
     fn probing_every_part_clears_only_the_words_each_probe_touched() {
-        use mmdiag_implicit::ImplicitTopology;
-        let g = ImplicitTopology::new(Hypercube::new_certified(16));
+        let g = Hypercube::new_certified(16);
         let (n, parts, bound) = (g.node_count(), g.part_count(), g.driver_fault_bound());
         // Every representative faulty, more faults than the bound: no
         // probe certifies.

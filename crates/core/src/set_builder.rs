@@ -31,7 +31,7 @@
 //! across distinct parents (reassigning a child to an unused eligible
 //! parent when its current parent already has other children). This
 //! maximises `|C_1 ∪ … ∪ C_i|` without changing the set `U_r`, the
-//! asymptotics, or the §6 lookup bound; DESIGN.md discusses the gap.
+//! asymptotics, or the §6 lookup bound.
 //!
 //! Time: `O(Δ·|U_r|)` (plus the `O(Δ²)` seed step); syndrome entries
 //! consulted: at most `C(Δ,2)` for the seed plus `Δ − 1` per other member,
@@ -331,7 +331,6 @@ impl GrowthCore {
 
         g.neighbors_into(u0, &mut ws.nbuf);
         ws.nbuf.retain(|&v| accept(v));
-        ws.nbuf.sort_unstable();
         let candidates = std::mem::take(&mut ws.nbuf);
         {
             let mut in_u1 = vec![false; candidates.len()];

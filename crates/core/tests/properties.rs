@@ -1,9 +1,10 @@
-//! Property suite: [`ImplicitTopology`] must be observationally identical
-//! to [`Cached`] on every one of the fourteen §5 families at the workspace
-//! cross-check sizes — neighbour lists (order included: both are sorted),
-//! degrees, part assignments, representatives, part sizes, fault bounds,
-//! and honest probe trees (the part-local computation on both views, and
-//! the core's real restricted probe under an all-`Agree` syndrome).
+//! Property suite: every one of the fourteen §5 families must be
+//! observationally identical to its [`Cached`] copy at the workspace
+//! cross-check sizes — neighbour lists (order included: both emit
+//! ascending), degrees, part assignments, representatives, part sizes,
+//! fault bounds, and honest probe trees (the part-local computation on
+//! both views, and the core's real restricted probe under an all-`Agree`
+//! syndrome).
 //!
 //! Diagnosis-level bit-identity is asserted separately by the workspace
 //! `tests/cross_check.rs`; this suite pins down the structural invariants
@@ -11,7 +12,6 @@
 //! the violated property instead of a diverged fault set.
 
 use mmdiag_core::{set_builder_in_part, Workspace};
-use mmdiag_implicit::ImplicitTopology;
 use mmdiag_syndrome::{SyndromeSource, TestResult};
 use mmdiag_topology::families::{
     Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
@@ -21,14 +21,12 @@ use mmdiag_topology::families::{
 use mmdiag_topology::partition::{honest_probe_contributors, validate_partition};
 use mmdiag_topology::{Cached, NodeId, Partitionable, Topology};
 
-/// One (implicit view, materialised view) pair per family, at the sizes
+/// One (family, materialised copy) pair per family, at the sizes
 /// `tests/cross_check.rs` uses.
 fn pairs() -> Vec<(Box<dyn Partitionable + Sync>, Cached)> {
-    fn pair<T: Partitionable + Clone + Sync + 'static>(
-        fam: T,
-    ) -> (Box<dyn Partitionable + Sync>, Cached) {
+    fn pair<T: Partitionable + Sync + 'static>(fam: T) -> (Box<dyn Partitionable + Sync>, Cached) {
         let cached = Cached::new(&fam);
-        (Box::new(ImplicitTopology::new(fam)), cached)
+        (Box::new(fam), cached)
     }
     vec![
         pair(Hypercube::new(7)),
@@ -58,8 +56,8 @@ fn covers_all_fourteen_families() {
 
 #[test]
 fn neighbor_lists_identical_to_cached() {
-    for (implicit, cached) in pairs() {
-        let g = implicit.as_ref();
+    for (fam, cached) in pairs() {
+        let g = fam.as_ref();
         assert_eq!(g.node_count(), cached.node_count(), "{}", g.name());
         assert_eq!(g.edge_count(), cached.edge_count(), "{}", g.name());
         let mut a = Vec::new();
@@ -79,8 +77,8 @@ fn neighbor_lists_identical_to_cached() {
 
 #[test]
 fn partition_structure_identical_to_cached() {
-    for (implicit, cached) in pairs() {
-        let g = implicit.as_ref();
+    for (fam, cached) in pairs() {
+        let g = fam.as_ref();
         assert_eq!(g.part_count(), cached.part_count(), "{}", g.name());
         assert_eq!(
             g.driver_fault_bound(),
@@ -106,26 +104,26 @@ fn partition_structure_identical_to_cached() {
 
 #[test]
 fn probe_trees_identical_across_all_three_computations() {
-    // The part-local honest probe on the Cached copy and on the implicit
-    // view, and the core's restricted probe on the implicit view with
-    // every test agreeing, must all report the same internal-node count
-    // for every part.
+    // The part-local honest probe on the Cached copy and on the family,
+    // and the core's restricted probe on the family with every test
+    // agreeing, must all report the same internal-node count for every
+    // part.
     struct AllAgree;
     impl SyndromeSource for AllAgree {
         fn lookup(&self, _u: NodeId, _v: NodeId, _w: NodeId) -> TestResult {
             TestResult::Agree
         }
     }
-    for (implicit, cached) in pairs() {
-        let g = implicit.as_ref();
+    for (fam, cached) in pairs() {
+        let g = fam.as_ref();
         let mut ws = Workspace::new(g.node_count());
         for p in 0..g.part_count() {
             let on_cached = honest_probe_contributors(&cached, p);
-            let on_implicit = honest_probe_contributors(&g, p);
+            let on_family = honest_probe_contributors(&g, p);
             let probed =
                 set_builder_in_part(g, &AllAgree, g.representative(p), usize::MAX, &mut ws)
                     .contributors;
-            assert_eq!(on_cached, on_implicit, "{} part {p}", g.name());
+            assert_eq!(on_cached, on_family, "{} part {p}", g.name());
             assert_eq!(on_cached, probed, "{} part {p}", g.name());
         }
     }

@@ -1,20 +1,20 @@
 //! The growth's memory, pinned by a counting global allocator.
 //!
 //! * A `Workspace` holds 4 bytes and two bits per node, plus a constant.
-//! * A diagnosis on an implicit Q_16 (`probe_part` in part order, then
+//! * A diagnosis on Q_16 (`probe_part` in part order, then
 //!   `grow_from_certificate`) allocates, beyond the workspace, no more than
 //!   the returned tree's 8-byte edges, the frontier and claims buffers and
 //!   the list of touched bitmap words: no member list or other per-node
 //!   array.
 //! * A repaired `GrowthMemo` epoch on the same graph requests no per-node
-//!   array beyond the one bit per node its re-witness marks: it writes the
-//!   new tree into the edge list of the tree the repair before it replaced.
+//!   array: it marks the re-witness's nodes in a bitmap the memo keeps, and
+//!   writes the new tree into the edge list of the tree the repair before
+//!   it replaced.
 //!
 //! The counts are per thread (const-initialised thread-locals), so tests
 //! running in parallel on other threads cannot pollute them.
 
 use mmdiag_core::{grow_from_certificate, probe_part, GrowthMemo, Workspace};
-use mmdiag_implicit::ImplicitTopology;
 use mmdiag_syndrome::{OnDemandOracle, TesterBehavior};
 use mmdiag_topology::families::Hypercube;
 use mmdiag_topology::{NodeId, Partitionable, Topology};
@@ -152,7 +152,7 @@ fn certify<T: Partitionable + ?Sized>(
 
 #[test]
 fn a_diagnosis_allocates_only_its_tree_frontier_and_claims() {
-    let g = ImplicitTopology::new(Hypercube::new_certified(16));
+    let g = Hypercube::new_certified(16);
     let (n, bound) = (g.node_count(), g.driver_fault_bound());
     let mut faults: Vec<NodeId> = (1..=bound).map(|i| i * 4093 % n).collect();
     faults.sort_unstable();
@@ -188,7 +188,7 @@ fn a_diagnosis_allocates_only_its_tree_frontier_and_claims() {
 
 #[test]
 fn a_repaired_epoch_allocates_no_per_node_array_beyond_its_recycled_edge_list() {
-    let g = ImplicitTopology::new(Hypercube::new_certified(16));
+    let g = Hypercube::new_certified(16);
     let (n, bound) = (g.node_count(), g.driver_fault_bound());
     let behavior = TesterBehavior::Random { seed: 3 };
     let mut ws = Workspace::new(n);
@@ -218,11 +218,11 @@ fn a_repaired_epoch_allocates_no_per_node_array_beyond_its_recycled_edge_list() 
     // Only the lookups differ from the full walk's.
     assert!(third.tree == want.tree, "the repaired tree differs");
     assert_eq!(third.healthy_count, want.healthy_count);
-    // The re-witness marks one bit per node; the rest is a few lists as
-    // long as the change. A fresh edge list would be 8 bytes per member.
-    let marks = n / 8;
+    // A few lists as long as the change: less than a bitmap of one bit
+    // per node, and a fresh edge list would be 8 bytes per member.
+    let bitmap = n / 8;
     assert!(
-        requested <= marks + SLACK,
-        "{requested} bytes requested against {marks} for the re-witness's marks"
+        requested <= SLACK && requested < bitmap,
+        "{requested} bytes requested against {SLACK} of slack and {bitmap} for a bitmap"
     );
 }

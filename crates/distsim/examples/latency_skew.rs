@@ -9,9 +9,9 @@
 //!
 //! 1. unit latencies (the regime the closed-form cost model predicts —
 //!    the observed trace must match it exactly);
-//! 2. per-dimension skew: regular links fast, the complementary links two
-//!    orders of magnitude slower — first contact reroutes onto deep
-//!    all-regular paths the cost sheet cannot see;
+//! 2. per-dimension skew: every node's link to its smallest neighbour two
+//!    orders of magnitude slower than the rest — first contact reroutes
+//!    onto deeper paths the cost sheet cannot see;
 //! 3. a mid-protocol injection: a healthy node turns faulty right after
 //!    the probe phase — every probe certified without it, yet the growth
 //!    phase tests see it and the diagnosis reports it.
@@ -47,11 +47,10 @@ fn main() {
     summarize("unit latencies", &unit);
     println!("  (matches the cost model exactly — checked)\n");
 
-    // 2. Per-dimension skew: dims 0..7 fast, the complementary link slow.
-    let mut dims = vec![1u64; 8];
-    dims.push(100);
-    let skewed = simulate(&g, &timeline, &LatencyModel::PerDimension(dims)).expect("skewed sim");
-    summarize("complementary links 100× slower", &skewed);
+    // 2. Per-dimension skew: neighbour index 0 slow, the rest fast.
+    let skewed =
+        simulate(&g, &timeline, &LatencyModel::PerDimension(vec![100, 1])).expect("skewed sim");
+    summarize("links to the smallest neighbour 100× slower", &skewed);
     println!(
         "  (same diagnosis, but the growth wave deepens {} → {} as first \
          contact reroutes around the slow links)\n",

@@ -3,9 +3,8 @@
 //! A latency model assigns every directed edge a fixed positive delay. The
 //! cost model in the crate root is exactly the [`LatencyModel::Unit`] case;
 //! the other models open the regimes the static cost sheet cannot express:
-//! uniformly slower fabrics, per-dimension skew (e.g. the high-order
-//! matching links of a hypercube routed through a slower switch tier), and
-//! reproducible random jitter.
+//! uniformly slower fabrics, skew by neighbour index, and reproducible
+//! random jitter.
 
 use crate::event::Time;
 use mmdiag_topology::NodeId;
@@ -14,10 +13,10 @@ use rand_chacha::ChaCha8Rng;
 
 /// A deterministic assignment of delivery delays to directed edges.
 ///
-/// `dim` is the index of the target in the source's neighbour list — for
-/// the cube-like families this is the link dimension, which is what makes
-/// [`LatencyModel::PerDimension`] a physically meaningful skew. Latencies
-/// are clamped to ≥ 1 so virtual time always advances across a hop.
+/// `dim` is the index of the target in the source's neighbour list, which
+/// every topology emits ascending: index 0 is the source's smallest
+/// neighbour. Latencies are clamped to ≥ 1 so virtual time always advances
+/// across a hop.
 #[derive(Clone, Debug)]
 pub enum LatencyModel {
     /// Every link delivers in exactly 1 — the synchronous-round regime the
@@ -27,7 +26,7 @@ pub enum LatencyModel {
     Uniform(Time),
     /// Link latency by neighbour index: `dims[dim]`, with the last entry
     /// reused for higher dimensions. Asymmetric by construction whenever
-    /// the two endpoints order their neighbour lists differently.
+    /// the edge sits at different indices of its endpoints' lists.
     PerDimension(Vec<Time>),
     /// Per-edge latency drawn uniformly from `min..=max`, keyed on the
     /// undirected edge through the vendored ChaCha shim — deterministic

@@ -138,7 +138,7 @@ const PINNED: [&str; 48] = [
     "faults [30, 52, 57, 74, 103] part 0 probes [c10 c9 c10 c10 c10 c10 c10 c10] healthy 123 time 44 events 1408",
     "error TooManyFaults { found: 8, bound: 7 }",
     "faults [30, 57, 74] part 0 probes [c10 c9 c10 c10 c10 c10 c10 c10] healthy 125 time 44 events 1408",
-    "faults [14, 406, 646, 664, 714] part 0 probes [c70 c67 c69 c70 c70 c69] healthy 715 time 15 events 6480",
+    "faults [14, 406, 646, 664, 714] part 0 probes [c70 c67 c70 c70 c70 c69] healthy 715 time 15 events 6480",
     "error TooManyFaults { found: 6, bound: 5 }",
     "error TooManyFaults { found: 43, bound: 5 }",
     "faults [29, 38, 601, 664, 714] part 0 probes [c70 c67 c70 c70 c70 c70] healthy 715 time 15 events 6480",

@@ -188,23 +188,20 @@ fn latency_skew_changes_time_not_diagnosis() {
 
 /// Under per-dimension skew the first-contact tree follows the fast links:
 /// observed wave depth can exceed what the synchronous cost model predicts
-/// — the regime the cost sheet cannot express. The folded hypercube shows
-/// it cleanly: its short routes lean on the complementary links (one per
-/// node, the last neighbour), so making exactly those slow forces first
-/// contact onto long all-regular paths.
+/// — the regime the cost sheet cannot express. On the folded hypercube,
+/// making every node's link to its smallest neighbour (neighbour index 0)
+/// slow forces first contact onto longer paths: depth 6 against 4.
 #[test]
 fn per_dimension_skew_deepens_the_wave() {
     let g = FoldedHypercube::new(8);
     let timeline =
         FaultTimeline::static_faults(FaultSet::empty(g.node_count()), TesterBehavior::Truthful);
     let unit = simulate(&g, &timeline, &LatencyModel::Unit).unwrap();
-    // Dimensions 0..7 unit, the complementary link (neighbour index 8) slow.
-    let mut dims = vec![1u64; 8];
-    dims.push(100);
-    let skewed = simulate(&g, &timeline, &LatencyModel::PerDimension(dims)).unwrap();
+    // Neighbour index 0 slow, every other index unit.
+    let skewed = simulate(&g, &timeline, &LatencyModel::PerDimension(vec![100, 1])).unwrap();
     assert!(
         skewed.growth.rounds > unit.growth.rounds,
-        "slow complementary links should force deeper all-regular first-contact \
+        "slow links to the smallest neighbour should force deeper first-contact \
          paths: skewed depth {} vs unit depth {}",
         skewed.growth.rounds,
         unit.growth.rounds

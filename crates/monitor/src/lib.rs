@@ -196,11 +196,18 @@ impl<'g> MonitorSession<'g> {
     /// epoch. Returns the epoch's report; on error (no part certifies,
     /// or the fault set exceeds the bound) the session's labelling is
     /// dropped and the next epoch rebuilds from scratch
-    /// ([`EscalationReason::StateLost`]).
+    /// ([`EscalationReason::StateLost`]). A delta naming a node outside
+    /// the network is rejected before anything changes
+    /// ([`DiagnosisError::NodeOutOfRange`]): no epoch is counted, and
+    /// the cached probes, the memo and the labelling stay in force.
     pub fn ingest<S>(&mut self, s: &S, delta: &[NodeId]) -> Result<EpochReport, DiagnosisError>
     where
         S: SyndromeSource + ?Sized,
     {
+        let node_count = self.g.node_count();
+        if let Some(&node) = delta.iter().find(|&&v| v >= node_count) {
+            return Err(DiagnosisError::NodeOutOfRange { node, node_count });
+        }
         let epoch = self.epoch;
         self.epoch += 1;
         // Clone the handle (a pointer copy) so the span borrows the local,

@@ -3,9 +3,11 @@
 //!
 //! * a delta that omits an onset outside the certified part, and outside
 //!   the parts below it, still yields the from-scratch labelling;
-//! * a delta that names a node whose status did not change is harmless.
+//! * a delta that names a node whose status did not change is harmless;
+//! * a delta that names a node outside the network is an error that
+//!   leaves the session as it was.
 
-use mmdiag_core::{diagnose, Diagnosis};
+use mmdiag_core::{diagnose, Diagnosis, DiagnosisError};
 use mmdiag_monitor::{EscalationReason, MonitorSession};
 use mmdiag_syndrome::{behavior_sweep, FaultSet, OracleSyndrome, TesterBehavior};
 use mmdiag_topology::families::Hypercube;
@@ -87,6 +89,35 @@ fn a_delta_naming_an_unchanged_node_is_harmless() {
             Some(EscalationReason::CertificateInvalidated { part }),
             "{b:?}"
         );
+        assert_from_scratch(&report.diagnosis, &g, &now, b);
+    }
+}
+
+#[test]
+fn a_delta_naming_a_node_outside_the_network_is_rejected_and_changes_nothing() {
+    let g = Hypercube::new(8);
+    let n = g.node_count();
+    for b in behavior_sweep(0x0B0B) {
+        let before = [90, 200];
+        let (mut m, part) = monitor(&g, &before, b);
+        let onset = above(&g, part) + 7;
+        let mut now = vec![90, 200, onset];
+        now.sort_unstable();
+        let err = m.ingest(&oracle(&g, &now, b), &[onset, n]).unwrap_err();
+        assert_eq!(
+            err,
+            DiagnosisError::NodeOutOfRange {
+                node: n,
+                node_count: n
+            },
+            "{b:?}"
+        );
+        assert_eq!(m.epochs_run(), 1, "{b:?}: no epoch counted");
+        assert_eq!(m.last_faults(), Some(&before[..]), "{b:?}: labelling kept");
+        // The next valid epoch runs on the state the rejected one left.
+        let report = m.ingest(&oracle(&g, &now, b), &[onset]).unwrap();
+        assert_eq!(report.escalation, None, "{b:?}");
+        assert_eq!(report.epoch, 1, "{b:?}");
         assert_from_scratch(&report.diagnosis, &g, &now, b);
     }
 }

@@ -10,7 +10,6 @@
 
 use crate::graph::{AdjGraph, NodeId, Topology};
 use crate::partition::Partitionable;
-use std::sync::atomic::Ordering;
 
 /// A CSR-materialised topology with precomputed partition labels.
 #[derive(Clone, Debug)]
@@ -24,13 +23,9 @@ pub struct Cached {
 
 impl Cached {
     /// Materialise `t`, caching adjacency, part labels, representatives and
-    /// sizes. Counts the call on `t` when it keeps a count
-    /// ([`Partitionable::materialisations`]) — the memory event the
-    /// implicit (CSR-free) scale path must never trigger.
+    /// sizes. Neighbour lists keep `t`'s (ascending) order, so a diagnosis
+    /// on the copy equals one on `t`.
     pub fn new<T: Partitionable + ?Sized>(t: &T) -> Self {
-        if let Some(n) = t.materialisations() {
-            n.fetch_add(1, Ordering::Relaxed);
-        }
         let csr = AdjGraph::from_topology(t);
         let parts = t.part_count();
         let part_labels = (0..t.node_count())
@@ -63,9 +58,6 @@ impl Topology for Cached {
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         self.csr.neighbors_into(u, out)
-    }
-    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        self.csr.neighbors_into_sorted(u, out)
     }
     fn degree(&self, u: NodeId) -> usize {
         self.csr.degree(u)
@@ -124,11 +116,7 @@ mod tests {
         assert_eq!(c.node_count(), s.node_count());
         assert_eq!(c.part_count(), s.part_count());
         for u in (0..s.node_count()).step_by(7) {
-            let mut a = s.neighbors(u);
-            let mut b = c.neighbors(u);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            assert_eq!(s.neighbors(u), c.neighbors(u));
             assert_eq!(s.part_of(u), c.part_of(u));
         }
         validate_partition(&c).unwrap();

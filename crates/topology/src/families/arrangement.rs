@@ -55,13 +55,6 @@ impl Topology for Arrangement {
         falling_factorial(self.n, self.k)
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        let p = self.perms.unrank(u);
-        for i in 0..self.k {
-            out.extend(self.perms.unused(&p).map(|s| self.perms.replace(&p, i, s)));
-        }
-    }
-    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         // A neighbour that lowers position i ranks below u, and the earlier
         // the position the lower; one that raises position i ranks above
         // u, and the earlier the position the higher. Within a position,

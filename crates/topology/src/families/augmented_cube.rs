@@ -75,6 +75,7 @@ impl Topology for AugmentedCube {
         for l in 1..self.n {
             out.push(u ^ ((1 << (l + 1)) - 1));
         }
+        out.sort_unstable();
     }
     fn degree(&self, _u: NodeId) -> usize {
         2 * self.n - 1

@@ -103,6 +103,7 @@ impl Topology for AugmentedKAryNCube {
             out.push(self.shift_suffix(u, i, 1));
             out.push(self.shift_suffix(u, i, self.k - 1));
         }
+        out.sort_unstable();
     }
     fn degree(&self, _u: NodeId) -> usize {
         4 * self.n - 2

@@ -87,6 +87,7 @@ impl Topology for CrossedCube {
         for l in 0..self.n {
             out.push(crossed_neighbor(u, l));
         }
+        out.sort_unstable();
     }
     fn degree(&self, _u: NodeId) -> usize {
         self.n

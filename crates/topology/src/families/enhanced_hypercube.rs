@@ -87,6 +87,7 @@ impl Topology for EnhancedHypercube {
             out.push(u ^ (1 << i));
         }
         out.push(u ^ self.skip_mask());
+        out.sort_unstable();
     }
     fn degree(&self, _u: NodeId) -> usize {
         self.n + 1

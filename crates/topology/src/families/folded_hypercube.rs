@@ -69,6 +69,7 @@ impl Topology for FoldedHypercube {
             out.push(u ^ (1 << i));
         }
         out.push(u ^ self.full_mask());
+        out.sort_unstable();
     }
     fn degree(&self, _u: NodeId) -> usize {
         self.n + 1

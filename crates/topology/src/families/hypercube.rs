@@ -78,12 +78,6 @@ impl Topology for Hypercube {
         1 << self.n
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        for i in 0..self.n {
-            out.push(u ^ (1 << i));
-        }
-    }
-    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         // u ^ (1 << i) < u exactly when bit i of u is set, and within each
         // group the flipped value is monotone in i (downwards for set bits,
         // upwards for clear ones) — so emitting set bits high-to-low and
@@ -191,18 +185,34 @@ mod tests {
 
     #[test]
     fn sorted_neighbors_match_raw_for_every_node() {
+        // The emitter against the definition: every id at Hamming distance
+        // one, scanned in ascending order.
         for q in [
             Hypercube::with_partition_dim(4, 2),
             Hypercube::with_partition_dim(7, 4),
         ] {
-            let mut raw = Vec::new();
-            let mut srt = Vec::new();
+            let mut got = Vec::new();
             for u in 0..q.node_count() {
-                q.neighbors_into(u, &mut raw);
-                raw.sort_unstable();
-                q.neighbors_into_sorted(u, &mut srt);
-                assert_eq!(srt, raw, "Q_{}: u={u}", q.dim());
+                q.neighbors_into(u, &mut got);
+                let want: Vec<NodeId> = (0..q.node_count())
+                    .filter(|&v| (u ^ v).count_ones() == 1)
+                    .collect();
+                assert_eq!(got, want, "Q_{}: u={u}", q.dim());
             }
+        }
+    }
+
+    #[test]
+    fn sorted_neighbor_generation_matches_sorted_default() {
+        // The ascending emitter against the plain generator: flip each of
+        // the n bits in turn, then sort.
+        let q = Hypercube::with_partition_dim(6, 3);
+        let mut fast = Vec::new();
+        for u in 0..q.node_count() {
+            q.neighbors_into(u, &mut fast);
+            let mut slow: Vec<NodeId> = (0..q.dim()).map(|i| u ^ (1 << i)).collect();
+            slow.sort_unstable();
+            assert_eq!(fast, slow, "node {u}");
         }
     }
 
@@ -225,19 +235,6 @@ mod tests {
         q.check_partition_preconditions().unwrap();
         // Q_7's size-minimal m = 4 already certifies: no change.
         assert_eq!(Hypercube::new_certified(7).partition_dim(), 4);
-    }
-
-    #[test]
-    fn sorted_neighbor_generation_matches_sorted_default() {
-        let q = Hypercube::with_partition_dim(6, 3);
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        for u in 0..q.node_count() {
-            q.neighbors_into_sorted(u, &mut fast);
-            q.neighbors_into(u, &mut slow);
-            slow.sort_unstable();
-            assert_eq!(fast, slow, "node {u}");
-        }
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl Topology for NKStar {
         falling_factorial(self.n, self.k)
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        let p = self.perms.unrank(u);
-        // i-edges.
-        out.extend((1..self.k).map(|i| self.perms.swap_first(&p, i)));
-        // 1-edges: p_1 <- any unused symbol.
-        out.extend(self.perms.unused(&p).map(|s| self.perms.replace(&p, 0, s)));
-    }
-    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         // Each neighbour leads with a different symbol (swapped in or
         // unused before), so ranks ascend with that symbol.
         out.clear();

@@ -44,11 +44,6 @@ impl Topology for Pancake {
         factorial(self.n)
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        let p = self.perms.unrank(u);
-        out.extend((2..=self.n).map(|l| self.perms.reverse_prefix(&p, l)));
-    }
-    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         // Each neighbour leads with a different symbol (the last of the
         // reversed prefix), so ranks ascend with that symbol.
         out.clear();

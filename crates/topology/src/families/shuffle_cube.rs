@@ -12,7 +12,7 @@
 //! sets (below) with the properties the paper's algorithm needs —
 //! `n`-regularity, connectivity `n` (machine-verified for `SQ_6` by the
 //! Menger check) and the 16-way decomposition into `SQ_{n−4}` copies used
-//! by Theorem 3. See DESIGN.md, *Substitutions*.
+//! by Theorem 3.
 
 use crate::graph::{NodeId, Topology};
 use crate::partition::Partitionable;
@@ -82,6 +82,7 @@ impl Topology for ShuffleCube {
             }
             w -= 4;
         }
+        out.sort_unstable();
     }
     fn degree(&self, _u: NodeId) -> usize {
         self.n

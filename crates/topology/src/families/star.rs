@@ -42,11 +42,6 @@ impl Topology for StarGraph {
         factorial(self.n)
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        let p = self.perms.unrank(u);
-        out.extend((1..self.n).map(|i| self.perms.swap_first(&p, i)));
-    }
-    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         // Each neighbour leads with a different symbol (the one swapped to
         // the front), so ranks ascend with that symbol.
         out.clear();

@@ -4,8 +4,7 @@
 //! odd `n` only, while the paper's §5.1 uses a twisted cube that decomposes,
 //! for *every* `n ≥ 2`, into two induced copies of `TQ_{n−1}` obtained by
 //! fixing leading bits. We therefore implement the recursive
-//! "two copies + twisted matching" construction (see DESIGN.md,
-//! *Substitutions*):
+//! "two copies + twisted matching" construction:
 //!
 //! * `TQ_1 = K_2`;
 //! * `TQ_n` consists of `0·TQ_{n−1}` and `1·TQ_{n−1}` plus the perfect
@@ -95,6 +94,7 @@ impl Topology for TwistedCube {
         }
         // Base level: TQ_1 = K_2.
         out.push(u ^ 1);
+        out.sort_unstable();
     }
     fn degree(&self, _u: NodeId) -> usize {
         self.n

@@ -79,7 +79,7 @@ impl Topology for TwistedNCube {
             if w == 3 {
                 let offset = u >> 3 << 3;
                 base3_neighbors(u & 0b111, out, offset);
-                return;
+                break;
             }
             out.push(u ^ (1 << (w - 1)));
             if (u >> (w - 1)) & 1 == 0 {
@@ -87,10 +87,11 @@ impl Topology for TwistedNCube {
                 for i in 0..(w - 1) {
                     out.push(u ^ (1 << i));
                 }
-                return;
+                break;
             }
             w -= 1;
         }
+        out.sort_unstable();
     }
     fn degree(&self, _u: NodeId) -> usize {
         self.n

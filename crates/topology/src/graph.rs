@@ -22,26 +22,16 @@ pub trait Topology {
     /// Number of nodes `N = |V|`.
     fn node_count(&self) -> usize;
 
-    /// Append the neighbours of `u` to `out` (which is cleared first).
+    /// Append the neighbours of `u` to `out` (which is cleared first), in
+    /// **ascending node order**. `u` must be `< node_count()`.
     ///
-    /// The order is deterministic for a given implementation but otherwise
-    /// unspecified. `u` must be `< node_count()`.
+    /// The order is part of the contract: `Set_Builder` takes a node's
+    /// parent from the scan and spreads children in scan order, so a
+    /// diagnosis's tree and lookup count follow it. One order for every
+    /// topology makes a family and its CSR copy ([`crate::Cached`]) give
+    /// the same diagnosis. [`crate::verify::assert_simple_undirected`]
+    /// checks it for every family.
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>);
-
-    /// Append the neighbours of `u` to `out` (cleared first) in **ascending
-    /// node order**.
-    ///
-    /// The default generates via [`Topology::neighbors_into`] and sorts;
-    /// families whose arithmetic can emit neighbours already ascending
-    /// (e.g. the hypercube) override this to skip the sort, and CSR-backed
-    /// representations copy their sorted slices directly. The implicit
-    /// scale layer's `neighbors_into` serves this order, so its scans
-    /// match the CSR's and implicit diagnoses stay bit-identical to cached
-    /// ones (`Set_Builder` is scan-order dependent).
-    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        self.neighbors_into(u, out);
-        out.sort_unstable();
-    }
 
     /// Convenience wrapper allocating a fresh vector of neighbours.
     fn neighbors(&self, u: NodeId) -> Vec<NodeId> {
@@ -110,9 +100,6 @@ impl<T: Topology + ?Sized> Topology for &T {
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         (**self).neighbors_into(u, out)
-    }
-    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        (**self).neighbors_into_sorted(u, out)
     }
     fn degree(&self, u: NodeId) -> usize {
         (**self).degree(u)
@@ -208,6 +195,8 @@ impl AdjGraph {
         let mut min_deg = usize::MAX;
         for u in 0..n {
             t.neighbors_into(u, &mut buf);
+            // A no-op on the catalogue, which emits ascending; kept for
+            // topologies built outside it.
             buf.sort_unstable();
             max_deg = max_deg.max(buf.len());
             min_deg = min_deg.min(buf.len());
@@ -252,10 +241,6 @@ impl Topology for AdjGraph {
         self.offsets.len() - 1
     }
     fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend_from_slice(self.neighbors_slice(u));
-    }
-    fn neighbors_into_sorted(&self, u: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend_from_slice(self.neighbors_slice(u));
     }
@@ -339,18 +324,17 @@ mod tests {
 
     #[test]
     fn sorted_adjacency_contract() {
-        // CSR graphs are sorted by construction.
-        let g = path3();
+        // CSR graphs are sorted by construction, whatever order the edges
+        // or the materialised topology came in.
         let mut buf = Vec::new();
+        let g = AdjGraph::from_edges(4, &[(1, 3), (1, 0), (2, 1)], "star");
         g.neighbors_into(1, &mut buf);
-        assert_eq!(buf, vec![0, 2]);
-        g.neighbors_into_sorted(1, &mut buf);
-        assert_eq!(buf, vec![0, 2]);
-        Topology::neighbors_into_sorted(&&g, 1, &mut buf);
-        assert_eq!(buf, vec![0, 2]);
+        assert_eq!(buf, vec![0, 2, 3]);
+        Topology::neighbors_into(&&g, 1, &mut buf);
+        assert_eq!(buf, vec![0, 2, 3]);
 
-        // A deliberately unsorted implementation still yields sorted output
-        // through the default `neighbors_into_sorted`.
+        // `from_topology` sorts too, so a topology from outside the
+        // catalogue that emits out of order still gets a sorted CSR.
         struct Backwards;
         impl Topology for Backwards {
             fn node_count(&self) -> usize {
@@ -367,10 +351,7 @@ mod tests {
                 "backwards".into()
             }
         }
-        let b = Backwards;
-        b.neighbors_into(1, &mut buf);
-        assert_eq!(buf, vec![3, 2, 0]);
-        b.neighbors_into_sorted(1, &mut buf);
+        AdjGraph::from_topology(&Backwards).neighbors_into(1, &mut buf);
         assert_eq!(buf, vec![0, 2, 3]);
     }
 

@@ -12,7 +12,6 @@
 //! families).
 
 use crate::graph::{NodeId, Topology};
-use std::sync::atomic::AtomicU64;
 
 /// A topology equipped with the paper's canonical decomposition into
 /// node-disjoint connected subgraphs.
@@ -73,15 +72,6 @@ pub trait Partitionable: Topology {
         }
         Ok(())
     }
-
-    /// The counter [`Cached::new`](crate::Cached::new) bumps each time it
-    /// materialises this topology into a CSR, on whichever thread does it.
-    /// `None` (the default) for topologies that do not count; the CSR-free
-    /// `mmdiag_implicit::ImplicitTopology` counts, so a guard can prove
-    /// its scale path never materialised it — pool workers included.
-    fn materialisations(&self) -> Option<&AtomicU64> {
-        None
-    }
 }
 
 impl<T: Partitionable + ?Sized> Partitionable for &T {
@@ -99,9 +89,6 @@ impl<T: Partitionable + ?Sized> Partitionable for &T {
     }
     fn driver_fault_bound(&self) -> usize {
         (**self).driver_fault_bound()
-    }
-    fn materialisations(&self) -> Option<&AtomicU64> {
-        (**self).materialisations()
     }
 }
 
@@ -130,9 +117,9 @@ impl<T: Partitionable + ?Sized> Partitionable for &T {
 /// Every scratch structure is a hash map keyed by the nodes actually
 /// visited — `O(|part|)` memory, never `O(N)` arrays. That is what makes
 /// capacity questions answerable at 10⁶⁺ nodes: probing one 64-node part of
-/// `Q_22` must not allocate four-million-entry arrays. The implicit-topology
-/// scale path, [`certified_partition_dim`] and [`certified_fault_capacity`]
-/// all rely on it.
+/// `Q_22` must not allocate four-million-entry arrays. Fault-bound caps,
+/// [`certified_partition_dim`] and [`certified_fault_capacity`] all rely
+/// on it.
 pub fn honest_probe_contributors<T: Partitionable + ?Sized>(g: &T, part: usize) -> usize {
     use std::collections::HashMap;
 
@@ -158,12 +145,8 @@ pub fn honest_probe_contributors<T: Partitionable + ?Sized>(g: &T, part: usize) 
         },
     );
 
-    let mut candidates: Vec<NodeId> = g
-        .neighbors(u0)
-        .into_iter()
-        .filter(|&v| in_part(v))
-        .collect();
-    candidates.sort_unstable();
+    let mut candidates: Vec<NodeId> = g.neighbors(u0);
+    candidates.retain(|&v| in_part(v));
     if candidates.len() < 2 {
         return 0;
     }

@@ -1,7 +1,6 @@
 //! The permutation families' adjacency and part labels never touch the
 //! heap: a counting global allocator sees no allocation in
-//! `neighbors_into`, in `neighbors_into_sorted` into a pre-sized buffer, or
-//! in `part_of`.
+//! `neighbors_into` into a pre-sized buffer, or in `part_of`.
 //!
 //! The count is per thread (a const-initialised thread-local), so tests
 //! running in parallel on other threads cannot pollute it.
@@ -67,7 +66,7 @@ fn allocations_in(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Over a spread of nodes of `g`, the three calls allocate nothing.
+/// Over a spread of nodes of `g`, the two calls allocate nothing.
 fn assert_allocation_free(g: &dyn Partitionable) {
     let degree = g.max_degree();
     let mut buf: Vec<NodeId> = Vec::with_capacity(degree);
@@ -77,7 +76,6 @@ fn assert_allocation_free(g: &dyn Partitionable) {
         for u in nodes {
             g.neighbors_into(u, &mut buf);
             assert_eq!(buf.len(), degree);
-            g.neighbors_into_sorted(u, &mut buf);
             std::hint::black_box(g.part_of(u));
         }
     });

@@ -23,7 +23,6 @@ pub use mmdiag_baselines as baselines;
 pub use mmdiag_core as diagnosis;
 pub use mmdiag_distsim as distsim;
 pub use mmdiag_exec as exec;
-pub use mmdiag_implicit as implicit;
 pub use mmdiag_monitor as monitor;
 pub use mmdiag_syndrome as syndrome;
 pub use mmdiag_topology as topology;
@@ -35,3 +34,53 @@ pub use mmdiag_core::{
 };
 pub use mmdiag_monitor::{EpochReport, EscalationReason, MonitorSession};
 pub use session::{BatchJob, Diagnoser, TopologySource, VerificationPolicy};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmdiag_topology::families::{Hypercube, StarGraph};
+    use mmdiag_topology::graph::{NodeId, Topology};
+    use mmdiag_topology::perm::{rank_perm, unrank_perm};
+    use mmdiag_topology::Cached;
+
+    #[test]
+    fn neighbors_are_sorted_and_match_inner_as_sets() {
+        // An implicit session serves the star graph's own emitter: its lists
+        // ascend strictly and hold exactly the first-symbol swaps.
+        let session = Diagnoser::implicit(StarGraph::new(5));
+        let g = session.topology();
+        let mut perm = Vec::new();
+        for u in (0..g.node_count()).step_by(11) {
+            let sorted = g.neighbors(u);
+            assert!(sorted.windows(2).all(|w| w[0] < w[1]), "node {u}");
+            unrank_perm(u, 5, &mut perm);
+            let mut raw: Vec<NodeId> = (1..5)
+                .map(|i| {
+                    perm.swap(0, i);
+                    let v = rank_perm(&perm, 5);
+                    perm.swap(0, i);
+                    v
+                })
+                .collect();
+            raw.sort_unstable();
+            assert_eq!(sorted, raw, "node {u}");
+        }
+    }
+
+    #[test]
+    fn hypercube_sorted_generation_matches_cached_csr() {
+        // The implicit hypercube uses the ascending bit-trick generator;
+        // its neighbour lists must equal the CSR's sorted slices exactly.
+        let fam = Hypercube::new(7);
+        let cached = Cached::new(&fam);
+        let session = Diagnoser::implicit(fam);
+        let g = session.topology();
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for u in 0..g.node_count() {
+            g.neighbors_into(u, &mut a);
+            cached.neighbors_into(u, &mut b);
+            assert_eq!(a, b, "node {u}");
+        }
+    }
+}

@@ -3,7 +3,7 @@
 //! A [`Diagnoser`] owns everything a diagnosis needs behind one builder:
 //!
 //! * **topology** — borrowed, materialised ([`mmdiag_topology::Cached`])
-//!   or CSR-free ([`mmdiag_implicit::ImplicitTopology`]), behind the one
+//!   or an owned family served from its generator math, behind the one
 //!   [`TopologySource`] abstraction;
 //! * **syndrome** — any live [`SyndromeSource`] (bitmap
 //!   [`OracleSyndrome`] or streaming
@@ -53,7 +53,6 @@ use mmdiag_core::{
     BackendPolicy, DiagnosisError, DiagnosisReport, VerificationVerdict, WorkspacePool,
 };
 use mmdiag_distsim::{simulate_unchecked, FaultTimeline, LatencyModel, SimReport};
-use mmdiag_implicit::ImplicitTopology;
 use mmdiag_monitor::MonitorSession;
 use mmdiag_syndrome::{FaultSet, OnDemandOracle, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag_topology::{Cached, NodeId, Partitionable};
@@ -63,8 +62,8 @@ use std::sync::OnceLock;
 /// Where a session's topology comes from: a caller-borrowed instance, or
 /// an owned materialised / implicit representation. One abstraction in
 /// front of the `Cached`-CSR and generator-math paths, so every session
-/// call is representation-agnostic (the scale contract: implicit and
-/// cached diagnoses are bit-identical).
+/// call is representation-agnostic: every topology emits its neighbours
+/// ascending, so a family and its CSR copy give bit-identical diagnoses.
 pub enum TopologySource<'g> {
     /// A borrowed instance (any `Partitionable + Sync`, trait object or
     /// concrete family).
@@ -80,10 +79,10 @@ impl<'g> TopologySource<'g> {
         TopologySource::Owned(Box::new(Cached::new(fam)))
     }
 
-    /// Serve `fam` CSR-free from its generator math
-    /// ([`ImplicitTopology`]) — the 10⁶–10⁷-node scale path.
+    /// Serve `fam` CSR-free from its generator math — the 10⁶–10⁷-node
+    /// scale path. The session owns the family itself: no `O(N·Δ)` copy.
     pub fn implicit<T: Partitionable + Sync + 'static>(fam: T) -> TopologySource<'static> {
-        TopologySource::Owned(Box::new(ImplicitTopology::new(fam)))
+        TopologySource::Owned(Box::new(fam))
     }
 
     /// The topology view every session call runs against.
@@ -334,24 +333,6 @@ impl<'g> Diagnoser<'g> {
         }
     }
 
-    fn bound(&self) -> usize {
-        self.opts
-            .fault_bound
-            .unwrap_or_else(|| self.topology.view().driver_fault_bound())
-    }
-
-    /// §5's precondition check (unless the session skips it), then the
-    /// session's fault bound.
-    fn checked_bound(&self) -> Result<usize, DiagnosisError> {
-        if self.opts.check_preconditions {
-            self.topology
-                .view()
-                .check_partition_preconditions()
-                .map_err(DiagnosisError::Preconditions)?;
-        }
-        Ok(self.bound())
-    }
-
     fn ws_pool(&self) -> &WorkspacePool {
         self.ws.get_or_init(|| {
             let n = self.topology.view().node_count();
@@ -399,9 +380,10 @@ impl<'g> Diagnoser<'g> {
     /// sequential — the monitor's whole point is to skip probes, not to
     /// fan them out — so the batch policy does not apply.
     pub fn monitor(&self) -> Result<MonitorSession<'_>, DiagnosisError> {
+        let g = self.topology.view();
         Ok(MonitorSession::new(
-            self.topology.view(),
-            self.checked_bound()?,
+            g,
+            self.opts.checked_bound(g)?,
             self.opts.tracer.clone(),
         ))
     }
@@ -442,8 +424,8 @@ impl<'g> Diagnoser<'g> {
         timeline: &FaultTimeline,
         latency: &LatencyModel,
     ) -> Result<SimReport, DiagnosisError> {
-        let bound = self.checked_bound()?;
-        simulate_unchecked(self.topology.view(), timeline, latency, bound)
+        let g = self.topology.view();
+        simulate_unchecked(g, timeline, latency, self.opts.checked_bound(g)?)
     }
 
     /// Evaluate many jobs against this session's instance in one
@@ -567,7 +549,7 @@ impl<'g> Diagnoser<'g> {
                     s,
                     claimed_faults,
                     certified_part,
-                    self.bound(),
+                    self.opts.bound(g),
                     samples_per_part,
                     seed,
                 );
@@ -582,7 +564,7 @@ impl<'g> Diagnoser<'g> {
             }
             VerificationPolicy::FullBaseline => {
                 let span = self.opts.tracer.span("verify", "full_baseline");
-                match diagnose_naive(g, s, self.bound()) {
+                match diagnose_naive(g, s, self.opts.bound(g)) {
                     Ok(base) => VerificationVerdict::FullBaseline {
                         lookups: base.lookups_used,
                         agree: base.faults == claimed_faults,

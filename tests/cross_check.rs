@@ -22,7 +22,6 @@
 use mmdiag::baselines::diagnose_baseline;
 use mmdiag::diagnosis::diagnose;
 use mmdiag::distsim::{plan, simulate, FaultTimeline, LatencyModel};
-use mmdiag::implicit::ImplicitTopology;
 use mmdiag::syndrome::{
     behavior_sweep, FaultSet, OnDemandOracle, OracleSyndrome, SyndromeSource, TesterBehavior,
 };
@@ -151,12 +150,11 @@ fn cases() -> Vec<FamilyCase> {
     ]
 }
 
-/// One (materialised, implicit) pair per family at the cross-check sizes.
+/// One (materialised, family) pair per family at the cross-check sizes:
+/// the family is the implicit view, served from its generator math.
 fn representation_pairs() -> Vec<(Cached, Box<dyn Partitionable + Sync>)> {
-    fn pair<T: Partitionable + Clone + Sync + 'static>(
-        fam: T,
-    ) -> (Cached, Box<dyn Partitionable + Sync>) {
-        (Cached::new(&fam), Box::new(ImplicitTopology::new(fam)))
+    fn pair<T: Partitionable + Sync + 'static>(fam: T) -> (Cached, Box<dyn Partitionable + Sync>) {
+        (Cached::new(&fam), Box::new(fam))
     }
     vec![
         pair(Hypercube::new(7)),
@@ -176,18 +174,18 @@ fn representation_pairs() -> Vec<(Cached, Box<dyn Partitionable + Sync>)> {
     ]
 }
 
-/// The ISSUE-4 scale contract: CSR-free implicit adjacency must be
-/// **bit-identical** to the materialised `Cached` path on every family —
-/// same fault set, same certified part, same probe count, same healthy
-/// set, same spanning tree, and (because both present sorted neighbour
-/// lists, hence the same lookup sequence) the same lookup accounting.
+/// The scale contract: a family served from its generator math must be
+/// **bit-identical** to its materialised `Cached` copy — same fault set,
+/// same certified part, same probe count, same healthy set, same spanning
+/// tree, and (because both emit neighbours ascending, hence the same
+/// lookup sequence) the same lookup accounting.
 /// Additionally the `O(|F|)`-state streaming oracle must be
 /// interchangeable with the bitmap oracle on both representations.
 #[test]
 fn implicit_and_cached_diagnoses_are_bit_identical_on_every_family() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x1111_5EED);
-    for (cached, implicit) in representation_pairs() {
-        let g = implicit.as_ref();
+    for (cached, family) in representation_pairs() {
+        let g = family.as_ref();
         let n = g.node_count();
         let bound = g.driver_fault_bound();
         for trial in 0..2u64 {
@@ -205,31 +203,31 @@ fn implicit_and_cached_diagnoses_are_bit_identical_on_every_family() {
                 let on_cached = diagnose(&cached, &dense)
                     .unwrap_or_else(|e| panic!("{}: cached: {e} ({b:?})", g.name()));
                 dense.reset_lookups();
-                let on_implicit = diagnose(&g, &dense)
-                    .unwrap_or_else(|e| panic!("{}: implicit: {e} ({b:?})", g.name()));
-                assert_eq!(on_implicit.faults, faults.members(), "{} {b:?}", g.name());
-                assert_eq!(on_implicit.faults, on_cached.faults, "{} {b:?}", g.name());
+                let on_family = diagnose(&g, &dense)
+                    .unwrap_or_else(|e| panic!("{}: family: {e} ({b:?})", g.name()));
+                assert_eq!(on_family.faults, faults.members(), "{} {b:?}", g.name());
+                assert_eq!(on_family.faults, on_cached.faults, "{} {b:?}", g.name());
                 assert_eq!(
-                    on_implicit.certified_part,
+                    on_family.certified_part,
                     on_cached.certified_part,
                     "{} {b:?}",
                     g.name()
                 );
-                assert_eq!(on_implicit.probes, on_cached.probes, "{} {b:?}", g.name());
+                assert_eq!(on_family.probes, on_cached.probes, "{} {b:?}", g.name());
                 assert_eq!(
-                    on_implicit.healthy_count,
+                    on_family.healthy_count,
                     on_cached.healthy_count,
                     "{} {b:?}",
                     g.name()
                 );
                 assert_eq!(
-                    on_implicit.tree.edges(),
+                    on_family.tree.edges(),
                     on_cached.tree.edges(),
                     "{} {b:?}",
                     g.name()
                 );
                 assert_eq!(
-                    on_implicit.lookups_used,
+                    on_family.lookups_used,
                     on_cached.lookups_used,
                     "{}: identical scan order implies identical lookups {b:?}",
                     g.name()
@@ -239,16 +237,16 @@ fn implicit_and_cached_diagnoses_are_bit_identical_on_every_family() {
                 let sparse = OnDemandOracle::new(n, faults.members(), b);
                 let streamed = diagnose(&g, &sparse)
                     .unwrap_or_else(|e| panic!("{}: streaming: {e} ({b:?})", g.name()));
-                assert_eq!(streamed.faults, on_implicit.faults, "{} {b:?}", g.name());
+                assert_eq!(streamed.faults, on_family.faults, "{} {b:?}", g.name());
                 assert_eq!(
                     streamed.tree.edges(),
-                    on_implicit.tree.edges(),
+                    on_family.tree.edges(),
                     "{} {b:?}",
                     g.name()
                 );
                 assert_eq!(
                     streamed.lookups_used,
-                    on_implicit.lookups_used,
+                    on_family.lookups_used,
                     "{} {b:?}",
                     g.name()
                 );
@@ -257,50 +255,47 @@ fn implicit_and_cached_diagnoses_are_bit_identical_on_every_family() {
     }
 }
 
-/// The event simulator's static-timeline leg must accept an implicit
-/// topology unchanged: same diagnosis, same certified part, same cost
-/// trace as over the materialised view.
+/// The event simulator's static-timeline leg must accept a family served
+/// from its generator math unchanged: same diagnosis, same certified part,
+/// same cost trace as over the materialised view.
 #[test]
 fn simulator_accepts_implicit_topologies() {
-    let fam = Hypercube::new(7);
-    let cached = Cached::new(&fam);
-    let implicit = ImplicitTopology::new(fam);
+    let family = Hypercube::new(7);
+    let cached = Cached::new(&family);
     let faults = FaultSet::new(128, &[5, 40, 99]);
     let timeline = FaultTimeline::static_faults(faults.clone(), TesterBehavior::AllZero);
-    let on_implicit = simulate(&implicit, &timeline, &LatencyModel::Unit).unwrap();
+    let on_family = simulate(&family, &timeline, &LatencyModel::Unit).unwrap();
     let on_cached = simulate(&cached, &timeline, &LatencyModel::Unit).unwrap();
-    assert_eq!(on_implicit.faults, faults.members());
-    assert_eq!(on_implicit.faults, on_cached.faults);
-    assert_eq!(on_implicit.certified_part, on_cached.certified_part);
-    assert_eq!(on_implicit.total_time, on_cached.total_time);
-    assert_eq!(on_implicit.events_delivered, on_cached.events_delivered);
-    on_implicit
-        .check_against_plan(&plan(&implicit))
-        .expect("implicit cost trace matches the plan");
+    assert_eq!(on_family.faults, faults.members());
+    assert_eq!(on_family.faults, on_cached.faults);
+    assert_eq!(on_family.certified_part, on_cached.certified_part);
+    assert_eq!(on_family.total_time, on_cached.total_time);
+    assert_eq!(on_family.events_delivered, on_cached.events_delivered);
+    on_family
+        .check_against_plan(&plan(&family))
+        .expect("the family's cost trace matches the plan");
     // And the driver agrees with the simulated diagnosis.
     let s = OracleSyndrome::new(faults, TesterBehavior::AllZero);
-    let drv = diagnose(&implicit, &s).unwrap();
-    assert_eq!(on_implicit.faults, drv.faults);
-    assert_eq!(on_implicit.probes_until_certificate, drv.probes);
+    let drv = diagnose(&family, &s).unwrap();
+    assert_eq!(on_family.faults, drv.faults);
+    assert_eq!(on_family.probes_until_certificate, drv.probes);
 }
 
 /// A run is exact on both representations: on every family, `run_with`
-/// over the cached and over the implicit topology equals `diagnose` in
+/// over the cached copy and over the family itself equals `diagnose` in
 /// every field of the diagnosis, `probes` and `lookups_used` included,
 /// and equals the sequential run's phase lookups and every growth round's
-/// frontier, acceptances and lookups. The implicit run must additionally
-/// materialise nothing. Batch policies are held to the same reports by
-/// the batch matrix in `crates/core/tests/backend_families.rs`.
+/// frontier, acceptances and lookups. Batch policies are held to the same
+/// reports by the batch matrix in `crates/core/tests/backend_families.rs`.
 #[test]
 fn every_backend_is_bit_identical_on_both_representations() {
     use mmdiag::diagnosis::session::{run_sequential, run_with};
     use mmdiag::diagnosis::{GrowRound, SessionOptions};
-    use mmdiag::implicit::MaterialisationGuard;
 
     let mut rng = ChaCha8Rng::seed_from_u64(0xF207_71E6);
     let opts = SessionOptions::default();
-    for (cached, implicit) in representation_pairs() {
-        let g = implicit.as_ref();
+    for (cached, family) in representation_pairs() {
+        let g = family.as_ref();
         let n = g.node_count();
         let bound = g.driver_fault_bound();
         let faults = FaultSet::random(n, bound, &mut rng);
@@ -312,12 +307,7 @@ fn every_backend_is_bit_identical_on_both_representations() {
             let seq = run_sequential(&cached, &s, &opts).unwrap();
             for (repr, run) in [
                 ("cached", run_with(&cached, &s, &opts, None)),
-                ("implicit", {
-                    let guard = MaterialisationGuard::begin(g);
-                    let r = run_with(g, &s, &opts, None);
-                    guard.assert_unchanged(&g.name());
-                    r
-                }),
+                ("family", run_with(g, &s, &opts, None)),
             ] {
                 let ctx = format!("{} {repr} {b:?}", g.name());
                 let run = run.unwrap_or_else(|e| panic!("{ctx}: {e}"));
