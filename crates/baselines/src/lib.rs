@@ -20,9 +20,13 @@
 //!    spanning tree has more than `fault_bound` internal nodes — the §4.1
 //!    certificate, whose soundness does not depend on how the seed was
 //!    chosen. Worst case `O(N · Δ·N)` work on top of the snapshot.
-//! 3. **Consensus post-check** — re-scan the full table and verify that
-//!    every claimed-healthy tester's entries are exactly what the claimed
-//!    fault set predicts under the MM model.
+//! 3. **Label by elimination** — a node neither in the cluster nor on its
+//!    boundary is healthy when the boundary already holds `fault_bound`
+//!    nodes (a node walled in by faults, as in `F = N(v)`).
+//! 4. **Consensus post-check** — re-scan the full table and verify that
+//!    every claimed-healthy tester's entries (the cluster's and the
+//!    eliminated nodes') are exactly what the claimed fault set predicts
+//!    under the MM model.
 //!
 //! Because step 2 reuses the certificate, a successful run returns exactly
 //! the planted fault set whenever the driver would (same model assumptions:
@@ -67,9 +71,11 @@ pub enum BaselineError {
     /// model assumptions (`|F| ≤ fault_bound ≤ κ`, `N` large enough for the
     /// certificate to be reachable) this cannot happen.
     NoSeedCertified,
-    /// A certified cluster plus its boundary failed to label every node —
-    /// the health-propagation argument did not cover the graph, which
-    /// violates the `κ ≥ δ` connectivity assumption.
+    /// A certified cluster plus its boundary of fewer than `fault_bound`
+    /// nodes failed to label every node — the health-propagation argument
+    /// did not cover the graph, which violates the `κ ≥ δ` connectivity
+    /// assumption. (A boundary of `fault_bound` nodes labels the rest
+    /// healthy by elimination.)
     IncompleteLabeling {
         /// Nodes left neither claimed-healthy nor claimed-faulty.
         unlabeled: usize,
@@ -162,18 +168,23 @@ where
                     bound: fault_bound,
                 });
             }
-            // The diagnosis must label every node (certified-healthy cluster
-            // plus its all-faulty boundary) and survive the full-table
-            // consensus re-check; a certified cluster that fails either is
-            // skipped in favour of a later seed, and the first such failure
-            // is reported if no seed ever succeeds.
-            if members.len() + faults.len() < n {
-                deferred.get_or_insert(BaselineError::IncompleteLabeling {
-                    unlabeled: n - members.len() - faults.len(),
-                });
+            // The diagnosis must label every node and survive the
+            // full-table consensus re-check; a certified cluster that fails
+            // either is skipped in favour of a later seed, and the first
+            // such failure is reported if no seed ever succeeds. The
+            // certified-healthy cluster labels itself and its all-faulty
+            // boundary. A boundary of `fault_bound` nodes is the whole
+            // fault set, so any node left is healthy by elimination, and
+            // its own tests are re-checked with the cluster's.
+            let unlabeled = n - members.len() - faults.len();
+            if unlabeled > 0 && faults.len() < fault_bound {
+                deferred.get_or_insert(BaselineError::IncompleteLabeling { unlabeled });
                 continue;
             }
-            match consensus_check(&snap, n, &faults, &members) {
+            let eliminated =
+                (0..n).filter(|&v| !in_cluster[v] && faults.binary_search(&v).is_err());
+            let testers: Vec<NodeId> = members.iter().copied().chain(eliminated).collect();
+            match consensus_check(&snap, n, &faults, &testers) {
                 Ok(()) => {
                     return Ok(BaselineDiagnosis {
                         faults,
@@ -404,6 +415,37 @@ mod tests {
                 "a certified answer must still be the truth"
             ),
         }
+    }
+
+    /// `F = N(v)` with `|N(v)|` the bound walls `v` in: no cluster reaches
+    /// it, and it is healthy by elimination. A faulty `v` that answers 0
+    /// on two of its faulty neighbours contradicts that, so the claim is
+    /// rejected; with a bound above `|N(v)|` nothing eliminates `v`.
+    #[test]
+    fn a_walled_in_node_is_healthy_by_elimination() {
+        let g = Hypercube::new(7);
+        let v = 77;
+        let around = g.neighbors(v);
+        assert_eq!(around.len(), g.driver_fault_bound());
+        for b in behavior_sweep(17) {
+            let s = OracleSyndrome::new(FaultSet::new(128, &around), b);
+            let d = diagnose_baseline(&g, &s).unwrap_or_else(|e| panic!("{e} ({b:?})"));
+            assert_eq!(d.faults, around, "{b:?}");
+            assert_eq!(d.healthy_count, 128 - 8, "{b:?}: the cluster leaves v out");
+            assert_eq!(
+                diagnose_naive(&g, &s, around.len() + 1).unwrap_err(),
+                BaselineError::IncompleteLabeling { unlabeled: 1 },
+                "{b:?}"
+            );
+        }
+        let mut with_v = around.clone();
+        with_v.push(v);
+        with_v.sort_unstable();
+        let s = OracleSyndrome::new(FaultSet::new(128, &with_v), TesterBehavior::AllZero);
+        assert_eq!(
+            diagnose_baseline(&g, &s).unwrap_err(),
+            BaselineError::Inconsistent { tester: v }
+        );
     }
 
     #[test]

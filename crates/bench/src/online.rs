@@ -3,10 +3,11 @@
 //! Every other bench axis diagnoses each cell once; this one measures
 //! the long-lived service story — a [`mmdiag::MonitorSession`] per
 //! small-catalog family replaying a seeded Poisson fault timeline
-//! ([`mmdiag::distsim::EpochTimeline`]) and re-diagnosing incrementally
-//! each epoch. Per family the record rolls up:
+//! ([`mmdiag::distsim::EpochTimeline`]) and re-diagnosing each epoch
+//! (its growth repaired from the last one). Per family the record rolls
+//! up:
 //!
-//! * **correctness** — every epoch's incremental labelling is compared
+//! * **correctness** — every epoch's labelling is compared
 //!   bit-for-bit against a from-scratch `diagnose` on the same
 //!   instantaneous fault set (faults, certified part, probe count,
 //!   healthy count, spanning tree); any difference counts as a
@@ -149,7 +150,7 @@ pub struct OnlineScaleRecord {
 
 /// Expected fault onsets per epoch. Low enough that most epochs move at
 /// most one node (the sparse regime the monitor exists for), high enough
-/// that every family sees onsets, escalations and recoveries within the
+/// that every family sees onsets, quiet epochs and recoveries within the
 /// default epoch budget.
 const ONSET_RATE: f64 = 0.6;
 /// Expected fault recoveries per epoch (applied to currently-faulty

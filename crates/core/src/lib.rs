@@ -12,6 +12,9 @@
 //!   ([`GrowthMemo`]): the next growth from the same seed re-witnesses it
 //!   one entry per node and repairs it in place, bit-identical to a full
 //!   walk (the epoch monitor's growth);
+//! * [`monitor`] — the epoch monitor ([`monitor::MonitorSession`]): one
+//!   session run per epoch, growing through its memo, and the last
+//!   labelling reused when the delta is empty;
 //! * [`driver`] — the Theorem-1 driver: probe part representatives, certify
 //!   an all-healthy seed, grow `U_r`, output `N(U_r) = F`;
 //! * [`session`] — the canonical, phase-instrumented implementation:
@@ -58,6 +61,7 @@ pub mod backend;
 pub mod driver;
 mod grow;
 pub mod memo;
+pub mod monitor;
 #[cfg(test)]
 mod reference;
 pub mod session;

@@ -9,11 +9,11 @@
 //! * [`run_batch`] — one batch of syndromes under a [`BackendPolicy`],
 //!   resolved per instance against the run's [`Cutovers`]: in order on
 //!   the calling thread, or fanned out over a pool;
-//! * [`probe_part`] / [`grow_from_certificate`] — the two halves of the
-//!   scan as first-class steps, for callers that keep per-part state
-//!   across runs (the epoch monitor probes this way, and grows through a
-//!   [`GrowthMemo`](crate::GrowthMemo), which returns what
-//!   [`grow_from_certificate`] returns);
+//! * [`probe_part`] / [`grow_from_certificate`] — the two halves of a
+//!   run as separate steps, for callers that rebuild the run from its
+//!   parts (the repository benchmark times each one this way);
+//!   [`GrowthMemo::grow`](crate::GrowthMemo::grow) returns what
+//!   [`grow_from_certificate`] returns;
 //! * [`DiagnosisReport`] — the [`Diagnosis`] plus the §4.1
 //!   [`Certificate`] (the restricted probe tree that proved the seed part
 //!   all-healthy), per-phase [`PhaseTelemetry`] (probe/certify/grow wall
@@ -24,7 +24,9 @@
 //!
 //! Every entry point runs one function: the in-order probe scan on a
 //! workspace slot, then one growth loop, on the thread that runs the job.
-//! A pool's only job is [`run_batch`]'s fan-out of whole runs.
+//! A pool's only job is [`run_batch`]'s fan-out of whole runs. The epoch
+//! monitor ([`crate::monitor`]) runs the same function in its own
+//! workspace, growing through its [`GrowthMemo`].
 //!
 //! **Determinism contract**: a batch job probes the same parts in the
 //! same order and grows the same layers as a single run, so a report is
@@ -45,6 +47,7 @@
 use crate::backend::{BackendPolicy, Cutovers, WorkspacePool};
 use crate::driver::{Diagnosis, DiagnosisError};
 use crate::grow::grow_and_sweep;
+use crate::memo::GrowthMemo;
 use crate::set_builder::{set_builder_in_part, SetBuilderOutcome, Workspace};
 use crate::tree::SpanningTree;
 use mmdiag_syndrome::SyndromeSource;
@@ -279,13 +282,11 @@ impl SessionOptions {
     }
 }
 
-/// One part's restricted probe, exposed as a first-class outcome so the
-/// epoch monitor (`mmdiag-monitor`) can re-probe exactly the parts whose
-/// syndromes moved and reuse the rest across epochs. The restricted probe
-/// at part `p` consults only tests `s_u(v, w)` with `u`, `v`, `w` all
-/// inside `p` (`set_builder_in_part` filters candidates and witnesses by
-/// part membership), so a cached `PartProbe` stays valid until a node
-/// *of that part* changes fault status.
+/// One part's restricted probe as a first-class outcome: one iteration of
+/// every run's probe scan. The restricted probe at part `p` consults only
+/// tests `s_u(v, w)` with `u`, `v`, `w` all inside `p`
+/// (`set_builder_in_part` filters candidates and witnesses by part
+/// membership).
 #[derive(Clone, Debug)]
 pub struct PartProbe {
     /// The probed part.
@@ -302,9 +303,8 @@ pub struct PartProbe {
 
 /// Probe a single part: the restricted `Set_Builder` growth at the part's
 /// representative, packaged with its certificate when it certifies. This
-/// is one iteration of every run's probe scan, split out so callers that
-/// keep per-part state across calls (the incremental monitor) can drive
-/// the scan themselves.
+/// is one iteration of every run's probe scan, split out so a caller can
+/// drive the scan itself.
 pub fn probe_part<T, S>(
     g: &T,
     s: &S,
@@ -369,14 +369,18 @@ where
 }
 
 /// The one session run, in a caller-provided workspace: the in-order
-/// probe scan, then growth from the lowest certifying part. Requires no
-/// `Sync` bounds; the report is labelled `"sequential"`.
-fn run_in_ws<T, S>(
+/// probe scan, then growth from the lowest certifying part. With a
+/// `memo` (the epoch monitor's), the growth goes through it: the same
+/// diagnosis, repaired from the memo's last growth when that came from
+/// the same seed, and no per-round telemetry. Requires no `Sync` bounds;
+/// the report is labelled `"sequential"`.
+pub(crate) fn run_in_ws<T, S>(
     g: &T,
     s: &S,
     fault_bound: usize,
     tracer: &Tracer,
     ws: &mut Workspace,
+    memo: Option<&mut GrowthMemo>,
 ) -> Result<DiagnosisReport, DiagnosisError>
 where
     T: Partitionable + ?Sized,
@@ -406,17 +410,23 @@ where
     let certify_nanos = u128::from(certify_span.finish());
 
     let grow_span = tracer.span(CAT_PHASE, PHASE_GROW);
-    let (diagnosis, grow_rounds) = grow_and_sweep(
-        g,
-        s,
-        u0,
-        part,
-        probes,
-        fault_bound,
-        start_lookups,
-        ws,
-        tracer,
-    )?;
+    let (diagnosis, grow_rounds) = match memo {
+        Some(memo) => (
+            memo.grow(g, s, &certificate, probes, fault_bound, start_lookups, ws)?,
+            Vec::new(),
+        ),
+        None => grow_and_sweep(
+            g,
+            s,
+            u0,
+            part,
+            probes,
+            fault_bound,
+            start_lookups,
+            ws,
+            tracer,
+        )?,
+    };
     let grow_lookups = checked_delta(checked_delta(s.lookups(), start_lookups), probe_lookups);
     let grow_nanos = u128::from(grow_span.finish_with_value(grow_lookups));
 
@@ -450,7 +460,9 @@ where
     T: Partitionable + ?Sized,
     S: SyndromeSource + ?Sized,
 {
-    let mut report = wsp.with(worker, |ws| run_in_ws(g, s, fault_bound, &opts.tracer, ws))?;
+    let mut report = wsp.with(worker, |ws| {
+        run_in_ws(g, s, fault_bound, &opts.tracer, ws, None)
+    })?;
     if worker.is_some() {
         report.backend = "pooled";
     }
@@ -494,6 +506,7 @@ where
             bound,
             &opts.tracer,
             &mut Workspace::new(g.node_count()),
+            None,
         ),
     }
 }
@@ -785,7 +798,7 @@ mod tests {
         assert!(seeds.len() > bound);
         let s = OracleSyndrome::new(FaultSet::new(n, &seeds), TesterBehavior::Random { seed: 2 });
         let mut ws = Workspace::new(n);
-        let got = run_in_ws(&g, &s, bound, &Tracer::disabled(), &mut ws);
+        let got = run_in_ws(&g, &s, bound, &Tracer::disabled(), &mut ws, None);
         assert_eq!(got.unwrap_err(), DiagnosisError::NoPartCertified);
 
         // What each probe but the last touched, the next one cleared.

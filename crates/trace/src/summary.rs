@@ -21,11 +21,11 @@ pub const PHASE_GROW: &str = "grow";
 /// Aggregated per-name like every other span, so the
 /// probe/certify/grow phase totals are untouched.
 pub const PHASE_GROW_ROUND: &str = "grow.round";
-/// Category the epoch monitor's spans carry (`mmdiag-monitor`).
+/// Category the epoch monitor's spans carry (`mmdiag_core::monitor`).
 pub const CAT_MONITOR: &str = "monitor";
-/// One monitoring epoch: delta ingest → re-probe walk → growth. The
-/// span's value attribute is the epoch's total syndrome lookups, and the
-/// per-phase spans of any re-probe/growth work nest inside it.
+/// One monitoring epoch: delta ingest → probe scan → growth. The span's
+/// value attribute is the epoch's total syndrome lookups, and the phase
+/// spans of the epoch's run nest inside it.
 pub const MONITOR_EPOCH: &str = "monitor.epoch";
 
 /// Aggregate of all spans sharing one name.

@@ -275,7 +275,6 @@ const THREAD_TOKENS: &[&str] = &["thread::spawn", "thread::scope", "thread::Buil
 const SCALE_PATH: &[&str] = &[
     "crates/core/src/",
     "crates/baselines/src/",
-    "crates/monitor/src/",
     "crates/syndrome/src/",
     "crates/distsim/src/",
 ];

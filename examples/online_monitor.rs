@@ -2,12 +2,11 @@
 //! [`mmdiag::MonitorSession`] (opened via [`mmdiag::Diagnoser::monitor`])
 //! replaying a seeded Poisson fault timeline from
 //! [`mmdiag::distsim::EpochTimeline`]. Each epoch the service ingests
-//! only the *delta* — the nodes whose fault status moved — and
-//! re-diagnoses incrementally: certified-healthy probe outcomes from
-//! clean parts are reused across epochs, the last growth tree is
-//! re-read one syndrome entry per node and repaired where the fault set
-//! moved, and the session escalates to an honest from-scratch walk only
-//! when the delta invalidates the standing certificate.
+//! the syndrome and the *delta* — the nodes whose fault status moved.
+//! An empty delta reuses the last labelling; any other epoch probes the
+//! parts in order, as a from-scratch run does, and re-reads the last
+//! growth tree one syndrome entry per node, repairing it where the fault
+//! set moved. Only the first epoch walks in full.
 //!
 //! ```text
 //! cargo run --example online_monitor
@@ -43,7 +42,7 @@ fn main() {
     let session = Diagnoser::new(&g);
     let mut monitor = session.monitor().expect("in-process session");
 
-    println!("epoch  faults  delta  lookups  reused  mode");
+    println!("epoch  faults  delta  lookups  mode");
     for e in 0..timeline.epoch_count() {
         let faults = timeline.faults_at(e);
         let delta = timeline.delta_at(e);
@@ -53,18 +52,17 @@ fn main() {
             Some(reason) => format!("escalated ({reason:?})"),
             None if report.quiescent => "quiescent (labelling reused)".into(),
             None => format!(
-                "incremental ({} of {} parts re-probed)",
+                "run ({} of {} parts probed)",
                 report.parts_reprobed,
                 g.part_count()
             ),
         };
         println!(
-            "{:>5}  {:>6}  {:>5}  {:>7}  {:>6}  {mode}",
+            "{:>5}  {:>6}  {:>5}  {:>7}  {mode}",
             report.epoch,
             report.diagnosis.faults.len(),
             delta.len(),
             report.lookups,
-            report.parts_reused,
         );
     }
 

@@ -48,12 +48,12 @@
 //! ```
 
 use mmdiag_baselines::{diagnose_naive, sampled_check};
+use mmdiag_core::monitor::MonitorSession;
 use mmdiag_core::session::{self, SessionOptions};
 use mmdiag_core::{
     BackendPolicy, DiagnosisError, DiagnosisReport, VerificationVerdict, WorkspacePool,
 };
 use mmdiag_distsim::{simulate_unchecked, FaultTimeline, LatencyModel, SimReport};
-use mmdiag_monitor::MonitorSession;
 use mmdiag_syndrome::{FaultSet, OnDemandOracle, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag_topology::{Cached, NodeId, Partitionable};
 use mmdiag_trace::{checked_delta, HubSession, MetricsHub, MetricsRegistry, TraceConfig, Tracer};
@@ -361,24 +361,21 @@ impl<'g> Diagnoser<'g> {
     }
 
     /// Open a long-lived monitoring session over this session's
-    /// topology: the epoch-based incremental re-diagnosis loop
-    /// ([`MonitorSession`]). Each
+    /// topology: the epoch loop ([`MonitorSession`]). Each
     /// [`ingest`](MonitorSession::ingest) takes the current syndrome
-    /// plus the delta of nodes whose status changed and re-diagnoses
-    /// incrementally — cached part probes, certified-seed reuse, the last
-    /// growth tree re-read one syndrome entry per node and repaired where
-    /// the fault set moved, escalation to a full walk when the
-    /// certificate is invalidated — with every epoch's labelling
-    /// bit-identical to a from-scratch [`run`](Diagnoser::run) on the
-    /// same instantaneous fault set. The delta only decides which cached
-    /// probes to drop; every label is read off the syndrome.
+    /// plus the delta of nodes whose status changed. An empty delta
+    /// reuses the last labelling without reading the syndrome; any other
+    /// epoch is one core run whose growth re-reads the last growth tree
+    /// one syndrome entry per node and repairs it where the fault set
+    /// moved, so its labelling is bit-identical to a from-scratch
+    /// [`run`](Diagnoser::run) on the same syndrome, whatever the delta
+    /// names.
     ///
     /// The monitor borrows the session's topology, shares its tracer
     /// (epoch spans and `monitor.*` counters land in the same sink and
     /// any [`stats`](Diagnoser::stats) hub attachment) and honours its
-    /// fault bound and precondition policy. The epoch loop itself is
-    /// sequential — the monitor's whole point is to skip probes, not to
-    /// fan them out — so the batch policy does not apply.
+    /// fault bound and precondition policy. Each epoch runs on the
+    /// calling thread, so the batch policy does not apply.
     pub fn monitor(&self) -> Result<MonitorSession<'_>, DiagnosisError> {
         let g = self.topology.view();
         Ok(MonitorSession::new(

@@ -1,18 +1,21 @@
-//! The delta contract: the delta only decides which cached probes to
-//! drop, and the growth reads every label off the current syndrome. So
+//! The delta contract: an empty delta is the one input the monitor
+//! trusts. It reuses the last labelling; every other epoch runs the whole
+//! diagnosis and reads every label off the current syndrome. So
 //!
-//! * a delta that omits an onset outside the certified part, and outside
-//!   the parts below it, still yields the from-scratch labelling;
+//! * a non-empty delta that leaves a change out still yields the
+//!   from-scratch labelling, wherever the change lies: past the winner, at
+//!   the certified part's representative, elsewhere in the certified
+//!   part, or in a part below it;
 //! * a delta that names a node whose status did not change is harmless;
 //! * a delta that names a node outside the network is an error that
 //!   leaves the session as it was.
 
-use mmdiag_core::{diagnose, Diagnosis, DiagnosisError};
-use mmdiag_monitor::{EscalationReason, MonitorSession};
-use mmdiag_syndrome::{behavior_sweep, FaultSet, OracleSyndrome, TesterBehavior};
-use mmdiag_topology::families::Hypercube;
-use mmdiag_topology::{NodeId, Partitionable, Topology};
-use mmdiag_trace::Tracer;
+use mmdiag::diagnosis::{diagnose, Diagnosis, DiagnosisError};
+use mmdiag::syndrome::{behavior_sweep, FaultSet, OracleSyndrome, TesterBehavior};
+use mmdiag::topology::families::Hypercube;
+use mmdiag::topology::{NodeId, Partitionable, Topology};
+use mmdiag::trace::Tracer;
+use mmdiag::MonitorSession;
 
 fn oracle(g: &Hypercube, faults: &[NodeId], b: TesterBehavior) -> OracleSyndrome {
     OracleSyndrome::new(FaultSet::new(g.node_count(), faults), b)
@@ -65,6 +68,46 @@ fn an_onset_missing_from_the_delta_past_the_winner_is_still_read() {
     }
 }
 
+/// On Q_8 (16 parts of 16 nodes, bound 8), one change left out of a
+/// delta that names only node 200, outside the certified part:
+///
+/// * an onset at the certified part's representative, node 0;
+/// * an onset elsewhere in the certified part, node 7, beside node 1's
+///   standing fault, which stops part 0 from certifying;
+/// * a recovery at node 0 that lets part 0, below the winner, certify
+///   again.
+///
+/// Each epoch gives the from-scratch labelling under every behaviour.
+#[test]
+fn a_change_left_out_of_a_non_empty_delta_cannot_change_the_labelling() {
+    let g = Hypercube::new(8);
+    let delta = [200];
+    let placements = [
+        ("onset at the representative", &[90, 200][..], &[0, 90][..]),
+        ("onset in the certified part", &[1, 90, 200], &[1, 7, 90]),
+        ("recovery below the winner", &[0, 90], &[90]),
+    ];
+    for (name, before, now) in placements {
+        for b in behavior_sweep(0x0417) {
+            let (mut m, part) = monitor(&g, before, b);
+            let left_out: Vec<NodeId> = before
+                .iter()
+                .filter(|v| !now.contains(v))
+                .chain(now.iter().filter(|v| !before.contains(v)))
+                .copied()
+                .filter(|v| !delta.contains(v))
+                .collect();
+            assert_eq!(left_out.len(), 1, "{name}: one change left out");
+            assert_ne!(g.part_of(delta[0]), part, "{name}: delta clear of the part");
+            let report = m
+                .ingest(&oracle(&g, now, b), &delta)
+                .unwrap_or_else(|e| panic!("{name} {b:?}: {e}"));
+            assert!(!report.quiescent, "{name} {b:?}");
+            assert_from_scratch(&report.diagnosis, &g, now, b);
+        }
+    }
+}
+
 #[test]
 fn a_delta_naming_an_unchanged_node_is_harmless() {
     let g = Hypercube::new(8);
@@ -81,14 +124,12 @@ fn a_delta_naming_an_unchanged_node_is_harmless() {
             .unwrap();
         assert_eq!(report.escalation, None, "{b:?}");
         assert_from_scratch(&report.diagnosis, &g, &now, b);
-        // Naming an unchanged node of the certified part only escalates.
+        // Naming an unchanged node of the certified part is a run like
+        // any other: no escalation, the from-scratch labelling.
         let rep = g.representative(part) + 1;
         let report = m.ingest(&oracle(&g, &now, b), &[rep]).unwrap();
-        assert_eq!(
-            report.escalation,
-            Some(EscalationReason::CertificateInvalidated { part }),
-            "{b:?}"
-        );
+        assert_eq!(report.escalation, None, "{b:?}");
+        assert!(!report.quiescent, "{b:?}");
         assert_from_scratch(&report.diagnosis, &g, &now, b);
     }
 }
