@@ -10,8 +10,9 @@
 //!    the claimed certified part straight from the syndrome source (the
 //!    same level rules and child-spreading parent reassignment as
 //!    `Set_Builder`, replicated here over part-local hash maps so memory
-//!    stays `O(|part|)`), and require that it certifies (> `fault_bound`
-//!    internal nodes) and is disjoint from the claimed fault set.
+//!    stays `O(|part|)`) through the whole part, and require that it
+//!    certifies (> `fault_bound` internal nodes) and is disjoint from the
+//!    claimed fault set.
 //! 2. **Sampled label re-check** — a seeded random walk inside every part
 //!    picks `k` nodes; for each sampled node `u`, every test about `u` by
 //!    a claimed-healthy tester `t` (`s_t(u, x)` over `t`'s other
@@ -130,6 +131,9 @@ where
 /// the exact `Set_Builder` level rules (level-1 witness pairs, layered
 /// growth, child-spreading parent reassignment) over hash-map state — and
 /// check the §4.1 certificate plus disjointness from the claimed faults.
+/// Unlike the driver's probe, which stops at its first certifying flush,
+/// this grows the whole part, so the disjointness test covers every node
+/// the certificate proves healthy.
 ///
 /// This deliberately re-implements the growth rules instead of calling
 /// `mmdiag_core::set_builder`: a verifier that shared the driver's kernel

@@ -297,6 +297,13 @@ pub struct RunRecord {
     pub table_entries: u64,
     /// Driver wall time of the fastest timed rep (ns).
     pub driver_nanos: u128,
+    /// Median driver wall time over the timed reps (ns): the middle rep,
+    /// the lower of the two middle ones for an even count.
+    pub driver_nanos_median: u128,
+    /// Driver wall time of the slowest timed rep (ns).
+    pub driver_nanos_max: u128,
+    /// Timed reps the driver leg ran.
+    pub reps: usize,
     /// Syndrome lookups of that rep.
     pub driver_lookups: u64,
     /// Restricted probes the driver ran before certifying.
@@ -461,20 +468,40 @@ pub fn table_size<T: Topology + ?Sized>(g: &T) -> u64 {
         .sum()
 }
 
-/// Run `f` `reps` times and return the fastest run's wall time and its
-/// result, so what a record derives from the result describes the run
-/// its headline times.
-fn fastest_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (u128, R) {
+/// The spread of a leg's timed reps' wall times (ns).
+struct RepSpread {
+    fastest: u128,
+    /// The middle rep's, the lower of the two middle ones for an even
+    /// count.
+    median: u128,
+    slowest: u128,
+    reps: usize,
+}
+
+/// Run `f` `reps` times and return the spread of their wall times and the
+/// fastest run's result, so what a record derives from the result
+/// describes the run its headline times.
+fn fastest_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (RepSpread, R) {
     let mut fastest: Option<(u128, R)> = None;
+    let mut times = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t0 = Stopwatch::start();
         let r = f();
         let nanos = u128::from(t0.elapsed_ns());
+        times.push(nanos);
         if fastest.as_ref().is_none_or(|(best, _)| nanos < *best) {
             fastest = Some((nanos, r));
         }
     }
-    fastest.expect("at least one rep")
+    let (fastest, r) = fastest.expect("at least one rep");
+    times.sort_unstable();
+    let spread = RepSpread {
+        fastest,
+        median: times[(reps - 1) / 2],
+        slowest: times[reps - 1],
+        reps,
+    };
+    (spread, r)
 }
 
 /// Run one (instance, fault count, behavior) cell with every applicable
@@ -499,7 +526,7 @@ pub fn run_cell_opts(
     // The one timed leg: the fastest of TIMING_REPS runs, whose report
     // supplies the lookups, probes and phases recorded beside its time.
     let session = Diagnoser::new(g);
-    let (driver_nanos, report) = fastest_of(TIMING_REPS, || {
+    let (spread, report) = fastest_of(TIMING_REPS, || {
         session
             .run(&s)
             .unwrap_or_else(|e| panic!("{}: driver failed: {e}", g.name()))
@@ -592,7 +619,10 @@ pub fn run_cell_opts(
         num_faults: faults.len(),
         behavior: format!("{behavior:?}"),
         table_entries: table_size(g),
-        driver_nanos,
+        driver_nanos: spread.fastest,
+        driver_nanos_median: spread.median,
+        driver_nanos_max: spread.slowest,
+        reps: spread.reps,
         driver_lookups: drv.lookups_used,
         driver_probes: drv.probes,
         adjacency_ns_per_neighbor: adjacency_ns_per_neighbor(g),
@@ -649,7 +679,7 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
     } else {
         1
     };
-    let (driver_nanos, report) = fastest_of(reps, || {
+    let (spread, report) = fastest_of(reps, || {
         session
             .run(&s)
             .unwrap_or_else(|e| panic!("{}: driver failed: {e}", g.name()))
@@ -677,7 +707,10 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
         num_faults: members.len(),
         behavior: format!("{behavior:?}"),
         table_entries: table_size(g),
-        driver_nanos,
+        driver_nanos: spread.fastest,
+        driver_nanos_median: spread.median,
+        driver_nanos_max: spread.slowest,
+        reps: spread.reps,
         driver_lookups: drv.lookups_used,
         driver_probes: drv.probes,
         adjacency_ns_per_neighbor: adjacency_ns_per_neighbor(g),
@@ -1120,7 +1153,10 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Schema version stamped into every trajectory document [`to_json`]
-/// writes. v7 drops the record key `"sampled_check"`: a driver-only
+/// writes. v8 adds the rep spread to every record's `"driver"` object:
+/// `"nanos_median"` and `"nanos_max"` beside the fastest rep's `"nanos"`
+/// (which, with the phases, stays the headline), and `"reps"`, the timed
+/// reps run. v7 drops the record key `"sampled_check"`: a driver-only
 /// record's sampled verdict is its `"verification"` object, which carried
 /// the same values. v6 adds the top-level `"knobs"` object beside the provenance
 /// keys: every `MMDIAG_*` value as [`mmdiag_exec::knobs`] parsed it, keyed
@@ -1140,7 +1176,7 @@ fn json_escape(s: &str) -> String {
 /// is v2 without the strided-lane `"parallel"` record legs and the
 /// top-level `"thread_sweep"` list; v2 added the per-record `"phases"`
 /// and `"verification"` objects to v1.
-pub const SCHEMA_VERSION: &str = "mmdiag-bench/v7";
+pub const SCHEMA_VERSION: &str = "mmdiag-bench/v8";
 
 /// Render records as the `BENCH_<pr>.json` trajectory document
 /// ([`SCHEMA_VERSION`]). Every record carries a `"phases"` object (the
@@ -1263,7 +1299,8 @@ pub fn to_json(
                 "    {{\"family\": \"{}\", \"instance\": \"{}\", \"nodes\": {}, ",
                 "\"max_degree\": {}, \"parts\": {}, \"fault_bound\": {}, ",
                 "\"num_faults\": {}, \"behavior\": \"{}\", \"table_entries\": {}, ",
-                "\"driver\": {{\"nanos\": {}, \"lookups\": {}, \"probes\": {}}}, ",
+                "\"driver\": {{\"nanos\": {}, \"nanos_median\": {}, \"nanos_max\": {}, ",
+                "\"reps\": {}, \"lookups\": {}, \"probes\": {}}}, ",
                 "\"adjacency_ns_per_neighbor\": {:.3}, \"ns_per_delta_n\": {:.3}, ",
                 "\"lookups_per_node\": {:.4}, ",
                 "\"baseline\": {}, ",
@@ -1284,6 +1321,9 @@ pub fn to_json(
             json_escape(&r.behavior),
             r.table_entries,
             r.driver_nanos,
+            r.driver_nanos_median,
+            r.driver_nanos_max,
+            r.reps,
             r.driver_lookups,
             r.driver_probes,
             r.adjacency_ns_per_neighbor,
@@ -1653,6 +1693,8 @@ mod tests {
         assert!(agree && certificate_ok);
         assert_eq!(disagreements, 0);
         assert!(samples > 0 && checked_tests > 0);
+        // Up to 2^24 nodes a scale cell times TIMING_REPS reps.
+        assert_eq!(rec.reps, TIMING_REPS);
         let json = to_json("BENCH_TEST", &[rec], &[], &[], None, None);
         assert!(json.contains("\"verification\": {\"method\": \"sampled\", \"samples\": "));
         assert!(!json.contains("\"sampled_check\""));
@@ -1905,7 +1947,7 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for needle in [
-            "\"schema\": \"mmdiag-bench/v7\"",
+            "\"schema\": \"mmdiag-bench/v8\"",
             "\"bench_id\": \"BENCH_TEST\"",
             "\"phases\": {\"probe_nanos\": ",
             "\"verification\": {\"method\": \"full_baseline\"",
@@ -1963,6 +2005,34 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    /// v8: a record carries the spread of its timed reps, fastest ≤
+    /// median ≤ slowest, over as many reps as its leg ran; the headline
+    /// `"nanos"` is the fastest.
+    #[test]
+    fn records_carry_the_spread_of_their_timed_reps() {
+        let mut ran = 0;
+        let (spread, fastest) = fastest_of(4, || {
+            ran += 1;
+            ran
+        });
+        assert_eq!((spread.reps, ran), (4, 4));
+        assert!(spread.fastest <= spread.median && spread.median <= spread.slowest);
+        assert!((1..=4).contains(&fastest));
+
+        let inst = Instance::new("hypercube", &Hypercube::new(7));
+        let rec = run_cell(&inst, &scatter_faults(128, 2, 5), TesterBehavior::AllZero);
+        assert_eq!(rec.reps, TIMING_REPS);
+        assert!(rec.driver_nanos <= rec.driver_nanos_median);
+        assert!(rec.driver_nanos_median <= rec.driver_nanos_max);
+        let driver = format!(
+            "\"driver\": {{\"nanos\": {}, \"nanos_median\": {}, \"nanos_max\": {}, \"reps\": {}, ",
+            rec.driver_nanos, rec.driver_nanos_median, rec.driver_nanos_max, TIMING_REPS
+        );
+        let json = to_json("BENCH_TEST", &[rec], &[], &[], None, None);
+        mmdiag_trace::export::validate_json(&json).unwrap();
+        assert!(json.contains(&driver), "no {driver} in {json}");
     }
 
     /// Every `MMDIAG_*` knob is a key of the `"knobs"` object, rendered as

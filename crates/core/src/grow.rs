@@ -102,6 +102,11 @@ impl Growth {
         &self.core
     }
 
+    /// The rounds grown so far, one per layer.
+    pub(crate) fn into_rounds(self) -> Vec<GrowRound> {
+        self.rounds
+    }
+
     /// Grow to the end, then sweep: `N(U_r) \ U_r` is exactly the
     /// never-visited rejectees (Theorem 1 labels them all faulty).
     #[allow(clippy::too_many_arguments)]

@@ -54,7 +54,8 @@
 //! previous memo in force, and a memo from any earlier epoch is a valid
 //! starting point, since every label is re-read. An unresolvable epoch (a
 //! recovery that reconnects nodes no tree ever held) and `|F| > bound`
-//! grow afresh, so the error is the full walk's own.
+//! walk on in full from the re-grown prefix, so the labelling or the error
+//! is the full walk's own.
 //!
 //! All of this rests on what the certificate proves while `|F| ≤ bound`:
 //! the seed is healthy. A seed that more faults than the bound let a
@@ -68,7 +69,7 @@ use crate::set_builder::Workspace;
 use crate::tree::SpanningTree;
 use mmdiag_syndrome::{SyndromeSource, TestResult};
 use mmdiag_topology::{NodeId, Topology};
-use mmdiag_trace::{checked_delta, Tracer};
+use mmdiag_trace::{checked_delta, Tracer, CAT_PHASE, PHASE_GROW_REPAIR};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -208,6 +209,16 @@ impl GrowthMemo {
     /// them, re-witnessing and repairing the last growth when it came from
     /// the same seed, and remembering this one for the next call. Every
     /// call must pass the same graph.
+    ///
+    /// Beside the diagnosis it returns the growth's rounds, each recorded
+    /// as a `grow.round` span in `tracer`, as a run's growth records them. A
+    /// full walk returns one round per layer, the walk's own. A repaired
+    /// growth returns the rounds of the `L_s` layers it re-grew and then
+    /// records one `grow.repair` span whose value is the re-witness's
+    /// lookups. A repair given up after its re-witness records that span
+    /// too, then walks on from the re-grown layers and returns the walk's
+    /// rounds. Either way the rounds' lookups plus the `grow.repair` value
+    /// are the growth's lookups.
     #[allow(clippy::too_many_arguments)]
     pub fn grow<T, S>(
         &mut self,
@@ -218,13 +229,23 @@ impl GrowthMemo {
         fault_bound: usize,
         start_lookups: u64,
         ws: &mut Workspace,
-    ) -> Result<Diagnosis, DiagnosisError>
+        tracer: &Tracer,
+    ) -> Result<(Diagnosis, Vec<GrowRound>), DiagnosisError>
     where
         T: Topology + ?Sized,
         S: SyndromeSource + ?Sized,
     {
-        self.regrow(g, s, certificate, probes, fault_bound, start_lookups, ws)
-            .0
+        self.regrow(
+            g,
+            s,
+            certificate,
+            probes,
+            fault_bound,
+            start_lookups,
+            ws,
+            tracer,
+        )
+        .0
     }
 
     /// [`GrowthMemo::grow`], and whether the last growth was repaired
@@ -239,23 +260,26 @@ impl GrowthMemo {
         fault_bound: usize,
         start_lookups: u64,
         ws: &mut Workspace,
-    ) -> (Result<Diagnosis, DiagnosisError>, bool)
+        tracer: &Tracer,
+    ) -> (Result<(Diagnosis, Vec<GrowRound>), DiagnosisError>, bool)
     where
         T: Topology + ?Sized,
         S: SyndromeSource + ?Sized,
     {
-        let tracer = Tracer::disabled();
         let (part, u0) = (certificate.part, certificate.representative);
-        let mut growth = Growth::start(g, s, u0, fault_bound, ws, &tracer);
+        let mut growth = Growth::start(g, s, u0, fault_bound, ws, tracer);
         if let Some(last) = self.last.as_ref().filter(|l| (l.part, l.u0) == (part, u0)) {
-            while growth.core().spread_layers().is_none() && growth.step(g, s, ws, &tracer) {}
+            while growth.core().spread_layers().is_none() && growth.step(g, s, ws, tracer) {}
             let prefix = &last.tree.edges()[..last.layer_ends[last.spread_layers - 1]];
             if growth.core().spread_layers() == Some(last.spread_layers)
                 && growth.core().edges() == prefix
             {
+                let before = s.lookups();
+                let span = tracer.span(CAT_PHASE, PHASE_GROW_REPAIR);
                 let repaired = self
                     .rewitness(g, s, fault_bound)
                     .and_then(|found| self.repair(g, found));
+                span.finish_with_value(checked_delta(s.lookups(), before));
                 if let Some((faults, tree)) = repaired {
                     let diagnosis = Diagnosis {
                         faults,
@@ -265,25 +289,26 @@ impl GrowthMemo {
                         tree,
                         lookups_used: checked_delta(s.lookups(), start_lookups),
                     };
-                    return (Ok(diagnosis), true);
+                    return (Ok((diagnosis, growth.into_rounds())), true);
                 }
-                // Beyond the repair: the full walk decides.
+                // Beyond the repair: the walk goes on from the re-grown
+                // layers, which the re-witness left as they were, and
+                // decides.
                 self.last = None;
-                growth = Growth::start(g, s, u0, fault_bound, ws, &tracer);
             }
         }
         self.spare = None;
-        while growth.step(g, s, ws, &tracer) {}
+        while growth.step(g, s, ws, tracer) {}
         let spread_layers = growth.core().spread_layers();
-        let grown = growth.finish(g, s, part, probes, fault_bound, start_lookups, ws, &tracer);
+        let grown = growth.finish(g, s, part, probes, fault_bound, start_lookups, ws, tracer);
         self.last = None;
-        let diagnosis = grown.map(|(diagnosis, rounds)| {
+        let grown = grown.map(|(diagnosis, rounds)| {
             if let Some(spread_layers) = spread_layers {
                 self.record(g.node_count(), part, u0, &diagnosis, spread_layers, &rounds);
             }
-            diagnosis
+            (diagnosis, rounds)
         });
-        (diagnosis, false)
+        (grown, false)
     }
 
     /// Remember a full growth: its per-node parents and layers, read off
@@ -679,37 +704,16 @@ impl GrowthMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grow::grow_and_sweep;
+    use crate::reference::quick_families as families;
     use crate::session::{grow_from_certificate, probe_part};
     use mmdiag_syndrome::{behavior_sweep, FaultSet, OracleSyndrome, TesterBehavior};
-    use mmdiag_topology::families::{
-        Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
-        FoldedHypercube, Hypercube, KAryNCube, NKStar, Pancake, ShuffleCube, StarGraph,
-        TwistedCube, TwistedNCube,
-    };
+    use mmdiag_topology::families::{Hypercube, KAryNCube};
     use mmdiag_topology::{Cached, Partitionable};
+    use mmdiag_trace::{TraceConfig, TraceSummary, PHASE_GROW_ROUND};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// The 14 families at their quick-catalogue sizes.
-    fn families() -> Vec<Box<dyn Partitionable>> {
-        vec![
-            Box::new(Hypercube::new(7)),
-            Box::new(CrossedCube::new(7)),
-            Box::new(TwistedCube::new(7)),
-            Box::new(TwistedNCube::new(7)),
-            Box::new(FoldedHypercube::new(8)),
-            Box::new(EnhancedHypercube::new(8, 3)),
-            Box::new(AugmentedCube::new(10)),
-            Box::new(ShuffleCube::new(10)),
-            Box::new(KAryNCube::new(4, 4)),
-            Box::new(AugmentedKAryNCube::new(4, 4)),
-            Box::new(StarGraph::new(6)),
-            Box::new(NKStar::new(6, 3)),
-            Box::new(Pancake::new(6)),
-            Box::new(Arrangement::new(6, 3)),
-        ]
-    }
 
     fn oracle(n: usize, faults: &[NodeId], b: TesterBehavior) -> OracleSyndrome {
         OracleSyndrome::new(FaultSet::new(n, faults), b)
@@ -759,7 +763,11 @@ mod tests {
     }
 
     /// Grow through `memo` and from scratch on the same fault set, each on
-    /// a syndrome of its own, and hold the two equal.
+    /// a syndrome of its own, and hold the two equal: the labelling, and
+    /// the rounds, which a repaired growth returns for the layers it
+    /// re-grew. The memo's growth is traced: its `grow.round` spans are its
+    /// rounds, and with its `grow.repair` span they account for every
+    /// lookup.
     fn epoch<T: Partitionable + ?Sized>(
         memo: &mut GrowthMemo,
         g: &T,
@@ -770,11 +778,50 @@ mod tests {
         ctx: &str,
     ) -> Epoch {
         let (n, bound) = (g.node_count(), g.driver_fault_bound());
+        let tracer = Tracer::new(TraceConfig {
+            shards: 1,
+            shard_capacity: 256,
+        });
         let s = oracle(n, faults, b);
-        let (got, repaired) = memo.regrow(g, &s, cert, cert.part + 1, bound, 0, ws);
+        let (got, repaired) = memo.regrow(g, &s, cert, cert.part + 1, bound, 0, ws, &tracer);
         let full = oracle(n, faults, b);
-        let want = grow_from_certificate(g, &full, cert, cert.part + 1, bound, 0, ws);
-        assert_same(&got, &want, ctx);
+        let (u0, part) = (cert.representative, cert.part);
+        let want = grow_and_sweep(
+            g,
+            &full,
+            u0,
+            part,
+            part + 1,
+            bound,
+            0,
+            ws,
+            &Tracer::disabled(),
+        );
+        let trace = TraceSummary::from_events(&tracer.drain(), tracer.dropped());
+        let repairs = trace.names.iter().find(|n| n.name == PHASE_GROW_REPAIR);
+        assert!(
+            repairs.map_or(0, |n| n.count) >= u64::from(repaired),
+            "{ctx}"
+        );
+        let (rounds, repair) = (
+            trace.value_sum(PHASE_GROW_ROUND),
+            trace.value_sum(PHASE_GROW_REPAIR),
+        );
+        if let (Ok((_, got)), Ok((_, want))) = (&got, &want) {
+            let spans = trace.names.iter().find(|n| n.name == PHASE_GROW_ROUND);
+            assert_eq!(spans.map(|n| n.count), Some(got.len() as u64), "{ctx}");
+            assert_eq!(got.iter().map(|r| r.lookups).sum::<u64>(), rounds, "{ctx}");
+            assert_eq!(rounds + repair, s.lookups(), "{ctx}: lookups");
+            let (got, want) = (GrowRound::shapes(got), GrowRound::shapes(want));
+            if repaired {
+                assert!(got.len() < want.len(), "{ctx}: {} rounds", got.len());
+                assert_eq!(got, want[..got.len()], "{ctx}: re-grown rounds");
+            } else {
+                assert_eq!(got, want, "{ctx}: walked rounds");
+            }
+        }
+        let labels = |r: &Result<(Diagnosis, Vec<GrowRound>), _>| r.clone().map(|(d, _)| d);
+        assert_same(&labels(&got), &labels(&want), ctx);
         Epoch {
             repaired,
             lookups: s.lookups(),
@@ -1009,7 +1056,8 @@ mod tests {
         faults.sort_unstable();
         let b = TesterBehavior::AllZero;
         let s = oracle(n, &faults, b);
-        let (got, _) = memo.regrow(&g, &s, &cert, 1, bound, 0, &mut ws);
+        let (got, _) = memo.regrow(&g, &s, &cert, 1, bound, 0, &mut ws, &Tracer::disabled());
+        let got = got.map(|(diagnosis, _)| diagnosis);
         let want = grow_from_certificate(&g, &oracle(n, &faults, b), &cert, 1, bound, 0, &mut ws);
         assert_eq!(
             want,
@@ -1089,8 +1137,10 @@ mod tests {
         let inner = oracle(n, &during, b);
         let mut copy = GrowthMemo::new();
         let first = oracle(n, &before, b);
-        copy.grow(&g, &first, &cert, 1, bound, 0, &mut ws).unwrap();
-        let (_, repaired) = copy.regrow(&g, &inner, &cert, 1, bound, 0, &mut ws);
+        let untraced = Tracer::disabled();
+        copy.grow(&g, &first, &cert, 1, bound, 0, &mut ws, &untraced)
+            .unwrap();
+        let (_, repaired) = copy.regrow(&g, &inner, &cert, 1, bound, 0, &mut ws, &untraced);
         assert!(repaired);
         let total = inner.lookups();
         for k in [1, 10, total / 2, total - 1, total] {
@@ -1100,7 +1150,7 @@ mod tests {
                 read: std::cell::Cell::new(0),
             };
             let run = catch_unwind(AssertUnwindSafe(|| {
-                memo.grow(&g, &panicking, &cert, 1, bound, 0, &mut ws)
+                memo.grow(&g, &panicking, &cert, 1, bound, 0, &mut ws, &untraced)
             }));
             assert!(run.is_err(), "lookup {k} of {total} panicked");
             let got = epoch(&mut memo, &g, &during, b, &cert, &mut ws, &format!("k {k}"));

@@ -22,8 +22,10 @@
 //! growth equal to the full walk on all 14 families.
 //!
 //! Each epoch records a `monitor.epoch` span (value = the epoch's
-//! syndrome lookups) with the run's phase spans nested inside it, and
-//! adds to `monitor.*` counters in the tracer's metrics registry.
+//! syndrome lookups) with the run's phase spans nested inside it: a
+//! `grow.round` span per layer the growth walked, and a `grow.repair` span
+//! for a repaired growth's re-witness. It adds to `monitor.*` counters in
+//! the tracer's metrics registry.
 
 use crate::driver::{Diagnosis, DiagnosisError};
 use crate::memo::GrowthMemo;
@@ -58,8 +60,11 @@ pub struct EpochReport {
     pub diagnosis: Diagnosis,
     /// The §4.1 certificate in force after this epoch.
     pub certificate: Certificate,
-    /// Per-phase wall times and lookups of this epoch's run, with no
-    /// growth rounds. All-zero on a quiescent epoch (no phase ran).
+    /// Per-phase wall times and lookups of this epoch's run, with its
+    /// growth rounds: every layer of a full walk, or the layers a repaired
+    /// growth re-grew before its re-witness
+    /// ([`GrowthMemo::grow`](crate::GrowthMemo::grow)). All-zero on a
+    /// quiescent epoch (no phase ran).
     pub telemetry: PhaseTelemetry,
     /// Syndrome entries consulted this epoch (probes + growth).
     pub lookups: u64,
@@ -239,5 +244,89 @@ impl<'g> MonitorSession<'g> {
         };
         self.last = Some(report.clone());
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::{run_sequential, GrowRound, SessionOptions};
+    use mmdiag_syndrome::{FaultSet, OracleSyndrome, TesterBehavior};
+    use mmdiag_topology::families::Hypercube;
+    use mmdiag_topology::Topology;
+    use mmdiag_trace::{TraceConfig, TraceSummary, PHASE_GROW_REPAIR, PHASE_GROW_ROUND};
+
+    /// How many spans named `name` the trace holds, and their values' sum.
+    fn spans(trace: &TraceSummary, name: &str) -> (usize, u64) {
+        trace
+            .names
+            .iter()
+            .find(|stat| stat.name == name)
+            .map_or((0, 0), |stat| (stat.count as usize, stat.value_sum))
+    }
+
+    /// A traced monitor records its growth like a run. A full-walk epoch
+    /// (the first, and one whose onset changes the layers the spread rule
+    /// grew) records one `grow.round` span per layer, and its rounds are
+    /// a from-scratch run's. A repaired epoch returns the rounds of the
+    /// layers it re-grew and records one `grow.repair` span, whose value
+    /// is the rest of the growth's lookups. An untraced monitor returns the
+    /// same rounds and records nothing.
+    #[test]
+    fn a_traced_epoch_records_its_growth_like_a_run() {
+        let g = Hypercube::new_certified(10);
+        let (n, bound) = (g.node_count(), g.driver_fault_bound());
+        let b = TesterBehavior::Random { seed: 6 };
+        let traced = Tracer::new(TraceConfig::default());
+        let mut monitor = MonitorSession::new(&g, bound, traced.clone());
+        let off = Tracer::disabled();
+        let mut untraced = MonitorSession::new(&g, bound, off.clone());
+        for (faults, delta, what, repaired) in [
+            (vec![], vec![], "initial", false),
+            (vec![n - 1], vec![n - 1], "an onset far from the seed", true),
+            (vec![4, n - 1], vec![4], "an onset beside the seed", false),
+        ] {
+            let syndrome = || OracleSyndrome::new(FaultSet::new(n, &faults), b);
+            let report = monitor.ingest(&syndrome(), &delta).unwrap();
+            let trace = TraceSummary::from_events(&traced.drain(), traced.dropped());
+            let run = run_sequential(&g, &syndrome(), &SessionOptions::default()).unwrap();
+            assert_eq!(
+                report.diagnosis,
+                Diagnosis {
+                    lookups_used: report.lookups,
+                    ..run.diagnosis.clone()
+                }
+            );
+
+            let (t, rounds) = (&report.telemetry, &report.telemetry.grow_rounds);
+            let round_lookups: u64 = rounds.iter().map(|r| r.lookups).sum();
+            assert_eq!(
+                spans(&trace, PHASE_GROW_ROUND),
+                (rounds.len(), round_lookups),
+                "{what}"
+            );
+            let (repairs, rewitness) = spans(&trace, PHASE_GROW_REPAIR);
+            assert_eq!(repairs, usize::from(repaired), "{what}");
+            assert_eq!(round_lookups + rewitness, t.grow_lookups, "{what}");
+            assert_eq!(trace.grow_lookups, t.grow_lookups, "{what}");
+            let (got, want) = (
+                GrowRound::shapes(rounds),
+                GrowRound::shapes(&run.telemetry.grow_rounds),
+            );
+            if repaired {
+                assert!(got.len() < want.len() && rewitness > 0, "{what}");
+                assert_eq!(got, want[..got.len()], "{what}");
+            } else {
+                assert_eq!(got, want, "{what}");
+            }
+
+            let quiet = untraced.ingest(&syndrome(), &delta).unwrap();
+            assert_eq!(
+                GrowRound::shapes(&quiet.telemetry.grow_rounds),
+                got,
+                "{what}"
+            );
+        }
+        assert!(off.drain().is_empty() && off.dropped() == 0);
     }
 }

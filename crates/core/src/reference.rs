@@ -3,10 +3,11 @@
 //!
 //! The cross-path suites compare one path of the current core with
 //! another, so a divergence both paths share passes them. Here the
-//! restricted probe of every part, the unrestricted growth, its reject
-//! stream and `grow_and_sweep`'s diagnosis and round shapes are checked
-//! against this core on every catalogue family, tester behaviour and fault
-//! load up to the bound, in fresh and reused workspaces.
+//! restricted probe of every part (stopping at the same flush), the
+//! unrestricted growth, its reject stream and `grow_and_sweep`'s diagnosis
+//! and round shapes are checked against this core on every catalogue
+//! family, tester behaviour and fault load up to the bound, in fresh and
+//! reused workspaces.
 //!
 //! The bodies below are the previous `Workspace` and `GrowthCore`, only
 //! their comments trimmed, and the previous growth loop without its trace
@@ -18,7 +19,12 @@ use crate::session::GrowRound;
 use crate::set_builder::SetBuilderOutcome;
 use crate::tree::SpanningTree;
 use mmdiag_syndrome::SyndromeSource;
-use mmdiag_topology::{NodeId, Topology};
+use mmdiag_topology::families::{
+    Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
+    FoldedHypercube, Hypercube, KAryNCube, NKStar, Pancake, ShuffleCube, StarGraph, TwistedCube,
+    TwistedNCube,
+};
+use mmdiag_topology::{NodeId, Partitionable, Topology};
 
 /// Reusable scratch space for reference runs.
 pub(crate) struct Workspace {
@@ -92,6 +98,26 @@ where
 {
     let mut core = GrowthCore::start(g, s, u0, fault_bound, &accept, ws, &mut |_| {});
     while core.advance_layer(g, s, &accept, ws, &mut |_| {}) {}
+    core.finish(s)
+}
+
+/// The restricted probe on the reference core: `Set_Builder` in `u0`'s
+/// part, up to the first layer flush that certifies.
+pub(crate) fn set_builder_in_part<T, S>(
+    g: &T,
+    s: &S,
+    u0: NodeId,
+    fault_bound: usize,
+    ws: &mut Workspace,
+) -> SetBuilderOutcome
+where
+    T: Partitionable + ?Sized,
+    S: SyndromeSource + ?Sized,
+{
+    let part = g.part_of(u0);
+    let accept = |v| g.part_of(v) == part;
+    let mut core = GrowthCore::start(g, s, u0, fault_bound, &accept, ws, &mut |_| {});
+    while !core.all_healthy && core.advance_layer(g, s, &accept, ws, &mut |_| {}) {}
     core.finish(s)
 }
 
@@ -295,6 +321,26 @@ pub(crate) fn assert_same(got: &SetBuilderOutcome, want: &SetBuilderOutcome, ctx
     assert_eq!(got.all_healthy, want.all_healthy, "{ctx}: all_healthy");
 }
 
+/// The 14 families at their quick-catalogue sizes.
+pub(crate) fn quick_families() -> Vec<Box<dyn Partitionable>> {
+    vec![
+        Box::new(Hypercube::new(7)),
+        Box::new(CrossedCube::new(7)),
+        Box::new(TwistedCube::new(7)),
+        Box::new(TwistedNCube::new(7)),
+        Box::new(FoldedHypercube::new(8)),
+        Box::new(EnhancedHypercube::new(8, 3)),
+        Box::new(AugmentedCube::new(10)),
+        Box::new(ShuffleCube::new(10)),
+        Box::new(KAryNCube::new(4, 4)),
+        Box::new(AugmentedKAryNCube::new(4, 4)),
+        Box::new(StarGraph::new(6)),
+        Box::new(NKStar::new(6, 3)),
+        Box::new(Pancake::new(6)),
+        Box::new(Arrangement::new(6, 3)),
+    ]
+}
+
 /// The reference `grow_and_sweep` (untraced): the diagnosis, one round per
 /// layer (wall times zero) and the raw reject stream.
 pub(crate) type Grown = (
@@ -370,35 +416,17 @@ mod tests {
     use super::*;
     use crate::set_builder as current;
     use mmdiag_syndrome::{behavior_sweep, FaultSet, OracleSyndrome};
-    use mmdiag_topology::families::{
-        Arrangement, AugmentedCube, AugmentedKAryNCube, CrossedCube, EnhancedHypercube,
-        FoldedHypercube, Hypercube, KAryNCube, NKStar, Pancake, ShuffleCube, StarGraph,
-        TwistedCube, TwistedNCube,
-    };
-    use mmdiag_topology::{Cached, Partitionable};
+    use mmdiag_topology::Cached;
     use mmdiag_trace::Tracer;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     /// The 14 families at their quick-catalogue sizes, adjacency cached.
     fn families() -> Vec<Cached> {
-        let graphs: Vec<Box<dyn Partitionable>> = vec![
-            Box::new(Hypercube::new(7)),
-            Box::new(CrossedCube::new(7)),
-            Box::new(TwistedCube::new(7)),
-            Box::new(TwistedNCube::new(7)),
-            Box::new(FoldedHypercube::new(8)),
-            Box::new(EnhancedHypercube::new(8, 3)),
-            Box::new(AugmentedCube::new(10)),
-            Box::new(ShuffleCube::new(10)),
-            Box::new(KAryNCube::new(4, 4)),
-            Box::new(AugmentedKAryNCube::new(4, 4)),
-            Box::new(StarGraph::new(6)),
-            Box::new(NKStar::new(6, 3)),
-            Box::new(Pancake::new(6)),
-            Box::new(Arrangement::new(6, 3)),
-        ];
-        graphs.iter().map(|g| Cached::new(g.as_ref())).collect()
+        quick_families()
+            .iter()
+            .map(|g| Cached::new(g.as_ref()))
+            .collect()
     }
 
     /// The reject stream of the current core's unrestricted growth.
@@ -435,9 +463,7 @@ mod tests {
                     let mut certified = None;
                     for part in 0..g.part_count() {
                         let u0 = g.representative(part);
-                        let own = g.part_of(u0);
-                        let accept = |v: NodeId| g.part_of(v) == own;
-                        let want = set_builder_filtered(&g, &s, u0, bound, accept, &mut want_ws);
+                        let want = set_builder_in_part(&g, &s, u0, bound, &mut want_ws);
                         for ws in [&mut current::Workspace::new(n), &mut reused] {
                             let got = current::set_builder_in_part(&g, &s, u0, bound, ws);
                             assert_same(&got, &want, &format!("{ctx} probe {part}"));

@@ -12,12 +12,13 @@
 //! * [`probe_part`] / [`grow_from_certificate`] — the two halves of a
 //!   run as separate steps, for callers that rebuild the run from its
 //!   parts (the repository benchmark times each one this way);
-//!   [`GrowthMemo::grow`](crate::GrowthMemo::grow) returns what
-//!   [`grow_from_certificate`] returns;
+//!   [`GrowthMemo::grow`](crate::GrowthMemo::grow) returns the diagnosis
+//!   [`grow_from_certificate`] returns, with its growth rounds;
 //! * [`DiagnosisReport`] — the [`Diagnosis`] plus the §4.1
-//!   [`Certificate`] (the restricted probe tree that proved the seed part
-//!   all-healthy), per-phase [`PhaseTelemetry`] (probe/certify/grow wall
-//!   times and lookup counts, growth round by round), the backend label
+//!   [`Certificate`] (the restricted probe tree, up to the first flush
+//!   that certifies, that proved the seed part all-healthy), per-phase
+//!   [`PhaseTelemetry`] (probe/certify/grow wall times and lookup counts,
+//!   growth round by round), the backend label
 //!   (`"pooled"` only for a batch job that ran on a pool worker), and a
 //!   [`VerificationVerdict`] slot the umbrella session fills from its
 //!   verification policy.
@@ -54,23 +55,25 @@ use mmdiag_syndrome::SyndromeSource;
 use mmdiag_topology::{NodeId, Partitionable, Topology};
 use mmdiag_trace::{checked_delta, Tracer, CAT_PHASE, PHASE_CERTIFY, PHASE_GROW, PHASE_PROBE};
 
-/// The §4.1 all-healthy certificate: the restricted probe tree grown at
-/// the certified part's representative, whose distinct internal
-/// contributors exceed the fault bound. The free-function API always
-/// discarded this artifact (only `Diagnosis::certified_part` survived);
-/// the session keeps it, because verification policies re-derive exactly
-/// this tree and the scenario layer wants to inspect it.
+/// The §4.1 all-healthy certificate: the restricted tree grown at the
+/// certified part's representative up to the first layer flush that
+/// certifies, whose distinct internal contributors exceed the fault bound
+/// there (see `set_builder`'s module docs for why the probe stops). The
+/// free-function API always discarded this artifact (only
+/// `Diagnosis::certified_part` survived); the session keeps it so callers
+/// can inspect the proof.
 #[derive(Clone, Debug)]
 pub struct Certificate {
     /// The certified part (equals `Diagnosis::certified_part`).
     pub part: usize,
     /// The part's representative — the probe seed and tree root.
     pub representative: NodeId,
-    /// Distinct internal contributors of the probe tree (> fault bound).
+    /// Distinct internal contributors of the probe tree at the flush
+    /// where it stopped (> fault bound).
     pub contributors: usize,
-    /// Levels the restricted growth built.
+    /// Levels the restricted growth built up to that flush.
     pub rounds: usize,
-    /// The restricted probe tree itself.
+    /// The restricted probe tree itself, up to that flush.
     pub tree: SpanningTree,
 }
 
@@ -107,10 +110,12 @@ pub struct PhaseTelemetry {
     /// adjacency only).
     pub grow_lookups: u64,
     /// Per-layer breakdown of the growth phase, one round per layer, all
-    /// grown on the thread that runs the job (empty only for the epoch
-    /// monitor's reports). Round lookups partition
-    /// [`PhaseTelemetry::grow_lookups`] exactly; round times nest inside
-    /// [`PhaseTelemetry::grow_nanos`].
+    /// grown on the thread that runs the job. Round lookups partition
+    /// [`PhaseTelemetry::grow_lookups`] exactly, except in an epoch
+    /// monitor's repaired growth: its rounds are the layers it re-grew,
+    /// and the re-witness reads the rest (the `grow.repair` span; see
+    /// [`GrowthMemo::grow`](crate::GrowthMemo::grow)). Round times nest
+    /// inside [`PhaseTelemetry::grow_nanos`].
     pub grow_rounds: Vec<GrowRound>,
 }
 
@@ -286,7 +291,8 @@ impl SessionOptions {
 /// every run's probe scan. The restricted probe at part `p` consults only
 /// tests `s_u(v, w)` with `u`, `v`, `w` all inside `p`
 /// (`set_builder_in_part` filters candidates and witnesses by part
-/// membership).
+/// membership), and grows the restricted tree up to the first layer flush
+/// that certifies, or through the whole part when none does.
 #[derive(Clone, Debug)]
 pub struct PartProbe {
     /// The probed part.
@@ -295,16 +301,17 @@ pub struct PartProbe {
     pub representative: NodeId,
     /// Did the restricted tree certify the part all-healthy?
     pub all_healthy: bool,
-    /// Syndrome entries this probe consulted.
+    /// Syndrome entries this probe consulted, up to the flush where it
+    /// stopped.
     pub lookups: u64,
     /// The §4.1 certificate, present exactly when `all_healthy`.
     pub certificate: Option<Certificate>,
 }
 
 /// Probe a single part: the restricted `Set_Builder` growth at the part's
-/// representative, packaged with its certificate when it certifies. This
-/// is one iteration of every run's probe scan, split out so a caller can
-/// drive the scan itself.
+/// representative up to the first layer flush that certifies, packaged
+/// with its certificate when it certifies. This is one iteration of every
+/// run's probe scan, split out so a caller can drive the scan itself.
 pub fn probe_part<T, S>(
     g: &T,
     s: &S,
@@ -339,8 +346,8 @@ where
 /// (a caller passes its walk so far, so `lookups_used` reports its whole
 /// cost). Growth runs on the calling thread, untraced.
 /// [`GrowthMemo::grow`](crate::GrowthMemo::grow) takes the same
-/// arguments and returns the same result, repairing its last growth
-/// instead of walking again.
+/// arguments and a tracer, and returns the same diagnosis with its growth
+/// rounds, repairing its last growth instead of walking again.
 pub fn grow_from_certificate<T, S>(
     g: &T,
     s: &S,
@@ -372,8 +379,8 @@ where
 /// probe scan, then growth from the lowest certifying part. With a
 /// `memo` (the epoch monitor's), the growth goes through it: the same
 /// diagnosis, repaired from the memo's last growth when that came from
-/// the same seed, and no per-round telemetry. Requires no `Sync` bounds;
-/// the report is labelled `"sequential"`.
+/// the same seed, with the rounds [`GrowthMemo::grow`] returns. Requires
+/// no `Sync` bounds; the report is labelled `"sequential"`.
 pub(crate) fn run_in_ws<T, S>(
     g: &T,
     s: &S,
@@ -411,10 +418,16 @@ where
 
     let grow_span = tracer.span(CAT_PHASE, PHASE_GROW);
     let (diagnosis, grow_rounds) = match memo {
-        Some(memo) => (
-            memo.grow(g, s, &certificate, probes, fault_bound, start_lookups, ws)?,
-            Vec::new(),
-        ),
+        Some(memo) => memo.grow(
+            g,
+            s,
+            &certificate,
+            probes,
+            fault_bound,
+            start_lookups,
+            ws,
+            tracer,
+        )?,
         None => grow_and_sweep(
             g,
             s,
@@ -819,6 +832,50 @@ mod tests {
              a whole bitmap per probe is {} words",
             parts * n.div_ceil(64)
         );
+    }
+
+    /// On S_7 and P_7 (720-node parts), fault-free and at the bound, the
+    /// probe scan stops at its certificate: the run's probe lookups are
+    /// within the §6 bound for the certificate's tree, and strictly below
+    /// a full restricted growth of the same part.
+    #[test]
+    fn the_probe_scan_reads_no_further_than_its_certificate() {
+        use crate::set_builder::{lookup_bound, set_builder_filtered};
+        use mmdiag_topology::families::{Pancake, StarGraph};
+        use mmdiag_topology::Cached;
+        let bases: [Box<dyn Partitionable>; 2] =
+            [Box::new(StarGraph::new(7)), Box::new(Pancake::new(7))];
+        for base in &bases {
+            let g = Cached::new(base.as_ref());
+            let (n, bound) = (g.node_count(), g.driver_fault_bound());
+            // The bound's faults scattered over the other parts' nodes.
+            let faults: Vec<NodeId> = (0..n)
+                .filter(|&v| g.part_of(v) != 0)
+                .step_by(n / (bound + 1))
+                .take(bound)
+                .collect();
+            for planted in [&[][..], &faults] {
+                let s = OracleSyndrome::new(
+                    FaultSet::new(n, planted),
+                    TesterBehavior::Random { seed: 7 },
+                );
+                let report = run_sequential(&g, &s, &SessionOptions::default()).unwrap();
+                assert_eq!(report.diagnosis.faults, planted);
+                let (cert, ctx) = (&report.certificate, format!("{} {planted:?}", g.name()));
+                assert_eq!((cert.part, report.diagnosis.probes), (0, 1), "{ctx}");
+                let read = report.telemetry.probe_lookups;
+                let most = lookup_bound(g.max_degree(), cert.tree.node_count());
+                assert!(read <= most, "{ctx}: {read} probe lookups, bound {most}");
+                let in_part = |v| g.part_of(v) == 0;
+                let u0 = cert.representative;
+                let full = set_builder_filtered(&g, &s, u0, bound, in_part, &mut Workspace::new(n));
+                assert!(
+                    read < full.lookups_used,
+                    "{ctx}: {read} probe lookups, {} growing the whole part",
+                    full.lookups_used
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,33 @@
 //! Two access modes are provided: unrestricted ([`set_builder`]) and
 //! restricted to one part of a decomposition ([`set_builder_in_part`],
 //! the paper's `Set_Builder(u0, H)` — "only adds nodes of `H`", with the
-//! adjacency relation restricted to `H`).
+//! adjacency relation restricted to `H`). The restricted probe stops at the
+//! first layer flush that certifies (see [below](#where-the-probe-stops));
+//! [`set_builder_filtered`] grows its subgraph to the end.
+//!
+//! ## Where the probe stops
+//!
+//! The certificate is complete at the first flush (the close of a layer)
+//! whose contributor count exceeds `δ`, so the restricted probe returns
+//! there. Take the probe's tree after any flush:
+//!
+//! * every non-root internal node `p` attached some child `c` with
+//!   `s_p(c, t(p)) = 0`, and `u0`'s children come in agreeing pairs
+//!   `s_u0(c, c') = 0`;
+//! * the spread rule (below) moves only children of the layer being built,
+//!   and each move carries its own witness `s_u(v, t(u)) = 0`;
+//! * a healthy tester answers 0 only when both nodes it compares are
+//!   healthy. So a healthy internal `p ≠ u0` makes `t(p)` healthy, and by
+//!   induction `u0`; a healthy `u0` makes every member healthy.
+//!
+//! So if any member were faulty, every internal node would be faulty. With
+//! more than `δ` internal nodes and `|F| ≤ δ` that cannot happen: the tree
+//! at that flush already proves its members healthy, and layers added after
+//! it add members, not certainty. Contributor counts never fall from one
+//! flush to the next, so "exceeds `δ` at some flush" is the same predicate
+//! whether the probe stops there or runs on: which part certifies, how many
+//! parts a run probes, and the growth from `u0` are the same either way.
+//! Only the certificate's tree and the probe's reads shrink.
 //!
 //! ## Parent selection (deviation from the paper's tie-break)
 //!
@@ -203,7 +229,8 @@ impl Workspace {
     }
 }
 
-/// Outcome of a `Set_Builder` run.
+/// Outcome of a `Set_Builder` run: for the restricted probe, the set and
+/// tree at the flush where it stopped.
 #[derive(Clone, Debug)]
 pub struct SetBuilderOutcome {
     /// Was `|C_1 ∪ … ∪ C_i| > δ` reached — i.e. is every member of `U_r`
@@ -238,7 +265,11 @@ where
 
 /// `Set_Builder(u0, H)`: growth restricted to the part of the
 /// decomposition containing `u0` (§5.1 — "only adds nodes of `H` to the
-/// sets it builds").
+/// sets it builds"), up to the first layer flush that certifies: the
+/// outcome is the restricted tree at that flush, or the whole restricted
+/// growth when no flush certifies (see [where the probe
+/// stops](self#where-the-probe-stops)). A `fault_bound` of `usize::MAX`
+/// never certifies, so it grows the whole part.
 pub fn set_builder_in_part<T, S>(
     g: &T,
     s: &S,
@@ -251,11 +282,15 @@ where
     S: SyndromeSource + ?Sized,
 {
     let part = g.part_of(u0);
-    set_builder_filtered(g, s, u0, fault_bound, |v| g.part_of(v) == part, ws)
+    let accept = |v| g.part_of(v) == part;
+    let mut core = GrowthCore::start(g, s, u0, fault_bound, &accept, ws, &mut |_| {});
+    while !core.all_healthy && core.advance_layer(g, s, &accept, ws, &mut |_| {}) {}
+    core.finish(s)
 }
 
-/// Shared implementation: `accept` delimits the subgraph `H` (nodes for
-/// which it returns `true`; `u0` must be accepted).
+/// The paper's full `Set_Builder` over the subgraph `H` that `accept`
+/// delimits (nodes for which it returns `true`; `u0` must be accepted),
+/// grown to the end.
 pub fn set_builder_filtered<T, S, F>(
     g: &T,
     s: &S,
@@ -275,7 +310,8 @@ where
 }
 
 /// Incremental driver for the §4.1 growth loop, shared between
-/// [`set_builder_filtered`] and the diagnosis growth in `crate::grow`
+/// [`set_builder_filtered`], [`set_builder_in_part`] (which stops at the
+/// first flush that certifies) and the diagnosis growth in `crate::grow`
 /// (which records one round per layer).
 ///
 /// Every syndrome lookup that *disagrees* on a then-unvisited candidate is
@@ -682,6 +718,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The restricted probe is the full restricted growth
+    /// (`set_builder_filtered` with the part's filter) cut at its first
+    /// certifying flush, on every family, tester behaviour, load up to the
+    /// bound and part: equal field for field where the part does not
+    /// certify; where it does, a prefix of the growth whose contributors
+    /// exceed the bound, whose tree one layer shorter has at most `bound`
+    /// internal nodes, and which holds no faulty member.
+    #[test]
+    fn the_probe_is_the_full_restricted_growth_cut_at_its_first_certifying_flush() {
+        use crate::reference::quick_families;
+        use rand::SeedableRng;
+        use std::collections::{HashMap, HashSet};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x57_0B5);
+        let (mut certified, mut shorter) = (0, 0);
+        for g in quick_families() {
+            let g = g.as_ref();
+            let (n, bound) = (g.node_count(), g.driver_fault_bound());
+            let mut ws = Workspace::new(n);
+            for load in 0..=bound {
+                let faults = FaultSet::random(n, load, &mut rng);
+                for b in mmdiag_syndrome::behavior_sweep(load as u64) {
+                    let s = OracleSyndrome::new(faults.clone(), b);
+                    for part in 0..g.part_count() {
+                        let ctx = format!("{} load {load} {b:?} part {part}", g.name());
+                        let u0 = g.representative(part);
+                        let probe = set_builder_in_part(g, &s, u0, bound, &mut ws);
+                        let in_part = |v| g.part_of(v) == part;
+                        let full = set_builder_filtered(g, &s, u0, bound, in_part, &mut ws);
+                        assert_eq!(probe.all_healthy, full.all_healthy, "{ctx}");
+                        if !full.all_healthy {
+                            assert_same(&probe, &full, &ctx);
+                            continue;
+                        }
+                        certified += 1;
+                        let (members, edges) = (&probe.members, probe.tree.edges());
+                        assert_eq!(members[..], full.members[..members.len()], "{ctx}");
+                        assert_eq!(edges, &full.tree.edges()[..edges.len()], "{ctx}");
+                        assert!(probe.rounds <= full.rounds, "{ctx}");
+                        assert!(probe.lookups_used <= full.lookups_used, "{ctx}");
+                        assert!(probe.contributors > bound, "{ctx}");
+                        shorter += usize::from(probe.lookups_used < full.lookups_used);
+                        // Layer by layer from the root: the tree one layer
+                        // shorter has at most `bound` internal nodes.
+                        let mut depth = HashMap::from([(u0, 0)]);
+                        for &(c, p) in edges {
+                            depth.insert(c as NodeId, depth[&(p as NodeId)] + 1);
+                        }
+                        let parents = |deepest: usize| -> HashSet<u32> {
+                            edges
+                                .iter()
+                                .filter(|&&(c, _)| depth[&(c as NodeId)] <= deepest)
+                                .map(|&(_, p)| p)
+                                .collect()
+                        };
+                        assert_eq!(parents(probe.rounds).len(), probe.contributors, "{ctx}");
+                        assert!(parents(probe.rounds - 1).len() <= bound, "{ctx}");
+                        assert!(members.iter().all(|&m| !faults.contains(m)), "{ctx}");
+                    }
+                }
+            }
+        }
+        // Many 16-node parts certify only at their last layer; the rest
+        // stop early.
+        assert!(
+            shorter > 0 && shorter < certified,
+            "the probe read less than the full growth in {shorter} of {certified} certified parts"
+        );
     }
 
     /// A source that panics on its `k`-th lookup and otherwise reads

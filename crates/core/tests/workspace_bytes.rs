@@ -18,6 +18,7 @@ use mmdiag_core::{grow_from_certificate, probe_part, GrowthMemo, Workspace};
 use mmdiag_syndrome::{OnDemandOracle, TesterBehavior};
 use mmdiag_topology::families::Hypercube;
 use mmdiag_topology::{NodeId, Partitionable, Topology};
+use mmdiag_trace::Tracer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -197,8 +198,9 @@ fn a_repaired_epoch_allocates_no_per_node_array_beyond_its_recycled_edge_list() 
     let mut memo = GrowthMemo::new();
     let mut epoch = |faults: &[NodeId], ws: &mut Workspace| {
         let s = OnDemandOracle::new(n, faults, behavior);
-        memo.grow(&g, &s, &certificate, 1, bound, 0, ws)
+        memo.grow(&g, &s, &certificate, 1, bound, 0, ws, &Tracer::disabled())
             .expect("a diagnosis under the bound")
+            .0
     };
     // Onsets far from u0 = 0, past the layers the spread heuristic grew.
     // The first epoch walks in full; the second is repaired into a fresh

@@ -64,7 +64,8 @@ pub struct ProbeTrace {
     pub completion: Time,
     /// Did this part's tree certify all-healthy?
     pub certified: bool,
-    /// Distinct contributors of this part's probe tree.
+    /// Distinct contributors of this part's probe tree, at the flush
+    /// where the probe stopped (the first that certifies, if any).
     pub contributors: usize,
 }
 

@@ -97,10 +97,14 @@ impl<T: Partitionable + ?Sized> Partitionable for &T {
 /// tree a fault-free part produces, which is a pure graph invariant of the
 /// decomposition.
 ///
-/// This mirrors `mmdiag_core::set_builder_in_part` exactly (level-1 witness
-/// pairs, layered growth, the child-spreading parent reassignment) with the
-/// syndrome fixed to all-`Agree`; the core test-suite cross-checks the two
-/// against each other so they cannot drift apart. It is one of three
+/// This mirrors the rules of `mmdiag_core::set_builder_in_part` (level-1
+/// witness pairs, layered growth, the child-spreading parent reassignment)
+/// with the syndrome fixed to all-`Agree`, but counts the whole part: the
+/// driver's probe stops at the first layer flush past its bound, while this
+/// count is the capacity that bound is capped by. It equals the core probe
+/// run with a bound of `usize::MAX`, which never certifies and so never
+/// stops; the core test-suite cross-checks the two against each other so
+/// they cannot drift apart. It is one of three
 /// copies of the rules (core, this one, and the sampled verifier in
 /// `mmdiag-baselines`). It cannot call core, which sits above this crate:
 /// families cap [`Partitionable::driver_fault_bound`] with it, and it must

@@ -55,5 +55,5 @@ pub use metrics::{checked_delta, Counter, Gauge, MetricSnapshot, MetricValue, Me
 pub use sink::{current_tid, Span, TraceConfig, TraceEvent, TraceSink, Tracer};
 pub use summary::{
     NameStat, TraceSummary, CAT_MONITOR, CAT_PHASE, MONITOR_EPOCH, PHASE_CERTIFY, PHASE_GROW,
-    PHASE_GROW_ROUND, PHASE_PROBE,
+    PHASE_GROW_REPAIR, PHASE_GROW_ROUND, PHASE_PROBE,
 };

@@ -21,6 +21,11 @@ pub const PHASE_GROW: &str = "grow";
 /// Aggregated per-name like every other span, so the
 /// probe/certify/grow phase totals are untouched.
 pub const PHASE_GROW_ROUND: &str = "grow.round";
+/// The re-witness of a repaired growth (`mmdiag_core::GrowthMemo`), nested
+/// inside [`PHASE_GROW`] after the [`PHASE_GROW_ROUND`] spans of the layers
+/// it re-grows. Its value attribute is the re-witness's syndrome lookups,
+/// so the round values plus this one equal the `grow` span's.
+pub const PHASE_GROW_REPAIR: &str = "grow.repair";
 /// Category the epoch monitor's spans carry (`mmdiag_core::monitor`).
 pub const CAT_MONITOR: &str = "monitor";
 /// One monitoring epoch: delta ingest → probe scan → growth. The span's
