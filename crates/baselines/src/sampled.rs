@@ -16,8 +16,10 @@
 //! 2. **Sampled label re-check** — a seeded random walk inside every part
 //!    picks `k` nodes; for each sampled node `u`, every test about `u` by
 //!    a claimed-healthy tester `t` (`s_t(u, x)` over `t`'s other
-//!    neighbours `x`, read as one [`SyndromeSource::lookup_row`]) must
-//!    equal what the claimed labelling predicts under MM semantics. A
+//!    neighbours `x`, read as disagreement masks of up to 64 entries by
+//!    [`SyndromeSource::read_row`]) must equal what the claimed labelling
+//!    predicts under MM semantics: the row's first contradiction is the
+//!    lowest set bit of the read mask XOR the predicted one. A
 //!    correct labelling can never trip this (healthy testers answer
 //!    honestly), and a wrong label at a sampled node is always caught
 //!    provided the node has a healthy neighbour with degree ≥ 2 —
@@ -34,7 +36,7 @@
 //! always a genuine inconsistency, `agree = true` is evidence proportional
 //! to the sample rate.
 
-use mmdiag_syndrome::{MemberSet, SyndromeSource};
+use mmdiag_syndrome::{row_mask, MemberSet, SyndromeSource, ROW};
 use mmdiag_topology::{NodeId, Partitionable};
 use std::collections::{HashMap, HashSet};
 
@@ -48,10 +50,10 @@ pub struct SampledCheck {
     pub samples: Vec<NodeId>,
     /// Syndrome entries the label re-checks judged: every entry of a
     /// consistent sample's rows, and for a contradicted sample the entries
-    /// up to and including its first contradiction. The checks read whole
-    /// rows ([`SyndromeSource::lookup_row`]), so on a rejected claim a
-    /// counting source may have counted up to `Δ − 2` more entries of the
-    /// contradicted sample's last row than this reports.
+    /// up to and including its first contradiction. The checks count
+    /// whole rows ([`SyndromeSource::count`]), so on a rejected
+    /// claim a counting source may have counted up to `Δ − 2` more entries
+    /// of the contradicted sample's last row than this reports.
     pub checked_tests: u64,
     /// Sampled nodes whose neighbourhood tests contradict the claimed
     /// labelling (ascending).
@@ -64,8 +66,9 @@ pub struct SampledCheck {
     pub agree: bool,
 }
 
-/// Spot-check a claimed diagnosis against the live syndrome source. See
-/// the module docs for semantics; `O(parts · k · Δ²)` lookups and
+/// Spot-check a claimed diagnosis against the live syndrome source, with
+/// one [`SyndromeSource::count`] of the label re-checks' rows at the end.
+/// See the module docs for semantics; `O(parts · k · Δ²)` lookups and
 /// `O(|part| + |F| + parts·k)` memory — no `O(N)` state anywhere, so this
 /// runs on implicit topologies at any scale the driver itself reaches.
 pub fn sampled_check<T, S>(
@@ -87,10 +90,10 @@ where
     let certificate_ok = bound_ok && recertify_part(g, s, certified_part, fault_bound, &claimed);
 
     let samples = sample_nodes(g, samples_per_part, seed);
-    let mut checked_tests = 0u64;
+    let (mut checked_tests, mut reads) = (0u64, 0u64);
     // `samples` ascends, so the disagreements do too.
     let mut disagreements = Vec::new();
-    let (mut testers, mut row, mut results) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut testers, mut row) = (Vec::new(), Vec::new());
     for &u in &samples {
         let u_claimed = claimed.contains(u);
         g.neighbors_into(u, &mut testers);
@@ -100,14 +103,18 @@ where
                 // under the MM model; skip.
                 continue;
             }
-            // Every test `s_t(u, x)` about `u` by `t`, in neighbour order.
+            // Every test `s_t(u, x)` about `u` by `t`, in neighbour order,
+            // against the labelling's prediction: `1` iff `u` or `x` is
+            // claimed faulty. The row counts whole, even when a
+            // contradiction in an early chunk ends it.
             g.neighbors_into(t, &mut row);
             row.retain(|&x| x != u);
-            s.lookup_row(t, u, &row, &mut results);
-            let first_contradiction = row
-                .iter()
-                .zip(&results)
-                .position(|(&x, r)| r.is_agree() != (!u_claimed && !claimed.contains(x)));
+            reads += row.len() as u64;
+            let first_contradiction = row.chunks(ROW).enumerate().find_map(|(k, chunk)| {
+                let predicted = row_mask(chunk, |x| u_claimed || claimed.contains(x));
+                let contradictions = s.read_row(t, u, chunk) ^ predicted;
+                (contradictions != 0).then(|| k * ROW + contradictions.trailing_zeros() as usize)
+            });
             if let Some(i) = first_contradiction {
                 checked_tests += i as u64 + 1;
                 disagreements.push(u);
@@ -116,6 +123,7 @@ where
             checked_tests += row.len() as u64;
         }
     }
+    s.count(reads);
 
     let agree = bound_ok && certificate_ok && disagreements.is_empty();
     SampledCheck {
@@ -320,7 +328,7 @@ mod tests {
         FoldedHypercube, Hypercube, KAryNCube, NKStar, Pancake, ShuffleCube, StarGraph,
         TwistedCube, TwistedNCube,
     };
-    use mmdiag_topology::Topology;
+    use mmdiag_topology::{AdjGraph, Topology};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -511,6 +519,60 @@ mod tests {
     fn row_lookups_are_bit_identical_on_an_implicit_hypercube() {
         // The family itself, served from its generator math.
         sweep(&Hypercube::new(9), &[5, 77, 300, 511]);
+    }
+
+    /// A wheel: hub 0 joined to a cycle on the rim nodes `1..=rim`, as one
+    /// part seeded at rim node 1 with a fault bound of 2.
+    struct Wheel(AdjGraph);
+
+    impl Wheel {
+        fn new(rim: usize) -> Self {
+            let spokes = (1..=rim).map(|v| (0, v));
+            let cycle = (1..=rim).map(|v| (v, v % rim + 1));
+            let edges: Vec<_> = spokes.chain(cycle).collect();
+            Wheel(AdjGraph::from_edges(rim + 1, &edges, format!("W_{rim}")))
+        }
+    }
+
+    impl Topology for Wheel {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+        fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
+            self.0.neighbors_into(u, out)
+        }
+        fn diagnosability(&self) -> usize {
+            2
+        }
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    impl Partitionable for Wheel {
+        fn part_count(&self) -> usize {
+            1
+        }
+        fn part_of(&self, _u: NodeId) -> usize {
+            0
+        }
+        fn representative(&self, _part: usize) -> NodeId {
+            1
+        }
+        /// One part is not more parts than the bound, but the sweep plants
+        /// one fault away from the seed, so the part still certifies.
+        fn check_partition_preconditions(&self) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn row_lookups_are_bit_identical_on_a_hub_wider_than_one_row() {
+        // The hub's rows hold 69 entries, read as two masks; the fault
+        // sits in the second.
+        let g = Wheel::new(70);
+        assert_eq!(g.max_degree(), 70);
+        sweep(&g, &[68]);
     }
 
     #[test]

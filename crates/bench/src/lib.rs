@@ -1153,10 +1153,13 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Schema version stamped into every trajectory document [`to_json`]
-/// writes. v8 adds the rep spread to every record's `"driver"` object:
-/// `"nanos_median"` and `"nanos_max"` beside the fastest rep's `"nanos"`
-/// (which, with the phases, stays the headline), and `"reps"`, the timed
-/// reps run. v7 drops the record key `"sampled_check"`: a driver-only
+/// writes. v9 adds `"repair_ns"` to the online axis' `"scale"` cell: each
+/// epoch's re-witness-and-repair time beside its `"monitor_ns"`, 0 on an
+/// epoch whose growth walked. v8 adds the rep spread to every record's
+/// `"driver"` object: `"nanos_median"` and `"nanos_max"` beside the
+/// fastest rep's `"nanos"` (which, with the phases, stays the headline),
+/// and `"reps"`, the timed reps run. v7 drops the record key
+/// `"sampled_check"`: a driver-only
 /// record's sampled verdict is its `"verification"` object, which carried
 /// the same values. v6 adds the top-level `"knobs"` object beside the provenance
 /// keys: every `MMDIAG_*` value as [`mmdiag_exec::knobs`] parsed it, keyed
@@ -1176,7 +1179,7 @@ fn json_escape(s: &str) -> String {
 /// is v2 without the strided-lane `"parallel"` record legs and the
 /// top-level `"thread_sweep"` list; v2 added the per-record `"phases"`
 /// and `"verification"` objects to v1.
-pub const SCHEMA_VERSION: &str = "mmdiag-bench/v8";
+pub const SCHEMA_VERSION: &str = "mmdiag-bench/v9";
 
 /// Render records as the `BENCH_<pr>.json` trajectory document
 /// ([`SCHEMA_VERSION`]). Every record carries a `"phases"` object (the
@@ -1473,6 +1476,7 @@ pub fn to_json(
                             "    \"scale\": {{\"instance\": \"{}\", \"node_count\": {}, ",
                             "\"epochs\": {}, \"escalated\": {}, \"quiescent\": {}, ",
                             "\"disagreements\": {}, \"monitor_ns\": [{}], ",
+                            "\"repair_ns\": [{}], ",
                             "\"scratch_ns\": [{}], \"monitor_lookups\": [{}], ",
                             "\"scratch_lookups\": [{}]}}\n"
                         ),
@@ -1483,6 +1487,7 @@ pub fn to_json(
                         c.quiescent,
                         c.disagreements,
                         list(&c.monitor_ns),
+                        list(&c.repair_ns),
                         list(&c.scratch_ns),
                         list(&c.monitor_lookups),
                         list(&c.scratch_lookups),
@@ -1947,7 +1952,7 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for needle in [
-            "\"schema\": \"mmdiag-bench/v8\"",
+            "\"schema\": \"mmdiag-bench/v9\"",
             "\"bench_id\": \"BENCH_TEST\"",
             "\"phases\": {\"probe_nanos\": ",
             "\"verification\": {\"method\": \"full_baseline\"",

@@ -307,12 +307,13 @@ fn main() {
         };
         eprintln!(
             "{:<22} {:>3} epochs  {:>2} escalated  {:>2} quiescent  \
-             median epoch {:>8.1} ms vs {:>8.1} ms from scratch  {}",
+             median epoch {:>8.1} ms (repair {:>6.1} ms) vs {:>8.1} ms from scratch  {}",
             scale.instance,
             scale.epochs,
             scale.escalated,
             scale.quiescent,
             median_ms(&scale.monitor_ns),
+            median_ms(&scale.repair_ns),
             median_ms(&scale.scratch_ns),
             if scale.disagreements == 0 {
                 "ok"

@@ -34,7 +34,7 @@
 //! under `--quick`, else 24.
 
 use crate::fault_sizes;
-use mmdiag::diagnosis::{diagnose, Diagnosis};
+use mmdiag::diagnosis::{diagnose, Diagnosis, PhaseTelemetry};
 use mmdiag::distsim::EpochTimeline;
 use mmdiag::syndrome::{OnDemandOracle, OracleSyndrome, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
@@ -137,6 +137,10 @@ pub struct OnlineScaleRecord {
     pub quiescent: usize,
     /// Wall time of each epoch's `ingest`, in nanoseconds.
     pub monitor_ns: Vec<u64>,
+    /// Wall time of each epoch's re-witness and repair, in nanoseconds:
+    /// the growth's time less its rounds', 0 on an epoch whose growth
+    /// walked (its rounds then read every growth lookup).
+    pub repair_ns: Vec<u64>,
     /// Wall time of each epoch's from-scratch diagnosis, in nanoseconds.
     pub scratch_ns: Vec<u64>,
     /// Syndrome entries each epoch's `ingest` read.
@@ -335,6 +339,7 @@ fn online_scale_cell(g: Hypercube, epochs: usize) -> OnlineScaleRecord {
         escalated: 0,
         quiescent: 0,
         monitor_ns: Vec::new(),
+        repair_ns: Vec::new(),
         scratch_ns: Vec::new(),
         monitor_lookups: Vec::new(),
         scratch_lookups: Vec::new(),
@@ -352,6 +357,7 @@ fn online_scale_cell(g: Hypercube, epochs: usize) -> OnlineScaleRecord {
         rec.scratch_ns.push(sw.elapsed_ns());
         match (got, want) {
             (Ok(report), Ok(want)) => {
+                rec.repair_ns.push(repair_ns(&report.telemetry));
                 rec.disagreements += u64::from(!bit_identical(&report.diagnosis, &want));
                 rec.escalated += usize::from(report.escalation.is_some());
                 rec.quiescent += usize::from(report.quiescent);
@@ -364,20 +370,52 @@ fn online_scale_cell(g: Hypercube, epochs: usize) -> OnlineScaleRecord {
     rec
 }
 
+/// An epoch's re-witness-and-repair time: its growth's wall time less
+/// its rounds'. A repaired growth's rounds are the layers it re-grew, and
+/// its re-witness reads the rest of the growth's lookups; a growth that
+/// walked reads all of them in its rounds and gets 0.
+fn repair_ns(t: &PhaseTelemetry) -> u64 {
+    let rounds = &t.grow_rounds;
+    if rounds.iter().map(|r| r.lookups).sum::<u64>() == t.grow_lookups {
+        return 0;
+    }
+    let round_nanos: u128 = rounds.iter().map(|r| r.nanos).sum();
+    u64::try_from(t.grow_nanos.saturating_sub(round_nanos)).unwrap_or(u64::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// The scale cell's protocol on a small hypercube: every epoch agrees
-    /// and both wall times are kept.
+    /// and every wall time is kept. An epoch that read fewer entries than
+    /// from scratch was repaired, and its repair took some of its time; a
+    /// quiescent epoch or one that read what from scratch reads repaired
+    /// nothing.
     #[test]
     fn online_scale_cell_agrees_every_epoch() {
         let rec = online_scale_cell(Hypercube::new_certified(10), 6);
         assert_eq!(rec.disagreements, 0);
         assert!(rec.escalated >= 1, "the initial epoch escalates");
         assert_eq!(rec.monitor_ns.len(), 6);
+        assert_eq!(rec.repair_ns.len(), 6);
         assert_eq!(rec.scratch_ns.len(), 6);
         assert_eq!(rec.monitor_lookups.len(), 6);
+        let mut repaired = 0;
+        for e in 0..6 {
+            let (read, scratch) = (rec.monitor_lookups[e], rec.scratch_lookups[e]);
+            let (repair, monitor) = (rec.repair_ns[e], rec.monitor_ns[e]);
+            if read == 0 || read == scratch {
+                assert_eq!(repair, 0, "epoch {e}: nothing repaired");
+                continue;
+            }
+            repaired += 1;
+            assert!(
+                0 < repair && repair <= monitor,
+                "epoch {e}: {repair} of {monitor} ns"
+            );
+        }
+        assert!(repaired > 0, "some epoch is repaired");
     }
 
     #[test]

@@ -25,15 +25,16 @@
 //!    that same loop runs on to the end: the fallback is the full growth,
 //!    with the full growth's lookups and no extra read.
 //! 2. **Re-witness.** Past `L_s` a parent's children are contiguous, and
-//!    are read as one row `s_p(c, t(p))`, the test that attached them. A
-//!    healthy parent and its healthy parent answer honestly, so Agree
-//!    means healthy and Disagree means an onset. The children of a node
-//!    that is not resolved healthy are re-witnessed one by one, by a
-//!    resolved-healthy neighbour `u` with `s_u(y, w(u))`, where `w(u)` is
-//!    the healthy node that witnessed `u`. Each old fault is re-tested
-//!    once the same way; Agree means a recovery. A node no resolved-healthy
-//!    node neighbours is cut off from `u0` in `G − F`: the walk never sees
-//!    it, and neither does the repair.
+//!    are read as one row `s_p(c, t(p))`, the test that attached them: a
+//!    disagreement mask per 64 children, whose set bits are the onsets.
+//!    The rows are counted once, after the last. A healthy parent and its
+//!    healthy parent answer honestly, so Agree means healthy and Disagree
+//!    means an onset. The children of a node that is not resolved healthy
+//!    are re-witnessed one by one, by a resolved-healthy neighbour `u`
+//!    with `s_u(y, w(u))`, where `w(u)` is the healthy node that witnessed
+//!    `u`. Each old fault is re-tested once the same way; Agree means a
+//!    recovery. A node no resolved-healthy node neighbours is cut off from
+//!    `u0` in `G − F`: the walk never sees it, and neither does the repair.
 //! 3. **Repair**, with no further lookups. Layers follow the dynamic
 //!    breadth-first update (Ramalingam and Reps, *J. Algorithms* 21,
 //!    1996): an onset raises every node that loses all its neighbours one
@@ -67,7 +68,7 @@ use crate::grow::Growth;
 use crate::session::{Certificate, GrowRound};
 use crate::set_builder::Workspace;
 use crate::tree::SpanningTree;
-use mmdiag_syndrome::{SyndromeSource, TestResult};
+use mmdiag_syndrome::{SyndromeSource, TestResult, ROW};
 use mmdiag_topology::{NodeId, Topology};
 use mmdiag_trace::{checked_delta, Tracer, CAT_PHASE, PHASE_GROW_REPAIR};
 use std::cmp::Reverse;
@@ -384,7 +385,8 @@ impl GrowthMemo {
             u0: last.u0,
         };
         let (mut onsets, mut pending) = (Vec::new(), Vec::new());
-        let (mut row, mut out) = (Vec::new(), Vec::new());
+        let mut row = Vec::new();
+        let mut reads = 0;
         let mut blocks = edges[last.layer_ends[last.spread_layers - 1]..]
             .iter()
             .peekable();
@@ -402,14 +404,18 @@ impl GrowthMemo {
                 pending.extend_from_slice(&row);
                 continue;
             }
-            s.lookup_row(p, self.parent[p] as NodeId, &row, &mut out);
-            for (&c, result) in row.iter().zip(&out) {
-                if !result.is_agree() {
+            for chunk in row.chunks(ROW) {
+                let mut disagree = s.read_row(p, self.parent[p] as NodeId, chunk);
+                while disagree != 0 {
+                    let c = chunk[disagree.trailing_zeros() as usize];
                     r.set_bad(c, true);
                     onsets.push(c);
+                    disagree &= disagree - 1;
                 }
             }
+            reads += row.len() as u64;
         }
+        s.count(reads);
 
         // Orphans, then old faults, until a round resolves nothing: each
         // resolution may give the next one its witness.
@@ -709,7 +715,7 @@ mod tests {
     use crate::session::{grow_from_certificate, probe_part};
     use mmdiag_syndrome::{behavior_sweep, FaultSet, OracleSyndrome, TesterBehavior};
     use mmdiag_topology::families::{Hypercube, KAryNCube};
-    use mmdiag_topology::{Cached, Partitionable};
+    use mmdiag_topology::{AdjGraph, Cached, Partitionable};
     use mmdiag_trace::{TraceConfig, TraceSummary, PHASE_GROW_ROUND};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -898,6 +904,75 @@ mod tests {
             2 * repaired > epochs,
             "only {repaired} of {epochs} epochs were repaired"
         );
+    }
+
+    /// A spine `0 – {1, 2}`, `1 – 3`, `2 – 4`, `3 – 5` (with `1 – 2`, so the
+    /// seed's pair agrees) and 70 leaves `6..=75` on node 5, as one part
+    /// seeded at 0 with a fault bound of 2. The certificate fires at the
+    /// flush of layer 2 (`L_s` = 2), so node 5 sits one layer past `L_s`
+    /// with 70 children: its row is read as two masks.
+    struct Broom(AdjGraph);
+
+    impl Broom {
+        fn new() -> Self {
+            let spine = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5)];
+            let leaves = (6..76).map(|v| (5, v));
+            let edges: Vec<_> = spine.into_iter().chain(leaves).collect();
+            Broom(AdjGraph::from_edges(76, &edges, "broom"))
+        }
+    }
+
+    impl Topology for Broom {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+        fn neighbors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
+            self.0.neighbors_into(u, out)
+        }
+        fn diagnosability(&self) -> usize {
+            2
+        }
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    impl Partitionable for Broom {
+        fn part_count(&self) -> usize {
+            1
+        }
+        fn part_of(&self, _u: NodeId) -> usize {
+            0
+        }
+        fn representative(&self, _part: usize) -> NodeId {
+            0
+        }
+    }
+
+    /// Onsets and recoveries among 70 children of one parent, in both of
+    /// its row's masks, and at the parent itself, equal the full walk
+    /// epoch by epoch under every tester behaviour.
+    #[test]
+    fn a_parent_of_more_than_64_children_is_repaired_like_the_full_walk() {
+        let g = Broom::new();
+        let cert = certify(&g);
+        let sequence: [&[NodeId]; 8] = [&[], &[72], &[10, 72], &[10], &[], &[5], &[], &[75]];
+        for b in behavior_sweep(0xB700) {
+            let mut memo = GrowthMemo::new();
+            let mut ws = Workspace::new(g.node_count());
+            let mut repaired = 0;
+            for (e, f) in sequence.iter().enumerate() {
+                let ctx = format!("broom {b:?} epoch {e} {f:?}");
+                let got = epoch(&mut memo, &g, f, b, &cert, &mut ws, &ctx);
+                repaired += usize::from(got.repaired);
+                if e == 0 {
+                    assert_eq!(memo.last.as_ref().unwrap().spread_layers, 2, "{ctx}");
+                }
+            }
+            // The first epoch walks, and so does the return of the leaves
+            // that the onset at 5 cut off; every other epoch is repaired.
+            assert_eq!(repaired, sequence.len() - 2, "{b:?}");
+        }
     }
 
     /// Q_n from `u0 = 0` at a memo's first growth, with `L_s`.
@@ -1109,7 +1184,7 @@ mod tests {
         assert_eq!(last.faults.len(), 8);
     }
 
-    /// A source that reads `inner` and panics on its `k`-th lookup.
+    /// A source that reads `inner` and panics on its `k`-th read.
     struct PanicsAt<'a> {
         inner: &'a OracleSyndrome,
         k: u64,
@@ -1117,10 +1192,10 @@ mod tests {
     }
 
     impl SyndromeSource for PanicsAt<'_> {
-        fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
+        fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
             self.read.set(self.read.get() + 1);
             assert!(self.read.get() != self.k, "planted panic");
-            self.inner.lookup(u, v, w)
+            self.inner.read(u, v, w)
         }
     }
 

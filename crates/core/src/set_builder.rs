@@ -208,6 +208,7 @@ impl Workspace {
         }
         let contributors = self.claims.iter().filter(|&&c| c > 0).count();
         self.frontier.clear();
+        self.frontier.reserve_exact(layer.len());
         let (first, last) = (lo as usize / 64, hi as usize / 64);
         if last - first < 4 * layer.len() {
             for w in first..=last {
@@ -368,6 +369,7 @@ impl GrowthCore {
         g.neighbors_into(u0, &mut ws.nbuf);
         ws.nbuf.retain(|&v| accept(v));
         let candidates = std::mem::take(&mut ws.nbuf);
+        let mut reads = 0;
         {
             let mut in_u1 = vec![false; candidates.len()];
             for i in 0..candidates.len() {
@@ -375,7 +377,8 @@ impl GrowthCore {
                     if in_u1[i] && in_u1[j] {
                         continue;
                     }
-                    if s.lookup(u0, candidates[i], candidates[j]).is_agree() {
+                    reads += 1;
+                    if s.read(u0, candidates[i], candidates[j]).is_agree() {
                         in_u1[i] = true;
                         in_u1[j] = true;
                     }
@@ -392,6 +395,7 @@ impl GrowthCore {
             }
         }
         ws.nbuf = candidates;
+        s.count(reads);
 
         // u0 contributed to U_1, if U_1 grew; it is in no frontier, so no
         // later layer counts it again.
@@ -427,8 +431,9 @@ impl GrowthCore {
 
     /// One level `i ≥ 2`: each frontier node `u` tests candidates `v`
     /// against its own parent `t(u)`, at most Δ − 1 entries per frontier
-    /// node. Returns `false` when growth is finished (empty frontier or no
-    /// additions), `true` after a flushed layer.
+    /// node, counted once when the layer returns. Returns `false` when
+    /// growth is finished (empty frontier or no additions), `true` after a
+    /// flushed layer.
     pub(crate) fn advance_layer<T, S, F, R>(
         &mut self,
         g: &T,
@@ -447,7 +452,9 @@ impl GrowthCore {
             return false;
         }
         let layer_start = self.edges.len();
+        let mut reads = 0;
         ws.claims.clear();
+        ws.claims.reserve_exact(ws.frontier.len());
         ws.claims.resize(ws.frontier.len(), 0);
         ws.dirty = true;
         // The frontier is ascending: a deterministic scan order (the spread
@@ -469,16 +476,19 @@ impl GrowthCore {
                     // Soundness needs the witness test s_u(v, t(u)) = 0.
                     if !self.all_healthy && ws.in_layer(v) {
                         let pv = ws.parent[v] as usize;
-                        if ws.claims[pv] > 1 && ws.claims[fi] == 0 && s.lookup(u, v, tu).is_agree()
-                        {
-                            ws.claims[pv] -= 1;
-                            ws.claims[fi] += 1;
-                            ws.parent[v] = fi as u32;
+                        if ws.claims[pv] > 1 && ws.claims[fi] == 0 {
+                            reads += 1;
+                            if s.read(u, v, tu).is_agree() {
+                                ws.claims[pv] -= 1;
+                                ws.claims[fi] += 1;
+                                ws.parent[v] = fi as u32;
+                            }
                         }
                     }
                     continue;
                 }
-                if s.lookup(u, v, tu).is_agree() {
+                reads += 1;
+                if s.read(u, v, tu).is_agree() {
                     ws.visit(v, fi);
                     ws.layer_bits[v / 64] |= 1 << (v % 64);
                     ws.claims[fi] += 1;
@@ -488,6 +498,7 @@ impl GrowthCore {
                 }
             }
         }
+        s.count(reads);
         if self.edges.len() == layer_start {
             ws.dirty = false;
             return false;
@@ -688,7 +699,7 @@ mod tests {
 
         struct AllAgree;
         impl mmdiag_syndrome::SyndromeSource for AllAgree {
-            fn lookup(&self, _u: NodeId, _v: NodeId, _w: NodeId) -> mmdiag_syndrome::TestResult {
+            fn read(&self, _u: NodeId, _v: NodeId, _w: NodeId) -> mmdiag_syndrome::TestResult {
                 mmdiag_syndrome::TestResult::Agree
             }
         }
@@ -789,7 +800,7 @@ mod tests {
         );
     }
 
-    /// A source that panics on its `k`-th lookup and otherwise reads
+    /// A source that panics on its `k`-th read and otherwise reads
     /// `inner`.
     struct PanicsAt<'a> {
         inner: &'a OracleSyndrome,
@@ -798,10 +809,10 @@ mod tests {
     }
 
     impl mmdiag_syndrome::SyndromeSource for PanicsAt<'_> {
-        fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> mmdiag_syndrome::TestResult {
+        fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> mmdiag_syndrome::TestResult {
             self.read.set(self.read.get() + 1);
             assert!(self.read.get() != self.k, "planted panic");
-            self.inner.lookup(u, v, w)
+            self.inner.read(u, v, w)
         }
     }
 

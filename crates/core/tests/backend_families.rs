@@ -117,19 +117,22 @@ fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
     }
 }
 
-/// A syndrome that panics once a lookup threshold is crossed — the shape
-/// of a poisoned data source mid-diagnosis.
+/// A syndrome that panics on the first read once its count has crossed a
+/// threshold — the shape of a poisoned data source mid-diagnosis.
 struct PanickySyndrome {
     inner: OracleSyndrome,
     fuse: u64,
 }
 
 impl SyndromeSource for PanickySyndrome {
-    fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
+    fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
         if self.inner.lookups() >= self.fuse {
             panic!("syndrome source poisoned after {} lookups", self.fuse);
         }
-        self.inner.lookup(u, v, w)
+        self.inner.read(u, v, w)
+    }
+    fn count(&self, n: u64) {
+        self.inner.count(n)
     }
     fn lookups(&self) -> u64 {
         self.inner.lookups()

@@ -110,7 +110,7 @@ fn probe_trees_identical_across_all_three_computations() {
     // part.
     struct AllAgree;
     impl SyndromeSource for AllAgree {
-        fn lookup(&self, _u: NodeId, _v: NodeId, _w: NodeId) -> TestResult {
+        fn read(&self, _u: NodeId, _v: NodeId, _w: NodeId) -> TestResult {
             TestResult::Agree
         }
     }

@@ -68,7 +68,7 @@ mod tests {
     ) -> SetBuilderOutcome {
         struct FnSource<F>(F);
         impl<F: Fn(NodeId, NodeId, NodeId) -> TestResult> SyndromeSource for FnSource<F> {
-            fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
+            fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
                 (self.0)(u, v, w)
             }
         }

@@ -467,7 +467,7 @@ struct Graded<'a> {
 }
 
 impl SyndromeSource for Graded<'_> {
-    fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
+    fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
         if self.timeline.is_static() {
             return self.timeline.result(0, u, v, w);
         }

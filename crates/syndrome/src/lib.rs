@@ -8,8 +8,9 @@
 //!   pre-filter);
 //! * [`model`] — MM-model test semantics ([`model::ground_truth`]) and the
 //!   adversarial faulty-tester conventions ([`model::TesterBehavior`]);
-//! * [`source::SyndromeSource`] — how algorithms read syndromes, with
-//!   lookup accounting ([`source::Counting`]);
+//! * [`source::SyndromeSource`] — how algorithms read syndromes: a source
+//!   reads entries (one at a time, or a tester's row as a mask) and the
+//!   reader counts them;
 //! * [`table::SyndromeTable`] — the fully materialised syndrome (what
 //!   Chiang–Tan-style algorithms consume);
 //! * [`oracle::OracleSyndrome`] — the lazy per-test oracle (what
@@ -29,6 +30,6 @@ pub mod table;
 pub use fault::{FaultSet, MemberSet};
 pub use model::{behavior_sweep, ground_truth, outcome_from_flags, TestResult, TesterBehavior};
 pub use oracle::OracleSyndrome;
-pub use source::{Counting, SyndromeSource};
+pub use source::{row_mask, SyndromeSource, ROW};
 pub use streaming::OnDemandOracle;
 pub use table::SyndromeTable;

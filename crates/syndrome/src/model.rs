@@ -14,6 +14,7 @@
 //!   generators support.
 
 use crate::fault::FaultSet;
+use crate::source::row_mask;
 use mmdiag_topology::NodeId;
 
 /// A single comparison outcome: `Agree` encodes `s_u(v,w) = 0`,
@@ -101,7 +102,8 @@ pub fn ground_truth(
 /// semantics out of [`crate::fault::FaultSet`] is what lets the streaming
 /// [`crate::streaming::OnDemandOracle`] answer from `O(|F|)` state (a
 /// sorted member list) while staying bit-identical to the bitmap-backed
-/// oracle: both funnel through this one function.
+/// oracle: both funnel through this one function, and their rows through
+/// `row_from_flags`, which applies its honest case a row at a time.
 pub fn outcome_from_flags(
     u_faulty: bool,
     v_faulty: bool,
@@ -137,6 +139,27 @@ pub fn outcome_from_flags(
             TestResult::from_bit((h & 1) as u8)
         }
     }
+}
+
+/// [`outcome_from_flags`] over tester `u`'s row `s_u(v, ws[i])`, as the
+/// disagreement mask of [`crate::SyndromeSource::read_row`], with the
+/// flags of `u` and `v` resolved once. A healthy tester's row is the
+/// mask of its faulty entries, all ones when `v` is faulty; a faulty
+/// tester's takes the kernel per entry.
+pub(crate) fn row_from_flags(
+    is_faulty: impl Fn(NodeId) -> bool,
+    u: NodeId,
+    v: NodeId,
+    ws: &[NodeId],
+    behavior: TesterBehavior,
+) -> u64 {
+    let (u_faulty, v_faulty) = (is_faulty(u), is_faulty(v));
+    if !u_faulty {
+        return row_mask(ws, |w| v_faulty || is_faulty(w));
+    }
+    row_mask(ws, |w| {
+        !outcome_from_flags(true, v_faulty, is_faulty(w), u, v, w, behavior).is_agree()
+    })
 }
 
 /// SplitMix64 finaliser — a cheap, well-distributed 64-bit mixer used to

@@ -11,12 +11,14 @@
 //! them up front.
 
 use crate::fault::FaultSet;
-use crate::model::{ground_truth, outcome_from_flags, TestResult, TesterBehavior};
+use crate::model::{ground_truth, row_from_flags, TestResult, TesterBehavior};
 use crate::source::SyndromeSource;
 use mmdiag_topology::NodeId;
 use mmdiag_trace::Counter;
 
 /// A lazy, counting syndrome source computed from a planted fault set.
+/// Its reads count nothing; the counts its readers report add up in an
+/// atomic tally, which batch jobs sharing the oracle share too.
 pub struct OracleSyndrome {
     faults: FaultSet,
     behavior: TesterBehavior,
@@ -46,28 +48,18 @@ impl OracleSyndrome {
 }
 
 impl SyndromeSource for OracleSyndrome {
-    fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
-        self.lookups.inc();
+    fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
         ground_truth(&self.faults, u, v, w, self.behavior)
     }
 
-    /// One counter update and two bitmap reads for the whole row, then
-    /// one read per entry.
-    fn lookup_row(&self, u: NodeId, v: NodeId, ws: &[NodeId], out: &mut Vec<TestResult>) {
-        self.lookups.add(ws.len() as u64);
-        let (u_faulty, v_faulty) = (self.faults.contains(u), self.faults.contains(v));
-        out.clear();
-        out.extend(ws.iter().map(|&w| {
-            outcome_from_flags(
-                u_faulty,
-                v_faulty,
-                self.faults.contains(w),
-                u,
-                v,
-                w,
-                self.behavior,
-            )
-        }));
+    /// Two bitmap reads for the whole row, then one per entry
+    /// (`model::row_from_flags`).
+    fn read_row(&self, u: NodeId, v: NodeId, ws: &[NodeId]) -> u64 {
+        row_from_flags(|x| self.faults.contains(x), u, v, ws, self.behavior)
+    }
+
+    fn count(&self, n: u64) {
+        self.lookups.add(n);
     }
 
     fn lookups(&self) -> u64 {

@@ -16,7 +16,7 @@
 //! [`SyndromeSource`].
 
 use crate::fault::{FaultSet, MemberSet};
-use crate::model::{outcome_from_flags, TestResult, TesterBehavior};
+use crate::model::{outcome_from_flags, row_from_flags, TestResult, TesterBehavior};
 use crate::source::SyndromeSource;
 use mmdiag_topology::NodeId;
 use mmdiag_trace::Counter;
@@ -24,16 +24,18 @@ use mmdiag_trace::Counter;
 /// A lazy, counting syndrome source holding `O(|F|)` state: the fault
 /// members as a [`MemberSet`] plus the faulty-tester behaviour.
 ///
-/// One instance serves an entire diagnosis, or several at once: `lookup`
-/// takes `&self` and the counter is atomic, so the jobs of a pooled batch
-/// that share one oracle query it from their workers without any per-run
-/// setup or teardown. The growth attributes lookups to rounds by
-/// differencing [`SyndromeSource::lookups`] before and after each round —
-/// exact while one run reads the oracle at a time; batch jobs sharing it
-/// count each other's reads.
+/// One instance serves an entire diagnosis, or several at once: reads
+/// take `&self` and the tally behind [`SyndromeSource::count`] is atomic,
+/// so the jobs of a pooled batch that share one oracle query it from their
+/// workers without any per-run setup or teardown. Reads count nothing: each
+/// reader counts its own, the growth once per layer, and attributes lookups
+/// to rounds by differencing [`SyndromeSource::lookups`] before and after
+/// each round — exact while one run reads the oracle at a time; batch jobs
+/// sharing it count each other's reads.
 pub struct OnDemandOracle {
-    /// Three membership probes per lookup, ~Δ·N lookups per large-instance
-    /// grow: the set's pre-filter answers the common healthy case.
+    /// Three membership probes per `read` (a row takes two, plus one per
+    /// entry), ~Δ·N reads per large-instance grow: the set's pre-filter
+    /// answers the common healthy case.
     members: MemberSet,
     universe: usize,
     behavior: TesterBehavior,
@@ -96,8 +98,7 @@ impl OnDemandOracle {
 }
 
 impl SyndromeSource for OnDemandOracle {
-    fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
-        self.lookups.inc();
+    fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
         outcome_from_flags(
             self.is_faulty(u),
             self.is_faulty(v),
@@ -109,23 +110,14 @@ impl SyndromeSource for OnDemandOracle {
         )
     }
 
-    /// One counter update and two membership probes for the whole row,
-    /// then one probe per entry.
-    fn lookup_row(&self, u: NodeId, v: NodeId, ws: &[NodeId], out: &mut Vec<TestResult>) {
-        self.lookups.add(ws.len() as u64);
-        let (u_faulty, v_faulty) = (self.is_faulty(u), self.is_faulty(v));
-        out.clear();
-        out.extend(ws.iter().map(|&w| {
-            outcome_from_flags(
-                u_faulty,
-                v_faulty,
-                self.is_faulty(w),
-                u,
-                v,
-                w,
-                self.behavior,
-            )
-        }));
+    /// Two membership probes for the whole row, then one per entry
+    /// (`model::row_from_flags`).
+    fn read_row(&self, u: NodeId, v: NodeId, ws: &[NodeId]) -> u64 {
+        row_from_flags(|x| self.is_faulty(x), u, v, ws, self.behavior)
+    }
+
+    fn count(&self, n: u64) {
+        self.lookups.add(n);
     }
 
     fn lookups(&self) -> u64 {

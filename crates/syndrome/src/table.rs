@@ -17,7 +17,9 @@ use crate::source::SyndromeSource;
 use mmdiag_topology::{NodeId, Topology};
 use std::cell::Cell;
 
-/// A complete syndrome table with per-lookup counting.
+/// A complete syndrome table. Its reads count nothing; the counts its
+/// readers report add up in a plain `Cell` tally, so one table serves one
+/// thread.
 pub struct SyndromeTable {
     /// Sorted neighbour list per node (CSR).
     nbr_offsets: Vec<usize>,
@@ -35,7 +37,7 @@ struct GroundTruthSource<'a> {
 }
 
 impl SyndromeSource for GroundTruthSource<'_> {
-    fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
+    fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
         ground_truth(self.faults, u, v, w, self.behavior)
     }
 }
@@ -141,8 +143,7 @@ impl SyndromeTable {
 }
 
 impl SyndromeSource for SyndromeTable {
-    fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
-        self.lookups.set(self.lookups.get() + 1);
+    fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
         let d = self.nbr_offsets[u + 1] - self.nbr_offsets[u];
         let mut i = self.nbr_index(u, v);
         let mut j = self.nbr_index(u, w);
@@ -156,6 +157,10 @@ impl SyndromeSource for SyndromeTable {
         } else {
             TestResult::Agree
         }
+    }
+
+    fn count(&self, n: u64) {
+        self.lookups.set(self.lookups.get() + n);
     }
 
     fn lookups(&self) -> u64 {

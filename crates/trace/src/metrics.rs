@@ -14,8 +14,8 @@ use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing atomic counter, alone on its own cache
 /// lines (128 bytes: a line and the neighbour the prefetcher pairs with
-/// it). Batch jobs run side by side on different workers, each bumping
-/// the counter of its own syndrome source on every lookup; unpadded, the
+/// it). Batch jobs run side by side on different workers, each adding
+/// what it read to the counter of its own syndrome source; unpadded, the
 /// counters of adjacent sources share lines and every bump invalidates
 /// the line its neighbour's job is reading.
 #[derive(Debug, Default)]

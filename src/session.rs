@@ -849,7 +849,7 @@ mod tests {
         assert!(!short.agreed_or_unverified(), "{short:?}");
     }
 
-    /// A source that panics on its `at`-th lookup and otherwise reads
+    /// A source that panics on its `at`-th read and otherwise reads
     /// `inner`.
     struct PanicsAt<'a> {
         inner: &'a OracleSyndrome,
@@ -868,10 +868,10 @@ mod tests {
     }
 
     impl SyndromeSource for PanicsAt<'_> {
-        fn lookup(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
+        fn read(&self, u: NodeId, v: NodeId, w: NodeId) -> TestResult {
             let k = self.read.fetch_add(1, Ordering::Relaxed) + 1;
-            assert!(k != self.at, "planted panic at lookup {k}");
-            self.inner.lookup(u, v, w)
+            assert!(k != self.at, "planted panic at read {k}");
+            self.inner.read(u, v, w)
         }
     }
 
