@@ -50,7 +50,7 @@
 #![warn(missing_docs)]
 
 use mmdiag::{BatchJob, Diagnoser, VerificationVerdict};
-use mmdiag_core::{Cutovers, PhaseTelemetry};
+use mmdiag_core::{PhaseTelemetry, SEQUENTIAL_CUTOVER_NODES};
 use mmdiag_distsim::{plan, FaultTimeline, LatencyModel};
 use mmdiag_syndrome::{FaultSet, OnDemandOracle, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag_topology::families::{
@@ -71,6 +71,9 @@ pub use throughput::{overhead_guard, run_throughput, OverheadGuard, ThroughputRe
 
 /// Timed reps of each cell's driver leg; the record keeps the fastest.
 pub const TIMING_REPS: usize = 3;
+
+/// Samples per part for the sampled spot-checker leg.
+pub const SAMPLES_PER_PART: usize = 2;
 
 /// A named benchmark instance. The topology is a trait object — every
 /// consumer is already generic over `Partitionable + ?Sized`, so CSR
@@ -579,7 +582,7 @@ pub fn run_cell_opts(
     // schema's `"baseline"` keeps its meaning.
     let (verification, baseline) = if inst.driver_only {
         let verdict = Diagnoser::new(g)
-            .verify_sampled(samples_per_part(), 0x5A3D ^ faults.len() as u64)
+            .verify_sampled(SAMPLES_PER_PART, 0x5A3D ^ faults.len() as u64)
             .verify_claim(&s, &drv.faults, drv.certified_part);
         assert_sampled_agrees(&verdict, &g.name());
         (verdict, None)
@@ -635,12 +638,6 @@ pub fn run_cell_opts(
     }
 }
 
-/// Samples per part for the spot-checker leg (`MMDIAG_SAMPLES`, default 2
-/// — parsed once through [`mmdiag_exec::knobs`]).
-fn samples_per_part() -> usize {
-    mmdiag_exec::knobs().samples_per_part.unwrap_or(2)
-}
-
 /// Panic unless `verdict` is a sampled verdict that agrees — at these
 /// sizes a disagreement means a genuine bug, not noise.
 fn assert_sampled_agrees(verdict: &VerificationVerdict, instance: &str) {
@@ -663,23 +660,16 @@ fn assert_sampled_agrees(verdict: &VerificationVerdict, instance: &str) {
 /// spot-checker. Syndromes stream from the `O(|F|)`-state
 /// [`OnDemandOracle`].
 ///
-/// Timing follows the workspace's min-over-reps protocol where it is
-/// affordable: cells up to `2^24` nodes run [`TIMING_REPS`] reps and
-/// record the fastest, phases included (diagnosis determinism makes every
-/// rep's *output* identical, so only the clock varies); larger cells run
-/// once — a Q_27 rep is minutes, and scheduler noise is amortised at that
-/// length anyway.
+/// Timing follows the workspace's min-over-reps protocol at every scale:
+/// each cell runs [`TIMING_REPS`] reps and records the fastest, phases
+/// included, beside the median and slowest rep (diagnosis determinism
+/// makes every rep's *output* identical, so only the clock varies).
 pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehavior) -> RunRecord {
     assert!(inst.scale, "run_scale_cell is the --xlarge protocol");
     let g = inst.graph.as_ref();
     let s = OnDemandOracle::new(g.node_count(), members, behavior);
     let session = Diagnoser::new(g);
-    let reps = if g.node_count() <= 1 << 24 {
-        TIMING_REPS
-    } else {
-        1
-    };
-    let (spread, report) = fastest_of(reps, || {
+    let (spread, report) = fastest_of(TIMING_REPS, || {
         session
             .run(&s)
             .unwrap_or_else(|e| panic!("{}: driver failed: {e}", g.name()))
@@ -693,7 +683,7 @@ pub fn run_scale_cell(inst: &Instance, members: &[NodeId], behavior: TesterBehav
     );
 
     let verification = Diagnoser::new(g)
-        .verify_sampled(samples_per_part(), 0x51AE ^ members.len() as u64)
+        .verify_sampled(SAMPLES_PER_PART, 0x51AE ^ members.len() as u64)
         .verify_claim(&s, &drv.faults, drv.certified_part);
     assert_sampled_agrees(&verification, &g.name());
 
@@ -1153,7 +1143,13 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Schema version stamped into every trajectory document [`to_json`]
-/// writes. v9 adds `"repair_ns"` to the online axis' `"scale"` cell: each
+/// writes. v10 cuts the `"knobs"` object to the two variables the
+/// workspace still reads, `"MMDIAG_POOL_THREADS"` and `"MMDIAG_QUICK"`,
+/// and adds three keys to each `"online"` family record:
+/// `"repair_epochs"` (the sparse epochs that were not quiescent),
+/// `"repair_incremental_lookups"` and `"repair_scratch_lookups"` (the
+/// monitor's and from-scratch lookups summed over them); every
+/// `--xxlarge` record now carries [`TIMING_REPS`] reps. v9 adds `"repair_ns"` to the online axis' `"scale"` cell: each
 /// epoch's re-witness-and-repair time beside its `"monitor_ns"`, 0 on an
 /// epoch whose growth walked. v8 adds the rep spread to every record's
 /// `"driver"` object: `"nanos_median"` and `"nanos_max"` beside the
@@ -1179,7 +1175,7 @@ fn json_escape(s: &str) -> String {
 /// is v2 without the strided-lane `"parallel"` record legs and the
 /// top-level `"thread_sweep"` list; v2 added the per-record `"phases"`
 /// and `"verification"` objects to v1.
-pub const SCHEMA_VERSION: &str = "mmdiag-bench/v9";
+pub const SCHEMA_VERSION: &str = "mmdiag-bench/v10";
 
 /// Render records as the `BENCH_<pr>.json` trajectory document
 /// ([`SCHEMA_VERSION`]). Every record carries a `"phases"` object (the
@@ -1205,7 +1201,7 @@ pub fn to_json(
         "  \"exec\": {{\"pool_threads\": {}, \"sequential_cutover_nodes\": {}, \
          \"timing_reps\": {}}},\n",
         mmdiag_exec::global().threads(),
-        Cutovers::default().sequential,
+        SEQUENTIAL_CUTOVER_NODES,
         TIMING_REPS,
     ));
     out.push_str(&provenance_json());
@@ -1439,7 +1435,9 @@ pub fn to_json(
                         "      {{\"family\": \"{}\", \"instance\": \"{}\", \"node_count\": {}, ",
                         "\"parts\": {}, \"epochs\": {}, \"escalated\": {}, \"quiescent\": {}, ",
                         "\"sparse_epochs\": {}, \"sparse_incremental_lookups\": {}, ",
-                        "\"sparse_scratch_lookups\": {}, \"total_incremental_lookups\": {}, ",
+                        "\"sparse_scratch_lookups\": {}, \"repair_epochs\": {}, ",
+                        "\"repair_incremental_lookups\": {}, \"repair_scratch_lookups\": {}, ",
+                        "\"total_incremental_lookups\": {}, ",
                         "\"total_scratch_lookups\": {}, \"amortized_incremental\": {:.3}, ",
                         "\"amortized_scratch\": {:.3}, \"sparse_cheaper\": {}, ",
                         "\"detection_latency_ns\": {}, \"verified\": {}, ",
@@ -1455,6 +1453,9 @@ pub fn to_json(
                     f.sparse_epochs,
                     f.sparse_incremental_lookups,
                     f.sparse_scratch_lookups,
+                    f.repair_epochs,
+                    f.repair_incremental_lookups,
+                    f.repair_scratch_lookups,
                     f.total_incremental_lookups,
                     f.total_scratch_lookups,
                     f.amortized_incremental,
@@ -1526,24 +1527,16 @@ fn provenance_json() -> String {
     )
 }
 
-/// `knobs` as a JSON object keyed by `MMDIAG_*` variable: a number where
-/// a value is set, `null` where it is unset or unparsable, and `true` or
-/// `false` for the two switches, which parse unset as `false`.
+/// `knobs` as a JSON object keyed by `MMDIAG_*` variable: the pool width
+/// as a number, `null` where it is unset or unparsable, and the quick
+/// switch as `true` or `false` (unset parses as `false`).
 fn knobs_json(knobs: &mmdiag_exec::Knobs) -> String {
-    fn or_null(v: Option<impl ToString>) -> String {
-        v.map_or_else(|| "null".to_string(), |v| v.to_string())
-    }
     format!(
-        "{{\"MMDIAG_POOL_THREADS\": {}, \"MMDIAG_CUTOVER\": {}, \"MMDIAG_QUICK\": {}, \
-         \"MMDIAG_SAMPLES\": {}, \"MMDIAG_TRACE\": {}, \"MMDIAG_STATS\": {}, \
-         \"MMDIAG_EPOCHS\": {}}}",
-        or_null(knobs.pool_threads),
-        or_null(knobs.cutover),
+        "{{\"MMDIAG_POOL_THREADS\": {}, \"MMDIAG_QUICK\": {}}}",
+        knobs
+            .pool_threads
+            .map_or_else(|| "null".to_string(), |n| n.to_string()),
         knobs.quick,
-        or_null(knobs.samples_per_part),
-        knobs.trace,
-        or_null(knobs.stats),
-        or_null(knobs.epochs),
     )
 }
 
@@ -1698,7 +1691,7 @@ mod tests {
         assert!(agree && certificate_ok);
         assert_eq!(disagreements, 0);
         assert!(samples > 0 && checked_tests > 0);
-        // Up to 2^24 nodes a scale cell times TIMING_REPS reps.
+        // A scale cell times TIMING_REPS reps.
         assert_eq!(rec.reps, TIMING_REPS);
         let json = to_json("BENCH_TEST", &[rec], &[], &[], None, None);
         assert!(json.contains("\"verification\": {\"method\": \"sampled\", \"samples\": "));
@@ -1952,7 +1945,7 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for needle in [
-            "\"schema\": \"mmdiag-bench/v9\"",
+            "\"schema\": \"mmdiag-bench/v10\"",
             "\"bench_id\": \"BENCH_TEST\"",
             "\"phases\": {\"probe_nanos\": ",
             "\"verification\": {\"method\": \"full_baseline\"",
@@ -2040,25 +2033,30 @@ mod tests {
         assert!(json.contains(&driver), "no {driver} in {json}");
     }
 
-    /// Every `MMDIAG_*` knob is a key of the `"knobs"` object, rendered as
-    /// `Knobs::parse` read it: `null` where unset or unparsable.
+    /// Both live `MMDIAG_*` knobs are keys of the `"knobs"` object,
+    /// rendered as `Knobs::parse` read them: `null` where unset or
+    /// unparsable. The retired arguments leave no trace.
     #[test]
     fn bench_files_record_every_knob() {
         let knobs = mmdiag_exec::Knobs::parse(
             Some("3"),
-            None,
+            Some("2048"),
             Some("1"),
-            Some("junk"),
-            None,
+            Some("5"),
+            Some("1"),
             None,
             Some("250"),
             Some("8"),
         );
         assert_eq!(
             knobs_json(&knobs),
-            "{\"MMDIAG_POOL_THREADS\": 3, \"MMDIAG_CUTOVER\": null, \"MMDIAG_QUICK\": true, \
-             \"MMDIAG_SAMPLES\": null, \"MMDIAG_TRACE\": false, \"MMDIAG_STATS\": 250, \
-             \"MMDIAG_EPOCHS\": 8}"
+            "{\"MMDIAG_POOL_THREADS\": 3, \"MMDIAG_QUICK\": true}"
+        );
+        let unset =
+            mmdiag_exec::Knobs::parse(Some("junk"), None, None, None, None, None, None, None);
+        assert_eq!(
+            knobs_json(&unset),
+            "{\"MMDIAG_POOL_THREADS\": null, \"MMDIAG_QUICK\": false}"
         );
         // Every file carries the process's knobs as parsed.
         let json = to_json("BENCH_TEST", &[], &[], &[], None, None);

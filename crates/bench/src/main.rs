@@ -41,15 +41,16 @@
 //!             contention rollups and the instrumentation-overhead
 //!             verdict under the additive top-level "throughput" key,
 //!             and streams periodic MetricsHub deltas to
-//!             <out-stem>-stats.jsonl (interval MMDIAG_STATS ms,
-//!             default 200)
+//!             <out-stem>-stats.jsonl (one line every 200 ms, and a
+//!             final one on stop)
 //!   --online  run the epoch-loop monitor axis after the sweep: one
 //!             long-lived MonitorSession per small-catalog family
-//!             replaying a seeded Poisson fault timeline (MMDIAG_EPOCHS
-//!             epochs, default 24 or 8 with --quick). Every epoch's
-//!             incremental labelling is checked bit-for-bit against a
-//!             from-scratch diagnose; reports detection latency and
-//!             amortised lookups/epoch vs from-scratch under the
+//!             replaying a seeded Poisson fault timeline (24 epochs, 8
+//!             with --quick). Every epoch's incremental labelling is
+//!             checked bit-for-bit against a from-scratch diagnose;
+//!             reports detection latency and amortised lookups/epoch vs
+//!             from-scratch (and the same sums over the non-quiescent
+//!             sparse epochs, where the growth is repaired) under the
 //!             additive top-level "online" key. One more cell runs an
 //!             implicit Q_20 over streaming syndromes and records both
 //!             wall times of every epoch (monitor and from-scratch)
@@ -59,10 +60,11 @@
 //!   --out     output path (default BENCH_9.json in the working directory)
 //! ```
 //!
-//! The batched submissions resolve against the default session cutover
-//! (`mmdiag_core::Cutovers::default()`: the compiled-in value unless
-//! `MMDIAG_CUTOVER` pins it); no file in the working directory changes
-//! what a run measures.
+//! The batched submissions resolve against the constant
+//! `mmdiag_core::SEQUENTIAL_CUTOVER_NODES`; no environment variable and no
+//! file in the working directory changes what a run measures.
+//! `MMDIAG_QUICK` only picks the catalogue, as `--quick` does, and
+//! `MMDIAG_POOL_THREADS` sizes the global pool.
 #![forbid(unsafe_code)]
 
 use mmdiag_bench::{
@@ -73,6 +75,10 @@ use mmdiag_core::VerificationVerdict;
 
 /// The trajectory id this binary emits (`BENCH_<pr>`).
 const BENCH_ID: &str = "BENCH_9";
+
+/// How often the `--throughput` stats stream samples the hub, in
+/// milliseconds.
+const STATS_INTERVAL_MS: u64 = 200;
 
 fn main() {
     // `--quick` and MMDIAG_QUICK=1 are the same knob (parsed once for the
@@ -225,17 +231,16 @@ fn main() {
     let throughput = if throughput_axis {
         let stem = out_path.strip_suffix(".json").unwrap_or(&out_path);
         let stats_path = format!("{stem}-stats.jsonl");
-        let interval_ms = mmdiag_exec::knobs().stats.unwrap_or(200);
         let file = std::fs::File::create(&stats_path)
             .unwrap_or_else(|e| die(&format!("cannot create {stats_path}: {e}")));
         let reporter = mmdiag_exec::start_stats_reporter(
             mmdiag_trace::MetricsHub::global(),
-            std::time::Duration::from_millis(interval_ms),
+            std::time::Duration::from_millis(STATS_INTERVAL_MS),
             file,
         )
         .unwrap_or_else(|e| die(&format!("cannot start stats reporter: {e}")));
         eprintln!(
-            "running --throughput fleet axis ({} concurrent sessions, stats every {interval_ms} ms -> {stats_path})…",
+            "running --throughput fleet axis ({} concurrent sessions, stats every {STATS_INTERVAL_MS} ms -> {stats_path})…",
             if quick { 4 } else { 8 },
         );
         let rec = run_throughput(quick);
@@ -275,9 +280,7 @@ fn main() {
     // long-lived MonitorSession per family, checking every epoch
     // bit-for-bit against a from-scratch diagnosis.
     let online = if online_axis {
-        let epochs = mmdiag_exec::config::knobs()
-            .epochs
-            .unwrap_or(if quick { 8 } else { 24 });
+        let epochs = mmdiag_bench::online::epochs(quick);
         eprintln!(
             "running --online monitor axis ({epochs} epochs per family, incremental vs from-scratch)…"
         );
@@ -285,13 +288,17 @@ fn main() {
         for f in &rec.families {
             eprintln!(
                 "{:<22} {:>3} epochs  {:>2} escalated  {:>2} quiescent  \
-                 sparse {:>8.1} vs {:>8.1} lookups/epoch  {}",
+                 sparse {:>8.1} vs {:>8.1} lookups/epoch  \
+                 repair {:>2} epochs {:>8} vs {:>8} lookups  {}",
                 f.instance,
                 f.epochs,
                 f.escalated,
                 f.quiescent,
                 f.amortized_incremental,
                 f.amortized_scratch,
+                f.repair_epochs,
+                f.repair_incremental_lookups,
+                f.repair_scratch_lookups,
                 if f.disagreements == 0 && f.sparse_cheaper {
                     "ok"
                 } else {

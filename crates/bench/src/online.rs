@@ -15,8 +15,15 @@
 //!   spot-checker re-verifies the labelling independently.
 //! * **amortised cost** — over the *sparse* epochs (delta touching ≤ 1
 //!   part, not escalated), the monitor's lookups per epoch against the
-//!   from-scratch lookups on the same syndromes. The monitor's whole
-//!   claim is that this ratio is below one on every family.
+//!   from-scratch lookups on the same syndromes. This is the *service*
+//!   ratio, and the axis requires it below one on every family. It counts
+//!   the quiescent epochs, which reuse the last labelling and read
+//!   nothing, so it measures the monitor as a service, not its growth
+//!   repair. Beside it the record keeps the *repair* sums: the same two
+//!   lookup totals over the sparse epochs that were not quiescent, where
+//!   the monitor re-probed and repaired its last growth. A repaired
+//!   epoch never reads more than from scratch, and it re-reads the last
+//!   tree one entry per node, so its ratio sits a little below one.
 //! * **detection latency** — wall time (the epoch's phase spans) of the
 //!   epochs whose labelling gained at least one new fault: how long the
 //!   service takes to *notice* an onset, as a latency histogram.
@@ -30,8 +37,7 @@
 //! wall times of every epoch, the monitor's and the from-scratch run's,
 //! and counts any epoch whose labelling differs as a disagreement.
 //!
-//! Epoch count: `MMDIAG_EPOCHS` (through the exec config door), else 8
-//! under `--quick`, else 24.
+//! Epoch count: [`epochs`], 8 under `--quick`, else 24.
 
 use crate::fault_sizes;
 use mmdiag::diagnosis::{diagnose, Diagnosis, PhaseTelemetry};
@@ -68,6 +74,13 @@ pub struct OnlineFamilyRecord {
     pub sparse_incremental_lookups: u64,
     /// From-scratch lookups on the same syndromes, same epochs.
     pub sparse_scratch_lookups: u64,
+    /// Sparse epochs that were not quiescent: the ones the monitor
+    /// re-diagnosed, repairing its last growth.
+    pub repair_epochs: usize,
+    /// Monitor lookups summed over the repair epochs.
+    pub repair_incremental_lookups: u64,
+    /// From-scratch lookups on the same syndromes, same epochs.
+    pub repair_scratch_lookups: u64,
     /// Monitor lookups summed over *all* epochs (escalations at full
     /// cost included — the honest total).
     pub total_incremental_lookups: u64,
@@ -78,7 +91,8 @@ pub struct OnlineFamilyRecord {
     /// `sparse_scratch_lookups / sparse_epochs`.
     pub amortized_scratch: f64,
     /// Amortised sparse-epoch cost strictly below from-scratch — the
-    /// axis's acceptance bar, per family.
+    /// axis's acceptance bar, per family (the service ratio, quiescent
+    /// epochs included).
     pub sparse_cheaper: bool,
     /// Wall time of the epochs that detected a new fault onset.
     pub detection_latency_ns: HistogramSummary,
@@ -169,13 +183,21 @@ fn bit_identical(got: &Diagnosis, want: &Diagnosis) -> bool {
         && got.tree.edges() == want.tree.edges()
 }
 
+/// Epochs replayed per family and in the scale cell: 8 under `--quick`,
+/// else 24.
+pub fn epochs(quick: bool) -> usize {
+    if quick {
+        8
+    } else {
+        24
+    }
+}
+
 /// Run the online axis over the small catalog (all fourteen families).
 /// `quick` shrinks the epoch budget, not the family coverage — the
 /// per-family savings bar is the point of the axis.
 pub fn run_online(quick: bool) -> OnlineRecord {
-    let epochs = mmdiag_exec::config::knobs()
-        .epochs
-        .unwrap_or(if quick { 8 } else { 24 });
+    let epochs = epochs(quick);
     let mut families = Vec::new();
     for (fi, inst) in crate::small_catalog().iter().enumerate() {
         let g: &(dyn Partitionable + Sync) = inst.graph.as_ref();
@@ -210,6 +232,9 @@ pub fn run_online(quick: bool) -> OnlineRecord {
             sparse_epochs: 0,
             sparse_incremental_lookups: 0,
             sparse_scratch_lookups: 0,
+            repair_epochs: 0,
+            repair_incremental_lookups: 0,
+            repair_scratch_lookups: 0,
             total_incremental_lookups: 0,
             total_scratch_lookups: 0,
             amortized_incremental: 0.0,
@@ -255,6 +280,11 @@ pub fn run_online(quick: bool) -> OnlineRecord {
                 rec.sparse_epochs += 1;
                 rec.sparse_incremental_lookups += report.lookups;
                 rec.sparse_scratch_lookups += want.lookups_used;
+                if !report.quiescent {
+                    rec.repair_epochs += 1;
+                    rec.repair_incremental_lookups += report.lookups;
+                    rec.repair_scratch_lookups += want.lookups_used;
+                }
             }
             if report
                 .diagnosis
@@ -308,10 +338,7 @@ const SCALE_RATE: f64 = 2.5;
 /// `Hypercube::new_certified(20)` for the axis' epoch budget, timed
 /// against from-scratch epoch by epoch.
 pub fn run_online_scale(quick: bool) -> OnlineScaleRecord {
-    let epochs = mmdiag_exec::config::knobs()
-        .epochs
-        .unwrap_or(if quick { 8 } else { 24 });
-    online_scale_cell(Hypercube::new_certified(20), epochs)
+    online_scale_cell(Hypercube::new_certified(20), epochs(quick))
 }
 
 /// One implicit monitor over `g` replaying `epochs` epochs of a seeded
@@ -445,6 +472,22 @@ mod tests {
                 f.family
             );
             assert!(f.sparse_epochs > 0, "{}: no sparse epoch seen", f.family);
+            // The savings bar above counts quiescent epochs at 0 lookups;
+            // every family also re-diagnoses at least one sparse epoch,
+            // and over those its repaired growth reads no more than from
+            // scratch.
+            assert!(
+                f.repair_epochs > 0,
+                "{}: every sparse epoch quiescent",
+                f.family
+            );
+            assert!(
+                f.repair_incremental_lookups <= f.repair_scratch_lookups,
+                "{}: repair epochs read {} against {} from scratch",
+                f.family,
+                f.repair_incremental_lookups,
+                f.repair_scratch_lookups
+            );
             assert!(
                 f.total_incremental_lookups <= f.total_scratch_lookups,
                 "{}: honest totals still at or below from-scratch",

@@ -9,11 +9,10 @@
 //! The pieces:
 //!
 //! * [`BackendPolicy`] — sequential, a given [`mmdiag_exec::Pool`], or
-//!   size-directed auto, deciding whether a batch fans out;
-//! * [`Cutovers`] — the node count the auto rule resolves against. It
-//!   rides on each run's [`SessionOptions`](crate::SessionOptions), so two
-//!   sessions in one process can hold different cutovers and no batch
-//!   reads a mutable process global;
+//!   size-directed auto, deciding whether a batch fans out. The auto rule
+//!   compares the instance's node count with the constant
+//!   [`SEQUENTIAL_CUTOVER_NODES`]: nothing at run time, in the process or
+//!   its environment, moves it;
 //! * [`WorkspacePool`] — `O(N)` scratch pooled **per worker**, so batched
 //!   submissions reuse one allocation per worker instead of one per call,
 //!   plus one caller slot that single runs reuse.
@@ -30,36 +29,15 @@ use crate::set_builder::Workspace;
 use mmdiag_exec::sync::{Arc, Mutex};
 use mmdiag_exec::{Pool, SyncStats};
 
-/// Default node count below which a [`BackendPolicy::Auto`] batch runs in
-/// order on the calling thread.
+/// Node count below which a [`BackendPolicy::Auto`] batch runs in order
+/// on the calling thread; at or above it, it fans out over the
+/// process-wide pool.
 ///
 /// It gates only the fan-out of batched submissions; a single run never
 /// touches a pool. Below ~1k nodes a whole diagnosis is tens of
 /// microseconds — under the pool's dispatch overhead
 /// (`BENCH_1.json`/`BENCH_2.json`).
 pub const SEQUENTIAL_CUTOVER_NODES: usize = 1024;
-
-/// The node-count threshold a batch resolves its fan-out against. A plain
-/// value carried by [`SessionOptions`](crate::SessionOptions) — set it per
-/// run instead of mutating anything process-wide.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Cutovers {
-    /// Below this many nodes a [`BackendPolicy::Auto`] batch runs in
-    /// order; at or above it, it fans out over the process-wide pool.
-    pub sequential: usize,
-}
-
-impl Default for Cutovers {
-    /// The compiled default ([`SEQUENTIAL_CUTOVER_NODES`]), unless an
-    /// operator pinned it with `MMDIAG_CUTOVER` (parsed once per process
-    /// through [`mmdiag_exec::knobs`]).
-    fn default() -> Self {
-        let knobs = mmdiag_exec::knobs();
-        Cutovers {
-            sequential: knobs.cutover.unwrap_or(SEQUENTIAL_CUTOVER_NODES),
-        }
-    }
-}
 
 /// How a batch executes. Single runs take no policy: each one runs on
 /// the calling thread.
@@ -69,33 +47,38 @@ pub enum BackendPolicy<'p> {
     Sequential,
     /// Batch jobs fan out over the given pool, one whole run per job.
     Pooled(&'p Pool),
-    /// Sequential below [`Cutovers::sequential`], else pooled on the
+    /// Sequential below [`SEQUENTIAL_CUTOVER_NODES`], else pooled on the
     /// process-wide [`mmdiag_exec::global`] pool.
     Auto,
 }
 
 impl<'p> BackendPolicy<'p> {
-    /// The pool a batch on an instance of `nodes` nodes fans out over, or
-    /// `None` for jobs in order on the calling thread. Only a pooled
-    /// resolution touches (and so spawns) the global pool.
-    pub fn resolve(&self, nodes: usize, cutovers: &Cutovers) -> Option<&'p Pool> {
+    /// Whether a batch on an instance of `nodes` nodes fans out: the one
+    /// statement of the auto rule. Never spawns a pool.
+    fn fans_out(&self, nodes: usize) -> bool {
         match *self {
-            BackendPolicy::Sequential => None,
-            BackendPolicy::Pooled(pool) => Some(pool),
-            BackendPolicy::Auto => (nodes >= cutovers.sequential).then(mmdiag_exec::global),
+            BackendPolicy::Sequential => false,
+            BackendPolicy::Pooled(_) => true,
+            BackendPolicy::Auto => nodes >= SEQUENTIAL_CUTOVER_NODES,
         }
     }
 
-    /// The batch fan-out decision for an instance of `nodes` nodes under
-    /// the default [`Cutovers`]: `"pooled"` when a batch fans out, else
-    /// `"sequential"`. Never spawns a pool.
+    /// The pool a batch on an instance of `nodes` nodes fans out over, or
+    /// `None` for jobs in order on the calling thread. Only a pooled
+    /// resolution touches (and so spawns) the global pool.
+    pub fn resolve(&self, nodes: usize) -> Option<&'p Pool> {
+        match *self {
+            BackendPolicy::Pooled(pool) => Some(pool),
+            _ if self.fans_out(nodes) => Some(mmdiag_exec::global()),
+            _ => None,
+        }
+    }
+
+    /// The batch fan-out decision for an instance of `nodes` nodes:
+    /// `"pooled"` when a batch fans out, else `"sequential"`. Never spawns
+    /// a pool.
     pub fn label_for(&self, nodes: usize) -> &'static str {
-        let pooled = match *self {
-            BackendPolicy::Sequential => false,
-            BackendPolicy::Pooled(_) => true,
-            BackendPolicy::Auto => nodes >= Cutovers::default().sequential,
-        };
-        if pooled {
+        if self.fans_out(nodes) {
             "pooled"
         } else {
             "sequential"
@@ -135,10 +118,10 @@ impl WorkspacePool {
     /// pool's [`WorkspacePool::for_pool`], [`mmdiag_exec::default_threads`]
     /// slots (the global pool's width) where `Auto` would fan out, else
     /// the caller slot alone.
-    pub fn for_policy(nodes: usize, policy: &BackendPolicy<'_>, cutovers: &Cutovers) -> Self {
+    pub fn for_policy(nodes: usize, policy: &BackendPolicy<'_>) -> Self {
         match *policy {
             BackendPolicy::Pooled(pool) => WorkspacePool::for_pool(nodes, pool),
-            BackendPolicy::Auto if nodes >= cutovers.sequential => {
+            _ if policy.fans_out(nodes) => {
                 WorkspacePool::new(nodes, mmdiag_exec::default_threads())
             }
             _ => WorkspacePool::new(nodes, 0),
@@ -181,50 +164,36 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_the_cutover_it_is_given() {
-        let cut = Cutovers { sequential: 512 };
-        assert!(BackendPolicy::Auto.resolve(511, &cut).is_none());
-        assert!(BackendPolicy::Auto.resolve(512, &cut).is_some());
-        // Two sessions in one process can hold different cutovers.
-        let later = Cutovers { sequential: 2048 };
-        assert!(BackendPolicy::Auto.resolve(600, &cut).is_some());
-        assert!(BackendPolicy::Auto.resolve(600, &later).is_none());
+        let cut = SEQUENTIAL_CUTOVER_NODES;
+        assert!(BackendPolicy::Auto.resolve(cut - 1).is_none());
+        assert!(BackendPolicy::Auto.resolve(cut).is_some());
         let pool = Pool::new(1);
-        assert!(BackendPolicy::Sequential.resolve(1 << 20, &cut).is_none());
-        assert!(BackendPolicy::Pooled(&pool).resolve(8, &cut).is_some());
+        assert!(BackendPolicy::Sequential.resolve(1 << 20).is_none());
+        assert!(BackendPolicy::Pooled(&pool).resolve(8).is_some());
     }
 
     #[test]
     fn labels_follow_the_default_cutover() {
-        // The compiled default, unless MMDIAG_CUTOVER pins it — as
-        // `Cutovers::default` documents.
-        let knobs = mmdiag_exec::knobs();
-        let cut = Cutovers::default();
-        assert_eq!(
-            cut.sequential,
-            knobs.cutover.unwrap_or(SEQUENTIAL_CUTOVER_NODES)
-        );
+        let cut = SEQUENTIAL_CUTOVER_NODES;
         let pool = Pool::new(1);
         assert_eq!(BackendPolicy::Sequential.label_for(1 << 20), "sequential");
         assert_eq!(BackendPolicy::Pooled(&pool).label_for(8), "pooled");
-        assert_eq!(
-            BackendPolicy::Auto.label_for(cut.sequential - 1),
-            "sequential"
-        );
-        assert_eq!(BackendPolicy::Auto.label_for(cut.sequential), "pooled");
+        assert_eq!(BackendPolicy::Auto.label_for(cut - 1), "sequential");
+        assert_eq!(BackendPolicy::Auto.label_for(cut), "pooled");
     }
 
     #[test]
     fn workspace_pools_take_the_shape_of_the_batch_fan_out() {
-        let cut = Cutovers { sequential: 512 };
+        let cut = SEQUENTIAL_CUTOVER_NODES;
         let slots = |policy: BackendPolicy<'_>, nodes: usize| {
-            WorkspacePool::for_policy(nodes, &policy, &cut).slots.len()
+            WorkspacePool::for_policy(nodes, &policy).slots.len()
         };
         let pool = Pool::new(3);
         assert_eq!(slots(BackendPolicy::Sequential, 1 << 20), 1);
         assert_eq!(slots(BackendPolicy::Pooled(&pool), 8), 4);
-        assert_eq!(slots(BackendPolicy::Auto, 511), 1);
+        assert_eq!(slots(BackendPolicy::Auto, cut - 1), 1);
         assert_eq!(
-            slots(BackendPolicy::Auto, 512),
+            slots(BackendPolicy::Auto, cut),
             mmdiag_exec::default_threads() + 1
         );
     }

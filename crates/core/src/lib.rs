@@ -23,8 +23,8 @@
 //!   `mmdiag::Diagnoser` front door);
 //! * [`backend`] — execution policy, a batch setting: every run executes
 //!   on the calling thread, and batches run in order, fan out over a
-//!   worker pool, or choose by size ([`BackendPolicy`], against per-run
-//!   [`Cutovers`]).
+//!   worker pool, or choose by size ([`BackendPolicy`], against the
+//!   constant [`SEQUENTIAL_CUTOVER_NODES`]).
 //!
 //! One session run returns the full [`session::DiagnosisReport`] — the
 //! classic [`Diagnosis`] plus the certificate and per-phase telemetry:
@@ -68,7 +68,7 @@ pub mod session;
 pub mod set_builder;
 pub mod tree;
 
-pub use backend::{BackendPolicy, Cutovers, WorkspacePool, SEQUENTIAL_CUTOVER_NODES};
+pub use backend::{BackendPolicy, WorkspacePool, SEQUENTIAL_CUTOVER_NODES};
 pub use driver::{diagnose, Diagnosis, DiagnosisError};
 pub use memo::GrowthMemo;
 pub use session::{

@@ -7,8 +7,9 @@
 //!   a transient workspace (what [`crate::diagnose`] wraps). Neither takes
 //!   a policy;
 //! * [`run_batch`] — one batch of syndromes under a [`BackendPolicy`],
-//!   resolved per instance against the run's [`Cutovers`]: in order on
-//!   the calling thread, or fanned out over a pool;
+//!   resolved per instance against
+//!   [`SEQUENTIAL_CUTOVER_NODES`](crate::SEQUENTIAL_CUTOVER_NODES): in
+//!   order on the calling thread, or fanned out over a pool;
 //! * [`probe_part`] / [`grow_from_certificate`] — the two halves of a
 //!   run as separate steps, for callers that rebuild the run from its
 //!   parts (the repository benchmark times each one this way);
@@ -45,7 +46,7 @@
 //! `mmdiag_trace::TraceSummary` built from the drained trace agrees with
 //! the report exactly.
 
-use crate::backend::{BackendPolicy, Cutovers, WorkspacePool};
+use crate::backend::{BackendPolicy, WorkspacePool};
 use crate::driver::{Diagnosis, DiagnosisError};
 use crate::grow::grow_and_sweep;
 use crate::memo::GrowthMemo;
@@ -238,7 +239,7 @@ pub struct DiagnosisReport {
     pub verification: VerificationVerdict,
 }
 
-/// Per-run session knobs.
+/// Per-run session options.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct SessionOptions {
@@ -248,13 +249,10 @@ pub struct SessionOptions {
     /// Run §5's decomposition precondition check first (off for
     /// borderline instances run with an explicit bound).
     pub check_preconditions: bool,
-    /// The threshold a [`BackendPolicy::Auto`] batch resolves against —
-    /// per run, never a process global.
-    pub cutovers: Cutovers,
     /// Where phase spans are recorded. The default is the disabled
     /// tracer (a cloneable `None` handle — recording costs one `Option`
     /// check and stores nothing); the umbrella `Diagnoser` installs an
-    /// enabled one via `.trace(...)` or the `MMDIAG_TRACE` knob.
+    /// enabled one via `.trace(...)` or `.stats(...)`.
     pub tracer: Tracer,
 }
 
@@ -263,7 +261,6 @@ impl Default for SessionOptions {
         SessionOptions {
             fault_bound: None,
             check_preconditions: true,
-            cutovers: Cutovers::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -561,11 +558,11 @@ where
     let wsp = match ws_pool {
         Some(wsp) => wsp,
         None => {
-            owned = WorkspacePool::for_policy(g.node_count(), &policy, &opts.cutovers);
+            owned = WorkspacePool::for_policy(g.node_count(), &policy);
             &owned
         }
     };
-    match policy.resolve(g.node_count(), &opts.cutovers) {
+    match policy.resolve(g.node_count()) {
         Some(pool) => pool.map(syndromes, |_, s| {
             run_in_slot(g, s, bound, opts, wsp, pool.worker_index())
         }),

@@ -103,7 +103,7 @@ fn pooled_diagnosis_is_bit_identical_across_1_2_4_8_workers() {
             .map(|p| (format!("pooled x{}", p.threads()), BackendPolicy::Pooled(p)))
             .chain([("auto".to_string(), BackendPolicy::Auto)]);
         for (label, policy) in policies {
-            let fans_out = policy.resolve(n, &opts.cutovers).is_some();
+            let fans_out = policy.resolve(n).is_some();
             let backend = if fans_out { "pooled" } else { "sequential" };
             let reports = run_batch(g, &sources(), policy, &opts, None);
             assert_eq!(reports.len(), jobs.len());

@@ -27,20 +27,18 @@
 //!
 //! ## Observability
 //!
-//! An *instrumented* pool ([`Pool::new_instrumented`], or any pool when
-//! the `MMDIAG_TRACE` knob is set) counts per-worker jobs and park/unpark
-//! cycles and keeps a log-bucketed job-run-time histogram
-//! ([`Pool::stats`]); an uninstrumented pool carries no counters at all.
+//! An *instrumented* pool ([`Pool::new_instrumented`]) counts per-worker
+//! jobs and park/unpark cycles and keeps a log-bucketed job-run-time
+//! histogram ([`Pool::stats`]); a [`Pool::new`] pool is bare and carries
+//! no counters at all.
 //!
-//! A *profiled* pool ([`Pool::new_profiled`], or any pool when the
-//! `MMDIAG_TRACE` knob is set) also records the **contention** of its own
-//! synchronisation through the [`mod@sync`] facade: lock-acquire waits,
-//! condvar park durations and the queue depth in batches land in the
-//! [`SyncStats`] cells it was built with (the process-level
-//! [`sync_stats`] under the knob), which any `mmdiag-trace` registry can
-//! adopt and the [`stats`] sampler thread (driven by the `MMDIAG_STATS`
-//! knob) can stream as JSON lines. No process-wide switch exists: other
-//! pools and primitives are unaffected.
+//! A *profiled* pool ([`Pool::new_profiled`]) also records the
+//! **contention** of its own synchronisation through the [`mod@sync`]
+//! facade: lock-acquire waits, condvar park durations and the queue depth
+//! in batches land in the [`SyncStats`] cells its caller passes, which any
+//! `mmdiag-trace` registry can adopt and the [`stats`] sampler thread can
+//! stream as JSON lines. No process-wide switch exists, in the
+//! environment or elsewhere: other pools and primitives are unaffected.
 //!
 //! ## Correctness tooling
 //!
@@ -81,7 +79,7 @@ pub use config::{knobs, Knobs};
 pub use pool::{Pool, PoolStats, WorkerStats};
 #[cfg(not(feature = "model"))]
 pub use stats::{start_stats_reporter, ReporterHandle};
-pub use sync::{sync_stats, SyncStats};
+pub use sync::SyncStats;
 
 use std::sync::OnceLock;
 
@@ -259,13 +257,14 @@ mod tests {
 
     #[test]
     fn default_pool_is_bare_unless_trace_knob_set() {
+        // No knob instruments a pool: a new pool has no stats and no
+        // contention cells, whatever the environment holds.
         let pool = Pool::new(2);
-        assert_eq!(pool.stats_enabled(), knobs().trace);
-        if !knobs().trace {
-            assert!(pool.stats().is_none());
-            // The pool still works without stats, obviously.
-            assert_eq!(pool.map(&[1, 2], |_, &x| x), vec![1, 2]);
-        }
+        assert!(!pool.stats_enabled());
+        assert!(pool.stats().is_none());
+        assert!(pool.contention().is_none());
+        // The pool still works without stats, obviously.
+        assert_eq!(pool.map(&[1, 2], |_, &x| x), vec![1, 2]);
     }
 
     #[test]

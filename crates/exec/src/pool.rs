@@ -225,22 +225,15 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawn a pool with `threads` workers (clamped to at least 1).
-    /// Bare unless the `MMDIAG_TRACE` knob is set; then it is instrumented
-    /// and profiles its contention into the process-level
-    /// [`crate::sync_stats`] cells — one `export` lights up worker stats
-    /// *and* the sync-layer histograms together.
+    /// Spawn a bare pool with `threads` workers (clamped to at least 1):
+    /// no counters and no contention cells.
     pub fn new(threads: usize) -> Self {
-        let trace = crate::config::knobs().trace;
-        Pool::with_stats(
-            threads,
-            trace,
-            trace.then(|| Arc::clone(crate::sync::sync_stats())),
-        )
+        Pool::with_stats(threads, false, None)
     }
 
-    /// Spawn an instrumented pool regardless of the `MMDIAG_TRACE` knob
-    /// — what the bench `--profile` leg and the profiling example use.
+    /// Spawn an instrumented pool: per-worker job, park and run-time
+    /// counters ([`Pool::stats`]) — what the bench `--profile` leg and the
+    /// profiling example use.
     pub fn new_instrumented(threads: usize) -> Self {
         Pool::with_stats(threads, true, None)
     }

@@ -9,9 +9,8 @@
 //! one JSON line per interval (see `StatsReporter::sample` for the
 //! schema) and stops promptly when the handle is dropped.
 //!
-//! The interval usually comes from the `MMDIAG_STATS` knob
-//! ([`crate::knobs`], milliseconds); callers pass it explicitly so tests
-//! and the bench can run a reporter without touching the environment.
+//! Callers pass the interval explicitly; no environment variable sets
+//! it.
 //!
 //! Not compiled under the `model` feature: the sampler is wall-clock
 //! driven and would add nothing but noise to the interleaving explorer.

@@ -18,9 +18,9 @@
 //! a batch joins or leaves it.
 //!
 //! Profiling is a property of the primitive, fixed at construction: a
-//! pool built with [`crate::Pool::new_profiled`] (or any pool while the
-//! `MMDIAG_TRACE` knob is set) profiles its own queue, parking and
-//! completion latches, and nothing else in the process changes. Locks
+//! pool built with [`crate::Pool::new_profiled`] profiles its own queue,
+//! parking and completion latches into the cells its caller passes, and
+//! nothing else in the process changes. Locks
 //! that belong to work on a pool — `mmdiag_core`'s workspace slots — are
 //! built from that pool's cells ([`crate::Pool::contention`]), so its
 //! report covers them as well. A plain primitive pays one `Option` check
@@ -51,7 +51,6 @@ pub use std::sync::Arc;
 
 use mmdiag_trace::clock;
 use mmdiag_trace::{Gauge, Histogram};
-use std::sync::OnceLock;
 
 #[cfg(not(feature = "model"))]
 mod imp {
@@ -134,13 +133,6 @@ impl Default for SyncStats {
     fn default() -> Self {
         SyncStats::new()
     }
-}
-
-/// The process-level [`SyncStats`] that pools built while the
-/// `MMDIAG_TRACE` knob is set record into, created on first use.
-pub fn sync_stats() -> &'static Arc<SyncStats> {
-    static STATS: OnceLock<Arc<SyncStats>> = OnceLock::new();
-    STATS.get_or_init(|| Arc::new(SyncStats::new()))
 }
 
 /// A mutex behind the facade: the active implementation's mutex plus
@@ -329,7 +321,7 @@ mod tests {
     #[test]
     fn sync_stats_register_under_canonical_names() {
         let reg = mmdiag_trace::MetricsRegistry::new();
-        sync_stats().register_into(&reg);
+        SyncStats::new().register_into(&reg);
         let names: Vec<String> = reg.snapshot().into_iter().map(|m| m.name).collect();
         assert_eq!(
             names,

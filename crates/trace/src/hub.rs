@@ -17,9 +17,8 @@
 //! series: each [`StatsReporter::sample`] emits one self-contained JSON
 //! object with per-metric deltas since the previous sample. The sampler
 //! *thread* driving it lives in `mmdiag_exec` (`start_stats_reporter`) —
-//! thread creation stays inside the executor crate, and the sampling
-//! interval is the `MMDIAG_STATS` knob parsed once by
-//! `mmdiag_exec::config::knobs()`. Timestamps only ever come from
+//! thread creation stays inside the executor crate, and its caller
+//! passes the sampling interval. Timestamps only ever come from
 //! [`crate::clock`], like every other time read in the workspace.
 
 use crate::clock;
@@ -179,7 +178,7 @@ pub fn merge_snapshots(sets: &[Vec<MetricSnapshot>]) -> Vec<MetricSnapshot> {
 /// cumulative `count`/quantiles plus the window's `delta_count`. The
 /// reporter is deliberately passive — it owns no thread and reads no
 /// environment; `mmdiag_exec::start_stats_reporter` drives it on a
-/// sampler thread at the `MMDIAG_STATS` interval.
+/// sampler thread at the interval its caller passes.
 pub struct StatsReporter<'a> {
     hub: &'a MetricsHub,
     prev: Vec<MetricSnapshot>,

@@ -21,8 +21,8 @@
 //!   registries attach to one process-wide hub that merges them into a
 //!   fleet snapshot (counters summed, gauges last-write, histograms
 //!   merged) and streams periodic JSON-lines deltas; the sampler thread
-//!   itself lives in `mmdiag_exec` (thread single door), driven by the
-//!   `MMDIAG_STATS` knob.
+//!   itself lives in `mmdiag_exec` (thread single door), at the interval
+//!   its caller passes.
 //! * **Exporters** ([`export`]) — JSON-lines and Chrome trace-event
 //!   format (loadable in `chrome://tracing` / Perfetto), plus
 //!   [`export::validate_json`] so CI can check emitted traces parse
@@ -31,9 +31,8 @@
 //!   tests.
 //!
 //! Tracing is enabled per session through `Diagnoser::trace(...)` or
-//! process-wide via the `MMDIAG_TRACE` knob (read once by
-//! `mmdiag_exec::config::knobs()` — this crate deliberately reads no
-//! environment itself).
+//! `Diagnoser::stats(...)`, never process-wide: no environment variable
+//! turns it on, and this crate reads no environment itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -279,6 +279,26 @@ const SCALE_PATH: &[&str] = &[
     "crates/distsim/src/",
 ];
 
+/// Library source trees whose non-test code may not read the parsed
+/// knobs: no environment variable changes what a diagnosis, a batch
+/// fan-out decision or a session's instrumentation does. The executor's
+/// `config.rs` (the door itself) and `lib.rs` (`default_threads`, the
+/// pool width) are exempt.
+const KNOB_FREE: &[&str] = &[
+    "crates/core/src/",
+    "crates/syndrome/src/",
+    "crates/topology/src/",
+    "crates/baselines/src/",
+    "crates/distsim/src/",
+    "crates/trace/src/",
+    "crates/exec/src/",
+    "src/",
+];
+
+/// Tokens that read the parsed knobs (`mmdiag_exec::knobs()`, or a
+/// `Knobs` parsed in place).
+const KNOB_TOKENS: &[&str] = &["knobs", "Knobs"];
+
 /// Run every pass over one file. `rel` is the workspace-relative path
 /// with forward slashes; `src` its full text.
 pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
@@ -340,6 +360,30 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
                         format!(
                             "`{tok}` outside `crates/exec/src/config.rs` — route the knob \
                              through `mmdiag_exec::config::knobs()`"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+
+    // Pass: library code reads no knob. The two live knobs size the global
+    // pool and shrink the harnesses; a library that branched on one would
+    // make a run depend on the environment.
+    let knob_door = rel == "crates/exec/src/config.rs" || rel == "crates/exec/src/lib.rs";
+    if !knob_door && KNOB_FREE.iter().any(|dir| rel.starts_with(dir)) {
+        for (idx, line) in code_lines.iter().enumerate() {
+            if mask[idx] {
+                continue;
+            }
+            for tok in KNOB_TOKENS {
+                if find_token(line, tok).is_some() {
+                    findings.push(at(
+                        idx,
+                        "knob-free-library",
+                        format!(
+                            "`{tok}` in library code — no environment variable may change a \
+                             run; take the setting as an argument or a session option"
                         ),
                     ));
                 }
@@ -709,6 +753,49 @@ mod tests {
         )
         .iter()
         .all(|f| f.pass != "implicit-no-materialisation"));
+    }
+
+    #[test]
+    fn knob_reads_in_library_src_are_flagged_outside_tests() {
+        let src = "fn f() -> bool {\n    mmdiag_exec::knobs().quick\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() -> bool {\n        mmdiag_exec::knobs().quick\n    }\n}\n";
+        let found = lint_source("crates/core/src/backend.rs", src);
+        assert_eq!(passes(&found), vec!["knob-free-library"]);
+        assert_eq!(found[0].line, 2, "the test-mod read is exempt");
+        // The same read under `#[cfg(test)]` alone passes.
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() -> bool {\n        \
+                       mmdiag_exec::knobs().quick\n    }\n}\n";
+        assert!(lint_source("crates/core/src/backend.rs", in_test).is_empty());
+        // Every listed tree trips, the facade and the executor included,
+        // and so does a `Knobs` parsed in place.
+        for dir in KNOB_FREE {
+            let found = lint_source(&format!("{dir}pool.rs"), src);
+            assert_eq!(passes(&found), vec!["knob-free-library"], "{dir}");
+        }
+        let parsed = "fn f() -> bool {\n    Knobs::from_env().quick\n}\n";
+        assert_eq!(
+            passes(&lint_source("src/session.rs", parsed)),
+            vec!["knob-free-library"]
+        );
+        // The door, the pool width, the harnesses and the benchmark may
+        // read them; so may integration tests and prose.
+        for rel in [
+            "crates/exec/src/config.rs",
+            "crates/exec/src/lib.rs",
+            "crates/bench/src/main.rs",
+            "crates/bench/src/online.rs",
+            "mmbench/src/main.rs",
+            "crates/distsim/tests/sim_vs_model.rs",
+        ] {
+            assert!(
+                lint_source(rel, src)
+                    .iter()
+                    .all(|f| f.pass != "knob-free-library"),
+                "{rel}"
+            );
+        }
+        let prose = "//! Reads no knobs.\nfn f() -> &'static str {\n    \"knobs\"\n}\n";
+        assert!(lint_source("crates/trace/src/hub.rs", prose).is_empty());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! cargo run --example online_monitor
 //! ```
 //!
-//! The same loop at bench scale: `mmdiag-bench --online` (optionally
-//! `MMDIAG_EPOCHS=<n>` to pick the epoch budget).
+//! The same loop at bench scale: `mmdiag-bench --online` (24 epochs per
+//! family, 8 with `--quick`).
 
 use mmdiag::distsim::EpochTimeline;
 use mmdiag::syndrome::{OracleSyndrome, TesterBehavior};

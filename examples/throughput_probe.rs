@@ -9,8 +9,8 @@
 //! cargo run --example throughput_probe
 //! ```
 //!
-//! The same machinery at bench scale: `mmdiag-bench --throughput`
-//! (optionally `MMDIAG_STATS=<ms>` to pick the sampling interval).
+//! The same machinery at bench scale: `mmdiag-bench --throughput`, which
+//! samples the hub every 200 ms.
 
 use mmdiag::syndrome::{OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
@@ -32,8 +32,8 @@ fn main() {
         contention,
     ));
 
-    // Periodic JSON-lines deltas of everything attached to the hub —
-    // the MMDIAG_STATS knob picks this interval for the bench binary.
+    // Periodic JSON-lines deltas of everything attached to the hub, every
+    // 100 ms.
     let reporter = exec::start_stats_reporter(
         MetricsHub::global(),
         Duration::from_millis(100),

@@ -11,10 +11,11 @@
 //!   planted fault sets through [`Diagnoser::run_planted`] /
 //!   [`Diagnoser::run_streaming`];
 //! * **batch fan-out** — a [`BackendPolicy`] (sequential, a pool, or
-//!   size-directed auto against the default
-//!   [`Cutovers`](mmdiag_core::Cutovers)) deciding whether
-//!   [`Diagnoser::submit_batch`] fans out. A single run takes no policy:
-//!   it runs on the calling thread and never spawns a pool;
+//!   size-directed auto against
+//!   [`SEQUENTIAL_CUTOVER_NODES`](mmdiag_core::SEQUENTIAL_CUTOVER_NODES))
+//!   deciding whether [`Diagnoser::submit_batch`] fans out. A single run
+//!   takes no policy: it runs on the calling thread and never spawns a
+//!   pool;
 //! * **verification** — a [`VerificationPolicy`]: none, the seeded
 //!   sampled spot-check, or the full-table baseline — run as part of the
 //!   same call, its [`VerificationVerdict`] riding on the report;
@@ -56,7 +57,7 @@ use mmdiag_core::{
 use mmdiag_distsim::{simulate_unchecked, FaultTimeline, LatencyModel, SimReport};
 use mmdiag_syndrome::{FaultSet, OnDemandOracle, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag_topology::{Cached, NodeId, Partitionable};
-use mmdiag_trace::{checked_delta, HubSession, MetricsHub, MetricsRegistry, TraceConfig, Tracer};
+use mmdiag_trace::{checked_delta, HubSession, MetricsHub, TraceConfig, Tracer};
 use std::sync::OnceLock;
 
 /// Where a session's topology comes from: a caller-borrowed instance, or
@@ -140,11 +141,10 @@ pub struct Diagnoser<'g> {
     topology: TopologySource<'g>,
     backend: BackendPolicy<'g>,
     verification: VerificationPolicy,
-    /// Fault bound, precondition check, cutovers and trace handle: what
-    /// every core run and the monitor take from this session. The tracer
-    /// is disabled by default (recording costs one `Option` check),
-    /// enabled by [`Diagnoser::trace`] or process-wide by the
-    /// `MMDIAG_TRACE` knob.
+    /// Fault bound, precondition check and trace handle: what every core
+    /// run and the monitor take from this session. The tracer is disabled
+    /// by default (recording costs one `Option` check), enabled by
+    /// [`Diagnoser::trace`] or [`Diagnoser::stats`].
     opts: SessionOptions,
     /// Lazily-built workspace pool shared by every call on this session,
     /// so batches and repeated runs reuse their `O(N)` scratch: single
@@ -165,17 +165,11 @@ impl<'g> Diagnoser<'g> {
 
     /// A session over an owned [`TopologySource`].
     pub fn from_source(topology: TopologySource<'g>) -> Self {
-        let mut opts = SessionOptions::default();
-        // The MMDIAG_TRACE knob (read once through the exec config door)
-        // turns tracing on for every session in the process.
-        if mmdiag_exec::config::knobs().trace {
-            opts.tracer = Tracer::new(TraceConfig::default());
-        }
         Diagnoser {
             topology,
             backend: BackendPolicy::Sequential,
             verification: VerificationPolicy::None,
-            opts,
+            opts: SessionOptions::default(),
             ws: OnceLock::new(),
             hub_session: None,
         }
@@ -223,9 +217,9 @@ impl<'g> Diagnoser<'g> {
     }
 
     /// Size-directed batches: in order below
-    /// [`Cutovers::sequential`](mmdiag_core::Cutovers::sequential), fanned
-    /// out over the global pool at or above it. Only such a batch spawns
-    /// the global pool.
+    /// [`SEQUENTIAL_CUTOVER_NODES`](mmdiag_core::SEQUENTIAL_CUTOVER_NODES)
+    /// nodes, fanned out over the global pool at or above it. Only such a
+    /// batch spawns the global pool.
     pub fn auto(self) -> Self {
         self.backend(BackendPolicy::Auto)
     }
@@ -265,30 +259,25 @@ impl<'g> Diagnoser<'g> {
     }
 
     /// The session's trace handle (clone to keep draining after the
-    /// session is dropped). Disabled unless [`Diagnoser::trace`] was
-    /// called or `MMDIAG_TRACE` is set.
+    /// session is dropped). Disabled unless [`Diagnoser::trace`] or
+    /// [`Diagnoser::stats`] was called.
     pub fn tracer(&self) -> &Tracer {
         &self.opts.tracer
     }
 
     /// Attach this session's metrics registry to the process-wide
     /// [`MetricsHub`] under `name`: fleet snapshots
-    /// ([`MetricsHub::merged_snapshot`]) and the `MMDIAG_STATS` reporter
-    /// stream (`mmdiag_exec::stats`) then include this session's
+    /// ([`MetricsHub::merged_snapshot`]) and the stats reporter stream
+    /// (`mmdiag_exec::start_stats_reporter`) then include this session's
     /// counters alongside every other attached session's. Implies
     /// tracing — a disabled tracer is upgraded to a default-config one,
     /// since the metrics registry lives on the trace sink. The
     /// registration is dropped (and the hub forgets the session) when
     /// the `Diagnoser` is dropped.
     ///
-    /// The first `stats` call in a process also attaches the executor's
-    /// process-level contention cells (`sync.lock_wait_ns`,
-    /// `sync.park_ns`, `sync.injector_depth`) to the hub as one `"sync"`
-    /// pseudo-session — once, not per session, so hub merges never
-    /// double-count the shared cells. Pools built while the
-    /// `MMDIAG_TRACE` knob is set (the global pool included) record into
-    /// them; a pool from `Pool::new_profiled` records into the cells its
-    /// caller passes instead.
+    /// A pool's contention cells are not the session's: a pool from
+    /// `Pool::new_profiled` records into the cells its caller passes, and
+    /// the caller attaches them to the hub if it wants them there.
     ///
     /// Call `stats` *after* [`Diagnoser::trace`]: `trace` replaces the
     /// tracer (and its registry), which would strand an earlier
@@ -297,7 +286,6 @@ impl<'g> Diagnoser<'g> {
         if self.opts.tracer.metrics_handle().is_none() {
             self.opts.tracer = Tracer::new(TraceConfig::default());
         }
-        attach_sync_cells_once();
         let registry = self
             .opts
             .tracer
@@ -336,7 +324,7 @@ impl<'g> Diagnoser<'g> {
     fn ws_pool(&self) -> &WorkspacePool {
         self.ws.get_or_init(|| {
             let n = self.topology.view().node_count();
-            WorkspacePool::for_policy(n, &self.backend, &self.opts.cutovers)
+            WorkspacePool::for_policy(n, &self.backend)
         })
     }
 
@@ -579,21 +567,6 @@ impl<'g> Diagnoser<'g> {
     }
 }
 
-/// Attach the executor's shared contention cells to the hub exactly once,
-/// as a `"sync"` pseudo-session. The cells are process-wide singletons
-/// ([`mmdiag_exec::sync_stats`]); registering them into each session's
-/// registry instead would make [`MetricsHub::merged_snapshot`] count every
-/// lock-wait N times for N attached sessions.
-fn attach_sync_cells_once() {
-    use std::sync::OnceLock;
-    static SYNC_ATTACHMENT: OnceLock<HubSession<'static>> = OnceLock::new();
-    SYNC_ATTACHMENT.get_or_init(|| {
-        let registry = std::sync::Arc::new(MetricsRegistry::new());
-        mmdiag_exec::sync_stats().register_into(&registry);
-        MetricsHub::global().attach("sync", registry)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -737,14 +710,11 @@ mod tests {
         let session = Diagnoser::new(&g);
         let report = session.run(&s).unwrap();
         assert!(report.telemetry.probe_nanos > 0, "telemetry still measured");
-        // The default session honours the process-wide MMDIAG_TRACE knob.
-        assert_eq!(
-            session.tracer().is_enabled(),
-            mmdiag_exec::config::knobs().trace
-        );
-        if !session.tracer().is_enabled() {
-            assert!(session.tracer().drain().is_empty());
-        }
+        // No knob turns tracing on: the default session's tracer is off
+        // whatever the environment holds.
+        assert!(!session.tracer().is_enabled());
+        assert!(session.tracer().drain().is_empty());
+        assert!(session.tracer().metrics().is_none());
     }
 
     #[test]
@@ -785,8 +755,8 @@ mod tests {
             );
         }
         ready.wait();
-        // Other tests (and the process-level "sync" attachment) may be on
-        // the hub concurrently — restrict to our own attachments.
+        // Other tests may be on the hub concurrently — restrict to our own
+        // attachments.
         let per_session: Vec<Vec<MetricSnapshot>> = MetricsHub::global()
             .snapshot_sessions()
             .into_iter()

@@ -10,7 +10,7 @@
 //! global pool.
 #![cfg(target_os = "linux")]
 
-use mmdiag::diagnosis::Cutovers;
+use mmdiag::diagnosis::SEQUENTIAL_CUTOVER_NODES;
 use mmdiag::syndrome::{FaultSet, OracleSyndrome, SyndromeSource, TesterBehavior};
 use mmdiag::topology::families::Hypercube;
 use mmdiag::{BatchJob, Diagnoser};
@@ -61,9 +61,8 @@ fn a_single_auto_run_spawns_no_pool_and_a_fanned_out_batch_does() {
         "a single run spawned a pool"
     );
 
-    // Q_10 sits at the default cutover, so a batch fans out over the
-    // global pool (unless MMDIAG_CUTOVER pins the cutover above it).
-    let fans_out = n >= Cutovers::default().sequential;
+    // Q_10 sits at the cutover, so a batch fans out over the global pool.
+    assert_eq!(n, SEQUENTIAL_CUTOVER_NODES);
     let t = planted(&[7, 300]);
     let jobs = [
         BatchJob::Source(&s as &(dyn SyndromeSource + Sync)),
@@ -74,16 +73,9 @@ fn a_single_auto_run_spawns_no_pool_and_a_fanned_out_batch_does() {
     for (outcome, want) in outcomes.iter().zip(want) {
         let report = outcome.as_ref().unwrap();
         assert_eq!(report.diagnosis.faults, want);
-        assert_eq!(
-            report.backend,
-            if fans_out { "pooled" } else { "sequential" }
-        );
+        assert_eq!(report.backend, "pooled");
     }
-    let want = if fans_out {
-        mmdiag::exec::default_threads()
-    } else {
-        0
-    };
+    let want = mmdiag::exec::default_threads();
     assert_eq!(
         pool_workers_awaiting(want).len(),
         want,
